@@ -18,6 +18,9 @@
 // engine (exact and byte-identical to seq, typically faster at low
 // dimensionality; -workers bounds its parallelism), and -mode auto profiles
 // the dataset and picks between them (-stats reports which engine ran).
+// -mode parallel is the seq engine on -workers goroutines (0 = all cores):
+// the same cores, partition and noise; border ties may resolve differently
+// from run to run.
 //
 // -mode stream feeds the rows through the streaming tier in order and labels
 // them from the final exact snapshot — identical to seq by default (landmark
@@ -166,8 +169,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		var st *mudbscan.SeqStats
 		result, st, err = mudbscan.ClusterWithStats(rows, *eps, *minPts)
 		if err == nil && *stats {
-			fmt.Fprintf(stderr, "n=%d m=%d queries=%d saved=%d (%.2f%%) time=%v\n",
-				len(pts), st.NumMCs, st.Queries, st.QueriesSaved, st.QuerySavedPct(), time.Since(start))
+			printRunStats(stderr, len(pts), st, false, time.Since(start))
 		}
 	case "cell", "auto":
 		engine := mudbscan.EngineCell
@@ -182,18 +184,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 				fmt.Fprintf(stderr, "engine=%s\n", mudbscan.ChooseEngine(rows, *eps, *minPts))
 			}
 			// m is cells under the cell engine, micro-clusters under μR-tree.
-			fmt.Fprintf(stderr, "n=%d m=%d queries=%d saved=%d (%.2f%%) time=%v\n",
-				len(pts), st.NumMCs, st.Queries, st.QueriesSaved, st.QuerySavedPct(), time.Since(start))
+			printRunStats(stderr, len(pts), st, false, time.Since(start))
 		}
 	case "parallel":
 		var st *mudbscan.ParStats
 		result, st, err = mudbscan.ClusterParallel(rows, *eps, *minPts, mudbscan.WithWorkers(*workers))
 		if err == nil && *stats {
-			fmt.Fprintf(stderr, "n=%d m=%d workers=%d queries=%d saved=%d (%.2f%%) distcalcs=%d time=%v\n",
-				len(pts), st.NumMCs, st.Workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, time.Since(start))
-			fmt.Fprintf(stderr, "steps: tree=%v reach=%v cluster=%v post=%v\n",
-				st.Steps.TreeConstruction, st.Steps.FindingReachable,
-				st.Steps.Clustering, st.Steps.PostProcessing)
+			printRunStats(stderr, len(pts), st, true, time.Since(start))
 		}
 	case "dist":
 		if netCfg != nil {
@@ -245,6 +242,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 			result.NumClusters, result.NumCorePoints(), result.NumNoise())
 	}
 	return writeLabels(*outPath, stdout, result.Labels)
+}
+
+// printRunStats writes the -stats line of a single-host run. The parallel
+// mode adds the worker count, the distance computations and the step split.
+func printRunStats(w io.Writer, n int, st *mudbscan.SeqStats, parallel bool, elapsed time.Duration) {
+	workers, distCalcs := "", ""
+	if parallel {
+		workers = fmt.Sprintf(" workers=%d", st.Workers)
+		distCalcs = fmt.Sprintf(" distcalcs=%d", st.DistCalcs)
+	}
+	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%)%s time=%v\n",
+		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), distCalcs, elapsed)
+	if parallel {
+		fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
+			st.Steps.TreeConstruction, st.Steps.FindingReachable,
+			st.Steps.Clustering, st.Steps.PostProcessing)
+	}
 }
 
 func readPoints(path string, stdin io.Reader) ([]geom.Point, error) {

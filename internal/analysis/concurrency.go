@@ -18,9 +18,10 @@ import (
 //	    guarantee covers the static call graph, and the transport seam is
 //	    the one deliberate indirection.
 //	concurrency/lockcopy — by-value copies of types bearing a sync
-//	    primitive, a noCopy field, or unionfind.Concurrent (whose sharded
-//	    state must stay aliased): value receivers/parameters, assignments
-//	    from existing values, range copies, and by-value call arguments.
+//	    primitive, a noCopy field, or unionfind.Concurrent (one forest that
+//	    many goroutines write through one pointer): value
+//	    receivers/parameters, assignments from existing values, range
+//	    copies, and by-value call arguments.
 var ConcurrencyAnalyzer = &Analyzer{
 	Name: "concurrency",
 	Doc:  "forbids go statements under //mulint:inline functions and by-value lock copies",

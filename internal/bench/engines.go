@@ -12,7 +12,6 @@ import (
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
-	"mudbscan/internal/shared"
 )
 
 // engineBruteMaxN caps the O(n²) brute-force column; beyond it the row
@@ -88,7 +87,7 @@ func Engines(cfg Config) error {
 		}
 		muT = timed(func() { muRes, _ = core.Run(r.pts, r.eps, r.minPts, core.Options{}) })
 		sharedT = timed(func() {
-			sharedRes, _ = shared.Run(r.pts, r.eps, r.minPts, shared.Options{Workers: workers})
+			sharedRes, _ = core.Run(r.pts, r.eps, r.minPts, core.Options{Workers: workers})
 		})
 		cell1T = timed(func() { cell1Res, _ = cell.Run(r.pts, r.eps, r.minPts, cell.Options{Workers: 1}) })
 		cellPT = timed(func() { cellPRes, _ = cell.Run(r.pts, r.eps, r.minPts, cell.Options{Workers: workers}) })

@@ -12,7 +12,6 @@ import (
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/dist"
-	"mudbscan/internal/shared"
 	"mudbscan/internal/stream"
 )
 
@@ -52,7 +51,7 @@ func Scenarios(cfg Config) error {
 		bruteT = timed(func() { bruteRes, _ = dbscan.Brute(sc.Pts, sc.Eps, sc.MinPts) })
 		muT = timed(func() { muRes, _ = core.Run(sc.Pts, sc.Eps, sc.MinPts, core.Options{}) })
 		sharedT = timed(func() {
-			sharedRes, _ = shared.Run(sc.Pts, sc.Eps, sc.MinPts, shared.Options{Workers: workers})
+			sharedRes, _ = core.Run(sc.Pts, sc.Eps, sc.MinPts, core.Options{Workers: workers})
 		})
 		cellT = timed(func() {
 			cellRes, _ = cell.Run(sc.Pts, sc.Eps, sc.MinPts, cell.Options{Workers: workers})

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
-	"mudbscan/internal/shared"
+	"mudbscan/internal/core"
 )
 
 // sharedWorkerCounts returns the worker sweep 1, 2, 4, ... up to GOMAXPROCS
@@ -33,7 +33,7 @@ func SharedMemory(cfg Config) error {
 	t.row("Workers", "Tree", "Reach", "Cluster", "Post", "Total", "Speedup", "DistCalcs", "%query saves")
 	var base float64
 	for _, w := range sharedWorkerCounts() {
-		_, st := shared.Run(pts, s.Eps, s.MinPts, shared.Options{Workers: w})
+		_, st := core.Run(pts, s.Eps, s.MinPts, core.Options{Workers: w})
 		total := st.Steps.Total()
 		if base == 0 {
 			base = float64(total)

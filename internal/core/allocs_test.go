@@ -10,8 +10,8 @@ import (
 
 // A steady-state core-point expansion — ε-query, inner-circle pass, unions —
 // must perform zero heap allocations once the run's scratch buffers have
-// warmed: this is the hot loop of Algorithm 6 and the reason the run carries
-// reusable nbhd/inner arenas instead of per-query slices.
+// warmed: this is the hot loop of Algorithm 6 and the reason every worker
+// carries reusable nbhd/inner arenas instead of per-query slices.
 func TestProcessPointZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	pts := make([]geom.Point, 3000)
@@ -20,13 +20,13 @@ func TestProcessPointZeroAllocs(t *testing.T) {
 	}
 	eps, minPts := 0.8, 5
 	ix := mc.Build(pts, eps, minPts, mc.Options{})
-	r := newRun(ix.Points, eps, minPts, len(pts), ix, Options{}, &Stats{})
+	r := newRun(ix, eps, minPts, len(pts), Options{})
 	r.preliminaryClusters()
 	r.processRemaining() // warms the scratch buffers and settles the state
 
-	var dense []int
+	var dense []int // cores that were proven by their query
 	for i := range pts {
-		if r.core[i] && r.queried[i] {
+		if r.flags.get(i)&(flagCore|flagWndq) == flagCore {
 			dense = append(dense, i)
 		}
 	}
@@ -35,7 +35,7 @@ func TestProcessPointZeroAllocs(t *testing.T) {
 	}
 	k := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		r.processPoint(dense[k%len(dense)])
+		r.processPoint(&r.workers[0], dense[k%len(dense)])
 		k++
 	})
 	if allocs != 0 {

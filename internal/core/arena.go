@@ -3,9 +3,9 @@ package core
 // Arena is one worker's reusable neighborhood-query scratch: the ε-query
 // hit-list and inner-circle buffers behind the allocation-free *Into query
 // tier. A run owns fresh scratch by default; a long-lived caller — the
-// mudbscand worker pool serving one clustering job after another — lends an
-// Arena through Options.Arena instead, and the run hands the (possibly
-// grown) buffers back when it completes. The second job on the same worker
+// mudbscand worker pool serving one clustering job after another — lends one
+// Arena per worker through Options.Arenas instead, and the run hands the
+// (possibly grown) buffers back when it completes. The second job on the same worker
 // then starts with scratch already warmed to the largest neighborhood the
 // first one saw, so the steady-state zero-allocation contract of
 // processPoint (TestProcessPointZeroAllocs) holds across requests, not just

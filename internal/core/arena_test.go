@@ -1,61 +1,76 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"mudbscan/internal/clustering"
-	"mudbscan/internal/geom"
+	"mudbscan/internal/dbscan"
 )
 
-// TestArenaReuseAcrossRuns pins the lend/return lifetime: a run borrows the
-// arena's buffers, returns them grown, and a second run over the same data
-// starts warm — identical clustering, no fresh query-scratch growth.
-func TestArenaReuseAcrossRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	pts := make([]geom.Point, 1500)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 10, rng.Float64() * 10}
-	}
-	arena := &Arena{}
-	opts := Options{Arena: arena}
-	first, _ := Run(pts, 0.5, 5, opts)
-	if cap(arena.Nbhd) == 0 || cap(arena.Inner) == 0 {
-		t.Fatalf("run did not return grown scratch: nbhd cap=%d inner cap=%d",
-			cap(arena.Nbhd), cap(arena.Inner))
-	}
-	warmNbhd, warmInner := cap(arena.Nbhd), cap(arena.Inner)
-	second, _ := Run(pts, 0.5, 5, opts)
-	if err := clustering.Equivalent(first, second); err != nil {
-		t.Fatalf("arena reuse changed the clustering: %v", err)
-	}
-	if cap(arena.Nbhd) != warmNbhd || cap(arena.Inner) != warmInner {
-		t.Fatalf("warm scratch grew again: nbhd %d -> %d, inner %d -> %d",
-			warmNbhd, cap(arena.Nbhd), warmInner, cap(arena.Inner))
-	}
-}
+// TestArenasLendAndReturn pins the per-worker lend/return lifetime at every
+// worker count: a run borrows the lent arenas' buffers and returns them
+// grown, back-to-back runs stay exact, and a run over the same data starts
+// warm — no fresh query-scratch growth at one worker, where the load a worker
+// sees is deterministic. Workers the arenas do not cover (too few entries, or
+// a nil one) fall back to run-owned scratch.
+func TestArenasLendAndReturn(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	pts := blobs(rng, 1200, 2, 3, 0.3, 0.2)
+	eps, minPts := 0.5, 5
+	want, _ := dbscan.Brute(pts, eps, minPts)
 
-// TestArenaOptionalAndIsolated: a nil arena keeps the historical per-run
-// scratch, and two sequentially lent arenas do not alias each other.
-func TestArenaOptionalAndIsolated(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	pts := make([]geom.Point, 600)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 6, rng.Float64() * 6}
-	}
-	want, _ := Run(pts, 0.5, 4, Options{})
-	a, b := &Arena{}, &Arena{}
-	ra, _ := Run(pts, 0.5, 4, Options{Arena: a})
-	rb, _ := Run(pts, 0.5, 4, Options{Arena: b})
-	for name, r := range map[string]*clustering.Result{"a": ra, "b": rb} {
-		if err := clustering.Equivalent(want, r); err != nil {
-			t.Fatalf("arena %s: %v", name, err)
-		}
-	}
-	if cap(a.Nbhd) == 0 || cap(b.Nbhd) == 0 {
-		t.Fatal("arenas not warmed")
-	}
-	if len(a.Nbhd) > 0 && len(b.Nbhd) > 0 && &a.Nbhd[:1][0] == &b.Nbhd[:1][0] {
-		t.Fatal("two arenas share a buffer")
+	for _, tc := range []struct {
+		workers int
+		arenas  []*Arena
+	}{
+		{0, []*Arena{{}}},
+		{1, []*Arena{{}, {}}}, // the extra entry is ignored
+		{4, []*Arena{{}, {}, {}, {}}},
+		{6, []*Arena{{}, nil, {}}}, // workers 1 and 3..5 own their scratch
+	} {
+		t.Run(fmt.Sprintf("workers=%d/arenas=%d", tc.workers, len(tc.arenas)), func(t *testing.T) {
+			opts := Options{Workers: tc.workers, Arenas: tc.arenas}
+			var warm [2]int
+			for trial := 0; trial < 3; trial++ {
+				got, _ := Run(pts, eps, minPts, opts)
+				if err := clustering.Equivalent(want, got); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if tc.workers > 1 {
+					continue // which worker sees which load is the scheduler's choice
+				}
+				a := tc.arenas[0]
+				if trial > 0 && warm != [2]int{cap(a.Nbhd), cap(a.Inner)} {
+					t.Fatalf("trial %d: warm scratch grew again: %v -> [%d %d]",
+						trial, warm, cap(a.Nbhd), cap(a.Inner))
+				}
+				warm = [2]int{cap(a.Nbhd), cap(a.Inner)}
+			}
+			warmed := 0
+			for w, a := range tc.arenas {
+				if a == nil {
+					continue
+				}
+				if w >= max(tc.workers, 1) && (cap(a.Nbhd) > 0 || cap(a.Inner) > 0) {
+					t.Fatalf("arena %d has no worker, yet came back grown", w)
+				}
+				if cap(a.Nbhd) == 0 && cap(a.Inner) > 0 {
+					t.Fatalf("worker %d returned inner scratch without nbhd scratch", w)
+				}
+				if cap(a.Nbhd) > 0 {
+					warmed++
+				}
+				for v, b := range tc.arenas[:w] {
+					if b != nil && cap(a.Nbhd) > 0 && cap(b.Nbhd) > 0 && &a.Nbhd[:1][0] == &b.Nbhd[:1][0] {
+						t.Fatalf("arenas %d and %d share a buffer", v, w)
+					}
+				}
+			}
+			if warmed == 0 {
+				t.Fatal("no arena came back warmed")
+			}
+		})
 	}
 }

@@ -1,0 +1,161 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"mudbscan/internal/clustering"
+	"mudbscan/internal/data"
+	"mudbscan/internal/dbscan"
+	"mudbscan/internal/geom"
+)
+
+// pinned is what core.Run returned on every conformance and scenario dataset
+// at the last commit that still had a separate sequential driver (PR 13,
+// 6d7bab1): a hash of the labels and core flags, and the deterministic
+// counters. The one-worker case of the unified driver must reproduce it
+// bit for bit.
+var pinned = []struct {
+	name                          string
+	hash                          string
+	numMCs, queries, queriesSaved int
+	distCalcs                     int64
+}{
+	{"blobs-3d", "d05c6c4478e8884f", 134, 255, 145, 12068},
+	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 163, 187, 3460},
+	{"uniform-2d", "b26a8f28c97c4d8f", 150, 285, 15, 1929},
+	{"skewed-3d", "68d6b809346e7bcd", 66, 146, 204, 14521},
+	{"all-noise", "7fbbb3cee1a34f39", 100, 100, 0, 200},
+	{"border-tie-1d", "e30b173a88190649", 2, 5, 6, 68},
+	{"lattice-dup-2d", "b81a379f04a0845d", 36, 169, 11, 8089},
+	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 3965},
+	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 40, 63, 341},
+	{"geo-drift", "65549f16ef46471d", 871, 978, 1422, 4927},
+	{"highdim-embed", "d7b9f0a0af778109", 41, 37, 1463, 1063},
+	{"all-border-ties", "26f7169e5d4b305f", 48, 120, 144, 1632},
+	{"bursty-arrival", "2be5ded5c4f2526b", 241, 360, 1640, 27941},
+}
+
+// resultHash digests labels and core flags: nine bytes a point, the label as
+// a little-endian int64 followed by the flag.
+func resultHash(r *clustering.Result) string {
+	h := sha256.New()
+	var b [9]byte
+	for i, l := range r.Labels {
+		binary.LittleEndian.PutUint64(b[:8], uint64(int64(l)))
+		b[8] = 0
+		if r.Core[i] {
+			b[8] = 1
+		}
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+type driverCase struct {
+	name   string
+	pts    []geom.Point
+	eps    float64
+	minPts int
+}
+
+// driverCases is the conformance table followed by the scenario corpus, in
+// the order of pinned.
+func driverCases() []driverCase {
+	var cases []driverCase
+	for _, c := range data.ConformanceCases() {
+		cases = append(cases, driverCase{c.Name, c.Pts, c.Eps, c.MinPts})
+	}
+	for _, s := range data.Scenarios() {
+		cases = append(cases, driverCase{s.Name, s.Pts, s.Eps, s.MinPts})
+	}
+	return cases
+}
+
+// TestOneWorkerMatchesPinnedSequential: Workers 0 and 1 are the sequential
+// algorithm, byte for byte.
+func TestOneWorkerMatchesPinnedSequential(t *testing.T) {
+	cases := driverCases()
+	if len(cases) != len(pinned) {
+		t.Fatalf("%d datasets, %d pins", len(cases), len(pinned))
+	}
+	for k, c := range cases {
+		pin := pinned[k]
+		for _, workers := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				if c.name != pin.name {
+					t.Fatalf("pin %d is for %q", k, pin.name)
+				}
+				r, st := Run(c.pts, c.eps, c.minPts, Options{Workers: workers})
+				if got := resultHash(r); got != pin.hash {
+					t.Errorf("labels+core hash %s, pinned %s", got, pin.hash)
+				}
+				if st.NumMCs != pin.numMCs || st.Queries != pin.queries ||
+					st.QueriesSaved != pin.queriesSaved || st.DistCalcs != pin.distCalcs {
+					t.Errorf("m=%d queries=%d saved=%d distcalcs=%d, pinned %d %d %d %d",
+						st.NumMCs, st.Queries, st.QueriesSaved, st.DistCalcs,
+						pin.numMCs, pin.queries, pin.queriesSaved, pin.distCalcs)
+				}
+				if st.Workers != 1 {
+					t.Errorf("Workers=%d, want 1", st.Workers)
+				}
+			})
+		}
+	}
+}
+
+// TestManyWorkersExact holds every dataset at 2, 3, 4 and 8 workers to brute
+// force: the same clustering up to border ties, identical core flags, every
+// point either queried or saved, and the μR-tree of the one-worker run. Each
+// run is under a deadline so that a hang fails the case instead of stalling
+// the suite; CI runs this under -race at GOMAXPROCS 4.
+func TestManyWorkersExact(t *testing.T) {
+	for _, c := range driverCases() {
+		want, _ := dbscan.Brute(c.pts, c.eps, c.minPts)
+		_, one := Run(c.pts, c.eps, c.minPts, Options{})
+		for _, workers := range []int{2, 3, 4, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				type out struct {
+					r  *clustering.Result
+					st *Stats
+				}
+				done := make(chan out, 1)
+				go func() {
+					r, st := Run(c.pts, c.eps, c.minPts, Options{Workers: workers})
+					done <- out{r, st}
+				}()
+				var o out
+				select {
+				case o = <-done:
+				case <-time.After(time.Minute):
+					t.Fatal("run did not finish within a minute")
+				}
+				if err := o.r.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if err := clustering.Equivalent(want, o.r); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.Core, o.r.Core) {
+					t.Fatal("core flags differ from brute force")
+				}
+				if err := clustering.CheckBorders(c.pts, c.eps, o.r); err != nil {
+					t.Fatal(err)
+				}
+				if o.st.Queries+o.st.QueriesSaved != len(c.pts) {
+					t.Fatalf("queries %d + saved %d != n %d", o.st.Queries, o.st.QueriesSaved, len(c.pts))
+				}
+				if o.st.NumMCs != one.NumMCs {
+					t.Fatalf("m=%d, one worker built %d", o.st.NumMCs, one.NumMCs)
+				}
+				if o.st.Workers != workers {
+					t.Fatalf("Workers=%d, want %d", o.st.Workers, workers)
+				}
+			})
+		}
+	}
+}

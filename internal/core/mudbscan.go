@@ -23,14 +23,23 @@
 // The result is exactly the clustering of traditional DBSCAN: the same core
 // points, the same core-point partition, the same number of clusters and the
 // same noise set (Theorem 1).
+//
+// There is one driver. Its state is the parallel representation — packed
+// atomic status flags, a lock-free union-find, per-worker arenas — and every
+// step is a par.For over micro-clusters or points, which at one worker runs
+// inline in index order: sequential μDBSCAN is the Workers ≤ 1 case, and the
+// shared-memory version the paper lists as future work (§VII) is the same
+// code at Workers = k. DESIGN.md §8 carries the exactness argument.
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mc"
+	"mudbscan/internal/par"
 	"mudbscan/internal/unionfind"
 )
 
@@ -49,15 +58,23 @@ type Options struct {
 	// WholeSpaceQueries ignores the reachable lists and queries every MC's
 	// auxiliary tree (still MBR-pruned).
 	WholeSpaceQueries bool
-	// Arena lends the run caller-owned query scratch in place of fresh
-	// buffers; the run returns the grown buffers to it on completion, so a
-	// worker running many jobs keeps its scratch warm across them. Nil
-	// (the default) allocates per-run scratch as before.
-	Arena *Arena
+	// Workers is the number of goroutines every step runs on. Zero or one
+	// means sequential: the steps run inline in index order and the output
+	// is deterministic. With more workers the result is still exact; which
+	// cluster a border point joins may vary between runs.
+	Workers int
+	// Arenas lends caller-owned query scratch in place of fresh buffers:
+	// worker w borrows Arenas[w] and the run returns the grown buffers on
+	// completion, so a serving pool keeps its scratch warm across jobs.
+	// Extra entries are ignored; workers without an entry (or with a nil
+	// one) allocate per-run scratch. A lent arena must not be used by
+	// anything else while the run executes.
+	Arenas []*Arena
 }
 
 // StepTimes records the wall-clock split of a run over the paper's four
-// reported phases (Table III).
+// reported phases (Table III). Every phase runs on Options.Workers, so each
+// entry is the wall time of its (possibly parallel) section.
 type StepTimes struct {
 	TreeConstruction time.Duration // micro-cluster + μR-tree build, MC classification
 	FindingReachable time.Duration // reachable micro-cluster lists
@@ -86,6 +103,8 @@ type Stats struct {
 	// (DMC/CMC classification) and step 3 (dense ε/2-neighborhoods).
 	WndqFromMCs int
 	WndqDynamic int
+	// Workers is the resolved worker count.
+	Workers int
 	// Steps is the wall-clock phase split.
 	Steps StepTimes
 }
@@ -129,7 +148,8 @@ type LocalResult struct {
 	// Core flags: exact for local points (their complete ε-neighborhood is
 	// present thanks to the halo), a sound lower bound for halo points.
 	Core []bool
-	// Comp[i] is the local union-find component representative of point i.
+	// Comp[i] is the local union-find component representative of point i
+	// (the smallest index of its component).
 	Comp []int32
 	// Assigned marks local non-core points already claimed as borders.
 	Assigned []bool
@@ -147,8 +167,7 @@ type LocalResult struct {
 // as neighbors (and may be proven core, which is sound because coreness is
 // monotone in the visible evidence) but are never queried, never provisional
 // noise, and never receive border-claim unions — those become Pairs for the
-// merge phase. With localCount == len(pts) this is exactly sequential
-// μDBSCAN.
+// merge phase. With localCount == len(pts) this is exactly μDBSCAN.
 func RunLocal(pts []geom.Point, eps float64, minPts int, localCount int, opts Options) *LocalResult {
 	if len(pts) == 0 {
 		return &LocalResult{Stats: &Stats{}, NoiseNbhd: map[int32][]int32{}}
@@ -193,6 +212,7 @@ func StartLocal(localPts []geom.Point, eps float64, minPts int, opts Options) *L
 		Fanout:        opts.Fanout,
 		NoDeferral:    opts.NoDeferral,
 		SkipReachable: true,
+		Workers:       opts.Workers,
 	})
 	lb.b.Add(localPts)
 	lb.localBuildTime = time.Since(start)
@@ -210,8 +230,6 @@ func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult {
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	lb.b.Add(haloPts)
 	ix := lb.b.Finish()
-	set := ix.Points
-	n := set.Len()
 	st.Steps.TreeConstruction = lb.localBuildTime + time.Since(start)
 	st.NumMCs = ix.NumMCs()
 
@@ -225,7 +243,7 @@ func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult {
 	// Step 3: preliminary clusters from DMC/CMC, then neighborhood queries
 	// with dynamic wndq-core identification.
 	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	r := newRun(set, eps, minPts, localCount, ix, opts, st)
+	r := newRun(ix, eps, minPts, localCount, opts)
 	if !opts.DisableWndq {
 		r.preliminaryClusters()
 	}
@@ -238,25 +256,75 @@ func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult {
 	r.postProcessNoise()
 	st.Steps.PostProcessing = time.Since(start)
 
-	r.releaseScratch()
-	st.Queries = localCount - st.QueriesSaved
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = int32(r.uf.Find(i))
+	return r.result(st)
+}
+
+// Per-point status bits. Each is monotone — raised at most once, never
+// cleared — which is what lets workers act on a possibly stale read: a bit
+// seen set is set for good, and a bit seen clear is re-examined by a later
+// step (see DESIGN.md §8).
+const (
+	flagCore     uint32 = 1 << iota // proven core
+	flagWndq                        // core, proven without a query (skip its query)
+	flagAssigned                    // non-core point already claimed by a cluster
+)
+
+// flags holds the status bits of every point, one byte per point packed four
+// to an atomic word. linkFromCore loads a random point's byte for every
+// neighbor of every queried core, so the table has to stay as dense as the
+// []bool it replaces: a []atomic.Bool is four bytes a flag, and that load
+// alone cost three times as much on the 5-d household workload.
+type flags []atomic.Uint32
+
+func newFlags(n int) flags { return make(flags, (n+3)/4) }
+
+// get returns point i's status byte.
+func (f flags) get(i int) uint32 { return f[i>>2].Load() >> (uint(i&3) * 8) & 0xff }
+
+// raise sets bits on point i and returns its status byte from just before:
+// of all callers racing to raise a bit, exactly one sees it clear. A plain
+// load comes first, so re-raising a bit that is already up (the common case
+// for a border every neighboring core tries to claim) costs no CAS.
+func (f flags) raise(i int, bits uint32) uint32 {
+	w, shift := &f[i>>2], uint(i&3)*8
+	for {
+		word := w.Load()
+		old := word >> shift & 0xff
+		if old&bits == bits || w.CompareAndSwap(word, word|bits<<shift) {
+			return old
+		}
 	}
-	noise := make(map[int32][]int32, len(r.noiseList))
-	for _, e := range r.noiseList {
-		noise[e.id] = e.nbhd
-	}
-	return &LocalResult{
-		LocalCount: localCount,
-		Core:       r.core,
-		Comp:       comp,
-		Assigned:   r.assigned,
-		Pairs:      r.pairs,
-		NoiseNbhd:  noise,
-		Stats:      st,
-	}
+}
+
+// worker is the state one goroutine owns for the whole run: its query
+// scratch, the lists it fills lazily, and its share of the counters. Worker
+// w touches workers[w] and nothing else of the kind, so none of it is
+// synchronized; the slice is sized once in newRun and never grows, which is
+// what makes holding a *worker across a step safe. The pad keeps adjacent
+// workers' counters on distinct cache lines.
+type worker struct {
+	// Scratch reused across every neighborhood query; processPoint runs
+	// allocation-free once the buffers have warmed to the largest
+	// neighborhood.
+	nbhd  []int
+	inner []bool
+
+	wndqList  []int32
+	noiseList []noiseEntry
+	pairs     []Pair
+
+	queries     int
+	wndqFromMCs int
+	wndqDynamic int
+	distCalcs   int64
+	_           [64]byte
+}
+
+// noiseEntry keeps a provisional noise point together with its computed
+// neighborhood for the Algorithm 8 rectification pass.
+type noiseEntry struct {
+	id   int32
+	nbhd []int32
 }
 
 // run carries the mutable state of one μDBSCAN execution.
@@ -268,36 +336,110 @@ type run struct {
 	localCount int
 	ix         *mc.Index
 	opts       Options
-	st         *Stats
 
-	uf       *unionfind.UF
-	core     []bool
-	wndq     []bool // core, proven without a query (skip its query)
-	assigned []bool // non-core point already claimed by a cluster
-	queried  []bool
-
-	// Scratch buffers reused across every neighborhood query; processPoint
-	// runs allocation-free once they have warmed to the largest neighborhood.
-	nbhd  []int
-	inner []bool
-
-	wndqList  []int32
-	noiseList []noiseEntry
-	pairs     []Pair
+	uf      *unionfind.Concurrent
+	flags   flags
+	workers []worker
 	// mcWhole[id] reports that every member of MC id shares the center's
-	// union-find component permanently (set by preliminaryClusters).
+	// union-find component permanently. Set by preliminaryClusters, where
+	// each MC is handled by exactly one worker; read only after that step.
 	mcWhole []bool
+}
+
+func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *run {
+	n := ix.Points.Len()
+	r := &run{
+		set: ix.Points, kern: geom.KernelFor(ix.Dim),
+		eps: eps, minPts: minPts, localCount: localCount,
+		ix: ix, opts: opts,
+		uf:      unionfind.NewConcurrent(n),
+		flags:   newFlags(n),
+		workers: make([]worker, max(opts.Workers, 1)),
+		mcWhole: make([]bool, ix.NumMCs()),
+	}
+	for w, a := range r.arenas() {
+		if a != nil {
+			r.workers[w].nbhd, r.workers[w].inner = a.Nbhd[:0], a.Inner[:0]
+		}
+	}
+	return r
+}
+
+// arenas returns the lent arenas that have a worker to serve.
+func (r *run) arenas() []*Arena {
+	return r.opts.Arenas[:min(len(r.opts.Arenas), len(r.workers))]
+}
+
+// each runs fn(w, i) for every i in [0, n) across the run's workers; at one
+// worker that is a plain loop in index order on the calling goroutine.
+func (r *run) each(n int, fn func(w *worker, i int)) {
+	par.For(len(r.workers), n, func(w, i int) { fn(&r.workers[w], i) })
+}
+
+// result closes the run: it hands every worker's (possibly grown) query
+// scratch back to its lent arena — the buffers hold no live data, every
+// value that outlives a query was copied out — folds the per-worker lists
+// and counters, and unpacks components and flags. All unions are complete,
+// so Find is exact and stable and the per-index writes are disjoint.
+func (r *run) result(st *Stats) *LocalResult {
+	for w, a := range r.arenas() {
+		if a != nil {
+			a.Nbhd, a.Inner = r.workers[w].nbhd, r.workers[w].inner
+		}
+	}
+	lr := &LocalResult{
+		LocalCount: r.localCount,
+		Core:       make([]bool, r.set.Len()),
+		Comp:       make([]int32, r.set.Len()),
+		Assigned:   make([]bool, r.set.Len()),
+		Stats:      st,
+	}
+	noise := 0
+	for w := range r.workers {
+		noise += len(r.workers[w].noiseList)
+	}
+	lr.NoiseNbhd = make(map[int32][]int32, noise)
+	for w := range r.workers {
+		wk := &r.workers[w]
+		lr.Pairs = append(lr.Pairs, wk.pairs...)
+		for _, e := range wk.noiseList {
+			lr.NoiseNbhd[e.id] = e.nbhd
+		}
+		st.Queries += wk.queries
+		st.WndqFromMCs += wk.wndqFromMCs
+		st.WndqDynamic += wk.wndqDynamic
+		st.DistCalcs += wk.distCalcs
+	}
+	st.Workers = len(r.workers)
+	// Every local point was either queried or had its query saved. (Under
+	// concurrency a point can be promoted while its query is in flight; it
+	// then counts as queried, and the wndq split may exceed QueriesSaved.)
+	st.QueriesSaved = r.localCount - st.Queries
+	r.each(len(lr.Comp), func(_ *worker, i int) {
+		b := r.flags.get(i)
+		lr.Comp[i] = int32(r.uf.Find(i))
+		lr.Core[i] = b&flagCore != 0
+		lr.Assigned[i] = b&flagAssigned != 0
+	})
+	return lr
 }
 
 // isHalo reports whether combined index i is a halo copy owned elsewhere.
 func (r *run) isHalo(i int32) bool { return int(i) >= r.localCount }
 
 // linkFromCore handles the union between a proven-core point c and a point q
-// strictly within ε of it, reporting whether a union was performed. Unions
-// onto non-core halo points would be unilateral border claims on points
-// this rank does not own, so those become deferred Pairs instead.
-func (r *run) linkFromCore(c, q int32) bool {
-	if r.core[q] {
+// strictly within ε of it, reporting whether a union was performed. A q not
+// known core is claimed as a border — the raise makes the claim
+// exactly-once, so every border joins exactly one cluster — except that
+// unions onto non-core halo points would be unilateral border claims on
+// points this rank does not own, so those become deferred Pairs instead.
+//
+// A q that is in truth core but whose flag is not up yet loses nothing here:
+// either q is being queried, and having published its own flag before
+// linking it will see c's, or q is (or will be) wndq-promoted, and
+// postProcessCore re-links every wndq-core with all cores within ε.
+func (r *run) linkFromCore(w *worker, c, q int32) bool {
+	if r.flags.get(int(q))&flagCore != 0 {
 		r.uf.Union(int(c), int(q))
 		return true
 	}
@@ -305,52 +447,15 @@ func (r *run) linkFromCore(c, q int32) bool {
 		// Halo-to-halo links are the owner's business: the owner of q sees
 		// the core side in its own halo and will form the link itself.
 		if !r.isHalo(c) {
-			r.pairs = append(r.pairs, Pair{A: c, B: q})
+			w.pairs = append(w.pairs, Pair{A: c, B: q})
 		}
 		return false
 	}
-	if !r.assigned[q] {
+	if r.flags.raise(int(q), flagAssigned)&flagAssigned == 0 {
 		r.uf.Union(int(c), int(q))
-		r.assigned[q] = true
 		return true
 	}
 	return false
-}
-
-// noiseEntry keeps a provisional noise point together with its computed
-// neighborhood for the Algorithm 8 rectification pass.
-type noiseEntry struct {
-	id   int32
-	nbhd []int32
-}
-
-func newRun(set *geom.PointSet, eps float64, minPts, localCount int, ix *mc.Index, opts Options, st *Stats) *run {
-	n := set.Len()
-	r := &run{
-		set: set, kern: geom.KernelFor(set.Dim()),
-		eps: eps, minPts: minPts, localCount: localCount,
-		ix: ix, opts: opts, st: st,
-		uf:       unionfind.New(n),
-		core:     make([]bool, n),
-		wndq:     make([]bool, n),
-		assigned: make([]bool, n),
-		queried:  make([]bool, n),
-		mcWhole:  make([]bool, ix.NumMCs()),
-	}
-	if a := opts.Arena; a != nil {
-		r.nbhd, r.inner = a.Nbhd[:0], a.Inner[:0]
-	}
-	return r
-}
-
-// releaseScratch hands the run's (possibly grown) query scratch back to the
-// lent arena, closing the borrow that newRun opened. The buffers hold no
-// live data — every value that outlives a query was copied out — so the next
-// run may overwrite them freely.
-func (r *run) releaseScratch() {
-	if a := r.opts.Arena; a != nil {
-		a.Nbhd, a.Inner = r.nbhd, r.inner
-	}
 }
 
 // preliminaryClusters implements Algorithm 4: every DMC contributes its
@@ -360,87 +465,82 @@ func (r *run) releaseScratch() {
 // will occupy a single union-find component forever (unions only merge),
 // which postProcessCore exploits.
 func (r *run) preliminaryClusters() {
-	for _, z := range r.ix.MCs {
+	r.each(len(r.ix.MCs), func(w *worker, k int) {
+		z := r.ix.MCs[k]
 		if z.Kind == mc.SMC {
-			continue
+			return
 		}
 		center := int32(z.CenterID)
-		r.markWndq(center, true)
+		r.markWndq(w, center, true)
 		if z.Kind == mc.DMC {
 			for _, q := range z.InnerIDs {
-				r.markWndq(q, true)
+				r.markWndq(w, q, true)
 			}
 		}
 		whole := true
 		for _, p := range z.Members {
-			if p == center {
-				continue
-			}
-			if !r.linkFromCore(center, p) {
+			if p != center && !r.linkFromCore(w, center, p) {
 				whole = false
 			}
 		}
-		r.mcWhole[z.ID] = whole
-	}
+		r.mcWhole[k] = whole
+	})
 }
 
-// markWndq declares point id core without a query. fromMC records whether it
-// came from MC classification (step 1) or a dense ε/2-neighborhood (step 3).
-// Query-saving statistics only count local points: halo points were never
-// going to be queried here.
-func (r *run) markWndq(id int32, fromMC bool) {
-	if r.core[id] {
+// markWndq declares point id core without a query; the raise makes the
+// transition exactly-once, so exactly one worker lists the point and counts
+// it. fromMC records whether it came from MC classification (step 1) or a
+// dense ε/2-neighborhood (step 3). The split only counts local points: halo
+// points were never going to be queried here.
+func (r *run) markWndq(w *worker, id int32, fromMC bool) {
+	if r.flags.raise(int(id), flagCore|flagWndq)&flagCore != 0 {
 		return
 	}
-	r.core[id] = true
-	r.wndq[id] = true
-	r.wndqList = append(r.wndqList, id)
+	w.wndqList = append(w.wndqList, id)
 	if r.isHalo(id) {
 		return
 	}
-	r.st.QueriesSaved++
 	if fromMC {
-		r.st.WndqFromMCs++
+		w.wndqFromMCs++
 	} else {
-		r.st.WndqDynamic++
+		w.wndqDynamic++
 	}
 }
 
 // processRemaining implements Algorithm 6: one exact ε-neighborhood query
-// for every point not known core, with dense ε/2-balls promoting their
+// for every local point not known core, with dense ε/2-balls promoting their
 // members to wndq-core.
 func (r *run) processRemaining() {
-	for i := 0; i < r.localCount; i++ {
-		if r.wndq[i] {
-			continue
+	r.each(r.localCount, func(w *worker, i int) {
+		if r.flags.get(i)&flagWndq == 0 {
+			r.processPoint(w, i)
 		}
-		r.processPoint(i)
-	}
+	})
 }
 
 // processPoint runs the Algorithm 6 body for one point: the ε-neighborhood
-// query through the reused scratch buffers, the inner-circle pass, and the
-// core/border/noise resolution. In steady state (warm buffers, core-point
-// expansion) it performs zero heap allocations — the regression test pins
-// that down with testing.AllocsPerRun.
+// query through the worker's reused scratch buffers, the inner-circle pass,
+// and the core/border/noise resolution. In steady state (warm buffers,
+// core-point expansion) it performs zero heap allocations — the regression
+// test pins that down with testing.AllocsPerRun.
 //
 //mulint:noalloc static twin of TestProcessPointZeroAllocs (allocs_test.go); the cold paths below carry explicit allows
-func (r *run) processPoint(i int) {
+func (r *run) processPoint(w *worker, i int) {
 	half2 := (r.eps / 2) * (r.eps / 2)
 	p := r.set.Point(i)
 	var calcs int
 	if r.opts.WholeSpaceQueries {
-		r.nbhd, calcs = r.ix.WholeSpaceNeighborhoodInto(p, r.nbhd[:0])
+		w.nbhd, calcs = r.ix.WholeSpaceNeighborhoodInto(p, w.nbhd[:0])
 	} else {
-		r.nbhd, calcs, _ = r.ix.EpsNeighborhoodInto(p, i, r.nbhd[:0])
+		w.nbhd, calcs, _ = r.ix.EpsNeighborhoodInto(p, i, w.nbhd[:0])
 	}
-	nbhd := r.nbhd
+	nbhd := w.nbhd
 	// Inner-circle tests: same one-distance-per-neighbor cost the query
 	// callback used to pay, now as a linear pass over the hit list.
-	if cap(r.inner) < len(nbhd) {
-		r.inner = make([]bool, len(nbhd)) //mulint:allow noalloc/alloc cold path: scratch grows until warmed, then never again
+	if cap(w.inner) < len(nbhd) {
+		w.inner = make([]bool, len(nbhd)) //mulint:allow noalloc/alloc cold path: scratch grows until warmed, then never again
 	}
-	inner := r.inner[:len(nbhd)]
+	inner := w.inner[:len(nbhd)]
 	innerCount := 0
 	for k, q := range nbhd {
 		in := r.kern(p, r.set.Row(q)) < half2
@@ -449,21 +549,22 @@ func (r *run) processPoint(i int) {
 			innerCount++
 		}
 	}
-	r.st.DistCalcs += int64(calcs) + int64(len(nbhd)) // query + inner-circle tests
-	r.queried[i] = true
+	w.distCalcs += int64(calcs) + int64(len(nbhd)) // query + inner-circle tests
+	w.queries++
 
 	if len(nbhd) < r.minPts {
 		// A point already claimed as a border (e.g. by a preliminary
 		// DMC/CMC union) must stay in that cluster: attaching it to the
 		// first core in its own neighborhood could bridge two clusters
 		// through a non-core point.
-		if r.assigned[i] {
+		if r.flags.get(i)&flagAssigned != 0 {
 			return
 		}
 		for _, q := range nbhd {
-			if r.core[q] {
-				r.uf.Union(q, i)
-				r.assigned[i] = true
+			if r.flags.get(q)&flagCore != 0 {
+				if r.flags.raise(i, flagAssigned)&flagAssigned == 0 {
+					r.uf.Union(q, i)
+				}
 				return
 			}
 		}
@@ -471,93 +572,108 @@ func (r *run) processPoint(i int) {
 		for k, q := range nbhd {
 			saved[k] = int32(q)
 		}
-		r.noiseList = append(r.noiseList, noiseEntry{id: int32(i), nbhd: saved}) //mulint:allow noalloc/alloc noise path: entry escapes into the deferred-noise list
+		w.noiseList = append(w.noiseList, noiseEntry{id: int32(i), nbhd: saved}) //mulint:allow noalloc/alloc noise path: entry escapes into the deferred-noise list
 		return
 	}
 
-	r.core[i] = true
+	// The flag goes up before any link below: two queried cores within ε of
+	// each other each publish, then read the other's flag, so at least one
+	// of them sees a core and performs the union.
+	r.flags.raise(i, flagCore)
 	// Dynamic wndq-core promotion (Algorithm 6, FIND-NBHD lines 18-21):
 	// a dense ε/2-ball proves all its members core (their ε-balls
 	// contain it entirely).
 	if !r.opts.DisableWndq && innerCount >= r.minPts {
 		for k, q := range nbhd {
-			if inner[k] && q != i && !r.core[q] {
-				r.markWndq(int32(q), false)
+			if inner[k] && q != i {
+				r.markWndq(w, int32(q), false)
 			}
 		}
 	}
 	for _, q := range nbhd {
-		if q == i {
-			continue
+		if q != i {
+			r.linkFromCore(w, int32(i), int32(q))
 		}
-		r.linkFromCore(int32(i), int32(q))
 	}
 }
 
 // postProcessCore implements Algorithm 7: every wndq-core point is merged
 // with every core point strictly within ε found among the members of its
 // filtered reachable micro-clusters. Targeted distance checks only — no
-// neighborhood queries.
+// neighborhood queries. All core flags are final by now (the clustering
+// step's barrier has passed), so nothing read here is stale.
 //
 // As in the paper's pseudocode, the distance computation is skipped when
 // the two cores already share a cluster. Two exploitations of the union
-// structure cut the cost well below a naive per-candidate Same():
+// structure cut the cost well below a naive per-candidate Same(), both sound
+// under concurrency because unions only merge:
 //
-//   - p's own root is cached across candidates;
+//   - p's own root is cached across candidates; a candidate whose root
+//     matches was already merged with p (conclusive — set membership only
+//     grows), and a stale mismatch merely costs a redundant distance check
+//     and a no-op union, never a lost edge;
 //   - step 1 unioned every member of most DMCs/CMCs with their center
-//     (tracked per MC by mcWhole — in distributed-local runs an MC loses
-//     the flag if a halo member's union was deferred), so such an MC
-//     permanently shares one component: a single representative lookup
-//     decides it, and after the first merging union the rest of the MC can
-//     be skipped.
+//     (tracked per MC by mcWhole — an MC loses the flag if a member's union
+//     was refused: a border claimed elsewhere, or a halo member whose link
+//     was deferred), so such an MC permanently shares one component: a
+//     single representative lookup decides it, and after the first merging
+//     union the rest of the MC can be skipped.
 //
-// The per-member path remains for SMCs (never pre-unioned) and for MCs with
-// deferred halo members.
+// The per-member path remains for SMCs (never pre-unioned) and for MCs that
+// are not whole.
 func (r *run) postProcessCore() {
 	eps2 := r.eps * r.eps
 	prune2 := 4 * r.eps * r.eps
-	for _, pid := range r.wndqList {
-		p := r.set.Point(int(pid))
-		rootP := r.uf.Find(int(pid))
-		for _, rid := range r.ix.MCs[r.ix.PointMC[pid]].Reach {
-			z := r.ix.MCs[rid]
-			if r.kern(p, z.Center) >= prune2 {
+	for lw := range r.workers {
+		wndqList := r.workers[lw].wndqList
+		r.each(len(wndqList), func(w *worker, k int) {
+			r.mergeWndqCore(w, wndqList[k], eps2, prune2)
+		})
+	}
+}
+
+// mergeWndqCore is postProcessCore's body for one wndq-core point.
+func (r *run) mergeWndqCore(w *worker, pid int32, eps2, prune2 float64) {
+	p := r.set.Point(int(pid))
+	rootP := r.uf.Find(int(pid))
+	for _, rid := range r.ix.MCs[r.ix.PointMC[pid]].Reach {
+		z := r.ix.MCs[rid]
+		if r.kern(p, z.Center) >= prune2 {
+			continue
+		}
+		if !z.Aux.RootMBR().OverlapsRegion(p, r.eps) {
+			continue
+		}
+		wholeMC := r.mcWhole[rid]
+		if wholeMC && r.uf.Find(z.CenterID) == rootP {
+			continue
+		}
+		for _, q := range z.Members {
+			if q == pid {
 				continue
 			}
-			if !z.Aux.RootMBR().OverlapsRegion(p, r.eps) {
-				continue
-			}
-			wholeMC := r.mcWhole[rid]
-			if wholeMC && r.uf.Find(z.CenterID) == rootP {
-				continue
-			}
-			for _, q := range z.Members {
-				if q == pid {
+			if r.flags.get(int(q))&flagCore != 0 {
+				if !wholeMC && r.uf.Find(int(q)) == rootP {
 					continue
 				}
-				if r.core[q] {
-					if !wholeMC && r.uf.Find(int(q)) == rootP {
-						continue
-					}
-					r.st.DistCalcs++
-					if r.kern(p, r.set.Row(int(q))) >= eps2 {
-						continue
-					}
-					r.uf.Union(int(pid), int(q))
-					rootP = r.uf.Find(int(pid))
-					if wholeMC {
-						// The union just absorbed the whole micro-cluster.
-						break
-					}
+				w.distCalcs++
+				if r.kern(p, r.set.Row(int(q))) >= eps2 {
 					continue
 				}
-				// A non-core halo candidate within ε of a local-side core
-				// is a deferred cross link: its owner decides its status.
-				if r.isHalo(q) && !r.isHalo(pid) {
-					r.st.DistCalcs++
-					if r.kern(p, r.set.Row(int(q))) < eps2 {
-						r.pairs = append(r.pairs, Pair{A: pid, B: q})
-					}
+				r.uf.Union(int(pid), int(q))
+				rootP = r.uf.Find(int(pid))
+				if wholeMC {
+					// The union just absorbed the whole micro-cluster.
+					break
+				}
+				continue
+			}
+			// A non-core halo candidate within ε of a local-side core
+			// is a deferred cross link: its owner decides its status.
+			if r.isHalo(q) && !r.isHalo(pid) {
+				w.distCalcs++
+				if r.kern(p, r.set.Row(int(q))) < eps2 {
+					w.pairs = append(w.pairs, Pair{A: pid, B: q})
 				}
 			}
 		}
@@ -568,16 +684,20 @@ func (r *run) postProcessCore() {
 // stored neighborhood turns out to contain a core point (one promoted after
 // the point was processed) becomes a border of that core's cluster.
 func (r *run) postProcessNoise() {
-	for _, e := range r.noiseList {
-		if r.assigned[e.id] || r.core[e.id] {
-			continue
-		}
-		for _, q := range e.nbhd {
-			if r.core[q] {
-				r.uf.Union(int(q), int(e.id))
-				r.assigned[e.id] = true
-				break
+	for w := range r.workers {
+		noise := r.workers[w].noiseList
+		r.each(len(noise), func(_ *worker, k int) {
+			e := noise[k]
+			if r.flags.get(int(e.id))&(flagAssigned|flagCore) != 0 {
+				return
 			}
-		}
+			for _, q := range e.nbhd {
+				if r.flags.get(int(q))&flagCore != 0 {
+					r.uf.Union(int(q), int(e.id))
+					r.flags.raise(int(e.id), flagAssigned)
+					return
+				}
+			}
+		})
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"mudbscan/internal/core"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
-	"mudbscan/internal/shared"
 	"mudbscan/internal/unionfind"
 )
 
@@ -91,9 +90,10 @@ func TestKernelPathByteIdentical(t *testing.T) {
 				t.Fatal("indexed baselines disagree on core flags")
 			}
 
-			// Sequential and shared-memory μDBSCAN on the same contiguous
-			// storage: exact per the paper's Theorem 1, and identical core
-			// flags bit for bit.
+			// μDBSCAN on the same contiguous storage, at one worker and at
+			// four: exact per the paper's Theorem 1 and identical core flags
+			// bit for bit, and the four-worker run equivalent to the
+			// one-worker run it is the same driver as.
 			muGot, _ := core.Run(ds.pts, ds.eps, ds.minPts, core.Options{})
 			if err := clustering.Equivalent(want, muGot); err != nil {
 				t.Fatalf("core.Run: %v", err)
@@ -101,17 +101,45 @@ func TestKernelPathByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(muGot.Core, want.Core) {
 				t.Fatal("core.Run core flags diverge from legacy brute")
 			}
-			for _, w := range []int{1, 4} {
-				shGot, _ := shared.Run(ds.pts, ds.eps, ds.minPts, shared.Options{Workers: w})
-				if err := clustering.Equivalent(want, shGot); err != nil {
-					t.Fatalf("shared.Run w=%d: %v", w, err)
-				}
-				if !reflect.DeepEqual(shGot.Core, want.Core) {
-					t.Fatalf("shared.Run w=%d core flags diverge", w)
-				}
+			mu4, _ := core.Run(ds.pts, ds.eps, ds.minPts, core.Options{Workers: 4})
+			if err := clustering.Equivalent(muGot, mu4); err != nil {
+				t.Fatalf("core.Run at 4 workers vs one: %v", err)
+			}
+			if !reflect.DeepEqual(mu4.Core, want.Core) {
+				t.Fatal("core.Run at 4 workers: core flags diverge from legacy brute")
+			}
+			if err := clustering.CheckBorders(ds.pts, ds.eps, mu4); err != nil {
+				t.Fatalf("core.Run at 4 workers border: %v", err)
 			}
 			if err := clustering.CheckBorders(ds.pts, ds.eps, muGot); err != nil {
 				t.Fatalf("core.Run border: %v", err)
+			}
+		})
+	}
+}
+
+// TestLocalDriverManyWorkers runs every rank's local μDBSCAN on three
+// workers — the halo logic (no queries, no border claims, deferred Pairs) and
+// the multi-worker logic of the one driver at once — and holds the merged
+// clustering to brute force on every conformance dataset.
+func TestLocalDriverManyWorkers(t *testing.T) {
+	for _, ds := range conformanceDatasets() {
+		t.Run(ds.name, func(t *testing.T) {
+			want, _ := dbscan.Brute(ds.pts, ds.eps, ds.minPts)
+			for _, exec := range []Exec{ExecSerial, ExecConcurrent} {
+				got, _, err := MuDBSCAND(ds.pts, ds.eps, ds.minPts, 4, Options{
+					Exec: exec,
+					Core: core.Options{Workers: 3},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := clustering.Equivalent(want, got); err != nil {
+					t.Fatalf("exec %v: %v", exec, err)
+				}
+				if !reflect.DeepEqual(got.Core, want.Core) {
+					t.Fatalf("exec %v: core flags diverge from brute force", exec)
+				}
 			}
 		})
 	}

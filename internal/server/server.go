@@ -239,7 +239,10 @@ func (s *Server) runJob(j *job, scr *mudbscan.Scratch) (*result, error) {
 			mudbscan.WithEngine(mudbscan.EngineCell),
 			mudbscan.WithWorkers(j.param), mudbscan.WithScratch(scr))
 	case EngineStream:
-		return s.runStream(j)
+		// The streaming tier in row order under the landmark window, where
+		// nothing expires: the served bytes are identical to EngineSeq's at
+		// every shard count j.param — the conformance suite pins both.
+		r, err = mudbscan.ClusterStream(j.ds.rows, j.eps, j.minPts, mudbscan.WithWorkers(j.param))
 	default:
 		return nil, ErrUnknownEngine
 	}
@@ -247,36 +250,6 @@ func (s *Server) runJob(j *job, scr *mudbscan.Scratch) (*result, error) {
 		return nil, fmt.Errorf("%w: %s: %v", ErrInternal, j.engine, err)
 	}
 	res := &result{labels: r.Labels, core: r.Core, numClusters: r.NumClusters}
-	s.results.put(j.key, res.clone())
-	return res, nil
-}
-
-// runStream feeds the dataset through the streaming tier in row order
-// (landmark window, j.param ingest shards) and maps the final exact snapshot
-// back onto the rows by arrival sequence. Under the landmark window nothing
-// expires, so the served bytes are identical to EngineSeq's at every shard
-// count — the conformance suite pins both properties.
-func (s *Server) runStream(j *job) (*result, error) {
-	c, err := stream.New(j.ds.dim, j.eps, j.minPts, stream.Options{Shards: j.param})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	for _, row := range j.ds.rows {
-		if err := c.Add(row); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInternal, err)
-		}
-	}
-	snap := c.Snapshot()
-	labels := make([]int, len(j.ds.rows))
-	corePts := make([]bool, len(j.ds.rows))
-	for i := range labels {
-		labels[i] = mudbscan.Noise
-	}
-	for r := 0; r < snap.Len(); r++ {
-		labels[snap.Seqs[r]] = snap.Labels[r]
-		corePts[snap.Seqs[r]] = snap.Core[r]
-	}
-	res := &result{labels: labels, core: corePts, numClusters: snap.NumClusters}
 	s.results.put(j.key, res.clone())
 	return res, nil
 }

@@ -1,466 +1,32 @@
-// Package shared implements the shared-memory parallel μDBSCAN the paper
-// lists as future work (§VII): one process, many cores, the same exact
-// clustering. The μR-tree is built once (its per-MC finalize and reachable
-// phases themselves parallelized through mc.Options.Workers) and then
-// queried concurrently; the cluster structure lives in a lock-striped
-// concurrent union-find.
-//
-// Exactness under concurrency follows the same arguments as the sequential
-// algorithm plus one extra device: when a worker observes a neighbor whose
-// core flag is not (yet) set, the link is recorded in a per-worker deferred
-// list and re-examined after all core flags are final, so no core-core edge
-// can be lost to a stale read. Border assignment uses compare-and-swap
-// claims, so every border joins exactly one cluster; which one may vary
-// between runs, which the DBSCAN exactness criteria permit.
-//
-// Per-worker state discipline: every lazily-filled list (wndq, deferred,
-// noise) and every counter is an arena owned by exactly one worker, allocated
-// once — sized to the worker count — when the run state is constructed.
-// Workers address their arena as s.xxx[w]; the outer slices never grow, so
-// no interior pointer into a growable slice ever escapes and no lock is
-// needed. (An earlier lazily-grown design handed workers *[]T pointers into
-// an outer slice that another worker's growth could reallocate, silently
-// dropping deferred links; `go test -race` caught it.)
+// Package shared is the shared-memory parallel μDBSCAN the paper lists as
+// future work (§VII): one process, many cores, the same exact clustering. It
+// holds no algorithm of its own — internal/core's one driver run on more than
+// one worker is that version — only the entry point whose worker count
+// defaults to every core.
 package shared
 
 import (
 	"runtime"
-	"sync/atomic"
-	"time"
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
 	"mudbscan/internal/geom"
-	"mudbscan/internal/mc"
-	"mudbscan/internal/par"
-	"mudbscan/internal/unionfind"
 )
 
-// Options tunes the shared-memory run; the zero value means defaults.
-type Options struct {
-	// Workers is the number of goroutines (default GOMAXPROCS).
-	Workers int
-	// Fanout is the μR-tree node capacity.
-	Fanout int
-	// Arenas lends per-worker query scratch: worker w borrows Arenas[w] for
-	// the run and the grown buffers are handed back when Run completes, so a
-	// serving pool reuses warm scratch across jobs (see core.Arena). Extra
-	// entries are ignored; with fewer entries than workers the uncovered
-	// workers allocate fresh scratch. Each lent arena must not be used by
-	// anything else while the run executes.
-	Arenas []*core.Arena
-}
+type (
+	// Options is core.Options; here Workers ≤ 0 means GOMAXPROCS.
+	Options = core.Options
+	// Stats is core.Stats.
+	Stats = core.Stats
+	// StepTimes is core.StepTimes.
+	StepTimes = core.StepTimes
+)
 
-// StepTimes records the wall-clock split of a shared-memory run over the
-// same four phases the sequential Stats report (Table III): every phase is
-// parallel, so each entry is the wall time of its parallel section.
-type StepTimes struct {
-	TreeConstruction time.Duration // micro-cluster + μR-tree build, MC classification
-	FindingReachable time.Duration // reachable micro-cluster lists
-	Clustering       time.Duration // preliminary unions + neighborhood queries
-	PostProcessing   time.Duration // deferred links, wndq-core merging, noise rectification
-}
-
-// Total returns the sum of all step durations.
-func (s StepTimes) Total() time.Duration {
-	return s.TreeConstruction + s.FindingReachable + s.Clustering + s.PostProcessing
-}
-
-// Stats reports the work performed, at parity with core.Stats: per-phase
-// wall times, distance-computation counts and the wndq split are folded from
-// per-worker counters after the parallel sections complete.
-type Stats struct {
-	NumMCs       int
-	Queries      int64
-	QueriesSaved int64
-	// DistCalcs counts point-to-point distance computations across the
-	// query and post-processing phases.
-	DistCalcs int64
-	// WndqFromMCs and WndqDynamic split the query-free core proofs between
-	// DMC/CMC classification and dense ε/2-neighborhoods.
-	WndqFromMCs int64
-	WndqDynamic int64
-	Workers     int
-	// Steps is the wall-clock phase split.
-	Steps StepTimes
-}
-
-// QuerySavedPct returns the percentage of potential queries saved.
-func (s *Stats) QuerySavedPct() float64 {
-	total := s.Queries + s.QueriesSaved
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(s.QueriesSaved) / float64(total)
-}
-
-// Run clusters pts with the multi-core μDBSCAN and returns the exact DBSCAN
-// result.
+// Run clusters pts with μDBSCAN on opts.Workers goroutines (default
+// GOMAXPROCS) and returns the exact DBSCAN result.
 func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
-	n := len(pts)
-	st := &Stats{}
-	if n == 0 {
-		return &clustering.Result{}, st
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	st.Workers = workers
-
-	// Step 1: μR-tree construction; the per-MC finalize work runs on the
-	// same worker count as the rest of the pipeline.
-	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	ix := mc.Build(pts, eps, minPts, mc.Options{
-		Fanout:        opts.Fanout,
-		SkipReachable: true,
-		Workers:       workers,
-	})
-	st.Steps.TreeConstruction = time.Since(start)
-	st.NumMCs = ix.NumMCs()
-
-	// Step 2: reachable lists, parallel over MCs against the immutable
-	// center tree.
-	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	ix.ComputeReachable()
-	st.Steps.FindingReachable = time.Since(start)
-
-	s := newState(ix, eps, minPts, workers, opts.Arenas)
-
-	// Step 3a: preliminary clusters from DMC/CMC, parallel over MCs. Each MC
-	// is handled by exactly one worker, so the per-MC wholeness flag is a
-	// plain bool: when every member's union was performed (none deferred to
-	// another cluster's claim), the MC occupies a single union-find
-	// component forever — unions only merge — which step 4b exploits.
-	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	par.For(workers, len(ix.MCs), func(w, i int) {
-		z := ix.MCs[i]
-		if z.Kind == mc.SMC {
-			return
-		}
-		center := int32(z.CenterID)
-		s.markWndq(w, center, true)
-		if z.Kind == mc.DMC {
-			for _, q := range z.InnerIDs {
-				s.markWndq(w, q, true)
-			}
-		}
-		whole := true
-		for _, p := range z.Members {
-			if p != center && !s.linkFromCore(w, center, p) {
-				whole = false
-			}
-		}
-		s.mcWhole[i] = whole
-	})
-
-	// Step 3b: neighborhood queries for points not proven core, parallel.
-	par.For(workers, n, func(w, i int) {
-		if s.wndq[i].Load() {
-			return
-		}
-		s.counters[w].queries++
-		s.processPoint(w, i)
-	})
-	st.Steps.Clustering = time.Since(start)
-
-	// Step 4a: deferred links — all core flags are final now, so any stale
-	// observation is resolved.
-	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	deferred := collect(s.deferred)
-	par.For(workers, len(deferred), func(_, i int) {
-		d := deferred[i]
-		if s.core[d[1]].Load() {
-			s.uf.Union(int(d[0]), int(d[1]))
-		}
-	})
-
-	// Step 4b: post-process wndq cores (Algorithm 7), with the sequential
-	// postProcessCore's two union-structure exploitations, both sound under
-	// concurrency because all clustering-phase unions completed at the
-	// par.For barrier and unions only merge:
-	//
-	//   - pid's root is cached across candidates; a candidate whose root
-	//     matches was already merged with pid (conclusive — set membership
-	//     only grows), and a stale mismatch merely costs a redundant
-	//     distance check and a no-op union, never a lost edge;
-	//   - an MC flagged whole in step 3a shares one component permanently,
-	//     so a single center lookup decides it, and after the first merging
-	//     union the rest of the MC is skipped.
-	wndqList := collect(s.wndqLists)
-	eps2 := eps * eps
-	prune2 := 4 * eps * eps
-	par.For(workers, len(wndqList), func(w, k int) {
-		pid := wndqList[k]
-		p := s.set.Point(int(pid))
-		rootP := s.uf.Find(int(pid))
-		for _, rid := range ix.MCs[ix.PointMC[pid]].Reach {
-			z := ix.MCs[rid]
-			if s.kern(p, z.Center) >= prune2 {
-				continue
-			}
-			if !z.Aux.RootMBR().OverlapsRegion(p, eps) {
-				continue
-			}
-			wholeMC := s.mcWhole[rid]
-			if wholeMC && s.uf.Find(z.CenterID) == rootP {
-				continue
-			}
-			for _, q := range z.Members {
-				if q == pid || !s.core[q].Load() {
-					continue
-				}
-				if !wholeMC && s.uf.Find(int(q)) == rootP {
-					continue
-				}
-				s.counters[w].distCalcs++
-				if s.kern(p, s.set.Row(int(q))) >= eps2 {
-					continue
-				}
-				s.uf.Union(int(pid), int(q))
-				rootP = s.uf.Find(int(pid))
-				if wholeMC {
-					// The union just absorbed the whole micro-cluster.
-					break
-				}
-			}
-		}
-	})
-
-	// Step 4c: noise rectification (Algorithm 8).
-	noise := collect(s.noiseLists)
-	par.For(workers, len(noise), func(_, k int) {
-		e := noise[k]
-		if s.core[e.id].Load() {
-			return
-		}
-		for _, q := range e.nbhd {
-			if s.core[q].Load() {
-				if s.assigned[e.id].CompareAndSwap(false, true) {
-					s.uf.Union(int(q), int(e.id))
-				}
-				break
-			}
-		}
-	})
-
-	st.Steps.PostProcessing = time.Since(start)
-
-	// Fold the per-worker counters now that every parallel section is done.
-	for w := range s.counters {
-		c := &s.counters[w]
-		st.Queries += c.queries
-		st.DistCalcs += c.distCalcs
-		st.WndqFromMCs += c.wndqFromMCs
-		st.WndqDynamic += c.wndqDynamic
-	}
-	st.QueriesSaved = int64(n) - st.Queries
-
-	// Extract components in parallel: all unions are complete, so the
-	// lock-free Find is exact and stable, and the per-index writes are
-	// disjoint.
-	comp := make([]int, n)
-	coreFlags := make([]bool, n)
-	par.For(workers, n, func(_, i int) {
-		comp[i] = s.uf.Find(i)
-		coreFlags[i] = s.core[i].Load()
-	})
-	s.releaseScratch(opts.Arenas)
-	return clustering.FromUnionLabels(comp, coreFlags), st
-}
-
-type noiseEntry struct {
-	id   int32
-	nbhd []int32
-}
-
-// workerCounters accumulates one worker's statistics without atomics; the
-// pad keeps adjacent workers' counters on distinct cache lines so the hot
-// distCalcs increments do not false-share.
-type workerCounters struct {
-	queries     int64
-	distCalcs   int64
-	wndqFromMCs int64
-	wndqDynamic int64
-	_           [32]byte
-}
-
-type state struct {
-	set    *geom.PointSet
-	kern   geom.DistSqKernel
-	eps    float64
-	minPts int
-	ix     *mc.Index
-	uf     *unionfind.Concurrent
-
-	core     []atomic.Bool
-	wndq     []atomic.Bool
-	assigned []atomic.Bool
-
-	// Per-worker arenas, sized to the worker count at construction and never
-	// grown: worker w owns index w of each outer slice exclusively, so the
-	// appends below are unsynchronized by design. Interior pointers into
-	// these outer slices are forbidden — see the package comment. The nbhd and
-	// inner scratch buffers make every steady-state ε-query allocation-free:
-	// worker w reuses its own pair for each query, copying out only what must
-	// outlive the query (provisional noise neighborhoods).
-	wndqLists  [][]int32
-	deferred   [][][2]int32
-	noiseLists [][]noiseEntry
-	nbhdBufs   [][]int
-	innerBufs  [][]bool
-	counters   []workerCounters
-
-	// mcWhole[id] reports that every member of MC id shares the center's
-	// union-find component permanently (set in step 3a, where each MC is
-	// owned by one worker; read only after that phase's barrier).
-	mcWhole []bool
-}
-
-func newState(ix *mc.Index, eps float64, minPts, workers int, arenas []*core.Arena) *state {
-	n := ix.Points.Len()
-	s := &state{
-		set: ix.Points, kern: geom.KernelFor(ix.Dim),
-		eps: eps, minPts: minPts, ix: ix,
-		uf:         unionfind.NewConcurrent(n),
-		core:       make([]atomic.Bool, n),
-		wndq:       make([]atomic.Bool, n),
-		assigned:   make([]atomic.Bool, n),
-		wndqLists:  make([][]int32, workers),
-		deferred:   make([][][2]int32, workers),
-		noiseLists: make([][]noiseEntry, workers),
-		nbhdBufs:   make([][]int, workers),
-		innerBufs:  make([][]bool, workers),
-		counters:   make([]workerCounters, workers),
-		mcWhole:    make([]bool, ix.NumMCs()),
-	}
-	for w := 0; w < workers && w < len(arenas); w++ {
-		if a := arenas[w]; a != nil {
-			s.nbhdBufs[w], s.innerBufs[w] = a.Nbhd[:0], a.Inner[:0]
-		}
-	}
-	return s
-}
-
-// releaseScratch hands each worker's (possibly grown) query scratch back to
-// its lent arena after every parallel section has completed — the per-worker
-// ownership that made the in-run appends safe also makes the hand-back a
-// plain copy of slice headers.
-func (s *state) releaseScratch(arenas []*core.Arena) {
-	for w := 0; w < len(s.nbhdBufs) && w < len(arenas); w++ {
-		if a := arenas[w]; a != nil {
-			a.Nbhd, a.Inner = s.nbhdBufs[w], s.innerBufs[w]
-		}
-	}
-}
-
-// markWndq declares point id core without a query; the atomic swap makes the
-// transition exactly-once, so exactly one worker records the point and the
-// statistic. fromMC distinguishes DMC/CMC classification from dynamic dense
-// ε/2-ball promotion.
-func (s *state) markWndq(w int, id int32, fromMC bool) {
-	if s.core[id].Swap(true) {
-		return
-	}
-	s.wndq[id].Store(true)
-	s.wndqLists[w] = append(s.wndqLists[w], id)
-	if fromMC {
-		s.counters[w].wndqFromMCs++
-	} else {
-		s.counters[w].wndqDynamic++
-	}
-}
-
-// linkFromCore unions core point c with q, claiming q as a border via CAS
-// when q is not known core, and reports whether a union was performed. When
-// the claim is lost the link is deferred instead, so that a stale non-core
-// observation of a true core cannot lose the edge.
-func (s *state) linkFromCore(w int, c, q int32) bool {
-	if s.core[q].Load() {
-		s.uf.Union(int(c), int(q))
-		return true
-	}
-	if s.assigned[q].CompareAndSwap(false, true) {
-		s.uf.Union(int(c), int(q))
-		return true
-	}
-	s.deferred[w] = append(s.deferred[w], [2]int32{c, q})
-	return false
-}
-
-// processPoint is the per-worker twin of core.(*run).processPoint and keeps
-// its steady-state zero-allocation contract (core's TestProcessPointZeroAllocs
-// covers the shared body of the algorithm; the per-worker scratch buffers
-// here follow the same warm-up discipline).
-//
-//mulint:noalloc cross-ref core TestProcessPointZeroAllocs; cold paths below carry explicit allows
-func (s *state) processPoint(w, i int) {
-	p := s.set.Point(i)
-	half2 := (s.eps / 2) * (s.eps / 2)
-	var calcs int
-	nbhd := s.nbhdBufs[w][:0]
-	nbhd, calcs, _ = s.ix.EpsNeighborhoodInto(p, i, nbhd)
-	s.nbhdBufs[w] = nbhd
-	if cap(s.innerBufs[w]) < len(nbhd) {
-		s.innerBufs[w] = make([]bool, len(nbhd)) //mulint:allow noalloc/alloc cold path: per-worker scratch grows until warmed
-	}
-	inner := s.innerBufs[w][:len(nbhd)]
-	innerCount := 0
-	for k, q := range nbhd {
-		in := s.kern(p, s.set.Row(q)) < half2
-		inner[k] = in
-		if in {
-			innerCount++
-		}
-	}
-	// Query cost plus the inner-circle tests, matching core.Stats accounting.
-	s.counters[w].distCalcs += int64(calcs) + int64(len(nbhd))
-
-	if len(nbhd) < s.minPts {
-		if s.assigned[i].Load() {
-			return
-		}
-		for _, q := range nbhd {
-			if s.core[q].Load() {
-				if s.assigned[i].CompareAndSwap(false, true) {
-					s.uf.Union(q, i)
-				}
-				return
-			}
-		}
-		// The scratch buffer is reused on the next query, so the stored
-		// neighborhood must be an owned copy.
-		saved := make([]int32, len(nbhd)) //mulint:allow noalloc/alloc noise path: stored neighborhood must outlive the scratch buffer
-		for k, q := range nbhd {
-			saved[k] = int32(q)
-		}
-		s.noiseLists[w] = append(s.noiseLists[w], noiseEntry{id: int32(i), nbhd: saved}) //mulint:allow noalloc/alloc noise path: entry escapes into the deferred-noise list
-		return
-	}
-
-	s.core[i].Store(true)
-	if innerCount >= s.minPts {
-		for k, q := range nbhd {
-			if inner[k] && q != i && !s.core[q].Load() {
-				s.markWndq(w, int32(q), false)
-			}
-		}
-	}
-	for _, q := range nbhd {
-		if q != i {
-			s.linkFromCore(w, int32(i), int32(q))
-		}
-	}
-}
-
-func collect[T any](lists [][]T) []T {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]T, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	return out
+	return core.Run(pts, eps, minPts, opts)
 }

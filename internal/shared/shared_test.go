@@ -61,18 +61,17 @@ func TestExactAcrossWorkerCounts(t *testing.T) {
 		if st.Workers != w {
 			t.Fatalf("Workers=%d want %d", st.Workers, w)
 		}
-		if st.Queries+st.QueriesSaved != int64(len(pts)) {
+		if st.Queries+st.QueriesSaved != len(pts) {
 			t.Fatalf("w=%d queries %d + saved %d != n", w, st.Queries, st.QueriesSaved)
 		}
 	}
 }
 
-// TestManySmallRunsKeepDeferredLinks is the regression test for the
-// per-worker store race: the lazily-grown stores returned interior pointers
-// that another worker's growth could reallocate, dropping deferred core-core
-// links, which shows up as a wrong cluster count on small inputs with many
-// workers. Many independent small runs maximize the racy window.
-func TestManySmallRunsKeepDeferredLinks(t *testing.T) {
+// TestManySmallRunsKeepEveryLink: a core-core edge lost to a stale flag read
+// (or, once, to a per-worker store another worker's growth reallocated)
+// shows up as a wrong cluster count on small inputs with many workers. Many
+// independent small runs maximize the racy window.
+func TestManySmallRunsKeepEveryLink(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	eps, minPts := 0.5, 4
 	for trial := 0; trial < 40; trial++ {
@@ -80,7 +79,7 @@ func TestManySmallRunsKeepDeferredLinks(t *testing.T) {
 		want, _ := dbscan.Brute(pts, eps, minPts)
 		got, _ := Run(pts, eps, minPts, Options{Workers: 16})
 		if got.NumClusters != want.NumClusters {
-			t.Fatalf("trial %d: %d clusters, brute found %d (deferred link lost?)",
+			t.Fatalf("trial %d: %d clusters, brute found %d (core-core link lost?)",
 				trial, got.NumClusters, want.NumClusters)
 		}
 		if err := clustering.Equivalent(want, got); err != nil {
@@ -89,33 +88,58 @@ func TestManySmallRunsKeepDeferredLinks(t *testing.T) {
 	}
 }
 
-// TestStatsParity checks the core.Stats-parity fields: nonzero distance
-// counts, a full phase split, and the wndq source split.
-func TestStatsParity(t *testing.T) {
+// TestStatsOneWorkerVsMany: the μR-tree, the step-1 core proofs and the
+// accounting identities do not depend on the worker count; the counters that
+// do (which dense ε/2-ball reaches a point before its own query does, and a
+// point promoted while its query is in flight counts as queried) stay within
+// the bounds those fix.
+func TestStatsOneWorkerVsMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := blobs(rng, 4000, 3, 4, 0.2, 0.1)
 	eps, minPts := 0.5, 5
-	_, st := Run(pts, eps, minPts, Options{Workers: 4})
-	if st.DistCalcs == 0 {
-		t.Fatal("DistCalcs not accumulated")
+	_, one := Run(pts, eps, minPts, Options{Workers: 1})
+	if one.WndqFromMCs+one.WndqDynamic != one.QueriesSaved {
+		t.Fatalf("one worker: wndq split %d+%d != %d saved queries",
+			one.WndqFromMCs, one.WndqDynamic, one.QueriesSaved)
 	}
-	if st.WndqFromMCs == 0 {
-		t.Fatal("dense blobs must prove cores from DMC/CMC classification")
+	_, st := Run(pts, eps, minPts, Options{Workers: 4})
+	if st.NumMCs != one.NumMCs {
+		t.Fatalf("m=%d at 4 workers, %d at one", st.NumMCs, one.NumMCs)
+	}
+	if st.WndqFromMCs != one.WndqFromMCs {
+		t.Fatalf("DMC/CMC classification proved %d cores at 4 workers, %d at one",
+			st.WndqFromMCs, one.WndqFromMCs)
+	}
+	if st.Queries+st.QueriesSaved != len(pts) || st.QueriesSaved < st.WndqFromMCs {
+		t.Fatalf("queries=%d saved=%d at 4 workers (n=%d, %d cores need no query from step 1 on)",
+			st.Queries, st.QueriesSaved, len(pts), st.WndqFromMCs)
 	}
 	if st.WndqFromMCs+st.WndqDynamic < st.QueriesSaved {
 		t.Fatalf("wndq split %d+%d cannot cover %d saved queries",
 			st.WndqFromMCs, st.WndqDynamic, st.QueriesSaved)
+	}
+	if st.DistCalcs == 0 {
+		t.Fatal("DistCalcs not accumulated")
 	}
 	steps := st.Steps
 	if steps.TreeConstruction <= 0 || steps.FindingReachable <= 0 ||
 		steps.Clustering <= 0 || steps.PostProcessing <= 0 {
 		t.Fatalf("incomplete phase split: %+v", steps)
 	}
-	if steps.Total() != steps.TreeConstruction+steps.FindingReachable+steps.Clustering+steps.PostProcessing {
-		t.Fatal("Total does not sum the phases")
-	}
 	if pct := st.QuerySavedPct(); pct <= 0 || pct > 100 {
 		t.Fatalf("QuerySavedPct=%g out of range", pct)
+	}
+}
+
+// TestWorkersDefaultToGOMAXPROCS is the one thing this package adds to
+// core.Run.
+func TestWorkersDefaultToGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	pts := blobs(rng, 300, 2, 2, 0.3, 0.1)
+	for _, w := range []int{0, -3} {
+		if _, st := Run(pts, 0.5, 5, Options{Workers: w}); st.Workers != runtime.GOMAXPROCS(0) {
+			t.Fatalf("Workers %d resolved to %d, want GOMAXPROCS=%d", w, st.Workers, runtime.GOMAXPROCS(0))
+		}
 	}
 }
 

@@ -1,29 +1,22 @@
 package unionfind
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Concurrent is a disjoint-set forest safe for concurrent Union and Find.
-// It uses lock striping: each Union locks the (ordered) roots' stripes, so
-// distinct subtrees proceed in parallel. Finds are lock-free atomic walks of
-// parent pointers with CAS path halving; they may observe slightly stale
-// roots but always converge, because parent pointers only ever move toward
-// roots.
+// Concurrent is a disjoint-set forest safe for concurrent Union and Find,
+// lock-free throughout. A Union links the larger root under the smaller with
+// one compare-and-swap on the larger root's parent slot, so parent pointers
+// only ever move toward smaller indices: the forest cannot form a cycle, and
+// a CAS that loses a race has simply observed that its root was linked
+// elsewhere in the meantime and re-finds. Finds are atomic walks of parent
+// pointers with CAS path halving; they may observe slightly stale roots but
+// always converge.
 type Concurrent struct {
-	parent  []int32
-	stripes []sync.Mutex
-	mask    int32
+	parent []int32
 }
 
 // NewConcurrent returns a concurrent disjoint-set forest over 0..n-1.
 func NewConcurrent(n int) *Concurrent {
-	c := &Concurrent{
-		parent:  make([]int32, n),
-		stripes: make([]sync.Mutex, 256),
-		mask:    255,
-	}
+	c := &Concurrent{parent: make([]int32, n)}
 	for i := range c.parent {
 		c.parent[i] = int32(i)
 	}
@@ -36,9 +29,9 @@ func (c *Concurrent) Len() int { return len(c.parent) }
 // find walks to the root without locking, halving the path as it goes:
 // each visited node's parent pointer is CASed from its parent to its
 // grandparent. The CAS can only replace a pointer with a strictly closer
-// ancestor, so the "parents only move toward roots" invariant that Union's
-// root re-validation relies on is preserved, and concurrent finds shorten
-// chains for each other instead of re-walking them.
+// ancestor, so the "parents only move toward smaller indices" invariant
+// Union relies on is preserved, and concurrent finds shorten chains for each
+// other instead of re-walking them.
 func (c *Concurrent) find(x int32) int32 {
 	for {
 		p := atomic.LoadInt32(&c.parent[x])
@@ -46,9 +39,10 @@ func (c *Concurrent) find(x int32) int32 {
 			return x
 		}
 		g := atomic.LoadInt32(&c.parent[p])
-		if g != p {
-			atomic.CompareAndSwapInt32(&c.parent[x], p, g)
+		if g == p {
+			return p
 		}
+		atomic.CompareAndSwapInt32(&c.parent[x], p, g)
 		x = p
 	}
 }
@@ -58,39 +52,20 @@ func (c *Concurrent) find(x int32) int32 {
 // exact.
 func (c *Concurrent) Find(x int) int { return int(c.find(int32(x))) }
 
-// Union merges the sets containing x and y. Safe for concurrent use.
+// Union merges the sets containing x and y. Safe for concurrent use: the
+// only write is a CAS that succeeds exactly when hi is still a root, so no
+// two unions can both re-parent the same root and no lock is needed.
 func (c *Concurrent) Union(x, y int) {
-	rx, ry := c.find(int32(x)), c.find(int32(y))
-	for rx != ry {
-		// Lock the two roots in address order to avoid deadlock.
-		lo, hi := rx, ry
+	lo, hi := c.find(int32(x)), c.find(int32(y))
+	for lo != hi {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		sl, sh := &c.stripes[lo&c.mask], &c.stripes[hi&c.mask]
-		sl.Lock()
-		if sl != sh {
-			sh.Lock()
-		}
-		// Re-validate roots under the locks.
-		if atomic.LoadInt32(&c.parent[rx]) == rx && atomic.LoadInt32(&c.parent[ry]) == ry {
-			// Attach the larger index under the smaller for determinism.
-			if rx < ry {
-				atomic.StoreInt32(&c.parent[ry], rx)
-			} else {
-				atomic.StoreInt32(&c.parent[rx], ry)
-			}
-			if sl != sh {
-				sh.Unlock()
-			}
-			sl.Unlock()
+		if atomic.CompareAndSwapInt32(&c.parent[hi], hi, lo) {
 			return
 		}
-		if sl != sh {
-			sh.Unlock()
-		}
-		sl.Unlock()
-		rx, ry = c.find(rx), c.find(ry)
+		// hi gained a parent since the find; chase both sides again.
+		lo, hi = c.find(lo), c.find(hi)
 	}
 }
 

@@ -4,9 +4,9 @@
 // Data Structure" (SEA'10): union by rank with path halving.
 //
 // Two variants are provided: UF, a single-goroutine structure used by the
-// sequential algorithms, and Concurrent, a lock-based structure safe for use
-// from many goroutines at once, used by the shared-memory μDBSCAN and by the
-// merge phases of the distributed algorithms.
+// sequential baselines, and Concurrent, a lock-free structure safe for use
+// from many goroutines at once, used by μDBSCAN at every worker count, by the
+// cell engine and by the merge phases of the distributed algorithms.
 package unionfind
 
 // UF is a classic sequential disjoint-set forest over elements 0..n-1.

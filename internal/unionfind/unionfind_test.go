@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSingletons(t *testing.T) {
@@ -249,5 +250,89 @@ func TestPathHalvingConverges(t *testing.T) {
 		if c.Find(i) != root {
 			t.Fatalf("Find(%d) != Find(0)", i)
 		}
+	}
+}
+
+// within fails the test if fn has not returned by the deadline, so a union
+// that blocks forever is a failure rather than a stalled suite.
+func within(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v: a Union is blocked", d)
+	}
+}
+
+// TestConcurrentUnionCrossedRootPairs is the regression test for the ABBA
+// deadlock of the lock-striped Union: it ordered two roots by index but
+// locked stripes[root&255], so the pairs (1, 258) and (2, 257) took stripes
+// 1→2 and 2→1. Two goroutines walk such crossed pairs, every pair on fresh
+// roots; the lock-free Union has nothing to hold while waiting.
+func TestConcurrentUnionCrossedRootPairs(t *testing.T) {
+	const rounds, stride = 20000, 512
+	c := NewConcurrent(rounds * stride)
+	within(t, 30*time.Second, func() {
+		var wg sync.WaitGroup
+		for _, pair := range [][2]int{{1, 258}, {2, 257}} {
+			wg.Add(1)
+			go func(a, b int) {
+				defer wg.Done()
+				for k := 0; k < rounds; k++ {
+					c.Union(a+k*stride, b+k*stride)
+				}
+			}(pair[0], pair[1])
+		}
+		wg.Wait()
+	})
+	for k := 0; k < rounds; k++ {
+		if !c.Same(1+k*stride, 258+k*stride) || !c.Same(2+k*stride, 257+k*stride) || c.Same(1+k*stride, 2+k*stride) {
+			t.Fatalf("round %d: wrong partition", k)
+		}
+	}
+}
+
+// TestConcurrentUnionHeavyContention: 8 goroutines × 100k random edges over
+// far more elements than the old stripe count must leave exactly the
+// sequential partition. Run under -race in CI.
+func TestConcurrentUnionHeavyContention(t *testing.T) {
+	const n, workers, perWorker = 1 << 16, 8, 100000
+	rng := rand.New(rand.NewSource(31))
+	edges := make([][2]int, workers*perWorker)
+	seq := New(n)
+	for i := range edges {
+		edges[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+		seq.Union(edges[i][0], edges[i][1])
+	}
+	con := NewConcurrent(n)
+	within(t, time.Minute, func() {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(mine [][2]int) {
+				defer wg.Done()
+				for _, e := range mine {
+					con.Union(e[0], e[1])
+				}
+			}(edges[w*perWorker : (w+1)*perWorker])
+		}
+		wg.Wait()
+	})
+	// Same partition: the two label vectors induce each other.
+	seqOf, conOf := map[int]int{}, map[int]int{}
+	for i := 0; i < n; i++ {
+		s, c := seq.Find(i), con.Find(i)
+		if v, ok := seqOf[c]; ok && v != s {
+			t.Fatalf("element %d: concurrent set %d spans sequential sets %d and %d", i, c, v, s)
+		}
+		if v, ok := conOf[s]; ok && v != c {
+			t.Fatalf("element %d: sequential set %d spans concurrent sets %d and %d", i, s, v, c)
+		}
+		seqOf[c], conOf[s] = s, c
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"mudbscan/internal/core"
 	"mudbscan/internal/dist"
 	"mudbscan/internal/geom"
-	"mudbscan/internal/shared"
 )
 
 // Result is a clustering outcome: Labels[i] is the cluster of point i
@@ -55,8 +54,9 @@ const Noise = clustering.Noise
 // wall-clock split over the algorithm's four steps.
 type SeqStats = core.Stats
 
-// ParStats reports the work of a shared-memory parallel run.
-type ParStats = shared.Stats
+// ParStats reports the work of a shared-memory parallel run: the same
+// record as SeqStats, with Workers saying how many goroutines ran it.
+type ParStats = SeqStats
 
 // DistStats reports the work and communication of a distributed run.
 type DistStats = dist.Stats
@@ -290,7 +290,7 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 		DisableWndq: cfg.disableWndq,
 	}
 	if cfg.scratch != nil {
-		copts.Arena = cfg.scratch.grown(1)[0]
+		copts.Arenas = cfg.scratch.grown(1)
 	}
 	r, st := core.Run(pts, eps, minPts, copts)
 	return r, st, nil
@@ -317,8 +317,9 @@ func cellSeqStats(st *cell.Stats) *SeqStats {
 	}
 }
 
-// ClusterParallel runs the multi-core shared-memory μDBSCAN. The result is
-// exact; which cluster a border point joins may differ between runs (as
+// ClusterParallel runs the multi-core shared-memory μDBSCAN: the engine
+// behind Cluster on WithWorkers goroutines (default GOMAXPROCS). The result
+// is exact; which cluster a border point joins may differ between runs (as
 // DBSCAN permits).
 func ClusterParallel(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, *ParStats, error) {
 	var cfg config
@@ -329,18 +330,18 @@ func ClusterParallel(points [][]float64, eps float64, minPts int, opts ...Option
 	if err != nil {
 		return nil, nil, err
 	}
-	sopts := shared.Options{
-		Workers: cfg.workers,
-		Fanout:  cfg.fanout,
+	copts := core.Options{
+		Fanout:      cfg.fanout,
+		DisableWndq: cfg.disableWndq,
+		Workers:     cfg.workers,
+	}
+	if copts.Workers <= 0 {
+		copts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.scratch != nil {
-		w := cfg.workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0) // shared.Run's own default
-		}
-		sopts.Arenas = cfg.scratch.grown(w)
+		copts.Arenas = cfg.scratch.grown(copts.Workers)
 	}
-	r, st := shared.Run(pts, eps, minPts, sopts)
+	r, st := core.Run(pts, eps, minPts, copts)
 	return r, st, nil
 }
 
