@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mudbscan"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -110,6 +113,32 @@ func TestCellModeMatchesSeq(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "engine=cell") {
 		t.Fatalf("auto -stats must report the picked engine: %q", stderr.String())
+	}
+}
+
+// TestCellRangeModes: points 1e30 apart are all noise at eps 1, but lie past
+// what the grid can index. -mode auto must fall back to the μR-tree engine
+// (and say so under -stats); -mode cell must fail rather than answer.
+func TestCellRangeModes(t *testing.T) {
+	var csv strings.Builder
+	for k := 0; k < 8; k++ {
+		fmt.Fprintf(&csv, "%ge30,0\n", float64(k))
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-eps", "1", "-minpts", "2", "-mode", "auto", "-stats"},
+		strings.NewReader(csv.String()), &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Fields(stdout.String()); len(got) != 8 || strings.Join(got, "") != strings.Repeat("-1", 8) {
+		t.Fatalf("auto labels %q, want eight -1", got)
+	}
+	if !strings.Contains(stderr.String(), "engine=mu") {
+		t.Fatalf("auto -stats must report the fallback engine: %q", stderr.String())
+	}
+	err := run([]string{"-eps", "1", "-minpts", "2", "-mode", "cell"},
+		strings.NewReader(csv.String()), &stdout, &stderr)
+	if !errors.Is(err, mudbscan.ErrCellRange) {
+		t.Fatalf("-mode cell on unrepresentable data: err = %v, want ErrCellRange", err)
 	}
 }
 

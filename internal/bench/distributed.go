@@ -153,8 +153,11 @@ func Table8(cfg Config) error {
 	row("Post Processing", seqStats.Steps.PostProcessing, dst.Phases.PostProcessing)
 	t.row("Merging Time", "—", seconds(dst.Phases.Merge), "—")
 	row("Total Time", seqTotal, dst.Phases.Total())
+	// Traffic = what the runtime carried (partition, halo, flags) plus the
+	// analytic edge bytes. MergeBytes counts the flags too, one byte per
+	// halo copy, so take them out once.
 	t.row("(halo exchange, excluded)", "—", seconds(dst.Phases.HaloExchange),
-		fmt.Sprintf("%d KiB", (dst.Comm.TotalBytes()+dst.MergeBytes)/1024))
+		fmt.Sprintf("%d KiB", (dst.Comm.TotalBytes()+dst.MergeBytes-dst.HaloPoints)/1024))
 	t.flush()
 	return nil
 }

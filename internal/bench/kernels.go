@@ -9,87 +9,14 @@ import (
 	"mudbscan/internal/rtree"
 )
 
-// legacyPointScan is the pre-flattening leaf scan frozen in place: a
-// slice-of-points walk (one pointer dereference per candidate) calling the
-// dimension-checking geom.DistSq and a per-hit callback — exactly the shape
-// of the old rtree leaf loop. The kernels experiment measures it against
-// geom.AppendWithinBlock over the same coordinates.
-func legacyPointScan(pts []geom.Point, center geom.Point, r2 float64, fn func(id int)) {
-	for i, p := range pts {
-		if geom.DistSq(center, p) < r2 {
-			fn(i)
-		}
-	}
-}
-
-// Kernels regenerates the flattened-hot-path evidence table: raw leaf-scan
-// throughput of the contiguous block kernels against the legacy point-slice
-// layout, and end-to-end R-tree ε-query rates of the allocation-free
-// SphereInto against the callback API. The speedup column on the d=2 and d=3
-// scan rows is the PR's ≥1.5× acceptance gate.
+// Kernels measures the end-to-end R-tree ε-query rate of the allocation-free
+// SphereInto against the callback API. The leaf scan underneath it is a
+// row of the repository benchmark (geom.scan_ns_per_dist).
 func Kernels(cfg Config) error {
 	cfg = cfg.withDefaults()
-	fmt.Fprintln(cfg.Out, "-- leaf scan: legacy []Point + DistSq + callback vs contiguous block kernel --")
+	fmt.Fprintln(cfg.Out, "-- R-tree ε-query: callback Sphere vs allocation-free SphereInto --")
 	t := newTable(cfg.Out)
-	t.row("d", "points", "queries", "legacy Mpt/s", "kernel Mpt/s", "speedup")
-	n := int(200_000 * cfg.Scale)
-	if n < 1_000 {
-		n = 1_000
-	}
-	for _, d := range []int{2, 3, 5, 8} {
-		rng := rand.New(rand.NewSource(int64(d)))
-		pts := make([]geom.Point, n)
-		block := make([]float64, 0, n*d)
-		for i := range pts {
-			p := make(geom.Point, d)
-			for j := range p {
-				p[j] = rng.Float64() * 100
-			}
-			pts[i] = p
-			block = append(block, p...)
-		}
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		centers := make([]geom.Point, 32)
-		for i := range centers {
-			centers[i] = pts[rng.Intn(n)]
-		}
-		r2 := 25.0 // ~sparse hit rate; the scan, not the appends, dominates
-
-		queries := 50
-		nbhd := make([]int, 0, n)
-		legacyTime := timed(func() {
-			for q := 0; q < queries; q++ {
-				nbhd = nbhd[:0]
-				legacyPointScan(pts, centers[q%len(centers)], r2, func(id int) {
-					nbhd = append(nbhd, id)
-				})
-			}
-		})
-		kernelTime := timed(func() {
-			for q := 0; q < queries; q++ {
-				nbhd = geom.AppendWithinBlock(nbhd[:0], ids, block, d, centers[q%len(centers)], r2, false)
-			}
-		})
-		scanned := float64(queries) * float64(n)
-		legacyRate := scanned / legacyTime.Seconds() / 1e6
-		kernelRate := scanned / kernelTime.Seconds() / 1e6
-		t.row(
-			fmt.Sprintf("%d", d),
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", queries),
-			fmt.Sprintf("%.1f", legacyRate),
-			fmt.Sprintf("%.1f", kernelRate),
-			fmt.Sprintf("%.2fx", kernelRate/legacyRate),
-		)
-	}
-	t.flush()
-
-	fmt.Fprintln(cfg.Out, "\n-- R-tree ε-query: callback Sphere vs allocation-free SphereInto --")
-	t2 := newTable(cfg.Out)
-	t2.row("d", "points", "callback q/s", "into q/s", "speedup")
+	t.row("d", "points", "callback q/s", "into q/s", "speedup")
 	qn := int(50_000 * cfg.Scale)
 	if qn < 1_000 {
 		qn = 1_000
@@ -120,7 +47,7 @@ func Kernels(cfg Config) error {
 				buf, _ = tree.SphereInto(pts[q%len(pts)], 3, true, buf[:0])
 			}
 		})
-		t2.row(
+		t.row(
 			fmt.Sprintf("%d", d),
 			fmt.Sprintf("%d", qn),
 			rate(queries, cbTime),
@@ -128,7 +55,7 @@ func Kernels(cfg Config) error {
 			fmt.Sprintf("%.2fx", cbTime.Seconds()/intoTime.Seconds()),
 		)
 	}
-	t2.flush()
+	t.flush()
 	return nil
 }
 

@@ -16,14 +16,16 @@ func wallclockRanks(max int) []int {
 	return append(out, max)
 }
 
-// Wallclock compares μDBSCAN-D's two execution modes across a rank sweep on
-// the MPAGD8M analogue: the serial simulation's max-over-ranks total (the
-// number behind Tables V–VIII, unchanged by the concurrent driver) next to
-// the concurrent driver's real end-to-end wall-clock, with speedups of each
-// relative to its own single-rank run. On a host with fewer cores than
-// ranks the real column degrades to time-sharing — the simulated column is
-// the hardware-independent view, the real column is what this host
-// delivers.
+// Wallclock runs μDBSCAN-D's one pipeline under both in-process schedules
+// across a rank sweep on the MPAGD8M analogue: the serial schedule's
+// max-over-ranks total (the number behind Tables V–VIII) next to the
+// concurrent schedule's real end-to-end wall-clock, with speedups of each
+// relative to its own single-rank run. The simulated total is computation
+// only — under either schedule Phases.Merge counts building and applying
+// edges, not waiting for a slower rank's flags — so waiting shows up in the
+// real column alone. On a host with fewer cores than ranks the real column
+// degrades to time-sharing — the simulated column is the
+// hardware-independent view, the real column is what this host delivers.
 func Wallclock(cfg Config) error {
 	cfg = cfg.withDefaults()
 	s := specMPAGD8M

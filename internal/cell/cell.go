@@ -62,9 +62,36 @@ func cellSide(eps float64, dim int) float64 {
 	return eps / math.Sqrt(float64(dim)) * sideShrink
 }
 
-// cellCoord maps one coordinate to its integer cell index on the grid.
+// cellCoord maps one coordinate to its integer cell index on the grid. It
+// is a cell index only while Representable holds.
 func cellCoord(v, side float64) int64 {
 	return int64(math.Floor(v / side))
+}
+
+// coordLimit bounds |v|/side. Below 2^52 the float64 quotient still has a
+// fractional bit, so its floor tells neighbouring cells apart. From 2^53 on
+// the quotient is spaced more than one cell, coordinates many ε apart land
+// in one cell and "same cell ⇒ ε-neighbors" merges them; past 2^63 the int64
+// conversion saturates and everything shares one cell.
+const coordLimit = 1 << 52
+
+// Representable reports whether the grid can index pts at this ε: every
+// coordinate satisfies |v|/side < 2^52 (NaN and ±Inf do not). Run is exact
+// only for representable input; callers that take points from outside check
+// first and use the μR-tree engine, or reject the request, when it fails.
+func Representable[P ~[]float64](pts []P, eps float64) bool {
+	if len(pts) == 0 {
+		return true
+	}
+	lim := cellSide(eps, len(pts[0])) * coordLimit
+	for _, p := range pts {
+		for _, v := range p {
+			if !(math.Abs(v) < lim) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // index is the built grid: the per-cell reordered point set, the sorted

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -236,6 +237,48 @@ func TestDecide(t *testing.T) {
 		if got := Decide(c.p); got != c.want {
 			t.Errorf("%s: Decide=%v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestRepresentable pins the guard's bound, |v|/side < 2^52 on every
+// coordinate, and that just inside it the engine is still exact at a large
+// offset from the origin.
+func TestRepresentable(t *testing.T) {
+	const eps = 1.0
+	lim := cellSide(eps, 2) * coordLimit
+	cases := []struct {
+		name string
+		pts  []geom.Point
+		want bool
+	}{
+		{"empty", nil, true},
+		{"origin", []geom.Point{{0, 0}}, true},
+		{"just inside", []geom.Point{{0, math.Nextafter(lim, 0)}, {-math.Nextafter(lim, 0), 0}}, true},
+		{"at the bound", []geom.Point{{0, 0}, {0, lim}}, false},
+		{"negative past the bound", []geom.Point{{-2 * lim, 0}}, false},
+		{"saturating int64", []geom.Point{{1e30, 0}}, false},
+		{"NaN", []geom.Point{{math.NaN(), 0}}, false},
+		{"Inf", []geom.Point{{0, math.Inf(1)}}, false},
+	}
+	for _, c := range cases {
+		if got := Representable(c.pts, eps); got != c.want {
+			t.Errorf("%s: Representable = %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	base := lim / 4
+	pts := make([]geom.Point, 600)
+	for i := range pts {
+		pts[i] = geom.Point{base + rng.Float64()*14, base + rng.Float64()*14}
+	}
+	if !Representable(pts, eps) {
+		t.Fatal("offset box inside the bound reported unrepresentable")
+	}
+	want, _ := dbscan.Brute(pts, eps, 4)
+	got, _ := Run(pts, eps, 4, Options{Workers: 2})
+	if !reflect.DeepEqual(want, got) {
+		t.Error("cell engine differs from brute force at a representable offset")
 	}
 }
 

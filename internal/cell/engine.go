@@ -76,8 +76,8 @@ func (s *Stats) QuerySavedPct() float64 {
 const ctrStride = 8
 
 // Run clusters pts with the grid cell engine and returns the exact DBSCAN
-// result — byte-identical to dbscan.Brute for every input — plus run
-// statistics.
+// result — byte-identical to dbscan.Brute for every input that satisfies
+// Representable, which the caller must have checked — plus run statistics.
 func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
 	st := &Stats{}
 	if len(pts) == 0 {

@@ -2,7 +2,10 @@
 // baselines it is evaluated against (§VI-B): PDSDBSCAN-D, GridDBSCAN-D, an
 // HPDBSCAN-style grid algorithm, and the approximate RP-DBSCAN.
 //
-// All exact algorithms share one skeleton:
+// # One pipeline
+//
+// All exact algorithms are one rank pipeline, runRank, with the rank-local
+// clustering algorithm as a parameter:
 //
 //	spatial kd partitioning (sampling-based medians)
 //	→ ε-extended halo exchange
@@ -15,62 +18,70 @@
 //
 // The merge needs no ε-neighborhood queries, matching §V-C.
 //
-// # Execution model
+// # Three schedules
 //
-// The paper runs on a 32-node MPI cluster; this repository simulates it on
-// one host, in one of two modes selected by Options.Exec:
+// The paper runs on a 32-node MPI cluster. Here the same pipeline runs under
+// one of three schedules, which differ only in whether index construction
+// overlaps the halo exchange, whether compute sections pass a turnstile, and
+// where a rank's owned core flags and union edges go (its sinks):
 //
-//   - ExecConcurrent (default): every rank runs its entire pipeline in its
-//     own goroutine over the mpi runtime. The halo exchange is initiated
-//     non-blocking and overlapped with μR-tree construction over the
-//     rank's local points, and the merge exchanges exact core flags as
-//     real messages while local component edges fold into a shared
-//     concurrent union-find. This mode turns host cores into real
-//     wall-clock speedup (Stats.WallClock).
+//   - ExecConcurrent (default): every rank is a goroutine over the mpi
+//     runtime, no turnstile, overlap on, and the sinks write straight into
+//     one shared lock-free union-find. This schedule turns host cores into
+//     real wall-clock speedup (Stats.WallClock).
 //
-//   - ExecSerial: communication phases still run as real collectives, but
-//     the compute phases execute serially, one rank at a time, each timed
-//     in isolation — the standard methodology for simulating distributed
-//     execution on a single machine. Reported parallel time for a phase is
-//     the maximum over ranks, so speedup curves reflect the algorithmic
-//     behaviour (including the superlinear effect of smaller per-rank
-//     R-trees) rather than host core contention. The Section VI tables use
-//     this mode.
+//   - ExecSerial: the same goroutines behind a shared turnstile. All
+//     communication is real, but overlap is off, a barrier holds every rank
+//     until all halos have landed, and from there each compute section runs
+//     with the turnstile held, one rank at a time — the standard methodology
+//     for simulating distributed execution on a single machine. Reported
+//     parallel time for a phase is the maximum over ranks, so speedup curves
+//     reflect the algorithmic behaviour (including the superlinear effect of
+//     smaller per-rank R-trees) rather than host core contention. The
+//     Section VI tables use this schedule.
 //
-// The two modes produce byte-identical clusterings; the conformance tests
-// assert it.
+//   - Options.Remote: this process is one rank of a multi-process world over
+//     real sockets; the sinks fill a payload that is gathered at rank 0.
+//
+// The turnstile cannot deadlock: it is held only around pure computation,
+// never across a Recv, a Wait or a Barrier, so its holder always leaves it.
+// The barrier is what makes the isolation true: without it a rank could be
+// inside the turnstile while a slower one still encodes or decodes halo
+// records on another core.
+//
+// All schedules produce byte-identical clusterings, and the conformance
+// tests assert it. Each rank's local result is computed by the same code over
+// the same point order and the exact flags land in the same halo slots; the
+// global union structure is order-insensitive, and FromUnionLabels numbers
+// clusters by first appearance in point order, independent of union-find
+// representatives — so who applies which edge when cannot matter.
 package dist
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
-	"mudbscan/internal/partition"
 	"mudbscan/internal/unionfind"
 )
 
-// Exec selects how the simulated ranks execute their compute phases.
+// Exec selects the schedule the simulated ranks run under.
 type Exec int
 
 const (
-	// ExecConcurrent (the default) runs every rank's whole pipeline —
-	// partition, halo exchange, local clustering, merge — in its own
-	// goroutine against the mpi collectives, with the halo exchange
-	// overlapped with μR-tree construction and the merge performed as real
-	// flag messages over the runtime plus a concurrent union-find. This is
-	// the mode that turns host cores into real wall-clock speedup.
+	// ExecConcurrent (the default) lets every rank run the pipeline freely
+	// in its own goroutine, with the halo exchange overlapped with μR-tree
+	// construction. This is the schedule that turns host cores into real
+	// wall-clock speedup.
 	ExecConcurrent Exec = iota
-	// ExecSerial times the compute phases one rank at a time, each in
-	// isolation — the simulation methodology behind the paper's Section VI
-	// tables, where per-phase maxima must reflect algorithmic work rather
-	// than host core contention.
+	// ExecSerial runs the same pipeline with the compute sections admitted
+	// one rank at a time, each in isolation — the simulation methodology
+	// behind the paper's Section VI tables, where per-phase maxima must
+	// reflect algorithmic work rather than host core contention.
 	ExecSerial
 )
 
@@ -133,11 +144,13 @@ func commFailure(err error, st *Stats, comm mpi.Stats) (*clustering.Result, *Sta
 // PhaseTimes reports, per phase, the maximum wall-clock time any rank spent
 // in it — the quantities behind Tables VII and VIII.
 //
-// Partition and HaloExchange run inside the concurrent collective stage, so
-// on a host with fewer cores than ranks their wall-clock is inflated by
-// time-sharing; their true cost in the simulation is the communication
-// volume (Stats.Comm, Stats.MergeBytes). The compute phases are measured
-// serially, one rank at a time, and are contention-free.
+// Partition and HaloExchange are communication, which every schedule runs
+// on all ranks at once, so on a host with fewer cores than ranks their
+// wall-clock is inflated by time-sharing; their true cost in the simulation
+// is the communication volume (Stats.Comm, Stats.MergeBytes). The other
+// phases are computation only — Merge is the time spent building and
+// applying edges, not the time spent waiting for a slower rank's flags —
+// and under ExecSerial they are contention-free as well.
 type PhaseTimes struct {
 	Partition        time.Duration // excluded from Total (offline, §V-D)
 	HaloExchange     time.Duration // excluded from Total (see above)
@@ -170,20 +183,20 @@ type Stats struct {
 	HaloPoints int64
 	// PairsDeferred is the total number of deferred cross-partition links.
 	PairsDeferred int64
-	// Comm is the communication accounting: the partition/halo collectives
-	// as measured by the mpi runtime, plus the merge-phase flag and edge
-	// traffic accounted analytically. Under ExecConcurrent the merge flags
-	// travel through the real runtime, so they appear in Comm as well as in
-	// MergeBytes.
+	// Comm is what the mpi runtime carried, under every schedule: the
+	// partition and halo collectives and the merge phase's flag messages
+	// (one byte per halo copy, so those bytes are in MergeBytes too). In a
+	// remote world it is this process's share only.
 	Comm mpi.Stats
-	// MergeBytes is the merge-phase traffic (flags + edges) in bytes,
-	// accounted identically under both execution modes.
+	// MergeBytes is the merge-phase traffic in bytes: the flags, plus 16
+	// bytes per union edge, accounted analytically because only the remote
+	// schedule ships edges.
 	MergeBytes int64
 	// WallClock is the real end-to-end elapsed time of the run. Under
 	// ExecConcurrent it is the quantity of interest (all ranks running
-	// against the host's cores at once); under ExecSerial it includes the
-	// serialized per-rank timing loops and is reported only for
-	// completeness — compare Phases.Total() instead.
+	// against the host's cores at once); under ExecSerial it includes every
+	// rank's wait at the turnstile and is reported only for completeness —
+	// compare Phases.Total() instead.
 	WallClock time.Duration
 }
 
@@ -203,302 +216,99 @@ type localFn func(pts []geom.Point, eps float64, minPts, localCount int) *core.L
 // localAlgo bundles the entry points of a rank-local clustering algorithm.
 type localAlgo struct {
 	// run clusters a fully-assembled combined slice; every algorithm
-	// provides it and the serial driver uses only it.
+	// provides it and the serial schedule uses only it.
 	run localFn
 	// start, when non-nil, begins index construction over just the local
-	// points so the concurrent driver can overlap it with the in-flight
+	// points so a schedule with overlap can run it beside the in-flight
 	// halo exchange; the returned function completes the run once the halo
 	// points arrive. It must produce exactly run(local++halo). Algorithms
 	// without an incremental index (the grid and R-tree baselines) leave it
-	// nil and the concurrent driver assembles the combined slice first.
+	// nil and the pipeline assembles the combined slice first.
 	start func(localPts []geom.Point, eps float64, minPts int) func(haloPts []geom.Point) *core.LocalResult
 }
 
-// rankData is what the collective stage produces for each rank.
-type rankData struct {
-	combined   []geom.Point
-	gids       []int64
-	localCount int
-	sentTo     [][]int32 // per dst: indices into this rank's local points
-	partTime   time.Duration
-	haloTime   time.Duration
-	haloCount  int
+// fold adds one rank's report: counters sum, phase times take the maximum.
+func (st *Stats) fold(o rankOut) {
+	st.Queries += o.queries
+	st.QueriesSaved += o.queriesSaved
+	st.NumMCs += o.numMCs
+	st.HaloPoints += o.haloPoints
+	st.PairsDeferred += o.pairsDeferred
+	st.MergeBytes += o.mergeBytes
+	ph, op := &st.Phases, o.phases
+	ph.Partition = max(ph.Partition, op.Partition)
+	ph.HaloExchange = max(ph.HaloExchange, op.HaloExchange)
+	ph.TreeConstruction = max(ph.TreeConstruction, op.TreeConstruction)
+	ph.FindingReachable = max(ph.FindingReachable, op.FindingReachable)
+	ph.Clustering = max(ph.Clustering, op.Clustering)
+	ph.PostProcessing = max(ph.PostProcessing, op.PostProcessing)
+	ph.Merge = max(ph.Merge, op.Merge)
 }
 
-// runDistributed executes the shared skeleton on p simulated ranks and
-// returns the exact global clustering in original point order, dispatching
-// on the configured execution mode. Both modes produce identical results.
+// runDistributed runs the pipeline on p ranks under the schedule opts names
+// and returns the exact global clustering in original point order.
 func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo) (*clustering.Result, *Stats, error) {
-	if opts.Remote != nil {
-		return runNetworked(pts, eps, minPts, p, opts, algo)
-	}
-	if opts.Exec == ExecSerial {
-		return runSerial(pts, eps, minPts, p, opts, algo.run)
-	}
-	return runConcurrent(pts, eps, minPts, p, opts, algo)
-}
-
-// inertLocalResult is the local state of a rank that owns no points but may
-// still hold halo copies (extreme skew): nothing is core, nothing is
-// assigned, every point is its own component.
-func inertLocalResult(n int) *core.LocalResult {
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = int32(i)
-	}
-	return &core.LocalResult{
-		Core:      make([]bool, n),
-		Comp:      comp,
-		Assigned:  make([]bool, n),
-		NoiseNbhd: map[int32][]int32{},
-		Stats:     &core.Stats{},
-	}
-}
-
-// runSerial is the simulation driver: communication phases run as real
-// collectives, compute phases run one rank at a time, timed in isolation.
-func runSerial(pts []geom.Point, eps float64, minPts, p int, opts Options, local localFn) (*clustering.Result, *Stats, error) {
-	n := len(pts)
-	if n == 0 {
+	if len(pts) == 0 {
 		return &clustering.Result{}, &Stats{Ranks: p}, nil
 	}
 	wallStart := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	dim := len(pts[0])
 	st := &Stats{Ranks: p}
-
-	// Stage 1 (collective): partition + halo exchange.
-	rd := make([]*rankData, p)
-	var mu sync.Mutex
-	comm, err := mpi.RunWithOptions(p, opts.mpiOptions(), func(c *mpi.Comm) error {
-		rank := c.Rank()
-		t0 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		part, err := partition.KD(c, partition.Scatter(rank, p, pts), dim, opts.SampleSize, opts.Seed)
-		if err != nil {
-			return err
-		}
-		partTime := time.Since(t0)
-
-		t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		halo, sentTo := haloExchangeTracked(c, part, eps, dim)
-		haloTime := time.Since(t0)
-
-		d := &rankData{
-			localCount: len(part.Local),
-			sentTo:     sentTo,
-			partTime:   partTime,
-			haloTime:   haloTime,
-			haloCount:  len(halo),
-		}
-		d.combined = make([]geom.Point, 0, d.localCount+len(halo))
-		d.gids = make([]int64, 0, d.localCount+len(halo))
-		for _, rec := range part.Local {
-			d.combined = append(d.combined, rec.Pt)
-			d.gids = append(d.gids, rec.ID)
-		}
-		for _, rec := range halo {
-			d.combined = append(d.combined, rec.Pt)
-			d.gids = append(d.gids, rec.ID)
-		}
-		mu.Lock()
-		rd[rank] = d
-		mu.Unlock()
-		return nil
-	})
+	world := runInProcess
+	if opts.Remote != nil {
+		world = runNetworked
+	}
+	res, comm, err := world(pts, eps, minPts, p, opts, algo, st)
 	if err != nil {
 		return commFailure(err, st, comm)
 	}
 	st.Comm = comm
+	st.WallClock = time.Since(wallStart)
+	return res, st, nil
+}
 
-	// Stage 2 (serial simulation): rank-local clustering, timed in
-	// isolation so phase maxima reflect per-rank work, not core contention.
-	lrs := make([]*core.LocalResult, p)
-	for r := 0; r < p; r++ {
-		d := rd[r]
-		if d.localCount > 0 {
-			lrs[r] = local(d.combined, eps, minPts, d.localCount)
-			continue
-		}
-		// A rank that owns no points may still hold halo copies (e.g. under
-		// extreme skew); give it an inert local state sized for them.
-		lrs[r] = inertLocalResult(len(d.combined))
+// runInProcess runs all p ranks as goroutines of this process, their sinks
+// writing straight into one shared union structure, and folds their reports
+// into st. ExecSerial is the same world behind a shared turnstile.
+func runInProcess(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo, st *Stats) (*clustering.Result, mpi.Stats, error) {
+	var turn *turnstile
+	if opts.Exec == ExecSerial {
+		turn = &turnstile{}
 	}
-
-	// Stage 3 (serial simulation): merge. Flag pushes are reconstructed
-	// exactly as the Alltoall would deliver them (source-rank order, then
-	// send order), with the traffic accounted analytically.
-	exact := make([][]bool, p)
-	for r := 0; r < p; r++ {
-		d := rd[r]
-		ec := make([]bool, len(d.gids))
-		copy(ec, lrs[r].Core)
-		exact[r] = ec
-	}
-	for src := 0; src < p; src++ {
-		for dst := 0; dst < p; dst++ {
-			if src == dst {
-				continue
-			}
-			st.MergeBytes += int64(len(rd[src].sentTo[dst]))
+	guf := unionfind.NewConcurrent(len(pts))
+	// globalCore is written at disjoint indices: every point is owned by
+	// exactly one rank.
+	globalCore := make([]bool, len(pts))
+	own := func(gids []int64, isCore []bool) {
+		for i, g := range gids {
+			globalCore[g] = isCore[i]
 		}
 	}
-	// Receiver halo slots are ordered by source rank then send order.
-	cursor := make([]int, p)
-	for r := 0; r < p; r++ {
-		cursor[r] = rd[r].localCount
-	}
-	for src := 0; src < p; src++ {
-		for dst := 0; dst < p; dst++ {
-			if src == dst {
-				continue
-			}
-			for _, li := range rd[src].sentTo[dst] {
-				if lrs[src].Core[li] {
-					exact[dst][cursor[dst]] = true
-				}
-				cursor[dst]++
-			}
-		}
-	}
-
-	var mergeMax time.Duration
-	guf := unionfind.New(n)
-	globalCore := make([]bool, n)
-	for r := 0; r < p; r++ {
-		t0 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		edges := rankMergeEdges(lrs[r], rd[r].gids, exact[r])
-		st.MergeBytes += int64(len(edges) * 16)
-		for i := 0; i < rd[r].localCount; i++ {
-			globalCore[rd[r].gids[i]] = lrs[r].Core[i]
-		}
+	union := func(edges [][2]int64) {
 		for _, e := range edges {
 			guf.Union(int(e[0]), int(e[1]))
 		}
-		if d := time.Since(t0); d > mergeMax {
-			mergeMax = d
-		}
-		st.Queries += int64(lrs[r].Stats.Queries)
-		st.QueriesSaved += int64(lrs[r].Stats.QueriesSaved)
-		st.NumMCs += int64(lrs[r].Stats.NumMCs)
-		st.HaloPoints += int64(rd[r].haloCount)
-		st.PairsDeferred += int64(len(lrs[r].Pairs))
 	}
-
-	// Phase maxima over ranks.
-	for r := 0; r < p; r++ {
-		steps := lrs[r].Stats.Steps
-		st.Phases.Partition = maxDur(st.Phases.Partition, rd[r].partTime)
-		st.Phases.HaloExchange = maxDur(st.Phases.HaloExchange, rd[r].haloTime)
-		st.Phases.TreeConstruction = maxDur(st.Phases.TreeConstruction, steps.TreeConstruction)
-		st.Phases.FindingReachable = maxDur(st.Phases.FindingReachable, steps.FindingReachable)
-		st.Phases.Clustering = maxDur(st.Phases.Clustering, steps.Clustering)
-		st.Phases.PostProcessing = maxDur(st.Phases.PostProcessing, steps.PostProcessing)
+	// Each rank writes only its own slot; the mpi join orders the reads.
+	outs := make([]rankOut, p)
+	comm, err := mpi.RunWithOptions(p, opts.mpiOptions(), func(c *mpi.Comm) error {
+		var err error
+		outs[c.Rank()], err = runRank(c, pts, eps, minPts, opts, algo, turn, own, union)
+		return err
+	})
+	if err != nil {
+		return nil, comm, err
 	}
-	st.Phases.Merge = mergeMax
+	for _, o := range outs {
+		st.fold(o)
+	}
+	return globalResult(guf, globalCore), comm, nil
+}
 
-	comp := make([]int, n)
+// globalResult reads the clustering off the merged union structure.
+func globalResult(guf *unionfind.Concurrent, globalCore []bool) *clustering.Result {
+	comp := make([]int, len(globalCore))
 	for i := range comp {
 		comp[i] = guf.Find(i)
 	}
-	st.WallClock = time.Since(wallStart)
-	return clustering.FromUnionLabels(comp, globalCore), st, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// haloSendBuffers scans part.Local against every other rank's ε-extended
-// region and returns the encoded per-destination send buffers plus, per
-// destination, the indices (into part.Local) of the records sent there —
-// needed later to push exact core flags.
-func haloSendBuffers(part *partition.Part, eps float64, dim, rank, p int) (bufs [][]byte, sentTo [][]int32) {
-	sentTo = make([][]int32, p)
-	bufs = make([][]byte, p)
-	for dst := 0; dst < p; dst++ {
-		if dst == rank {
-			bufs[dst] = nil
-			continue
-		}
-		ext := part.Regions[dst].Expanded(eps)
-		var recs []partition.Record
-		for i, rec := range part.Local {
-			if ext.Contains(rec.Pt) {
-				recs = append(recs, rec)
-				sentTo[dst] = append(sentTo[dst], int32(i))
-			}
-		}
-		bufs[dst] = partition.EncodeRecords(recs, dim)
-	}
-	return bufs, sentTo
-}
-
-// haloExchangeTracked performs the ε-extended halo exchange and additionally
-// returns, per destination rank, the indices (into part.Local) of the
-// records this rank sent there.
-func haloExchangeTracked(c *mpi.Comm, part *partition.Part, eps float64, dim int) ([]partition.Record, [][]int32) {
-	p := c.Size()
-	bufs, sentTo := haloSendBuffers(part, eps, dim, c.Rank(), p)
-	recv := c.Alltoall(bufs)
-	var halo []partition.Record
-	for src := 0; src < p; src++ {
-		if src == c.Rank() {
-			continue
-		}
-		halo = append(halo, partition.DecodeRecords(recv[src], dim)...)
-	}
-	return halo, sentTo
-}
-
-// rankMergeEdges computes one rank's contribution to the global union
-// structure (§V-C): its local components, the deferred pairs whose halo side
-// is exactly core, and the second noise-rectification pass against the exact
-// halo core flags. No neighborhood queries are needed.
-func rankMergeEdges(lr *core.LocalResult, gids []int64, exactCore []bool) [][2]int64 {
-	return append(componentEdges(lr, gids), deferredEdges(lr, gids, exactCore)...)
-}
-
-// componentEdges expresses the rank-local union-find components as global-id
-// edges. It needs no exact halo flags, so the concurrent driver computes and
-// applies these while the flag messages are still in flight.
-func componentEdges(lr *core.LocalResult, gids []int64) [][2]int64 {
-	var edges [][2]int64
-	for i := range gids {
-		if r := lr.Comp[i]; int32(i) != r {
-			edges = append(edges, [2]int64{gids[i], gids[r]})
-		}
-	}
-	return edges
-}
-
-// deferredEdges resolves the parts of the merge that depend on the exact
-// halo core flags: deferred pairs whose halo side turns out core, and the
-// noise-rectification pass (which marks rescued points Assigned).
-func deferredEdges(lr *core.LocalResult, gids []int64, exactCore []bool) [][2]int64 {
-	var edges [][2]int64
-	for _, pr := range lr.Pairs {
-		if exactCore[pr.B] {
-			edges = append(edges, [2]int64{gids[pr.A], gids[pr.B]})
-		}
-	}
-	noiseIDs := make([]int32, 0, len(lr.NoiseNbhd))
-	for id := range lr.NoiseNbhd {
-		noiseIDs = append(noiseIDs, id)
-	}
-	sort.Slice(noiseIDs, func(a, b int) bool { return noiseIDs[a] < noiseIDs[b] })
-	for _, id := range noiseIDs {
-		if lr.Assigned[id] || lr.Core[id] {
-			continue
-		}
-		for _, q := range lr.NoiseNbhd[id] {
-			if exactCore[q] {
-				edges = append(edges, [2]int64{gids[q], gids[id]})
-				lr.Assigned[id] = true
-				break
-			}
-		}
-	}
-	return edges
+	return clustering.FromUnionLabels(comp, globalCore)
 }

@@ -5,15 +5,15 @@ import (
 	"time"
 
 	"mudbscan/internal/clustering"
-	"mudbscan/internal/core"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
-	"mudbscan/internal/partition"
 	"mudbscan/internal/unionfind"
 )
 
 // mergeTag carries each rank's merge contribution (core flags, union edges,
-// stats) to rank 0 in the networked driver's gather-to-root merge.
+// stats) to rank 0 in the remote schedule's gather-to-root merge.
+//
+//mulint:wire mpi-tag
 const mergeTag = -1085
 
 // Remote configures multi-process execution: this process runs exactly one
@@ -32,160 +32,43 @@ type Remote struct {
 	Linger time.Duration
 }
 
-// runNetworked executes the shared skeleton as one rank of a multi-process
-// world. The pipeline is the concurrent driver's — kd partitioning,
-// non-blocking halo exchange overlapped with index construction, rank-local
-// clustering, exact-core flag pushes — but the merge cannot fold into a
-// shared union-find across processes, so every rank ships its merge
-// contribution (owned global ids, exact core flags, union edges) to rank 0,
-// which applies them in rank order exactly as the serial driver does. The
-// union structure is order-insensitive and clustering.FromUnionLabels
-// numbers clusters by first appearance in point order, so the labels are
-// byte-identical to both in-process drivers — the loopback conformance suite
-// asserts it against ExecConcurrent.
+// runNetworked runs the pipeline as one rank of a multi-process world. A
+// union-find cannot be shared across processes, so the rank's sinks fill a
+// mergeContribution (owned global ids, exact core flags, union edges, its
+// rankOut) that is shipped to rank 0, which applies all of them and folds
+// the reports into st. The loopback conformance suite asserts the labels
+// byte-identical to ExecConcurrent's.
 //
-// On ranks other than 0 the returned Result is nil and the Stats hold only
-// this process's communication counters. Rank 0's Stats aggregate the
-// algorithm counters and phase maxima of all ranks (shipped inside the merge
-// payloads); its Comm remains rank-0-local, since no process sees another's
-// byte counts.
-func runNetworked(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo) (*clustering.Result, *Stats, error) {
+// On ranks other than 0 the returned Result is nil and st stays empty.
+// Rank 0's st aggregates all ranks; the returned Comm is this process's own,
+// since no process sees another's byte counts.
+func runNetworked(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo, st *Stats) (*clustering.Result, mpi.Stats, error) {
 	n := len(pts)
-	if n == 0 {
-		return &clustering.Result{}, &Stats{Ranks: p}, nil
-	}
-	wallStart := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	dim := len(pts[0])
-	st := &Stats{Ranks: p}
-	self := opts.Remote.Rank
-
 	var result *clustering.Result
 	comm, err := mpi.RunRemote(mpi.RemoteOptions{
-		Rank:      self,
+		Rank:      opts.Remote.Rank,
 		Size:      p,
 		Transport: opts.Remote.Transport,
 		Retry:     opts.Retry,
 		Linger:    opts.Remote.Linger,
 	}, func(c *mpi.Comm) error {
-		rank := c.Rank()
-
-		// Phases 1–3 are the concurrent driver's, unchanged.
-		t0 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		part, err := partition.KD(c, partition.Scatter(rank, p, pts), dim, opts.SampleSize, opts.Seed)
+		var contrib mergeContribution
+		own := func(gids []int64, isCore []bool) {
+			contrib.localCount, contrib.gids, contrib.core = len(gids), gids, isCore
+		}
+		union := func(edges [][2]int64) { contrib.edges = append(contrib.edges, edges...) }
+		var err error
+		contrib.out, err = runRank(c, pts, eps, minPts, opts, algo, nil, own, union)
 		if err != nil {
 			return err
 		}
-		partTime := time.Since(t0)
-
-		t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		bufs, sentTo := haloSendBuffers(part, eps, dim, rank, p)
-		xchg := c.IAlltoall(bufs)
-		haloInit := time.Since(t0)
-
-		localCount := len(part.Local)
-		localPts := make([]geom.Point, localCount)
-		gids := make([]int64, localCount)
-		for i, rec := range part.Local {
-			localPts[i] = rec.Pt
-			gids[i] = rec.ID
-		}
-		var finish func(haloPts []geom.Point) *core.LocalResult
-		if algo.start != nil && localCount > 0 {
-			finish = algo.start(localPts, eps, minPts)
-		}
-
-		t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		recv := xchg.Wait()
-		var haloPts []geom.Point
-		haloFrom := make([]int, p)
-		for src := 0; src < p; src++ {
-			if src == rank {
-				continue
-			}
-			recs := partition.DecodeRecords(recv[src], dim)
-			haloFrom[src] = len(recs)
-			for _, rec := range recs {
-				haloPts = append(haloPts, rec.Pt)
-				gids = append(gids, rec.ID)
-			}
-		}
-		haloTime := haloInit + time.Since(t0)
-
-		var lr *core.LocalResult
-		switch {
-		case localCount == 0:
-			lr = inertLocalResult(len(gids))
-		case finish != nil:
-			lr = finish(haloPts)
-		default:
-			combined := make([]geom.Point, 0, len(gids))
-			combined = append(combined, localPts...)
-			combined = append(combined, haloPts...)
-			lr = algo.run(combined, eps, minPts, localCount)
-		}
-
-		// Phase 4: exact core flags travel exactly as in the concurrent
-		// driver; the union work is packaged instead of applied.
-		t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		var mergeB int64
-		for dst := 0; dst < p; dst++ {
-			if dst == rank {
-				continue
-			}
-			fl := make([]byte, len(sentTo[dst]))
-			for k, li := range sentTo[dst] {
-				if lr.Core[li] {
-					fl[k] = 1
-				}
-			}
-			mergeB += int64(len(fl))
-			c.Isend(dst, flagTag, fl)
-		}
-
-		exact := make([]bool, len(gids))
-		copy(exact, lr.Core)
-		cur := localCount
-		for src := 0; src < p; src++ {
-			if src == rank {
-				continue
-			}
-			fl := c.Recv(src, flagTag)
-			if len(fl) != haloFrom[src] {
-				return fmt.Errorf("dist: rank %d got %d flags from %d, want %d", rank, len(fl), src, haloFrom[src])
-			}
-			for _, b := range fl {
-				if b != 0 {
-					exact[cur] = true
-				}
-				cur++
-			}
-		}
-		edges := rankMergeEdges(lr, gids, exact)
-		mergeB += int64(len(edges) * 16)
-		mergeTime := time.Since(t0)
-
-		contrib := mergeContribution{
-			localCount: localCount,
-			gids:       gids[:localCount],
-			core:       lr.Core[:localCount],
-			edges:      edges,
-			stats: [mergeStatFields]int64{
-				int64(lr.Stats.Queries), int64(lr.Stats.QueriesSaved), int64(lr.Stats.NumMCs),
-				int64(len(haloPts)), int64(len(lr.Pairs)), mergeB,
-				int64(partTime), int64(haloTime),
-				int64(lr.Stats.Steps.TreeConstruction), int64(lr.Stats.Steps.FindingReachable),
-				int64(lr.Stats.Steps.Clustering), int64(lr.Stats.Steps.PostProcessing),
-				int64(mergeTime),
-			},
-		}
-		if rank != 0 {
+		if c.Rank() != 0 {
 			c.Send(0, mergeTag, mpi.EncodeInt64s(contrib.encode()))
 			return nil
 		}
 
-		// Rank 0: apply every rank's contribution in rank order — the serial
-		// driver's application order.
-		guf := unionfind.New(n)
+		// Rank 0: apply every rank's contribution, in rank order.
+		guf := unionfind.NewConcurrent(n)
 		globalCore := make([]bool, n)
 		for r := 0; r < p; r++ {
 			cb := contrib
@@ -209,38 +92,13 @@ func runNetworked(pts []geom.Point, eps float64, minPts, p int, opts Options, al
 				}
 				guf.Union(int(e[0]), int(e[1]))
 			}
-			s := cb.stats
-			st.Queries += s[0]
-			st.QueriesSaved += s[1]
-			st.NumMCs += s[2]
-			st.HaloPoints += s[3]
-			st.PairsDeferred += s[4]
-			st.MergeBytes += s[5]
-			st.Phases.Partition = maxDur(st.Phases.Partition, time.Duration(s[6]))
-			st.Phases.HaloExchange = maxDur(st.Phases.HaloExchange, time.Duration(s[7]))
-			st.Phases.TreeConstruction = maxDur(st.Phases.TreeConstruction, time.Duration(s[8]))
-			st.Phases.FindingReachable = maxDur(st.Phases.FindingReachable, time.Duration(s[9]))
-			st.Phases.Clustering = maxDur(st.Phases.Clustering, time.Duration(s[10]))
-			st.Phases.PostProcessing = maxDur(st.Phases.PostProcessing, time.Duration(s[11]))
-			st.Phases.Merge = maxDur(st.Phases.Merge, time.Duration(s[12]))
+			st.fold(cb.out)
 		}
-		comp := make([]int, n)
-		for i := range comp {
-			comp[i] = guf.Find(i)
-		}
-		result = clustering.FromUnionLabels(comp, globalCore)
+		result = globalResult(guf, globalCore)
 		return nil
 	})
-	if err != nil {
-		return commFailure(err, st, comm)
-	}
-	st.Comm = comm
-	st.WallClock = time.Since(wallStart)
-	return result, st, nil
+	return result, comm, err
 }
-
-// mergeStatFields is the number of int64 stat slots in a merge payload.
-const mergeStatFields = 13
 
 // mergeContribution is one rank's input to the gather-to-root merge.
 type mergeContribution struct {
@@ -248,21 +106,22 @@ type mergeContribution struct {
 	gids       []int64
 	core       []bool
 	edges      [][2]int64
-	stats      [mergeStatFields]int64
+	out        rankOut
 }
 
 // encode lays the contribution out as int64s:
 //
 //	[0]  localCount
 //	[1]  edge count
-//	[2:2+mergeStatFields) stats
+//	[2:2+mergeStatFields) rankOut.encode()
 //	then localCount gids, ceil(localCount/64) packed core-flag words,
 //	and 2 int64s per edge.
 func (m mergeContribution) encode() []int64 {
 	words := (m.localCount + 63) / 64
 	out := make([]int64, 0, 2+mergeStatFields+m.localCount+words+2*len(m.edges))
 	out = append(out, int64(m.localCount), int64(len(m.edges)))
-	out = append(out, m.stats[:]...)
+	stats := m.out.encode()
+	out = append(out, stats[:]...)
 	out = append(out, m.gids...)
 	for w := 0; w < words; w++ {
 		var bits uint64
@@ -286,16 +145,18 @@ func decodeContribution(v []int64) (mergeContribution, bool) {
 	if len(v) < 2+mergeStatFields {
 		return m, false
 	}
-	lc, ne := v[0], v[1]
-	if lc < 0 || ne < 0 {
+	// Bound both counts by the payload before adding them up: unbounded,
+	// the sum can wrap around int64 to exactly the payload's length.
+	lc, ne, body := v[0], v[1], int64(len(v)-2-mergeStatFields)
+	if lc < 0 || ne < 0 || lc > body || ne > body {
 		return m, false
 	}
 	words := (lc + 63) / 64
-	if int64(len(v)) != 2+mergeStatFields+lc+words+2*ne {
+	if body != lc+words+2*ne {
 		return m, false
 	}
 	m.localCount = int(lc)
-	copy(m.stats[:], v[2:2+mergeStatFields])
+	m.out = decodeRankOut([mergeStatFields]int64(v[2 : 2+mergeStatFields]))
 	rest := v[2+mergeStatFields:]
 	m.gids = rest[:lc]
 	m.core = make([]bool, lc)

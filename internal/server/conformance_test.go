@@ -390,3 +390,31 @@ func TestDaemonRejectsMalformedRequests(t *testing.T) {
 	_, err = cl.EpsQuery(id, 0.5, 3, []float64{0, 0, 0})
 	assertIs(err, ErrBadRequest, "eps-query dim mismatch")
 }
+
+// TestDaemonCellRange drives the grid's representability bound over the
+// wire: eight points 1e30 apart are all noise at eps 1. An explicit cell
+// request is rejected at resolve; auto, which used to pick the cell engine
+// and serve one merged cluster, serves the exact answer.
+func TestDaemonCellRange(t *testing.T) {
+	_, addr := startServer(t, Config{Workers: 1})
+	cl := dialTenant(t, addr, "far")
+	rows := make([][]float64, 8)
+	for k := range rows {
+		rows[k] = []float64{float64(k) * 1e30, 0}
+	}
+	id, err := cl.Put(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Cluster(id, 1, 2, EngineCell, 0); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("explicit cell engine: got %v, want ErrBadRequest", err)
+	}
+	got, err := cl.Cluster(id, 1, 2, EngineAuto, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumClusters != 0 || got.NumNoise() != len(rows) {
+		t.Fatalf("auto engine: %d clusters, %d noise; want all %d points noise",
+			got.NumClusters, got.NumNoise(), len(rows))
+	}
+}

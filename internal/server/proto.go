@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Frame magics, following the nettrans convention (µ prefix, then the
@@ -183,43 +184,33 @@ const (
 // bookkeeping, not a wire value, so it lives outside the wire enum block.
 const numEngines = 6
 
-// String names the engine as the CLI and metrics surface spell it.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineSeq:
-		return "seq"
-	case EngineShared:
-		return "shared"
-	case EngineDist:
-		return "dist"
-	case EngineStream:
-		return "stream"
-	case EngineCell:
-		return "cell"
-	default:
-		return fmt.Sprintf("engine(%d)", uint8(e))
-	}
+// engineNames spells each engine as the CLI and metrics surface do.
+var engineNames = [numEngines]string{
+	EngineAuto: "auto", EngineSeq: "seq", EngineShared: "shared",
+	EngineDist: "dist", EngineStream: "stream", EngineCell: "cell",
 }
 
-// ParseEngine is String's inverse.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "seq":
-		return EngineSeq, nil
-	case "shared":
-		return EngineShared, nil
-	case "dist":
-		return EngineDist, nil
-	case "stream":
-		return EngineStream, nil
-	case "cell":
-		return EngineCell, nil
+// String names the engine as the CLI and metrics surface spell it.
+func (e Engine) String() string {
+	if e < numEngines {
+		return engineNames[e]
 	}
-	return 0, fmt.Errorf("%w: %q (want auto, seq, shared, dist, stream or cell)", ErrUnknownEngine, s)
+	return fmt.Sprintf("engine(%d)", uint8(e))
+}
+
+// ParseEngine is String's inverse; the empty string means auto.
+func ParseEngine(s string) (Engine, error) {
+	if s == "" {
+		return EngineAuto, nil
+	}
+	for e, name := range engineNames {
+		if s == name {
+			return Engine(e), nil
+		}
+	}
+	last := len(engineNames) - 1
+	return 0, fmt.Errorf("%w: %q (want %s or %s)", ErrUnknownEngine, s,
+		strings.Join(engineNames[:last], ", "), engineNames[last])
 }
 
 // DatasetID identifies a stored dataset: the SHA-256 of its canonical wire

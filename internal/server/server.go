@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mudbscan"
+	"mudbscan/internal/cell"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mc"
 	"mudbscan/internal/mpi/nettrans"
@@ -445,7 +446,8 @@ func (c *serverConn) handlePut(tag int64, r *rbuf) {
 // parameter, applying defaults and the auto heuristic. Auto consults the
 // library's profile-based selector first — the grid cell engine wins
 // whenever mudbscan.ChooseEngine favors it — and only then falls back to
-// the size rule (small → seq, large → shared at GOMAXPROCS).
+// the size rule (small → seq, large → shared at GOMAXPROCS). An explicit
+// cell request for data the grid cannot index at this eps is a bad request.
 func (s *Server) resolve(engine Engine, param int, ds *dataset, eps float64, minPts int) (Engine, int, error) {
 	if engine >= numEngines {
 		return 0, 0, fmt.Errorf("%w: engine byte %d", ErrUnknownEngine, engine)
@@ -458,6 +460,8 @@ func (s *Server) resolve(engine Engine, param int, ds *dataset, eps float64, min
 		} else {
 			engine, param = EngineShared, runtime.GOMAXPROCS(0)
 		}
+	} else if engine == EngineCell && !cell.Representable(ds.rows, eps) {
+		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, mudbscan.ErrCellRange)
 	}
 	switch engine {
 	case EngineShared:

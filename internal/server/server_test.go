@@ -38,6 +38,13 @@ func TestResolveEngineAndParam(t *testing.T) {
 	highDim := mk(8, 6)  // d > 7, below threshold: falls through to seq
 	highBig := mk(8, 12) // d > 7, above threshold: shared at GOMAXPROCS
 
+	// Coordinates 1e30 apart at eps 0.5: beyond what the grid can index.
+	farID, err := srv.store.put(2, []float64{0, 0, 1e30, 0, 2e30, 0, 3e30, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, _ := srv.store.get(farID)
+
 	cases := []struct {
 		engine    Engine
 		param     int
@@ -61,6 +68,8 @@ func TestResolveEngineAndParam(t *testing.T) {
 		{EngineCell, 0, highDim, EngineCell, 0, nil}, // 0 = engine default
 		{EngineCell, 4, lowDim, EngineCell, 4, nil},
 		{EngineCell, -1, lowDim, 0, 0, ErrBadRequest},
+		{EngineCell, 0, far, 0, 0, ErrBadRequest}, // not representable on the grid
+		{EngineAuto, 0, far, EngineSeq, 0, nil},   // low d, but auto must not pick cell
 		{EngineCell, maxSharedWork + 1, lowDim, 0, 0, ErrBadRequest},
 		{EngineDist, 0, lowDim, EngineDist, 4, nil},
 		{EngineDist, 8, lowDim, EngineDist, 8, nil},

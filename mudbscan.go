@@ -11,14 +11,21 @@
 // same partition of core points into clusters, the same number of clusters
 // and the same noise set.
 //
-// Three execution modes share the same exact semantics:
+// Every entry point has the same exact semantics:
 //
-//   - Cluster: sequential μDBSCAN.
-//   - ClusterParallel: multi-core shared-memory μDBSCAN.
+//   - Cluster: one host, one of two engines behind WithEngine — sequential
+//     μDBSCAN (the default) or the grid cell engine, with EngineAuto choosing
+//     between them from a cheap profile of the data.
+//   - ClusterParallel: multi-core shared-memory μDBSCAN, the same driver as
+//     Cluster's default on WithWorkers goroutines.
 //   - ClusterDistributed: μDBSCAN-D over simulated message-passing ranks
 //     (spatial kd partitioning, ε-halo exchange, local clustering, query-free
-//     merge); ranks run truly concurrently unless WithSerialSimulation
-//     selects the paper-table timing methodology.
+//     merge); ranks run truly concurrently unless WithSerialSimulation puts
+//     the same pipeline behind a one-rank-at-a-time compute turnstile, the
+//     paper-table timing methodology.
+//   - ClusterStream and NewStreamClusterer: exact snapshots of an unbounded
+//     stream under a landmark or damped window; each snapshot is the batch
+//     clustering of the points currently alive.
 //
 // The usual entry point:
 //
@@ -29,6 +36,7 @@
 package mudbscan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -89,16 +97,13 @@ const (
 // String returns the engine's canonical short name, matching the names the
 // mudbscan CLI and the mudbscand wire protocol use.
 func (e Engine) String() string {
-	switch e {
-	case EngineMuTree:
-		return "mu"
-	case EngineCell:
-		return "cell"
-	case EngineAuto:
-		return "auto"
+	if e >= 0 && int(e) < len(engineNames) {
+		return engineNames[e]
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
+
+var engineNames = [...]string{EngineMuTree: "mu", EngineCell: "cell", EngineAuto: "auto"}
 
 // WithEngine selects the engine for Cluster and ClusterWithStats
 // (default EngineMuTree). ClusterParallel and ClusterDistributed are
@@ -109,18 +114,33 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // ChooseEngine reports the concrete engine EngineAuto would run on this
 // input: the decision is made from cheap statistics (n, d, and the
 // cell-occupancy distribution of a deterministic ≤1024-point sample) without
-// building any index, so it costs microseconds even on large inputs.
-// Degenerate inputs — empty data or a non-positive or non-finite eps — fall
-// back to EngineMuTree.
+// building any index. When the profile favors the grid, one further pass
+// (a compare per coordinate) confirms the grid can index the data at this eps
+// (see ErrCellRange). Degenerate inputs — empty data or a non-positive or
+// non-finite eps — and data that fails that check fall back to EngineMuTree.
 func ChooseEngine(points [][]float64, eps float64, minPts int) Engine {
-	if len(points) == 0 || eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return EngineMuTree
 	}
-	if cell.Decide(cell.Sample(points, eps, minPts)) {
+	return autoEngine(points, eps, minPts)
+}
+
+// autoEngine is EngineAuto's decision: the cell engine when the sample
+// profile favors it and the grid can index every coordinate at this ε
+// (one pass, one compare per coordinate), the μR-tree engine otherwise.
+func autoEngine[P ~[]float64](pts []P, eps float64, minPts int) Engine {
+	if cell.Decide(cell.Sample(pts, eps, minPts)) && cell.Representable(pts, eps) {
 		return EngineCell
 	}
 	return EngineMuTree
 }
+
+// ErrCellRange is returned when EngineCell is requested for data the grid
+// cannot index: some coordinate lies 2^52 or more cells (of side ε/√d) from
+// the origin, where float64 no longer tells neighbouring cells apart.
+// EngineMuTree has no such limit and EngineAuto falls back to it; translating
+// the data towards the origin also lifts it.
+var ErrCellRange = errors.New("mudbscan: coordinates too large relative to eps for the cell engine (need |x|·√d/eps < 2^52)")
 
 // config collects the option knobs.
 type config struct {
@@ -191,8 +211,10 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // WithSerialSimulation makes ClusterDistributed execute its compute phases
 // one rank at a time, each timed in isolation — the single-host simulation
 // methodology behind the paper's tables — instead of the default truly
-// concurrent rank execution. The clustering is identical either way; only
-// the timing statistics' meaning changes (see DistStats.WallClock).
+// concurrent rank execution. It is the same rank pipeline behind a compute
+// turnstile: the clustering, the counters and the communication volume are
+// identical either way; only the phase times' meaning changes (see
+// DistStats.WallClock).
 func WithSerialSimulation() Option { return func(c *config) { c.distSerial = true } }
 
 // WithHardenedComms makes ClusterDistributed wrap every point-to-point
@@ -267,10 +289,12 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 		return nil, nil, err
 	}
 	engine := cfg.engine
-	if engine == EngineAuto {
-		engine = EngineMuTree
-		if len(pts) > 0 && cell.Decide(cell.Sample(pts, eps, minPts)) {
-			engine = EngineCell
+	switch engine {
+	case EngineAuto:
+		engine = autoEngine(pts, eps, minPts)
+	case EngineCell:
+		if !cell.Representable(pts, eps) {
+			return nil, nil, ErrCellRange
 		}
 	}
 	if engine == EngineCell {

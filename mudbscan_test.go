@@ -1,6 +1,7 @@
 package mudbscan
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -196,6 +197,57 @@ func TestChooseEngineBranches(t *testing.T) {
 		if e.String() != want {
 			t.Fatalf("Engine(%d).String() = %q, want %q", int(e), e.String(), want)
 		}
+	}
+}
+
+// TestCellRangeGuard pins the grid's representability bound on every engine
+// path of Cluster: coordinates so far from the origin (in cells of side ε/√d)
+// that float64 can no longer tell neighbouring cells apart used to come back
+// from the cell engine — and from auto, which picked it — as one merged
+// cluster. Both lattices are all-noise under brute force.
+func TestCellRangeGuard(t *testing.T) {
+	lattice := func(base, step float64, n int) [][]float64 {
+		rows := make([][]float64, n)
+		for k := range rows {
+			rows[k] = []float64{base + float64(k)*step, 0}
+		}
+		return rows
+	}
+	for name, rows := range map[string][][]float64{
+		"saturated int64 (|v|/side ≥ 2^63)":        lattice(0, 1e30, 8),
+		"collapsed cells (2^53 ≤ |v|/side < 2^62)": lattice(1.1e17, 16, 64),
+	} {
+		pts := make([]geom.Point, len(rows))
+		for i, r := range rows {
+			pts[i] = r
+		}
+		want, _ := dbscan.Brute(pts, 1, 2)
+		if want.NumClusters != 0 {
+			t.Fatalf("%s: brute force found %d clusters in an all-noise lattice", name, want.NumClusters)
+		}
+		if e := ChooseEngine(rows, 1, 2); e != EngineMuTree {
+			t.Errorf("%s: ChooseEngine = %v, want mu", name, e)
+		}
+		for _, e := range []Engine{EngineMuTree, EngineAuto} {
+			got, err := Cluster(rows, 1, 2, WithEngine(e))
+			if err != nil {
+				t.Fatalf("%s: engine %v: %v", name, e, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: engine %v differs from brute force (%d clusters)", name, e, got.NumClusters)
+			}
+		}
+		if _, err := Cluster(rows, 1, 2, WithEngine(EngineCell)); !errors.Is(err, ErrCellRange) {
+			t.Errorf("%s: explicit cell engine: err = %v, want ErrCellRange", name, err)
+		}
+	}
+	// The same lattice shape inside the bound still runs on the grid.
+	near := lattice(1e6, 16, 64)
+	if e := ChooseEngine(near, 1, 2); e != EngineCell {
+		t.Errorf("in-range lattice chose %v, want cell", e)
+	}
+	if _, err := Cluster(near, 1, 2, WithEngine(EngineCell)); err != nil {
+		t.Errorf("in-range lattice on the cell engine: %v", err)
 	}
 }
 
