@@ -63,9 +63,10 @@ func cellSide(eps float64, dim int) float64 {
 }
 
 // cellCoord maps one coordinate to its integer cell index on the grid. It
-// is a cell index only while Representable holds.
+// is a cell index only while Representable holds; beyond that it saturates
+// at ±coordLimit (the profile sampler sees unchecked input).
 func cellCoord(v, side float64) int64 {
-	return int64(math.Floor(v / side))
+	return geom.FloorClamp(v/side, -coordLimit, coordLimit)
 }
 
 // coordLimit bounds |v|/side. Below 2^52 the float64 quotient still has a

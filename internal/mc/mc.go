@@ -12,6 +12,15 @@
 // member points are identified by their row index. All distance work goes
 // through the dimension-specialized kernel chosen once at construction, and
 // EpsNeighborhoodInto is the allocation-free query the clustering loops use.
+//
+// The first μR-tree level has two lives. While Algorithm 3 scans the points
+// it is a scan-time directory (directory.go) answering "nearest centre < ε"
+// and "any centre < 2ε": a hashed grid over the centres up to gridMaxDim
+// dimensions, the dynamic R-tree above. Once the centres are frozen it is an
+// R-tree — STR bulk-loaded from the grid's centres, or the tree the scan
+// grew — read by ComputeReachable. Both directories decide membership with
+// the same kernel and the same tie rule, so the micro-cluster set does not
+// depend on which one served the scan.
 package mc
 
 import (
@@ -92,8 +101,8 @@ type Options struct {
 }
 
 // Index is the two-level μR-tree plus the micro-cluster list: the first
-// level indexes MC centers, and each MC carries an auxiliary R-tree over its
-// member points.
+// level indexes MC centers (bulk-loaded or grown, see the package comment),
+// and each MC carries an auxiliary R-tree over its member points.
 type Index struct {
 	Eps    float64
 	MinPts int
@@ -132,8 +141,14 @@ func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 // points are known. μDBSCAN-D uses this to overlap the halo exchange with
 // μR-tree construction: the rank Adds its local points while the halo
 // payloads are in flight, then Adds the halo points and Finishes.
+//
+// During the scan the centres live in dir, the scan-time directory chosen
+// from (dim, ε) alone; Finish turns it into the Index's centre tree and
+// drops it. The directory's answers are exact and its nearest tie rule is
+// the tree's, so the split invariance above holds whichever one is in use.
 type Builder struct {
 	ix         *Index
+	dir        centerDirectory
 	unassigned []int32
 	finished   bool
 }
@@ -149,16 +164,22 @@ func NewBuilder(dim int, eps float64, minPts int, opts Options) *Builder {
 	if opts.Fanout <= 0 {
 		opts.Fanout = rtree.DefaultMaxEntries
 	}
+	return newBuilder(dim, eps, minPts, opts, newDirectory(dim, eps, opts.Fanout))
+}
+
+// newBuilder is NewBuilder with the scan-time directory given; the
+// differential tests use it to force the tree directory at low d.
+func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirectory) *Builder {
 	return &Builder{
 		ix: &Index{
-			Eps:     eps,
-			MinPts:  minPts,
-			Dim:     dim,
-			Points:  geom.NewPointSet(dim, 0),
-			centers: rtree.New(dim, opts.Fanout),
-			kern:    geom.KernelFor(dim),
-			opts:    opts,
+			Eps:    eps,
+			MinPts: minPts,
+			Dim:    dim,
+			Points: geom.NewPointSet(dim, 0),
+			kern:   geom.KernelFor(dim),
+			opts:   opts,
 		},
+		dir: dir,
 	}
 }
 
@@ -175,15 +196,15 @@ func (b *Builder) Add(pts []geom.Point) {
 		// The tight ε-radius nearest-center search succeeds for most points
 		// on dense data; only the misses pay for the wider 2ε existence
 		// probe that drives the deferral rule.
-		if mcID, _, ok := ix.centers.Nearest(p, ix.Eps, true); ok {
+		if mcID, ok := b.dir.nearest(p, ix.Eps); ok {
 			ix.addMember(mcID, i)
 			continue
 		}
-		if !ix.opts.NoDeferral && ix.centers.Any(p, 2*ix.Eps, true) {
+		if !ix.opts.NoDeferral && b.dir.any(p, 2*ix.Eps) {
 			b.unassigned = append(b.unassigned, int32(i))
 			continue
 		}
-		ix.newMC(i)
+		b.newMC(i)
 	}
 }
 
@@ -205,28 +226,34 @@ func (b *Builder) Finish() *Index {
 	}
 	for _, i := range b.unassigned {
 		p := ix.Points.Point(int(i))
-		mcID, _, ok := ix.centers.Nearest(p, ix.Eps, true)
-		if ok {
+		if mcID, ok := b.dir.nearest(p, ix.Eps); ok {
 			ix.addMember(mcID, int(i))
 		} else {
-			ix.newMC(int(i))
+			b.newMC(int(i))
 		}
 	}
+	// The centres are frozen: the first μR-tree level is the tree the scan
+	// grew, or one STR bulk load over the grid's centres. Either way the
+	// directory is dropped here, so an Index that outlives its Builder (a
+	// daemon's cached one) does not retain the grid.
+	ix.centers = b.dir.tree()
+	b.dir = nil
 	ix.finalize()
 	return ix
 }
 
-func (ix *Index) newMC(centerID int) {
+func (b *Builder) newMC(centerID int) {
+	ix := b.ix
 	m := &MicroCluster{
 		ID:       len(ix.MCs),
 		CenterID: centerID,
 		Members:  []int32{int32(centerID)},
 	}
 	ix.MCs = append(ix.MCs, m)
-	// The center tree copies the coordinates; m.Center is materialized in
+	// The directory copies the coordinates; m.Center is materialized in
 	// finalize, once the point store has stopped growing (row views into a
 	// growing PointSet can be invalidated by reallocation).
-	ix.centers.Insert(m.ID, ix.Points.Point(centerID))
+	b.dir.insert(m.ID, ix.Points.Point(centerID))
 	ix.PointMC[centerID] = int32(m.ID)
 }
 

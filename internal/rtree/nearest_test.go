@@ -82,3 +82,76 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestNearerTieRule: the four corners of the tie rule — strict and closed
+// ball, a tie exactly at the radius and a tie inside it — plus the plain
+// orderings, all through the one predicate the tree and the micro-cluster
+// centre directory share.
+func TestNearerTieRule(t *testing.T) {
+	const r2 = 4.0
+	for _, c := range []struct {
+		name       string
+		d2, best   float64
+		id, bestID int
+		strict     bool
+		want       bool
+	}{
+		{"strict, at the radius, nothing found", r2, r2, 5, -1, true, false},
+		{"closed, at the radius, nothing found", r2, r2, 5, -1, false, true},
+		{"closed, at the radius, smaller id", r2, r2, 3, 5, false, true},
+		{"closed, at the radius, larger id", r2, r2, 7, 5, false, false},
+		{"strict, tie inside, smaller id", 1, 1, 3, 5, true, true},
+		{"strict, tie inside, larger id", 1, 1, 7, 5, true, false},
+		{"closed, tie inside, smaller id", 1, 1, 3, 5, false, true},
+		{"closed, tie inside, larger id", 1, 1, 7, 5, false, false},
+		{"nearer wins whatever the id", 0.5, 1, 9, 2, true, true},
+		{"farther loses whatever the id", 2, 1, 1, 2, false, false},
+		{"NaN distance never wins", math.NaN(), r2, 1, -1, false, false},
+	} {
+		if got := Nearer(c.d2, c.best, c.id, c.bestID, c.strict); got != c.want {
+			t.Errorf("%s: Nearer=%v, want %v", c.name, got, c.want)
+		}
+	}
+	// The rule is order-independent: every arrival order of the same hits
+	// elects the same winner.
+	tr1, tr2 := New(1, 4), New(1, 4)
+	hits := []struct {
+		id int
+		x  float64
+	}{{4, 1}, {2, -1}, {9, 1}, {6, 2}, {1, -2}}
+	for i := range hits {
+		tr1.Insert(hits[i].id, geom.Point{hits[i].x})
+		j := len(hits) - 1 - i
+		tr2.Insert(hits[j].id, geom.Point{hits[j].x})
+	}
+	for _, strict := range []bool{true, false} {
+		for _, r := range []float64{1, 1.5, 2} {
+			id1, _, ok1 := tr1.Nearest(geom.Point{0}, r, strict)
+			id2, _, ok2 := tr2.Nearest(geom.Point{0}, r, strict)
+			if ok1 != ok2 || id1 != id2 {
+				t.Fatalf("r=%g strict=%v: %d/%v vs %d/%v", r, strict, id1, ok1, id2, ok2)
+			}
+			if want := !(strict && r == 1); ok1 != want || (ok1 && id1 != 2) {
+				t.Fatalf("r=%g strict=%v: got id %d ok %v", r, strict, id1, ok1)
+			}
+		}
+	}
+}
+
+// TestInsertNonFiniteDoesNotPanic: NaN and ±Inf rows make every area in the
+// quadratic split NaN; the split must still place every entry.
+func TestInsertNonFiniteDoesNotPanic(t *testing.T) {
+	tr := New(2, 4)
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, 2}
+	for i := 0; i < 200; i++ {
+		tr.Insert(i, geom.Point{vals[i%len(vals)], vals[(i/len(vals))%len(vals)]})
+	}
+	seen := 0
+	tr.All(func(int, geom.Point) { seen++ })
+	if seen != 200 || tr.Len() != 200 {
+		t.Fatalf("tree holds %d (Len %d) of 200 points", seen, tr.Len())
+	}
+	if id, _, ok := tr.Nearest(geom.Point{1, 1}, 0.5, true); !ok || id%6 != 4 {
+		t.Fatalf("nearest finite point: id=%d ok=%v", id, ok)
+	}
+}

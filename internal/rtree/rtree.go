@@ -286,7 +286,9 @@ func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 			if diff < 0 {
 				diff = -diff
 			}
-			if diff > bestDiff {
+			// next == -1: a NaN preference (non-finite boxes) never
+			// compares greater, and some entry has to be taken.
+			if next == -1 || diff > bestDiff {
 				bestDiff, next, d1Best, d2Best = diff, i, d1, d2
 			}
 		}
@@ -400,17 +402,31 @@ func (t *Tree) Nearest(center geom.Point, r float64, strict bool) (id int, pt ge
 	return st.bestID, st.bestPt, true
 }
 
+// Nearer is the tie rule of a nearest search, written once: it reports
+// whether a candidate id at squared distance d2 displaces the running best.
+// best starts at r² with bestID −1 (nothing found yet). A smaller distance
+// always wins; an equal one wins on the smaller id once something has been
+// found, and before that only when the ball is closed (d2 == r² is then on
+// the boundary, which a strict search excludes). The outcome depends on the
+// set of candidates alone, not on the order they are offered in, so any
+// structure that enumerates a superset of the ball agrees with the tree.
+func Nearer(d2, best float64, id, bestID int, strict bool) bool {
+	if d2 != best {
+		return d2 < best
+	}
+	if bestID != -1 {
+		return id < bestID
+	}
+	return !strict
+}
+
 func (t *Tree) nearest(n *node, center geom.Point, st *nearestState) {
 	if n.leaf {
 		dim := t.dim
 		for i, o := 0, 0; i < len(n.ids); i, o = i+1, o+dim {
 			row := n.coords[o : o+dim : o+dim]
 			d2 := t.kernel(center, row)
-			better := d2 < st.best || (!st.strict && d2 == st.best && (st.bestID == -1 || n.ids[i] < st.bestID))
-			if st.strict && d2 == st.best && st.bestID != -1 && n.ids[i] < st.bestID {
-				better = true
-			}
-			if better {
+			if Nearer(d2, st.best, n.ids[i], st.bestID, st.strict) {
 				st.best, st.bestID, st.bestPt = d2, n.ids[i], geom.Point(row)
 			}
 		}

@@ -36,6 +36,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"mudbscan/internal/geom"
 )
 
 // Options tunes the stream clusterer; the zero value is a single-shard-free
@@ -273,20 +275,13 @@ func (c *Clusterer) insert(p []float64, t float64) error {
 	return nil
 }
 
-// cellIndex maps one coordinate to its ε-sided grid index, clamping the
-// (astronomically out-of-range) extremes so the float→int conversion stays
-// portable.
+// cellIndex maps one coordinate quotient to its ε-sided grid index, clamping
+// the (astronomically out-of-range) extremes so the float→int conversion
+// stays portable.
 //
 //mulint:noalloc
 func cellIndex(x float64) int32 {
-	f := math.Floor(x)
-	if f >= math.MaxInt32 {
-		return math.MaxInt32
-	}
-	if f <= math.MinInt32 {
-		return math.MinInt32
-	}
-	return int32(f)
+	return int32(geom.FloorClamp(x, math.MinInt32, math.MaxInt32))
 }
 
 // keyOf computes the comparable grid key of p's ε-sided cell: dimensions
