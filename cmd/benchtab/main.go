@@ -8,7 +8,7 @@
 //	benchtab -list                  # show available experiments
 //
 // Experiments: table1..table8, fig5..fig7, shared, wallclock, ablations,
-// kernels, chaos, all. The tables and figures use the serial rank simulation
+// chaos, all. The tables and figures use the serial rank simulation
 // (isolation timing, the paper's methodology); wallclock additionally runs
 // the concurrent driver and reports real end-to-end wall-clock next to the
 // simulated totals; chaos compares the trusting transport against the

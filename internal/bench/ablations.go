@@ -11,7 +11,6 @@ import (
 // pair (feature on vs off) on the MPAGD analogue:
 //
 //   - wndq-core identification (the paper's headline query saving),
-//   - reachable-MC filtering (Lemma 3) vs whole-space aux-tree queries,
 //   - the 2ε micro-cluster creation deferral vs greedy creation,
 //   - sampled vs exact median spatial partitioning.
 func Ablations(cfg Config) error {
@@ -29,7 +28,6 @@ func Ablations(cfg Config) error {
 	}
 	run("μDBSCAN (default)", core.Options{})
 	run("no wndq-core identification", core.Options{DisableWndq: true})
-	run("no reachable-MC filtering", core.Options{WholeSpaceQueries: true})
 	run("no 2ε creation deferral", core.Options{NoDeferral: true})
 	t.flush()
 

@@ -30,7 +30,6 @@ func Experiments() []Experiment {
 		{"shared", "shared-memory multi-core phase split across worker counts", SharedMemory},
 		{"wallclock", "μDBSCAN-D simulated vs real wall-clock across rank counts", Wallclock},
 		{"ablations", "design-choice ablations (DESIGN.md §5)", Ablations},
-		{"kernels", "R-tree ε-query: allocation-free SphereInto vs callback Sphere", Kernels},
 		{"chaos", "hardened-transport overhead and fault absorption (DESIGN.md §11)", Chaos},
 		{"daemon", "clustering-as-a-service cold/cached jobs and ε-query serving (DESIGN.md §14)", Daemon},
 		{"engines", "cross-engine head-to-head: brute vs μR-tree vs grid cell, with the auto-selector's pick (DESIGN.md §15)", Engines},

@@ -33,15 +33,6 @@ func (p Profile) MeanOccupancy() float64 {
 	return float64(p.SampleSize) / float64(p.SampleCells)
 }
 
-// OccupancySkew returns MaxOccupancy over MeanOccupancy (1 when uniform).
-func (p Profile) OccupancySkew() float64 {
-	m := p.MeanOccupancy()
-	if m == 0 {
-		return 0
-	}
-	return float64(p.MaxOccupancy) / m
-}
-
 // Sample profiles pts for the auto-selector. It is deterministic: the
 // stride sample and the sorted-run cell counting involve no map iteration
 // and no randomness. pts must be rectangular with finite coordinates (the

@@ -55,9 +55,6 @@ type Options struct {
 	// is queried, as in classic DBSCAN (micro-clusters then only accelerate
 	// the queries).
 	DisableWndq bool
-	// WholeSpaceQueries ignores the reachable lists and queries every MC's
-	// auxiliary tree (still MBR-pruned).
-	WholeSpaceQueries bool
 	// Workers is the number of goroutines every step runs on. Zero or one
 	// means sequential: the steps run inline in index order and the output
 	// is deterministic. With more workers the result is still exact; which
@@ -233,9 +230,7 @@ func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult {
 	st.Steps.TreeConstruction = lb.localBuildTime + time.Since(start)
 	st.NumMCs = ix.NumMCs()
 
-	// Step 2: reachable micro-cluster lists. Even under the
-	// WholeSpaceQueries ablation these are needed: the post-processing-core
-	// step walks reachable members for its targeted distance checks.
+	// Step 2: reachable micro-cluster lists.
 	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	ix.ComputeReachable()
 	st.Steps.FindingReachable = time.Since(start)
@@ -529,11 +524,7 @@ func (r *run) processPoint(w *worker, i int) {
 	half2 := (r.eps / 2) * (r.eps / 2)
 	p := r.set.Point(i)
 	var calcs int
-	if r.opts.WholeSpaceQueries {
-		w.nbhd, calcs = r.ix.WholeSpaceNeighborhoodInto(p, w.nbhd[:0])
-	} else {
-		w.nbhd, calcs, _ = r.ix.EpsNeighborhoodInto(p, i, w.nbhd[:0])
-	}
+	w.nbhd, calcs, _ = r.ix.EpsNeighborhoodInto(p, i, w.nbhd[:0])
 	nbhd := w.nbhd
 	// Inner-circle tests: same one-distance-per-neighbor cost the query
 	// callback used to pay, now as a linear pass over the hit list.

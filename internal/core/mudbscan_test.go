@@ -115,8 +115,7 @@ func TestAblationOptionsRemainExact(t *testing.T) {
 	}{
 		{"NoDeferral", Options{NoDeferral: true}},
 		{"DisableWndq", Options{DisableWndq: true}},
-		{"WholeSpaceQueries", Options{WholeSpaceQueries: true}},
-		{"AllOff", Options{NoDeferral: true, DisableWndq: true, WholeSpaceQueries: true}},
+		{"AllOff", Options{NoDeferral: true, DisableWndq: true}},
 		{"Fanout4", Options{Fanout: 4}},
 		{"Fanout64", Options{Fanout: 64}},
 	} {
@@ -238,9 +237,8 @@ func TestQuickExactnessUnderAblations(t *testing.T) {
 		eps := 0.3 + rng.Float64()*0.6
 		minPts := 2 + rng.Intn(5)
 		opts := Options{
-			NoDeferral:        rng.Intn(2) == 0,
-			DisableWndq:       rng.Intn(2) == 0,
-			WholeSpaceQueries: rng.Intn(2) == 0,
+			NoDeferral:  rng.Intn(2) == 0,
+			DisableWndq: rng.Intn(2) == 0,
 		}
 		want, _ := dbscan.Brute(pts, eps, minPts)
 		got, _ := Run(pts, eps, minPts, opts)

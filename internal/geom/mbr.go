@@ -87,16 +87,6 @@ func (m MBR) Contains(p Point) bool {
 	return true
 }
 
-// ContainsMBR reports whether o lies entirely inside m.
-func (m MBR) ContainsMBR(o MBR) bool {
-	for i := range m.Min {
-		if o.Min[i] < m.Min[i] || o.Max[i] > m.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Overlaps reports whether m and o share at least one point (closed bounds).
 func (m MBR) Overlaps(o MBR) bool {
 	for i := range m.Min {
@@ -151,18 +141,6 @@ func (m MBR) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of edge lengths of m.
-func (m MBR) Margin() float64 {
-	if m.IsEmpty() {
-		return 0
-	}
-	var s float64
-	for i := range m.Min {
-		s += m.Max[i] - m.Min[i]
-	}
-	return s
-}
-
 // EnlargementArea returns the area growth of m if extended to cover o.
 func (m MBR) EnlargementArea(o MBR) float64 {
 	e := m.Clone()
@@ -194,12 +172,6 @@ func (m MBR) MinDistSq(p Point) float64 {
 		}
 	}
 	return s
-}
-
-// IntersectsSphere reports whether the closed ball of radius r around p
-// intersects m.
-func (m MBR) IntersectsSphere(p Point, r float64) bool {
-	return m.MinDistSq(p) <= r*r
 }
 
 // String formats m as "[min ; max]".

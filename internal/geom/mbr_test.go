@@ -12,8 +12,8 @@ func TestEmptyMBR(t *testing.T) {
 	if !m.IsEmpty() {
 		t.Fatal("NewMBR should be empty")
 	}
-	if m.Area() != 0 || m.Margin() != 0 {
-		t.Fatal("empty MBR should have zero area and margin")
+	if m.Area() != 0 {
+		t.Fatal("empty MBR should have zero area")
 	}
 	m.ExtendPoint(Point{1, 2, 3})
 	if m.IsEmpty() {
@@ -72,20 +72,6 @@ func TestOverlaps(t *testing.T) {
 	}
 }
 
-func TestContainsMBR(t *testing.T) {
-	outer := MBR{Min: Point{0, 0}, Max: Point{10, 10}}
-	inner := MBR{Min: Point{1, 1}, Max: Point{9, 9}}
-	if !outer.ContainsMBR(inner) {
-		t.Error("outer should contain inner")
-	}
-	if inner.ContainsMBR(outer) {
-		t.Error("inner must not contain outer")
-	}
-	if !outer.ContainsMBR(outer) {
-		t.Error("MBR contains itself")
-	}
-}
-
 func TestExpandedAndRegion(t *testing.T) {
 	m := Region(Point{1, 1}, 0.5)
 	if !m.Min.Equal(Point{0.5, 0.5}) || !m.Max.Equal(Point{1.5, 1.5}) {
@@ -105,9 +91,6 @@ func TestAreaMarginCenter(t *testing.T) {
 	m := MBR{Min: Point{0, 0, 0}, Max: Point{2, 3, 4}}
 	if m.Area() != 24 {
 		t.Errorf("Area=%g want 24", m.Area())
-	}
-	if m.Margin() != 9 {
-		t.Errorf("Margin=%g want 9", m.Margin())
 	}
 	if !m.Center().Equal(Point{1, 1.5, 2}) {
 		t.Errorf("Center=%v", m.Center())
@@ -138,22 +121,8 @@ func TestMinDistSq(t *testing.T) {
 	}
 }
 
-func TestIntersectsSphere(t *testing.T) {
-	m := MBR{Min: Point{0, 0}, Max: Point{1, 1}}
-	if !m.IntersectsSphere(Point{2, 0.5}, 1) {
-		t.Error("tangent sphere should intersect (closed)")
-	}
-	if m.IntersectsSphere(Point{2, 0.5}, 0.99) {
-		t.Error("too-small sphere should not intersect")
-	}
-	if !m.IntersectsSphere(Point{0.5, 0.5}, 0.01) {
-		t.Error("center sphere intersects")
-	}
-}
-
 // Property: the MBR of random points contains them all and has MinDistSq 0 for
-// each; expanding by r then testing a sphere of radius r around any covered
-// point must intersect.
+// each, and Extend is commutative with pointwise extension.
 func TestMBRProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func() bool {

@@ -75,6 +75,3 @@ func Dist(p, q Point) float64 { return math.Sqrt(DistSq(p, q)) }
 // Within reports whether dist(p, q) < r, computed without a square root.
 // This is the strict comparison used by the DBSCAN ε-neighborhood definition.
 func Within(p, q Point, r float64) bool { return DistSq(p, q) < r*r }
-
-// WithinClosed reports whether dist(p, q) <= r.
-func WithinClosed(p, q Point, r float64) bool { return DistSq(p, q) <= r*r }

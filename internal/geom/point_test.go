@@ -41,9 +41,6 @@ func TestWithinStrictness(t *testing.T) {
 	if Within(p, q, 5) {
 		t.Error("Within must be strict: dist==r should be false")
 	}
-	if !WithinClosed(p, q, 5) {
-		t.Error("WithinClosed must include dist==r")
-	}
 	if !Within(p, q, 5.0001) {
 		t.Error("Within(5.0001) should be true")
 	}

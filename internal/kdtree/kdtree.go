@@ -123,39 +123,10 @@ func (t *Tree) selectNth(lo, hi, n, axis int) {
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.set.Len() }
 
-// Sphere visits every point with dist(p, center) < r (strict) or <= r, and
-// returns the number of distance computations performed.
-func (t *Tree) Sphere(center geom.Point, r float64, strict bool, fn func(id int, pt geom.Point)) (distCalcs int) {
-	if t.root == nil {
-		return 0
-	}
-	return t.sphere(t.root, center, r*r, !strict, fn)
-}
-
-func (t *Tree) sphere(n *node, center geom.Point, r2 float64, closed bool, fn func(id int, pt geom.Point)) int {
-	if n.mbr.MinDistSq(center) > r2 {
-		return 0
-	}
-	if n.leaf {
-		for i := n.lo; i < n.hi; i++ {
-			row := t.set.Row(i)
-			d2 := t.kernel(center, row)
-			if d2 < r2 || (closed && d2 == r2) {
-				if fn != nil {
-					fn(t.ids[i], geom.Point(row))
-				}
-			}
-		}
-		return n.hi - n.lo
-	}
-	return t.sphere(n.left, center, r2, closed, fn) +
-		t.sphere(n.right, center, r2, closed, fn)
-}
-
 // SphereInto appends to dst the ids of every point with dist < r of center
 // (or <= r when strict is false) and returns the extended slice plus the
-// number of distance computations. Hit order matches Sphere. Steady-state
-// queries through a warmed dst perform zero allocations.
+// number of distance computations. Steady-state queries through a warmed
+// dst perform zero allocations.
 //
 //mulint:noalloc static twin of TestSphereIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
 func (t *Tree) SphereInto(center geom.Point, r float64, strict bool, dst []int) ([]int, int) {

@@ -37,7 +37,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatal("empty length")
 	}
-	if n := tr.Sphere(geom.Point{0, 0}, 1, true, nil); n != 0 {
+	if got, n := tr.SphereInto(geom.Point{0, 0}, 1, true, nil); n != 0 || len(got) != 0 {
 		t.Fatal("empty tree should do no work")
 	}
 }
@@ -51,8 +51,7 @@ func TestSphereMatchesBrute(t *testing.T) {
 			c := pts[rng.Intn(len(pts))]
 			r := rng.Float64() * 30
 			want := bruteSphere(pts, c, r, true)
-			var got []int
-			tr.Sphere(c, r, true, func(id int, _ geom.Point) { got = append(got, id) })
+			got, _ := tr.SphereInto(c, r, true, nil)
 			sort.Ints(got)
 			if len(got) != len(want) {
 				t.Fatalf("d=%d mismatch got %d want %d", d, len(got), len(want))
@@ -73,8 +72,7 @@ func TestBuildDoesNotAliasInput(t *testing.T) {
 	// mutate the outer slices (not the point data) — the tree must be unaffected
 	pts[0] = geom.Point{99, 99}
 	ids[0] = 99
-	var got []int
-	tr.Sphere(geom.Point{1, 1}, 0.5, true, func(id int, _ geom.Point) { got = append(got, id) })
+	got, _ := tr.SphereInto(geom.Point{1, 1}, 0.5, true, nil)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("tree aliases caller slices: %v", got)
 	}
@@ -139,8 +137,7 @@ func TestQuickEquivalence(t *testing.T) {
 		r := rng.Float64() * 50
 		strict := rng.Intn(2) == 0
 		want := bruteSphere(pts, c, r, strict)
-		var got []int
-		tr.Sphere(c, r, strict, func(id int, _ geom.Point) { got = append(got, id) })
+		got, _ := tr.SphereInto(c, r, strict, nil)
 		sort.Ints(got)
 		if len(got) != len(want) {
 			return false
@@ -161,7 +158,7 @@ func TestSpherePrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randPoints(rng, 2000, 3)
 	tr := Build(3, pts, nil)
-	calls := tr.Sphere(pts[0], 1, true, nil)
+	_, calls := tr.SphereInto(pts[0], 1, true, nil)
 	if calls >= 1000 {
 		t.Fatalf("distCalcs=%d; no pruning", calls)
 	}

@@ -2,6 +2,7 @@ package kdtree
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mudbscan/internal/geom"
@@ -19,6 +20,8 @@ func randPts(rng *rand.Rand, n, d int) []geom.Point {
 	return pts
 }
 
+// SphereInto through a reused buffer returns exactly the sphere's contents
+// as brute force finds them, strict and closed.
 func TestSphereIntoMatchesSphere(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 6} {
 		rng := rand.New(rand.NewSource(int64(200 + d)))
@@ -29,23 +32,22 @@ func TestSphereIntoMatchesSphere(t *testing.T) {
 			c := pts[rng.Intn(len(pts))]
 			r := rng.Float64() * 30
 			strict := trial%2 == 0
-			var want []int
-			wantCalcs := tr.Sphere(c, r, strict, func(id int, _ geom.Point) {
-				want = append(want, id)
-			})
-			got, gotCalcs := tr.SphereInto(c, r, strict, buf[:0])
-			if gotCalcs != wantCalcs {
-				t.Fatalf("d=%d distCalcs %d != %d", d, gotCalcs, wantCalcs)
+			got, calcs := tr.SphereInto(c, r, strict, buf[:0])
+			buf = got
+			if calcs < len(got) || calcs > len(pts) {
+				t.Fatalf("d=%d distCalcs %d outside [%d hits, %d points]", d, calcs, len(got), len(pts))
 			}
+			got = append([]int(nil), got...)
+			sort.Ints(got)
+			want := bruteSphere(pts, c, r, strict)
 			if len(got) != len(want) {
-				t.Fatalf("d=%d %d hits vs %d", d, len(got), len(want))
+				t.Fatalf("d=%d strict=%v %d hits vs %d", d, strict, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("d=%d hit order diverges at %d: %d vs %d", d, i, got[i], want[i])
+					t.Fatalf("d=%d strict=%v ids diverge from brute force at %d: %d vs %d", d, strict, i, got[i], want[i])
 				}
 			}
-			buf = got
 		}
 	}
 }

@@ -1,59 +1,180 @@
 package mc
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
+	"mudbscan/internal/data"
 	"mudbscan/internal/geom"
 )
 
-// EpsNeighborhoodInto must report exactly the ids the callback API reports,
-// in the same order, with the same distance-calc and trees-searched counts.
-func TestEpsNeighborhoodIntoMatchesCallback(t *testing.T) {
+// sortedEqual reports whether got, sorted in place, is exactly want (which
+// bruteNbhd returns ascending).
+func sortedEqual(got, want []int) bool {
+	sort.Ints(got)
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// EpsNeighborhoodInto through a reused buffer returns, for every member
+// point, exactly the brute-force ε-neighborhood. (Hit order, distance-calc
+// and trees-searched counts are pinned end to end by internal/core's
+// driver_test.go hashes and counters.)
+func TestEpsNeighborhoodIntoMatchesBrute(t *testing.T) {
 	pts, ix := buildRandom(t, 61, 900, 3, 0.8, 5)
 	buf := make([]int, 0, 64)
 	for id := range pts {
-		var want []int
-		wantCalcs, wantTrees := ix.EpsNeighborhood(pts[id], id, func(nid int, _ geom.Point) {
-			want = append(want, nid)
-		})
 		var calcs, trees int
 		buf, calcs, trees = ix.EpsNeighborhoodInto(pts[id], id, buf[:0])
-		if calcs != wantCalcs || trees != wantTrees {
-			t.Fatalf("id=%d calcs/trees %d/%d want %d/%d", id, calcs, trees, wantCalcs, wantTrees)
+		if trees < 1 || trees > ix.NumMCs() || calcs < len(buf) || calcs > len(pts) {
+			t.Fatalf("id=%d calcs/trees %d/%d for %d hits", id, calcs, trees, len(buf))
 		}
-		if len(buf) != len(want) {
-			t.Fatalf("id=%d %d hits vs %d", id, len(buf), len(want))
-		}
-		for k := range buf {
-			if buf[k] != want[k] {
-				t.Fatalf("id=%d hit order diverges at %d", id, k)
-			}
+		if !sortedEqual(buf, bruteNbhd(pts, pts[id], ix.Eps)) {
+			t.Fatalf("id=%d neighborhood diverges from brute force", id)
 		}
 	}
 }
 
-func TestWholeSpaceNeighborhoodIntoMatchesCallback(t *testing.T) {
-	pts, ix := buildRandom(t, 67, 600, 2, 0.9, 5)
-	buf := make([]int, 0, 64)
-	for id := 0; id < len(pts); id += 7 {
-		var want []int
-		wantCalcs := ix.WholeSpaceNeighborhood(pts[id], func(nid int, _ geom.Point) {
-			want = append(want, nid)
-		})
-		var calcs int
-		buf, calcs = ix.WholeSpaceNeighborhoodInto(pts[id], buf[:0])
-		if calcs != wantCalcs {
-			t.Fatalf("id=%d calcs %d want %d", id, calcs, wantCalcs)
-		}
-		if len(buf) != len(want) {
-			t.Fatalf("id=%d %d hits vs %d", id, len(buf), len(want))
-		}
-		for k := range buf {
-			if buf[k] != want[k] {
-				t.Fatalf("id=%d hit order diverges at %d", id, k)
-			}
+// queryPoints derives the arbitrary-point probes for one dataset: members,
+// members pushed exactly ε along one axis (the strict boundary), midpoints
+// of random pairs, points 0.5ε, 1.5ε and 2.5ε outside the data MBR (inside
+// ε of the hull, inside 2ε only of centres, beyond everything), and one far
+// point. The member probes come first: qs[k] is dataset point memberIDs[k].
+func queryPoints(rng *rand.Rand, pts []geom.Point, eps float64) (memberIDs []int, qs []geom.Point) {
+	n, d := len(pts), len(pts[0])
+	stride := max(1, n/120)
+	for i := 0; i < n; i += stride {
+		memberIDs = append(memberIDs, i)
+		qs = append(qs, pts[i])
+	}
+	for i := 0; i < n; i += stride {
+		for _, sign := range []float64{-1, 1} {
+			q := pts[i].Clone()
+			q[i%d] += sign * eps
+			qs = append(qs, q)
 		}
 	}
+	for k := 0; k < 100; k++ {
+		a, b := pts[rng.Intn(n)], pts[rng.Intn(n)]
+		q := make(geom.Point, d)
+		for j := range q {
+			q[j] = (a[j] + b[j]) / 2
+		}
+		qs = append(qs, q)
+	}
+	hull := geom.MBRFromPoints(pts)
+	for _, off := range []float64{0.5, 1.5, 2.5} {
+		corner := hull.Max.Clone()
+		for j := range corner {
+			corner[j] += off * eps
+		}
+		qs = append(qs, corner)
+		for k := 0; k < 20; k++ {
+			q := pts[rng.Intn(n)].Clone()
+			if axis := k % d; k%2 == 0 {
+				q[axis] = hull.Max[axis] + off*eps
+			} else {
+				q[axis] = hull.Min[axis] - off*eps
+			}
+			qs = append(qs, q)
+		}
+	}
+	far := hull.Max.Clone()
+	far[0] += 1000 * eps
+	return memberIDs, append(qs, far)
+}
+
+// TestNeighborhoodIntoMatchesBrute holds the arbitrary-point query — the
+// path the daemon serves — to brute force on every conformance and scenario
+// dataset, for query points on, near and off the data. A non-empty dst
+// prefix must survive, and for a member point the ids must be the set
+// EpsNeighborhoodInto returns.
+func TestNeighborhoodIntoMatchesBrute(t *testing.T) {
+	type dataset struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}
+	var sets []dataset
+	for _, c := range data.ConformanceCases() {
+		sets = append(sets, dataset{c.Name, c.Pts, c.Eps, c.MinPts})
+	}
+	for _, s := range data.Scenarios() {
+		sets = append(sets, dataset{s.Name, s.Pts, s.Eps, s.MinPts})
+	}
+	for _, s := range sets {
+		t.Run(s.name, func(t *testing.T) {
+			ix := Build(s.pts, s.eps, s.minPts, Options{})
+			rng := rand.New(rand.NewSource(83))
+			memberIDs, qs := queryPoints(rng, s.pts, s.eps)
+			buf := []int{-7, -9}
+			var member []int
+			for k, q := range qs {
+				var calcs int
+				buf, calcs = ix.NeighborhoodInto(q, buf[:2])
+				if buf[0] != -7 || buf[1] != -9 {
+					t.Fatalf("query %d: dst prefix overwritten: %v", k, buf[:2])
+				}
+				got := buf[2:]
+				if calcs < len(got) {
+					t.Fatalf("query %d: %d distance calcs for %d hits", k, calcs, len(got))
+				}
+				if !sortedEqual(got, bruteNbhd(s.pts, q, s.eps)) {
+					t.Fatalf("query %d at %v: neighborhood diverges from brute force", k, q)
+				}
+				if k < len(memberIDs) {
+					member, _, _ = ix.EpsNeighborhoodInto(q, memberIDs[k], member[:0])
+					if !sortedEqual(member, got) {
+						t.Fatalf("member %d: differs from EpsNeighborhoodInto", memberIDs[k])
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzNeighborhoodInto: a byte-derived dataset and query point, both
+// quantised to ε/2 steps (so distances of exactly ε to a point and exactly
+// 2ε to a centre are the common case), arbitrary-point query against brute
+// force.
+func FuzzNeighborhoodInto(f *testing.F) {
+	f.Add([]byte{2, 0, 0, 0, 0, 2, 0, 4, 0, 1, 1, 255, 255, 8, 8, 8, 0})
+	f.Add([]byte{1, 4, 0, 2, 4, 6, 8, 10, 3, 3, 250, 248})
+	f.Add([]byte{3, 1, 1, 1, 7, 7, 7, 9, 9, 9, 7, 9, 7, 128, 0, 127, 5, 5, 5})
+	f.Add([]byte{6, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 2, 2, 2, 2, 2, 2})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 1 {
+			return
+		}
+		dim := 1 + int(b[0])%6
+		const eps = 0.75
+		var pts []geom.Point
+		for body := b[1:]; len(body) >= dim && len(pts) < 401; body = body[dim:] {
+			p := make(geom.Point, dim)
+			for j := range p {
+				p[j] = float64(int8(body[j])) * eps / 2
+			}
+			pts = append(pts, p)
+		}
+		if len(pts) < 2 {
+			return
+		}
+		q, pts := pts[0], pts[1:]
+		ix := Build(pts, eps, 3, Options{SkipReachable: true})
+		got, _ := ix.NeighborhoodInto(q, nil)
+		if want := bruteNbhd(pts, q, eps); !sortedEqual(got, want) {
+			t.Fatalf("q=%v over %d points: got %v want %v", q, len(pts), got, want)
+		}
+	})
 }
 
 // A steady-state ε-neighborhood query must not allocate: the reachable-list
@@ -72,19 +193,22 @@ func TestEpsNeighborhoodIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// WholeSpaceNeighborhoodInto shares the warmed-buffer contract: the MBR
-// filter plus per-tree scans allocate nothing in steady state.
-func TestWholeSpaceNeighborhoodIntoZeroAllocs(t *testing.T) {
+// NeighborhoodInto shares the warmed-buffer contract: the centre query, its
+// staging inside dst, the MBR filter and the per-tree scans allocate nothing
+// in steady state — for member and for off-data query points alike.
+func TestNeighborhoodIntoZeroAllocs(t *testing.T) {
 	pts, ix := buildRandom(t, 79, 1200, 3, 0.8, 5)
 	buf := make([]int, 0, 2048)
 	i := 0
+	q := make(geom.Point, 3)
 	allocs := testing.AllocsPerRun(100, func() {
-		id := i % len(pts)
-		buf, _ = ix.WholeSpaceNeighborhoodInto(ix.Points.Point(id), buf[:0])
+		copy(q, pts[i%len(pts)])
+		q[i%3] += float64(i%4) * 0.3
+		buf, _ = ix.NeighborhoodInto(q, buf[:0])
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("WholeSpaceNeighborhoodInto allocated %.1f times per query; want 0", allocs)
+		t.Fatalf("NeighborhoodInto allocated %.1f times per query; want 0", allocs)
 	}
 }
 

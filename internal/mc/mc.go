@@ -10,17 +10,20 @@
 //
 // Point coordinates live in one contiguous geom.PointSet owned by the Index;
 // member points are identified by their row index. All distance work goes
-// through the dimension-specialized kernel chosen once at construction, and
-// EpsNeighborhoodInto is the allocation-free query the clustering loops use.
+// through the dimension-specialized kernel chosen once at construction. There
+// is one query tier, allocation-free into a caller-owned buffer, and one
+// search-space rule, "centre strictly within 2ε": EpsNeighborhoodInto applies
+// it to a member point's reachable list (the clustering loops), and
+// NeighborhoodInto to the centre tree for an arbitrary point (the daemon).
 //
 // The first μR-tree level has two lives. While Algorithm 3 scans the points
 // it is a scan-time directory (directory.go) answering "nearest centre < ε"
 // and "any centre < 2ε": a hashed grid over the centres up to gridMaxDim
 // dimensions, the dynamic R-tree above. Once the centres are frozen it is an
 // R-tree — STR bulk-loaded from the grid's centres, or the tree the scan
-// grew — read by ComputeReachable. Both directories decide membership with
-// the same kernel and the same tie rule, so the micro-cluster set does not
-// depend on which one served the scan.
+// grew — read by ComputeReachable and NeighborhoodInto. Both directories
+// decide membership with the same kernel and the same tie rule, so the
+// micro-cluster set does not depend on which one served the scan.
 package mc
 
 import (
@@ -317,24 +320,23 @@ func (ix *Index) finalize() {
 // centers lie within 3ε (closed), found through the first-level μR-tree
 // (Algorithm 5). Idempotent. The center tree is immutable by now and sphere
 // queries are read-only, so the per-MC queries run across Options.Workers
-// goroutines; each list is produced by one worker in tree order, identical
-// at every worker count.
+// goroutines, each through its own hit buffer; each list is produced by one
+// worker in tree order, identical at every worker count.
 func (ix *Index) ComputeReachable() {
 	reach := 3 * ix.Eps
-	par.For(ix.opts.Workers, len(ix.MCs), func(_, k int) {
+	hits := make([][]int, max(ix.opts.Workers, 1))
+	par.For(ix.opts.Workers, len(ix.MCs), func(w, k int) {
 		m := ix.MCs[k]
+		hits[w], _ = ix.centers.SphereInto(m.Center, reach, false, hits[w][:0])
 		m.Reach = m.Reach[:0]
-		ix.centers.Sphere(m.Center, reach, false, func(id int, _ geom.Point) {
+		for _, id := range hits[w] {
 			m.Reach = append(m.Reach, int32(id))
-		})
+		}
 	})
 }
 
 // NumMCs returns m, the number of micro-clusters.
 func (ix *Index) NumMCs() int { return len(ix.MCs) }
-
-// MCOf returns the micro-cluster containing dataset point id.
-func (ix *Index) MCOf(pointID int) *MicroCluster { return ix.MCs[ix.PointMC[pointID]] }
 
 // EpsNeighborhoodInto computes the exact ε-neighborhood of point pointID
 // (coordinates p) by searching only the auxiliary R-trees of the reachable
@@ -367,56 +369,24 @@ func (ix *Index) EpsNeighborhoodInto(p geom.Point, pointID int, dst []int) (_ []
 	return dst, distCalcs, treesSearched
 }
 
-// EpsNeighborhood is the callback form of EpsNeighborhoodInto, for callers
-// that want the neighbor coordinates alongside the ids.
-func (ix *Index) EpsNeighborhood(p geom.Point, pointID int, fn func(id int, pt geom.Point)) (distCalcs, treesSearched int) {
-	prune2 := 4 * ix.Eps * ix.Eps
-	for _, rid := range ix.MCs[ix.PointMC[pointID]].Reach {
-		z := ix.MCs[rid]
-		if ix.kern(p, z.Center) >= prune2 {
-			continue
-		}
-		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
-			continue
-		}
-		treesSearched++
-		distCalcs += z.Aux.Sphere(p, ix.Eps, true, fn)
-	}
-	return distCalcs, treesSearched
-}
-
-// VisitReachableMembers invokes fn for every member point of every filtered
-// reachable micro-cluster of point pointID's MC (those overlapping the
-// ε-extended region of p). Used by the post-processing-core step (Algo 7),
-// which wants candidate points for targeted distance checks rather than a
-// full neighborhood query. Returns the number of candidate points visited.
-func (ix *Index) VisitReachableMembers(p geom.Point, pointID int, fn func(id int32)) (visited int) {
-	prune2 := 4 * ix.Eps * ix.Eps
-	for _, rid := range ix.MCs[ix.PointMC[pointID]].Reach {
-		z := ix.MCs[rid]
-		// As in EpsNeighborhood: members live strictly within ε of their
-		// center, so MCs centered 2ε or farther away cannot contribute.
-		if ix.kern(p, z.Center) >= prune2 {
-			continue
-		}
-		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
-			continue
-		}
-		for _, id := range z.Members {
-			visited++
-			fn(id)
-		}
-	}
-	return visited
-}
-
-// WholeSpaceNeighborhoodInto is the ablation variant of EpsNeighborhoodInto
-// that ignores reachable lists and queries every micro-cluster's auxiliary
-// tree (still pruned by MBR overlap). Used by BenchmarkAblationReachable.
+// NeighborhoodInto is the ε-neighborhood query for an arbitrary point p,
+// which need not be in the dataset and so has no reachable list to start
+// from. The same 2ε rule applies — only a micro-cluster centred strictly
+// within 2ε of p can hold a neighbor — and here the first μR-tree level
+// answers it: one strict 2ε sphere query over the centres, then the region
+// filter and the auxiliary tree of each hit. The centre hits are staged in
+// dst behind the caller's prefix and the neighbor ids, appended after them,
+// are moved down over the staging area at the end, so one warmed buffer
+// serves the whole query with zero allocations. It returns the extended
+// slice and the number of point-distance computations, centres included.
 //
-//mulint:noalloc static twin of TestWholeSpaceNeighborhoodIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
-func (ix *Index) WholeSpaceNeighborhoodInto(p geom.Point, dst []int) (_ []int, distCalcs int) {
-	for _, z := range ix.MCs {
+//mulint:noalloc static twin of TestNeighborhoodIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
+func (ix *Index) NeighborhoodInto(p geom.Point, dst []int) (_ []int, distCalcs int) {
+	base := len(dst)
+	dst, distCalcs = ix.centers.SphereInto(p, 2*ix.Eps, true, dst)
+	staged := len(dst)
+	for i := base; i < staged; i++ {
+		z := ix.MCs[dst[i]]
 		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
 			continue
 		}
@@ -424,16 +394,6 @@ func (ix *Index) WholeSpaceNeighborhoodInto(p geom.Point, dst []int) (_ []int, d
 		dst, calcs = z.Aux.SphereInto(p, ix.Eps, true, dst)
 		distCalcs += calcs
 	}
-	return dst, distCalcs
-}
-
-// WholeSpaceNeighborhood is the callback form of WholeSpaceNeighborhoodInto.
-func (ix *Index) WholeSpaceNeighborhood(p geom.Point, fn func(id int, pt geom.Point)) (distCalcs int) {
-	for _, z := range ix.MCs {
-		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
-			continue
-		}
-		distCalcs += z.Aux.Sphere(p, ix.Eps, true, fn)
-	}
-	return distCalcs
+	n := copy(dst[base:], dst[staged:])
+	return dst[:base+n], distCalcs
 }

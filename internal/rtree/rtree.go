@@ -12,9 +12,8 @@
 // (copied in at insertion), so a leaf scan is a linear walk of one
 // []float64 rather than a slice-of-slices pointer chase, and the squared
 // distances are computed by a dimension-specialized kernel selected once at
-// construction (geom.KernelFor). SphereInto is the allocation-free query
-// primitive the clustering hot paths use; the callback-based Sphere remains
-// for callers that want the neighbor coordinates.
+// construction (geom.KernelFor). SphereInto, allocation-free into a
+// caller-owned id buffer, is the only range query.
 package rtree
 
 import (
@@ -312,48 +311,13 @@ func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 	return g1, g2
 }
 
-// Sphere visits every stored point p' with dist(p', center) < r when strict,
-// or <= r otherwise. It returns the number of point-distance computations
-// performed, which the benchmarks use as the query-cost metric. fn may be nil
-// when only the cost is of interest.
-func (t *Tree) Sphere(center geom.Point, r float64, strict bool, fn func(id int, pt geom.Point)) (distCalcs int) {
-	if t.size == 0 {
-		return 0
-	}
-	return t.sphere(t.root, center, r*r, !strict, fn)
-}
-
-// sphere is Sphere's recursive walk. It is a plain method (no closures) so
-// the query allocates nothing.
-func (t *Tree) sphere(n *node, center geom.Point, r2 float64, closed bool, fn func(id int, pt geom.Point)) int {
-	if n.leaf {
-		dim := t.dim
-		for i, o := 0, 0; i < len(n.ids); i, o = i+1, o+dim {
-			row := n.coords[o : o+dim : o+dim]
-			d2 := t.kernel(center, row)
-			if d2 < r2 || (closed && d2 == r2) {
-				if fn != nil {
-					fn(n.ids[i], geom.Point(row))
-				}
-			}
-		}
-		return len(n.ids)
-	}
-	calcs := 0
-	for _, c := range n.children {
-		if c.mbr.MinDistSq(center) <= r2 {
-			calcs += t.sphere(c, center, r2, closed, fn)
-		}
-	}
-	return calcs
-}
-
 // SphereInto appends to dst the ids of every stored point strictly within r
 // of center (or within the closed ball when strict is false) and returns the
-// extended slice plus the number of point-distance computations. Hit order
-// matches Sphere's visit order. The query performs zero allocations once dst
-// has warmed to the neighborhood size, which is what lets the clustering
-// loops run allocation-free in steady state.
+// extended slice plus the number of point-distance computations, which the
+// benchmarks use as the query-cost metric. Hits arrive in tree order. The
+// query performs zero allocations once dst has warmed to the neighborhood
+// size, which is what lets the clustering loops run allocation-free in
+// steady state.
 //
 //mulint:noalloc static twin of TestSphereIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
 func (t *Tree) SphereInto(center geom.Point, r float64, strict bool, dst []int) ([]int, int) {
@@ -466,50 +430,6 @@ func (t *Tree) any(n *node, center geom.Point, r2 float64, closed bool) bool {
 		}
 	}
 	return false
-}
-
-// Rect visits every stored point inside rect (closed bounds).
-func (t *Tree) Rect(rect geom.MBR, fn func(id int, pt geom.Point)) {
-	if t.size == 0 {
-		return
-	}
-	t.rect(t.root, rect, fn)
-}
-
-func (t *Tree) rect(n *node, rect geom.MBR, fn func(id int, pt geom.Point)) {
-	if n.leaf {
-		for i := range n.ids {
-			row := t.row(n, i)
-			if rect.Contains(row) {
-				fn(n.ids[i], row)
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		if c.mbr.Overlaps(rect) {
-			t.rect(c, rect, fn)
-		}
-	}
-}
-
-// All visits every stored point in unspecified order.
-func (t *Tree) All(fn func(id int, pt geom.Point)) {
-	if t.size > 0 {
-		t.all(t.root, fn)
-	}
-}
-
-func (t *Tree) all(n *node, fn func(id int, pt geom.Point)) {
-	if n.leaf {
-		for i := range n.ids {
-			fn(n.ids[i], t.row(n, i))
-		}
-		return
-	}
-	for _, c := range n.children {
-		t.all(c, fn)
-	}
 }
 
 // Height returns the number of levels in the tree (1 for a leaf-only tree).

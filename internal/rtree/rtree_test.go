@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -34,9 +35,14 @@ func bruteSphere(pts []geom.Point, center geom.Point, r float64, strict bool) []
 }
 
 func collectSphere(t *Tree, center geom.Point, r float64, strict bool) []int {
-	var got []int
-	t.Sphere(center, r, strict, func(id int, _ geom.Point) { got = append(got, id) })
+	got, _ := t.SphereInto(center, r, strict, nil)
 	sort.Ints(got)
+	return got
+}
+
+// everyID is the unbounded query: every stored id, in tree order.
+func everyID(t *Tree) []int {
+	got, _ := t.SphereInto(make(geom.Point, t.Dim()), math.Inf(1), false, nil)
 	return got
 }
 
@@ -57,12 +63,9 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatal("empty tree length")
 	}
-	if n := tr.Sphere(geom.Point{0, 0, 0}, 1, true, nil); n != 0 {
+	if got, n := tr.SphereInto(geom.Point{0, 0, 0}, 1, true, nil); n != 0 || len(got) != 0 {
 		t.Fatal("empty tree sphere should do no work")
 	}
-	tr.Rect(geom.Region(geom.Point{0, 0, 0}, 1), func(int, geom.Point) {
-		t.Fatal("empty tree rect visited something")
-	})
 	if !tr.RootMBR().IsEmpty() {
 		t.Fatal("empty tree root MBR should be empty")
 	}
@@ -105,31 +108,6 @@ func TestSphereClosedVsStrict(t *testing.T) {
 	}
 }
 
-func TestRectMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	pts := randPoints(rng, 400, 3)
-	tr := New(3, 8)
-	for i, p := range pts {
-		tr.Insert(i, p)
-	}
-	for trial := 0; trial < 30; trial++ {
-		c := pts[rng.Intn(len(pts))]
-		rect := geom.Region(c, 5+rng.Float64()*20)
-		var want []int
-		for i, p := range pts {
-			if rect.Contains(p) {
-				want = append(want, i)
-			}
-		}
-		var got []int
-		tr.Rect(rect, func(id int, _ geom.Point) { got = append(got, id) })
-		sort.Ints(got)
-		if !equalInts(got, want) {
-			t.Fatalf("rect mismatch: got %d want %d", len(got), len(want))
-		}
-	}
-}
-
 func TestAllVisitsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pts := randPoints(rng, 300, 2)
@@ -138,14 +116,14 @@ func TestAllVisitsEverything(t *testing.T) {
 		tr.Insert(i, p)
 	}
 	seen := make(map[int]bool)
-	tr.All(func(id int, _ geom.Point) {
+	for _, id := range everyID(tr) {
 		if seen[id] {
 			t.Fatalf("id %d visited twice", id)
 		}
 		seen[id] = true
-	})
+	}
 	if len(seen) != 300 {
-		t.Fatalf("All visited %d of 300", len(seen))
+		t.Fatalf("the unbounded query visited %d of 300", len(seen))
 	}
 }
 
@@ -173,7 +151,9 @@ func TestBulkLoadMatchesBrute(t *testing.T) {
 			t.Fatalf("n=%d Len=%d", n, tr.Len())
 		}
 		seen := make(map[int]bool)
-		tr.All(func(id int, _ geom.Point) { seen[id] = true })
+		for _, id := range everyID(tr) {
+			seen[id] = true
+		}
 		if len(seen) != n {
 			t.Fatalf("n=%d BulkLoad lost points: %d", n, len(seen))
 		}
@@ -255,7 +235,7 @@ func invariantCheck(t *testing.T, tr *Tree) {
 		}
 		d := -1
 		for _, c := range n.children {
-			if !n.mbr.ContainsMBR(c.mbr) {
+			if !n.mbr.Contains(c.mbr.Min) || !n.mbr.Contains(c.mbr.Max) {
 				t.Fatalf("parent MBR misses child MBR")
 			}
 			cd := walk(c, depth+1)
@@ -316,7 +296,7 @@ func TestSphereReportsDistCalcs(t *testing.T) {
 	pts := randPoints(rng, 1000, 2)
 	tr := BulkLoad(2, 16, pts, nil)
 	// A tiny query near one point should visit far fewer than all points.
-	calls := tr.Sphere(pts[0], 0.5, true, nil)
+	_, calls := tr.SphereInto(pts[0], 0.5, true, nil)
 	if calls <= 0 || calls >= 600 {
 		t.Fatalf("distCalcs=%d; pruning appears broken", calls)
 	}

@@ -126,66 +126,84 @@ func (r *result) clone() *result {
 	return out
 }
 
-// resultCache is an LRU of clustering results with hit/miss/eviction
+// lru is a bounded least-recently-used map with hit/miss/eviction
 // accounting. All methods are safe for concurrent use.
-type resultCache struct {
+type lru[K comparable, V any] struct {
 	mu      sync.Mutex
 	cap     int
-	ll      *list.List // front = most recently used; values are *resultEntry
-	entries map[resultKey]*list.Element
+	ll      *list.List // front = most recently used; values are *lruEntry[K, V]
+	entries map[K]*list.Element
 
 	hits, misses, evictions int64
 }
 
-type resultEntry struct {
-	key resultKey
-	res *result
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{cap: capacity, ll: list.New(), entries: make(map[resultKey]*list.Element)}
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{cap: capacity, ll: list.New(), entries: make(map[K]*list.Element)}
 }
 
-// get returns a deep copy of the cached result, never the cached slices:
-// a tenant mutating its response must not poison every later hit.
-func (c *resultCache) get(k resultKey) (*result, bool) {
+// get returns the value stored under k and marks it most recently used.
+func (c *lru[K, V]) get(k K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
 		c.misses++
-		return nil, false
+		return v, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*resultEntry).res.clone(), true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
-// put inserts a result, taking ownership of its slices, and evicts the
-// least-recently-used entry beyond capacity.
-func (c *resultCache) put(k resultKey, r *result) {
+// put stores v under k unless the key is already present — two racing
+// misses compute interchangeable values, and keeping the first means every
+// later hit serves one consistent value — then evicts the least recently
+// used entries beyond capacity. It returns the value now stored under k.
+func (c *lru[K, V]) put(k K, v V) V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
-		// A concurrent miss raced us here; keep the first stored result so
-		// every later hit serves one consistent byte sequence.
 		c.ll.MoveToFront(el)
-		return
+		return el.Value.(*lruEntry[K, V]).val
 	}
-	c.entries[k] = c.ll.PushFront(&resultEntry{key: k, res: r})
+	c.entries[k] = c.ll.PushFront(&lruEntry[K, V]{key: k, val: v})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*resultEntry).key)
+		delete(c.entries, oldest.Value.(*lruEntry[K, V]).key)
 		c.evictions++
 	}
+	return v
 }
 
 // counters returns a consistent snapshot of the accounting.
-func (c *resultCache) counters() (hits, misses, evictions int64, size int) {
+func (c *lru[K, V]) counters() (hits, misses, evictions int64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions, c.ll.Len()
+}
+
+// resultCache is the LRU of clustering results. put takes ownership of the
+// result's slices.
+type resultCache struct{ *lru[resultKey, *result] }
+
+func newResultCache(capacity int) *resultCache {
+	return &resultCache{newLRU[resultKey, *result](capacity)}
+}
+
+// get returns a deep copy of the cached result, never the cached slices:
+// a tenant mutating its response must not poison every later hit.
+func (c *resultCache) get(k resultKey) (*result, bool) {
+	r, ok := c.lru.get(k)
+	if !ok {
+		return nil, false
+	}
+	return r.clone(), true
 }
 
 // indexKey identifies a built μR-tree: ε and MinPts shape micro-cluster
@@ -196,41 +214,15 @@ type indexKey struct {
 	minPts  int32
 }
 
-// indexCache is an LRU of built mc.Index values for ε-query serving. A
-// cached index is immutable after construction (reachable lists included),
-// so many connections query one concurrently; eviction only drops the cache
-// reference — in-flight queries keep theirs alive.
-type indexCache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	entries map[indexKey]*list.Element
-
-	hits, misses, evictions int64
-}
-
-type indexEntry struct {
-	key indexKey
-	ix  *mc.Index
-}
+// indexCache is the LRU of built mc.Index values for ε-query serving. A
+// cached index is immutable after construction (its reachable lists are
+// never computed: no daemon operation reads them), so many connections
+// query one concurrently; eviction only drops the cache reference —
+// in-flight queries keep theirs alive.
+type indexCache struct{ *lru[indexKey, *mc.Index] }
 
 func newIndexCache(capacity int) *indexCache {
-	return &indexCache{cap: capacity, ll: list.New(), entries: make(map[indexKey]*list.Element)}
-}
-
-// get returns the cached index for k, if present. The miss path is recorded
-// here; the caller builds and inserts via put.
-func (c *indexCache) get(k indexKey) (*mc.Index, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*indexEntry).ix, true
+	return &indexCache{newLRU[indexKey, *mc.Index](capacity)}
 }
 
 // build returns the index for ds under (eps, minPts), constructing and
@@ -241,24 +233,5 @@ func (c *indexCache) build(k indexKey, ds *dataset, eps float64, minPts int) *mc
 	}
 	// Built outside the lock: construction is the expensive part and two
 	// racing builders produce interchangeable immutable indexes.
-	ix := mc.Build(ds.pts, eps, minPts, mc.Options{})
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		return el.Value.(*indexEntry).ix
-	}
-	c.entries[k] = c.ll.PushFront(&indexEntry{key: k, ix: ix})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*indexEntry).key)
-		c.evictions++
-	}
-	return ix
-}
-
-func (c *indexCache) counters() (hits, misses, evictions int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.ll.Len()
+	return c.put(k, mc.Build(ds.pts, eps, minPts, mc.Options{SkipReachable: true}))
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -342,26 +343,45 @@ func TestDaemonEpsQueryMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Dataset rows, then points that are not rows: a row pushed exactly ε
+	// along one axis (the strict boundary), the midpoint of two rows, and
+	// points 0.5ε, 1.5ε and 2.5ε beyond the data's bounding box.
+	var queries []geom.Point
+	hull := geom.MBRFromPoints(cc.Pts)
 	for qi := 0; qi < len(cc.Pts); qi += 17 {
-		got, err := cl.EpsQuery(id, cc.Eps, cc.MinPts, cc.Pts[qi])
+		p := cc.Pts[qi]
+		queries = append(queries, p)
+		axis := qi % len(p)
+		shifted := p.Clone()
+		shifted[axis] += cc.Eps
+		mid := p.Clone()
+		for j, v := range cc.Pts[(qi*7+3)%len(cc.Pts)] {
+			mid[j] = (mid[j] + v) / 2
+		}
+		outside := p.Clone()
+		outside[axis] = hull.Max[axis] + (float64(qi%3)+0.5)*cc.Eps
+		queries = append(queries, shifted, mid, outside)
+	}
+	for qi, q := range queries {
+		got, err := cl.EpsQuery(id, cc.Eps, cc.MinPts, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		var want []int
+		want := []int{}
 		for j, p := range cc.Pts {
-			if geom.Within(cc.Pts[qi], p, cc.Eps) {
+			if geom.Within(q, p, cc.Eps) {
 				want = append(want, j)
 			}
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("query %d: served neighborhood differs from brute force", qi)
+			t.Fatalf("query %d at %v: served neighborhood differs from brute force", qi, q)
 		}
 	}
 }
 
 // TestDaemonRejectsMalformedRequests walks the typed-error surface.
 func TestDaemonRejectsMalformedRequests(t *testing.T) {
-	_, addr := startServer(t, Config{Workers: 1, MaxDatasets: 1})
+	srv, addr := startServer(t, Config{Workers: 1, MaxDatasets: 1})
 	cl := dialTenant(t, addr, "bad")
 
 	id, err := cl.Put([][]float64{{0, 0}, {1, 1}, {0.5, 0.5}})
@@ -389,6 +409,23 @@ func TestDaemonRejectsMalformedRequests(t *testing.T) {
 	assertIs(err, ErrTooManyDatasets, "store full")
 	_, err = cl.EpsQuery(id, 0.5, 3, []float64{0, 0, 0})
 	assertIs(err, ErrBadRequest, "eps-query dim mismatch")
+
+	// Non-finite input is a bad request on every op that takes a float,
+	// and is refused before any index is built for it.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []float64{nan, inf, -inf} {
+		_, err = cl.Cluster(id, bad, 3, EngineSeq, 0)
+		assertIs(err, ErrBadRequest, fmt.Sprintf("cluster eps %v", bad))
+		_, err = cl.EpsQuery(id, bad, 3, []float64{0, 0})
+		assertIs(err, ErrBadRequest, fmt.Sprintf("eps-query eps %v", bad))
+		_, err = cl.EpsQuery(id, 0.5, 3, []float64{0, bad})
+		assertIs(err, ErrBadRequest, fmt.Sprintf("eps-query coordinate %v", bad))
+		_, err = cl.Put([][]float64{{0, 0}, {bad, 1}})
+		assertIs(err, ErrBadRequest, fmt.Sprintf("put coordinate %v", bad))
+	}
+	if st := srv.Stats(); st.IndexMisses != 0 || st.IndexSize != 0 {
+		t.Fatalf("rejected requests reached the index cache: misses=%d size=%d", st.IndexMisses, st.IndexSize)
+	}
 }
 
 // TestDaemonCellRange drives the grid's representability bound over the

@@ -131,28 +131,34 @@ func FuzzHandleFrame(f *testing.F) {
 	f.Add([]byte{opPing})
 	f.Add([]byte{opStats})
 	f.Add([]byte{opCancel, 1, 2, 3, 4, 5, 6, 7, 8})
-	put := []byte{opPut}
-	put = appendU32(put, 2)
-	put = appendU32(put, 2)
-	for i := 0; i < 4; i++ {
-		put = appendF64(put, float64(i))
+	put := func(last float64) []byte {
+		b := appendU32(appendU32([]byte{opPut}, 2), 2)
+		for _, v := range []float64{0, 1, 2, last} {
+			b = appendF64(b, v)
+		}
+		return b
 	}
-	f.Add(put)
-	cluster := []byte{opCluster}
-	cluster = append(cluster, make([]byte, 32)...)
-	cluster = append(cluster, byte(EngineSeq))
-	cluster = appendU32(cluster, 0)
-	cluster = appendF64(cluster, 0.5)
-	cluster = appendU32(cluster, 4)
-	f.Add(cluster)
-	epsq := []byte{opEpsQuery}
-	epsq = append(epsq, make([]byte, 32)...)
-	epsq = appendF64(epsq, 0.5)
-	epsq = appendU32(epsq, 4)
-	epsq = appendU32(epsq, 2)
-	epsq = appendF64(epsq, 1)
-	epsq = appendF64(epsq, 2)
-	f.Add(epsq)
+	cluster := func(eps float64) []byte {
+		b := append([]byte{opCluster}, make([]byte, 32)...)
+		b = appendU32(append(b, byte(EngineSeq)), 0)
+		return appendU32(appendF64(b, eps), 4)
+	}
+	epsq := func(eps, y float64) []byte {
+		b := append([]byte{opEpsQuery}, make([]byte, 32)...)
+		b = appendU32(appendU32(appendF64(b, eps), 4), 2)
+		return appendF64(appendF64(b, 1), y)
+	}
+	f.Add(put(3))
+	f.Add(cluster(0.5))
+	f.Add(epsq(0.5, 2))
+	// The same frames carrying non-finite floats: a bad request each, and
+	// never an index built under a garbage ε.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(put(bad))
+		f.Add(cluster(bad))
+		f.Add(epsq(bad, 2))
+		f.Add(epsq(0.5, bad))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{200, 1})
 

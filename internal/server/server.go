@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"slices"
@@ -429,6 +430,10 @@ func (c *serverConn) handlePut(tag int64, r *rbuf) {
 		c.sendErr(tag, fmt.Errorf("%w: put body is not dim+n+%d coords", ErrBadRequest, n*dim))
 		return
 	}
+	if !allFinite(c.coords) {
+		c.sendErr(tag, fmt.Errorf("%w: put coordinates must be finite", ErrBadRequest))
+		return
+	}
 	id, err := c.s.store.put(dim, c.coords)
 	if err != nil {
 		c.sendErr(tag, err)
@@ -504,7 +509,7 @@ func (c *serverConn) handleCluster(tag int64, r *rbuf) {
 	param := int(r.u32())
 	eps := r.f64()
 	minPts := int(r.u32())
-	if !r.done() || eps <= 0 || minPts < 1 {
+	if !r.done() || !finitePositive(eps) || minPts < 1 {
 		c.sendErr(tag, fmt.Errorf("%w: malformed cluster request", ErrBadRequest))
 		return
 	}
@@ -587,12 +592,12 @@ func (c *serverConn) epsQueryResponse(r *rbuf) {
 	eps := r.f64()
 	minPts := int(r.u32())
 	dim := int(r.u32())
-	if r.err || eps <= 0 || minPts < 1 || dim < 1 || dim > maxDim {
+	if r.err || !finitePositive(eps) || minPts < 1 || dim < 1 || dim > maxDim {
 		c.payload = appendMsg(c.payload[:0], statusBadRequest, "server: bad request: malformed eps-query")
 		return
 	}
 	c.qpt = r.f64sInto(c.qpt, dim)
-	if !r.done() {
+	if !r.done() || !allFinite(c.qpt) {
 		c.payload = appendMsg(c.payload[:0], statusBadRequest, "server: bad request: malformed eps-query")
 		return
 	}
@@ -615,13 +620,27 @@ func (c *serverConn) epsQueryResponse(r *rbuf) {
 //
 //mulint:noalloc
 func epsQueryAppend(ix *mc.Index, pt geom.Point, nbhd []int, dst []byte) ([]int, []byte) {
-	nbhd, _ = ix.WholeSpaceNeighborhoodInto(pt, nbhd[:0])
+	nbhd, _ = ix.NeighborhoodInto(pt, nbhd[:0])
 	slices.Sort(nbhd)
 	dst = appendU32(dst, uint32(len(nbhd)))
 	for _, id := range nbhd {
 		dst = appendU32(dst, uint32(id))
 	}
 	return nbhd, dst
+}
+
+// finitePositive is the ε every request must carry: NaN and +Inf pass a bare
+// "eps <= 0" test and would each build (and cache) an index nothing can use.
+func finitePositive(eps float64) bool { return eps > 0 && !math.IsInf(eps, 1) }
+
+// allFinite reports whether vs holds no NaN and no ±Inf.
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // appendMsg encodes a non-OK status with its message.
