@@ -244,16 +244,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	return writeLabels(*outPath, stdout, result.Labels)
 }
 
-// printRunStats writes the -stats line of a single-host run. The parallel
-// mode adds the worker count, the distance computations and the step split.
+// printRunStats writes the -stats line of a single-host run: the counters,
+// point-to-point distance computations next to the centre tests of steps 3
+// and 4. The parallel mode adds the worker count and the step split.
 func printRunStats(w io.Writer, n int, st *mudbscan.SeqStats, parallel bool, elapsed time.Duration) {
-	workers, distCalcs := "", ""
+	workers := ""
 	if parallel {
 		workers = fmt.Sprintf(" workers=%d", st.Workers)
-		distCalcs = fmt.Sprintf(" distcalcs=%d", st.DistCalcs)
 	}
-	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%)%s time=%v\n",
-		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), distCalcs, elapsed)
+	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d time=%v\n",
+		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, elapsed)
 	if parallel {
 		fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
 			st.Steps.TreeConstruction, st.Steps.FindingReachable,

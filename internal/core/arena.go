@@ -1,7 +1,7 @@
 package core
 
 // Arena is one worker's reusable neighborhood-query scratch: the ε-query
-// hit-list and inner-circle buffers behind the allocation-free *Into query
+// hit-list and hit-distance buffers behind the allocation-free *Into query
 // tier. A run owns fresh scratch by default; a long-lived caller — the
 // mudbscand worker pool serving one clustering job after another — lends one
 // Arena per worker through Options.Arenas instead, and the run hands the
@@ -18,6 +18,7 @@ package core
 type Arena struct {
 	// Nbhd receives the ids of each ε-neighborhood query's hits.
 	Nbhd []int
-	// Inner marks, per Nbhd entry, membership in the ε/2 inner circle.
-	Inner []bool
+	// Dist receives, per Nbhd entry, the squared distance the query's leaf
+	// scan computed for it (the ε/2 inner-circle test reads it).
+	Dist []float64
 }

@@ -54,22 +54,19 @@ func TestArenasLendAndReturn(t *testing.T) {
 					continue
 				}
 				a := tc.arenas[0]
-				if trial > 0 && warm != [2]int{cap(a.Nbhd), cap(a.Inner)} {
+				if trial > 0 && warm != [2]int{cap(a.Nbhd), cap(a.Dist)} {
 					t.Fatalf("trial %d: warm scratch grew again: %v -> [%d %d]",
-						trial, warm, cap(a.Nbhd), cap(a.Inner))
+						trial, warm, cap(a.Nbhd), cap(a.Dist))
 				}
-				warm = [2]int{cap(a.Nbhd), cap(a.Inner)}
+				warm = [2]int{cap(a.Nbhd), cap(a.Dist)}
 			}
 			warmed := 0
 			for w, a := range tc.arenas {
 				if a == nil {
 					continue
 				}
-				if w >= max(tc.workers, 1) && (cap(a.Nbhd) > 0 || cap(a.Inner) > 0) {
+				if w >= max(tc.workers, 1) && (cap(a.Nbhd) > 0 || cap(a.Dist) > 0) {
 					t.Fatalf("arena %d has no worker, yet came back grown", w)
-				}
-				if cap(a.Nbhd) == 0 && cap(a.Inner) > 0 {
-					t.Fatalf("worker %d returned inner scratch without nbhd scratch", w)
 				}
 				if cap(a.Nbhd) > 0 {
 					warmed++

@@ -33,6 +33,7 @@
 package core
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -96,6 +97,12 @@ type Stats struct {
 	// DistCalcs counts point-to-point distance computations across all
 	// phases, including post-processing.
 	DistCalcs int64
+	// CenterCalcs counts the distance computations of steps 3 and 4 that
+	// have a micro-cluster centre at one end — the 2ε search-space tests and
+	// the centre-to-centre distances post-processing prunes by. They are
+	// kernel calls like any other but were never part of DistCalcs, which
+	// keeps its meaning along the benchmark ledger.
+	CenterCalcs int64
 	// WndqFromMCs and WndqDynamic split the saved queries between step 1
 	// (DMC/CMC classification) and step 3 (dense ε/2-neighborhoods).
 	WndqFromMCs int
@@ -300,11 +307,12 @@ func (f flags) raise(i int, bits uint32) uint32 {
 type worker struct {
 	// Scratch reused across every neighborhood query; processPoint runs
 	// allocation-free once the buffers have warmed to the largest
-	// neighborhood.
-	nbhd  []int
-	inner []bool
+	// neighborhood. dist[k] is the squared distance to nbhd[k], handed over
+	// by the query's leaf scans; between steps 3 and 4 it is free, and
+	// mergeWndqCores keeps its micro-cluster's centre distances there.
+	nbhd []int
+	dist []float64
 
-	wndqList  []int32
 	noiseList []noiseEntry
 	pairs     []Pair
 
@@ -312,6 +320,7 @@ type worker struct {
 	wndqFromMCs int
 	wndqDynamic int
 	distCalcs   int64
+	centerCalcs int64
 	_           [64]byte
 }
 
@@ -326,11 +335,17 @@ type noiseEntry struct {
 type run struct {
 	set        *geom.PointSet
 	kern       geom.DistSqKernel
+	within     geom.BoundedKernel // kern for threshold tests
 	eps        float64
 	minPts     int
 	localCount int
 	ix         *mc.Index
 	opts       Options
+
+	// far1 and far2 are ε(1+δ) and 2ε(1+δ), the margins of postProcessCore's
+	// triangle-inequality skips (see pruneSlack); NaN, which no bound
+	// reaches, where the δ argument does not hold.
+	far1, far2 float64
 
 	uf      *unionfind.Concurrent
 	flags   flags
@@ -344,17 +359,21 @@ type run struct {
 func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *run {
 	n := ix.Points.Len()
 	r := &run{
-		set: ix.Points, kern: geom.KernelFor(ix.Dim),
+		set: ix.Points, kern: geom.KernelFor(ix.Dim), within: geom.BoundedKernelFor(ix.Dim),
 		eps: eps, minPts: minPts, localCount: localCount,
 		ix: ix, opts: opts,
+		far1: math.NaN(), far2: math.NaN(),
 		uf:      unionfind.NewConcurrent(n),
 		flags:   newFlags(n),
 		workers: make([]worker, max(opts.Workers, 1)),
 		mcWhole: make([]bool, ix.NumMCs()),
 	}
+	if eps2 := eps * eps; eps2 > 0x1p-900 && eps2 < 0x1p900 && ix.Dim < 1<<20 {
+		r.far1, r.far2 = eps*(1+pruneSlack), 2*eps*(1+pruneSlack)
+	}
 	for w, a := range r.arenas() {
 		if a != nil {
-			r.workers[w].nbhd, r.workers[w].inner = a.Nbhd[:0], a.Inner[:0]
+			r.workers[w].nbhd, r.workers[w].dist = a.Nbhd[:0], a.Dist[:0]
 		}
 	}
 	return r
@@ -379,7 +398,7 @@ func (r *run) each(n int, fn func(w *worker, i int)) {
 func (r *run) result(st *Stats) *LocalResult {
 	for w, a := range r.arenas() {
 		if a != nil {
-			a.Nbhd, a.Inner = r.workers[w].nbhd, r.workers[w].inner
+			a.Nbhd, a.Dist = r.workers[w].nbhd, r.workers[w].dist
 		}
 	}
 	lr := &LocalResult{
@@ -404,6 +423,7 @@ func (r *run) result(st *Stats) *LocalResult {
 		st.WndqFromMCs += wk.wndqFromMCs
 		st.WndqDynamic += wk.wndqDynamic
 		st.DistCalcs += wk.distCalcs
+		st.CenterCalcs += wk.centerCalcs
 	}
 	st.Workers = len(r.workers)
 	// Every local point was either queried or had its query saved. (Under
@@ -483,15 +503,14 @@ func (r *run) preliminaryClusters() {
 }
 
 // markWndq declares point id core without a query; the raise makes the
-// transition exactly-once, so exactly one worker lists the point and counts
-// it. fromMC records whether it came from MC classification (step 1) or a
-// dense ε/2-neighborhood (step 3). The split only counts local points: halo
-// points were never going to be queried here.
+// transition exactly-once, so exactly one worker counts the point. fromMC
+// records whether it came from MC classification (step 1) or a dense
+// ε/2-neighborhood (step 3). The split only counts local points: halo points
+// were never going to be queried here.
 func (r *run) markWndq(w *worker, id int32, fromMC bool) {
 	if r.flags.raise(int(id), flagCore|flagWndq)&flagCore != 0 {
 		return
 	}
-	w.wndqList = append(w.wndqList, id)
 	if r.isHalo(id) {
 		return
 	}
@@ -521,26 +540,13 @@ func (r *run) processRemaining() {
 //
 //mulint:noalloc static twin of TestProcessPointZeroAllocs (allocs_test.go); the cold paths below carry explicit allows
 func (r *run) processPoint(w *worker, i int) {
-	half2 := (r.eps / 2) * (r.eps / 2)
 	p := r.set.Point(i)
 	var calcs int
-	w.nbhd, calcs, _ = r.ix.EpsNeighborhoodInto(p, i, w.nbhd[:0])
+	w.dist = w.dist[:0]
+	w.nbhd, calcs, _ = r.ix.EpsNeighborhoodDistInto(p, i, w.nbhd[:0], &w.dist)
 	nbhd := w.nbhd
-	// Inner-circle tests: same one-distance-per-neighbor cost the query
-	// callback used to pay, now as a linear pass over the hit list.
-	if cap(w.inner) < len(nbhd) {
-		w.inner = make([]bool, len(nbhd)) //mulint:allow noalloc/alloc cold path: scratch grows until warmed, then never again
-	}
-	inner := w.inner[:len(nbhd)]
-	innerCount := 0
-	for k, q := range nbhd {
-		in := r.kern(p, r.set.Row(q)) < half2
-		inner[k] = in
-		if in {
-			innerCount++
-		}
-	}
-	w.distCalcs += int64(calcs) + int64(len(nbhd)) // query + inner-circle tests
+	w.distCalcs += int64(calcs)
+	w.centerCalcs += int64(len(r.ix.MCs[r.ix.PointMC[i]].Reach)) // the query's 2ε tests
 	w.queries++
 
 	if len(nbhd) < r.minPts {
@@ -573,17 +579,48 @@ func (r *run) processPoint(w *worker, i int) {
 	r.flags.raise(i, flagCore)
 	// Dynamic wndq-core promotion (Algorithm 6, FIND-NBHD lines 18-21):
 	// a dense ε/2-ball proves all its members core (their ε-balls
-	// contain it entirely).
-	if !r.opts.DisableWndq && innerCount >= r.minPts {
-		for k, q := range nbhd {
-			if inner[k] && q != i {
-				r.markWndq(w, int32(q), false)
+	// contain it entirely). The inner-circle test reads the squared
+	// distances the query's leaf scans handed over; no kernel call.
+	if !r.opts.DisableWndq {
+		half2 := (r.eps / 2) * (r.eps / 2)
+		innerCount := 0
+		for _, d2 := range w.dist {
+			if d2 < half2 {
+				innerCount++
+			}
+		}
+		if innerCount >= r.minPts {
+			for k, q := range nbhd {
+				if w.dist[k] < half2 && q != i {
+					r.markWndq(w, int32(q), false)
+				}
 			}
 		}
 	}
-	for _, q := range nbhd {
-		if q != i {
-			r.linkFromCore(w, int32(i), int32(q))
+	// Hits arrive grouped by micro-cluster: each reachable micro-cluster
+	// contributes one contiguous run. Once i has been unioned with a flagged
+	// core of a whole micro-cluster, the rest of that run is skipped: its
+	// flagged cores share the centre's component, which is now i's, and its
+	// other members carry flagAssigned since step 1, so every one of those
+	// links is a no-op. (In a whole micro-cluster a link succeeds only
+	// against a flagged core: no member is left to claim.) The run's end is
+	// found by bisection on PointMC, a few loads in place of one per hit.
+	for k := 0; k < len(nbhd); {
+		q := nbhd[k]
+		k++
+		if q == i || !r.linkFromCore(w, int32(i), int32(q)) {
+			continue
+		}
+		if z := r.ix.PointMC[q]; r.mcWhole[z] {
+			lo, hi := k, len(nbhd) // the first hit of another micro-cluster lies in [lo, hi]
+			for lo < hi {
+				if mid := int(uint(lo+hi) >> 1); r.ix.PointMC[nbhd[mid]] == z {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			k = lo
 		}
 	}
 }
@@ -607,40 +644,95 @@ func (r *run) processPoint(w *worker, i int) {
 //     (tracked per MC by mcWhole — an MC loses the flag if a member's union
 //     was refused: a border claimed elsewhere, or a halo member whose link
 //     was deferred), so such an MC permanently shares one component: a
-//     single representative lookup decides it, and after the first merging
-//     union the rest of the MC can be skipped.
+//     single representative lookup decides it — before its centre is even
+//     looked at — and after the first merging union the rest of the MC can
+//     be skipped.
 //
 // The per-member path remains for SMCs (never pre-unioned) and for MCs that
 // are not whole.
+//
+// The pass runs micro-cluster by micro-cluster, because what prunes it is
+// the triangle inequality on the centres — the argument of Lemmas 1–3 — and
+// a micro-cluster's wndq-cores share one centre A. With d(·,·) the distances
+// the kernels compute (CenterDist, and d(cA, cZ) taken once per reachable Z
+// into the worker's scratch):
+//
+//   - d(cA, cZ) − d(p, cA) ≥ 2ε(1+δ) puts p at least 2ε from cZ, so Z fails
+//     the 2ε rule without p touching its centre;
+//   - |d(p, cZ) − d(q, cZ)| ≥ ε(1+δ) puts a member q of Z at least ε from p,
+//     so the pair fails the ε test without touching q.
+//
+// Each skip implies the float predicate it replaces (see pruneSlack), so
+// pruning removes distance computations and never changes an outcome.
 func (r *run) postProcessCore() {
-	eps2 := r.eps * r.eps
-	prune2 := 4 * r.eps * r.eps
-	for lw := range r.workers {
-		wndqList := r.workers[lw].wndqList
-		r.each(len(wndqList), func(w *worker, k int) {
-			r.mergeWndqCore(w, wndqList[k], eps2, prune2)
-		})
-	}
+	r.each(len(r.ix.MCs), r.mergeWndqCores)
 }
 
-// mergeWndqCore is postProcessCore's body for one wndq-core point.
-func (r *run) mergeWndqCore(w *worker, pid int32, eps2, prune2 float64) {
+// pruneSlack is δ, the margin by which a triangle-inequality bound must
+// clear a threshold before postProcessCore skips the kernel call the bound
+// stands in for. A skip has to imply the float predicate it replaces
+// (kern ≥ 4ε², kern ≥ ε²), and the bound is itself built from rounded kernel
+// values: a d-dimensional one is off by less than (d+2)·2⁻⁵³ of itself (its
+// terms are non-negative, nothing cancels), its root by half of that, and the
+// distances entering a bound are below 3ε. Carried through, the roundings of
+// a bound and of the kernel value it predicts come to less than
+// (4d+20)·2⁻⁵³ of the squared threshold, against the 2δ the margin buys
+// (DESIGN.md §8 has the steps): enough for any d < 2²⁰, as long as ε² is far
+// from under- and overflow. newRun checks both and disables the skips
+// otherwise.
+const pruneSlack = 1e-9
+
+// mergeWndqCores is postProcessCore's body for one micro-cluster: every
+// wndq-core among its members against the reachable micro-clusters.
+func (r *run) mergeWndqCores(w *worker, a int) {
+	za := r.ix.MCs[a]
+	centerDist := w.dist[:0] // d(cA, cZ) per reachable Z, filled for the first wndq-core found
+	for _, pid := range za.Members {
+		if r.flags.get(int(pid))&flagWndq == 0 {
+			continue
+		}
+		if len(centerDist) == 0 { // Reach is never empty: it holds the MC itself
+			for _, rid := range za.Reach {
+				centerDist = append(centerDist, math.Sqrt(r.kern(za.Center, r.ix.MCs[rid].Center)))
+			}
+			w.centerCalcs += int64(len(za.Reach))
+		}
+		r.mergeWndqCore(w, pid, za.Reach, centerDist)
+	}
+	w.dist = centerDist
+}
+
+// mergeWndqCore merges one wndq-core point of a micro-cluster whose reachable
+// list is reach, at centre distances centerDist.
+func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []float64) {
+	eps2 := r.eps * r.eps
+	prune2 := 4 * r.eps * r.eps
 	p := r.set.Point(int(pid))
+	centerDistOf := r.ix.CenterDist
+	toCenter := centerDistOf[pid]
 	rootP := r.uf.Find(int(pid))
-	for _, rid := range r.ix.MCs[r.ix.PointMC[pid]].Reach {
+	for j, rid := range reach {
+		if centerDist[j]-toCenter >= r.far2 {
+			continue
+		}
 		z := r.ix.MCs[rid]
-		if r.kern(p, z.Center) >= prune2 {
+		// A whole micro-cluster already in p's component has nothing to
+		// add, wherever it lies: decided before its centre is touched.
+		wholeMC := r.mcWhole[rid]
+		if wholeMC && r.uf.Find(z.CenterID) == rootP {
+			continue
+		}
+		w.centerCalcs++
+		pz2 := r.within(p, z.Center, prune2)
+		if pz2 >= prune2 {
 			continue
 		}
 		if !z.Aux.RootMBR().OverlapsRegion(p, r.eps) {
 			continue
 		}
-		wholeMC := r.mcWhole[rid]
-		if wholeMC && r.uf.Find(z.CenterID) == rootP {
-			continue
-		}
+		pz := math.Sqrt(pz2)
 		for _, q := range z.Members {
-			if q == pid {
+			if q == pid || math.Abs(pz-centerDistOf[q]) >= r.far1 {
 				continue
 			}
 			if r.flags.get(int(q))&flagCore != 0 {
@@ -648,7 +740,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, eps2, prune2 float64) {
 					continue
 				}
 				w.distCalcs++
-				if r.kern(p, r.set.Row(int(q))) >= eps2 {
+				if r.within(p, r.set.Row(int(q)), eps2) >= eps2 {
 					continue
 				}
 				r.uf.Union(int(pid), int(q))
@@ -663,7 +755,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, eps2, prune2 float64) {
 			// is a deferred cross link: its owner decides its status.
 			if r.isHalo(q) && !r.isHalo(pid) {
 				w.distCalcs++
-				if r.kern(p, r.set.Row(int(q))) < eps2 {
+				if r.within(p, r.set.Row(int(q)), eps2) < eps2 {
 					w.pairs = append(w.pairs, Pair{A: pid, B: q})
 				}
 			}

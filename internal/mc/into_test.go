@@ -25,20 +25,37 @@ func sortedEqual(got, want []int) bool {
 }
 
 // EpsNeighborhoodInto through a reused buffer returns, for every member
-// point, exactly the brute-force ε-neighborhood. (Hit order, distance-calc
-// and trees-searched counts are pinned end to end by internal/core's
+// point, exactly the brute-force ε-neighborhood, and EpsNeighborhoodDistInto
+// the same hits in the same order at the same cost, each with the kernel's
+// own squared distance — at d = 3 and past d = 4, where the scans and the
+// centre tests run the bounded kernel. (Hit order, distance-calc and
+// trees-searched counts are pinned end to end by internal/core's
 // driver_test.go hashes and counters.)
 func TestEpsNeighborhoodIntoMatchesBrute(t *testing.T) {
-	pts, ix := buildRandom(t, 61, 900, 3, 0.8, 5)
-	buf := make([]int, 0, 64)
-	for id := range pts {
-		var calcs, trees int
-		buf, calcs, trees = ix.EpsNeighborhoodInto(pts[id], id, buf[:0])
-		if trees < 1 || trees > ix.NumMCs() || calcs < len(buf) || calcs > len(pts) {
-			t.Fatalf("id=%d calcs/trees %d/%d for %d hits", id, calcs, trees, len(buf))
-		}
-		if !sortedEqual(buf, bruteNbhd(pts, pts[id], ix.Eps)) {
-			t.Fatalf("id=%d neighborhood diverges from brute force", id)
+	for d, eps := range map[int]float64{3: 0.8, 6: 4} {
+		pts, ix := buildRandom(t, 61, 900, d, eps, 5)
+		buf, withDist, dist := make([]int, 0, 64), []int(nil), []float64(nil)
+		for id := range pts {
+			var calcs, trees int
+			buf, calcs, trees = ix.EpsNeighborhoodInto(pts[id], id, buf[:0])
+			if trees < 1 || trees > ix.NumMCs() || calcs < len(buf) || calcs > len(pts) {
+				t.Fatalf("d=%d id=%d calcs/trees %d/%d for %d hits", d, id, calcs, trees, len(buf))
+			}
+			dist = dist[:0]
+			withDist, distCalcs, distTrees := ix.EpsNeighborhoodDistInto(pts[id], id, withDist[:0], &dist)
+			if len(withDist) != len(buf) || len(dist) != len(buf) || distCalcs != calcs || distTrees != trees {
+				t.Fatalf("d=%d id=%d: %d ids, %d distances, calcs/trees %d/%d; id-only query %d, %d/%d",
+					d, id, len(withDist), len(dist), distCalcs, distTrees, len(buf), calcs, trees)
+			}
+			for k, q := range buf {
+				if withDist[k] != q || dist[k] != geom.DistSq(pts[q], pts[id]) {
+					t.Fatalf("d=%d id=%d hit %d: (%d, %v), want (%d, %v)",
+						d, id, k, withDist[k], dist[k], q, geom.DistSq(pts[q], pts[id]))
+				}
+			}
+			if !sortedEqual(buf, bruteNbhd(pts, pts[id], ix.Eps)) {
+				t.Fatalf("d=%d id=%d neighborhood diverges from brute force", d, id)
+			}
 		}
 	}
 }
@@ -190,6 +207,23 @@ func TestEpsNeighborhoodIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("EpsNeighborhoodInto allocated %.1f times per query; want 0", allocs)
+	}
+}
+
+// The distance-carrying query shares the contract: two warmed buffers, no
+// allocation.
+func TestEpsNeighborhoodDistIntoZeroAllocs(t *testing.T) {
+	pts, ix := buildRandom(t, 71, 2000, 3, 0.8, 5)
+	buf, dist := make([]int, 0, 2048), make([]float64, 0, 2048)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		id := i % len(pts)
+		dist = dist[:0]
+		buf, _, _ = ix.EpsNeighborhoodDistInto(ix.Points.Point(id), id, buf[:0], &dist)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("EpsNeighborhoodDistInto allocated %.1f times per query; want 0", allocs)
 	}
 }
 

@@ -28,6 +28,7 @@ package mc
 
 import (
 	"fmt"
+	"math"
 
 	"mudbscan/internal/geom"
 	"mudbscan/internal/par"
@@ -115,10 +116,19 @@ type Index struct {
 	PointMC []int32
 	// Points holds the dataset the index was built over, contiguous and in
 	// id order. Treat it as read-only.
-	Points  *geom.PointSet
-	centers *rtree.Tree
-	kern    geom.DistSqKernel
-	opts    Options
+	Points *geom.PointSet
+	// CenterDist[i] is the distance (not squared) from point i to the centre
+	// of its own micro-cluster, 0 for a centre: the kernel value finalize
+	// computes for the inner-circle test anyway, kept so that step 4 can
+	// bound a distance to a member by the triangle inequality on its centre
+	// without touching the member. One flat slice per Index.
+	CenterDist []float64
+	centers    *rtree.Tree
+	kern       geom.DistSqKernel
+	// within is kern for the threshold tests: it may stop summing once a
+	// candidate is out (geom.BoundedKernel).
+	within geom.BoundedKernel
+	opts   Options
 }
 
 // Build scans pts and constructs micro-clusters per Algorithm 3: a point
@@ -180,6 +190,7 @@ func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirect
 			Dim:    dim,
 			Points: geom.NewPointSet(dim, 0),
 			kern:   geom.KernelFor(dim),
+			within: geom.BoundedKernelFor(dim),
 			opts:   opts,
 		},
 		dir: dir,
@@ -275,6 +286,7 @@ func (ix *Index) finalize() {
 	for _, m := range ix.MCs {
 		m.Center = ix.Points.Point(m.CenterID)
 	}
+	ix.CenterDist = make([]float64, ix.Points.Len())
 	half := ix.Eps / 2
 	half2 := half * half
 	workers := ix.opts.Workers
@@ -298,7 +310,12 @@ func (ix *Index) finalize() {
 		scratchIDs[w] = ids
 		m.Aux = rtree.BulkLoadSet(ix.opts.Fanout, set, ids)
 		for _, id := range m.Members {
-			if int(id) != m.CenterID && ix.kern(ix.Points.Row(int(id)), m.Center) < half2 {
+			if int(id) == m.CenterID {
+				continue
+			}
+			d2 := ix.kern(ix.Points.Row(int(id)), m.Center)
+			ix.CenterDist[id] = math.Sqrt(d2)
+			if d2 < half2 {
 				m.InnerIDs = append(m.InnerIDs, id)
 			}
 		}
@@ -342,20 +359,31 @@ func (ix *Index) NumMCs() int { return len(ix.MCs) }
 // (coordinates p) by searching only the auxiliary R-trees of the reachable
 // micro-clusters of the point's own MC whose root MBR overlaps the
 // ε-extended region of the point (§IV-B2). Neighbor ids — including the
-// query point itself (dist 0 < ε) — are appended to dst. It returns the
-// extended slice, the number of point-distance computations, and the number
-// of auxiliary trees actually searched. With a warmed dst the query performs
-// zero allocations; this is the primitive under every clustering hot loop.
+// query point itself (dist 0 < ε) — are appended to dst, micro-cluster by
+// micro-cluster in reachable-list order. It returns the extended slice, the
+// number of point-distance computations, and the number of auxiliary trees
+// actually searched. With a warmed dst the query performs zero allocations;
+// this is the primitive under every clustering hot loop.
 //
 //mulint:noalloc static twin of TestEpsNeighborhoodIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed ε-query
 func (ix *Index) EpsNeighborhoodInto(p geom.Point, pointID int, dst []int) (_ []int, distCalcs, treesSearched int) {
+	return ix.EpsNeighborhoodDistInto(p, pointID, dst, nil)
+}
+
+// EpsNeighborhoodDistInto is EpsNeighborhoodInto with a second output: when
+// dist is non-nil, the squared distance from p to every neighbor is appended
+// to *dist in step with dst. The leaf scans computed those to decide the
+// hits, and Algorithm 6's inner-circle pass needs exactly them.
+//
+//mulint:noalloc static twin of TestEpsNeighborhoodDistIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed ε-query
+func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, dist *[]float64) (_ []int, distCalcs, treesSearched int) {
 	// Every member of MC Z lies strictly within ε of Z's center, so a
 	// member can only be within ε of p when dist(p, center) < 2ε — a much
 	// tighter filter than the 3ε reachability list.
 	prune2 := 4 * ix.Eps * ix.Eps
 	for _, rid := range ix.MCs[ix.PointMC[pointID]].Reach {
 		z := ix.MCs[rid]
-		if ix.kern(p, z.Center) >= prune2 {
+		if ix.within(p, z.Center, prune2) >= prune2 {
 			continue
 		}
 		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
@@ -363,7 +391,7 @@ func (ix *Index) EpsNeighborhoodInto(p geom.Point, pointID int, dst []int) (_ []
 		}
 		treesSearched++
 		var calcs int
-		dst, calcs = z.Aux.SphereInto(p, ix.Eps, true, dst)
+		dst, calcs = z.Aux.SphereDistInto(p, ix.Eps, true, dst, dist)
 		distCalcs += calcs
 	}
 	return dst, distCalcs, treesSearched

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -71,6 +72,26 @@ func TestMembersWithinEpsOfCenter(t *testing.T) {
 				t.Fatalf("member %d at dist %g >= eps %g from center of MC %d",
 					id, geom.Dist(pts[id], m.Center), ix.Eps, m.ID)
 			}
+		}
+	}
+}
+
+// CenterDist is every point's distance to its own centre, the root of the
+// kernel value: what step 4's triangle-inequality bounds are built from.
+func TestCenterDist(t *testing.T) {
+	pts, ix := buildRandom(t, 2, 600, 5, 1.2, 5)
+	if len(ix.CenterDist) != len(pts) {
+		t.Fatalf("%d distances for %d points", len(ix.CenterDist), len(pts))
+	}
+	for _, m := range ix.MCs {
+		for _, id := range m.Members {
+			want := math.Sqrt(geom.DistSq(pts[id], m.Center))
+			if ix.CenterDist[id] != want || want >= ix.Eps {
+				t.Fatalf("point %d of MC %d: CenterDist %v, want %v (< ε)", id, m.ID, ix.CenterDist[id], want)
+			}
+		}
+		if ix.CenterDist[m.CenterID] != 0 {
+			t.Fatalf("centre of MC %d is %v from itself", m.ID, ix.CenterDist[m.CenterID])
 		}
 	}
 }

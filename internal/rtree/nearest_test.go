@@ -58,27 +58,31 @@ func TestNearestTieBreaksTowardSmallerID(t *testing.T) {
 	}
 }
 
+// Past d = 4 the leaf scan of Nearest runs the bounded kernel, which may
+// abandon a candidate once it is behind the running best.
 func TestNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	pts := randPoints(rng, 600, 3)
-	tr := BulkLoad(3, 8, pts, nil)
-	for trial := 0; trial < 100; trial++ {
-		q := geom.Point{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
-		r := rng.Float64() * 40
-		bestID, bestD := -1, r*r
-		for i, p := range pts {
-			d := geom.DistSq(q, p)
-			if d < bestD || (d == bestD && bestID != -1 && i < bestID) {
-				bestID, bestD = i, d
+	for _, d := range []int{3, 6, 14} {
+		rng := rand.New(rand.NewSource(int64(38 + d)))
+		pts := randPoints(rng, 600, d)
+		tr := BulkLoad(d, 8, pts, nil)
+		for trial := 0; trial < 100; trial++ {
+			q := randPoints(rng, 1, d)[0]
+			r := rng.Float64() * 40 * math.Sqrt(float64(d)/3)
+			bestID, bestD := -1, r*r
+			for i, p := range pts {
+				d2 := geom.DistSq(q, p)
+				if d2 < bestD || (d2 == bestD && bestID != -1 && i < bestID) {
+					bestID, bestD = i, d2
+				}
 			}
-		}
-		id, _, ok := tr.Nearest(q, r, true)
-		if ok != (bestID != -1) {
-			t.Fatalf("trial %d: ok=%v want %v", trial, ok, bestID != -1)
-		}
-		if ok && id != bestID {
-			t.Fatalf("trial %d: id=%d want %d (d=%g vs %g)",
-				trial, id, bestID, geom.DistSq(q, pts[id]), math.Sqrt(bestD))
+			id, _, ok := tr.Nearest(q, r, true)
+			if ok != (bestID != -1) {
+				t.Fatalf("d=%d trial %d: ok=%v want %v", d, trial, ok, bestID != -1)
+			}
+			if ok && id != bestID {
+				t.Fatalf("d=%d trial %d: id=%d want %d (d=%g vs %g)",
+					d, trial, id, bestID, geom.DistSq(q, pts[id]), math.Sqrt(bestD))
+			}
 		}
 	}
 }

@@ -33,7 +33,9 @@ type Tree struct {
 	size       int
 	maxEntries int
 	minEntries int
-	kernel     geom.DistSqKernel
+	// kernel serves the two threshold searches, Nearest and Any: it may stop
+	// summing once a candidate is out (geom.BoundedKernel).
+	kernel geom.BoundedKernel
 }
 
 type node struct {
@@ -62,7 +64,7 @@ func New(dim, maxEntries int) *Tree {
 		dim:        dim,
 		maxEntries: maxEntries,
 		minEntries: maxEntries * 2 / 5,
-		kernel:     geom.KernelFor(dim),
+		kernel:     geom.BoundedKernelFor(dim),
 	}
 	if t.minEntries < 2 {
 		t.minEntries = 2
@@ -321,22 +323,44 @@ func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 //
 //mulint:noalloc static twin of TestSphereIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
 func (t *Tree) SphereInto(center geom.Point, r float64, strict bool, dst []int) ([]int, int) {
+	return t.SphereDistInto(center, r, strict, dst, nil)
+}
+
+// SphereDistInto is SphereInto with a second output: when dist is non-nil,
+// the squared distance of every hit is appended to *dist in step with dst —
+// the same walk and the same leaf scan, with the scan's d² sink on.
+//
+//mulint:noalloc static twin of TestSphereDistIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
+func (t *Tree) SphereDistInto(center geom.Point, r float64, strict bool, dst []int, dist *[]float64) ([]int, int) {
 	if t.size == 0 {
 		return dst, 0
 	}
-	return t.sphereInto(t.root, center, r*r, !strict, dst)
+	var q sphereQuery // stays in this frame: the walk keeps no reference to it
+	q.center, q.r2, q.closed, q.dist = center, r*r, !strict, dist
+	return t.sphereInto(t.root, &q, dst)
 }
 
-//mulint:noalloc recursive walk under SphereInto's contract (and gate)
-func (t *Tree) sphereInto(n *node, center geom.Point, r2 float64, closed bool, dst []int) ([]int, int) {
+// sphereQuery is what a sphere walk carries down unchanged. It travels as
+// one pointer into the caller's frame: passed by value its fields no longer
+// fit the argument registers once the d² sink is among them, and every node
+// visit paid for the spill.
+type sphereQuery struct {
+	center geom.Point
+	r2     float64
+	closed bool
+	dist   *[]float64 // the leaf scans' d² sink; nil for an id-only query
+}
+
+//mulint:noalloc recursive walk under SphereInto's and SphereDistInto's contracts (and gates)
+func (t *Tree) sphereInto(n *node, q *sphereQuery, dst []int) ([]int, int) {
 	if n.leaf {
-		return geom.AppendWithinBlock(dst, n.ids, n.coords, t.dim, center, r2, closed), len(n.ids)
+		return geom.AppendWithinBlockDist(dst, q.dist, n.ids, n.coords, t.dim, q.center, q.r2, q.closed), len(n.ids)
 	}
 	calcs := 0
 	for _, c := range n.children {
-		if c.mbr.MinDistSq(center) <= r2 {
+		if c.mbr.MinDistSq(q.center) <= q.r2 {
 			var k int
-			dst, k = t.sphereInto(c, center, r2, closed, dst)
+			dst, k = t.sphereInto(c, q, dst)
 			calcs += k
 		}
 	}
@@ -389,7 +413,7 @@ func (t *Tree) nearest(n *node, center geom.Point, st *nearestState) {
 		dim := t.dim
 		for i, o := 0, 0; i < len(n.ids); i, o = i+1, o+dim {
 			row := n.coords[o : o+dim : o+dim]
-			d2 := t.kernel(center, row)
+			d2 := t.kernel(center, row, st.best)
 			if Nearer(d2, st.best, n.ids[i], st.bestID, st.strict) {
 				st.best, st.bestID, st.bestPt = d2, n.ids[i], geom.Point(row)
 			}
@@ -417,7 +441,7 @@ func (t *Tree) any(n *node, center geom.Point, r2 float64, closed bool) bool {
 	if n.leaf {
 		dim := t.dim
 		for o := 0; o+dim <= len(n.coords); o += dim {
-			d2 := t.kernel(center, n.coords[o:o+dim:o+dim])
+			d2 := t.kernel(center, n.coords[o:o+dim:o+dim], r2)
 			if d2 < r2 || (closed && d2 == r2) {
 				return true
 			}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,10 +11,12 @@ import (
 
 // SphereInto must return exactly the sphere's contents as brute force finds
 // them, strict and closed, on grown and bulk-loaded trees, through a reused
-// buffer. (Hit order and the distance-calculation count are pinned end to
-// end by internal/core's driver_test.go hashes and counters.)
+// buffer; SphereDistInto the same ids in the same order, each with the
+// kernel's own squared distance. (Hit order and the distance-calculation
+// count are pinned end to end by internal/core's driver_test.go hashes and
+// counters.)
 func TestSphereIntoMatchesSphere(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 4, 6} {
+	for _, d := range []int{1, 2, 3, 4, 6, 14} {
 		rng := rand.New(rand.NewSource(int64(100 + d)))
 		pts := randPoints(rng, 600, d)
 		for _, tr := range []*Tree{
@@ -35,6 +38,17 @@ func TestSphereIntoMatchesSphere(t *testing.T) {
 				buf = got
 				if calcs < len(got) || calcs > len(pts) {
 					t.Fatalf("d=%d distCalcs %d outside [%d hits, %d points]", d, calcs, len(got), len(pts))
+				}
+				dist := []float64{-1}
+				withDist, distCalcs := tr.SphereDistInto(c, r, strict, []int{-1}, &dist)
+				if !equalInts(withDist[1:], got) || distCalcs != calcs || len(dist) != len(withDist) || dist[0] != -1 {
+					t.Fatalf("d=%d SphereDistInto: ids %v (%d calcs, %d distances), SphereInto %v (%d calcs)",
+						d, withDist[1:], distCalcs, len(dist)-1, got, calcs)
+				}
+				for k, id := range got {
+					if want := geom.DistSq(pts[id], c); dist[k+1] != want {
+						t.Fatalf("d=%d SphereDistInto: distance of hit %d is %v, want %v", d, id, dist[k+1], want)
+					}
 				}
 				got = append([]int(nil), got...)
 				sort.Ints(got)
@@ -74,13 +88,41 @@ func TestSphereIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// The distance-carrying query shares the contract: two warmed buffers, no
+// allocation.
+func TestSphereDistIntoZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	pts := randPoints(rng, 2000, 5)
+	tr := BulkLoad(5, 16, pts, nil)
+	buf, dist := make([]int, 0, 2048), make([]float64, 0, 2048)
+	centers := pts[:64]
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		dist = dist[:0]
+		buf, _ = tr.SphereDistInto(centers[i%len(centers)], 30, true, buf[:0], &dist)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("SphereDistInto allocated %.1f times per query; want 0", allocs)
+	}
+	if len(dist) != len(buf) || len(buf) < 2 {
+		t.Fatalf("%d ids, %d distances", len(buf), len(dist))
+	}
+}
+
 func TestAnyAndNearest(t *testing.T) {
+	for _, d := range []int{2, 7} { // the unrolled kernels, and the bounded one
+		testAnyAndNearest(t, d)
+	}
+}
+
+func testAnyAndNearest(t *testing.T, d int) {
 	rng := rand.New(rand.NewSource(37))
-	pts := randPoints(rng, 400, 2)
-	tr := BulkLoad(2, 8, pts, nil)
+	pts := randPoints(rng, 400, d)
+	tr := BulkLoad(d, 8, pts, nil)
 	for trial := 0; trial < 40; trial++ {
 		c := pts[rng.Intn(len(pts))]
-		r := rng.Float64() * 20
+		r := rng.Float64() * 20 * math.Sqrt(float64(d))
 		hits := bruteSphere(pts, c, r, true)
 		if got := tr.Any(c, r, true); got != (len(hits) > 0) {
 			t.Fatalf("Any=%v with %d brute hits", got, len(hits))
