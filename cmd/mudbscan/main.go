@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -293,7 +294,9 @@ func writeLabels(path string, stdout io.Writer, labels []int) error {
 	}
 	bw := bufio.NewWriter(w)
 	for _, l := range labels {
-		fmt.Fprintln(bw, l)
+		// Formatted straight into the writer's buffer; a write error is
+		// sticky and comes back from Flush.
+		bw.Write(append(strconv.AppendInt(bw.AvailableBuffer(), int64(l), 10), '\n'))
 	}
 	return bw.Flush()
 }

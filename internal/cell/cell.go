@@ -9,9 +9,10 @@
 //
 //  1. Build: every point is assigned integer cell coordinates, the points
 //     are reordered into contiguous per-cell blocks of a geom.PointSet
-//     (sorted by cell, then by original id), and the non-empty cells form a
-//     lexicographically sorted coordinate table — no dense array, so the
-//     grid costs O(n) regardless of how sparse the data is.
+//     (by cell, then by original id: grouped through a hash table, placed
+//     by a counting sort), and the non-empty cells form a lexicographically
+//     sorted coordinate table — no dense array, so the grid costs O(n)
+//     regardless of how sparse the data is.
 //  2. Adjacency: for each non-empty cell, the cells whose minimum box
 //     distance is within ε are enumerated by descending the sorted table
 //     one coordinate level at a time (an implicit grid-tree: each level is
@@ -38,7 +39,8 @@ package cell
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"mudbscan/internal/geom"
 	"mudbscan/internal/par"
@@ -121,6 +123,13 @@ func (ix *index) numCells() int { return len(ix.start) - 1 }
 // build assigns cells, reorders the points into per-cell blocks and erects
 // the sorted cell table. Adjacency is computed separately (buildAdjacency)
 // so the two phases can be timed apart.
+//
+// Group, then sort the groups (the grid construction of Wang–Gu–Shun): the
+// points are grouped by cell through a hash table, only the distinct cells
+// are sorted lexicographically — a fifth to a half as many as there are
+// points, and the comparator walks d words — and a stable counting sort by
+// cell rank then puts the points in place, ids ascending within each cell
+// for free.
 func build(pts []geom.Point, eps float64) *index {
 	n := len(pts)
 	dim := len(pts[0])
@@ -132,62 +141,74 @@ func build(pts []geom.Point, eps float64) *index {
 	ix.cut = ix.eps2 * adjSlack
 	ix.r = int64(math.Ceil(eps/ix.side)) + 1
 
-	// Integer cell coordinates per point, in original order.
-	ptc := make([]int64, n*dim)
+	// Group: an open-addressed table over the cell tuples, at most half
+	// full. A tuple seen for the first time takes the next provisional cell
+	// number; the table remembers numbers, the tuples sit side by side.
+	shift := 64 - bits.Len(uint(2*n-1))
+	slots := make([]int32, 1<<(64-shift)) // provisional cell number + 1, 0 while free
+	var tuples []int64                    // provisional cell c is tuples[c*dim : (c+1)*dim]
+	group := make([]int32, n)             // provisional cell of each point
+	tuple := make([]int64, dim)
 	for i, p := range pts {
+		var h uint64
 		for j, v := range p {
-			ptc[i*dim+j] = cellCoord(v, ix.side)
+			tuple[j] = cellCoord(v, ix.side)
+			h = (h + uint64(tuple[j])) * 0x9E3779B97F4A7C15
 		}
-	}
-
-	// Sort positions by (cell tuple, original id): a strict total order, so
-	// the non-stable sort is deterministic, and ids ascend within each cell.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := perm[a], perm[b]
-		ca := ptc[pa*dim : pa*dim+dim]
-		cb := ptc[pb*dim : pb*dim+dim]
-		for j := 0; j < dim; j++ {
-			if ca[j] != cb[j] {
-				return ca[j] < cb[j]
+		s := int(h >> shift)
+		for ; slots[s] != 0; s = (s + 1) & (len(slots) - 1) {
+			if c := int(slots[s]-1) * dim; slices.Equal(tuples[c:c+dim], tuple) {
+				break
 			}
 		}
-		return pa < pb
-	})
+		if slots[s] == 0 {
+			tuples = append(tuples, tuple...)
+			slots[s] = int32(len(tuples) / dim)
+		}
+		group[i] = slots[s] - 1
+	}
 
-	// Reorder the coordinates into contiguous per-cell blocks and walk the
-	// sorted order once to carve out the cell table.
-	ix.set = geom.NewPointSet(dim, n)
+	// Sort the distinct cells; rank maps a provisional number to its place
+	// in the sorted table.
+	cells := len(tuples) / dim
+	order := make([]int32, cells)
+	for c := range order {
+		order[c] = int32(c)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return slices.Compare(tuples[int(a)*dim:int(a)*dim+dim], tuples[int(b)*dim:int(b)*dim+dim])
+	})
+	rank := make([]int32, cells)
+	ix.coords = make([]int64, cells*dim)
+	for r, c := range order {
+		rank[c] = int32(r)
+		copy(ix.coords[r*dim:], tuples[int(c)*dim:int(c)*dim+dim])
+	}
+
+	// Stable counting sort of the points by cell rank, into contiguous
+	// per-cell blocks; order is done with and serves as the cursors.
+	ix.start = make([]int32, cells+1)
+	for _, c := range group {
+		ix.start[rank[c]+1]++
+	}
+	for r := 0; r < cells; r++ {
+		order[r] = ix.start[r]
+		ix.start[r+1] += ix.start[r]
+	}
 	ix.ids = make([]int32, n)
-	ix.posIDs = make([]int, n)
 	ix.cellOf = make([]int32, n)
-	for pos, orig := range perm {
+	for i, c := range group {
+		r := rank[c]
+		ix.ids[order[r]] = int32(i)
+		ix.cellOf[order[r]] = r
+		order[r]++
+	}
+	ix.set = geom.NewPointSet(dim, n)
+	ix.posIDs = make([]int, n)
+	for pos, orig := range ix.ids {
 		ix.set.Append(pts[orig])
-		ix.ids[pos] = int32(orig)
 		ix.posIDs[pos] = pos
 	}
-	for pos := 0; pos < n; pos++ {
-		orig := perm[pos]
-		newCell := pos == 0
-		if !newCell {
-			prev := perm[pos-1]
-			for j := 0; j < dim; j++ {
-				if ptc[orig*dim+j] != ptc[prev*dim+j] {
-					newCell = true
-					break
-				}
-			}
-		}
-		if newCell {
-			ix.start = append(ix.start, int32(pos))
-			ix.coords = append(ix.coords, ptc[orig*dim:orig*dim+dim]...)
-		}
-		ix.cellOf[pos] = int32(len(ix.start) - 1)
-	}
-	ix.start = append(ix.start, int32(n))
 	return ix
 }
 

@@ -480,20 +480,20 @@ func (r *run) linkFromCore(w *worker, c, q int32) bool {
 // will occupy a single union-find component forever (unions only merge),
 // which postProcessCore exploits.
 func (r *run) preliminaryClusters() {
-	r.each(len(r.ix.MCs), func(w *worker, k int) {
-		z := r.ix.MCs[k]
-		if z.Kind == mc.SMC {
+	r.each(r.ix.NumMCs(), func(w *worker, k int) {
+		kind := r.ix.Kind(k)
+		if kind == mc.SMC {
 			return
 		}
-		center := int32(z.CenterID)
+		center := int32(r.ix.CenterID(k))
 		r.markWndq(w, center, true)
-		if z.Kind == mc.DMC {
-			for _, q := range z.InnerIDs {
+		if kind == mc.DMC {
+			for _, q := range r.ix.InnerIDs(k) {
 				r.markWndq(w, q, true)
 			}
 		}
 		whole := true
-		for _, p := range z.Members {
+		for _, p := range r.ix.Members(k) {
 			if p != center && !r.linkFromCore(w, center, p) {
 				whole = false
 			}
@@ -546,7 +546,7 @@ func (r *run) processPoint(w *worker, i int) {
 	w.nbhd, calcs, _ = r.ix.EpsNeighborhoodDistInto(p, i, w.nbhd[:0], &w.dist)
 	nbhd := w.nbhd
 	w.distCalcs += int64(calcs)
-	w.centerCalcs += int64(len(r.ix.MCs[r.ix.PointMC[i]].Reach)) // the query's 2ε tests
+	w.centerCalcs += int64(len(r.ix.Reach(int(r.ix.PointMC[i])))) // the query's 2ε tests
 	w.queries++
 
 	if len(nbhd) < r.minPts {
@@ -665,7 +665,7 @@ func (r *run) processPoint(w *worker, i int) {
 // Each skip implies the float predicate it replaces (see pruneSlack), so
 // pruning removes distance computations and never changes an outcome.
 func (r *run) postProcessCore() {
-	r.each(len(r.ix.MCs), r.mergeWndqCores)
+	r.each(r.ix.NumMCs(), r.mergeWndqCores)
 }
 
 // pruneSlack is δ, the margin by which a triangle-inequality bound must
@@ -685,19 +685,20 @@ const pruneSlack = 1e-9
 // mergeWndqCores is postProcessCore's body for one micro-cluster: every
 // wndq-core among its members against the reachable micro-clusters.
 func (r *run) mergeWndqCores(w *worker, a int) {
-	za := r.ix.MCs[a]
+	reach := r.ix.Reach(a)
 	centerDist := w.dist[:0] // d(cA, cZ) per reachable Z, filled for the first wndq-core found
-	for _, pid := range za.Members {
+	for _, pid := range r.ix.Members(a) {
 		if r.flags.get(int(pid))&flagWndq == 0 {
 			continue
 		}
-		if len(centerDist) == 0 { // Reach is never empty: it holds the MC itself
-			for _, rid := range za.Reach {
-				centerDist = append(centerDist, math.Sqrt(r.kern(za.Center, r.ix.MCs[rid].Center)))
+		if len(centerDist) == 0 { // reach is never empty: it holds the MC itself
+			ca := r.ix.Center(a)
+			for _, rid := range reach {
+				centerDist = append(centerDist, math.Sqrt(r.kern(ca, r.ix.Center(int(rid)))))
 			}
-			w.centerCalcs += int64(len(za.Reach))
+			w.centerCalcs += int64(len(reach))
 		}
-		r.mergeWndqCore(w, pid, za.Reach, centerDist)
+		r.mergeWndqCore(w, pid, reach, centerDist)
 	}
 	w.dist = centerDist
 }
@@ -715,23 +716,23 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 		if centerDist[j]-toCenter >= r.far2 {
 			continue
 		}
-		z := r.ix.MCs[rid]
+		z := int(rid)
 		// A whole micro-cluster already in p's component has nothing to
 		// add, wherever it lies: decided before its centre is touched.
-		wholeMC := r.mcWhole[rid]
-		if wholeMC && r.uf.Find(z.CenterID) == rootP {
+		wholeMC := r.mcWhole[z]
+		if wholeMC && r.uf.Find(r.ix.CenterID(z)) == rootP {
 			continue
 		}
 		w.centerCalcs++
-		pz2 := r.within(p, z.Center, prune2)
+		pz2 := r.within(p, r.ix.Center(z), prune2)
 		if pz2 >= prune2 {
 			continue
 		}
-		if !z.Aux.RootMBR().OverlapsRegion(p, r.eps) {
+		if !r.ix.AuxOverlapsRegion(z, p, r.eps) {
 			continue
 		}
 		pz := math.Sqrt(pz2)
-		for _, q := range z.Members {
+		for _, q := range r.ix.Members(z) {
 			if q == pid || math.Abs(pz-centerDistOf[q]) >= r.far1 {
 				continue
 			}

@@ -21,8 +21,8 @@ func postProcessCoreUnpruned(r *run) {
 			continue
 		}
 		p := r.set.Point(pid)
-		for _, rid := range r.ix.MCs[r.ix.PointMC[pid]].Reach {
-			for _, q := range r.ix.MCs[rid].Members {
+		for _, rid := range r.ix.Reach(int(r.ix.PointMC[pid])) {
+			for _, q := range r.ix.Members(int(rid)) {
 				if int(q) != pid && r.flags.get(int(q))&flagCore != 0 && r.kern(p, r.set.Row(int(q))) < eps2 {
 					r.uf.Union(pid, int(q))
 				}
@@ -107,16 +107,16 @@ func TestPruningBoundaries(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/d=%d", name, dim), func(t *testing.T) {
 				ix := mc.Build(pts, eps, 4, mc.Options{})
 				var centerTies, memberTies int
-				for _, za := range ix.MCs {
-					for _, rid := range za.Reach {
-						zz := ix.MCs[rid]
-						az := math.Sqrt(geom.DistSq(za.Center, zz.Center))
-						for _, p := range za.Members {
+				for a := 0; a < ix.NumMCs(); a++ {
+					for _, z := range ix.Reach(a) {
+						zc := ix.Center(int(z))
+						az := math.Sqrt(geom.DistSq(ix.Center(a), zc))
+						for _, p := range ix.Members(a) {
 							if az-ix.CenterDist[p] == 2*eps {
 								centerTies++
 							}
-							pz := math.Sqrt(geom.DistSq(pts[p], zz.Center))
-							for _, q := range zz.Members {
+							pz := math.Sqrt(geom.DistSq(pts[p], zc))
+							for _, q := range ix.Members(int(z)) {
 								if math.Abs(pz-ix.CenterDist[q]) == eps {
 									memberTies++
 								}

@@ -2,12 +2,12 @@ package data
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-	"strings"
 
 	"mudbscan/internal/geom"
 )
@@ -36,38 +36,56 @@ func WriteCSV(w io.Writer, pts []geom.Point) error {
 	return bw.Flush()
 }
 
+// csvChunk is how many coordinates ReadCSV allocates at a time. Rows are
+// carved from such blocks, so a dataset is a few allocations, not one a row.
+const csvChunk = 1 << 16
+
 // ReadCSV parses points from comma- or whitespace-separated lines. Empty
 // lines and lines starting with '#' are skipped. All rows must share one
 // dimensionality.
+//
+// Lines are parsed as bytes: the separators are ASCII, so splitting bytes is
+// splitting runes, and no string or field slice is made per line. The rows
+// returned are capacity-capped views into shared blocks.
 func ReadCSV(r io.Reader) ([]geom.Point, error) {
 	var pts []geom.Point
+	var block []float64 // the current block; rows before len(block) are handed out
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	dim := -1
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == '#' {
 			continue
 		}
-		fields := strings.FieldsFunc(text, func(r rune) bool {
-			return r == ',' || r == ' ' || r == '\t' || r == ';'
-		})
-		p := make(geom.Point, 0, len(fields))
-		for _, f := range fields {
-			if f == "" {
+		// A line of L bytes holds at most L/2+1 fields; with room for those
+		// the row cannot outgrow its block half way.
+		if most := len(text)/2 + 1; cap(block)-len(block) < most {
+			block = make([]float64, 0, max(csvChunk, most))
+		}
+		start := len(block)
+		for len(text) > 0 {
+			end := bytes.IndexAny(text, ", \t;")
+			if end < 0 {
+				end = len(text)
+			}
+			f := text[:end]
+			text = text[min(end+1, len(text)):]
+			if len(f) == 0 {
 				continue
 			}
-			v, err := strconv.ParseFloat(f, 64)
+			v, err := strconv.ParseFloat(string(f), 64)
 			if err != nil {
 				return nil, fmt.Errorf("data: line %d: %v", line, err)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("data: line %d: non-finite coordinate %q", line, f)
 			}
-			p = append(p, v)
+			block = append(block, v)
 		}
+		p := geom.Point(block[start:len(block):len(block)])
 		if len(p) == 0 {
 			continue
 		}

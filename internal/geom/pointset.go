@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PointSet is a contiguous column of n d-dimensional points: one backing
 // []float64 holding the coordinates row-major (point i occupies
@@ -54,6 +57,10 @@ func (s *PointSet) Append(p Point) int {
 	s.data = append(s.data, p...)
 	return len(s.data)/s.dim - 1
 }
+
+// Grow makes room for n more points, so that appending them does not
+// reallocate (and does not leave the backing array a growth step too large).
+func (s *PointSet) Grow(n int) { s.data = slices.Grow(s.data, n*s.dim) }
 
 // AppendRow copies a raw dim-length coordinate row and returns its index.
 func (s *PointSet) AppendRow(row []float64) int {

@@ -23,7 +23,7 @@ type centerDirectory interface {
 	insert(mcID int, center geom.Point)
 	// tree returns the first-level μR-tree over the centres inserted so far.
 	// The directory is not used afterwards.
-	tree() *rtree.Tree
+	tree() *rtree.Packed
 }
 
 // gridMaxDim is the highest dimensionality served by the hashed grid; above
@@ -53,7 +53,8 @@ func newDirectory(dim int, eps float64, fanout int) centerDirectory {
 }
 
 // treeDirectory is the dynamic centre R-tree: every new centre is a Guttman
-// insert, and the tree the scan grew is the first μR-tree level.
+// insert, and the tree the scan grew, laid out flat, is the first μR-tree
+// level.
 type treeDirectory struct{ t *rtree.Tree }
 
 func (d treeDirectory) nearest(p geom.Point, r float64) (int, bool) {
@@ -65,7 +66,7 @@ func (d treeDirectory) any(p geom.Point, r float64) bool { return d.t.Any(p, r, 
 
 func (d treeDirectory) insert(mcID int, center geom.Point) { d.t.Insert(mcID, center) }
 
-func (d treeDirectory) tree() *rtree.Tree { return d.t }
+func (d treeDirectory) tree() *rtree.Packed { return rtree.Freeze(d.t) }
 
 // gridSide is the cell side in units of ε: the diameter of the wider probe
 // (any centre < 2ε), so a probe box is two cells per axis and a probe is at
@@ -270,6 +271,6 @@ func (g *gridDirectory) any(p geom.Point, r float64) bool {
 }
 
 // tree STR-bulk-loads the first μR-tree level from the frozen centres.
-func (g *gridDirectory) tree() *rtree.Tree {
+func (g *gridDirectory) tree() *rtree.Packed {
 	return rtree.BulkLoadSet(g.fanout, g.centers, nil)
 }

@@ -49,11 +49,11 @@ func sameIndex(got, want *Index) error {
 	if !reflect.DeepEqual(got.PointMC, want.PointMC) {
 		return fmt.Errorf("PointMC differs (m=%d vs %d)", got.NumMCs(), want.NumMCs())
 	}
-	if len(got.MCs) != len(want.MCs) {
-		return fmt.Errorf("%d MCs, want %d", len(got.MCs), len(want.MCs))
+	if got.NumMCs() != want.NumMCs() {
+		return fmt.Errorf("%d MCs, want %d", got.NumMCs(), want.NumMCs())
 	}
-	for k, m := range got.MCs {
-		w := want.MCs[k]
+	for k, m := range views(got) {
+		w := views(want)[k]
 		switch {
 		case m.CenterID != w.CenterID:
 			return fmt.Errorf("MC %d: centre %d, want %d", k, m.CenterID, w.CenterID)

@@ -258,7 +258,7 @@ func TestIndexPointsStore(t *testing.T) {
 			t.Fatalf("row %d diverges from input point", i)
 		}
 	}
-	for _, m := range ix.MCs {
+	for _, m := range views(ix) {
 		if !m.Center.Equal(ix.Points.Point(m.CenterID)) {
 			t.Fatalf("MC %d center diverges from its row", m.ID)
 		}

@@ -19,16 +19,25 @@
 // The first μR-tree level has two lives. While Algorithm 3 scans the points
 // it is a scan-time directory (directory.go) answering "nearest centre < ε"
 // and "any centre < 2ε": a hashed grid over the centres up to gridMaxDim
-// dimensions, the dynamic R-tree above. Once the centres are frozen it is an
-// R-tree — STR bulk-loaded from the grid's centres, or the tree the scan
-// grew — read by ComputeReachable and NeighborhoodInto. Both directories
-// decide membership with the same kernel and the same tie rule, so the
-// micro-cluster set does not depend on which one served the scan.
+// dimensions, the dynamic R-tree above. Once the centres are frozen it is a
+// packed R-tree — STR bulk-loaded from the grid's centres, or the grown tree
+// laid out flat — read by ComputeReachable and NeighborhoodInto. Both
+// directories decide membership with the same kernel and the same tie rule,
+// so the micro-cluster set does not depend on which one served the scan.
+//
+// The scan itself records only PointMC. Everything else an Index holds is
+// made in Finish, once, at its final size: the member lists are one arena
+// (a stable counting sort of the assignment order by micro-cluster), the m
+// auxiliary trees are one rtree.Packed forest whose ranges are known before
+// any tree is built, the micro-clusters are one slab of offset records, and
+// the inner-circle and reachable lists are arenas too. A built Index is a
+// few dozen heap objects however many micro-clusters it has.
 package mc
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mudbscan/internal/geom"
 	"mudbscan/internal/par"
@@ -62,26 +71,18 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// MicroCluster holds one micro-cluster. Members are indices into the dataset
-// that the Index was built over; Members[0] is always the center point.
-type MicroCluster struct {
-	ID       int
-	CenterID int
-	Center   geom.Point
-	Members  []int32
-	// InnerIDs are the member ids strictly within ε/2 of the center,
-	// excluding the center itself (the paper's Inner Circle).
-	InnerIDs []int32
-	Kind     Kind
-	// Aux is the auxiliary R-tree over member points (second μR-tree level).
-	Aux *rtree.Tree
-	// Reach lists the ids of reachable micro-clusters: centers within 3ε
-	// (closed, Lemma 3). It always contains the MC itself.
-	Reach []int32
+// microCluster is one micro-cluster's record. Its lists live in the Index's
+// arenas: each field below is where one starts, the same field of the next
+// record is where it ends, and a last record past the m real ones closes the
+// lists of micro-cluster m−1.
+type microCluster struct {
+	center  int32 // id of the centre point, which is also members[0]
+	members int32 // start in Index.members, and of its tree's rows in the forest
+	inner   int32 // start in Index.inner
+	reach   int32 // start in Index.reach
+	root    int32 // root of its auxiliary tree in Index.aux
+	kind    Kind
 }
-
-// Size returns the number of member points, including the center.
-func (m *MicroCluster) Size() int { return len(m.Members) }
 
 // Options tunes micro-cluster construction; the zero value means defaults.
 type Options struct {
@@ -105,13 +106,13 @@ type Options struct {
 }
 
 // Index is the two-level μR-tree plus the micro-cluster list: the first
-// level indexes MC centers (bulk-loaded or grown, see the package comment),
-// and each MC carries an auxiliary R-tree over its member points.
+// level indexes MC centers (see the package comment), the second is a forest
+// with one auxiliary R-tree per MC over its member points. Micro-clusters are
+// numbered 0 … NumMCs()−1 in creation order.
 type Index struct {
 	Eps    float64
 	MinPts int
 	Dim    int
-	MCs    []*MicroCluster
 	// PointMC maps a dataset index to the id of its micro-cluster.
 	PointMC []int32
 	// Points holds the dataset the index was built over, contiguous and in
@@ -123,12 +124,56 @@ type Index struct {
 	// bound a distance to a member by the triangle inequality on its centre
 	// without touching the member. One flat slice per Index.
 	CenterDist []float64
-	centers    *rtree.Tree
-	kern       geom.DistSqKernel
+
+	mcs     []microCluster // NumMCs()+1 records
+	members []int32        // per MC: the centre, then its members in the order the scan assigned them
+	inner   []int32        // per MC: the members strictly within ε/2 of the centre, in member order
+	reach   []int32        // per MC: the MCs with centres within 3ε, in centre-tree order
+	aux     *rtree.Packed  // the auxiliary trees, MC k's rooted at mcs[k].root
+	centers *rtree.Packed
+	kern    geom.DistSqKernel
 	// within is kern for the threshold tests: it may stop summing once a
 	// candidate is out (geom.BoundedKernel).
 	within geom.BoundedKernel
 	opts   Options
+}
+
+// NumMCs returns m, the number of micro-clusters.
+func (ix *Index) NumMCs() int { return len(ix.mcs) - 1 }
+
+// CenterID returns the id of micro-cluster k's centre point.
+func (ix *Index) CenterID(k int) int { return int(ix.mcs[k].center) }
+
+// Center returns micro-cluster k's centre, a view into Points.
+func (ix *Index) Center(k int) geom.Point { return ix.Points.Point(int(ix.mcs[k].center)) }
+
+// Kind returns micro-cluster k's classification.
+func (ix *Index) Kind(k int) Kind { return ix.mcs[k].kind }
+
+// Members returns the ids of micro-cluster k's points; Members(k)[0] is
+// always the centre. The slice is a view into the Index: read-only.
+func (ix *Index) Members(k int) []int32 {
+	return ix.members[ix.mcs[k].members:ix.mcs[k+1].members]
+}
+
+// InnerIDs returns the member ids strictly within ε/2 of micro-cluster k's
+// centre, excluding the centre itself (the paper's Inner Circle). Read-only.
+func (ix *Index) InnerIDs(k int) []int32 {
+	return ix.inner[ix.mcs[k].inner:ix.mcs[k+1].inner]
+}
+
+// Reach returns the ids of the micro-clusters reachable from k: centres
+// within 3ε (closed, Lemma 3). It always contains k itself. Read-only, and
+// empty until ComputeReachable has run.
+func (ix *Index) Reach(k int) []int32 {
+	return ix.reach[ix.mcs[k].reach:ix.mcs[k+1].reach]
+}
+
+// AuxOverlapsRegion reports whether the bounding box of micro-cluster k's
+// members overlaps the cube of half-width r centred at p — the root test of
+// its auxiliary tree, which is what §IV-B2 filters the reachable list by.
+func (ix *Index) AuxOverlapsRegion(k int, p geom.Point, r float64) bool {
+	return ix.aux.OverlapsRegion(ix.mcs[k].root, p, r)
 }
 
 // Build scans pts and constructs micro-clusters per Algorithm 3: a point
@@ -162,7 +207,8 @@ func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 type Builder struct {
 	ix         *Index
 	dir        centerDirectory
-	unassigned []int32
+	centers    []int32 // the centre point of each micro-cluster so far
+	unassigned []int32 // the deferred points, ascending
 	finished   bool
 }
 
@@ -204,6 +250,8 @@ func (b *Builder) Add(pts []geom.Point) {
 		panic("mc: Add after Finish")
 	}
 	ix := b.ix
+	ix.Points.Grow(len(pts))
+	ix.PointMC = slices.Grow(ix.PointMC, len(pts))
 	for _, p := range pts {
 		i := ix.Points.Append(p)
 		ix.PointMC = append(ix.PointMC, -1)
@@ -211,7 +259,7 @@ func (b *Builder) Add(pts []geom.Point) {
 		// on dense data; only the misses pay for the wider 2ε existence
 		// probe that drives the deferral rule.
 		if mcID, ok := b.dir.nearest(p, ix.Eps); ok {
-			ix.addMember(mcID, i)
+			ix.PointMC[i] = int32(mcID)
 			continue
 		}
 		if !ix.opts.NoDeferral && b.dir.any(p, 2*ix.Eps) {
@@ -227,8 +275,9 @@ func (b *Builder) Add(pts []geom.Point) {
 // treat it as read-only.
 func (b *Builder) Points() *geom.PointSet { return b.ix.Points }
 
-// Finish inserts the deferred points and finalizes the Index (aux trees,
-// inner circles, kinds, and — unless SkipReachable — reachable lists).
+// Finish inserts the deferred points and finalizes the Index (member lists,
+// aux trees, inner circles, kinds, and — unless SkipReachable — reachable
+// lists).
 func (b *Builder) Finish() *Index {
 	if b.finished {
 		panic("mc: Finish called twice")
@@ -241,119 +290,177 @@ func (b *Builder) Finish() *Index {
 	for _, i := range b.unassigned {
 		p := ix.Points.Point(int(i))
 		if mcID, ok := b.dir.nearest(p, ix.Eps); ok {
-			ix.addMember(mcID, int(i))
+			ix.PointMC[i] = int32(mcID)
 		} else {
 			b.newMC(int(i))
 		}
 	}
-	// The centres are frozen: the first μR-tree level is the tree the scan
-	// grew, or one STR bulk load over the grid's centres. Either way the
-	// directory is dropped here, so an Index that outlives its Builder (a
-	// daemon's cached one) does not retain the grid.
+	// The centres are frozen: the first μR-tree level is one STR bulk load
+	// over the grid's centres, or the tree the scan grew laid out flat.
+	// Either way the directory is dropped here, so an Index that outlives
+	// its Builder (a daemon's cached one) does not retain it.
 	ix.centers = b.dir.tree()
 	b.dir = nil
-	ix.finalize()
+	ix.finalize(b.centers, b.unassigned)
+	b.centers, b.unassigned = nil, nil
 	return ix
 }
 
 func (b *Builder) newMC(centerID int) {
-	ix := b.ix
-	m := &MicroCluster{
-		ID:       len(ix.MCs),
-		CenterID: centerID,
-		Members:  []int32{int32(centerID)},
-	}
-	ix.MCs = append(ix.MCs, m)
-	// The directory copies the coordinates; m.Center is materialized in
-	// finalize, once the point store has stopped growing (row views into a
-	// growing PointSet can be invalidated by reallocation).
-	b.dir.insert(m.ID, ix.Points.Point(centerID))
-	ix.PointMC[centerID] = int32(m.ID)
+	// The directory copies the coordinates.
+	b.dir.insert(len(b.centers), b.ix.Points.Point(centerID))
+	b.ix.PointMC[centerID] = int32(len(b.centers))
+	b.centers = append(b.centers, int32(centerID))
 }
 
-func (ix *Index) addMember(mcID, pointID int) {
-	ix.MCs[mcID].Members = append(ix.MCs[mcID].Members, int32(pointID))
-	ix.PointMC[pointID] = int32(mcID)
-}
+// finalize turns the scan's outcome — PointMC, the centres in creation order
+// and the deferred points — into the Index: member lists, aux trees, inner
+// circles, kinds and reachable lists.
+func (ix *Index) finalize(centers, deferred []int32) {
+	n, m := ix.Points.Len(), len(centers)
+	ix.mcs = make([]microCluster, m+1)
+	for k, c := range centers {
+		ix.mcs[k].center = c
+	}
 
-// finalize builds the aux trees, inner circles, kinds and reachable lists.
-// Micro-clusters are mutually independent here — membership is frozen and
-// every write targets the one MC being finalized — so the loop runs across
-// Options.Workers goroutines, each gathering member coordinates into its own
-// reusable scratch PointSet before bulk-loading the auxiliary tree.
-func (ix *Index) finalize() {
-	// The point store is frozen now; give every MC its stable center view.
-	for _, m := range ix.MCs {
-		m.Center = ix.Points.Point(m.CenterID)
+	// Member lists: a stable counting sort of the assignment order by
+	// micro-cluster. The scan assigned its points in id order and the
+	// deferred ones (ascending too) after all of them, and a centre is the
+	// first point assigned to its micro-cluster, so every list comes out
+	// centre first and then in the order the points joined.
+	for _, k := range ix.PointMC {
+		ix.mcs[k+1].members++
 	}
-	ix.CenterDist = make([]float64, ix.Points.Len())
-	half := ix.Eps / 2
-	half2 := half * half
-	workers := ix.opts.Workers
-	if workers < 1 {
-		workers = 1
+	next := make([]int32, m)
+	for k := range next {
+		next[k] = ix.mcs[k].members
+		ix.mcs[k+1].members += ix.mcs[k].members
 	}
-	scratchSet := make([]*geom.PointSet, workers)
-	scratchIDs := make([][]int, workers)
-	for w := range scratchSet {
-		scratchSet[w] = geom.NewPointSet(ix.Dim, 0)
+	ix.members = make([]int32, n)
+	place := func(i int32) {
+		k := ix.PointMC[i]
+		ix.members[next[k]] = i
+		next[k]++
 	}
-	par.For(ix.opts.Workers, len(ix.MCs), func(w, k int) {
-		m := ix.MCs[k]
-		set := scratchSet[w]
-		set.Reset()
-		ids := scratchIDs[w][:0]
-		for _, id := range m.Members {
-			set.AppendRow(ix.Points.Row(int(id)))
-			ids = append(ids, int(id))
+	d := 0
+	for i := int32(0); int(i) < n; i++ {
+		if d < len(deferred) && deferred[d] == i {
+			d++
+			continue
 		}
-		scratchIDs[w] = ids
-		m.Aux = rtree.BulkLoadSet(ix.opts.Fanout, set, ids)
-		for _, id := range m.Members {
-			if int(id) == m.CenterID {
-				continue
-			}
-			d2 := ix.kern(ix.Points.Row(int(id)), m.Center)
+		place(i)
+	}
+	for _, i := range deferred {
+		place(i)
+	}
+
+	// The shape of an STR tree is a function of its size, so every tree's
+	// place in the forest is known before any is built: workers pack
+	// disjoint ranges, and the bytes do not depend on who packed what.
+	for k := 0; k < m; k++ {
+		ix.mcs[k+1].root = ix.mcs[k].root + int32(rtree.NodeCount(len(ix.Members(k)), ix.opts.Fanout))
+	}
+	ix.aux = rtree.NewForest(ix.Dim, ix.opts.Fanout, int(ix.mcs[m].root), n)
+	packers := make([]*rtree.Packer, max(ix.opts.Workers, 1))
+	for w := range packers {
+		packers[w] = ix.aux.Packer()
+	}
+
+	ix.CenterDist = make([]float64, n)
+	half2 := ix.Eps / 2 * (ix.Eps / 2)
+	ix.inner = ix.carve(func(z *microCluster) *int32 { return &z.inner }, func(w, k int, inner []int32) []int32 {
+		z := &ix.mcs[k]
+		members := ix.Members(k)
+		packers[w].Pack(z.root, z.members, ix.Points, members)
+		center := ix.Center(k)
+		before := len(inner)
+		for _, id := range members[1:] {
+			d2 := ix.kern(ix.Points.Row(int(id)), center)
 			ix.CenterDist[id] = math.Sqrt(d2)
 			if d2 < half2 {
-				m.InnerIDs = append(m.InnerIDs, id)
+				inner = append(inner, id)
 			}
 		}
 		switch {
-		case len(m.InnerIDs) >= ix.MinPts:
-			m.Kind = DMC
-		case len(m.Members) >= ix.MinPts:
-			m.Kind = CMC
+		case len(inner)-before >= ix.MinPts:
+			z.kind = DMC
+		case len(members) >= ix.MinPts:
+			z.kind = CMC
 		default:
-			m.Kind = SMC
+			z.kind = SMC
 		}
+		return inner
 	})
 	if !ix.opts.SkipReachable {
 		ix.ComputeReachable()
 	}
 }
 
+// carveBlocks is the most blocks carve cuts the micro-clusters into: enough
+// for the workers to balance whatever their number, and a constant, so that
+// what carve allocates does not grow with m.
+const carveBlocks = 64
+
+// carve builds one list per micro-cluster — fill appends micro-cluster k's to
+// the slice it is given — across Options.Workers goroutines, and returns the
+// lists as one arena in micro-cluster order, having set the field of every
+// record to where its list starts (and of the closing record to the arena's
+// length). Micro-clusters are mutually independent in both fills: membership
+// is frozen, every write targets the one being filled, and the lists are laid
+// out by micro-cluster number, so the arena is the same at every worker count.
+//
+// The arena's size is not known until the last list is, and a buffer that
+// grows to it is reallocated (and its pages faulted in) five times over. So a
+// worker fills the lists of one block of consecutive micro-clusters into a
+// scratch buffer it reuses, keeps an exact copy, and the copies are laid into
+// an arena allocated once.
+func (ix *Index) carve(field func(*microCluster) *int32, fill func(w, k int, dst []int32) []int32) []int32 {
+	m := ix.NumMCs()
+	workers := max(ix.opts.Workers, 1)
+	block := (m + carveBlocks - 1) / carveBlocks
+	runs := make([][]int32, (m+block-1)/block) // per block, its lists back to back
+	scratch := make([][]int32, workers)
+	par.For(workers, len(runs), func(w, b int) {
+		run := scratch[w][:0]
+		for k := b * block; k < min((b+1)*block, m); k++ {
+			*field(&ix.mcs[k]) = int32(len(run))
+			run = fill(w, k, run)
+		}
+		scratch[w] = run
+		runs[b] = slices.Clone(run)
+	})
+	total := 0
+	for b, run := range runs {
+		for k := b * block; k < min((b+1)*block, m); k++ {
+			*field(&ix.mcs[k]) += int32(total)
+		}
+		total += len(run)
+	}
+	*field(&ix.mcs[m]) = int32(total)
+	arena := make([]int32, total)
+	par.For(workers, len(runs), func(_, b int) {
+		copy(arena[*field(&ix.mcs[b*block]):], runs[b])
+	})
+	return arena
+}
+
 // ComputeReachable fills every micro-cluster's reachable list: the MCs whose
 // centers lie within 3ε (closed), found through the first-level μR-tree
-// (Algorithm 5). Idempotent. The center tree is immutable by now and sphere
-// queries are read-only, so the per-MC queries run across Options.Workers
-// goroutines, each through its own hit buffer; each list is produced by one
-// worker in tree order, identical at every worker count.
+// (Algorithm 5). Idempotent. The center tree is immutable and sphere queries
+// are read-only, so the per-MC queries run across Options.Workers goroutines,
+// each through its own hit buffer; each list is produced by one worker in
+// tree order, identical at every worker count.
 func (ix *Index) ComputeReachable() {
 	reach := 3 * ix.Eps
 	hits := make([][]int, max(ix.opts.Workers, 1))
-	par.For(ix.opts.Workers, len(ix.MCs), func(w, k int) {
-		m := ix.MCs[k]
-		hits[w], _ = ix.centers.SphereInto(m.Center, reach, false, hits[w][:0])
-		m.Reach = m.Reach[:0]
+	ix.reach = ix.carve(func(z *microCluster) *int32 { return &z.reach }, func(w, k int, dst []int32) []int32 {
+		hits[w], _ = ix.centers.SphereInto(ix.Center(k), reach, false, hits[w][:0])
 		for _, id := range hits[w] {
-			m.Reach = append(m.Reach, int32(id))
+			dst = append(dst, int32(id))
 		}
+		return dst
 	})
 }
-
-// NumMCs returns m, the number of micro-clusters.
-func (ix *Index) NumMCs() int { return len(ix.MCs) }
 
 // EpsNeighborhoodInto computes the exact ε-neighborhood of point pointID
 // (coordinates p) by searching only the auxiliary R-trees of the reachable
@@ -381,17 +488,17 @@ func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, d
 	// member can only be within ε of p when dist(p, center) < 2ε — a much
 	// tighter filter than the 3ε reachability list.
 	prune2 := 4 * ix.Eps * ix.Eps
-	for _, rid := range ix.MCs[ix.PointMC[pointID]].Reach {
-		z := ix.MCs[rid]
-		if ix.within(p, z.Center, prune2) >= prune2 {
+	for _, rid := range ix.Reach(int(ix.PointMC[pointID])) {
+		z := &ix.mcs[rid]
+		if ix.within(p, ix.Points.Row(int(z.center)), prune2) >= prune2 {
 			continue
 		}
-		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
+		if !ix.aux.OverlapsRegion(z.root, p, ix.Eps) {
 			continue
 		}
 		treesSearched++
 		var calcs int
-		dst, calcs = z.Aux.SphereDistInto(p, ix.Eps, true, dst, dist)
+		dst, calcs = ix.aux.SphereDistIntoAt(z.root, p, ix.Eps, true, dst, dist)
 		distCalcs += calcs
 	}
 	return dst, distCalcs, treesSearched
@@ -414,12 +521,12 @@ func (ix *Index) NeighborhoodInto(p geom.Point, dst []int) (_ []int, distCalcs i
 	dst, distCalcs = ix.centers.SphereInto(p, 2*ix.Eps, true, dst)
 	staged := len(dst)
 	for i := base; i < staged; i++ {
-		z := ix.MCs[dst[i]]
-		if !z.Aux.RootMBR().OverlapsRegion(p, ix.Eps) {
+		root := ix.mcs[dst[i]].root
+		if !ix.aux.OverlapsRegion(root, p, ix.Eps) {
 			continue
 		}
 		var calcs int
-		dst, calcs = z.Aux.SphereInto(p, ix.Eps, true, dst)
+		dst, calcs = ix.aux.SphereDistIntoAt(root, p, ix.Eps, true, dst, nil)
 		distCalcs += calcs
 	}
 	n := copy(dst[base:], dst[staged:])

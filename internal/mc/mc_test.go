@@ -1,9 +1,11 @@
 package mc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -33,6 +35,24 @@ func bruteNbhd(pts []geom.Point, q geom.Point, eps float64) []int {
 	return out
 }
 
+// mcView is one micro-cluster read out through the Index's accessors.
+type mcView struct {
+	ID, CenterID             int
+	Center                   geom.Point
+	Members, InnerIDs, Reach []int32
+	Kind                     Kind
+}
+
+func (m mcView) Size() int { return len(m.Members) }
+
+func views(ix *Index) []mcView {
+	vs := make([]mcView, ix.NumMCs())
+	for k := range vs {
+		vs[k] = mcView{k, ix.CenterID(k), ix.Center(k), ix.Members(k), ix.InnerIDs(k), ix.Reach(k), ix.Kind(k)}
+	}
+	return vs
+}
+
 func buildRandom(t *testing.T, seed int64, n, d int, eps float64, minPts int) ([]geom.Point, *Index) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -43,7 +63,7 @@ func buildRandom(t *testing.T, seed int64, n, d int, eps float64, minPts int) ([
 func TestEveryPointInExactlyOneMC(t *testing.T) {
 	pts, ix := buildRandom(t, 1, 500, 3, 0.8, 5)
 	seen := make([]int, len(pts))
-	for _, m := range ix.MCs {
+	for _, m := range views(ix) {
 		if m.Members[0] != int32(m.CenterID) {
 			t.Fatalf("MC %d: Members[0]=%d != center %d", m.ID, m.Members[0], m.CenterID)
 		}
@@ -63,7 +83,7 @@ func TestEveryPointInExactlyOneMC(t *testing.T) {
 
 func TestMembersWithinEpsOfCenter(t *testing.T) {
 	pts, ix := buildRandom(t, 2, 600, 2, 0.5, 5)
-	for _, m := range ix.MCs {
+	for _, m := range views(ix) {
 		for _, id := range m.Members {
 			if int(id) == m.CenterID {
 				continue
@@ -83,7 +103,7 @@ func TestCenterDist(t *testing.T) {
 	if len(ix.CenterDist) != len(pts) {
 		t.Fatalf("%d distances for %d points", len(ix.CenterDist), len(pts))
 	}
-	for _, m := range ix.MCs {
+	for _, m := range views(ix) {
 		for _, id := range m.Members {
 			want := math.Sqrt(geom.DistSq(pts[id], m.Center))
 			if ix.CenterDist[id] != want || want >= ix.Eps {
@@ -99,8 +119,8 @@ func TestCenterDist(t *testing.T) {
 func TestCentersPairwiseSeparated(t *testing.T) {
 	pts, ix := buildRandom(t, 3, 700, 3, 0.6, 5)
 	_ = pts
-	for i, a := range ix.MCs {
-		for _, b := range ix.MCs[i+1:] {
+	for i, a := range views(ix) {
+		for _, b := range views(ix)[i+1:] {
 			if geom.Within(a.Center, b.Center, ix.Eps) {
 				t.Fatalf("centers of MC %d and %d are strictly within eps", a.ID, b.ID)
 			}
@@ -110,7 +130,7 @@ func TestCentersPairwiseSeparated(t *testing.T) {
 
 func TestInnerCircle(t *testing.T) {
 	pts, ix := buildRandom(t, 4, 800, 2, 1.0, 4)
-	for _, m := range ix.MCs {
+	for _, m := range views(ix) {
 		inner := make(map[int32]bool, len(m.InnerIDs))
 		for _, id := range m.InnerIDs {
 			inner[id] = true
@@ -133,7 +153,7 @@ func TestKinds(t *testing.T) {
 	pts, ix := buildRandom(t, 5, 900, 2, 0.9, 5)
 	_ = pts
 	var sawDMC, sawSMC bool
-	for _, m := range ix.MCs {
+	for _, m := range views(ix) {
 		switch m.Kind {
 		case DMC:
 			sawDMC = true
@@ -171,8 +191,8 @@ func TestKindString(t *testing.T) {
 func TestReachabilitySymmetricAndReflexive(t *testing.T) {
 	pts, ix := buildRandom(t, 6, 500, 3, 0.7, 5)
 	_ = pts
-	reach := make([]map[int32]bool, len(ix.MCs))
-	for i, m := range ix.MCs {
+	reach := make([]map[int32]bool, ix.NumMCs())
+	for i, m := range views(ix) {
 		reach[i] = make(map[int32]bool, len(m.Reach))
 		for _, r := range m.Reach {
 			reach[i][r] = true
@@ -181,7 +201,7 @@ func TestReachabilitySymmetricAndReflexive(t *testing.T) {
 			t.Fatalf("MC %d not reachable from itself", i)
 		}
 	}
-	for i, m := range ix.MCs {
+	for i, m := range views(ix) {
 		for _, r := range m.Reach {
 			if !reach[r][int32(i)] {
 				t.Fatalf("reachability not symmetric between %d and %d", i, r)
@@ -190,8 +210,8 @@ func TestReachabilitySymmetricAndReflexive(t *testing.T) {
 	}
 	// Verify against brute force on centers (closed 3ε).
 	r := 3 * ix.Eps
-	for i, a := range ix.MCs {
-		for j, b := range ix.MCs {
+	for i, a := range views(ix) {
+		for j, b := range views(ix) {
 			want := geom.DistSq(a.Center, b.Center) <= r*r
 			if reach[i][int32(j)] != want {
 				t.Fatalf("reach(%d,%d)=%v want %v", i, j, reach[i][int32(j)], want)
@@ -251,7 +271,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestSinglePoint(t *testing.T) {
 	ix := Build([]geom.Point{{1, 2}}, 0.5, 3, Options{})
-	if ix.NumMCs() != 1 || ix.MCs[0].Kind != SMC || ix.MCs[0].Size() != 1 {
+	if ix.NumMCs() != 1 || ix.Kind(0) != SMC || len(ix.Members(0)) != 1 {
 		t.Fatalf("single point index wrong: m=%d", ix.NumMCs())
 	}
 }
@@ -268,7 +288,7 @@ func TestQuickInvariants(t *testing.T) {
 		pts := randPoints(rng, n, d, 8)
 		ix := Build(pts, eps, minPts, Options{})
 		count := 0
-		for _, m := range ix.MCs {
+		for _, m := range views(ix) {
 			count += m.Size()
 			for _, id := range m.Members {
 				if int(id) != m.CenterID && !geom.Within(pts[id], m.Center, eps) {
@@ -298,40 +318,96 @@ func TestQuickInvariants(t *testing.T) {
 	}
 }
 
-// TestParallelBuildIdenticalToSequential: the Workers option only
-// parallelizes per-MC finalize work and reachable-list queries, so the
-// produced index must be byte-identical to the sequential build — same
-// membership, inner circles, kinds, and reachable lists, in the same order.
-func TestParallelBuildIdenticalToSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pts := randPoints(rng, 3000, 3, 10)
-	eps, minPts := 0.6, 5
-	seq := Build(pts, eps, minPts, Options{})
-	for _, workers := range []int{2, 4, 8} {
-		p := Build(pts, eps, minPts, Options{Workers: workers})
-		if len(p.MCs) != len(seq.MCs) {
-			t.Fatalf("workers=%d: %d MCs, sequential %d", workers, len(p.MCs), len(seq.MCs))
+// sameBytes holds two indexes to byte-equality: the scan's outcome, the
+// record slab, the three list arenas, and the four slices of each forest.
+func sameBytes(got, want *Index) error {
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"PointMC", got.PointMC, want.PointMC},
+		{"Points", got.Points.Data(), want.Points.Data()},
+		{"CenterDist", got.CenterDist, want.CenterDist},
+		{"records (centres, kinds, list starts, roots)", got.mcs, want.mcs},
+		{"members", got.members, want.members},
+		{"InnerIDs", got.inner, want.inner},
+		{"Reach", got.reach, want.reach},
+		{"aux forest", got.aux, want.aux},
+		{"centre tree", got.centers, want.centers},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			return fmt.Errorf("%s differ", f.name)
 		}
-		if !reflect.DeepEqual(p.PointMC, seq.PointMC) {
-			t.Fatalf("workers=%d: PointMC differs", workers)
+	}
+	return nil
+}
+
+// TestIndexIdenticalAcrossWorkers: Options.Workers decides who packs which
+// tree and who fills which list, never where anything goes, so the index is
+// the same bytes at every worker count; and the scan is one point at a time,
+// so it is the same bytes again however the points were split over Add calls
+// (the path μDBSCAN-D and the stream snapshots build through).
+func TestIndexIdenticalAcrossWorkers(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}{
+		{"3-d, many small MCs", randPoints(rand.New(rand.NewSource(11)), 3000, 3, 10), 0.6, 5},
+		{"2-d, fat MCs with deep trees", randPoints(rand.New(rand.NewSource(12)), 4000, 2, 10), 2.5, 5},
+		{"6-d, grown centre tree", randPoints(rand.New(rand.NewSource(13)), 1500, 6, 4), 1.5, 4},
+	} {
+		want := Build(c.pts, c.eps, c.minPts, Options{})
+		if want.NumMCs() < 2 || len(want.reach) == 0 {
+			t.Fatalf("%s: degenerate index (m=%d)", c.name, want.NumMCs())
 		}
-		for i, m := range p.MCs {
-			sm := seq.MCs[i]
-			if m.CenterID != sm.CenterID || m.Kind != sm.Kind {
-				t.Fatalf("workers=%d MC %d: center/kind differ", workers, i)
+		for _, workers := range []int{2, 4, 8} {
+			if err := sameBytes(Build(c.pts, c.eps, c.minPts, Options{Workers: workers}), want); err != nil {
+				t.Fatalf("%s, workers=%d: %v", c.name, workers, err)
 			}
-			if !reflect.DeepEqual(m.Members, sm.Members) {
-				t.Fatalf("workers=%d MC %d: membership differs", workers, i)
-			}
-			if !reflect.DeepEqual(m.InnerIDs, sm.InnerIDs) {
-				t.Fatalf("workers=%d MC %d: inner circle differs", workers, i)
-			}
-			if !reflect.DeepEqual(m.Reach, sm.Reach) {
-				t.Fatalf("workers=%d MC %d: reachable list differs", workers, i)
-			}
-			if m.Aux.Len() != sm.Aux.Len() {
-				t.Fatalf("workers=%d MC %d: aux tree size differs", workers, i)
+		}
+		for _, cut := range []int{0, 1, len(c.pts) / 3, len(c.pts) - 1, len(c.pts)} {
+			b := NewBuilder(len(c.pts[0]), c.eps, c.minPts, Options{Workers: 2})
+			b.Add(c.pts[:cut])
+			b.Add(c.pts[cut:])
+			if err := sameBytes(b.Finish(), want); err != nil {
+				t.Fatalf("%s, Add split at %d: %v", c.name, cut, err)
 			}
 		}
 	}
+}
+
+// TestBuildAllocsIndependentOfM: an index is arenas, not objects. On an
+// all-singleton set — every point its own micro-cluster, the shape that used
+// to cost ten allocations a point — Build's mallocs stay under a constant
+// (the amortised growth of the scan's slices and of the directory, the
+// arenas, and carve's at most 64 block copies per list kind), and what is
+// left alive afterwards is a few dozen objects whatever m is.
+func TestBuildAllocsIndependentOfM(t *testing.T) {
+	const n = 20000
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i%200) * 10, float64(i/200) * 10}
+	}
+	var ix *Index
+	mallocs := testing.AllocsPerRun(1, func() { ix = Build(pts, 1, 5, Options{}) })
+	if ix.NumMCs() != n {
+		t.Fatalf("m=%d, want every point a micro-cluster (%d)", ix.NumMCs(), n)
+	}
+	if mallocs > 400 {
+		t.Errorf("Build made %.0f allocations for m=%d; want a constant (≤ 400)", mallocs, n)
+	}
+
+	var before, after runtime.MemStats
+	ix = nil
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix = Build(pts, 1, 5, Options{})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if live := int64(after.HeapObjects) - int64(before.HeapObjects); live > 64 {
+		t.Errorf("a built index keeps %d heap objects alive for m=%d; want ≤ 64", live, n)
+	}
+	runtime.KeepAlive(ix)
 }

@@ -64,7 +64,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 	for _, d := range []int{3, 6, 14} {
 		rng := rand.New(rand.NewSource(int64(38 + d)))
 		pts := randPoints(rng, 600, d)
-		tr := BulkLoad(d, 8, pts, nil)
+		tr := refBulkLoad(d, 8, pts, nil)
 		for trial := 0; trial < 100; trial++ {
 			q := randPoints(rng, 1, d)[0]
 			r := rng.Float64() * 40 * math.Sqrt(float64(d)/3)

@@ -1,19 +1,21 @@
-// Package rtree implements an in-memory R-tree (Guttman, SIGMOD'84) over
+// Package rtree implements in-memory R-trees (Guttman, SIGMOD'84) over
 // d-dimensional points. It backs the classic R-DBSCAN baseline and both
 // levels of the paper's two-level μR-tree (the first level indexes
 // micro-cluster centers, the auxiliary trees index the points of one
 // micro-cluster each).
 //
-// The tree supports incremental insertion with quadratic node splitting and
-// Sort-Tile-Recursive (STR) bulk loading. Queries are read-only and safe for
-// concurrent use once the tree is built.
+// There are two types, for the two lives a tree can have. Packed is what the
+// system reads: an immutable forest of Sort-Tile-Recursive bulk-loaded trees
+// in four flat slices — nodes addressed by number, boxes stored side by side
+// so a node's children are tested in one loop, leaf rows in one contiguous
+// row-major block scanned by a dimension-specialized kernel (geom) — so that
+// all the trees of an index are a handful of heap objects. SphereInto,
+// allocation-free into a caller-owned id buffer, is its only range query;
+// queries are read-only and safe for concurrent use.
 //
-// Leaves store their points as one contiguous row-major coordinate block
-// (copied in at insertion), so a leaf scan is a linear walk of one
-// []float64 rather than a slice-of-slices pointer chase, and the squared
-// distances are computed by a dimension-specialized kernel selected once at
-// construction (geom.KernelFor). SphereInto, allocation-free into a
-// caller-owned id buffer, is the only range query.
+// Tree is the dynamic one: Guttman insertion with quadratic splits, and the
+// two threshold probes (Nearest, Any) that a structure needs while it grows.
+// It has no range query; Freeze lays a grown Tree out as a Packed one.
 package rtree
 
 import (
@@ -25,8 +27,8 @@ import (
 // DefaultMaxEntries is the default node fan-out M.
 const DefaultMaxEntries = 16
 
-// Tree is an R-tree over points. Each stored point carries an integer id
-// chosen by the caller (typically an index into the caller's dataset).
+// Tree is a dynamic R-tree over points. Each stored point carries an integer
+// id chosen by the caller (typically an index into the caller's dataset).
 type Tree struct {
 	dim        int
 	root       *node
@@ -54,12 +56,7 @@ func New(dim, maxEntries int) *Tree {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")
 	}
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
-	if maxEntries < 4 {
-		maxEntries = 4
-	}
+	maxEntries = fanout(maxEntries)
 	t := &Tree{
 		dim:        dim,
 		maxEntries: maxEntries,
@@ -73,15 +70,20 @@ func New(dim, maxEntries int) *Tree {
 	return t
 }
 
+// fanout resolves a requested node capacity: 0 means DefaultMaxEntries, and
+// a node holds at least 4 entries.
+func fanout(maxEntries int) int {
+	if maxEntries <= 0 {
+		return DefaultMaxEntries
+	}
+	return max(maxEntries, 4)
+}
+
 // Dim returns the dimensionality of the indexed points.
 func (t *Tree) Dim() int { return t.dim }
 
 // Len returns the number of stored points.
 func (t *Tree) Len() int { return t.size }
-
-// RootMBR returns the bounding rectangle of everything in the tree
-// (the empty MBR when the tree is empty).
-func (t *Tree) RootMBR() geom.MBR { return t.root.mbr }
 
 // row returns the coordinate view of leaf row i (capacity-capped so callers
 // cannot append through it into the next row).
@@ -311,60 +313,6 @@ func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 		remaining--
 	}
 	return g1, g2
-}
-
-// SphereInto appends to dst the ids of every stored point strictly within r
-// of center (or within the closed ball when strict is false) and returns the
-// extended slice plus the number of point-distance computations, which the
-// benchmarks use as the query-cost metric. Hits arrive in tree order. The
-// query performs zero allocations once dst has warmed to the neighborhood
-// size, which is what lets the clustering loops run allocation-free in
-// steady state.
-//
-//mulint:noalloc static twin of TestSphereIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
-func (t *Tree) SphereInto(center geom.Point, r float64, strict bool, dst []int) ([]int, int) {
-	return t.SphereDistInto(center, r, strict, dst, nil)
-}
-
-// SphereDistInto is SphereInto with a second output: when dist is non-nil,
-// the squared distance of every hit is appended to *dist in step with dst —
-// the same walk and the same leaf scan, with the scan's d² sink on.
-//
-//mulint:noalloc static twin of TestSphereDistIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
-func (t *Tree) SphereDistInto(center geom.Point, r float64, strict bool, dst []int, dist *[]float64) ([]int, int) {
-	if t.size == 0 {
-		return dst, 0
-	}
-	var q sphereQuery // stays in this frame: the walk keeps no reference to it
-	q.center, q.r2, q.closed, q.dist = center, r*r, !strict, dist
-	return t.sphereInto(t.root, &q, dst)
-}
-
-// sphereQuery is what a sphere walk carries down unchanged. It travels as
-// one pointer into the caller's frame: passed by value its fields no longer
-// fit the argument registers once the d² sink is among them, and every node
-// visit paid for the spill.
-type sphereQuery struct {
-	center geom.Point
-	r2     float64
-	closed bool
-	dist   *[]float64 // the leaf scans' d² sink; nil for an id-only query
-}
-
-//mulint:noalloc recursive walk under SphereInto's and SphereDistInto's contracts (and gates)
-func (t *Tree) sphereInto(n *node, q *sphereQuery, dst []int) ([]int, int) {
-	if n.leaf {
-		return geom.AppendWithinBlockDist(dst, q.dist, n.ids, n.coords, t.dim, q.center, q.r2, q.closed), len(n.ids)
-	}
-	calcs := 0
-	for _, c := range n.children {
-		if c.mbr.MinDistSq(q.center) <= q.r2 {
-			var k int
-			dst, k = t.sphereInto(c, q, dst)
-			calcs += k
-		}
-	}
-	return dst, calcs
 }
 
 // nearestState carries the running best of a Nearest walk.

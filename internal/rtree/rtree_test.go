@@ -34,15 +34,15 @@ func bruteSphere(pts []geom.Point, center geom.Point, r float64, strict bool) []
 	return out
 }
 
-func collectSphere(t *Tree, center geom.Point, r float64, strict bool) []int {
+func collectSphere(t *Packed, center geom.Point, r float64, strict bool) []int {
 	got, _ := t.SphereInto(center, r, strict, nil)
 	sort.Ints(got)
 	return got
 }
 
 // everyID is the unbounded query: every stored id, in tree order.
-func everyID(t *Tree) []int {
-	got, _ := t.SphereInto(make(geom.Point, t.Dim()), math.Inf(1), false, nil)
+func everyID(t *Packed) []int {
+	got, _ := t.SphereInto(make(geom.Point, t.dim), math.Inf(1), false, nil)
 	return got
 }
 
@@ -63,11 +63,10 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatal("empty tree length")
 	}
-	if got, n := tr.SphereInto(geom.Point{0, 0, 0}, 1, true, nil); n != 0 || len(got) != 0 {
-		t.Fatal("empty tree sphere should do no work")
-	}
-	if !tr.RootMBR().IsEmpty() {
-		t.Fatal("empty tree root MBR should be empty")
+	for _, empty := range []*Packed{Freeze(tr), BulkLoad(3, 0, nil, nil)} {
+		if got, n := empty.SphereInto(geom.Point{0, 0, 0}, 1, true, nil); n != 0 || len(got) != 0 || empty.Len() != 0 {
+			t.Fatal("empty tree sphere should do no work")
+		}
 	}
 }
 
@@ -86,7 +85,7 @@ func TestInsertAndSphereMatchesBrute(t *testing.T) {
 			c := pts[rng.Intn(len(pts))]
 			r := rng.Float64() * 30
 			want := bruteSphere(pts, c, r, true)
-			got := collectSphere(tr, c, r, true)
+			got := collectSphere(Freeze(tr), c, r, true)
 			if !equalInts(got, want) {
 				t.Fatalf("d=%d sphere mismatch: got %d want %d ids", d, len(got), len(want))
 			}
@@ -98,11 +97,11 @@ func TestSphereClosedVsStrict(t *testing.T) {
 	tr := New(1, 0)
 	tr.Insert(0, geom.Point{0})
 	tr.Insert(1, geom.Point{5})
-	got := collectSphere(tr, geom.Point{0}, 5, true)
+	got := collectSphere(Freeze(tr), geom.Point{0}, 5, true)
 	if !equalInts(got, []int{0}) {
 		t.Fatalf("strict: %v", got)
 	}
-	got = collectSphere(tr, geom.Point{0}, 5, false)
+	got = collectSphere(Freeze(tr), geom.Point{0}, 5, false)
 	if !equalInts(got, []int{0, 1}) {
 		t.Fatalf("closed: %v", got)
 	}
@@ -116,7 +115,7 @@ func TestAllVisitsEverything(t *testing.T) {
 		tr.Insert(i, p)
 	}
 	seen := make(map[int]bool)
-	for _, id := range everyID(tr) {
+	for _, id := range everyID(Freeze(tr)) {
 		if seen[id] {
 			t.Fatalf("id %d visited twice", id)
 		}
@@ -134,12 +133,20 @@ func TestRootMBRCoversAll(t *testing.T) {
 	for i, p := range pts {
 		tr.Insert(i, p)
 	}
-	root := tr.RootMBR()
-	for _, p := range pts {
-		if !root.Contains(p) {
+	for _, root := range []geom.MBR{tr.root.mbr, rootMBR(Freeze(tr)), rootMBR(BulkLoad(4, 8, pts, nil))} {
+		for _, p := range pts {
+			if root.Contains(p) {
+				continue
+			}
 			t.Fatalf("root MBR misses %v", p)
 		}
 	}
+}
+
+// rootMBR views the box of node 0 as a geom.MBR.
+func rootMBR(f *Packed) geom.MBR {
+	box := f.box(0)
+	return geom.MBR{Min: box[:f.dim], Max: box[f.dim:]}
 }
 
 func TestBulkLoadMatchesBrute(t *testing.T) {
@@ -209,35 +216,42 @@ func TestHeightGrows(t *testing.T) {
 	}
 }
 
-// invariantCheck walks the tree verifying structural invariants: every child
-// MBR is inside its parent's, leaf points are inside the leaf MBR, and node
-// occupancy respects the max bound.
-func invariantCheck(t *testing.T, tr *Tree) {
+// invariantCheck walks the tree rooted at root verifying structural
+// invariants on the flat nodes: every child box is inside its parent's, leaf
+// rows are inside the leaf box and every box is tight, node occupancy
+// respects the max bound, children and rows are where the ranges say, and all
+// leaves are at one depth. It returns the number of nodes and rows it saw.
+func invariantCheck(t *testing.T, f *Packed, root int32) (nodes, rows int) {
 	t.Helper()
-	var walk func(n *node, depth int) int
-	walk = func(n *node, depth int) int {
-		if len(n.children) > tr.maxEntries || len(n.ids) > tr.maxEntries {
-			t.Fatalf("node exceeds maxEntries")
-		}
-		if n.leaf {
-			if len(n.coords) != len(n.ids)*tr.dim {
-				t.Fatalf("leaf coords/ids out of sync: %d coords for %d ids", len(n.coords), len(n.ids))
+	dim := f.dim
+	var walk func(n int32, depth int) int
+	walk = func(n int32, depth int) int {
+		nodes++
+		nd := f.nodes[n]
+		box := f.box(n)
+		tight := make([]float64, 2*dim)
+		if nd.count > 0 {
+			if int(nd.count) > f.maxEntries {
+				t.Fatalf("leaf %d holds %d rows, fan-out %d", n, nd.count, f.maxEntries)
 			}
-			for i := range n.ids {
-				if !n.mbr.Contains(tr.row(n, i)) {
-					t.Fatalf("leaf MBR misses point")
-				}
+			rows += int(nd.count)
+			boundRows(tight, f.rows[int(nd.first)*dim:int(nd.first+nd.count)*dim], dim)
+			if !equalFloats(tight, box) {
+				t.Fatalf("leaf %d: box %v, rows span %v", n, box, tight)
 			}
 			return depth
 		}
-		if len(n.children) == 0 {
-			t.Fatalf("internal node without children")
+		children := -nd.count
+		if children == 0 || int(children) > f.maxEntries {
+			t.Fatalf("inner node %d has %d children, fan-out %d", n, children, f.maxEntries)
 		}
+		if nd.first <= n {
+			t.Fatalf("inner node %d has its children at %d", n, nd.first)
+		}
+		copy(tight, f.box(nd.first))
 		d := -1
-		for _, c := range n.children {
-			if !n.mbr.Contains(c.mbr.Min) || !n.mbr.Contains(c.mbr.Max) {
-				t.Fatalf("parent MBR misses child MBR")
-			}
+		for c := nd.first; c < nd.first+children; c++ {
+			extendBox(tight, f.box(c), dim)
 			cd := walk(c, depth+1)
 			if d == -1 {
 				d = cd
@@ -245,11 +259,27 @@ func invariantCheck(t *testing.T, tr *Tree) {
 				t.Fatalf("leaves at different depths: %d vs %d", d, cd)
 			}
 		}
+		if !equalFloats(tight, box) {
+			t.Fatalf("inner node %d: box %v, children span %v", n, box, tight)
+		}
 		return d
 	}
-	if tr.size > 0 {
-		walk(tr.root, 0)
+	if len(f.nodes) > 0 {
+		walk(root, 0)
 	}
+	return nodes, rows
+}
+
+func equalFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestStructuralInvariants(t *testing.T) {
@@ -258,9 +288,12 @@ func TestStructuralInvariants(t *testing.T) {
 	for i, p := range randPoints(rng, 800, 3) {
 		tr.Insert(i, p)
 	}
-	invariantCheck(t, tr)
-	tr2 := BulkLoad(3, 5, randPoints(rng, 800, 3), nil)
-	invariantCheck(t, tr2)
+	for _, f := range []*Packed{Freeze(tr), BulkLoad(3, 5, randPoints(rng, 800, 3), nil)} {
+		nodes, rows := invariantCheck(t, f, 0)
+		if nodes != len(f.nodes) || rows != 800 {
+			t.Fatalf("walk reached %d of %d nodes, %d of 800 rows", nodes, len(f.nodes), rows)
+		}
+	}
 }
 
 // Property: for random point sets and random queries, insert-built and
@@ -283,7 +316,7 @@ func TestQuickSphereEquivalence(t *testing.T) {
 		r := rng.Float64() * 60
 		strict := rng.Intn(2) == 0
 		want := bruteSphere(pts, c, r, strict)
-		return equalInts(collectSphere(ins, c, r, strict), want) &&
+		return equalInts(collectSphere(Freeze(ins), c, r, strict), want) &&
 			equalInts(collectSphere(blk, c, r, strict), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {

@@ -19,16 +19,11 @@ func TestSphereIntoMatchesSphere(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 6, 14} {
 		rng := rand.New(rand.NewSource(int64(100 + d)))
 		pts := randPoints(rng, 600, d)
-		for _, tr := range []*Tree{
-			func() *Tree {
-				in := New(d, 8)
-				for i, p := range pts {
-					in.Insert(i, p)
-				}
-				return in
-			}(),
-			BulkLoad(d, 8, pts, nil),
-		} {
+		grown := New(d, 8)
+		for i, p := range pts {
+			grown.Insert(i, p)
+		}
+		for _, tr := range []*Packed{Freeze(grown), BulkLoad(d, 8, pts, nil)} {
 			buf := make([]int, 0, 64)
 			for trial := 0; trial < 40; trial++ {
 				c := pts[rng.Intn(len(pts))]
@@ -40,7 +35,7 @@ func TestSphereIntoMatchesSphere(t *testing.T) {
 					t.Fatalf("d=%d distCalcs %d outside [%d hits, %d points]", d, calcs, len(got), len(pts))
 				}
 				dist := []float64{-1}
-				withDist, distCalcs := tr.SphereDistInto(c, r, strict, []int{-1}, &dist)
+				withDist, distCalcs := tr.SphereDistIntoAt(0, c, r, strict, []int{-1}, &dist)
 				if !equalInts(withDist[1:], got) || distCalcs != calcs || len(dist) != len(withDist) || dist[0] != -1 {
 					t.Fatalf("d=%d SphereDistInto: ids %v (%d calcs, %d distances), SphereInto %v (%d calcs)",
 						d, withDist[1:], distCalcs, len(dist)-1, got, calcs)
@@ -64,7 +59,7 @@ func TestSphereIntoAppendsToDst(t *testing.T) {
 	tr := New(2, 0)
 	tr.Insert(7, geom.Point{0, 0})
 	dst := []int{42}
-	got, _ := tr.SphereInto(geom.Point{0, 0}, 1, true, dst)
+	got, _ := Freeze(tr).SphereInto(geom.Point{0, 0}, 1, true, dst)
 	if !equalInts(got, []int{42, 7}) {
 		t.Fatalf("got %v", got)
 	}
@@ -99,7 +94,7 @@ func TestSphereDistIntoZeroAllocs(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		dist = dist[:0]
-		buf, _ = tr.SphereDistInto(centers[i%len(centers)], 30, true, buf[:0], &dist)
+		buf, _ = tr.SphereDistIntoAt(0, centers[i%len(centers)], 30, true, buf[:0], &dist)
 		i++
 	})
 	if allocs != 0 {
@@ -119,7 +114,7 @@ func TestAnyAndNearest(t *testing.T) {
 func testAnyAndNearest(t *testing.T, d int) {
 	rng := rand.New(rand.NewSource(37))
 	pts := randPoints(rng, 400, d)
-	tr := BulkLoad(d, 8, pts, nil)
+	tr := refBulkLoad(d, 8, pts, nil)
 	for trial := 0; trial < 40; trial++ {
 		c := pts[rng.Intn(len(pts))]
 		r := rng.Float64() * 20 * math.Sqrt(float64(d))
@@ -168,7 +163,7 @@ func TestBulkLoadSetMatchesBulkLoad(t *testing.T) {
 	}
 }
 
-func benchTree(b *testing.B, d int) (*Tree, []geom.Point) {
+func benchTree(b *testing.B, d int) (*Packed, []geom.Point) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(d)))
 	pts := randPoints(rng, 20000, d)

@@ -142,6 +142,14 @@ func autoEngine[P ~[]float64](pts []P, eps float64, minPts int) Engine {
 // the data towards the origin also lifts it.
 var ErrCellRange = errors.New("mudbscan: coordinates too large relative to eps for the cell engine (need |x|·√d/eps < 2^52)")
 
+// ErrTooManyPoints is returned by every entry point for a dataset of more
+// than 2^31−1 points: point ids, micro-cluster ids and the offsets of the
+// index's arenas are 32-bit throughout.
+var ErrTooManyPoints = errors.New("mudbscan: more than 2^31-1 points (ids are 32-bit)")
+
+// tooManyPoints is the int32 ceiling on a dataset's size.
+func tooManyPoints(n int) bool { return n > math.MaxInt32 }
+
 // config collects the option knobs.
 type config struct {
 	fanout       int
@@ -247,6 +255,9 @@ func validate(points [][]float64, eps float64, minPts int) ([]geom.Point, error)
 	if len(points) == 0 {
 		return nil, nil
 	}
+	if tooManyPoints(len(points)) {
+		return nil, ErrTooManyPoints
+	}
 	dim := len(points[0])
 	if dim == 0 {
 		return nil, fmt.Errorf("mudbscan: points must have at least one dimension")
@@ -268,7 +279,9 @@ func validate(points [][]float64, eps float64, minPts int) ([]geom.Point, error)
 
 // Cluster returns the exact DBSCAN clustering of points under the given ε
 // and MinPts, computed by the engine WithEngine selects (default the
-// sequential μR-tree engine; see Engine).
+// sequential μR-tree engine; see Engine). A dataset may hold at most 2^31−1
+// points; a larger one is refused with ErrTooManyPoints before any engine
+// runs.
 func Cluster(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, error) {
 	r, _, err := ClusterWithStats(points, eps, minPts, opts...)
 	return r, err

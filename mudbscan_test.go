@@ -282,6 +282,22 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// Nobody can allocate 2^31 rows in a test, so the int32 ceiling is held at
+// its predicate: validate, which every entry point goes through, returns
+// ErrTooManyPoints exactly when tooManyPoints says so.
+func TestTooManyPointsCeiling(t *testing.T) {
+	if tooManyPoints(0) || tooManyPoints(math.MaxInt32) {
+		t.Error("2^31-1 points must be accepted")
+	}
+	if math.MaxInt > math.MaxInt32 {
+		over := math.MaxInt32
+		over++
+		if !tooManyPoints(over) || !tooManyPoints(math.MaxInt) {
+			t.Error("2^31 points must be refused")
+		}
+	}
+}
+
 func TestEmptyInput(t *testing.T) {
 	r, err := Cluster(nil, 1, 3)
 	if err != nil || len(r.Labels) != 0 || r.NumClusters != 0 {
