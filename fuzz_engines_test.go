@@ -154,6 +154,30 @@ func FuzzEngines(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{1, 3, 2<<1 | 1, 0, 0, 1, 1, 2, 2, 3, 3, 0, 3, 3, 0, 1, 2, 2, 1, 0, 0, 3, 3})
+	// Dense micro-clusters in a halo of noise singletons at d = 14, the shape
+	// post-processing's dead class is for: two pairs of blobs (five copies of
+	// a centre and one point leaning towards the other blob, 3ε/4 from its
+	// opposite number and exactly ε from the opposite centre, so only step 4
+	// joins a pair), and around each pair isolated points 2¼ε and 3¼ε out
+	// along every axis — exactly ε from each other, inside some blob's 3ε.
+	halo := []byte{4, 4, 7<<1 | 1} // MinPts 5, step 1/4, span 256
+	for pair := byte(0); pair < 2; pair++ {
+		at := func(axis int, v byte) {
+			row := bytes.Repeat([]byte{24}, 14)
+			row[1] += 32 * pair
+			row[axis] = row[axis] - 24 + v
+			halo = append(halo, row...)
+		}
+		for _, x := range []byte{22, 22, 22, 22, 22, 23, 26, 27, 27, 27, 27, 27} {
+			at(0, x)
+		}
+		for axis := 0; axis < 14; axis++ {
+			for _, v := range []byte{24 - 13, 24 - 9, 24 + 9, 24 + 13} {
+				at(axis, v)
+			}
+		}
+	}
+	f.Add(halo)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pts, minPts := fuzzDecode(b)
 		if pts == nil {

@@ -25,25 +25,30 @@ import (
 // d², post-processing prunes by centre distances): nothing else did, and no
 // count went up. The values before, in table order: 12068, 3460, 1929, 14521,
 // 200, 68, 8089, 3965, 341, 4927, 1063, 1632, 27941.
+//
+// centerCalcs is pinned since step 4 began to classify micro-clusters and to
+// visit only those that can hold an edge, which moved it and nothing else; the
+// values before, in table order: 3060, 1201, 2397, 4394, 100, 18, 3199, 2002,
+// 266, 6040, 6148, 432, 5630.
 var pinned = []struct {
 	name                          string
 	hash                          string
 	numMCs, queries, queriesSaved int
-	distCalcs                     int64
+	distCalcs, centerCalcs        int64
 }{
-	{"blobs-3d", "d05c6c4478e8884f", 134, 255, 145, 8896},
-	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 163, 187, 2310},
-	{"uniform-2d", "b26a8f28c97c4d8f", 150, 285, 15, 1166},
-	{"skewed-3d", "68d6b809346e7bcd", 66, 146, 204, 11028},
-	{"all-noise", "7fbbb3cee1a34f39", 100, 100, 0, 100},
-	{"border-tie-1d", "e30b173a88190649", 2, 5, 6, 40},
-	{"lattice-dup-2d", "b81a379f04a0845d", 36, 169, 11, 6359},
-	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 2962},
-	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 40, 63, 196},
-	{"geo-drift", "65549f16ef46471d", 871, 978, 1422, 2698},
-	{"highdim-embed", "d7b9f0a0af778109", 41, 37, 1463, 539},
-	{"all-border-ties", "26f7169e5d4b305f", 48, 120, 144, 960},
-	{"bursty-arrival", "2be5ded5c4f2526b", 241, 360, 1640, 17643},
+	{"blobs-3d", "d05c6c4478e8884f", 134, 255, 145, 8896, 2190},
+	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 163, 187, 2310, 773},
+	{"uniform-2d", "b26a8f28c97c4d8f", 150, 285, 15, 1166, 2283},
+	{"skewed-3d", "68d6b809346e7bcd", 66, 146, 204, 11028, 2904},
+	{"all-noise", "7fbbb3cee1a34f39", 100, 100, 0, 100, 100},
+	{"border-tie-1d", "e30b173a88190649", 2, 5, 6, 40, 18},
+	{"lattice-dup-2d", "b81a379f04a0845d", 36, 169, 11, 6359, 3133},
+	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 2962, 1896},
+	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 40, 63, 196, 194},
+	{"geo-drift", "65549f16ef46471d", 871, 978, 1422, 2698, 3753},
+	{"highdim-embed", "d7b9f0a0af778109", 41, 37, 1463, 539, 1112},
+	{"all-border-ties", "26f7169e5d4b305f", 48, 120, 144, 960, 432},
+	{"bursty-arrival", "2be5ded5c4f2526b", 241, 360, 1640, 17643, 2812},
 }
 
 // resultHash digests labels and core flags: nine bytes a point, the label as
@@ -101,10 +106,10 @@ func TestOneWorkerMatchesPinnedSequential(t *testing.T) {
 					t.Errorf("labels+core hash %s, pinned %s", got, pin.hash)
 				}
 				if st.NumMCs != pin.numMCs || st.Queries != pin.queries ||
-					st.QueriesSaved != pin.queriesSaved || st.DistCalcs != pin.distCalcs {
-					t.Errorf("m=%d queries=%d saved=%d distcalcs=%d, pinned %d %d %d %d",
-						st.NumMCs, st.Queries, st.QueriesSaved, st.DistCalcs,
-						pin.numMCs, pin.queries, pin.queriesSaved, pin.distCalcs)
+					st.QueriesSaved != pin.queriesSaved || st.DistCalcs != pin.distCalcs || st.CenterCalcs != pin.centerCalcs {
+					t.Errorf("m=%d queries=%d saved=%d distcalcs=%d centercalcs=%d, pinned %d %d %d %d %d",
+						st.NumMCs, st.Queries, st.QueriesSaved, st.DistCalcs, st.CenterCalcs,
+						pin.numMCs, pin.queries, pin.queriesSaved, pin.distCalcs, pin.centerCalcs)
 				}
 				if st.Workers != 1 {
 					t.Errorf("Workers=%d, want 1", st.Workers)

@@ -308,8 +308,9 @@ type worker struct {
 	// Scratch reused across every neighborhood query; processPoint runs
 	// allocation-free once the buffers have warmed to the largest
 	// neighborhood. dist[k] is the squared distance to nbhd[k], handed over
-	// by the query's leaf scans; between steps 3 and 4 it is free, and
-	// mergeWndqCores keeps its micro-cluster's centre distances there.
+	// by the query's leaf scans; between steps 3 and 4 both are free, and
+	// mergeWndqCores keeps its micro-cluster's live reachable ids and their
+	// centre distances there.
 	nbhd []int
 	dist []float64
 
@@ -354,6 +355,10 @@ type run struct {
 	// union-find component permanently. Set by preliminaryClusters, where
 	// each MC is handled by exactly one worker; read only after that step.
 	mcWhole []bool
+	// mcClass[id] is what step 4 can find in MC id (see classifyMCs): mcDead,
+	// mcMixed, or the point that stands for its one component. Filled at the
+	// barrier between steps 3 and 4.
+	mcClass []int32
 }
 
 func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *run {
@@ -640,16 +645,12 @@ func (r *run) processPoint(w *worker, i int) {
 //     matches was already merged with p (conclusive — set membership only
 //     grows), and a stale mismatch merely costs a redundant distance check
 //     and a no-op union, never a lost edge;
-//   - step 1 unioned every member of most DMCs/CMCs with their center
-//     (tracked per MC by mcWhole — an MC loses the flag if a member's union
-//     was refused: a border claimed elsewhere, or a halo member whose link
-//     was deferred), so such an MC permanently shares one component: a
-//     single representative lookup decides it — before its centre is even
-//     looked at — and after the first merging union the rest of the MC can
-//     be skipped.
-//
-// The per-member path remains for SMCs (never pre-unioned) and for MCs that
-// are not whole.
+//   - every micro-cluster is classified once, before the pass, by what a
+//     wndq-core can find in it (classifyMCs): one that can hold no edge is
+//     dropped from every reach list, one whose cores share a single component
+//     for good is decided by one representative lookup — before its centre
+//     is even looked at — and left after the first merging union. Only the
+//     rest take the per-member path.
 //
 // The pass runs micro-cluster by micro-cluster, because what prunes it is
 // the triangle inequality on the centres — the argument of Lemmas 1–3 — and
@@ -665,7 +666,50 @@ func (r *run) processPoint(w *worker, i int) {
 // Each skip implies the float predicate it replaces (see pruneSlack), so
 // pruning removes distance computations and never changes an outcome.
 func (r *run) postProcessCore() {
+	r.classifyMCs()
 	r.each(r.ix.NumMCs(), r.mergeWndqCores)
+}
+
+// The classes of a micro-cluster as a target of step 4. Any value ≥ 0 is the
+// third class, one-component, and names the point that stands for it.
+const (
+	mcDead  int32 = -1 // no edge can end here: the micro-cluster is never visited
+	mcMixed int32 = -2 // decided member by member
+)
+
+// classifyMCs fills mcClass. mergeWndqCore does one of two things with a
+// member q of a visited micro-cluster: a union if q is a flagged core, a Pair
+// if q is a non-core halo point. An MC with neither kind of member is dead.
+// One with no non-core halo member whose flagged cores all have one root — a
+// whole MC, by construction — is one component: a wndq-core either shares it,
+// and the MC has nothing to add, or joins it by its first merging union, and
+// the other members have nothing more. Both are read at the barrier after
+// step 3, where core flags are final, and "same component" only ever becomes
+// true, so they hold through the pass whatever other workers union meanwhile
+// (DESIGN.md §8).
+func (r *run) classifyMCs() {
+	r.mcClass = make([]int32, r.ix.NumMCs())
+	r.each(len(r.mcClass), func(_ *worker, k int) {
+		class, root := mcDead, 0
+		if r.mcWhole[k] {
+			class = int32(r.ix.CenterID(k))
+		} else {
+			for _, q := range r.ix.Members(k) {
+				if r.flags.get(int(q))&flagCore == 0 {
+					if r.isHalo(q) {
+						class = mcMixed
+						break
+					}
+				} else if class == mcDead {
+					class, root = q, r.uf.Find(int(q))
+				} else if r.uf.Find(int(q)) != root {
+					class = mcMixed
+					break
+				}
+			}
+		}
+		r.mcClass[k] = class
+	})
 }
 
 // pruneSlack is δ, the margin by which a triangle-inequality bound must
@@ -683,44 +727,49 @@ func (r *run) postProcessCore() {
 const pruneSlack = 1e-9
 
 // mergeWndqCores is postProcessCore's body for one micro-cluster: every
-// wndq-core among its members against the reachable micro-clusters.
+// wndq-core among its members against the reachable micro-clusters that are
+// not dead.
 func (r *run) mergeWndqCores(w *worker, a int) {
-	reach := r.ix.Reach(a)
-	centerDist := w.dist[:0] // d(cA, cZ) per reachable Z, filled for the first wndq-core found
+	// The live part of A's reach list and d(cA, cZ) for each Z on it, filled
+	// for the first wndq-core found.
+	live, centerDist, filled := w.nbhd[:0], w.dist[:0], false
 	for _, pid := range r.ix.Members(a) {
 		if r.flags.get(int(pid))&flagWndq == 0 {
 			continue
 		}
-		if len(centerDist) == 0 { // reach is never empty: it holds the MC itself
+		if !filled {
+			filled = true
 			ca := r.ix.Center(a)
-			for _, rid := range reach {
-				centerDist = append(centerDist, math.Sqrt(r.kern(ca, r.ix.Center(int(rid)))))
+			for _, rid := range r.ix.Reach(a) {
+				if r.mcClass[rid] != mcDead {
+					live = append(live, int(rid))
+					centerDist = append(centerDist, math.Sqrt(r.kern(ca, r.ix.Center(int(rid)))))
+				}
 			}
-			w.centerCalcs += int64(len(reach))
+			w.centerCalcs += int64(len(live))
 		}
-		r.mergeWndqCore(w, pid, reach, centerDist)
+		r.mergeWndqCore(w, pid, live, centerDist)
 	}
-	w.dist = centerDist
+	w.nbhd, w.dist = live, centerDist
 }
 
-// mergeWndqCore merges one wndq-core point of a micro-cluster whose reachable
-// list is reach, at centre distances centerDist.
-func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []float64) {
+// mergeWndqCore merges one wndq-core point of a micro-cluster whose live
+// reachable micro-clusters are reach, at centre distances centerDist.
+func (r *run) mergeWndqCore(w *worker, pid int32, reach []int, centerDist []float64) {
 	eps2 := r.eps * r.eps
 	prune2 := 4 * r.eps * r.eps
 	p := r.set.Point(int(pid))
 	centerDistOf := r.ix.CenterDist
 	toCenter := centerDistOf[pid]
 	rootP := r.uf.Find(int(pid))
-	for j, rid := range reach {
+	for j, z := range reach {
 		if centerDist[j]-toCenter >= r.far2 {
 			continue
 		}
-		z := int(rid)
-		// A whole micro-cluster already in p's component has nothing to
-		// add, wherever it lies: decided before its centre is touched.
-		wholeMC := r.mcWhole[z]
-		if wholeMC && r.uf.Find(r.ix.CenterID(z)) == rootP {
+		// A one-component micro-cluster already in p's component has nothing
+		// to add, wherever it lies: decided before its centre is touched.
+		rep := r.mcClass[z]
+		if rep >= 0 && r.uf.Find(int(rep)) == rootP {
 			continue
 		}
 		w.centerCalcs++
@@ -737,7 +786,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 				continue
 			}
 			if r.flags.get(int(q))&flagCore != 0 {
-				if !wholeMC && r.uf.Find(int(q)) == rootP {
+				if rep < 0 && r.uf.Find(int(q)) == rootP {
 					continue
 				}
 				w.distCalcs++
@@ -746,7 +795,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 				}
 				r.uf.Union(int(pid), int(q))
 				rootP = r.uf.Find(int(pid))
-				if wholeMC {
+				if rep >= 0 {
 					// The union just absorbed the whole micro-cluster.
 					break
 				}

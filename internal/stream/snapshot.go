@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
@@ -64,7 +65,7 @@ func (c *Clusterer) Snapshot() *Snapshot {
 		for k := range sh.cells {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+		slices.SortFunc(keys, cellKey.compare)
 		for _, k := range keys {
 			cl := sh.cells[k]
 			for i, t := range cl.times {
@@ -79,12 +80,19 @@ func (c *Clusterer) Snapshot() *Snapshot {
 		sh.mu.Unlock()
 	}
 
-	n := len(seqs)
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
+	// Arrival order: sequence numbers are unique, so sorting (seq, position
+	// gathered at) pairs is a total order and the window comes out the same
+	// whatever the shard count put where.
+	type arrival struct {
+		seq int64
+		at  int // 16 bytes a pair either way: an int32 would only add a ceiling
 	}
-	sort.Slice(ord, func(i, j int) bool { return seqs[ord[i]] < seqs[ord[j]] })
+	n := len(seqs)
+	ord := make([]arrival, n)
+	for i, seq := range seqs {
+		ord[i] = arrival{seq, i}
+	}
+	slices.SortFunc(ord, func(a, b arrival) int { return cmp.Compare(a.seq, b.seq) })
 
 	s := &Snapshot{
 		Eps: c.eps, MinPts: c.minPts, Dim: c.dim, Time: now,
@@ -96,12 +104,10 @@ func (c *Clusterer) Snapshot() *Snapshot {
 	s.Seqs = make([]int64, n)
 	s.Times = make([]float64, n)
 	pts := make([]geom.Point, n)
-	for i, o := range ord {
-		s.Seqs[i] = seqs[o]
-		s.Times[i] = times[o]
-		s.Points.AppendRow(coords[o*c.dim : (o+1)*c.dim])
-	}
-	for i := range pts {
+	for i, a := range ord {
+		s.Seqs[i] = a.seq
+		s.Times[i] = times[a.at]
+		s.Points.AppendRow(coords[a.at*c.dim : (a.at+1)*c.dim])
 		pts[i] = s.Points.Point(i)
 	}
 	res, _ := core.Run(pts, c.eps, c.minPts, core.Options{})

@@ -32,6 +32,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -82,14 +83,14 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// less orders keys lexicographically; used to iterate cells deterministically.
-func (k cellKey) less(o cellKey) bool {
+// compare orders keys lexicographically; used to iterate cells deterministically.
+func (k cellKey) compare(o cellKey) int {
 	for i := 0; i < 4; i++ {
 		if k.lo[i] != o.lo[i] {
-			return k.lo[i] < o.lo[i]
+			return cmp.Compare(k.lo[i], o.lo[i])
 		}
 	}
-	return k.hi < o.hi
+	return cmp.Compare(k.hi, o.hi)
 }
 
 // cell is one micro-cluster bucket: the points currently stored in one
