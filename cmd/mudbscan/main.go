@@ -247,14 +247,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 
 // printRunStats writes the -stats line of a single-host run: the counters,
 // point-to-point distance computations next to the centre tests of steps 3
-// and 4. The parallel mode adds the worker count and the step split.
+// and 4, then how many of the queries step 3 had to run a second time in full.
+// The parallel mode adds the worker count and the step split.
 func printRunStats(w io.Writer, n int, st *mudbscan.SeqStats, parallel bool, elapsed time.Duration) {
 	workers := ""
 	if parallel {
 		workers = fmt.Sprintf(" workers=%d", st.Workers)
 	}
-	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d time=%v\n",
-		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, elapsed)
+	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d requeries=%d time=%v\n",
+		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, st.Requeries, elapsed)
 	if parallel {
 		fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
 			st.Steps.TreeConstruction, st.Steps.FindingReachable,

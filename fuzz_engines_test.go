@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,6 +104,47 @@ func fuzzSeeds() map[string][]byte {
 	return seeds
 }
 
+// fuzzDenseSeeds are fat micro-clusters beside a sparse fringe at d = 3 and
+// d = 5, MinPts 5 and 8: three points in four fall on the five lattice values
+// across one ε of every axis (a blob a few micro-clusters wide, dozens of
+// members each), the fourth anywhere in the 4ε box around it. That is where
+// step 3's short query lives — whole micro-clusters it settles and walks at
+// ε/2, rim and fringe points that come back short of MinPts and are queried
+// again — and the mutator should start from it, not have to find it.
+func fuzzDenseSeeds() [][]byte {
+	var seeds [][]byte
+	for _, dimSel := range []byte{2, 3} {
+		for _, minPts := range []byte{5, 8} {
+			rng := rand.New(rand.NewSource(int64(dimSel)<<8 | int64(minPts)))
+			b := []byte{dimSel, minPts - 1, 5<<1 | 1} // step 1/4, span 16
+			for i := 0; i < fuzzMaxPoints; i++ {
+				for j := 0; j < fuzzDims[dimSel]; j++ {
+					if i%4 == 3 {
+						b = append(b, byte(rng.Intn(16)))
+					} else {
+						b = append(b, byte(6+rng.Intn(5)))
+					}
+				}
+			}
+			seeds = append(seeds, b)
+		}
+	}
+	return seeds
+}
+
+// TestFuzzEnginesDenseSeeds: each dense seed puts queries on both sides of the
+// short query's fallback — some are run again in full, most are not.
+func TestFuzzEnginesDenseSeeds(t *testing.T) {
+	for k, seed := range fuzzDenseSeeds() {
+		pts, minPts := fuzzDecode(seed)
+		_, st := core.Run(pts, fuzzEps, minPts, core.Options{})
+		if len(pts) != fuzzMaxPoints || st.Requeries == 0 || 2*st.Requeries >= st.Queries {
+			t.Errorf("seed %d (d=%d, MinPts %d): %d points, %d of %d queries rerun",
+				k, len(pts[0]), minPts, len(pts), st.Requeries, st.Queries)
+		}
+	}
+}
+
 var updateFuzzSeeds = flag.Bool("update-fuzz-seeds", false, "rewrite testdata/fuzz/FuzzEngines from the conformance and scenario datasets")
 
 // TestFuzzEnginesSeedCorpus keeps the checked-in seed corpus equal to the
@@ -178,6 +220,9 @@ func FuzzEngines(f *testing.F) {
 		}
 	}
 	f.Add(halo)
+	for _, seed := range fuzzDenseSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pts, minPts := fuzzDecode(b)
 		if pts == nil {

@@ -12,7 +12,9 @@
 //  2. Reachable micro-cluster computation (Lemma 3) to bound every later
 //     search to MCs whose centers are within 3ε.
 //  3. Clustering: each point not yet known core runs one exact
-//     ε-neighborhood query confined to its filtered reachable MCs; dense
+//     ε-neighborhood query confined to its filtered reachable MCs — asking a
+//     micro-cluster that is already one finished component only for its ε/2
+//     ball, and again in full if that leaves it undecided; dense
 //     ε/2-neighborhoods dynamically mark further wndq-cores, saving their
 //     queries too.
 //  4. Post-processing: wndq-core points are merged with every other core
@@ -91,6 +93,10 @@ type Stats struct {
 	NumMCs int
 	// Queries is the number of ε-neighborhood queries executed.
 	Queries int
+	// Requeries is the number of those queries that ran twice: step 3 first
+	// asks the micro-clusters it has settled for their ε/2 balls only, and a
+	// point that this leaves short of MinPts is queried again in full.
+	Requeries int
 	// QueriesSaved is the number of points proven core without a query
 	// (wndq-core points from steps 1 and 3).
 	QueriesSaved int
@@ -318,6 +324,7 @@ type worker struct {
 	pairs     []Pair
 
 	queries     int
+	requeries   int
 	wndqFromMCs int
 	wndqDynamic int
 	distCalcs   int64
@@ -425,6 +432,7 @@ func (r *run) result(st *Stats) *LocalResult {
 			lr.NoiseNbhd[e.id] = e.nbhd
 		}
 		st.Queries += wk.queries
+		st.Requeries += wk.requeries
 		st.WndqFromMCs += wk.wndqFromMCs
 		st.WndqDynamic += wk.wndqDynamic
 		st.DistCalcs += wk.distCalcs
@@ -543,16 +551,63 @@ func (r *run) processRemaining() {
 // core-point expansion) it performs zero heap allocations — the regression
 // test pins that down with testing.AllocsPerRun.
 //
+// The query is core-first. A whole micro-cluster Z is one finished component
+// (preliminaryClusters), and it is settled for p when p is bound to end in
+// that component if it is core at all — its centre, a flagged core, lies
+// strictly within ε of p, or Find says p is there already. Linking p to a
+// member of a settled Z is then a no-op but for one union with the centre
+// (the argument of the skip in the link loop below, made before the distances
+// are computed instead of after), so all p needs of Z is its ε/2 ball, for
+// the promotion, and that centre. Z is walked at ε/2 and its centre, when it
+// lies in the annulus the walk leaves out, joins the hits with the d² the 2ε
+// test just computed. The hits are a subset of N_ε(p) that holds every ε/2
+// neighbor: MinPts of them prove p core and the promotion sees what it always
+// saw. Fewer prove nothing, and the query is rerun in full (DESIGN.md §8,
+// cut (f)).
+//
 //mulint:noalloc static twin of TestProcessPointZeroAllocs (allocs_test.go); the cold paths below carry explicit allows
 func (r *run) processPoint(w *worker, i int) {
 	p := r.set.Point(i)
-	var calcs int
-	w.dist = w.dist[:0]
-	w.nbhd, calcs, _ = r.ix.EpsNeighborhoodDistInto(p, i, w.nbhd[:0], &w.dist)
-	nbhd := w.nbhd
-	w.distCalcs += int64(calcs)
-	w.centerCalcs += int64(len(r.ix.Reach(int(r.ix.PointMC[i])))) // the query's 2ε tests
+	half := r.eps / 2
+	eps2, half2, prune2 := r.eps*r.eps, half*half, 4*r.eps*r.eps
+	reach := r.ix.Reach(int(r.ix.PointMC[i]))
+	rootP := r.uf.Find(i) // may go stale; a mismatch below only costs the full walk
+	settled := false
+	w.nbhd, w.dist = w.nbhd[:0], w.dist[:0]
+	for _, rid := range reach {
+		z := int(rid)
+		cz := r.ix.CenterID(z)
+		pz2 := r.within(p, r.set.Row(cz), prune2)
+		if pz2 >= prune2 {
+			continue
+		}
+		radius, short := r.eps, r.mcWhole[z] && (pz2 < eps2 || r.uf.Find(cz) == rootP)
+		if short {
+			radius, settled = half, true
+		}
+		if r.ix.AuxOverlapsRegion(z, p, radius) {
+			var calcs int
+			w.nbhd, calcs = r.ix.AuxSphereDistInto(z, p, radius, w.nbhd, &w.dist)
+			w.distCalcs += int64(calcs)
+		}
+		if short && pz2 >= half2 && pz2 < eps2 {
+			w.nbhd, w.dist = append(w.nbhd, cz), append(w.dist, pz2)
+		}
+	}
+	w.centerCalcs += int64(len(reach)) // the query's 2ε tests
 	w.queries++
+	if settled && len(w.nbhd) < r.minPts {
+		// Undecided: a settled micro-cluster may hold the rest of MinPts in
+		// the annulus. The border and noise paths below want N_ε(p) whole and
+		// in reach-list order, so the short hits are dropped, not topped up.
+		var calcs int
+		w.dist = w.dist[:0]
+		w.nbhd, calcs, _ = r.ix.EpsNeighborhoodDistInto(p, i, w.nbhd[:0], &w.dist)
+		w.distCalcs += int64(calcs)
+		w.centerCalcs += int64(len(reach))
+		w.requeries++
+	}
+	nbhd := w.nbhd
 
 	if len(nbhd) < r.minPts {
 		// A point already claimed as a border (e.g. by a preliminary
@@ -587,7 +642,6 @@ func (r *run) processPoint(w *worker, i int) {
 	// contain it entirely). The inner-circle test reads the squared
 	// distances the query's leaf scans handed over; no kernel call.
 	if !r.opts.DisableWndq {
-		half2 := (r.eps / 2) * (r.eps / 2)
 		innerCount := 0
 		for _, d2 := range w.dist {
 			if d2 < half2 {
@@ -603,13 +657,14 @@ func (r *run) processPoint(w *worker, i int) {
 		}
 	}
 	// Hits arrive grouped by micro-cluster: each reachable micro-cluster
-	// contributes one contiguous run. Once i has been unioned with a flagged
-	// core of a whole micro-cluster, the rest of that run is skipped: its
-	// flagged cores share the centre's component, which is now i's, and its
-	// other members carry flagAssigned since step 1, so every one of those
-	// links is a no-op. (In a whole micro-cluster a link succeeds only
-	// against a flagged core: no member is left to claim.) The run's end is
-	// found by bisection on PointMC, a few loads in place of one per hit.
+	// contributes one contiguous run (a settled one its ε/2 ball, then its
+	// centre). Once i has been unioned with a flagged core of a whole
+	// micro-cluster, the rest of that run is skipped: its flagged cores share
+	// the centre's component, which is now i's, and its other members carry
+	// flagAssigned since step 1, so every one of those links is a no-op. (In
+	// a whole micro-cluster a link succeeds only against a flagged core: no
+	// member is left to claim.) The run's end is found by bisection on
+	// PointMC, a few loads in place of one per hit.
 	for k := 0; k < len(nbhd); {
 		q := nbhd[k]
 		k++

@@ -176,6 +176,18 @@ func (ix *Index) AuxOverlapsRegion(k int, p geom.Point, r float64) bool {
 	return ix.aux.OverlapsRegion(ix.mcs[k].root, p, r)
 }
 
+// AuxSphereDistInto appends to dst the members of micro-cluster k strictly
+// within r of p, in its auxiliary tree's order, and their squared distances to
+// *dist in step; it returns the extended slice and the number of
+// point-distance computations. It is one micro-cluster's share of
+// EpsNeighborhoodDistInto at a radius of the caller's choosing: μDBSCAN's
+// step 3 asks a micro-cluster it has settled for its ε/2 ball only.
+//
+//mulint:noalloc one auxiliary-tree walk under SphereDistIntoAt's contract; runs under TestProcessPointZeroAllocs
+func (ix *Index) AuxSphereDistInto(k int, p geom.Point, r float64, dst []int, dist *[]float64) ([]int, int) {
+	return ix.aux.SphereDistIntoAt(ix.mcs[k].root, p, r, true, dst, dist)
+}
+
 // Build scans pts and constructs micro-clusters per Algorithm 3: a point
 // joins the nearest existing MC whose center is strictly within ε; otherwise,
 // if some center lies within 2ε, the point is deferred to an unassigned list
