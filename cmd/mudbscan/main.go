@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mudbscan -eps 0.5 -minpts 5 [-mode seq|cell|auto|parallel|dist|stream]
+//	mudbscan -eps 0.5 -minpts 5 [-mode seq|shared|cell|auto|dist|stream]
 //	         [-ranks 8] [-dist-serial] [-hardened] [-chaos-seed 3] [-workers 4]
 //	         [-lambda 0.01] [-prune-below 0.1]
 //	         [-net tcp|unix|launch] [-rank N] [-peers a,b,...]
@@ -14,13 +14,13 @@
 // (detected by extension .bin). "-" reads stdin. Labels are written one per
 // line: a cluster id in [0, #clusters) or -1 for noise.
 //
-// -mode seq is the sequential μR-tree engine, -mode cell the grid cell
-// engine (exact and byte-identical to seq, typically faster at low
-// dimensionality; -workers bounds its parallelism), and -mode auto profiles
-// the dataset and picks between them (-stats reports which engine ran).
-// -mode parallel is the seq engine on -workers goroutines (0 = all cores):
-// the same cores, partition and noise; border ties may resolve differently
-// from run to run.
+// -mode takes the names of mudbscan.Engine. -mode seq is the sequential
+// μR-tree engine, -mode cell the grid cell engine (exact and byte-identical
+// to seq, typically faster at low dimensionality; -workers bounds its
+// parallelism), and -mode auto profiles the dataset and picks between them
+// (-stats reports which engine ran). -mode shared is the seq engine on
+// -workers goroutines (0 = all cores): the same cores, partition and noise;
+// border ties may resolve differently from run to run.
 //
 // -mode stream feeds the rows through the streaming tier in order and labels
 // them from the final exact snapshot — identical to seq by default (landmark
@@ -100,14 +100,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	var (
 		eps     = fs.Float64("eps", 0, "DBSCAN ε radius (required, > 0)")
 		minPts  = fs.Int("minpts", 5, "DBSCAN MinPts density threshold")
-		mode    = fs.String("mode", "seq", "execution mode: seq, cell, auto, parallel, dist or stream")
+		mode    = fs.String("mode", "seq", "engine: seq, shared, cell, auto, dist or stream")
 		lambda  = fs.Float64("lambda", 0, "decay rate for -mode stream (0 = landmark window, nothing expires)")
 		prune   = fs.Float64("prune-below", 0, "expiry weight threshold for -mode stream -lambda (0 = default 0.1)")
 		ranks   = fs.Int("ranks", 8, "simulated ranks for -mode dist (power of two)")
 		distSer = fs.Bool("dist-serial", false, "run -mode dist ranks one at a time (isolation timing) instead of concurrently")
 		harden  = fs.Bool("hardened", false, "wrap -mode dist messages in checksummed ack/retransmit envelopes")
 		chSeed  = fs.Int64("chaos-seed", 0, "inject deterministic network faults into -mode dist from this seed (0 = off; implies -hardened)")
-		workers = fs.Int("workers", 0, "goroutines for -mode parallel, cell and auto (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "goroutines for -mode shared, cell and auto (0 = GOMAXPROCS), ingest shards for -mode stream")
 		inPath  = fs.String("in", "-", "input dataset (CSV, or .bin binary; - = stdin)")
 		outPath = fs.String("out", "-", "output labels file (- = stdout)")
 		stats   = fs.Bool("stats", false, "print run statistics to stderr")
@@ -127,6 +127,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	}
 	if *eps <= 0 && !*suggest {
 		return usagef("-eps is required and must be positive")
+	}
+	engine, err := mudbscan.ParseEngine(*mode)
+	if err != nil {
+		return usagef("-mode: %v", err)
 	}
 	netCfg, err := parseNetFlags(fs, *netMode, *rank, *peers, *mode, *ranks, *distSer, *chSeed)
 	if err != nil {
@@ -163,37 +167,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		rows[i] = p
 	}
 
+	if engine == mudbscan.EngineAuto && *stats {
+		// Named before the run: a use of rows after it would keep the row
+		// table alive through the whole run, and the peak RSS with it.
+		fmt.Fprintf(stderr, "engine=%s\n", mudbscan.ChooseEngine(rows, *eps, *minPts))
+	}
 	start := time.Now()
 	var result *mudbscan.Result
-	switch *mode {
-	case "seq":
-		var st *mudbscan.SeqStats
-		result, st, err = mudbscan.ClusterWithStats(rows, *eps, *minPts)
-		if err == nil && *stats {
-			printRunStats(stderr, len(pts), st, false, time.Since(start))
-		}
-	case "cell", "auto":
-		engine := mudbscan.EngineCell
-		if *mode == "auto" {
-			engine = mudbscan.EngineAuto
-		}
-		var st *mudbscan.SeqStats
-		result, st, err = mudbscan.ClusterWithStats(rows, *eps, *minPts,
-			mudbscan.WithEngine(engine), mudbscan.WithWorkers(*workers))
-		if err == nil && *stats {
-			if *mode == "auto" {
-				fmt.Fprintf(stderr, "engine=%s\n", mudbscan.ChooseEngine(rows, *eps, *minPts))
-			}
-			// m is cells under the cell engine, micro-clusters under μR-tree.
-			printRunStats(stderr, len(pts), st, false, time.Since(start))
-		}
-	case "parallel":
-		var st *mudbscan.ParStats
-		result, st, err = mudbscan.ClusterParallel(rows, *eps, *minPts, mudbscan.WithWorkers(*workers))
-		if err == nil && *stats {
-			printRunStats(stderr, len(pts), st, true, time.Since(start))
-		}
-	case "dist":
+	if engine == mudbscan.EngineDist {
 		if netCfg != nil {
 			if netCfg.launch {
 				return runLaunch(*ranks, pts, *eps, *minPts, *stats, *outPath, stdout, stderr)
@@ -222,18 +203,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 					st.Comm.CorruptDropped, st.Comm.DupDropped)
 			}
 		}
-	case "stream":
-		result, err = mudbscan.ClusterStream(rows, *eps, *minPts,
-			mudbscan.WithStreamWindow(*lambda, *prune), mudbscan.WithWorkers(*workers))
+	} else {
+		var st *mudbscan.SeqStats
+		result, st, err = mudbscan.ClusterWithStats(rows, *eps, *minPts, mudbscan.WithEngine(engine),
+			mudbscan.WithWorkers(*workers), mudbscan.WithStreamWindow(*lambda, *prune))
 		if err == nil && *stats {
-			window := "landmark"
-			if *lambda > 0 {
-				window = fmt.Sprintf("damped(lambda=%g)", *lambda)
-			}
-			fmt.Fprintf(stderr, "n=%d window=%s time=%v\n", len(pts), window, time.Since(start))
+			printRunStats(stderr, len(pts), engine, st, *lambda, time.Since(start))
 		}
-	default:
-		return usagef("unknown -mode %q (want seq, cell, auto, parallel, dist or stream)", *mode)
 	}
 	if err != nil {
 		return err
@@ -245,11 +221,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	return writeLabels(*outPath, stdout, result.Labels)
 }
 
-// printRunStats writes the -stats line of a single-host run: the counters,
-// point-to-point distance computations next to the centre tests of steps 3
-// and 4, then how many of the queries step 3 had to run a second time in full.
-// The parallel mode adds the worker count and the step split.
-func printRunStats(w io.Writer, n int, st *mudbscan.SeqStats, parallel bool, elapsed time.Duration) {
+// printRunStats writes the -stats line of a run on one host. A stream run
+// reports its window. Every other engine reports the counters (m counts
+// cells under the cell engine, micro-clusters otherwise): point-to-point
+// distance computations next to the centre tests of steps 3 and 4, then how
+// many of the queries step 3 had to run a second time in full. The shared
+// engine adds the worker count and the step split.
+func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqStats, lambda float64, elapsed time.Duration) {
+	if engine == mudbscan.EngineStream {
+		window := "landmark"
+		if lambda > 0 {
+			window = fmt.Sprintf("damped(lambda=%g)", lambda)
+		}
+		fmt.Fprintf(w, "n=%d window=%s time=%v\n", n, window, elapsed)
+		return
+	}
+	parallel := engine == mudbscan.EngineShared
 	workers := ""
 	if parallel {
 		workers = fmt.Sprintf(" workers=%d", st.Workers)

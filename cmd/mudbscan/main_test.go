@@ -74,7 +74,7 @@ func TestClusterFromStdinToStdout(t *testing.T) {
 }
 
 func TestModes(t *testing.T) {
-	for _, mode := range []string{"cell", "auto", "parallel", "dist", "stream"} {
+	for _, mode := range []string{"cell", "auto", "shared", "dist", "stream"} {
 		var stdout, stderr bytes.Buffer
 		err := run([]string{"-eps", "0.5", "-minpts", "3", "-mode", mode, "-ranks", "2", "-stats"},
 			strings.NewReader(squareCSV), &stdout, &stderr)
@@ -132,7 +132,7 @@ func TestCellRangeModes(t *testing.T) {
 	if got := strings.Fields(stdout.String()); len(got) != 8 || strings.Join(got, "") != strings.Repeat("-1", 8) {
 		t.Fatalf("auto labels %q, want eight -1", got)
 	}
-	if !strings.Contains(stderr.String(), "engine=mu") {
+	if !strings.Contains(stderr.String(), "engine=seq") {
 		t.Fatalf("auto -stats must report the fallback engine: %q", stderr.String())
 	}
 	err := run([]string{"-eps", "1", "-minpts", "2", "-mode", "cell"},

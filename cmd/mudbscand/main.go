@@ -37,6 +37,7 @@ import (
 	"strings"
 	"syscall"
 
+	"mudbscan"
 	"mudbscan/internal/data"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/server"
@@ -179,7 +180,7 @@ func runClient(sub string, args []string, stdin io.Reader, stdout, stderr io.Wri
 			return usagef("%s: -eps is required and must be positive", sub)
 		}
 		var err error
-		if eng, err = server.ParseEngine(*engine); err != nil {
+		if eng, err = mudbscan.ParseEngine(*engine); err != nil {
 			return usagef("%v", err)
 		}
 		if sub == "query" && *point == "" {

@@ -41,7 +41,7 @@ func run(w io.Writer, n, dim int) error {
 	fmt.Fprintf(w, "assay vectors: %d x %dD, eps=%.0f MinPts=%d\n", len(vectors), dim, eps, minPts)
 
 	start := time.Now()
-	par, stats, err := mudbscan.ClusterParallel(vectors, eps, minPts)
+	par, stats, err := mudbscan.ClusterWithStats(vectors, eps, minPts, mudbscan.WithEngine(mudbscan.EngineShared))
 	if err != nil {
 		return err
 	}

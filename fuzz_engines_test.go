@@ -178,7 +178,8 @@ func TestFuzzEnginesSeedCorpus(t *testing.T) {
 // FuzzEngines is the cross-engine differential: one byte-derived point set
 // through every exact engine the repository has — the μR-tree driver at 1, 2
 // and 4 workers, the grid cell engine, μDBSCAN-D at 1, 2 and 4 ranks, and a
-// landmark stream snapshot — each held to brute force: same core flags, same
+// landmark stream snapshot, then every Engine through Cluster at 1, 2 and 4
+// workers — each held to brute force: same core flags, same
 // core partition, same noise set, every border attached to a core within ε.
 // It is the safety net under any change to *which distances are computed*.
 func FuzzEngines(f *testing.F) {
@@ -264,5 +265,17 @@ func FuzzEngines(f *testing.F) {
 			}
 		}
 		check("stream", c.Snapshot().Result())
+		// The one dispatch: every Engine value through Cluster, so an engine
+		// added to the enum is fuzzed without editing this test.
+		rows := toRows(pts)
+		for e := EngineAuto; int(e) < len(engineNames); e++ {
+			for _, workers := range []int{1, 2, 4} {
+				got, err := Cluster(rows, fuzzEps, minPts, WithEngine(e), WithWorkers(workers))
+				if err != nil {
+					t.Fatalf("Cluster %v@%d: %v", e, workers, err)
+				}
+				check(fmt.Sprintf("Cluster %v@%d", e, workers), got)
+			}
+		}
 	})
 }

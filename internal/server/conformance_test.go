@@ -103,7 +103,7 @@ func TestDaemonConformance(t *testing.T) {
 		})
 
 		t.Run(cc.Name+"/shared-1", func(t *testing.T) {
-			want, _, err := mudbscan.ClusterParallel(rows, cc.Eps, cc.MinPts, mudbscan.WithWorkers(1))
+			want, _, err := mudbscan.ClusterWithStats(rows, cc.Eps, cc.MinPts, mudbscan.WithEngine(EngineShared), mudbscan.WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestDaemonConformance(t *testing.T) {
 		})
 
 		t.Run(cc.Name+"/shared-4", func(t *testing.T) {
-			want, _, err := mudbscan.ClusterParallel(rows, cc.Eps, cc.MinPts, mudbscan.WithWorkers(4))
+			want, _, err := mudbscan.ClusterWithStats(rows, cc.Eps, cc.MinPts, mudbscan.WithEngine(EngineShared), mudbscan.WithWorkers(4))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ type metrics struct {
 	rejQueueFull  int64
 	rejOverloaded int64
 	rejShutdown   int64
-	perEngine     [numEngines]int64 // completed jobs by resolved engine
+	perEngine     [1 << 8]int64 // completed jobs by resolved engine, indexed by its wire byte
 
 	epsQueries int64
 	pings      int64
@@ -75,9 +75,7 @@ func (m *metrics) jobDone(engine Engine, d time.Duration, err error) {
 	switch err {
 	case nil:
 		m.jobsCompleted++
-		if int(engine) < numEngines {
-			m.perEngine[engine]++
-		}
+		m.perEngine[engine]++
 		m.jobTotal += d
 		if d > m.jobMax {
 			m.jobMax = d
@@ -112,7 +110,7 @@ type Stats struct {
 	RejQueueFull  int64
 	RejOverloaded int64
 	RejShutdown   int64
-	PerEngine     [numEngines]int64
+	PerEngine     [1 << 8]int64
 
 	EpsQueries int64
 	Pings      int64
@@ -174,10 +172,8 @@ func (s *Stats) statsFields() []statsField {
 		{"rejected_overloaded", s.RejOverloaded},
 		{"rejected_shutdown", s.RejShutdown},
 	}
-	for e := Engine(0); e < numEngines; e++ {
-		if e == EngineAuto {
-			continue // jobs are counted under their resolved engine
-		}
+	// Jobs are counted under their resolved engine, never auto.
+	for e := EngineSeq; known(e); e++ {
 		fields = append(fields, statsField{"jobs_engine_" + e.String(), s.PerEngine[e]})
 	}
 	return append(fields,

@@ -33,7 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+
+	"mudbscan"
 )
 
 // Frame magics, following the nettrans convention (µ prefix, then the
@@ -148,70 +149,21 @@ func statusErr(code byte) error {
 	}
 }
 
-// Engine selects the execution mode of a clustering job — the
-// mudbscan.Cluster* entry points, the grid cell engine, and auto-selection.
-// Wire values are append-only: existing engines are never renumbered.
-type Engine uint8
+// Engine selects the engine of a clustering job. It is the library's one
+// engine enum, mudbscan.Engine: its values are the job's wire byte, its
+// names are the CLI's and the stats surface's, and mudbscan.ParseEngine
+// parses them. The param a job carries is mudbscan.WithWorkers's.
+type Engine = mudbscan.Engine
 
-//mulint:wire server-engine
+// The engines, re-exported for the daemon's clients.
 const (
-	// EngineAuto picks a concrete engine from the dataset: the grid cell
-	// engine when the library's profile-based selector
-	// (mudbscan.ChooseEngine) favors it, otherwise EngineSeq or
-	// EngineShared by dataset size.
-	EngineAuto Engine = iota
-	// EngineSeq is sequential μDBSCAN (mudbscan.Cluster).
-	EngineSeq
-	// EngineShared is shared-memory μDBSCAN (mudbscan.ClusterParallel);
-	// param is the worker count (default 1, the deterministic choice).
-	EngineShared
-	// EngineDist is μDBSCAN-D (mudbscan.ClusterDistributed); param is the
-	// rank count (default 4, must be a power of two).
-	EngineDist
-	// EngineStream feeds the dataset through the streaming tier in row order
-	// and maps the final exact snapshot back onto the rows — byte-identical
-	// to EngineSeq under the landmark window; param is the ingest shard
-	// count (0 = the tier's default), which never changes the result.
-	EngineStream
-	// EngineCell is the grid cell engine (mudbscan.Cluster with
-	// mudbscan.EngineCell); param is the worker count (0 = the engine's
-	// default, GOMAXPROCS). Exact and byte-identical to EngineSeq at any
-	// worker count.
-	EngineCell
+	EngineAuto   = mudbscan.EngineAuto
+	EngineSeq    = mudbscan.EngineSeq
+	EngineShared = mudbscan.EngineShared
+	EngineDist   = mudbscan.EngineDist
+	EngineStream = mudbscan.EngineStream
+	EngineCell   = mudbscan.EngineCell
 )
-
-// numEngines counts the engines above for validation loops; it is
-// bookkeeping, not a wire value, so it lives outside the wire enum block.
-const numEngines = 6
-
-// engineNames spells each engine as the CLI and metrics surface do.
-var engineNames = [numEngines]string{
-	EngineAuto: "auto", EngineSeq: "seq", EngineShared: "shared",
-	EngineDist: "dist", EngineStream: "stream", EngineCell: "cell",
-}
-
-// String names the engine as the CLI and metrics surface spell it.
-func (e Engine) String() string {
-	if e < numEngines {
-		return engineNames[e]
-	}
-	return fmt.Sprintf("engine(%d)", uint8(e))
-}
-
-// ParseEngine is String's inverse; the empty string means auto.
-func ParseEngine(s string) (Engine, error) {
-	if s == "" {
-		return EngineAuto, nil
-	}
-	for e, name := range engineNames {
-		if s == name {
-			return Engine(e), nil
-		}
-	}
-	last := len(engineNames) - 1
-	return 0, fmt.Errorf("%w: %q (want %s or %s)", ErrUnknownEngine, s,
-		strings.Join(engineNames[:last], ", "), engineNames[last])
-}
 
 // DatasetID identifies a stored dataset: the SHA-256 of its canonical wire
 // encoding (dim u32, n u32, row-major f64 coordinates, little-endian), so

@@ -56,21 +56,6 @@ func TestRbufDecodesAndLatches(t *testing.T) {
 	}
 }
 
-func TestEngineStringParseRoundTrip(t *testing.T) {
-	for e := Engine(0); e < numEngines; e++ {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("round trip %v: got %v, err %v", e, got, err)
-		}
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("unknown engine name must fail")
-	}
-	if e, err := ParseEngine(""); err != nil || e != EngineAuto {
-		t.Fatal("empty engine name must mean auto")
-	}
-}
-
 func TestStatusErrRoundTrip(t *testing.T) {
 	for code := byte(1); code <= statusInternal; code++ {
 		err := statusErr(code)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"mudbscan"
-	"mudbscan/internal/cell"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mc"
 	"mudbscan/internal/mpi/nettrans"
@@ -49,9 +48,6 @@ type Config struct {
 	IndexCacheSize int
 	// MaxFrame bounds one request frame (default nettrans.DefaultMaxFrame).
 	MaxFrame int
-	// AutoThreshold is the point count at which EngineAuto switches from
-	// seq to shared (default 4096).
-	AutoThreshold int
 }
 
 func (c *Config) fillDefaults() {
@@ -75,9 +71,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = nettrans.DefaultMaxFrame
-	}
-	if c.AutoThreshold <= 0 {
-		c.AutoThreshold = 4096
 	}
 }
 
@@ -224,32 +217,14 @@ func (s *Server) worker(scr *mudbscan.Scratch) {
 // runJob executes one clustering job on its resolved engine and stores the
 // outcome in the result cache.
 func (s *Server) runJob(j *job, scr *mudbscan.Scratch) (*result, error) {
-	var (
-		r   *mudbscan.Result
-		err error
-	)
-	switch j.engine {
-	case EngineSeq:
-		r, err = mudbscan.Cluster(j.ds.rows, j.eps, j.minPts, mudbscan.WithScratch(scr))
-	case EngineShared:
-		r, _, err = mudbscan.ClusterParallel(j.ds.rows, j.eps, j.minPts,
-			mudbscan.WithWorkers(j.param), mudbscan.WithScratch(scr))
-	case EngineDist:
-		r, _, err = mudbscan.ClusterDistributed(j.ds.rows, j.eps, j.minPts, j.param)
-	case EngineCell:
-		r, err = mudbscan.Cluster(j.ds.rows, j.eps, j.minPts,
-			mudbscan.WithEngine(mudbscan.EngineCell),
-			mudbscan.WithWorkers(j.param), mudbscan.WithScratch(scr))
-	case EngineStream:
-		// The streaming tier in row order under the landmark window, where
-		// nothing expires: the served bytes are identical to EngineSeq's at
-		// every shard count j.param — the conformance suite pins both.
-		r, err = mudbscan.ClusterStream(j.ds.rows, j.eps, j.minPts, mudbscan.WithWorkers(j.param))
-	default:
-		return nil, ErrUnknownEngine
-	}
+	r, err := mudbscan.Cluster(j.ds.rows, j.eps, j.minPts,
+		mudbscan.WithEngine(j.engine), mudbscan.WithWorkers(j.param), mudbscan.WithScratch(scr))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrInternal, j.engine, err)
+		// ε, MinPts and every row were checked before the job was queued, so
+		// the library refuses a daemon job only for its parameters: a cell
+		// job on data the grid cannot index, a rank count that is not a
+		// power of two.
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadRequest, j.engine, err)
 	}
 	res := &result{labels: r.Labels, core: r.Core, numClusters: r.NumClusters}
 	s.results.put(j.key, res.clone())
@@ -447,58 +422,52 @@ func (c *serverConn) handlePut(tag int64, r *rbuf) {
 	c.writeLocked(tag)
 }
 
-// resolve turns the wire (engine, param) pair into a concrete engine and
-// parameter, applying defaults and the auto heuristic. Auto consults the
-// library's profile-based selector first — the grid cell engine wins
-// whenever mudbscan.ChooseEngine favors it — and only then falls back to
-// the size rule (small → seq, large → shared at GOMAXPROCS). An explicit
-// cell request for data the grid cannot index at this eps is a bad request.
+// autoThreshold is the point count from which EngineAuto runs shared
+// instead of seq, when the library's selector does not pick the grid.
+const autoThreshold = 4096
+
+// known reports whether e is one of the library's engines: its name parses
+// back to it.
+func known(e Engine) bool {
+	got, err := mudbscan.ParseEngine(e.String())
+	return err == nil && got == e
+}
+
+// resolve applies the daemon's own engine policy to a wire (engine, param)
+// pair: auto's choice (the grid cell engine whenever mudbscan.ChooseEngine
+// picks it, otherwise seq below autoThreshold points and shared at
+// GOMAXPROCS from there), the shared default of one worker (the
+// deterministic choice), the dist default of four ranks, and the resource
+// caps on the parameter. What the library itself refuses — a cell job on
+// data the grid cannot index, a rank count that is not a power of two — it
+// refuses when the job runs.
 func (s *Server) resolve(engine Engine, param int, ds *dataset, eps float64, minPts int) (Engine, int, error) {
-	if engine >= numEngines {
+	if !known(engine) {
 		return 0, 0, fmt.Errorf("%w: engine byte %d", ErrUnknownEngine, engine)
 	}
 	if engine == EngineAuto {
-		if mudbscan.ChooseEngine(ds.rows, eps, minPts) == mudbscan.EngineCell {
-			engine, param = EngineCell, 0
-		} else if len(ds.rows) < s.cfg.AutoThreshold {
-			engine = EngineSeq
-		} else {
+		engine, param = EngineSeq, 0
+		if mudbscan.ChooseEngine(ds.rows, eps, minPts) == EngineCell {
+			engine = EngineCell
+		} else if len(ds.rows) >= autoThreshold {
 			engine, param = EngineShared, runtime.GOMAXPROCS(0)
 		}
-	} else if engine == EngineCell && !cell.Representable(ds.rows, eps) {
-		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, mudbscan.ErrCellRange)
 	}
-	switch engine {
-	case EngineShared:
-		if param == 0 {
-			param = 1 // the deterministic default: single-worker shared
-		}
-		if param < 0 || param > maxSharedWork {
-			return 0, 0, fmt.Errorf("%w: shared workers %d out of range", ErrBadRequest, param)
-		}
-	case EngineCell:
-		// param 0 keeps the engine's own default (GOMAXPROCS); the result
-		// is byte-identical at every worker count, so the cache may fold
-		// counts together if it ever wants to.
-		if param < 0 || param > maxSharedWork {
-			return 0, 0, fmt.Errorf("%w: cell workers %d out of range", ErrBadRequest, param)
-		}
-	case EngineDist:
-		if param == 0 {
-			param = 4
-		}
-		if param < 1 || param > maxDistRanks || param&(param-1) != 0 {
-			return 0, 0, fmt.Errorf("%w: dist ranks %d must be a power of two in [1,%d]", ErrBadRequest, param, maxDistRanks)
-		}
-	case EngineStream:
-		// param 0 keeps the tier's own default shard count; snapshots are
-		// byte-identical at every shard count, so the cache may fold counts
-		// together if it ever wants to.
-		if param < 0 || param > maxSharedWork {
-			return 0, 0, fmt.Errorf("%w: stream shards %d out of range", ErrBadRequest, param)
-		}
-	default:
-		param = 0 // seq takes no parameter
+	if param == 0 && engine == EngineShared {
+		param = 1
+	}
+	if param == 0 && engine == EngineDist {
+		param = 4
+	}
+	if engine == EngineSeq {
+		param = 0 // seq takes no parameter; one cache entry whatever was sent
+	}
+	limit := maxSharedWork
+	if engine == EngineDist {
+		limit = maxDistRanks
+	}
+	if param < 0 || param > limit {
+		return 0, 0, fmt.Errorf("%w: %s parameter %d out of range [0,%d]", ErrBadRequest, engine, param, limit)
 	}
 	return engine, param, nil
 }

@@ -8,12 +8,14 @@ import (
 
 // TestResolveEngineAndParam pins the wire→engine resolution table: auto's
 // profile-then-size cascade (cell for low-d data, otherwise seq below the
-// threshold, shared above), the deterministic shared default, dist's
-// power-of-two rank constraint, stream's shard-count parameter, and the
-// forced zero parameter for seq. Real datasets drive the auto rows because
-// resolution now profiles the data itself, not just its size.
+// threshold, shared from there), the deterministic shared default, dist's
+// default and cap, stream's shard-count parameter, and the forced zero
+// parameter for seq. What the library refuses (a grid-unrepresentable cell
+// job, a rank count that is not a power of two) passes resolve and is
+// refused when the job runs. Real datasets drive the auto rows because
+// resolution profiles the data itself, not just its size.
 func TestResolveEngineAndParam(t *testing.T) {
-	srv := New(Config{Workers: 1, AutoThreshold: 8})
+	srv := New(Config{Workers: 1})
 	t.Cleanup(func() { srv.Close() })
 
 	mk := func(dim, n int) *dataset {
@@ -34,9 +36,9 @@ func TestResolveEngineAndParam(t *testing.T) {
 		}
 		return ds
 	}
-	lowDim := mk(2, 6)   // d ≤ 3: the selector always picks cell
-	highDim := mk(8, 6)  // d > 7, below threshold: falls through to seq
-	highBig := mk(8, 12) // d > 7, above threshold: shared at GOMAXPROCS
+	lowDim := mk(2, 6)              // d ≤ 3: the selector always picks cell
+	highDim := mk(8, 6)             // d > 7, below threshold: falls through to seq
+	highBig := mk(8, autoThreshold) // d > 7, at threshold: shared at GOMAXPROCS
 
 	// Coordinates 1e30 apart at eps 0.5: beyond what the grid can index.
 	farID, err := srv.store.put(2, []float64{0, 0, 1e30, 0, 2e30, 0, 3e30, 0})
@@ -68,14 +70,14 @@ func TestResolveEngineAndParam(t *testing.T) {
 		{EngineCell, 0, highDim, EngineCell, 0, nil}, // 0 = engine default
 		{EngineCell, 4, lowDim, EngineCell, 4, nil},
 		{EngineCell, -1, lowDim, 0, 0, ErrBadRequest},
-		{EngineCell, 0, far, 0, 0, ErrBadRequest}, // not representable on the grid
-		{EngineAuto, 0, far, EngineSeq, 0, nil},   // low d, but auto must not pick cell
+		{EngineCell, 0, far, EngineCell, 0, nil}, // the library refuses it at run time
+		{EngineAuto, 0, far, EngineSeq, 0, nil},  // low d, but auto must not pick cell
 		{EngineCell, maxSharedWork + 1, lowDim, 0, 0, ErrBadRequest},
 		{EngineDist, 0, lowDim, EngineDist, 4, nil},
 		{EngineDist, 8, lowDim, EngineDist, 8, nil},
-		{EngineDist, 3, lowDim, 0, 0, ErrBadRequest}, // not a power of two
+		{EngineDist, 3, lowDim, EngineDist, 3, nil}, // the library refuses it at run time
 		{EngineDist, maxDistRanks * 2, lowDim, 0, 0, ErrBadRequest},
-		{numEngines, 0, lowDim, 0, 0, ErrUnknownEngine},
+		{EngineCell + 1, 0, lowDim, 0, 0, ErrUnknownEngine},
 		{Engine(200), 0, lowDim, 0, 0, ErrUnknownEngine},
 	}
 	for _, c := range cases {

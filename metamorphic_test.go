@@ -125,7 +125,7 @@ func runMode(t *testing.T, mode string, rows [][]float64, eps float64, minPts in
 	case "seq":
 		r, err = Cluster(rows, eps, minPts)
 	case "parallel":
-		r, _, err = ClusterParallel(rows, eps, minPts, WithWorkers(4))
+		r, err = Cluster(rows, eps, minPts, WithEngine(EngineShared), WithWorkers(4))
 	case "dist":
 		r, _, err = ClusterDistributed(rows, eps, minPts, 4, WithSeed(5))
 	default:

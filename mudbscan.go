@@ -13,11 +13,11 @@
 //
 // Every entry point has the same exact semantics:
 //
-//   - Cluster: one host, one of two engines behind WithEngine — sequential
-//     μDBSCAN (the default) or the grid cell engine, with EngineAuto choosing
-//     between them from a cheap profile of the data.
-//   - ClusterParallel: multi-core shared-memory μDBSCAN, the same driver as
-//     Cluster's default on WithWorkers goroutines.
+//   - Cluster: any of the engines behind WithEngine — sequential μDBSCAN
+//     (the default), shared-memory μDBSCAN on WithWorkers goroutines, the
+//     grid cell engine, μDBSCAN-D, the streaming tier, or EngineAuto, which
+//     picks the cell engine or sequential μDBSCAN from a cheap profile of the
+//     data.
 //   - ClusterDistributed: μDBSCAN-D over simulated message-passing ranks
 //     (spatial kd partitioning, ε-halo exchange, local clustering, query-free
 //     merge); ranks run truly concurrently unless WithSerialSimulation puts
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 
 	"mudbscan/internal/cell"
 	"mudbscan/internal/chaos"
@@ -62,53 +63,78 @@ const Noise = clustering.Noise
 // wall-clock split over the algorithm's four steps.
 type SeqStats = core.Stats
 
-// ParStats reports the work of a shared-memory parallel run: the same
-// record as SeqStats, with Workers saying how many goroutines ran it.
-type ParStats = SeqStats
-
 // DistStats reports the work and communication of a distributed run.
 type DistStats = dist.Stats
 
-// Engine names one of the exact single-host engines behind Cluster and
-// ClusterWithStats. All engines produce byte-identical results — the same
-// Labels, Core flags and NumClusters on every input — they differ only in
-// how the ε-neighborhood work is organized, and therefore in speed.
-type Engine int
+// Engine names one of the exact engines behind Cluster and ClusterWithStats.
+// Every engine returns the exact DBSCAN clustering — the same cores, the
+// same partition of the cores, the same noise — and all but EngineShared at
+// more than one worker return the same bytes; they differ in how the
+// ε-neighborhood work is organized, and therefore in speed. The values are
+// the engine byte of the mudbscand wire protocol: append-only, never
+// renumbered.
+type Engine uint8
 
+//mulint:wire server-engine
 const (
-	// EngineMuTree is the paper's μR-tree engine (the default): points are
-	// grouped into ε-sphere micro-clusters indexed by a two-level R-tree.
-	// Its cost grows gently with dimensionality, making it the safe choice
-	// for d ≳ 4.
-	EngineMuTree Engine = iota
+	// EngineAuto profiles the dataset with cheap statistics (dimensionality
+	// plus the cell-occupancy of a bounded sample) and runs EngineCell or
+	// EngineSeq; ChooseEngine exposes the decision.
+	EngineAuto Engine = iota
+	// EngineSeq is the paper's sequential μR-tree engine: points are grouped
+	// into ε-sphere micro-clusters indexed by a two-level R-tree. Its cost
+	// grows gently with dimensionality, making it the safe choice for d ≳ 4.
+	EngineSeq
+	// EngineShared is shared-memory μDBSCAN: the EngineSeq driver on
+	// WithWorkers goroutines. Which cluster a border point joins may differ
+	// between runs at more than one worker (as DBSCAN permits).
+	EngineShared
+	// EngineDist is μDBSCAN-D on WithWorkers simulated ranks (a power of
+	// two; ClusterDistributed is the same engine with its own options).
+	EngineDist
+	// EngineStream feeds the rows through the streaming tier in order under
+	// the landmark window and maps the final snapshot back onto them
+	// (ClusterStream is the same engine with its window options).
+	EngineStream
 	// EngineCell is the grid engine (cells of side ε/√d over a sorted
 	// non-empty-cell table): any two points sharing a cell are ε-neighbors,
 	// so populated cells go core wholesale and the remaining queries scan a
 	// few adjacent cells. It is typically the fastest engine at d ≤ 3 but
-	// its neighbor-cell enumeration grows exponentially in d. Runs
-	// parallel over cells — WithWorkers caps it, default GOMAXPROCS.
+	// its neighbor-cell enumeration grows exponentially in d.
 	EngineCell
-	// EngineAuto profiles the dataset with cheap statistics (dimensionality
-	// plus the cell-occupancy of a bounded sample) and picks between
-	// EngineMuTree and EngineCell; ChooseEngine exposes the decision.
-	EngineAuto
 )
 
-// String returns the engine's canonical short name, matching the names the
-// mudbscan CLI and the mudbscand wire protocol use.
-func (e Engine) String() string {
-	if e >= 0 && int(e) < len(engineNames) {
-		return engineNames[e]
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
+// engineNames spells each engine as String, ParseEngine, the mudbscan CLI's
+// -mode and the mudbscand wire protocol do.
+var engineNames = [...]string{
+	EngineAuto: "auto", EngineSeq: "seq", EngineShared: "shared",
+	EngineDist: "dist", EngineStream: "stream", EngineCell: "cell",
 }
 
-var engineNames = [...]string{EngineMuTree: "mu", EngineCell: "cell", EngineAuto: "auto"}
+// String returns the engine's name.
+func (e Engine) String() string {
+	if int(e) < len(engineNames) {
+		return engineNames[e]
+	}
+	return fmt.Sprintf("Engine(%d)", uint8(e))
+}
 
-// WithEngine selects the engine for Cluster and ClusterWithStats
-// (default EngineMuTree). ClusterParallel and ClusterDistributed are
-// themselves engines — their own parallel decompositions of the μR-tree
-// algorithm — and ignore this option.
+// ParseEngine is String's inverse; the empty string means EngineAuto.
+func ParseEngine(s string) (Engine, error) {
+	if s == "" {
+		return EngineAuto, nil
+	}
+	for e, name := range engineNames {
+		if s == name {
+			return Engine(e), nil
+		}
+	}
+	return 0, fmt.Errorf("mudbscan: unknown engine %q (want one of %s)", s, strings.Join(engineNames[:], ", "))
+}
+
+// WithEngine selects the engine for Cluster and ClusterWithStats (default
+// EngineSeq). ClusterDistributed and ClusterStream are their engines' typed
+// entry points and ignore it.
 func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 
 // ChooseEngine reports the concrete engine EngineAuto would run on this
@@ -117,28 +143,49 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // building any index. When the profile favors the grid, one further pass
 // (a compare per coordinate) confirms the grid can index the data at this eps
 // (see ErrCellRange). Degenerate inputs — empty data or a non-positive or
-// non-finite eps — and data that fails that check fall back to EngineMuTree.
+// non-finite eps — and data that fails that check fall back to EngineSeq.
 func ChooseEngine(points [][]float64, eps float64, minPts int) Engine {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return EngineMuTree
+		return EngineSeq
 	}
-	return autoEngine(points, eps, minPts)
+	e, _, _ := resolve(points, eps, minPts, EngineAuto, 0)
+	return e
 }
 
-// autoEngine is EngineAuto's decision: the cell engine when the sample
-// profile favors it and the grid can index every coordinate at this ε
-// (one pass, one compare per coordinate), the μR-tree engine otherwise.
-func autoEngine[P ~[]float64](pts []P, eps float64, minPts int) Engine {
-	if cell.Decide(cell.Sample(pts, eps, minPts)) && cell.Representable(pts, eps) {
-		return EngineCell
+// resolve turns a requested engine and WithWorkers count into the engine
+// that runs and its parameter, for every entry point: auto's pick (the grid
+// when the sample profile favors it and the grid can index every
+// coordinate, EngineSeq otherwise — never EngineShared), the default
+// GOMAXPROCS goroutines for shared and cell, and a refusal for data the
+// grid cannot index or a rank count that is not a power of two. An engine
+// it does not know passes through; the dispatch switch refuses it.
+func resolve[P ~[]float64](pts []P, eps float64, minPts int, e Engine, workers int) (Engine, int, error) {
+	auto := e == EngineAuto
+	if auto {
+		e = EngineSeq
+		if cell.Decide(cell.Sample(pts, eps, minPts)) {
+			e = EngineCell
+		}
 	}
-	return EngineMuTree
+	if e == EngineCell && !cell.Representable(pts, eps) {
+		if !auto {
+			return 0, 0, ErrCellRange
+		}
+		e = EngineSeq
+	}
+	if e == EngineDist && (workers < 1 || workers&(workers-1) != 0) {
+		return 0, 0, fmt.Errorf("mudbscan: ranks must be a power of two (1, 2, 4, …), got %d", workers)
+	}
+	if workers <= 0 && (e == EngineShared || e == EngineCell) {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return e, workers, nil
 }
 
 // ErrCellRange is returned when EngineCell is requested for data the grid
 // cannot index: some coordinate lies 2^52 or more cells (of side ε/√d) from
 // the origin, where float64 no longer tells neighbouring cells apart.
-// EngineMuTree has no such limit and EngineAuto falls back to it; translating
+// EngineSeq has no such limit and EngineAuto falls back to it; translating
 // the data towards the origin also lifts it.
 var ErrCellRange = errors.New("mudbscan: coordinates too large relative to eps for the cell engine (need |x|·√d/eps < 2^52)")
 
@@ -187,10 +234,10 @@ func (s *Scratch) grown(n int) []*core.Arena {
 	return s.arenas[:n]
 }
 
-// WithScratch lends s to the run: Cluster borrows its first arena,
-// ClusterParallel one arena per worker. Grown buffers return to s when the
-// run completes. ClusterDistributed ignores it (each simulated rank owns
-// per-run scratch).
+// WithScratch lends s to the run: EngineSeq borrows its first arena,
+// EngineShared and EngineCell one arena per worker. Grown buffers return to
+// s when the run completes. EngineDist and EngineStream ignore it (each
+// simulated rank and each stream owns per-run scratch).
 func WithScratch(s *Scratch) Option { return func(c *config) { c.scratch = s } }
 
 // Option customizes a clustering run.
@@ -205,8 +252,11 @@ func WithRTreeFanout(m int) Option { return func(c *config) { c.fanout = m } }
 // slower — this knob exists for measurement.
 func WithoutQueryReduction() Option { return func(c *config) { c.disableWndq = true } }
 
-// WithWorkers sets the goroutine count for ClusterParallel
-// (default GOMAXPROCS).
+// WithWorkers sets the one parameter of the engine that runs: goroutines
+// for EngineShared and EngineCell (default GOMAXPROCS), ranks for EngineDist
+// (a power of two, no default), ingest shards for EngineStream (default the
+// tier's own). EngineSeq ignores it. ClusterDistributed takes its rank
+// count as an argument instead.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithSampleSize sets the per-rank sample size for the sampling-based
@@ -278,10 +328,10 @@ func validate(points [][]float64, eps float64, minPts int) ([]geom.Point, error)
 }
 
 // Cluster returns the exact DBSCAN clustering of points under the given ε
-// and MinPts, computed by the engine WithEngine selects (default the
-// sequential μR-tree engine; see Engine). A dataset may hold at most 2^31−1
-// points; a larger one is refused with ErrTooManyPoints before any engine
-// runs.
+// and MinPts, computed by the engine WithEngine selects (default EngineSeq).
+// It is ClusterWithStats without the stats. A dataset may hold at most
+// 2^31−1 points; a larger one is refused with ErrTooManyPoints before any
+// engine runs.
 func Cluster(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, error) {
 	r, _, err := ClusterWithStats(points, eps, minPts, opts...)
 	return r, err
@@ -291,9 +341,11 @@ func Cluster(points [][]float64, eps float64, minPts int, opts ...Option) (*Resu
 // EngineCell the micro-cluster fields describe grid cells instead (NumMCs is
 // the non-empty-cell count, QueriesSaved the points proven core by the
 // dense-cell shortcut) and the step split folds the grid's five phases into
-// the paper's four.
+// the paper's four. The stats are nil under EngineDist and EngineStream,
+// whose typed entry points ClusterDistributed and ClusterStream report
+// their own.
 func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, *SeqStats, error) {
-	var cfg config
+	cfg := config{engine: EngineSeq}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -301,36 +353,38 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 	if err != nil {
 		return nil, nil, err
 	}
-	engine := cfg.engine
-	switch engine {
-	case EngineAuto:
-		engine = autoEngine(pts, eps, minPts)
-	case EngineCell:
-		if !cell.Representable(pts, eps) {
-			return nil, nil, ErrCellRange
-		}
+	engine, workers, err := resolve(pts, eps, minPts, cfg.engine, cfg.workers)
+	if err != nil {
+		return nil, nil, err
 	}
-	if engine == EngineCell {
-		copts := cell.Options{Workers: cfg.workers}
+	switch engine {
+	case EngineSeq, EngineShared:
+		copts := core.Options{Fanout: cfg.fanout, DisableWndq: cfg.disableWndq}
+		if engine == EngineShared {
+			copts.Workers = workers
+		}
 		if cfg.scratch != nil {
-			w := cfg.workers
-			if w <= 0 {
-				w = runtime.GOMAXPROCS(0) // cell.Run's own default
-			}
-			copts.Arenas = cfg.scratch.grown(w)
+			copts.Arenas = cfg.scratch.grown(max(copts.Workers, 1))
+		}
+		r, st := core.Run(pts, eps, minPts, copts)
+		return r, st, nil
+	case EngineCell:
+		copts := cell.Options{Workers: workers}
+		if cfg.scratch != nil {
+			copts.Arenas = cfg.scratch.grown(workers)
 		}
 		r, st := cell.Run(pts, eps, minPts, copts)
 		return r, cellSeqStats(st), nil
+	case EngineDist:
+		r, _, err := clusterDistributed(pts, eps, minPts, workers, &cfg)
+		return r, nil, err
+	case EngineStream:
+		r, err := clusterStream(pts, eps, minPts, workers, &cfg)
+		return r, nil, err
+	case EngineAuto:
+		// resolve has replaced it with the engine it picked.
 	}
-	copts := core.Options{
-		Fanout:      cfg.fanout,
-		DisableWndq: cfg.disableWndq,
-	}
-	if cfg.scratch != nil {
-		copts.Arenas = cfg.scratch.grown(1)
-	}
-	r, st := core.Run(pts, eps, minPts, copts)
-	return r, st, nil
+	return nil, nil, fmt.Errorf("mudbscan: unknown engine %v", engine)
 }
 
 // cellSeqStats adapts the cell engine's statistics to the SeqStats shape so
@@ -354,37 +408,10 @@ func cellSeqStats(st *cell.Stats) *SeqStats {
 	}
 }
 
-// ClusterParallel runs the multi-core shared-memory μDBSCAN: the engine
-// behind Cluster on WithWorkers goroutines (default GOMAXPROCS). The result
-// is exact; which cluster a border point joins may differ between runs (as
-// DBSCAN permits).
-func ClusterParallel(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, *ParStats, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	pts, err := validate(points, eps, minPts)
-	if err != nil {
-		return nil, nil, err
-	}
-	copts := core.Options{
-		Fanout:      cfg.fanout,
-		DisableWndq: cfg.disableWndq,
-		Workers:     cfg.workers,
-	}
-	if copts.Workers <= 0 {
-		copts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.scratch != nil {
-		copts.Arenas = cfg.scratch.grown(copts.Workers)
-	}
-	r, st := core.Run(pts, eps, minPts, copts)
-	return r, st, nil
-}
-
 // ClusterDistributed runs μDBSCAN-D over the given number of simulated
-// message-passing ranks (a power of two). The result is exact and identical
-// to Cluster's for every rank count.
+// message-passing ranks, which must be a power of two; any other count is
+// refused before a rank starts. The result is exact and identical to
+// Cluster's for every rank count.
 func ClusterDistributed(points [][]float64, eps float64, minPts, ranks int, opts ...Option) (*Result, *DistStats, error) {
 	var cfg config
 	for _, o := range opts {
@@ -394,9 +421,15 @@ func ClusterDistributed(points [][]float64, eps float64, minPts, ranks int, opts
 	if err != nil {
 		return nil, nil, err
 	}
-	if ranks < 1 {
-		return nil, nil, fmt.Errorf("mudbscan: ranks must be at least 1, got %d", ranks)
+	if _, ranks, err = resolve(pts, eps, minPts, EngineDist, ranks); err != nil {
+		return nil, nil, err
 	}
+	return clusterDistributed(pts, eps, minPts, ranks, &cfg)
+}
+
+// clusterDistributed is EngineDist on validated points and a resolved rank
+// count.
+func clusterDistributed(pts []geom.Point, eps float64, minPts, ranks int, cfg *config) (*Result, *DistStats, error) {
 	exec := dist.ExecConcurrent
 	if cfg.distSerial {
 		exec = dist.ExecSerial

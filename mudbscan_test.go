@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mudbscan/internal/cell"
 	"mudbscan/internal/clustering"
+	"mudbscan/internal/core"
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
@@ -59,7 +62,7 @@ func TestAllModesAgree(t *testing.T) {
 		t.Fatal("stats not populated")
 	}
 
-	par, pst, err := ClusterParallel(rows, eps, minPts, WithWorkers(4))
+	par, pst, err := ClusterWithStats(rows, eps, minPts, WithEngine(EngineShared), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +146,8 @@ func TestOptionsApply(t *testing.T) {
 
 // TestEngineSelection pins the public engine surface: the cell engine behind
 // WithEngine is byte-identical to brute force on every conformance dataset,
-// EngineAuto resolves to exactly the engine ChooseEngine reports, and the
-// selector's dimensionality branches hold.
+// and every engine behind Cluster returns exactly what the direct call it
+// stands for returns — EngineAuto the engine ChooseEngine names.
 func TestEngineSelection(t *testing.T) {
 	for _, cc := range data.ConformanceCases() {
 		rows := toRows(cc.Pts)
@@ -159,18 +162,59 @@ func TestEngineSelection(t *testing.T) {
 		if st.NumMCs == 0 || st.Queries+st.QueriesSaved != len(cc.Pts) {
 			t.Errorf("%s: cell stats not adapted: %+v", cc.Name, st)
 		}
-		// Auto must behave exactly as the engine ChooseEngine names.
 		pick := ChooseEngine(rows, cc.Eps, cc.MinPts)
-		auto, _, err := ClusterWithStats(rows, cc.Eps, cc.MinPts, WithEngine(EngineAuto))
-		if err != nil {
-			t.Fatal(err)
+		engines := []struct {
+			engine  Engine
+			workers int
+			direct  func() (*Result, error)
+		}{
+			{EngineSeq, 0, func() (*Result, error) {
+				r, _ := core.Run(cc.Pts, cc.Eps, cc.MinPts, core.Options{})
+				return r, nil
+			}},
+			{EngineShared, 3, func() (*Result, error) {
+				r, _ := core.Run(cc.Pts, cc.Eps, cc.MinPts, core.Options{Workers: 3})
+				return r, nil
+			}},
+			{EngineCell, 1, func() (*Result, error) {
+				r, _ := cell.Run(cc.Pts, cc.Eps, cc.MinPts, cell.Options{Workers: 1})
+				return r, nil
+			}},
+			{EngineCell, 3, func() (*Result, error) {
+				r, _ := cell.Run(cc.Pts, cc.Eps, cc.MinPts, cell.Options{Workers: 3})
+				return r, nil
+			}},
+			{EngineDist, 2, func() (*Result, error) {
+				r, _, err := ClusterDistributed(rows, cc.Eps, cc.MinPts, 2)
+				return r, err
+			}},
+			{EngineStream, 3, func() (*Result, error) {
+				return ClusterStream(rows, cc.Eps, cc.MinPts, WithWorkers(3))
+			}},
+			{EngineAuto, 0, func() (*Result, error) {
+				return Cluster(rows, cc.Eps, cc.MinPts, WithEngine(pick))
+			}},
 		}
-		direct, _, err := ClusterWithStats(rows, cc.Eps, cc.MinPts, WithEngine(pick))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(direct, auto) {
-			t.Errorf("%s: EngineAuto result differs from ChooseEngine's pick %v", cc.Name, pick)
+		for _, e := range engines {
+			got, err := Cluster(rows, cc.Eps, cc.MinPts, WithEngine(e.engine), WithWorkers(e.workers))
+			if err != nil {
+				t.Fatalf("%s: %v@%d: %v", cc.Name, e.engine, e.workers, err)
+			}
+			direct, err := e.direct()
+			if err != nil {
+				t.Fatalf("%s: direct %v@%d: %v", cc.Name, e.engine, e.workers, err)
+			}
+			if e.engine == EngineShared {
+				// Which cluster a border point joins may differ between runs
+				// at more than one worker; cores, partition and noise may not.
+				if err := equiv(direct, got); err != nil || !reflect.DeepEqual(direct.Core, got.Core) {
+					t.Errorf("%s: shared@%d through Cluster differs from core.Run: %v", cc.Name, e.workers, err)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(direct, got) {
+				t.Errorf("%s: %v@%d through Cluster differs from the direct call", cc.Name, e.engine, e.workers)
+			}
 		}
 	}
 }
@@ -184,16 +228,16 @@ func TestChooseEngineBranches(t *testing.T) {
 		t.Fatalf("2-D blobs chose %v, want cell", e)
 	}
 	high := toRows(data.Blobs(500, 8, 3, 0.3, 0.1, 12))
-	if e := ChooseEngine(high, 0.5, 5); e != EngineMuTree {
-		t.Fatalf("8-D blobs chose %v, want mu", e)
+	if e := ChooseEngine(high, 0.5, 5); e != EngineSeq {
+		t.Fatalf("8-D blobs chose %v, want seq", e)
 	}
-	if e := ChooseEngine(nil, 0.5, 5); e != EngineMuTree {
-		t.Fatalf("empty input chose %v, want mu", e)
+	if e := ChooseEngine(nil, 0.5, 5); e != EngineSeq {
+		t.Fatalf("empty input chose %v, want seq", e)
 	}
-	if e := ChooseEngine(low, 0, 5); e != EngineMuTree {
-		t.Fatalf("eps=0 chose %v, want mu", e)
+	if e := ChooseEngine(low, 0, 5); e != EngineSeq {
+		t.Fatalf("eps=0 chose %v, want seq", e)
 	}
-	for e, want := range map[Engine]string{EngineMuTree: "mu", EngineCell: "cell", EngineAuto: "auto"} {
+	for e, want := range map[Engine]string{EngineSeq: "seq", EngineCell: "cell", EngineAuto: "auto"} {
 		if e.String() != want {
 			t.Fatalf("Engine(%d).String() = %q, want %q", int(e), e.String(), want)
 		}
@@ -225,10 +269,10 @@ func TestCellRangeGuard(t *testing.T) {
 		if want.NumClusters != 0 {
 			t.Fatalf("%s: brute force found %d clusters in an all-noise lattice", name, want.NumClusters)
 		}
-		if e := ChooseEngine(rows, 1, 2); e != EngineMuTree {
-			t.Errorf("%s: ChooseEngine = %v, want mu", name, e)
+		if e := ChooseEngine(rows, 1, 2); e != EngineSeq {
+			t.Errorf("%s: ChooseEngine = %v, want seq", name, e)
 		}
-		for _, e := range []Engine{EngineMuTree, EngineAuto} {
+		for _, e := range []Engine{EngineSeq, EngineAuto} {
 			got, err := Cluster(rows, 1, 2, WithEngine(e))
 			if err != nil {
 				t.Fatalf("%s: engine %v: %v", name, e, err)
@@ -274,11 +318,35 @@ func TestValidation(t *testing.T) {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if _, _, err := ClusterDistributed(good, 1, 3, 0); err == nil {
-		t.Error("zero ranks: expected error")
+	// The rank count is resolved before any rank starts, on both ways in.
+	for _, ranks := range []int{0, 3, 6} {
+		_, _, err := ClusterDistributed(good, 1, 3, ranks)
+		if err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("%d ranks: err = %v, want the power-of-two rule", ranks, err)
+		}
+		if _, err := Cluster(good, 1, 3, WithEngine(EngineDist), WithWorkers(ranks)); err == nil {
+			t.Errorf("%d ranks through Cluster: expected error", ranks)
+		}
 	}
-	if _, _, err := ClusterDistributed(good, 1, 3, 3); err == nil {
-		t.Error("non-power-of-two ranks: expected error")
+	for _, ranks := range []int{1, 2, 4, 8} {
+		if _, _, err := ClusterDistributed(good, 1, 3, ranks); err != nil {
+			t.Errorf("%d ranks: %v", ranks, err)
+		}
+	}
+}
+
+func TestEngineStringParseRoundTrip(t *testing.T) {
+	for e := EngineAuto; int(e) < len(engineNames); e++ {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Fatalf("round trip %v: got %v, err %v", e, got, err)
+		}
+	}
+	if _, err := ParseEngine("warp"); err == nil {
+		t.Fatal("unknown engine name must fail")
+	}
+	if e, err := ParseEngine(""); err != nil || e != EngineAuto {
+		t.Fatal("empty engine name must mean auto")
 	}
 }
 
@@ -303,7 +371,7 @@ func TestEmptyInput(t *testing.T) {
 	if err != nil || len(r.Labels) != 0 || r.NumClusters != 0 {
 		t.Fatalf("empty input: %v %v", r, err)
 	}
-	rp, _, err := ClusterParallel(nil, 1, 3)
+	rp, _, err := ClusterWithStats(nil, 1, 3, WithEngine(EngineShared))
 	if err != nil || len(rp.Labels) != 0 {
 		t.Fatalf("empty parallel: %v %v", rp, err)
 	}

@@ -36,11 +36,12 @@ func TestWithScratchReuse(t *testing.T) {
 		}
 	}
 
-	wantPar, _, err := mudbscan.ClusterParallel(rows, eps, minPts, mudbscan.WithWorkers(1))
+	shared := mudbscan.WithEngine(mudbscan.EngineShared)
+	wantPar, err := mudbscan.Cluster(rows, eps, minPts, shared, mudbscan.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := mudbscan.ClusterParallel(rows, eps, minPts,
+	got, err := mudbscan.Cluster(rows, eps, minPts, shared,
 		mudbscan.WithWorkers(1), mudbscan.WithScratch(scr))
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +53,11 @@ func TestWithScratchReuse(t *testing.T) {
 	// Multi-worker parallel: border ownership is first-core-wins between
 	// runs, so the bar is exact equivalence, not byte identity — and the
 	// lent scratch must not change that.
-	wantPar4, _, err := mudbscan.ClusterParallel(rows, eps, minPts, mudbscan.WithWorkers(4))
+	wantPar4, err := mudbscan.Cluster(rows, eps, minPts, shared, mudbscan.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got4, _, err := mudbscan.ClusterParallel(rows, eps, minPts,
+	got4, err := mudbscan.Cluster(rows, eps, minPts, shared,
 		mudbscan.WithWorkers(4), mudbscan.WithScratch(scr))
 	if err != nil {
 		t.Fatal(err)

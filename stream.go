@@ -2,6 +2,7 @@ package mudbscan
 
 import (
 	"mudbscan/internal/core"
+	"mudbscan/internal/geom"
 	"mudbscan/internal/stream"
 )
 
@@ -60,6 +61,16 @@ func ClusterStream(points [][]float64, eps float64, minPts int, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
+	_, shards, err := resolve(pts, eps, minPts, EngineStream, cfg.workers)
+	if err != nil {
+		return nil, err
+	}
+	return clusterStream(pts, eps, minPts, shards, &cfg)
+}
+
+// clusterStream is EngineStream on validated points and a resolved shard
+// count.
+func clusterStream(pts []geom.Point, eps float64, minPts, shards int, cfg *config) (*Result, error) {
 	if len(pts) == 0 {
 		r, _ := core.Run(nil, eps, minPts, core.Options{})
 		return r, nil
@@ -67,7 +78,7 @@ func ClusterStream(points [][]float64, eps float64, minPts int, opts ...Option) 
 	c, err := stream.New(len(pts[0]), eps, minPts, stream.Options{
 		Lambda:     cfg.streamLambda,
 		PruneBelow: cfg.streamPrune,
-		Shards:     cfg.workers,
+		Shards:     shards,
 	})
 	if err != nil {
 		return nil, err
