@@ -8,8 +8,9 @@ import (
 	"mudbscan/internal/rtree"
 )
 
-// centerDirectory answers the three centre probes of Algorithm 3's scan.
-// Both implementations decide membership with the geom kernel and break
+// centerDirectory answers the three centre probes of Algorithm 3's scan. The
+// grid is the one the scan uses; the differential tests hold it to a
+// brute-force one. Both decide membership with the geom kernel and break
 // nearest ties with rtree.Nearer, so the micro-cluster set a scan produces
 // does not depend on which one served it.
 type centerDirectory interface {
@@ -26,53 +27,37 @@ type centerDirectory interface {
 	tree() *rtree.Packed
 }
 
-// gridMaxDim is the highest dimensionality served by the hashed grid; above
-// it the scan keeps the dynamic R-tree. A probe visits up to 2^d cells
-// whatever m is, the tree's cost grows with m, so the threshold is where 2^d
-// lookups stop beating a small tree. It is a constant of dim alone, set by
-// measurement (step 1 = Add + Finish, tree → grid, 2 vCPUs):
+// gridAxes is the most axes the grid keys on: it hashes and walks the first
+// min(d, gridAxes) coordinates of a centre and ignores the rest. A probe then
+// visits at most 2^gridAxes cells whatever d and m are; the cells do not
+// bound what a chain holds above gridAxes (centres ε apart in d dimensions
+// can share a cell of the projection), and the bounded kernel is what keeps
+// a long chain cheap there. Step 1 (Add + Finish, median build), the grown
+// R-tree the grid replaced → the grid, 2 vCPUs:
 //
-//	d = 3  GalaxyLike(100000, 3, 5), ε = 2, m = 8 866       0.57 s → 0.10 s
-//	d = 3  HouseholdLike(120000, 3, 1), ε = 0.25, m = 135   0.080 s → 0.077 s
-//	d = 4  GalaxyLike(100000, 4, 5), ε = 2, m = 21 944      2.49 s → 0.28 s
-//	d = 4  HouseholdLike(120000, 4, 1), ε = 0.25, m = 206   0.100 s → 0.088 s
-//	d = 4  Uniform(200000, 4, 20), ε = 1, m = 57 214        4.42 s → 0.67 s
+//	d = 3   GalaxyLike(100000, 3, 5), ε = 2, m = 8 866               0.57 s → 0.10 s
+//	d = 4   GalaxyLike(100000, 4, 5), ε = 2, m = 21 944              2.49 s → 0.28 s
+//	d = 4   Uniform(200000, 4, 20), ε = 1, m = 57 214                4.42 s → 0.67 s
+//	d = 5   HouseholdLike(120000, 5, 1), ε = 0.25, m = 293           0.091 s → 0.067 s
+//	d = 6   Uniform(100000, 6, 10, 1), ε = 1.5, m = 36 080           8.4 s → 3.7 s
+//	d = 8   GalaxyLike(100000, 8, 5), ε = 4, m = 31 457              12.1 s → 2.2 s
+//	d = 14  BioLike(14500, 14, 1), ε = 600, m = 718                  0.060 s → 0.044 s
+//	d = 16  EmbeddingClusters(60000, 16, 6, 42), ε = 0.5, m = 1 807  0.151 s → 0.101 s
 //
-// so d = 4 is in on both the many-MC and the few-MC side. (With ε-sided
-// cells, 3^d and 5^d lookups, the few-MC d = 4 case lost 0.10 s → 0.55 s;
-// the cell side, not the dimension, was what hurt.)
-const gridMaxDim = 4
-
-// newDirectory picks the scan-time directory from the input alone. The grid
-// also needs a finite cell side.
-func newDirectory(dim int, eps float64, fanout int) centerDirectory {
-	if dim <= gridMaxDim && gridSide*eps <= math.MaxFloat64 {
-		return newGridDirectory(dim, eps, fanout)
-	}
-	return treeDirectory{rtree.New(dim, fanout)}
-}
-
-// treeDirectory is the dynamic centre R-tree: every new centre is a Guttman
-// insert, and the tree the scan grew, laid out flat, is the first μR-tree
-// level.
-type treeDirectory struct{ t *rtree.Tree }
-
-func (d treeDirectory) nearest(p geom.Point, r float64) (int, bool) {
-	id, _, ok := d.t.Nearest(p, r, true)
-	return id, ok
-}
-
-func (d treeDirectory) any(p geom.Point, r float64) bool { return d.t.Any(p, r, true) }
-
-func (d treeDirectory) insert(mcID int, center geom.Point) { d.t.Insert(mcID, center) }
-
-func (d treeDirectory) tree() *rtree.Packed { return rtree.Freeze(d.t) }
+// (The d ≤ 4 rows date from when the grid first replaced the tree there; the
+// d ≥ 5 ones include the packer's switch from sorting to selecting. With
+// ε-sided cells, 3^d and 5^d lookups, the few-MC d = 4 case lost 0.10 s →
+// 0.55 s: the cell side, not the dimension, is what hurts.) The worst case is
+// data whose first gridAxes coordinates do not vary: every centre lands in
+// one cell and a probe scans them all — GalaxyLike(100000, 3, 5) behind four
+// zero axes, 7.7 s → 6.6 s, a scan either way.
+const gridAxes = 4
 
 // gridSide is the cell side in units of ε: the diameter of the wider probe
 // (any centre < 2ε), so a probe box is two cells per axis and a probe is at
-// most 2^d hashed lookups. Narrower cells mean more lookups per probe and
-// shorter chains; the lookups are what costs (ε-sided cells took 1.5–2.5× as
-// long as 4ε-sided ones on every dataset above).
+// most 2^gridAxes hashed lookups. Narrower cells mean more lookups per probe
+// and shorter chains; the lookups are what costs (ε-sided cells took 1.5–2.5×
+// as long as 4ε-sided ones on every dataset above).
 const gridSide = 4
 
 // cellLimit bounds cell coordinates so that the width of a probe box cannot
@@ -88,10 +73,10 @@ const cellLimit = 1 << 61
 const maxProbeSpan = 16
 
 // cellMul are the per-axis multipliers of the cell hash Σ c_a·cellMul[a]
-// (mod 2^64). The hash is linear in the cell coordinates, so the hash of a
-// box's next cell is one addition away from the current one's. One odd
-// constant per axis: raising gridMaxDim means adding one here.
-var cellMul = [gridMaxDim]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5}
+// (mod 2^64), one odd constant per keyed axis. The hash is linear in the cell
+// coordinates, so the hash of a box's next cell is one addition away from
+// the current one's.
+var cellMul = [gridAxes]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5}
 
 // gridSlot is one occupied cell: the hash of its coordinates and the chain
 // of centres in it.
@@ -100,38 +85,50 @@ type gridSlot struct {
 	head int32 // newest centre in the cell, −1 while the slot is free
 }
 
-// gridDirectory is a grid over the centres, hashed on the cell coordinates
-// into an open-addressed table that doubles as it fills.
+// gridDirectory is a grid over the centres, keyed on their first axes
+// (gridAxes) and hashed on the cell coordinates into an open-addressed table
+// that doubles as it fills.
 //
-// Centres are pairwise at least ε apart, so a cell holds O(1) of them (at
-// most (gridSide+1)^d), and a probe costs its box of cells whatever m is.
-// Every centre strictly within r of p has its cell inside the box
-// cellOf(p_i − r) … cellOf(p_i + r) on each axis: cellOf is monotone and
-// p_i ∓ r rounds to nearest, so rounding can widen the box but never drop a
-// cell. Whether a centre found there is a hit is the kernel's decision
-// alone, which is also why a slot is identified by its 64-bit hash without
-// keeping the coordinates: two cells that ever shared a hash would share a
-// chain, the probe would test a few more centres, and the answer would be
-// the same.
+// When every axis is keyed (d ≤ gridAxes), centres being pairwise at least ε
+// apart puts at most (gridSide+1)^d of them in a cell, and a probe costs its
+// box of cells whatever m is. Every centre strictly within r of p has its cell
+// inside the box cellOf(p_a − r) … cellOf(p_a + r) on each keyed axis a: a
+// keyed coordinate differs from p's by less than r, cellOf is monotone and
+// p_a ∓ r rounds to nearest, so rounding can widen the box but never drop a
+// cell. Whether a centre found there is a hit is the kernel's decision alone,
+// which is also why a slot is identified by its 64-bit hash without keeping
+// the coordinates: two cells that ever shared a hash would share a chain, the
+// probe would test a few more centres, and the answer would be the same.
 type gridDirectory struct {
-	dim     int
+	axes    int // keyed axes, min(d, gridAxes)
 	side    float64
 	fanout  int
 	kern    geom.DistSqKernel
-	centers *geom.PointSet // row k is the centre of micro-cluster k
-	chain   []int32        // chain[k]: the centre that was in k's cell before k, or −1
-	slots   []gridSlot     // len is a power of two, at most half occupied
-	shift   uint           // 64 − log2(len(slots)): a slot index is the hash's top bits
-	cells   int            // occupied slots
+	bounded geom.BoundedKernel // the chains' kernel above gridAxes; nil at d ≤ gridAxes (kern serves)
+	centers *geom.PointSet     // row k is the centre of micro-cluster k
+	chain   []int32            // chain[k]: the centre that was in k's cell before k, or −1
+	slots   []gridSlot         // len is a power of two, at most half occupied
+	shift   uint               // 64 − log2(len(slots)): a slot index is the hash's top bits
+	cells   int                // occupied slots
 }
 
-func newGridDirectory(dim int, eps float64, fanout int) *gridDirectory {
+// newDirectory returns the scan-time directory: the hashed grid, at every
+// dimensionality and every ε.
+func newDirectory(dim int, eps float64, fanout int) *gridDirectory {
 	g := &gridDirectory{
-		dim:     dim,
+		axes:    min(dim, gridAxes),
 		side:    gridSide * eps,
 		fanout:  fanout,
 		kern:    geom.KernelFor(dim),
 		centers: geom.NewPointSet(dim, 0),
+	}
+	// Above gridAxes a chain is unbounded in the projection and most of it is
+	// far away in the other coordinates: the bounded kernel gives up on such
+	// a centre at the first block of four coordinates that puts it out of
+	// reach. At d ≤ gridAxes it is a closure around the same unrolled body
+	// and would only add a call.
+	if dim > gridAxes {
+		g.bounded = geom.BoundedKernelFor(dim)
 	}
 	g.resize(1 << 6)
 	return g
@@ -177,7 +174,7 @@ func (g *gridDirectory) insert(mcID int, center geom.Point) {
 		g.resize(2 * len(g.slots))
 	}
 	var h uint64
-	for a, v := range center {
+	for a, v := range center[:g.axes] {
 		h += uint64(g.cellOf(v)) * cellMul[a]
 	}
 	s := &g.slots[g.slotOf(h)]
@@ -192,17 +189,22 @@ func (g *gridDirectory) insert(mcID int, center geom.Point) {
 // boxWalk enumerates the cells of one probe box, odometer-wise, carrying
 // the hash of the current cell.
 type boxWalk struct {
-	lo, hi, cur [gridMaxDim]int64
+	lo, hi, cur [gridAxes]int64
 	hash        uint64
 }
 
 // start positions w on the first cell of the probe box of the ball (p, r).
-// It reports false when the box is too wide to walk (see maxProbeSpan).
+// It reports false when there is no box to walk: the box is too wide (see
+// maxProbeSpan), or the cell side itself overflowed (ε > MaxFloat64/gridSide),
+// where p ± r would be quotients of infinities and could drop a cell.
 //
 //mulint:noalloc helper under nearest/any's gate (TestDirectoryProbesZeroAllocs)
 func (g *gridDirectory) start(w *boxWalk, p geom.Point, r float64) bool {
+	if !(g.side <= math.MaxFloat64) {
+		return false
+	}
 	w.hash = 0
-	for a, v := range p {
+	for a, v := range p[:g.axes] {
 		lo, hi := g.cellOf(v-r), g.cellOf(v+r)
 		if hi-lo >= maxProbeSpan {
 			return false
@@ -218,7 +220,7 @@ func (g *gridDirectory) start(w *boxWalk, p geom.Point, r float64) bool {
 //
 //mulint:noalloc helper under nearest/any's gate (TestDirectoryProbesZeroAllocs)
 func (g *gridDirectory) next(w *boxWalk) bool {
-	for a := 0; a < g.dim; a++ {
+	for a := 0; a < g.axes; a++ {
 		if w.cur[a] < w.hi[a] {
 			w.cur[a]++
 			w.hash += cellMul[a]
@@ -244,7 +246,16 @@ func (g *gridDirectory) nearest(p geom.Point, r float64) (int, bool) {
 	}
 	for more := true; more; more = g.next(&w) {
 		for k := g.slots[g.slotOf(w.hash)].head; k >= 0; k = g.chain[k] {
-			if d2 := g.kern(p, g.centers.Row(int(k))); rtree.Nearer(d2, best, int(k), bestID, true) {
+			// The kernel choice is spelled out here and in any: a method
+			// making it is not inlined, and that call was 7 % of a d = 3
+			// build's CPU profile (GalaxyLike(100000, 3, 5), ε = 2).
+			var d2 float64
+			if row := g.centers.Row(int(k)); g.bounded != nil {
+				d2 = g.bounded(p, row, best)
+			} else {
+				d2 = g.kern(p, row)
+			}
+			if rtree.Nearer(d2, best, int(k), bestID, true) {
 				best, bestID = d2, int(k)
 			}
 		}
@@ -262,7 +273,13 @@ func (g *gridDirectory) any(p geom.Point, r float64) bool {
 	r2 := r * r
 	for more := true; more; more = g.next(&w) {
 		for k := g.slots[g.slotOf(w.hash)].head; k >= 0; k = g.chain[k] {
-			if g.kern(p, g.centers.Row(int(k))) < r2 {
+			var d2 float64
+			if row := g.centers.Row(int(k)); g.bounded != nil {
+				d2 = g.bounded(p, row, r2)
+			} else {
+				d2 = g.kern(p, row)
+			}
+			if d2 < r2 {
 				return true
 			}
 		}

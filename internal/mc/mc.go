@@ -18,12 +18,12 @@
 //
 // The first μR-tree level has two lives. While Algorithm 3 scans the points
 // it is a scan-time directory (directory.go) answering "nearest centre < ε"
-// and "any centre < 2ε": a hashed grid over the centres up to gridMaxDim
-// dimensions, the dynamic R-tree above. Once the centres are frozen it is a
-// packed R-tree — STR bulk-loaded from the grid's centres, or the grown tree
-// laid out flat — read by ComputeReachable and NeighborhoodInto. Both
-// directories decide membership with the same kernel and the same tie rule,
-// so the micro-cluster set does not depend on which one served the scan.
+// and "any centre < 2ε": a hashed grid over the centres, keyed on at most
+// their first four coordinates, at every dimensionality. Once the centres are
+// frozen it is a packed R-tree, STR bulk-loaded from the grid's centres and
+// read by ComputeReachable and NeighborhoodInto. The grid decides membership
+// with the kernel and the tie rule a brute-force scan of all centres uses, so
+// the micro-cluster set is the one that scan would give.
 //
 // The scan itself records only PointMC. Everything else an Index holds is
 // made in Finish, once, at its final size: the member lists are one arena
@@ -212,10 +212,10 @@ func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 // μR-tree construction: the rank Adds its local points while the halo
 // payloads are in flight, then Adds the halo points and Finishes.
 //
-// During the scan the centres live in dir, the scan-time directory chosen
-// from (dim, ε) alone; Finish turns it into the Index's centre tree and
-// drops it. The directory's answers are exact and its nearest tie rule is
-// the tree's, so the split invariance above holds whichever one is in use.
+// During the scan the centres live in dir, the scan-time directory; Finish
+// turns it into the Index's centre tree and drops it. The directory's
+// answers are exact and its nearest tie rule does not depend on the order
+// it meets candidates in, so the split invariance above holds.
 type Builder struct {
 	ix         *Index
 	dir        centerDirectory
@@ -239,7 +239,7 @@ func NewBuilder(dim int, eps float64, minPts int, opts Options) *Builder {
 }
 
 // newBuilder is NewBuilder with the scan-time directory given; the
-// differential tests use it to force the tree directory at low d.
+// differential tests use it to build through a brute-force one.
 func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirectory) *Builder {
 	return &Builder{
 		ix: &Index{
@@ -308,9 +308,8 @@ func (b *Builder) Finish() *Index {
 		}
 	}
 	// The centres are frozen: the first μR-tree level is one STR bulk load
-	// over the grid's centres, or the tree the scan grew laid out flat.
-	// Either way the directory is dropped here, so an Index that outlives
-	// its Builder (a daemon's cached one) does not retain it.
+	// over the grid's centres. The directory is dropped here, so an Index
+	// that outlives its Builder (a daemon's cached one) does not retain it.
 	ix.centers = b.dir.tree()
 	b.dir = nil
 	ix.finalize(b.centers, b.unassigned)

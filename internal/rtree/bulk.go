@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"mudbscan/internal/geom"
@@ -100,21 +101,33 @@ type Packer struct {
 	levelBox []float64 // before the sort that orders it among its siblings
 }
 
-// keyed is one entry of an STR sort: the key is read out once, so the sort
-// compares two floats side by side and not two rows somewhere in the set.
+// keyed is one entry of an STR ordering: the key is read out once, so the
+// ordering compares two floats side by side and not two rows somewhere in
+// the set.
 type keyed struct {
 	key float64
 	at  int32
 }
 
-func byKey(a, b keyed) int {
+// less is the packer's one order: by key, NaN first as cmp.Compare places
+// it, then by row. It is total — no two entries of one ordering share a
+// row — so a tree is a function of its rows alone, not of how a sort or a
+// selection happens to break ties.
+func (a keyed) less(b keyed) bool {
 	switch {
 	case a.key < b.key:
-		return -1
+		return true
 	case a.key > b.key:
-		return 1
+		return false
+	case a.key == b.key:
+		return a.at < b.at
 	}
-	return 0
+	// At least one NaN.
+	aNaN, bNaN := a.key != a.key, b.key != b.key
+	if aNaN != bNaN {
+		return aNaN
+	}
+	return a.at < b.at
 }
 
 // Packer returns a Packer for f.
@@ -124,10 +137,12 @@ func (f *Packed) Packer() *Packer { return &Packer{f: f} }
 // number (all rows when pick is nil), into nodes [node, node+NodeCount) and
 // rows [row, row+n) of the forest, root at node.
 //
-// Sort-Tile-Recursive: sort along one axis, cut into slabs, recurse into each
-// slab along the next axis down to leaf-sized runs; then sort each level by
-// box centre, cycling the axis, and put consecutive nodes under one parent,
-// until one node is left.
+// Sort-Tile-Recursive: order along one axis, cut into slabs, recurse into
+// each slab along the next axis down to leaf-sized runs; then sort each level
+// by box centre, cycling the axis, and put consecutive nodes under one
+// parent, until one node is left. A slab's contents are all the recursion
+// needs of its parent's order, so a slab is selected, not sorted; only a
+// leaf's rows are sorted, so the tree is the one a full sort would give.
 func (p *Packer) Pack(node, row int32, set *geom.PointSet, pick []int32) {
 	f, dim := p.f, p.f.dim
 	p.next = int(row)
@@ -163,7 +178,7 @@ func (p *Packer) Pack(node, row int32, set *geom.PointSet, pick []int32) {
 		for i := range keys {
 			keys[i] = keyed{key: p.levelBox[i*w+axis] + p.levelBox[i*w+dim+axis], at: int32(i)}
 		}
-		slices.SortFunc(keys, byKey)
+		selectSlabs(keys, 1) // runs of one: a full sort
 		for rank, k := range keys {
 			f.nodes[int(at)+rank] = p.level[k.at]
 			copy(f.box(at+int32(rank)), p.levelBox[int(k.at)*w:int(k.at)*w+w])
@@ -214,9 +229,111 @@ func (p *Packer) tile(pick []int32, order []keyed, axis int) {
 	for i := range order {
 		order[i].key = p.src[int(order[i].at)*dim+axis]
 	}
-	slices.SortFunc(order, byKey)
 	size := slabSize(n, f.maxEntries)
+	selectSlabs(order, size)
 	for start := 0; start < n; start += size {
-		p.tile(pick, order[start:min(start+size, n)], (axis+1)%dim)
+		slab := order[start:min(start+size, n)]
+		if len(slab) <= f.maxEntries {
+			insertionSort(slab) // a leaf: its rows go out in this axis's order
+		}
+		p.tile(pick, slab, (axis+1)%dim)
+	}
+}
+
+// selectSlabs reorders s so that each run s[k·size : (k+1)·size] holds the
+// entries a full sort would put there, in some order; with size 1 it sorts.
+// It is a quicksort that stops descending into a range lying inside one run:
+// an STR level of n entries and ⌈n/size⌉ slabs costs O(n log(n/size)), not
+// O(n log n).
+func selectSlabs(s []keyed, size int) {
+	slabSelect(s, 0, size, 2*bits.Len(uint(len(s))))
+}
+
+// slabSelect is selectSlabs on s = whole[off:]. After budget levels of
+// partitioning the pivots are failing; the range is then sorted outright,
+// which bounds the worst case at O(n log n).
+func slabSelect(s []keyed, off, size, budget int) {
+	for len(s) > 1 && off/size != (off+len(s)-1)/size {
+		if len(s) <= 12 {
+			insertionSort(s)
+			return
+		}
+		if budget == 0 {
+			slices.SortFunc(s, func(a, b keyed) int {
+				switch {
+				case a.less(b):
+					return -1
+				case b.less(a):
+					return 1
+				}
+				return 0
+			})
+			return
+		}
+		budget--
+		p := partition(s)
+		// Recurse into the shorter side and loop on the longer one, so the
+		// stack stays O(log n) deep.
+		if p < len(s)-p {
+			slabSelect(s[:p], off, size, budget)
+			s, off = s[p+1:], off+p+1
+		} else {
+			slabSelect(s[p+1:], off+p+1, size, budget)
+			s = s[:p]
+		}
+	}
+}
+
+// partition moves a pivot — the median of three entries, of three such
+// medians on a long range — to its sorted place p, with every entry before p
+// less than it and every entry after greater, and returns p.
+func partition(s []keyed) int {
+	n := len(s)
+	a, b, c := 0, n/2, n-1
+	if n >= 64 {
+		e := n / 8
+		a, b, c = median3(s, a, a+e, a+2*e), median3(s, b-e, b, b+e), median3(s, c-2*e, c-e, c)
+	}
+	m := median3(s, a, b, c)
+	s[0], s[m] = s[m], s[0]
+	pivot := s[0]
+	i, j := 1, n-1
+	for {
+		for i <= j && s[i].less(pivot) {
+			i++
+		}
+		for i <= j && pivot.less(s[j]) {
+			j--
+		}
+		if i > j {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i++
+		j--
+	}
+	s[0], s[j] = s[j], s[0]
+	return j
+}
+
+// median3 returns whichever of a, b, c indexes the middle of their entries.
+func median3(s []keyed, a, b, c int) int {
+	if s[b].less(s[a]) {
+		a, b = b, a
+	}
+	if s[c].less(s[b]) {
+		b = c
+		if s[b].less(s[a]) {
+			b = a
+		}
+	}
+	return b
+}
+
+func insertionSort(s []keyed) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j].less(s[j-1]); j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
 	}
 }

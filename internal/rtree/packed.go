@@ -162,10 +162,10 @@ func (f *Packed) sphereInto(n int32, q *sphereQuery, dst []int) ([]int, int) {
 // Freeze lays a grown tree out as a Packed one, node for node: the same
 // boxes, the same children in the same order (breadth-first numbering keeps
 // siblings consecutive), the same rows in every leaf — so a sphere walk
-// visits what a walk of t would have, in the same order. It is how a tree
-// that had to be grown by insertion (the scan-time centre directory above
-// gridMaxDim dimensions) becomes readable: the dynamic Tree answers only the
-// probes of its own growth. t is only read.
+// visits what a walk of t would have, in the same order. It is test support
+// only: the Tree has no query of its own, so this is how the tests hold a
+// grown tree (the benchmark's grown-tree probe builds the same kind) to brute
+// force. t is only read.
 func Freeze(t *Tree) *Packed {
 	f := &Packed{dim: t.dim, maxEntries: t.maxEntries}
 	if t.size == 0 {

@@ -46,8 +46,10 @@ func sameWalk(f *Packed, root int32, ref *Tree, centres []geom.Point, radii []fl
 
 // TestPackedMatchesReference: packing changes where a tree's bytes live and
 // nothing a query can observe. The packed STR tree against the pointer STR
-// loader it replaced, and Freeze against the grown tree it copies, on random
-// and on tie-heavy sets; the node count is the one NodeCount predicts.
+// loader it replaced, which sorts every slab in full where the packer only
+// selects, and Freeze against the grown tree it copies, on random and on
+// tie-heavy sets — ties included, since both follow one total order; the
+// node count is the one NodeCount predicts.
 func TestPackedMatchesReference(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 5, 14} {
 		for _, n := range []int{1, 5, 16, 17, 40, 300, 5000} {
@@ -147,7 +149,8 @@ func TestForestTreesAreIndependent(t *testing.T) {
 
 // FuzzPackedSphere: byte-derived quantised points (ties everywhere) at
 // fan-out 4…16 — the packed tree against brute force for the hit set, and
-// against the reference loader for order, distances and distance count.
+// against the fully sorting reference loader for order, distances and
+// distance count.
 func FuzzPackedSphere(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
 	f.Add([]byte{1, 12, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})

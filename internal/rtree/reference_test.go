@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
 	"sort"
 
@@ -9,7 +10,10 @@ import (
 
 // The pointer-tree STR loader and sphere walk the package had before the
 // trees were packed, kept as the reference the packed ones are held to:
-// same leaves, same hit order, same distances, same distance count.
+// same leaves, same hit order, same distances, same distance count. It fully
+// sorts every slab and every level in the packer's order — by key, NaN first
+// as cmp.Compare places it, ties by row (a level: by position, i.e. stably) —
+// so it also holds the packer's selection to the full sort it stands for.
 
 func refBulkLoad(dim, maxEntries int, pts []geom.Point, ids []int) *Tree {
 	return refBulkLoadSet(maxEntries, geom.PointSetFromPoints(dim, pts), ids)
@@ -52,7 +56,10 @@ func (t *Tree) refStrPack(set *geom.PointSet, ids, order []int, axis int) []*nod
 		return []*node{leaf}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		return set.Coord(order[a], axis) < set.Coord(order[b], axis)
+		if c := cmp.Compare(set.Coord(order[a], axis), set.Coord(order[b], axis)); c != 0 {
+			return c < 0
+		}
+		return order[a] < order[b]
 	})
 	numLeaves := (n + t.maxEntries - 1) / t.maxEntries
 	slabs := int(math.Ceil(math.Sqrt(float64(numLeaves))))
@@ -65,9 +72,9 @@ func (t *Tree) refStrPack(set *geom.PointSet, ids, order []int, axis int) []*nod
 }
 
 func (t *Tree) refPackNodes(level []*node, axis int) []*node {
-	sort.Slice(level, func(a, b int) bool {
+	sort.SliceStable(level, func(a, b int) bool {
 		ma, mb := level[a].mbr, level[b].mbr
-		return ma.Min[axis]+ma.Max[axis] < mb.Min[axis]+mb.Max[axis]
+		return cmp.Compare(ma.Min[axis]+ma.Max[axis], mb.Min[axis]+mb.Max[axis]) < 0
 	})
 	var parents []*node
 	for start := 0; start < len(level); start += t.maxEntries {

@@ -13,9 +13,11 @@
 // allocation-free into a caller-owned id buffer, is its only range query;
 // queries are read-only and safe for concurrent use.
 //
-// Tree is the dynamic one: Guttman insertion with quadratic splits, and the
-// two threshold probes (Nearest, Any) that a structure needs while it grows.
-// It has no range query; Freeze lays a grown Tree out as a Packed one.
+// Tree is the dynamic one: Guttman insertion with quadratic splits. No query
+// path of the system grows one any more — every tree it reads is bulk-loaded
+// — and it stays only as the subject of the benchmark harness's grown-tree
+// probe (insertion cost and height) and of the tests that hold that probe's
+// trees to brute force through Freeze. It has no query of its own.
 package rtree
 
 import (
@@ -29,15 +31,14 @@ const DefaultMaxEntries = 16
 
 // Tree is a dynamic R-tree over points. Each stored point carries an integer
 // id chosen by the caller (typically an index into the caller's dataset).
+// See the package comment for why it is kept: Insert and the splits are what
+// the benchmark's grown-tree probe times, Height what it reports.
 type Tree struct {
 	dim        int
 	root       *node
 	size       int
 	maxEntries int
 	minEntries int
-	// kernel serves the two threshold searches, Nearest and Any: it may stop
-	// summing once a candidate is out (geom.BoundedKernel).
-	kernel geom.BoundedKernel
 }
 
 type node struct {
@@ -51,7 +52,9 @@ type node struct {
 }
 
 // New returns an empty R-tree for points of dimensionality dim with node
-// fan-out maxEntries (use 0 for DefaultMaxEntries).
+// fan-out maxEntries (use 0 for DefaultMaxEntries). Its callers are the
+// benchmark's grown-tree probe and this package's tests; the system itself
+// builds every tree it reads with BulkLoadSet or a Packer.
 func New(dim, maxEntries int) *Tree {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")
@@ -61,7 +64,6 @@ func New(dim, maxEntries int) *Tree {
 		dim:        dim,
 		maxEntries: maxEntries,
 		minEntries: maxEntries * 2 / 5,
-		kernel:     geom.BoundedKernelFor(dim),
 	}
 	if t.minEntries < 2 {
 		t.minEntries = 2
@@ -79,9 +81,6 @@ func fanout(maxEntries int) int {
 	return max(maxEntries, 4)
 }
 
-// Dim returns the dimensionality of the indexed points.
-func (t *Tree) Dim() int { return t.dim }
-
 // Len returns the number of stored points.
 func (t *Tree) Len() int { return t.size }
 
@@ -93,7 +92,8 @@ func (t *Tree) row(n *node, i int) geom.Point {
 }
 
 // Insert adds point p with identifier id. The coordinates are copied into
-// the leaf's contiguous block; the caller keeps ownership of p.
+// the leaf's contiguous block; the caller keeps ownership of p. It is the
+// cost the benchmark's grown-tree probe measures (rtree.insert_ns_per_pt).
 func (t *Tree) Insert(id int, p geom.Point) {
 	if len(p) != t.dim {
 		panic(fmt.Sprintf("rtree: inserting %d-dim point into %d-dim tree", len(p), t.dim))
@@ -232,7 +232,8 @@ func mbrOfChildren(children []*node) geom.MBR {
 
 // quadraticSplit partitions indices 0..len(boxes)-1 into two groups using
 // Guttman's quadratic PickSeeds / PickNext heuristics. Both groups are
-// guaranteed at least minEntries members.
+// guaranteed at least minEntries members. The splits exist for Insert alone,
+// and so for the same probe.
 func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 	n := len(boxes)
 	// PickSeeds: the pair wasting the most area if grouped together.
@@ -315,37 +316,16 @@ func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 	return g1, g2
 }
 
-// nearestState carries the running best of a Nearest walk.
-type nearestState struct {
-	best   float64
-	bestID int
-	bestPt geom.Point
-	strict bool
-}
-
-// Nearest returns the id and point of the stored point closest to center
-// among those with dist < r (strict) or <= r (closed), and whether one was
-// found. Ties are broken toward the smaller id for determinism.
-func (t *Tree) Nearest(center geom.Point, r float64, strict bool) (id int, pt geom.Point, ok bool) {
-	if t.size == 0 {
-		return 0, nil, false
-	}
-	st := nearestState{best: r * r, bestID: -1, strict: strict}
-	t.nearest(t.root, center, &st)
-	if st.bestID == -1 {
-		return 0, nil, false
-	}
-	return st.bestID, st.bestPt, true
-}
-
 // Nearer is the tie rule of a nearest search, written once: it reports
 // whether a candidate id at squared distance d2 displaces the running best.
 // best starts at r² with bestID −1 (nothing found yet). A smaller distance
 // always wins; an equal one wins on the smaller id once something has been
 // found, and before that only when the ball is closed (d2 == r² is then on
 // the boundary, which a strict search excludes). The outcome depends on the
-// set of candidates alone, not on the order they are offered in, so any
-// structure that enumerates a superset of the ball agrees with the tree.
+// set of candidates alone, not on the order they are offered in, so any two
+// structures that enumerate supersets of the ball elect the same winner: the
+// micro-cluster centre grid (internal/mc) and the brute-force scan its tests
+// hold it to.
 func Nearer(d2, best float64, id, bestID int, strict bool) bool {
 	if d2 != best {
 		return d2 < best
@@ -356,55 +336,8 @@ func Nearer(d2, best float64, id, bestID int, strict bool) bool {
 	return !strict
 }
 
-func (t *Tree) nearest(n *node, center geom.Point, st *nearestState) {
-	if n.leaf {
-		dim := t.dim
-		for i, o := 0, 0; i < len(n.ids); i, o = i+1, o+dim {
-			row := n.coords[o : o+dim : o+dim]
-			d2 := t.kernel(center, row, st.best)
-			if Nearer(d2, st.best, n.ids[i], st.bestID, st.strict) {
-				st.best, st.bestID, st.bestPt = d2, n.ids[i], geom.Point(row)
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		if c.mbr.MinDistSq(center) <= st.best {
-			t.nearest(c, center, st)
-		}
-	}
-}
-
-// Any reports whether some stored point lies strictly within r of center
-// (or within the closed ball when strict is false), returning on the first
-// hit found.
-func (t *Tree) Any(center geom.Point, r float64, strict bool) bool {
-	if t.size == 0 {
-		return false
-	}
-	return t.any(t.root, center, r*r, !strict)
-}
-
-func (t *Tree) any(n *node, center geom.Point, r2 float64, closed bool) bool {
-	if n.leaf {
-		dim := t.dim
-		for o := 0; o+dim <= len(n.coords); o += dim {
-			d2 := t.kernel(center, n.coords[o:o+dim:o+dim], r2)
-			if d2 < r2 || (closed && d2 == r2) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range n.children {
-		if c.mbr.MinDistSq(center) <= r2 && t.any(c, center, r2, closed) {
-			return true
-		}
-	}
-	return false
-}
-
-// Height returns the number of levels in the tree (1 for a leaf-only tree).
+// Height returns the number of levels in the tree (1 for a leaf-only tree):
+// the benchmark's rtree.height row.
 func (t *Tree) Height() int {
 	h := 1
 	for n := t.root; !n.leaf; n = n.children[0] {

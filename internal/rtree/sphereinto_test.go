@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -102,42 +101,6 @@ func TestSphereDistIntoZeroAllocs(t *testing.T) {
 	}
 	if len(dist) != len(buf) || len(buf) < 2 {
 		t.Fatalf("%d ids, %d distances", len(buf), len(dist))
-	}
-}
-
-func TestAnyAndNearest(t *testing.T) {
-	for _, d := range []int{2, 7} { // the unrolled kernels, and the bounded one
-		testAnyAndNearest(t, d)
-	}
-}
-
-func testAnyAndNearest(t *testing.T, d int) {
-	rng := rand.New(rand.NewSource(37))
-	pts := randPoints(rng, 400, d)
-	tr := refBulkLoad(d, 8, pts, nil)
-	for trial := 0; trial < 40; trial++ {
-		c := pts[rng.Intn(len(pts))]
-		r := rng.Float64() * 20 * math.Sqrt(float64(d))
-		hits := bruteSphere(pts, c, r, true)
-		if got := tr.Any(c, r, true); got != (len(hits) > 0) {
-			t.Fatalf("Any=%v with %d brute hits", got, len(hits))
-		}
-		id, pt, ok := tr.Nearest(c, r, true)
-		if ok != (len(hits) > 0) {
-			t.Fatalf("Nearest ok=%v with %d brute hits", ok, len(hits))
-		}
-		if ok {
-			best, bestID := -1.0, -1
-			for _, h := range hits {
-				d2 := geom.DistSq(c, pts[h])
-				if bestID == -1 || d2 < best || (d2 == best && h < bestID) {
-					best, bestID = d2, h
-				}
-			}
-			if id != bestID || geom.DistSq(c, pt) != best {
-				t.Fatalf("Nearest id=%d want %d", id, bestID)
-			}
-		}
 	}
 }
 

@@ -37,18 +37,23 @@ func newStore(max int) *store {
 	return &store{max: max, byID: make(map[DatasetID]*dataset)}
 }
 
-// hashDataset computes the content id over the canonical encoding.
+// hashDataset computes the content id over the canonical encoding: dim and n
+// as little-endian uint32, then every coordinate's bits as a little-endian
+// uint64. The encoding is staged in 4 KiB blocks, so the hash is fed a block
+// at a time and not one 8-byte write per coordinate.
 func hashDataset(dim, n int, coords []float64) DatasetID {
 	h := sha256.New()
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(dim))
-	h.Write(b[:4])
-	binary.LittleEndian.PutUint32(b[:4], uint32(n))
-	h.Write(b[:4])
+	buf := make([]byte, 0, 4096)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	for _, v := range coords {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
+	h.Write(buf)
 	var id DatasetID
 	h.Sum(id[:0])
 	return id

@@ -1,6 +1,10 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"reflect"
 	"testing"
 
@@ -257,5 +261,45 @@ func TestQueueBoundsAndCancel(t *testing.T) {
 	}
 	if _, ok := q.pop(); ok {
 		t.Fatal("pop returned a job after close")
+	}
+}
+
+// hashDatasetPerFloat is the dataset id as it was first defined: the
+// canonical encoding fed to the hash one field at a time. Ids are what
+// tenants hold between a put and their jobs, so the blocked hashDataset must
+// reproduce it bit for bit.
+func hashDatasetPerFloat(dim, n int, coords []float64) DatasetID {
+	h := sha256.New()
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[:4], uint32(dim))
+	h.Write(b[:4])
+	binary.LittleEndian.PutUint32(b[:4], uint32(n))
+	h.Write(b[:4])
+	for _, v := range coords {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	var id DatasetID
+	h.Sum(id[:0])
+	return id
+}
+
+// TestHashDatasetMatchesPerFloatEncoding pins dataset ids: one fixed dataset
+// to its digest, and datasets whose encodings end on either side of every
+// 4 KiB block boundary up to three blocks to the per-float reference.
+func TestHashDatasetMatchesPerFloatEncoding(t *testing.T) {
+	fixed := []float64{-1, math.Copysign(0, -1), 0.25, 1e-300, 3.5, -2.75, 1e300, 5e-324, 42}
+	id := hashDataset(3, 3, fixed)
+	if got := hex.EncodeToString(id[:]); got != "213d5b5d57f8f27b229698bde8bafebaad6c67c148b5fe16b1ed5e1c5b370668" {
+		t.Fatalf("fixed dataset id %s", got)
+	}
+	coords := make([]float64, 3*512+2)
+	for i := range coords {
+		coords[i] = float64(i)*1.5 - 700
+	}
+	for n := 0; n <= len(coords); n++ {
+		if got, want := hashDataset(1, n, coords[:n]), hashDatasetPerFloat(1, n, coords[:n]); got != want {
+			t.Fatalf("%d coordinates: id %x, per-float encoding %x", n, got, want)
+		}
 	}
 }
