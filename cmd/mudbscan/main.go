@@ -25,8 +25,7 @@
 // -mode stream feeds the rows through the streaming tier in order and labels
 // them from the final exact snapshot — identical to seq by default (landmark
 // window). With -lambda > 0 the window is damped: rows that expired before
-// the end of the stream come out as noise. -workers sets the ingest shard
-// count, which never changes the labels.
+// the end of the stream come out as noise. -workers is ignored.
 //
 // With -net, -mode dist leaves the single-process simulation: each rank is a
 // separate OS process and the ranks exchange messages over real sockets.
@@ -107,7 +106,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		distSer = fs.Bool("dist-serial", false, "run -mode dist ranks one at a time (isolation timing) instead of concurrently")
 		harden  = fs.Bool("hardened", false, "wrap -mode dist messages in checksummed ack/retransmit envelopes")
 		chSeed  = fs.Int64("chaos-seed", 0, "inject deterministic network faults into -mode dist from this seed (0 = off; implies -hardened)")
-		workers = fs.Int("workers", 0, "goroutines for -mode shared, cell and auto (0 = GOMAXPROCS), ingest shards for -mode stream")
+		workers = fs.Int("workers", 0, "goroutines for -mode shared, cell and auto (0 = GOMAXPROCS)")
 		inPath  = fs.String("in", "-", "input dataset (CSV, or .bin binary; - = stdin)")
 		outPath = fs.String("out", "-", "output labels file (- = stdout)")
 		stats   = fs.Bool("stats", false, "print run statistics to stderr")

@@ -143,8 +143,8 @@ func TestCellRangeModes(t *testing.T) {
 }
 
 // TestStreamModeMatchesSeq: the streaming tier is exact, so -mode stream
-// must emit the default engine's labels verbatim at any shard count; with a
-// damped -lambda the early square expires into noise.
+// must emit the default engine's labels verbatim, whatever -workers says;
+// with a damped -lambda the early square expires into noise.
 func TestStreamModeMatchesSeq(t *testing.T) {
 	var seqOut, streamOut, stderr bytes.Buffer
 	if err := run([]string{"-eps", "0.5", "-minpts", "3"},

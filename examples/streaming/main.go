@@ -1,9 +1,9 @@
-// Streaming: monitor a drifting sensor stream with the micro-cluster
-// stream mode — the data-stream adaptation the paper names as future work
-// (§VII). Two sensor populations emit readings; mid-stream one population
-// shuts down and a new one appears elsewhere. With a damped window the
-// clusterer forgets the dead population while a landmark window remembers
-// everything — the example shows both, plus per-snapshot anomaly checks.
+// Streaming: monitor a drifting sensor stream with the streaming tier — the
+// data-stream adaptation the paper names as future work (§VII). Two sensor
+// populations emit readings; mid-stream one population shuts down and a new
+// one appears elsewhere. With a damped window the clusterer forgets the dead
+// population while a landmark window remembers everything — the example
+// shows both, plus per-snapshot anomaly checks.
 //
 // Run with:
 //
@@ -29,10 +29,7 @@ func main() {
 // run drives the two stream clusterers with phase1 readings from the first
 // sensor pair and phase2 readings after the population change.
 func run(w io.Writer, phase1, phase2 int) error {
-	damped, err := mudbscan.NewStreamClusterer(2, 0.5, 10, mudbscan.StreamOptions{
-		Lambda:           0.005,
-		MaintenanceEvery: 512,
-	})
+	damped, err := mudbscan.NewStreamClusterer(2, 0.5, 10, mudbscan.StreamOptions{Lambda: 0.005})
 	if err != nil {
 		return err
 	}
@@ -63,8 +60,8 @@ func run(w io.Writer, phase1, phase2 int) error {
 		return err
 	}
 	s := damped.Snapshot()
-	fmt.Fprintf(w, "phase 1: damped window sees %d sensor groups from %d micro-clusters\n",
-		s.NumClusters, damped.Len())
+	fmt.Fprintf(w, "phase 1: damped window sees %d sensor groups in its %d live points\n",
+		s.NumClusters, s.Len())
 
 	// Phase 2: sensor A dies; sensor C (40, -10) comes online.
 	if err := emit(phase2, [2]float64{20, 20}, [2]float64{40, -10}); err != nil {
@@ -74,8 +71,8 @@ func run(w io.Writer, phase1, phase2 int) error {
 	ds := damped.Snapshot()
 	ls := landmark.Snapshot()
 	st := damped.Stats()
-	fmt.Fprintf(w, "phase 2: damped window sees %d groups (evicted %d stale points, %d empty micro-clusters)\n",
-		ds.NumClusters, st.EvictedPoints, st.EvictedCells)
+	fmt.Fprintf(w, "phase 2: damped window sees %d groups in its %d live points (evicted %d stale points)\n",
+		ds.NumClusters, st.Retained, st.EvictedPoints)
 	fmt.Fprintf(w, "phase 2: landmark window still sees %d groups\n", ls.NumClusters)
 
 	probes := []struct {

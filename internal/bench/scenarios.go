@@ -23,14 +23,13 @@ const scenarioDistRanks = 4
 // Scenarios measures every engine on every scenario of the pinned corpus
 // (data.Scenarios, EXPERIMENTS.md §Scenarios): brute force, sequential
 // μR-tree, shared-memory μR-tree, the grid cell engine, μDBSCAN-D, and the
-// streaming tier (full ingest in arrival order plus one exact snapshot, at 1
-// shard and at 8 shards). The corpus couples spatial distributions to
-// adversarial arrival orders, so the stream columns price the ingest path
-// the batch engines never see. Every row verifies the exact-result contract
-// inline — cell must DeepEqual brute, μR-tree/shared/dist must be exactly
-// equivalent with identical cores, and the stream snapshot must DeepEqual
-// the sequential μR-tree result at every shard count — so the table can
-// never report the speedup of a wrong answer. The corpus is pinned at its
+// streaming tier (full ingest in arrival order plus one exact snapshot). The
+// corpus couples spatial distributions to adversarial arrival orders, so the
+// stream column prices the ingest path the batch engines never see. Every
+// row verifies the exact-result contract inline — cell must DeepEqual brute,
+// μR-tree/shared/dist must be exactly equivalent with identical cores, and
+// the stream snapshot must DeepEqual the sequential μR-tree result — so the
+// table can never report the speedup of a wrong answer. The corpus is pinned at its
 // conformance sizes; cfg.Scale is ignored.
 func Scenarios(cfg Config) error {
 	cfg = cfg.withDefaults()
@@ -40,13 +39,11 @@ func Scenarios(cfg Config) error {
 	t := newTable(cfg.Out)
 	t.row("scenario", "d", "n", "clusters", "brute", "mu-seq",
 		fmt.Sprintf("shared-%d", workers), fmt.Sprintf("cell-%d", workers),
-		fmt.Sprintf("dist-%d", scenarioDistRanks), "stream-1", "stream-8")
+		fmt.Sprintf("dist-%d", scenarioDistRanks), "stream")
 	for _, sc := range data.Scenarios() {
 		var (
-			bruteRes, muRes, sharedRes, cellRes, distRes *clustering.Result
-			stream1Res, stream8Res                       *clustering.Result
-			bruteT, muT, sharedT, cellT, distT           time.Duration
-			stream1T, stream8T                           time.Duration
+			bruteRes, muRes, sharedRes, cellRes, distRes, streamRes *clustering.Result
+			bruteT, muT, sharedT, cellT, distT, streamT             time.Duration
 		)
 		bruteT = timed(func() { bruteRes, _ = dbscan.Brute(sc.Pts, sc.Eps, sc.MinPts) })
 		muT = timed(func() { muRes, _ = core.Run(sc.Pts, sc.Eps, sc.MinPts, core.Options{}) })
@@ -63,37 +60,28 @@ func Scenarios(cfg Config) error {
 		if distErr != nil {
 			return fmt.Errorf("scenarios: %s: dist: %v", sc.Name, distErr)
 		}
-		runStream := func(shards int) (*clustering.Result, time.Duration, error) {
-			var res *clustering.Result
-			var err error
-			d := timed(func() {
-				var c *stream.Clusterer
-				c, err = stream.New(len(sc.Pts[0]), sc.Eps, sc.MinPts, stream.Options{Shards: shards})
-				if err != nil {
+		var streamErr error
+		streamT = timed(func() {
+			var c *stream.Clusterer
+			c, streamErr = stream.New(len(sc.Pts[0]), sc.Eps, sc.MinPts, stream.Options{})
+			if streamErr != nil {
+				return
+			}
+			for _, p := range sc.Pts {
+				if streamErr = c.Add(p); streamErr != nil {
 					return
 				}
-				for _, p := range sc.Pts {
-					if err = c.Add(p); err != nil {
-						return
-					}
-				}
-				res = c.Snapshot().Result()
-			})
-			return res, d, err
-		}
-		var err error
-		if stream1Res, stream1T, err = runStream(1); err != nil {
-			return fmt.Errorf("scenarios: %s: stream-1: %v", sc.Name, err)
-		}
-		if stream8Res, stream8T, err = runStream(8); err != nil {
-			return fmt.Errorf("scenarios: %s: stream-8: %v", sc.Name, err)
+			}
+			streamRes = c.Snapshot().Result()
+		})
+		if streamErr != nil {
+			return fmt.Errorf("scenarios: %s: stream: %v", sc.Name, streamErr)
 		}
 
 		// Inline exactness: the cell engine is byte-identical to brute force;
 		// the μR-tree family guarantees exact equivalence with identical
 		// cores; a landmark stream snapshot after in-order ingest is the
-		// sequential μR-tree run and must match it byte for byte at every
-		// shard count.
+		// sequential μR-tree run and must match it byte for byte.
 		if !reflect.DeepEqual(bruteRes, cellRes) {
 			return fmt.Errorf("scenarios: %s: cell result differs from brute force", sc.Name)
 		}
@@ -104,11 +92,8 @@ func Scenarios(cfg Config) error {
 				return fmt.Errorf("scenarios: %s: %s not equivalent to brute: %v", sc.Name, name, err)
 			}
 		}
-		if !reflect.DeepEqual(muRes, stream1Res) {
+		if !reflect.DeepEqual(muRes, streamRes) {
 			return fmt.Errorf("scenarios: %s: stream snapshot differs from μR-tree result", sc.Name)
-		}
-		if !reflect.DeepEqual(stream1Res, stream8Res) {
-			return fmt.Errorf("scenarios: %s: stream snapshot not shard-invariant", sc.Name)
 		}
 
 		t.row(
@@ -121,8 +106,7 @@ func Scenarios(cfg Config) error {
 			seconds(sharedT),
 			seconds(cellT),
 			seconds(distT),
-			seconds(stream1T),
-			seconds(stream8T),
+			seconds(streamT),
 		)
 	}
 	t.flush()

@@ -15,8 +15,8 @@ import (
 // they exercise both the batch engines (which must agree on the spatial
 // structure) and the streaming tier (which additionally sees the arrival
 // order). benchtab's "scenarios" experiment measures every engine on every
-// scenario, and the stream conformance suite replays each scenario at shard
-// counts 1/2/4/8.
+// scenario, and the stream conformance suite replays each scenario in its
+// arrival order.
 type Scenario struct {
 	Name string
 	// Pts is the dataset in arrival order — the order a stream ingests it.
@@ -132,9 +132,9 @@ func EmbeddingClusters(n, dim, k int, seed int64) []geom.Point {
 // at exactly ε and must be excluded by the strict-< neighborhood everywhere.
 // All coordinates are multiples of 0.25, so every distance is exact in
 // binary floating point. Arrival is column-interleaved across rails (all
-// rails' first points, then all second points, …), the worst case for a
-// cell-sharded ingester: every arrival lands in a different cell than its
-// predecessor.
+// rails' first points, then all second points, …), so every arrival lands in
+// a different ε-cell than its predecessor: arrival order and spatial order
+// share nothing.
 func AllBorderTieRails(rails int) []geom.Point {
 	xs := []float64{0, 0.25, 0.5, 0.75, 1.0, 3.0, 3.25, 3.5, 3.75, 4.0, 2.0}
 	pts := make([]geom.Point, 0, rails*len(xs))

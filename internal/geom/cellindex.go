@@ -4,8 +4,7 @@ import "math"
 
 // FloorClamp returns ⌊q⌋ clamped to [lo, hi]: the one conversion from a
 // coordinate quotient v/side to an integer grid-cell index that the cell
-// engine's table, the stream's ingest grid and the micro-cluster centre
-// directory share. It is monotone in q and defined for every input — NaN
+// engine's table and the micro-cluster centre directory share. It is monotone in q and defined for every input — NaN
 // maps to lo, ±Inf and out-of-range quotients to the nearer bound — so the
 // float→int conversion never sees a value it is undefined for. lo and hi
 // must be exactly representable as float64.

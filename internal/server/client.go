@@ -333,13 +333,12 @@ type StreamHandle struct {
 // StreamOpen creates a stream session. lambda 0 selects the landmark window
 // (pass pruneBelow 0 with it); lambda > 0 a damped window whose points
 // expire once their exp(-lambda·age) weight falls below pruneBelow (0 keeps
-// the server default). shards sets ingest sharding (0 = server default) and
-// never changes the clustering.
-func (c *Client) StreamOpen(dim int, eps float64, minPts int, lambda, pruneBelow float64, shards int) (*StreamHandle, error) {
+// the server default).
+func (c *Client) StreamOpen(dim int, eps float64, minPts int, lambda, pruneBelow float64) (*StreamHandle, error) {
 	body := make([]byte, 0, 4+4+4+8+8+8)
 	body = appendU32(body, uint32(dim))
 	body = appendU32(body, uint32(minPts))
-	body = appendU32(body, uint32(shards))
+	body = appendU32(body, 0) // reserved
 	body = appendF64(body, eps)
 	body = appendF64(body, lambda)
 	body = appendF64(body, pruneBelow)

@@ -154,8 +154,8 @@ func TestDaemonConformance(t *testing.T) {
 
 		t.Run(cc.Name+"/stream", func(t *testing.T) {
 			// The streaming tier is exact: its landmark in-order result is the
-			// sequential engine's, byte for byte, and shard count (the wire
-			// param) never changes it.
+			// sequential engine's, byte for byte, and the wire param (which
+			// the engine ignores) never changes it.
 			want := streamDirect(t, rows, cc.Eps, cc.MinPts)
 			got, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineStream, 0)
 			if err != nil {
@@ -171,7 +171,7 @@ func TestDaemonConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustDeepEqual(t, got, again, "stream shards=3")
+			mustDeepEqual(t, got, again, "stream param=3")
 		})
 
 		t.Run(cc.Name+"/cell", func(t *testing.T) {
@@ -229,12 +229,12 @@ func TestDaemonStreamSession(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cc := data.ConformanceCases()[0]
 			rows := toRows(cc.Pts)
-			h, err := cl.StreamOpen(len(rows[0]), cc.Eps, cc.MinPts, tc.lambda, tc.prune, 4)
+			h, err := cl.StreamOpen(len(rows[0]), cc.Eps, cc.MinPts, tc.lambda, tc.prune)
 			if err != nil {
 				t.Fatal(err)
 			}
 			direct, err := stream.New(len(rows[0]), cc.Eps, cc.MinPts,
-				stream.Options{Lambda: tc.lambda, PruneBelow: tc.prune, Shards: 4})
+				stream.Options{Lambda: tc.lambda, PruneBelow: tc.prune})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,32 +280,39 @@ func TestDaemonStreamSessionLimits(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 1})
 	cl := dialTenant(t, addr, "stream-limits")
 
-	if _, err := cl.StreamOpen(0, 0.5, 3, 0, 0, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := cl.StreamOpen(0, 0.5, 3, 0, 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("dim 0: got %v, want ErrBadRequest", err)
 	}
-	if _, err := cl.StreamOpen(2, -1, 3, 0, 0, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := cl.StreamOpen(2, -1, 3, 0, 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("bad eps: got %v, want ErrBadRequest", err)
 	}
-	if _, err := cl.StreamOpen(2, 0.5, 3, 0.1, 1.5, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := cl.StreamOpen(2, 0.5, 3, 0.1, 1.5); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("pruneBelow out of (0,1): got %v, want ErrBadRequest", err)
+	}
+
+	// The reserved u32 is unused but range-checked.
+	body := appendU32(appendU32(appendU32(nil, 2), 3), maxSharedWork+1)
+	body = appendF64(appendF64(appendF64(body, 0.5), 0), 0)
+	if _, _, err := cl.roundTrip(opStreamOpen, body); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("reserved field out of range: got %v, want ErrBadRequest", err)
 	}
 
 	handles := make([]*StreamHandle, 0, maxConnStreams)
 	for i := 0; i < maxConnStreams; i++ {
-		h, err := cl.StreamOpen(2, 0.5, 3, 0, 0, 0)
+		h, err := cl.StreamOpen(2, 0.5, 3, 0, 0)
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
 		handles = append(handles, h)
 	}
-	if _, err := cl.StreamOpen(2, 0.5, 3, 0, 0, 0); !errors.Is(err, ErrBadRequest) {
+	if _, err := cl.StreamOpen(2, 0.5, 3, 0, 0); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("over session cap: got %v, want ErrBadRequest", err)
 	}
 	// Closing one frees a slot.
 	if err := handles[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	h, err := cl.StreamOpen(2, 0.5, 3, 0, 0, 0)
+	h, err := cl.StreamOpen(2, 0.5, 3, 0, 0)
 	if err != nil {
 		t.Fatalf("open after close: %v", err)
 	}

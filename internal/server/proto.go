@@ -68,7 +68,7 @@ const (
 	// feed them incrementally, instead of shipping a finished dataset through
 	// opPut+opCluster. Sessions are connection-scoped (they die with the
 	// connection) and handled inline on the reader goroutine.
-	opStreamOpen  = 8  // body: dim u32, minPts u32, shards u32, eps f64, lambda f64, pruneBelow f64
+	opStreamOpen  = 8  // body: dim u32, minPts u32, reserved u32 (ignored, ≤ 1024), eps f64, lambda f64, pruneBelow f64
 	opStreamAdd   = 9  // body: sid u32, n u32, n*dim f64 coords
 	opStreamSnap  = 10 // body: sid u32
 	opStreamClose = 11 // body: sid u32

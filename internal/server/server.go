@@ -459,8 +459,8 @@ func (s *Server) resolve(engine Engine, param int, ds *dataset, eps float64, min
 	if param == 0 && engine == EngineDist {
 		param = 4
 	}
-	if engine == EngineSeq {
-		param = 0 // seq takes no parameter; one cache entry whatever was sent
+	if engine == EngineSeq || engine == EngineStream {
+		param = 0 // no parameter; one cache entry whatever was sent
 	}
 	limit := maxSharedWork
 	if engine == EngineDist {
@@ -654,11 +654,11 @@ func (c *serverConn) handleStats(tag int64) {
 func (c *serverConn) handleStreamOpen(tag int64, r *rbuf) {
 	dim := int(r.u32())
 	minPts := int(r.u32())
-	shards := int(r.u32())
+	reserved := int(r.u32()) // unused, but range-checked: an out-of-range value stays a bad request
 	eps := r.f64()
 	lambda := r.f64()
 	prune := r.f64()
-	if !r.done() || dim < 1 || dim > maxDim || shards < 0 || shards > maxSharedWork {
+	if !r.done() || dim < 1 || dim > maxDim || reserved < 0 || reserved > maxSharedWork {
 		c.sendErr(tag, fmt.Errorf("%w: malformed stream-open", ErrBadRequest))
 		return
 	}
@@ -666,7 +666,7 @@ func (c *serverConn) handleStreamOpen(tag int64, r *rbuf) {
 		c.sendErr(tag, fmt.Errorf("%w: at most %d stream sessions per connection", ErrBadRequest, maxConnStreams))
 		return
 	}
-	sc, err := stream.New(dim, eps, minPts, stream.Options{Lambda: lambda, PruneBelow: prune, Shards: shards})
+	sc, err := stream.New(dim, eps, minPts, stream.Options{Lambda: lambda, PruneBelow: prune})
 	if err != nil {
 		c.sendErr(tag, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return

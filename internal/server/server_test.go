@@ -9,10 +9,9 @@ import (
 // TestResolveEngineAndParam pins the wire→engine resolution table: auto's
 // profile-then-size cascade (cell for low-d data, otherwise seq below the
 // threshold, shared from there), the deterministic shared default, dist's
-// default and cap, stream's shard-count parameter, and the forced zero
-// parameter for seq. What the library refuses (a grid-unrepresentable cell
-// job, a rank count that is not a power of two) passes resolve and is
-// refused when the job runs. Real datasets drive the auto rows because
+// default and cap, and the forced zero parameter for seq and stream. What
+// the library refuses (a grid-unrepresentable cell job, a rank count that
+// is not a power of two) passes resolve and is refused when the job runs. Real datasets drive the auto rows because
 // resolution profiles the data itself, not just its size.
 func TestResolveEngineAndParam(t *testing.T) {
 	srv := New(Config{Workers: 1})
@@ -59,10 +58,9 @@ func TestResolveEngineAndParam(t *testing.T) {
 		{EngineAuto, 0, highDim, EngineSeq, 0, nil},
 		{EngineAuto, 0, highBig, EngineShared, runtime.GOMAXPROCS(0), nil},
 		{EngineSeq, 7, lowDim, EngineSeq, 0, nil},       // seq ignores param
-		{EngineStream, 0, lowDim, EngineStream, 0, nil}, // 0 = tier default shards
-		{EngineStream, 3, lowDim, EngineStream, 3, nil}, // shard count rides along
-		{EngineStream, -1, lowDim, 0, 0, ErrBadRequest},
-		{EngineStream, maxSharedWork + 1, lowDim, 0, 0, ErrBadRequest},
+		{EngineStream, 0, lowDim, EngineStream, 0, nil}, // and so does stream
+		{EngineStream, 3, lowDim, EngineStream, 0, nil},
+		{EngineStream, maxSharedWork + 1, lowDim, EngineStream, 0, nil},
 		{EngineShared, 0, lowDim, EngineShared, 1, nil}, // deterministic default
 		{EngineShared, 4, lowDim, EngineShared, 4, nil},
 		{EngineShared, -1, lowDim, 0, 0, ErrBadRequest},

@@ -37,38 +37,28 @@ func ingest(t *testing.T, pts []geom.Point, eps float64, minPts int, opts Option
 }
 
 // TestSnapshotConformance is the headline contract of the streaming tier:
-// on every conformance dataset and every scenario, at shard counts 1/2/4/8,
-// a landmark snapshot after in-order ingest is (a) an exact DBSCAN
-// clustering of the data — equivalent to brute force with identical cores
-// and noise, valid borders — (b) byte-identical to the batch μR-tree
-// engine's result, and (c) byte-identical across all shard counts.
+// on every conformance dataset and every scenario, a landmark snapshot after
+// in-order ingest is (a) an exact DBSCAN clustering of the data — equivalent
+// to brute force with identical cores and noise, valid borders — and (b)
+// byte-identical to the batch μR-tree engine's result.
 func TestSnapshotConformance(t *testing.T) {
 	for _, tc := range corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
 			bruteRes, _ := dbscan.Brute(tc.Pts, tc.Eps, tc.MinPts)
 			muRes, _ := core.Run(tc.Pts, tc.Eps, tc.MinPts, core.Options{})
-			var base *Snapshot
-			for _, shards := range []int{1, 2, 4, 8} {
-				c := ingest(t, tc.Pts, tc.Eps, tc.MinPts, Options{Shards: shards})
-				s := c.Snapshot()
-				if s.Len() != len(tc.Pts) {
-					t.Fatalf("shards=%d: window %d want %d", shards, s.Len(), len(tc.Pts))
-				}
-				res := s.Result()
-				if err := clustering.Equivalent(bruteRes, res); err != nil {
-					t.Fatalf("shards=%d: snapshot not equivalent to brute force: %v", shards, err)
-				}
-				if err := clustering.CheckBorders(tc.Pts, tc.Eps, res); err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if !reflect.DeepEqual(muRes, res) {
-					t.Fatalf("shards=%d: snapshot differs from batch μR-tree result", shards)
-				}
-				if base == nil {
-					base = s
-				} else if !reflect.DeepEqual(base, s) {
-					t.Fatalf("snapshot at %d shards differs from 1 shard", shards)
-				}
+			s := ingest(t, tc.Pts, tc.Eps, tc.MinPts, Options{}).Snapshot()
+			if s.Len() != len(tc.Pts) {
+				t.Fatalf("window %d want %d", s.Len(), len(tc.Pts))
+			}
+			res := s.Result()
+			if err := clustering.Equivalent(bruteRes, res); err != nil {
+				t.Fatalf("snapshot not equivalent to brute force: %v", err)
+			}
+			if err := clustering.CheckBorders(tc.Pts, tc.Eps, res); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(muRes, res) {
+				t.Fatal("snapshot differs from batch μR-tree result")
 			}
 		})
 	}
@@ -86,7 +76,7 @@ func TestMetamorphicPermutedIngest(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(n)))
 			for round := 0; round < 2; round++ {
 				perm := rng.Perm(n)
-				c, err := New(len(tc.Pts[0]), tc.Eps, tc.MinPts, Options{Shards: 4})
+				c, err := New(len(tc.Pts[0]), tc.Eps, tc.MinPts, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

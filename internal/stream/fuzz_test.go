@@ -42,7 +42,7 @@ func FuzzStreamAdd(f *testing.F) {
 		if len(data) < 1 {
 			return
 		}
-		opts := Options{Shards: 3, MaintenanceEvery: 8}
+		var opts Options
 		if data[0]&8 != 0 {
 			opts.Lambda = 0.05
 		}
@@ -56,7 +56,15 @@ func FuzzStreamAdd(f *testing.F) {
 		tame := func(u uint64) float64 { return float64(u%64) * 0.25 }
 		wild := math.Float64frombits
 
+		accepted := 0
 		verify := func(s *Snapshot) {
+			// The window is the newest run of arrivals: contiguous sequence
+			// numbers ending at the last accepted point.
+			for i, seq := range s.Seqs {
+				if seq != int64(accepted-s.Len()+i) {
+					t.Fatalf("window row %d has seq %d, want %d", i, seq, accepted-s.Len()+i)
+				}
+			}
 			res := s.Result()
 			if err := res.Validate(); err != nil {
 				t.Fatalf("snapshot invalid: %v", err)
@@ -74,7 +82,6 @@ func FuzzStreamAdd(f *testing.F) {
 			}
 		}
 
-		accepted := 0
 		body := data[1:]
 		for o := 0; o+chunk <= len(body) && o/chunk < maxOps; o += chunk {
 			op := body[o] % 8

@@ -7,20 +7,6 @@ import (
 	"testing"
 )
 
-// drift feeds a slowly drifting cluster stream — the workload where damped
-// and landmark windows diverge most.
-func drift(t *testing.T, c *Clusterer, n int, seed int64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
-		cx := float64(i) * 0.01
-		p := []float64{cx + rng.NormFloat64()*0.1, rng.NormFloat64() * 0.1}
-		if err := c.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestSnapshotIsPureObservation pins that Snapshot never perturbs state, in
 // either window mode: a clusterer snapshotted after every few insertions
 // ends with a snapshot bit-identical to one that only snapshots at the end.
@@ -29,8 +15,8 @@ func TestSnapshotIsPureObservation(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"landmark", Options{Shards: 4}},
-		{"damped", Options{Lambda: 0.01, MaintenanceEvery: 97, Shards: 4}},
+		{"landmark", Options{}},
+		{"damped", Options{Lambda: 0.01}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func(snapEvery int) *Snapshot {
@@ -60,18 +46,21 @@ func TestSnapshotIsPureObservation(t *testing.T) {
 
 // TestDampedHorizonBoundary pins the retention rule bit-exactly: a point is
 // live while its age is at most ln(1/PruneBelow)/Lambda (closed at the
-// horizon) and expires one ulp beyond it.
+// horizon) and expires one ulp beyond it. Two points share time 0, so the
+// late arrival must evict both at once.
 func TestDampedHorizonBoundary(t *testing.T) {
 	const lambda, prune = 0.1, 0.1
 	horizon := math.Log(1/prune) / lambda // same computation as the clusterer
 
 	mk := func() *Clusterer {
-		c, err := New(2, 0.5, 3, Options{Lambda: lambda, PruneBelow: prune, MaintenanceEvery: 1 << 30})
+		c, err := New(2, 0.5, 3, Options{Lambda: lambda, PruneBelow: prune})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.AddAt([]float64{0, 0}, 0); err != nil {
-			t.Fatal(err)
+		for _, p := range [][]float64{{0, 0}, {0, 1}} {
+			if err := c.AddAt(p, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return c
 	}
@@ -80,8 +69,8 @@ func TestDampedHorizonBoundary(t *testing.T) {
 	if err := c.AddAt([]float64{100, 100}, horizon); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Snapshot(); s.Len() != 2 {
-		t.Fatalf("point at age exactly horizon must still be live, window=%d", s.Len())
+	if s := c.Snapshot(); s.Len() != 3 {
+		t.Fatalf("points at age exactly horizon must still be live, window=%d", s.Len())
 	}
 
 	c = mk()
@@ -89,91 +78,46 @@ func TestDampedHorizonBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s := c.Snapshot(); s.Len() != 1 {
-		t.Fatalf("point one ulp past the horizon must have expired, window=%d", s.Len())
+		t.Fatalf("points one ulp past the horizon must have expired, window=%d", s.Len())
 	}
 }
 
-// TestMaintenanceCadenceIrrelevant pins that physical eviction is invisible:
-// the same damped stream under wildly different maintenance cadences yields
-// bit-identical snapshots (only the memory bookkeeping may differ).
-func TestMaintenanceCadenceIrrelevant(t *testing.T) {
-	mk := func(every int) *Snapshot {
-		c, err := New(2, 0.4, 5, Options{Lambda: 0.005, MaintenanceEvery: every, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drift(t, c, 4000, 31)
-		return c.Snapshot()
-	}
-	base := mk(1 << 30) // never maintains
-	for _, every := range []int{1, 7, 256} {
-		if s := mk(every); !reflect.DeepEqual(base, s) {
-			t.Fatalf("MaintenanceEvery=%d changed the snapshot", every)
-		}
-	}
-}
-
-// TestShardCountDeterminism proves snapshot equivalence at shard counts
-// 1/2/4/8 on a fixed arrival order, in both window modes: the shard count
-// partitions only the bookkeeping, never the clustering.
-func TestShardCountDeterminism(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"landmark", Options{}},
-		{"damped", Options{Lambda: 0.005, MaintenanceEvery: 64}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var base *Snapshot
-			for _, shards := range []int{1, 2, 4, 8} {
-				opts := tc.opts
-				opts.Shards = shards
-				c, err := New(2, 0.4, 5, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				drift(t, c, 3000, 17)
-				s := c.Snapshot()
-				if base == nil {
-					base = s
-					continue
-				}
-				if !reflect.DeepEqual(base, s) {
-					t.Fatalf("snapshot at %d shards differs from 1 shard", shards)
-				}
-			}
-		})
-	}
-}
-
-// TestDampedEvictionReclaimsMemory pins that maintenance actually evicts:
-// under a drifting damped stream the retained point count tracks the live
-// window, not the full history.
+// TestDampedEvictionReclaimsMemory pins exact eviction: under a drifting
+// damped stream the log holds exactly the points whose age is within the
+// horizon after every insertion, and its backing arrays stay within a
+// constant factor of the window rather than of the history.
 func TestDampedEvictionReclaimsMemory(t *testing.T) {
-	c, err := New(2, 0.4, 5, Options{Lambda: 0.01, MaintenanceEvery: 64, Shards: 4})
+	const lambda, n = 0.01, 10000
+	horizon := math.Log(1/defaultPruneBelow) / lambda
+	c, err := New(2, 0.4, 5, Options{Lambda: lambda})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drift(t, c, 10000, 99)
+	rng := rand.New(rand.NewSource(99))
+	oldest := 1 // the earliest live timestamp; Add stamps point i with i
+	for i := 1; i <= n; i++ {
+		if err := c.Add([]float64{float64(i) * 0.01, rng.NormFloat64() * 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		for float64(oldest) < float64(i)-horizon {
+			oldest++
+		}
+		live := i - oldest + 1
+		if len(c.times) != live || len(c.coords) != 2*live {
+			t.Fatalf("after %d adds the log holds %d points, want the %d live", i, len(c.times), live)
+		}
+		if cap(c.times) > 4*live || cap(c.coords) > 4*2*live {
+			t.Fatalf("after %d adds the log's capacity is %d/%d for %d live points",
+				i, cap(c.times), cap(c.coords), live)
+		}
+	}
 	s := c.Snapshot()
 	st := c.Stats()
-	if st.Accepted != 10000 {
-		t.Fatalf("accepted %d", st.Accepted)
-	}
-	if st.Retained < s.Len() {
-		t.Fatalf("retained %d < live window %d", st.Retained, s.Len())
-	}
-	// Horizon is ~230 insertions; GC lag is bounded by MaintenanceEvery per
-	// shard, so retention must stay far below the accepted total.
-	if st.Retained > 2000 {
-		t.Fatalf("retained %d points: maintenance is not reclaiming", st.Retained)
+	if st.Accepted != n || st.Retained != s.Len() {
+		t.Fatalf("accepted %d retained %d, window %d", st.Accepted, st.Retained, s.Len())
 	}
 	if st.EvictedPoints+int64(st.Retained) != st.Accepted {
 		t.Fatalf("evicted %d + retained %d != accepted %d",
 			st.EvictedPoints, st.Retained, st.Accepted)
-	}
-	if st.EvictedCells == 0 || st.Compactions == 0 {
-		t.Fatalf("expected cell evictions and compactions: %+v", st)
 	}
 }

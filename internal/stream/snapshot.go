@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -14,8 +13,7 @@ import (
 // window: the retained points in arrival order together with the labels,
 // core flags and cluster count a batch μDBSCAN run produces over them at the
 // stream's ε/minPts. Snapshots taken at the same clock over the same
-// accepted stream are byte-identical regardless of the shard count or the
-// maintenance cadence.
+// accepted stream are byte-identical.
 type Snapshot struct {
 	// Eps, MinPts and Dim echo the clusterer's parameters.
 	Eps    float64
@@ -36,84 +34,50 @@ type Snapshot struct {
 	NumClusters int
 }
 
-// Snapshot clusters the live window. It gathers every unexpired point
-// (taking each shard's lock in turn), orders them by arrival, and runs the
-// batch μDBSCAN engine — the same incremental mc.Builder pipeline as
-// mudbscan.Cluster — so the result is exact, not approximated at
-// micro-cluster granularity.
+// Snapshot clusters the live window. It copies the arrival log under the
+// lock and runs the batch μDBSCAN engine outside it — the same incremental
+// mc.Builder pipeline as mudbscan.Cluster — so the result is exact, not
+// approximated at micro-cluster granularity.
 //
-// Under concurrent ingest the window reflects some linearization of the
-// in-flight Adds; with ingest quiesced it is exactly the accepted live set.
+// Under concurrent ingest the window is the log at the moment of the copy:
+// a contiguous run of arrivals whose timestamps never decrease.
 func (c *Clusterer) Snapshot() *Snapshot {
-	now := c.now()
-	cutoff := math.Inf(-1)
-	if !math.IsInf(c.horizon, 1) {
-		cutoff = now - c.horizon
-	}
-
-	var (
-		seqs   []int64
-		times  []float64
-		coords []float64
-	)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		// Iterate cells in sorted-key order so the gather itself is
-		// deterministic (the final arrival-order sort would mask map order
-		// anyway, but determinism should not hinge on a later step).
-		keys := make([]cellKey, 0, len(sh.cells))
-		for k := range sh.cells {
-			keys = append(keys, k)
-		}
-		slices.SortFunc(keys, cellKey.compare)
-		for _, k := range keys {
-			cl := sh.cells[k]
-			for i, t := range cl.times {
-				if t < cutoff {
-					continue
-				}
-				seqs = append(seqs, cl.seqs[i])
-				times = append(times, t)
-				coords = append(coords, cl.coords[i*c.dim:(i+1)*c.dim]...)
-			}
-		}
-		sh.mu.Unlock()
-	}
-
-	// Arrival order: sequence numbers are unique, so sorting (seq, position
-	// gathered at) pairs is a total order and the window comes out the same
-	// whatever the shard count put where.
-	type arrival struct {
-		seq int64
-		at  int // 16 bytes a pair either way: an int32 would only add a ceiling
-	}
-	n := len(seqs)
-	ord := make([]arrival, n)
-	for i, seq := range seqs {
-		ord[i] = arrival{seq, i}
-	}
-	slices.SortFunc(ord, func(a, b arrival) int { return cmp.Compare(a.seq, b.seq) })
-
-	s := &Snapshot{
-		Eps: c.eps, MinPts: c.minPts, Dim: c.dim, Time: now,
-		Points: geom.NewPointSet(c.dim, n),
-	}
+	s := c.window()
+	n := s.Len()
 	if n == 0 {
 		return s
 	}
-	s.Seqs = make([]int64, n)
-	s.Times = make([]float64, n)
 	pts := make([]geom.Point, n)
-	for i, a := range ord {
-		s.Seqs[i] = a.seq
-		s.Times[i] = times[a.at]
-		s.Points.AppendRow(coords[a.at*c.dim : (a.at+1)*c.dim])
+	for i := range pts {
 		pts[i] = s.Points.Point(i)
 	}
 	res, _ := core.Run(pts, c.eps, c.minPts, core.Options{})
 	s.Labels = res.Labels
 	s.Core = res.Core
 	s.NumClusters = res.NumClusters
+	return s
+}
+
+// window copies the arrival log into an unclustered snapshot.
+func (c *Clusterer) window() *Snapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.times)
+	s := &Snapshot{
+		Eps: c.eps, MinPts: c.minPts, Dim: c.dim, Time: c.clock,
+		Points: geom.NewPointSet(c.dim, n),
+	}
+	if n == 0 {
+		return s
+	}
+	s.Seqs = make([]int64, n)
+	for i := range s.Seqs {
+		s.Seqs[i] = c.first + int64(i)
+	}
+	s.Times = slices.Clone(c.times)
+	for i := 0; i < n; i++ {
+		s.Points.AppendRow(c.coords[i*c.dim : (i+1)*c.dim])
+	}
 	return s
 }
 

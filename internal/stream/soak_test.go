@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -12,18 +13,20 @@ import (
 )
 
 // TestConcurrentIngestSoak hammers one clusterer with N producer goroutines
-// delivering bursty arrivals while a snapshotter observes mid-stream — the
-// production ingest shape. Run under -race this is the tier's race soak; in
-// any mode it checks the final window is complete (landmark) and the final
-// clustering is internally valid with correct border assignments.
+// delivering bursty arrivals while a snapshotter observes mid-stream. Run
+// under -race this is the tier's race soak; in any mode it checks that every
+// snapshot is a contiguous run of arrivals whose timestamps never decrease,
+// that the final window is complete (landmark) and its counters add up, and
+// that the final clustering is internally valid with correct border
+// assignments.
 func TestConcurrentIngestSoak(t *testing.T) {
 	centers := [][2]float64{{0, 0}, {8, 8}, {16, 0}, {0, 16}, {16, 16}}
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
-		{"landmark", Options{Shards: 8}},
-		{"damped", Options{Lambda: 0.001, MaintenanceEvery: 64, Shards: 8}},
+		{"landmark", Options{}},
+		{"damped", Options{Lambda: 0.001}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(2, 0.5, 8, tc.opts)
@@ -47,6 +50,10 @@ func TestConcurrentIngestSoak(t *testing.T) {
 					s := c.Snapshot()
 					if err := s.Result().Validate(); err != nil {
 						t.Errorf("mid-stream snapshot invalid: %v", err)
+						return
+					}
+					if err := checkArrivalOrder(s); err != nil {
+						t.Errorf("mid-stream snapshot: %v", err)
 						return
 					}
 					c.Stats()
@@ -92,6 +99,13 @@ func TestConcurrentIngestSoak(t *testing.T) {
 			if tc.opts.Lambda == 0 && s.Len() != producers*perProducer {
 				t.Fatalf("landmark window %d want %d", s.Len(), producers*perProducer)
 			}
+			if err := checkArrivalOrder(s); err != nil {
+				t.Fatal(err)
+			}
+			st := c.Stats()
+			if st.Retained != s.Len() || st.EvictedPoints+int64(st.Retained) != st.Accepted {
+				t.Fatalf("stats %+v do not add up for a window of %d", st, s.Len())
+			}
 			res := s.Result()
 			if err := res.Validate(); err != nil {
 				t.Fatal(err)
@@ -110,13 +124,27 @@ func TestConcurrentIngestSoak(t *testing.T) {
 	}
 }
 
+// checkArrivalOrder reports whether a snapshot's window is a contiguous run
+// of arrival sequence numbers with non-decreasing timestamps.
+func checkArrivalOrder(s *Snapshot) error {
+	for i := 1; i < s.Len(); i++ {
+		if s.Seqs[i] != s.Seqs[i-1]+1 {
+			return fmt.Errorf("seqs %d, %d at rows %d, %d are not consecutive", s.Seqs[i-1], s.Seqs[i], i-1, i)
+		}
+		if s.Times[i] < s.Times[i-1] {
+			return fmt.Errorf("time %g at row %d precedes %g at row %d", s.Times[i], i, s.Times[i-1], i-1)
+		}
+	}
+	return nil
+}
+
 // TestNoGoroutineLeak pins that the streaming tier spawns no goroutines of
-// its own: after heavy ingest, snapshots and maintenance, the goroutine
+// its own: after heavy ingest, evictions and snapshots, the goroutine
 // count returns to its baseline.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
-		c, err := New(2, 0.5, 5, Options{Lambda: 0.01, MaintenanceEvery: 32, Shards: 8})
+		c, err := New(2, 0.5, 5, Options{Lambda: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -254,9 +254,8 @@ func WithoutQueryReduction() Option { return func(c *config) { c.disableWndq = t
 
 // WithWorkers sets the one parameter of the engine that runs: goroutines
 // for EngineShared and EngineCell (default GOMAXPROCS), ranks for EngineDist
-// (a power of two, no default), ingest shards for EngineStream (default the
-// tier's own). EngineSeq ignores it. ClusterDistributed takes its rank
-// count as an argument instead.
+// (a power of two, no default). EngineSeq and EngineStream ignore it.
+// ClusterDistributed takes its rank count as an argument instead.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 
 // WithSampleSize sets the per-rank sample size for the sampling-based
@@ -379,7 +378,7 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 		r, _, err := clusterDistributed(pts, eps, minPts, workers, &cfg)
 		return r, nil, err
 	case EngineStream:
-		r, err := clusterStream(pts, eps, minPts, workers, &cfg)
+		r, err := clusterStream(pts, eps, minPts, &cfg)
 		return r, nil, err
 	case EngineAuto:
 		// resolve has replaced it with the engine it picked.

