@@ -11,10 +11,10 @@
 // chaos, all. The tables and figures use the serial rank simulation
 // (isolation timing, the paper's methodology); wallclock additionally runs
 // the concurrent driver and reports real end-to-end wall-clock next to the
-// simulated totals; chaos compares the trusting transport against the
-// hardened envelope/ack path and reports fault-absorption counters under
-// deterministic fault plans. See DESIGN.md §4 for the mapping to the paper
-// (§11 for the fault model), and EXPERIMENTS.md for recorded results.
+// simulated totals; chaos reports the envelope protocol's fault-absorption
+// counters under deterministic fault plans next to a clean run. See
+// DESIGN.md §4 for the mapping to the paper (§11 for the fault model), and
+// EXPERIMENTS.md for recorded results.
 package main
 
 import (

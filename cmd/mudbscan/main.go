@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mudbscan -eps 0.5 -minpts 5 [-mode seq|shared|cell|auto|dist|stream]
-//	         [-ranks 8] [-dist-serial] [-hardened] [-chaos-seed 3] [-workers 4]
+//	         [-ranks 8] [-dist-serial] [-chaos-seed 3] [-workers 4]
 //	         [-lambda 0.01] [-prune-below 0.1]
 //	         [-net tcp|unix|launch] [-rank N] [-peers a,b,...]
 //	         [-in points.csv] [-out labels.txt] [-stats]
@@ -104,8 +104,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		prune   = fs.Float64("prune-below", 0, "expiry weight threshold for -mode stream -lambda (0 = default 0.1)")
 		ranks   = fs.Int("ranks", 8, "simulated ranks for -mode dist (power of two)")
 		distSer = fs.Bool("dist-serial", false, "run -mode dist ranks one at a time (isolation timing) instead of concurrently")
-		harden  = fs.Bool("hardened", false, "wrap -mode dist messages in checksummed ack/retransmit envelopes")
-		chSeed  = fs.Int64("chaos-seed", 0, "inject deterministic network faults into -mode dist from this seed (0 = off; implies -hardened)")
+		chSeed  = fs.Int64("chaos-seed", 0, "inject deterministic network faults into -mode dist from this seed (0 = off)")
 		workers = fs.Int("workers", 0, "goroutines for -mode shared, cell and auto (0 = GOMAXPROCS)")
 		inPath  = fs.String("in", "-", "input dataset (CSV, or .bin binary; - = stdin)")
 		outPath = fs.String("out", "-", "output labels file (- = stdout)")
@@ -184,9 +183,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		if *distSer {
 			distOpts = append(distOpts, mudbscan.WithSerialSimulation())
 		}
-		if *harden {
-			distOpts = append(distOpts, mudbscan.WithHardenedComms())
-		}
 		if *chSeed != 0 {
 			distOpts = append(distOpts, mudbscan.WithFaultInjection(*chSeed))
 		}
@@ -196,11 +192,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 			fmt.Fprintf(stderr, "n=%d ranks=%d m=%d halo=%d commBytes=%d wallclock=%v simulated=%v time=%v\n",
 				len(pts), st.Ranks, st.NumMCs, st.HaloPoints, st.Comm.TotalBytes(),
 				st.WallClock, st.Phases.Total(), time.Since(start))
-			if *harden || *chSeed != 0 {
-				fmt.Fprintf(stderr, "reliability: envBytes=%d retx=%d timeouts=%d corruptDropped=%d dupDropped=%d\n",
-					st.Comm.EnvelopeBytes, st.Comm.Retransmits, st.Comm.Timeouts,
-					st.Comm.CorruptDropped, st.Comm.DupDropped)
-			}
+			printReliability(stderr, st)
 		}
 	} else {
 		var st *mudbscan.SeqStats
@@ -247,6 +239,14 @@ func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqS
 			st.Steps.TreeConstruction, st.Steps.FindingReachable,
 			st.Steps.Clustering, st.Steps.PostProcessing)
 	}
+}
+
+// printReliability writes the -mode dist -stats line of the envelope
+// protocol's counters; a clean network shows only envBytes.
+func printReliability(w io.Writer, st *mudbscan.DistStats) {
+	fmt.Fprintf(w, "reliability: envBytes=%d retx=%d timeouts=%d corruptDropped=%d dupDropped=%d\n",
+		st.Comm.EnvelopeBytes, st.Comm.Retransmits, st.Comm.Timeouts,
+		st.Comm.CorruptDropped, st.Comm.DupDropped)
 }
 
 func readPoints(path string, stdin io.Reader) ([]geom.Point, error) {

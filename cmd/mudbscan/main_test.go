@@ -182,7 +182,7 @@ func TestStreamModeMatchesSeq(t *testing.T) {
 
 func TestHardenedAndChaosFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-eps", "0.5", "-minpts", "3", "-mode", "dist", "-ranks", "2", "-hardened", "-stats"},
+		{"-eps", "0.5", "-minpts", "3", "-mode", "dist", "-ranks", "2", "-stats"},
 		{"-eps", "0.5", "-minpts", "3", "-mode", "dist", "-ranks", "2", "-chaos-seed", "3", "-stats"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -115,9 +115,7 @@ func runNetRank(cfg *netConfig, pts []geom.Point, eps float64, minPts int, showS
 		fmt.Fprintf(stderr, "n=%d ranks=%d net=%s m=%d halo=%d commBytes=%d wallclock=%v time=%v\n",
 			len(pts), st.Ranks, cfg.network, st.NumMCs, st.HaloPoints, st.Comm.TotalBytes(),
 			st.WallClock, time.Since(start))
-		fmt.Fprintf(stderr, "reliability: envBytes=%d retx=%d timeouts=%d corruptDropped=%d dupDropped=%d\n",
-			st.Comm.EnvelopeBytes, st.Comm.Retransmits, st.Comm.Timeouts,
-			st.Comm.CorruptDropped, st.Comm.DupDropped)
+		printReliability(stderr, st)
 		fmt.Fprintf(stderr, "clusters=%d cores=%d noise=%d\n",
 			result.NumClusters, result.NumCorePoints(), result.NumNoise())
 	}

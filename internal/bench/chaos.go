@@ -10,64 +10,44 @@ import (
 	"mudbscan/internal/mpi"
 )
 
-// Chaos measures what the reliability layer costs and what it absorbs.
-//
-// The first table sweeps ranks on a clean network: the trusting transport
-// against the hardened envelope/ack path, both producing byte-identical
-// clusterings — the overhead column is the price of sequence numbers,
-// checksums, and acknowledgments when nothing goes wrong. The second table
-// routes the same workload through deterministic fault plans and reports the
-// counters of every absorbed fault class, with the output still asserted
-// exact against the clean run.
+// Chaos measures what the reliability layer absorbs. One table at 8 ranks:
+// a clean-network run, then the same workload through three deterministic
+// fault plans, each with the counters of every absorbed fault class. A plan
+// whose output is not byte-identical to the clean run's fails the
+// experiment.
 func Chaos(cfg Config) error {
 	cfg = cfg.withDefaults()
 	s := specMPAGD8M
 	pts := s.Points(cfg.Scale)
-	ranks := wallclockRanks(minInt(cfg.Ranks, 8))
+	p := minInt(cfg.Ranks, 8)
 
-	fmt.Fprintf(cfg.Out, "hardened-transport overhead on a clean network, %s (n=%d)\n",
-		s.ScaledName(cfg.Scale), len(pts))
+	fmt.Fprintf(cfg.Out, "fault absorption at %d ranks, %s (n=%d; plans deliver eventually)\n",
+		p, s.ScaledName(cfg.Scale), len(pts))
 	t := newTable(cfg.Out)
-	t.row("Ranks", "trusting(s)", "hardened(s)", "overhead", "env bytes", "identical")
+	t.row("Plan", "wall(s)", "env bytes", "retx", "timeouts", "corrupt", "dup", "exact")
 	var ref *clustering.Result
-	for _, p := range ranks {
-		trusting, st0, err := dist.MuDBSCAND(pts, s.Eps, s.MinPts, p, dist.Options{Seed: 1})
+	for seed := int64(0); seed <= 3; seed++ {
+		opts := dist.Options{Seed: 1}
+		plan := "clean"
+		if seed > 0 {
+			plan = fmt.Sprintf("seed %d", seed)
+			opts.Transport = chaos.New(chaos.Eventual(seed))
+			opts.Retry = mpi.RetryPolicy{BaseTimeout: time.Millisecond, MaxTimeout: 10 * time.Millisecond, MaxAttempts: 14}
+		}
+		got, st, err := dist.MuDBSCAND(pts, s.Eps, s.MinPts, p, opts)
 		if err != nil {
 			return err
 		}
-		hardened, st1, err := dist.MuDBSCAND(pts, s.Eps, s.MinPts, p, dist.Options{Seed: 1, Hardened: true})
-		if err != nil {
-			return err
+		exact := "true"
+		switch {
+		case ref == nil:
+			ref, exact = got, "ref"
+		case !sameClustering(ref, got):
+			return fmt.Errorf("chaos: %s: output differs from the clean run", plan)
 		}
-		if p == ranks[len(ranks)-1] {
-			ref = trusting
-		}
-		t.row(fmt.Sprint(p),
-			seconds(st0.WallClock), seconds(st1.WallClock),
-			fmt.Sprintf("%+.1f%%", 100*(float64(st1.WallClock)/float64(st0.WallClock)-1)),
-			fmt.Sprint(st1.Comm.EnvelopeBytes),
-			fmt.Sprint(sameClustering(trusting, hardened)))
-	}
-	t.flush()
-
-	p := ranks[len(ranks)-1]
-	fmt.Fprintf(cfg.Out, "\nfault absorption at %d ranks (eventually-delivering plans)\n", p)
-	t = newTable(cfg.Out)
-	t.row("Plan seed", "wall(s)", "retx", "timeouts", "corrupt", "dup", "exact")
-	for seed := int64(1); seed <= 3; seed++ {
-		got, st, err := dist.MuDBSCAND(pts, s.Eps, s.MinPts, p, dist.Options{
-			Seed:      1,
-			Hardened:  true,
-			Transport: chaos.New(chaos.Eventual(seed)),
-			Retry:     mpi.RetryPolicy{BaseTimeout: time.Millisecond, MaxTimeout: 10 * time.Millisecond, MaxAttempts: 14},
-		})
-		if err != nil {
-			return err
-		}
-		t.row(fmt.Sprint(seed), seconds(st.WallClock),
+		t.row(plan, seconds(st.WallClock), fmt.Sprint(st.Comm.EnvelopeBytes),
 			fmt.Sprint(st.Comm.Retransmits), fmt.Sprint(st.Comm.Timeouts),
-			fmt.Sprint(st.Comm.CorruptDropped), fmt.Sprint(st.Comm.DupDropped),
-			fmt.Sprint(sameClustering(ref, got)))
+			fmt.Sprint(st.Comm.CorruptDropped), fmt.Sprint(st.Comm.DupDropped), exact)
 	}
 	t.flush()
 	return nil

@@ -30,7 +30,7 @@ func Experiments() []Experiment {
 		{"shared", "shared-memory multi-core phase split across worker counts", SharedMemory},
 		{"wallclock", "μDBSCAN-D simulated vs real wall-clock across rank counts", Wallclock},
 		{"ablations", "design-choice ablations (DESIGN.md §5)", Ablations},
-		{"chaos", "hardened-transport overhead and fault absorption (DESIGN.md §11)", Chaos},
+		{"chaos", "fault absorption of the envelope protocol at 8 ranks (DESIGN.md §11)", Chaos},
 		{"daemon", "clustering-as-a-service cold/cached jobs and ε-query serving (DESIGN.md §14)", Daemon},
 		{"engines", "cross-engine head-to-head: brute vs μR-tree vs grid cell, with the auto-selector's pick (DESIGN.md §15)", Engines},
 		{"scenarios", "every engine on every scenario-corpus workload, with inline exactness checks (DESIGN.md §16)", Scenarios},

@@ -167,7 +167,7 @@ func TestHardenedRuntimeOverChaos(t *testing.T) {
 	retry := mpi.RetryPolicy{BaseTimeout: time.Millisecond, MaxTimeout: 10 * time.Millisecond, MaxAttempts: 14}
 	for seed := int64(1); seed <= 5; seed++ {
 		net := New(Eventual(seed))
-		_, err := mpi.RunWithOptions(8, mpi.Options{Transport: net, Hardened: true, Retry: retry}, func(c *mpi.Comm) error {
+		_, err := mpi.RunWithOptions(8, mpi.Options{Transport: net, Retry: retry}, func(c *mpi.Comm) error {
 			p, rank := c.Size(), c.Rank()
 			for round := 0; round < 3; round++ {
 				send := make([][]byte, p)
@@ -196,7 +196,7 @@ func TestHardenedRuntimeOverChaos(t *testing.T) {
 func TestHardenedRankLostOverCut(t *testing.T) {
 	retry := mpi.RetryPolicy{BaseTimeout: time.Millisecond, MaxTimeout: 4 * time.Millisecond, MaxAttempts: 6}
 	net := New(PermanentLoss(1, 0, 1))
-	_, err := mpi.RunWithOptions(2, mpi.Options{Transport: net, Hardened: true, Retry: retry}, func(c *mpi.Comm) error {
+	_, err := mpi.RunWithOptions(2, mpi.Options{Transport: net, Retry: retry}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []byte("lost"))
 			c.Recv(1, 4)

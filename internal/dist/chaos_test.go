@@ -73,7 +73,6 @@ func TestChaosConformance(t *testing.T) {
 					}
 					got, st, err := al.run(ds.pts, ds.eps, ds.minPts, p, Options{
 						Seed:      7,
-						Hardened:  true,
 						Transport: chaos.New(chaos.Eventual(seed)),
 						Retry:     chaosRetry,
 					})
@@ -110,7 +109,6 @@ func TestChaosSerialExec(t *testing.T) {
 		got, _, err := MuDBSCAND(ds.pts, ds.eps, ds.minPts, 4, Options{
 			Seed:      7,
 			Exec:      ExecSerial,
-			Hardened:  true,
 			Transport: chaos.New(chaos.Eventual(seed)),
 			Retry:     chaosRetry,
 		})
@@ -123,33 +121,23 @@ func TestChaosSerialExec(t *testing.T) {
 	}
 }
 
-// TestHardenedCleanByteIdentical asserts the hardened envelope path changes
-// nothing but resilience: on a clean network, hardened and trusting runs of
-// every algorithm produce byte-identical clusterings under both execution
-// modes, and the trusting run's counters stay untouched.
-func TestHardenedCleanByteIdentical(t *testing.T) {
+// TestCleanNetworkCounters asserts what the envelope protocol costs when
+// nothing goes wrong: every algorithm under both schedules frames its
+// messages (EnvelopeBytes > 0) and trips no reliability counter. Exactness
+// is the conformance suites' job.
+func TestCleanNetworkCounters(t *testing.T) {
 	ds := conformanceDatasets()[3] // skewed-3d: imbalanced ranks, halo traffic
 	for _, al := range chaosAlgos {
 		for _, exec := range []Exec{ExecSerial, ExecConcurrent} {
-			trusting, stT, err := al.run(ds.pts, ds.eps, ds.minPts, 4, Options{Seed: 7, Exec: exec})
+			_, st, err := al.run(ds.pts, ds.eps, ds.minPts, 4, Options{Seed: 7, Exec: exec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			hardened, stH, err := al.run(ds.pts, ds.eps, ds.minPts, 4, Options{Seed: 7, Exec: exec, Hardened: true})
-			if err != nil {
-				t.Fatal(err)
+			if st.Comm.EnvelopeBytes == 0 {
+				t.Fatalf("%s exec=%d: run accounted no envelope bytes", al.name, exec)
 			}
-			if !reflect.DeepEqual(trusting.Labels, hardened.Labels) || !reflect.DeepEqual(trusting.Core, hardened.Core) {
-				t.Fatalf("%s exec=%d: hardened output differs from trusting", al.name, exec)
-			}
-			if stT.Comm.EnvelopeBytes != 0 {
-				t.Fatalf("%s: trusting run accounted envelope bytes", al.name)
-			}
-			if stH.Comm.EnvelopeBytes == 0 {
-				t.Fatalf("%s: hardened run accounted no envelope bytes", al.name)
-			}
-			if stH.Comm.Retransmits != 0 || stH.Comm.CorruptDropped != 0 {
-				t.Fatalf("%s: clean network tripped reliability counters: %+v", al.name, stH.Comm)
+			if st.Comm.Retransmits != 0 || st.Comm.CorruptDropped != 0 {
+				t.Fatalf("%s exec=%d: clean network tripped reliability counters: %+v", al.name, exec, st.Comm)
 			}
 		}
 	}
@@ -168,7 +156,6 @@ func TestChaosPermanentLoss(t *testing.T) {
 				start := time.Now()
 				res, st, err := MuDBSCAND(ds.pts, ds.eps, ds.minPts, p, Options{
 					Seed:      7,
-					Hardened:  true,
 					Transport: chaos.New(chaos.PermanentLoss(seed, 0, 1)),
 					Retry:     retry,
 				})
@@ -212,7 +199,6 @@ func TestChaosSeedSweep(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		got, _, err := MuDBSCAND(ds.pts, ds.eps, ds.minPts, 4, Options{
 			Seed:      7,
-			Hardened:  true,
 			Transport: chaos.New(chaos.Eventual(seed)),
 			Retry:     chaosRetry,
 		})

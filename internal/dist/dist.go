@@ -97,32 +97,29 @@ type Options struct {
 	// Exec selects concurrent (default) or serial-simulation execution.
 	// Both produce identical clusterings; only timing methodology differs.
 	Exec Exec
-	// Transport overrides the in-process message transport (nil = perfect
-	// delivery). A transport that can lose or damage messages requires
-	// Hardened; see internal/chaos for the deterministic fault injector.
+	// Transport carries every frame of the in-process ranks (nil = direct
+	// delivery). The mpi envelope protocol absorbs whatever it loses or
+	// damages, collectives included, so the clustering is the same; see
+	// internal/chaos for the deterministic fault injector.
 	Transport mpi.Transport
-	// Hardened routes every point-to-point message through the mpi
-	// envelope/ack/retransmit protocol. The clustering is byte-identical
-	// with or without it; only resilience and overhead change.
-	Hardened bool
-	// Retry bounds the hardened retransmission loop (zero value = the mpi
-	// defaults). Its Budget() bounds how long a run with a dead rank can
-	// take to fail with ErrRankLost.
+	// Retry bounds the retransmission loop (zero value = the mpi defaults).
+	// Its Budget() bounds how long a run with a dead rank can take to fail
+	// with ErrRankLost.
 	Retry mpi.RetryPolicy
 	// Remote switches to multi-process execution: this process runs exactly
 	// one rank and the rest of the world is reached through Remote.Transport
 	// (see network.go). Exec and Transport are ignored — the remote runtime
-	// is always hardened over its own transport.
+	// runs over its own transport.
 	Remote *Remote
 }
 
 // mpiOptions maps the communication-relevant options onto the runtime.
 func (o Options) mpiOptions() mpi.Options {
-	return mpi.Options{Transport: o.Transport, Hardened: o.Hardened, Retry: o.Retry}
+	return mpi.Options{Transport: o.Transport, Retry: o.Retry}
 }
 
 // ErrRankLost is wrapped into the error returned when a rank exhausts the
-// hardened retry budget without acknowledgment — the graceful-degradation
+// retry budget without acknowledgment — the graceful-degradation
 // signal that a simulated peer died. Test with errors.Is(err, ErrRankLost);
 // the accompanying partial *Stats still carry the communication counters up
 // to the failure.

@@ -14,7 +14,7 @@ import (
 //mulint:wire mpi-tag
 const ackTag = -1099
 
-// RetryPolicy bounds the hardened path's retransmission loop. The zero
+// RetryPolicy bounds the envelope protocol's retransmission loop. The zero
 // value selects the defaults below.
 type RetryPolicy struct {
 	// BaseTimeout is the ack wait before the first retransmission; each
@@ -95,7 +95,7 @@ func (e *RankLostError) Error() string {
 	return fmt.Sprintf("mpi: rank %d declared lost by rank %d after %d unacknowledged transmissions", e.Rank, e.From, e.Attempts)
 }
 
-// linkState is the per-directed-link protocol state of the hardened path,
+// linkState is the per-directed-link state of the envelope protocol,
 // indexed like the mailboxes (dst*size+src). The sender side assigns
 // sequence numbers and tracks unacked frames; the receiver side reassembles
 // the per-link FIFO order and drops duplicates.
@@ -121,9 +121,9 @@ func newLinks(p int) []*linkState {
 func (w *world) link(src, dst int) *linkState { return w.links[dst*w.size+src] }
 
 // mailboxPut inserts a verified in-order message into dst's mailbox from
-// src. Unlike the trusting path's blocking send it must not panic: it runs
-// on transport and retransmit goroutines with no rank recover above them.
-// An abort unblocks it so stray deliveries cannot wedge teardown.
+// src. It must not panic: it runs on transport and retransmit goroutines
+// with no rank recover above them. An abort unblocks it so stray deliveries
+// cannot wedge teardown.
 //
 //mulint:inline runs on the delivering goroutine; spawning here would break the inline-ack guarantee
 func (w *world) mailboxPut(src, dst int, m message) {
@@ -136,7 +136,7 @@ func (w *world) mailboxPut(src, dst int, m message) {
 // deliverData pushes one envelope frame toward dst through the configured
 // transport (or directly when none is set).
 //
-//mulint:inline the clean-network fast path acks inline on this goroutine; a go statement anywhere below would silently reintroduce the per-send goroutine the hardened path exists to avoid
+//mulint:inline the clean-network fast path acks inline on this goroutine; a go statement anywhere below would silently reintroduce a goroutine per send
 func (w *world) deliverData(src, dst int, m Message) {
 	if w.transport != nil {
 		w.transport.Deliver(src, dst, m, func(mm Message) { w.receiveEnvelope(src, dst, mm) })
@@ -145,14 +145,15 @@ func (w *world) deliverData(src, dst int, m Message) {
 	w.receiveEnvelope(src, dst, m)
 }
 
-// startHardenedSend frames data, transmits it, and returns a Request that
-// completes when the destination acknowledges the frame. On a clean network
-// the ack arrives inline (the delivery callback runs on this goroutine) and
-// no retransmit goroutine is ever spawned — that is the entire overhead of
-// the hardened path when nothing goes wrong. Otherwise a background loop
-// retransmits with exponential backoff until the ack lands or the retry
-// budget declares dst lost, which aborts the world with RankLostError.
-func (w *world) startHardenedSend(src, dst, tag int, data []byte) *Request {
+// send frames data, transmits it, and returns a Request that completes when
+// the destination acknowledges the frame. It is the runtime's one
+// point-to-point path. On a clean network the ack arrives inline (the
+// delivery callback runs on this goroutine) and no retransmit goroutine is
+// ever spawned — that is the entire overhead of the protocol when nothing
+// goes wrong. Otherwise a background loop retransmits with exponential
+// backoff until the ack lands or the retry budget declares dst lost, which
+// aborts the world with RankLostError.
+func (w *world) send(src, dst, tag int, data []byte) *Request {
 	lk := w.link(src, dst)
 	lk.mu.Lock()
 	seq := lk.nextSeq
@@ -264,7 +265,7 @@ func (w *world) sendAck(src, dst int, seq uint64) {
 // numbers (already acked, or the frame was corrupted into a different valid
 // ack — impossible with CRC32-C at these sizes, but harmless) are ignored.
 //
-//mulint:inline resolves the pending send on the delivering goroutine; the inline-completion fast path in startHardenedSend depends on it
+//mulint:inline resolves the pending send on the delivering goroutine; the inline-completion fast path in send depends on it
 func (w *world) receiveAck(src, dst int, m Message) {
 	seq, ok := DecodeAck(m.Data)
 	if !ok {

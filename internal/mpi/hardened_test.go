@@ -12,7 +12,7 @@ import (
 // fastRetry keeps fault tests quick without risking spurious rank loss.
 var fastRetry = RetryPolicy{BaseTimeout: time.Millisecond, MaxTimeout: 10 * time.Millisecond, MaxAttempts: 12}
 
-// ringExchange is the workload the hardened tests run: a tagged ring
+// ringExchange is the workload the protocol tests run: a tagged ring
 // send/recv followed by an all-to-all, verifying every payload.
 func ringExchange(c *Comm) error {
 	p := c.Size()
@@ -39,7 +39,7 @@ func ringExchange(c *Comm) error {
 }
 
 func TestHardenedCleanNetwork(t *testing.T) {
-	st, err := RunWithOptions(4, Options{Hardened: true, Retry: fastRetry}, ringExchange)
+	st, err := RunWithOptions(4, Options{Retry: fastRetry}, ringExchange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,17 +47,51 @@ func TestHardenedCleanNetwork(t *testing.T) {
 		t.Fatalf("clean network should not trip reliability counters: %+v", st)
 	}
 	if st.EnvelopeBytes == 0 {
-		t.Fatal("hardened path must account envelope overhead")
+		t.Fatal("every message must account envelope overhead")
 	}
 }
 
-func TestHardenedPerfectTransportIsDirect(t *testing.T) {
-	st, err := RunWithOptions(4, Options{Transport: PerfectTransport{}}, ringExchange)
+// tagCountTransport delivers every frame faithfully and counts the frames
+// it carried per tag.
+type tagCountTransport struct {
+	mu   sync.Mutex
+	tags map[int]int
+}
+
+func (tr *tagCountTransport) Deliver(from, to int, m Message, deliver func(Message)) {
+	tr.mu.Lock()
+	tr.tags[m.Tag]++
+	tr.mu.Unlock()
+	deliver(m)
+}
+
+// TestCollectivesCrossTheTransport pins the one delivery path: Barrier,
+// Bcast and Allgather are messages like any other, so a transport — and
+// with it any fault plan — sees their frames and their acks.
+func TestCollectivesCrossTheTransport(t *testing.T) {
+	const p = 4
+	tr := &tagCountTransport{tags: map[int]int{}}
+	_, err := RunWithOptions(p, Options{Transport: tr}, func(c *Comm) error {
+		c.Barrier()
+		c.Bcast(1, []byte("root"))
+		c.Allgather([]byte{byte(c.Rank())})
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.EnvelopeBytes != 0 {
-		t.Fatal("trusting path over PerfectTransport must not frame messages")
+	for _, want := range []struct {
+		name   string
+		tag, n int
+	}{
+		{"Barrier", barrierTag, 2 * (p - 1)},
+		{"Bcast", bcastTag, p - 1},
+		{"Allgather", allgatherTag, p * (p - 1)},
+		{"acks", ackTag, 2*(p-1) + (p - 1) + p*(p-1)},
+	} {
+		if got := tr.tags[want.tag]; got != want.n {
+			t.Errorf("%s: transport carried %d frames, want %d", want.name, got, want.n)
+		}
 	}
 }
 
@@ -82,7 +116,7 @@ func (tr *onceDropTransport) Deliver(from, to int, m Message, deliver func(Messa
 
 func TestHardenedSurvivesDrops(t *testing.T) {
 	tr := &onceDropTransport{seen: map[string]bool{}}
-	st, err := RunWithOptions(4, Options{Transport: tr, Hardened: true, Retry: fastRetry}, ringExchange)
+	st, err := RunWithOptions(4, Options{Transport: tr, Retry: fastRetry}, ringExchange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +134,7 @@ func (dupTransport) Deliver(from, to int, m Message, deliver func(Message)) {
 }
 
 func TestHardenedDropsDuplicates(t *testing.T) {
-	st, err := RunWithOptions(4, Options{Transport: dupTransport{}, Hardened: true, Retry: fastRetry}, ringExchange)
+	st, err := RunWithOptions(4, Options{Transport: dupTransport{}, Retry: fastRetry}, ringExchange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +167,7 @@ func (tr *corruptOnceTransport) Deliver(from, to int, m Message, deliver func(Me
 
 func TestHardenedDetectsCorruption(t *testing.T) {
 	tr := &corruptOnceTransport{seen: map[string]bool{}}
-	st, err := RunWithOptions(4, Options{Transport: tr, Hardened: true, Retry: fastRetry}, ringExchange)
+	st, err := RunWithOptions(4, Options{Transport: tr, Retry: fastRetry}, ringExchange)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +214,10 @@ func (tr *holdOneTransport) Drain() {
 
 func TestHardenedRestoresFIFOOrder(t *testing.T) {
 	// Two back-to-back Isends per link arrive swapped on the wire; sequence
-	// numbers must restore send order, which the tag check observes. On the
-	// trusting path this exact run would panic with a tag mismatch.
+	// numbers must restore send order, which the tag check observes. Without
+	// them this exact run would panic with a tag mismatch.
 	tr := &holdOneTransport{held: map[[2]int]func(){}}
-	_, err := RunWithOptions(2, Options{Transport: tr, Hardened: true, Retry: fastRetry}, func(c *Comm) error {
+	_, err := RunWithOptions(2, Options{Transport: tr, Retry: fastRetry}, func(c *Comm) error {
 		peer := 1 - c.Rank()
 		c.Isend(peer, 1, []byte("first"))
 		c.Isend(peer, 2, []byte("second"))
@@ -214,7 +248,7 @@ func TestHardenedRankLost(t *testing.T) {
 	retry := RetryPolicy{BaseTimeout: time.Millisecond, MaxTimeout: 4 * time.Millisecond, MaxAttempts: 5}
 	tr := blackHoleTransport{dead: map[[2]int]bool{{0, 1}: true}}
 	start := time.Now()
-	_, err := RunWithOptions(2, Options{Transport: tr, Hardened: true, Retry: retry}, func(c *Comm) error {
+	_, err := RunWithOptions(2, Options{Transport: tr, Retry: retry}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []byte("into the void"))
 			c.Recv(1, 4)

@@ -15,20 +15,21 @@
 // SPMD discipline). If any rank panics, the whole world is aborted and
 // Run returns an error instead of deadlocking.
 //
-// # Transport seam and the hardened path
+// # One delivery path
 //
-// Point-to-point traffic crosses a pluggable Transport (RunWithOptions).
-// The default is direct in-process delivery — bit-identical to the runtime
-// before the seam existed. With Options.Hardened every send is framed in a
-// sequence-numbered, CRC32-C-checksummed envelope, acknowledged by the
-// receiver, deduplicated and reassembled into per-link FIFO order, and
-// retransmitted with bounded exponential backoff; a destination that never
-// acks within the retry budget aborts the world with RankLostError. This is
-// what lets a fault-injecting transport (internal/chaos) drop, duplicate,
-// reorder, delay and corrupt messages without changing any clustering built
-// on top. Collectives built on the shared slot array (Barrier, Bcast,
-// Allgather) are control-plane shared memory and are not routed through the
-// transport; all record/halo/flag payloads go point-to-point.
+// Every message — application payloads and the collectives' own frames
+// alike — is framed in a sequence-numbered, CRC32-C-checksummed envelope,
+// acknowledged by the receiver, deduplicated and reassembled into per-link
+// FIFO order, and retransmitted with bounded exponential backoff; a
+// destination that never acks within the retry budget aborts the world with
+// RankLostError. Frames cross a pluggable Transport (RunWithOptions); none
+// means in-process delivery on the sending goroutine, where the ack lands
+// before the send returns. Barrier, Bcast and Allgather are written once on
+// top of point-to-point messages, so an in-process world and a
+// multi-process one (RunRemote) run the same collectives, and a
+// fault-injecting transport (internal/chaos) that drops, duplicates,
+// reorders, delays and corrupts frames reaches all of them without changing
+// any clustering built on top.
 package mpi
 
 import (
@@ -44,8 +45,8 @@ type Stats struct {
 	BytesSent []int64
 	// MsgsSent[r] counts messages rank r sent.
 	MsgsSent []int64
-	// The remaining counters are hardened-path reliability accounting; all
-	// stay zero on the trusting path.
+	// The remaining counters are the envelope protocol's reliability
+	// accounting; all but EnvelopeBytes stay zero on a clean network.
 	//
 	// Retransmits counts envelope retransmissions after an ack timeout.
 	Retransmits int64
@@ -81,34 +82,43 @@ type errAbort struct{ cause any }
 
 func (e errAbort) Error() string { return fmt.Sprintf("mpi: world aborted: %v", e.cause) }
 
-// world holds the shared state of one Run.
+// world holds the shared state of one Run, or this process's share of one
+// RunRemote (where only the local rank's mailboxes ever fill).
 type world struct {
 	size      int
 	chans     []chan message // dst*size+src
-	slots     [][]byte       // collective exchange buffer, one per rank
-	barrier   *barrier
 	abort     chan struct{}
 	abortOnce sync.Once
 	cause     atomic.Value
 	bytes     []int64
 	msgs      []int64
 
-	// transport is the delivery seam; nil means direct in-process delivery.
+	// transport carries every frame; nil delivers in-process on the sending
+	// goroutine.
 	transport Transport
-	// remote marks a multi-process world (remote.go): exactly one rank —
-	// self — lives in this process, and the collectives run over hardened
-	// point-to-point messages instead of the shared slot array.
-	remote bool
-	// self is the local rank of a remote world (unused otherwise).
-	self int
-	// hardened enables the envelope/ack/retransmit protocol (hardened.go).
-	hardened bool
-	retry    RetryPolicy
-	links    []*linkState
+	retry     RetryPolicy
+	links     []*linkState
 	// inflight tracks retransmit goroutines so Run can quiesce them before
 	// the final stats snapshot.
 	inflight                                                         sync.WaitGroup
 	retransmits, timeouts, corruptDropped, dupDropped, envelopeBytes int64
+}
+
+func newWorld(p int, tr Transport, retry RetryPolicy) *world {
+	w := &world{
+		size:      p,
+		chans:     make([]chan message, p*p),
+		abort:     make(chan struct{}),
+		bytes:     make([]int64, p),
+		msgs:      make([]int64, p),
+		transport: tr,
+		retry:     retry.withDefaults(),
+		links:     newLinks(p),
+	}
+	for i := range w.chans {
+		w.chans[i] = make(chan message, 1024)
+	}
+	return w
 }
 
 func (w *world) doAbort(cause any) {
@@ -120,31 +130,59 @@ func (w *world) doAbort(cause any) {
 	})
 }
 
-type barrier struct {
-	mu    sync.Mutex
-	count int
-	gen   chan struct{}
-	size  int
-	abort chan struct{}
+// runRank runs fn as one rank and returns its error: the one fn returned,
+// or the panic it raised. Any failure other than observing a peer's abort
+// aborts the world.
+func (w *world) runRank(rank int, fn func(c *Comm) error) (err error) {
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			return
+		}
+		switch v := rec.(type) {
+		case errAbort:
+			err = v
+		case *RankLostError:
+			err = v
+			w.doAbort(v)
+		default:
+			err = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
+			w.doAbort(rec)
+		}
+	}()
+	if err = fn(&Comm{rank: rank, w: w}); err != nil {
+		w.doAbort(err)
+	}
+	return err
 }
 
-func (b *barrier) wait() {
-	b.mu.Lock()
-	ch := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen = make(chan struct{})
-		close(ch)
-		b.mu.Unlock()
-		return
+// result picks the error a run reports from its ranks' errors, root cause
+// first: the first that is not merely the abort; else, when every failed
+// rank saw only the abort, the stored cause if it is a typed error (e.g. a
+// RankLostError raised on a retransmit goroutine or by a transport's
+// peer-down detector, which no rank observed directly); else the abort.
+func (w *world) result(errs []error) error {
+	var abort error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if _, isAbort := err.(errAbort); !isAbort {
+			return err
+		}
+		if abort == nil {
+			abort = err
+		}
 	}
-	b.mu.Unlock()
-	select {
-	case <-ch:
-	case <-b.abort:
-		panic(errAbort{cause: "peer failure"})
+	if abort == nil {
+		return nil
 	}
+	if c, ok := w.cause.Load().(error); ok {
+		if _, isAbort := c.(errAbort); !isAbort {
+			return c
+		}
+	}
+	return abort
 }
 
 // Comm is one rank's handle on the world.
@@ -161,15 +199,10 @@ func (c *Comm) Size() int { return c.w.size }
 
 // Options configures RunWithOptions; the zero value reproduces Run.
 type Options struct {
-	// Transport overrides physical delivery of point-to-point messages.
-	// Nil (or PerfectTransport) selects the direct in-process path.
+	// Transport carries every frame between ranks (nil = in-process
+	// delivery on the sending goroutine).
 	Transport Transport
-	// Hardened routes every point-to-point message through the envelope/
-	// ack/retransmit protocol. Required for any transport that can damage
-	// or lose messages; usable without a transport to measure the protocol's
-	// overhead on a clean network.
-	Hardened bool
-	// Retry bounds the hardened retransmission loop (zero value = defaults).
+	// Retry bounds the retransmission loop (zero value = defaults).
 	Retry RetryPolicy
 }
 
@@ -180,57 +213,19 @@ func Run(p int, fn func(c *Comm) error) (Stats, error) {
 	return RunWithOptions(p, Options{}, fn)
 }
 
-// RunWithOptions is Run with an explicit transport and reliability
-// configuration. With the zero Options it is Run, on the same code paths.
+// RunWithOptions is Run with an explicit transport and retry policy.
 func RunWithOptions(p int, opts Options, fn func(c *Comm) error) (Stats, error) {
 	if p < 1 {
 		return Stats{}, fmt.Errorf("mpi: need at least 1 rank, got %d", p)
 	}
-	w := &world{
-		size:  p,
-		chans: make([]chan message, p*p),
-		slots: make([][]byte, p),
-		abort: make(chan struct{}),
-		bytes: make([]int64, p),
-		msgs:  make([]int64, p),
-	}
-	if _, perfect := opts.Transport.(PerfectTransport); opts.Transport != nil && !perfect {
-		w.transport = opts.Transport
-	}
-	if opts.Hardened {
-		w.hardened = true
-		w.retry = opts.Retry.withDefaults()
-		w.links = newLinks(p)
-	}
-	for i := range w.chans {
-		w.chans[i] = make(chan message, 1024)
-	}
-	w.barrier = &barrier{gen: make(chan struct{}), size: p, abort: w.abort}
-
+	w := newWorld(p, opts.Transport, opts.Retry)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					switch v := rec.(type) {
-					case errAbort:
-						errs[rank] = v
-					case *RankLostError:
-						errs[rank] = v
-						w.doAbort(v)
-					default:
-						errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-						w.doAbort(rec)
-					}
-				}
-			}()
-			if err := fn(&Comm{rank: rank, w: w}); err != nil {
-				errs[rank] = err
-				w.doAbort(err)
-			}
+			errs[rank] = w.runRank(rank, fn)
 		}(r)
 	}
 	wg.Wait()
@@ -241,33 +236,7 @@ func RunWithOptions(p int, opts Options, fn func(c *Comm) error) (Stats, error) 
 		d.Drain()
 	}
 	w.inflight.Wait()
-	st := w.statsSnapshot()
-	// Report the root cause first: prefer a non-abort error.
-	for _, err := range errs {
-		if err != nil {
-			if _, isAbort := err.(errAbort); !isAbort {
-				return st, err
-			}
-		}
-	}
-	// Every rank saw only the abort: surface the stored root cause when it
-	// is a typed error, e.g. a RankLostError raised on a retransmit
-	// goroutine that no rank observed directly.
-	if c, ok := w.cause.Load().(error); ok {
-		if _, isAbort := c.(errAbort); !isAbort {
-			for _, err := range errs {
-				if err != nil {
-					return st, c
-				}
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return st, err
-		}
-	}
-	return st, nil
+	return w.statsSnapshot(), w.result(errs)
 }
 
 // statsSnapshot copies the counters into fresh storage with atomic loads,
@@ -294,34 +263,14 @@ func (c *Comm) account(bytes int) {
 	atomic.AddInt64(&c.w.msgs[c.rank], 1)
 }
 
-// Send delivers data to rank dst with the given tag. The payload is not
-// copied; senders must not mutate it afterwards (as with MPI buffers in
-// flight). Blocks only if the destination's channel buffer is full.
-//
-// On the hardened path Send is fire-and-forget at the protocol level: the
-// envelope goes out immediately and any retransmission continues in the
-// background; an exhausted retry budget aborts the world with RankLostError
-// rather than failing the call.
+// Send delivers data to rank dst with the given tag: Isend without the
+// Request. It is fire-and-forget at the protocol level — the envelope goes
+// out immediately and any retransmission continues in the background; an
+// exhausted retry budget aborts the world with RankLostError rather than
+// failing the call. In-process it blocks only while the destination's
+// mailbox is full.
 func (c *Comm) Send(dst, tag int, data []byte) {
-	if dst < 0 || dst >= c.w.size {
-		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
-	}
-	c.account(len(data))
-	w := c.w
-	switch {
-	case w.hardened:
-		w.startHardenedSend(c.rank, dst, tag, data)
-	case w.transport != nil:
-		w.transport.Deliver(c.rank, dst, Message{Tag: tag, Data: data}, func(m Message) {
-			w.mailboxPut(c.rank, dst, message{tag: m.Tag, data: m.Data})
-		})
-	default:
-		select {
-		case w.chans[dst*w.size+c.rank] <- message{tag: tag, data: data}:
-		case <-w.abort:
-			panic(errAbort{cause: "peer failure"})
-		}
-	}
+	c.Isend(dst, tag, data)
 }
 
 // Recv blocks until a message from rank src arrives and returns its payload.
@@ -342,43 +291,73 @@ func (c *Comm) Recv(src, tag int) []byte {
 	}
 }
 
-// Barrier blocks until all ranks have entered it.
+// Reserved tags of the collectives' own frames. All reserved tags share the
+// mpi-tag wire group so two subsystems can never claim the same value.
+//
+//mulint:wire mpi-tag
+const (
+	barrierTag   = -1091
+	bcastTag     = -1092
+	allgatherTag = -1093
+)
+
+// sendControl transmits a collective's frame without booking it:
+// collectives account their payload once, as one logical message, and a
+// Barrier books nothing.
+func (c *Comm) sendControl(dst, tag int, data []byte) {
+	c.w.send(c.rank, dst, tag, data)
+}
+
+// Barrier blocks until all ranks have entered it, with rank 0 coordinating:
+// everyone reports in, then rank 0 releases everyone.
 func (c *Comm) Barrier() {
-	if c.w.remote {
-		c.remoteBarrier()
+	if c.rank != 0 {
+		c.sendControl(0, barrierTag, nil)
+		c.Recv(0, barrierTag)
 		return
 	}
-	c.w.barrier.wait()
+	for src := 1; src < c.w.size; src++ {
+		c.Recv(src, barrierTag)
+	}
+	for dst := 1; dst < c.w.size; dst++ {
+		c.sendControl(dst, barrierTag, nil)
+	}
 }
 
-// Bcast distributes root's data to every rank and returns it.
+// Bcast distributes root's data to every rank and returns it. The root
+// books len(data)*(Size-1) bytes as one logical message.
 func (c *Comm) Bcast(root int, data []byte) []byte {
-	if c.w.remote {
-		return c.remoteBcast(root, data)
+	if c.rank != root {
+		return c.Recv(root, bcastTag)
 	}
-	if c.rank == root {
-		c.w.slots[root] = data
-		c.account(len(data) * (c.w.size - 1))
+	c.account(len(data) * (c.w.size - 1))
+	for dst := 0; dst < c.w.size; dst++ {
+		if dst != root {
+			c.sendControl(dst, bcastTag, data)
+		}
 	}
-	c.Barrier()
-	out := c.w.slots[root]
-	c.Barrier()
-	return out
+	return data
 }
 
-// Allgather deposits each rank's data and returns the slice of all ranks'
-// payloads indexed by rank. The returned backing arrays are shared; treat
-// them as read-only.
+// Allgather exchanges every rank's data pairwise and returns all ranks'
+// payloads indexed by rank; out[Rank] is the caller's own data. Each rank
+// books len(data)*(Size-1) bytes as one logical message. Sends never wait
+// for their ack, so posting all of them before the first receive cannot
+// deadlock.
 func (c *Comm) Allgather(data []byte) [][]byte {
-	if c.w.remote {
-		return c.remoteAllgather(data)
-	}
-	c.w.slots[c.rank] = data
 	c.account(len(data) * (c.w.size - 1))
-	c.Barrier()
+	for dst := 0; dst < c.w.size; dst++ {
+		if dst != c.rank {
+			c.sendControl(dst, allgatherTag, data)
+		}
+	}
 	out := make([][]byte, c.w.size)
-	copy(out, c.w.slots)
-	c.Barrier()
+	out[c.rank] = data
+	for src := 0; src < c.w.size; src++ {
+		if src != c.rank {
+			out[src] = c.Recv(src, allgatherTag)
+		}
+	}
 	return out
 }
 

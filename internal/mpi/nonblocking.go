@@ -34,52 +34,16 @@ func completed(data []byte) *Request {
 }
 
 // Isend starts a non-blocking send of data to rank dst and returns a
-// Request whose Wait reports delivery into the destination's mailbox. The
-// payload is not copied (as with MPI buffers in flight): the sender must
-// not mutate it until the matching receive.
-//
-// Ordering caveat: messages between one (src, dst) pair are delivered in
-// send order only if each Isend to that destination completes (inline or
-// via Wait) before the next one is posted. Posting two Isends to the same
-// destination back-to-back without waiting may reorder them when the first
-// had to park on a full mailbox. The collectives built here never do that.
-// The hardened path has no such caveat: sequence numbers restore per-link
-// send order at the receiver, and Wait additionally reports the
-// destination's acknowledgment rather than mere mailbox insertion.
+// Request whose Wait reports the destination's acknowledgment. The payload
+// is copied into the envelope, so the sender may reuse it once Isend
+// returns. Messages between one (src, dst) pair arrive in send order:
+// sequence numbers restore it at the receiver whatever the transport does.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	if dst < 0 || dst >= c.w.size {
-		panic(fmt.Sprintf("mpi: isend to invalid rank %d", dst))
+		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
 	c.account(len(data))
-	if c.w.hardened {
-		return c.w.startHardenedSend(c.rank, dst, tag, data)
-	}
-	if c.w.transport != nil {
-		// Trusting mode over an explicit transport: delivery is whatever the
-		// transport does; completion means the attempt was handed over.
-		c.w.transport.Deliver(c.rank, dst, Message{Tag: tag, Data: data}, func(m Message) {
-			c.w.mailboxPut(c.rank, dst, message{tag: m.Tag, data: m.Data})
-		})
-		return completed(nil)
-	}
-	ch := c.w.chans[dst*c.w.size+c.rank]
-	m := message{tag: tag, data: data}
-	select {
-	case ch <- m:
-		return completed(nil)
-	default:
-	}
-	// Mailbox momentarily full: complete the send asynchronously.
-	r := &Request{done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		select {
-		case ch <- m:
-		case <-c.w.abort:
-			r.err = errAbort{cause: "peer failure"}
-		}
-	}()
-	return r
+	return c.w.send(c.rank, dst, tag, data)
 }
 
 // Irecv starts a non-blocking receive of one message from rank src with the

@@ -31,19 +31,6 @@ type RemoteTransport interface {
 	Shutdown(clean bool)
 }
 
-// Reserved tags of the remote collectives (remote worlds rebuild Barrier,
-// Bcast and Allgather from hardened point-to-point messages; the shared
-// slot-and-barrier implementations need every rank in one process). All
-// reserved tags share the mpi-tag wire group so two subsystems can never
-// claim the same reserved value.
-//
-//mulint:wire mpi-tag
-const (
-	remoteBarrierTag   = -1091
-	remoteBcastTag     = -1092
-	remoteAllgatherTag = -1093
-)
-
 // RemoteOptions configures RunRemote.
 type RemoteOptions struct {
 	// Rank is the local rank in [0, Size).
@@ -52,7 +39,7 @@ type RemoteOptions struct {
 	Size int
 	// Transport carries every frame between processes. Required.
 	Transport RemoteTransport
-	// Retry bounds the hardened retransmission loop (zero value = defaults).
+	// Retry bounds the retransmission loop (zero value = defaults).
 	// All processes of one world must agree on it: Budget() is the kill
 	// detection bound the caller may rely on.
 	Retry RetryPolicy
@@ -66,10 +53,8 @@ type RemoteOptions struct {
 
 // RunRemote executes fn as one rank of a multi-process world. Unlike Run,
 // which spawns every rank as a goroutine, exactly one rank lives in this
-// process; the rest are reached through opts.Transport. The protocol is
-// always hardened — sequence-numbered, checksummed, acknowledged,
-// retransmitted — because a real network can reorder connection teardown
-// against data and because kill detection (RankLostError within
+// process; the rest are reached through opts.Transport. The protocol and
+// the collectives are Run's own; kill detection (RankLostError within
 // Retry.Budget()) is built on the ack timeout.
 //
 // The returned Stats hold this process's counters only (BytesSent/MsgsSent
@@ -87,22 +72,7 @@ func RunRemote(opts RemoteOptions, fn func(c *Comm) error) (Stats, error) {
 		return Stats{}, fmt.Errorf("mpi: RunRemote needs a transport")
 	}
 	self := opts.Rank
-	w := &world{
-		size:      p,
-		chans:     make([]chan message, p*p),
-		abort:     make(chan struct{}),
-		bytes:     make([]int64, p),
-		msgs:      make([]int64, p),
-		transport: opts.Transport,
-		remote:    true,
-		self:      self,
-		hardened:  true,
-		retry:     opts.Retry.withDefaults(),
-		links:     newLinks(p),
-	}
-	for i := range w.chans {
-		w.chans[i] = make(chan message, 1024)
-	}
+	w := newWorld(p, opts.Transport, opts.Retry)
 	opts.Transport.Bind(
 		func(from int, m Message) {
 			if from < 0 || from >= p || from == self {
@@ -119,27 +89,7 @@ func RunRemote(opts RemoteOptions, fn func(c *Comm) error) (Stats, error) {
 		},
 	)
 
-	var runErr error
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				switch v := rec.(type) {
-				case errAbort:
-					runErr = v
-				case *RankLostError:
-					runErr = v
-					w.doAbort(v)
-				default:
-					runErr = fmt.Errorf("mpi: rank %d panicked: %v", self, rec)
-					w.doAbort(rec)
-				}
-			}
-		}()
-		if err := fn(&Comm{rank: self, w: w}); err != nil {
-			runErr = err
-			w.doAbort(err)
-		}
-	}()
+	runErr := w.runRank(self, fn)
 
 	// Clean finish: quiesce our own unacked sends first — the transport's
 	// receive side must stay up until the last ack lands — then optionally
@@ -169,94 +119,5 @@ func RunRemote(opts RemoteOptions, fn func(c *Comm) error) (Stats, error) {
 	}
 	opts.Transport.Shutdown(clean)
 	w.inflight.Wait()
-	st := w.statsSnapshot()
-
-	// Error selection mirrors RunWithOptions: prefer a non-abort error, then
-	// a typed stored cause (e.g. the RankLostError a retransmit goroutine or
-	// the transport's peer-down detector raised), then whatever remains.
-	if runErr != nil {
-		if _, isAbort := runErr.(errAbort); !isAbort {
-			return st, runErr
-		}
-	}
-	if c, ok := w.cause.Load().(error); ok && runErr != nil {
-		if _, isAbort := c.(errAbort); !isAbort {
-			return st, c
-		}
-	}
-	return st, runErr
-}
-
-// sendControl transmits a zero-accounted control frame on the hardened path.
-// Collective-internal traffic uses it so a remote world's BytesSent/MsgsSent
-// stay comparable to the in-process world, whose Barrier exchanges no
-// messages at all.
-func (c *Comm) sendControl(dst, tag int, data []byte) {
-	c.w.startHardenedSend(c.rank, dst, tag, data)
-}
-
-// remoteBarrier blocks until all ranks entered the barrier, with rank 0
-// coordinating: everyone reports in, then rank 0 releases everyone. Like the
-// in-process barrier it accounts nothing.
-func (c *Comm) remoteBarrier() {
-	if c.w.size == 1 {
-		return
-	}
-	if c.rank == 0 {
-		for src := 1; src < c.w.size; src++ {
-			c.Recv(src, remoteBarrierTag)
-		}
-		for dst := 1; dst < c.w.size; dst++ {
-			c.sendControl(dst, remoteBarrierTag, nil)
-		}
-		return
-	}
-	c.sendControl(0, remoteBarrierTag, nil)
-	c.Recv(0, remoteBarrierTag)
-}
-
-// remoteBcast distributes root's data with direct sends. Accounting matches
-// the in-process Bcast: the root books len(data)*(size-1) bytes as one
-// logical message.
-func (c *Comm) remoteBcast(root int, data []byte) []byte {
-	if c.w.size == 1 {
-		return data
-	}
-	if c.rank == root {
-		c.account(len(data) * (c.w.size - 1))
-		for dst := 0; dst < c.w.size; dst++ {
-			if dst == root {
-				continue
-			}
-			c.sendControl(dst, remoteBcastTag, data)
-		}
-		return data
-	}
-	return c.Recv(root, remoteBcastTag)
-}
-
-// remoteAllgather exchanges every rank's payload pairwise. Sends are
-// fire-and-forget on the hardened path, so posting all of them before the
-// first receive cannot deadlock. Accounting matches the in-process
-// Allgather: len(data)*(size-1) bytes as one logical message.
-func (c *Comm) remoteAllgather(data []byte) [][]byte {
-	out := make([][]byte, c.w.size)
-	out[c.rank] = data
-	if c.w.size == 1 {
-		return out
-	}
-	c.account(len(data) * (c.w.size - 1))
-	for dst := 0; dst < c.w.size; dst++ {
-		if dst == c.rank {
-			continue
-		}
-		c.sendControl(dst, remoteAllgatherTag, data)
-	}
-	for src := 0; src < c.w.size; src++ {
-		if src == c.rank {
-			continue
-		}
-		out[src] = c.Recv(src, remoteAllgatherTag)
-	}
-	return out
+	return w.statsSnapshot(), w.result([]error{runErr})
 }

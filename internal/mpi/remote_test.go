@@ -11,7 +11,7 @@ import (
 // memHub wires p in-memory RemoteTransports together so a multi-process
 // world can be exercised inside one test process: each rank gets its own
 // transport (and its own world, links, mailboxes — nothing shared), and
-// frames cross the hub synchronously, like PerfectTransport but across
+// frames cross the hub synchronously, like a nil Transport but across
 // worlds. Shutdown(false) fans peerDown out to every other transport, the
 // in-memory analogue of the socket transport's abort goodbye.
 type memHub struct {
@@ -176,8 +176,8 @@ func collectiveWorkload(c *Comm) error {
 	return nil
 }
 
-// TestRemoteWorldCollectives proves the remote rebuilds of the collectives
-// agree with the shared-memory ones the rest of the suite verifies.
+// TestRemoteWorldCollectives runs every primitive across process-separated
+// worlds, each rank with its own transport, links and mailboxes.
 func TestRemoteWorldCollectives(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
@@ -192,7 +192,7 @@ func TestRemoteWorldCollectives(t *testing.T) {
 // silently change meaning when they leave the single-process simulation.
 func TestRemoteWorldStatsMatchInProcess(t *testing.T) {
 	const p = 4
-	want, err := RunWithOptions(p, Options{Hardened: true}, collectiveWorkload)
+	want, err := Run(p, collectiveWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,26 +1,27 @@
 package mpi
 
-// Message is one point-to-point payload crossing the simulated interconnect.
-// On the hardened path Data is a full envelope (header + payload + checksum)
-// or an ack; on the trusting path it is the raw application payload.
+// Message is one frame crossing the interconnect: Data is a full envelope
+// (header + payload + checksum) under the payload's tag, or an ack under
+// ackTag.
 type Message struct {
 	Tag  int
 	Data []byte
 }
 
-// Transport is the seam between the runtime's logical send operations and
-// physical delivery. Deliver is invoked once per transmission attempt with
-// the message and a delivery callback; a faithful transport calls deliver
-// exactly once, while a fault-injecting one may drop the message (never call
-// deliver), duplicate it (call deliver twice), corrupt a copy of Data, or
-// call deliver later from another goroutine to model delay and reordering.
+// Transport is the seam between the runtime's envelope protocol and
+// physical delivery. Every frame crosses it — data, acks and the
+// collectives' own frames. Deliver is invoked once per transmission attempt
+// with the frame and a delivery callback; a faithful transport calls
+// deliver exactly once, while a fault-injecting one may drop the frame
+// (never call deliver), duplicate it (call deliver twice), corrupt a copy
+// of Data, or call deliver later from another goroutine to model delay and
+// reordering. The protocol absorbs all of these.
 //
 // Deliver may be called concurrently from many rank goroutines and must be
 // safe for that. The deliver callback never panics and never blocks past
 // world teardown, so transports may invoke it from their own goroutines.
 //
-// A nil Transport (or PerfectTransport) means direct in-process delivery —
-// the exact code path the runtime used before the seam existed.
+// A nil Transport delivers in-process on the sending goroutine.
 type Transport interface {
 	Deliver(from, to int, m Message, deliver func(Message))
 }
@@ -31,15 +32,4 @@ type Transport interface {
 // must deliver or discard everything in flight and stop their goroutines.
 type Drainer interface {
 	Drain()
-}
-
-// PerfectTransport delivers every message exactly once, unmodified and
-// synchronously. It documents the Transport contract and is recognized by
-// RunWithOptions as equivalent to no transport at all, so passing it costs
-// nothing over the direct path.
-type PerfectTransport struct{}
-
-// Deliver implements Transport.
-func (PerfectTransport) Deliver(from, to int, m Message, deliver func(Message)) {
-	deliver(m)
 }

@@ -205,7 +205,6 @@ type config struct {
 	sampleSize   int
 	seed         int64
 	distSerial   bool
-	hardened     bool
 	faultSeed    *int64
 	scratch      *Scratch
 	engine       Engine
@@ -274,22 +273,15 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // DistStats.WallClock).
 func WithSerialSimulation() Option { return func(c *config) { c.distSerial = true } }
 
-// WithHardenedComms makes ClusterDistributed wrap every point-to-point
-// message in a sequence-numbered, checksummed envelope with ack/retransmit
-// and duplicate suppression. The clustering is byte-identical to the default
-// trusting transport; the run additionally tolerates message loss,
-// duplication, reordering, and corruption, and terminates with an error
-// wrapping dist.ErrRankLost instead of hanging when a rank becomes
-// permanently unreachable.
-func WithHardenedComms() Option { return func(c *config) { c.hardened = true } }
-
-// WithFaultInjection routes ClusterDistributed's messages through a
-// deterministic fault-injecting network (drops, duplicates, reordering,
-// delays, and bit corruption, reproducible from the seed) and implies
-// WithHardenedComms. The clustering remains exact — this knob exists for
-// testing and for demonstrating the reliability layer.
+// WithFaultInjection routes ClusterDistributed's messages, collectives
+// included, through a deterministic fault-injecting network (drops,
+// duplicates, reordering, delays, and bit corruption, reproducible from the
+// seed). Every message already travels in a sequence-numbered, checksummed,
+// acknowledged envelope, so the clustering is byte-identical to the clean
+// run — this knob exists for testing and for demonstrating the reliability
+// layer.
 func WithFaultInjection(seed int64) Option {
-	return func(c *config) { c.hardened = true; c.faultSeed = &seed }
+	return func(c *config) { c.faultSeed = &seed }
 }
 
 // validate checks the inputs shared by all entry points and converts the
@@ -438,7 +430,6 @@ func clusterDistributed(pts []geom.Point, eps float64, minPts, ranks int, cfg *c
 		Seed:       cfg.seed,
 		Core:       core.Options{Fanout: cfg.fanout, DisableWndq: cfg.disableWndq},
 		Exec:       exec,
-		Hardened:   cfg.hardened,
 	}
 	if cfg.faultSeed != nil {
 		dopts.Transport = chaos.New(chaos.Eventual(*cfg.faultSeed))
