@@ -50,8 +50,6 @@ import (
 // published. The Disable* knobs exist for the ablation benchmarks and never
 // affect exactness, only performance.
 type Options struct {
-	// Fanout is the R-tree node capacity for both μR-tree levels.
-	Fanout int
 	// NoDeferral disables the 2ε micro-cluster creation deferral (more MCs).
 	NoDeferral bool
 	// DisableWndq disables core identification without queries: every point
@@ -219,7 +217,6 @@ func StartLocal(localPts []geom.Point, eps float64, minPts int, opts Options) *L
 	}
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	lb.b = mc.NewBuilder(len(localPts[0]), eps, minPts, mc.Options{
-		Fanout:        opts.Fanout,
 		NoDeferral:    opts.NoDeferral,
 		SkipReachable: true,
 		Workers:       opts.Workers,

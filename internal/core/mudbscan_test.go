@@ -116,8 +116,6 @@ func TestAblationOptionsRemainExact(t *testing.T) {
 		{"NoDeferral", Options{NoDeferral: true}},
 		{"DisableWndq", Options{DisableWndq: true}},
 		{"AllOff", Options{NoDeferral: true, DisableWndq: true}},
-		{"Fanout4", Options{Fanout: 4}},
-		{"Fanout64", Options{Fanout: 64}},
 	} {
 		requireExact(t, tc.name, pts, 0.5, 5, tc.opts)
 	}

@@ -8,23 +8,23 @@ import (
 	"mudbscan/internal/rtree"
 )
 
-// centerDirectory answers the three centre probes of Algorithm 3's scan. The
-// grid is the one the scan uses; the differential tests hold it to a
+// centerDirectory is the first μR-tree level: the centre probes of Algorithm
+// 3's scan, then the ball queries of the reach lists and NeighborhoodInto.
+// The grid is the one the Index uses; the differential tests hold it to a
 // brute-force one. Both decide membership with the geom kernel and break
-// nearest ties with rtree.Nearer, so the micro-cluster set a scan produces
-// does not depend on which one served it.
+// nearest ties with rtree.Nearer, so no answer depends on which one served it.
 type centerDirectory interface {
 	// nearest returns the micro-cluster whose centre is closest to p among
 	// those strictly within r, ties to the smaller id.
 	nearest(p geom.Point, r float64) (mcID int, ok bool)
 	// any reports whether some centre lies strictly within r of p.
 	any(p geom.Point, r float64) bool
+	// within appends every centre strictly within r of p (in the closed ball
+	// if closed) to dst, once each and in no set order.
+	within(p geom.Point, r float64, closed bool, dst []int) []int
 	// insert records the centre of micro-cluster mcID; ids arrive in order
 	// 0, 1, 2, ….
 	insert(mcID int, center geom.Point)
-	// tree returns the first-level μR-tree over the centres inserted so far.
-	// The directory is not used afterwards.
-	tree() *rtree.Packed
 }
 
 // gridAxes is the most axes the grid keys on: it hashes and walks the first
@@ -66,22 +66,22 @@ const gridSide = 4
 const cellLimit = 1 << 61
 
 // maxProbeSpan caps the cells a probe box may span per axis. A box spans
-// two cells, a few more where |p|/ε ≥ 2^53 and neighbouring quotients are
-// several cells apart. Only a coordinate whose p ± r overflows to ±Inf can
-// exceed the cap; such a probe scans every centre instead of walking 2^60
-// cells.
+// two cells (three for a 3ε reach ball), a few more where |p|/ε ≥ 2^53 and
+// neighbouring quotients are several cells apart. Only a coordinate whose
+// p ± r overflows to ±Inf can exceed the cap; such a probe reads every slot
+// instead of walking 2^60 cells.
 const maxProbeSpan = 16
 
 // cellMul are the per-axis multipliers of the cell hash Σ c_a·cellMul[a]
-// (mod 2^64), one odd constant per keyed axis. The hash is linear in the cell
-// coordinates, so the hash of a box's next cell is one addition away from
-// the current one's.
-var cellMul = [gridAxes]uint64{0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5}
+// (mod 2^32), one odd constant per keyed axis. The hash is linear in the cell
+// coordinates, so a box's next cell hashes one addition away from the current
+// one, and no two cells of a box share a hash (TestCellHashesDistinctWithinABox).
+var cellMul = [gridAxes]uint32{0x9E3779B1, 0x85EBCA77, 0xC2B2AE3D, 0x27D4EB2F}
 
 // gridSlot is one occupied cell: the hash of its coordinates and the chain
 // of centres in it.
 type gridSlot struct {
-	hash uint64
+	hash uint32
 	head int32 // newest centre in the cell, −1 while the slot is free
 }
 
@@ -91,34 +91,33 @@ type gridSlot struct {
 //
 // When every axis is keyed (d ≤ gridAxes), centres being pairwise at least ε
 // apart puts at most (gridSide+1)^d of them in a cell, and a probe costs its
-// box of cells whatever m is. Every centre strictly within r of p has its cell
-// inside the box cellOf(p_a − r) … cellOf(p_a + r) on each keyed axis a: a
-// keyed coordinate differs from p's by less than r, cellOf is monotone and
-// p_a ∓ r rounds to nearest, so rounding can widen the box but never drop a
-// cell. Whether a centre found there is a hit is the kernel's decision alone,
-// which is also why a slot is identified by its 64-bit hash without keeping
-// the coordinates: two cells that ever shared a hash would share a chain, the
+// box of cells whatever m is. A centre strictly within r of p has its cell in
+// the box cellOf(p_a − r) … cellOf(p_a + r) on each keyed axis a: d² bounds
+// each rounded term fl(c_a − p_a)², so |c_a − p_a| < r, and cellOf and the
+// rounding of p_a ∓ r are monotone. A closed ball is the strict one at the
+// next float above r if that float's square exceeds fl(r·r), as it does when
+// r·r is finite and normal; within reads every slot where it does not. The
+// kernel alone decides a hit, which is also why a slot is identified by its
+// hash, not the coordinates: two cells sharing a hash would share a chain, a
 // probe would test a few more centres, and the answer would be the same.
 type gridDirectory struct {
 	axes    int // keyed axes, min(d, gridAxes)
 	side    float64
-	fanout  int
 	kern    geom.DistSqKernel
 	bounded geom.BoundedKernel // the chains' kernel above gridAxes; nil at d ≤ gridAxes (kern serves)
 	centers *geom.PointSet     // row k is the centre of micro-cluster k
 	chain   []int32            // chain[k]: the centre that was in k's cell before k, or −1
 	slots   []gridSlot         // len is a power of two, at most half occupied
-	shift   uint               // 64 − log2(len(slots)): a slot index is the hash's top bits
+	shift   uint               // 32 − log2(len(slots)): a slot index is the hash's top bits
 	cells   int                // occupied slots
 }
 
-// newDirectory returns the scan-time directory: the hashed grid, at every
+// newDirectory returns the centre directory: the hashed grid, at every
 // dimensionality and every ε.
-func newDirectory(dim int, eps float64, fanout int) *gridDirectory {
+func newDirectory(dim int, eps float64) *gridDirectory {
 	g := &gridDirectory{
 		axes:    min(dim, gridAxes),
 		side:    gridSide * eps,
-		fanout:  fanout,
 		kern:    geom.KernelFor(dim),
 		centers: geom.NewPointSet(dim, 0),
 	}
@@ -134,7 +133,7 @@ func newDirectory(dim int, eps float64, fanout int) *gridDirectory {
 	return g
 }
 
-//mulint:noalloc helper under nearest/any's gate (TestDirectoryProbesZeroAllocs)
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
 func (g *gridDirectory) cellOf(v float64) int64 {
 	return geom.FloorClamp(v/g.side, -cellLimit, cellLimit)
 }
@@ -142,8 +141,8 @@ func (g *gridDirectory) cellOf(v float64) int64 {
 // slotOf returns the index of the slot holding hash h, or of the free slot
 // where it would go.
 //
-//mulint:noalloc helper under nearest/any's gate (TestDirectoryProbesZeroAllocs)
-func (g *gridDirectory) slotOf(h uint64) int {
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
+func (g *gridDirectory) slotOf(h uint32) int {
 	i := int(h >> g.shift)
 	for g.slots[i].head >= 0 && g.slots[i].hash != h {
 		i = (i + 1) & (len(g.slots) - 1)
@@ -157,7 +156,7 @@ func (g *gridDirectory) resize(n int) {
 	for i := range g.slots {
 		g.slots[i].head = -1
 	}
-	g.shift = uint(64 - bits.Len(uint(n-1)))
+	g.shift = uint(32 - bits.Len(uint(n-1)))
 	for _, s := range old {
 		if s.head >= 0 {
 			g.slots[g.slotOf(s.hash)] = s
@@ -173,9 +172,9 @@ func (g *gridDirectory) insert(mcID int, center geom.Point) {
 	if 2*(g.cells+1) > len(g.slots) {
 		g.resize(2 * len(g.slots))
 	}
-	var h uint64
+	var h uint32
 	for a, v := range center[:g.axes] {
-		h += uint64(g.cellOf(v)) * cellMul[a]
+		h += uint32(g.cellOf(v)) * cellMul[a]
 	}
 	s := &g.slots[g.slotOf(h)]
 	if s.head < 0 {
@@ -190,35 +189,45 @@ func (g *gridDirectory) insert(mcID int, center geom.Point) {
 // the hash of the current cell.
 type boxWalk struct {
 	lo, hi, cur [gridAxes]int64
-	hash        uint64
+	hash        uint32
+	all         bool // no box to walk: axis 0 runs over the slot table
 }
 
 // start positions w on the first cell of the probe box of the ball (p, r).
-// It reports false when there is no box to walk: the box is too wide (see
-// maxProbeSpan), or the cell side itself overflowed (ε > MaxFloat64/gridSide),
-// where p ± r would be quotients of infinities and could drop a cell.
+// There is no box to walk when it is too wide (see maxProbeSpan), or the cell
+// side itself overflowed (ε > MaxFloat64/gridSide), where p ± r would be
+// quotients of infinities and could drop a cell.
 //
-//mulint:noalloc helper under nearest/any's gate (TestDirectoryProbesZeroAllocs)
-func (g *gridDirectory) start(w *boxWalk, p geom.Point, r float64) bool {
-	if !(g.side <= math.MaxFloat64) {
-		return false
-	}
-	w.hash = 0
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
+func (g *gridDirectory) start(w *boxWalk, p geom.Point, r float64) {
+	w.hash, w.all = 0, !(g.side <= math.MaxFloat64)
 	for a, v := range p[:g.axes] {
 		lo, hi := g.cellOf(v-r), g.cellOf(v+r)
-		if hi-lo >= maxProbeSpan {
-			return false
-		}
 		w.lo[a], w.hi[a], w.cur[a] = lo, hi, lo
-		w.hash += uint64(lo) * cellMul[a]
+		w.hash += uint32(lo) * cellMul[a]
+		w.all = w.all || hi-lo >= maxProbeSpan
 	}
-	return true
+	if w.all {
+		var whole boxWalk
+		whole.all, whole.hi[0] = true, int64(len(g.slots)-1)
+		*w = whole
+	}
+}
+
+// slot is the slot w is on; next leaves it to the probes so that it inlines.
+//
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
+func (g *gridDirectory) slot(w *boxWalk) int {
+	if w.all {
+		return int(w.cur[0])
+	}
+	return g.slotOf(w.hash)
 }
 
 // next advances w to the next cell of its box; false once every cell has
 // been visited.
 //
-//mulint:noalloc helper under nearest/any's gate (TestDirectoryProbesZeroAllocs)
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
 func (g *gridDirectory) next(w *boxWalk) bool {
 	for a := 0; a < g.axes; a++ {
 		if w.cur[a] < w.hi[a] {
@@ -226,7 +235,7 @@ func (g *gridDirectory) next(w *boxWalk) bool {
 			w.hash += cellMul[a]
 			return true
 		}
-		w.hash -= uint64(w.cur[a]-w.lo[a]) * cellMul[a]
+		w.hash -= uint32(w.cur[a]-w.lo[a]) * cellMul[a]
 		w.cur[a] = w.lo[a]
 	}
 	return false
@@ -236,17 +245,10 @@ func (g *gridDirectory) next(w *boxWalk) bool {
 func (g *gridDirectory) nearest(p geom.Point, r float64) (int, bool) {
 	best, bestID := r*r, -1
 	var w boxWalk
-	if !g.start(&w, p, r) {
-		for k := 0; k < g.centers.Len(); k++ {
-			if d2 := g.kern(p, g.centers.Row(k)); rtree.Nearer(d2, best, k, bestID, true) {
-				best, bestID = d2, k
-			}
-		}
-		return bestID, bestID >= 0
-	}
+	g.start(&w, p, r)
 	for more := true; more; more = g.next(&w) {
-		for k := g.slots[g.slotOf(w.hash)].head; k >= 0; k = g.chain[k] {
-			// The kernel choice is spelled out here and in any: a method
+		for k := g.slots[g.slot(&w)].head; k >= 0; k = g.chain[k] {
+			// The kernel choice is spelled out in every probe: a method
 			// making it is not inlined, and that call was 7 % of a d = 3
 			// build's CPU profile (GalaxyLike(100000, 3, 5), ε = 2).
 			var d2 float64
@@ -265,14 +267,11 @@ func (g *gridDirectory) nearest(p geom.Point, r float64) (int, bool) {
 
 //mulint:noalloc static twin of TestDirectoryProbesZeroAllocs (directory_test.go), the AllocsPerRun gate pinning 0 allocs per probe
 func (g *gridDirectory) any(p geom.Point, r float64) bool {
-	var w boxWalk
-	if !g.start(&w, p, r) {
-		_, found := g.nearest(p, r)
-		return found
-	}
 	r2 := r * r
+	var w boxWalk
+	g.start(&w, p, r)
 	for more := true; more; more = g.next(&w) {
-		for k := g.slots[g.slotOf(w.hash)].head; k >= 0; k = g.chain[k] {
+		for k := g.slots[g.slot(&w)].head; k >= 0; k = g.chain[k] {
 			var d2 float64
 			if row := g.centers.Row(int(k)); g.bounded != nil {
 				d2 = g.bounded(p, row, r2)
@@ -287,7 +286,27 @@ func (g *gridDirectory) any(p geom.Point, r float64) bool {
 	return false
 }
 
-// tree STR-bulk-loads the first μR-tree level from the frozen centres.
-func (g *gridDirectory) tree() *rtree.Packed {
-	return rtree.BulkLoadSet(g.fanout, g.centers, nil)
+//mulint:noalloc static twin of TestDirectoryProbesZeroAllocs (directory_test.go), the AllocsPerRun gate pinning 0 allocs per warmed probe
+func (g *gridDirectory) within(p geom.Point, r float64, closed bool, dst []int) []int {
+	// The next float up's box holds the closed ball too, where it can (see gridDirectory).
+	r2, box := r*r, math.Nextafter(r, math.Inf(1))
+	if closed && !(box*box > r2) {
+		box = math.Inf(1)
+	}
+	var w boxWalk
+	g.start(&w, p, box)
+	for more := true; more; more = g.next(&w) {
+		for k := g.slots[g.slot(&w)].head; k >= 0; k = g.chain[k] {
+			var d2 float64
+			if row := g.centers.Row(int(k)); g.bounded != nil {
+				d2 = g.bounded(p, row, r2)
+			} else {
+				d2 = g.kern(p, row)
+			}
+			if d2 < r2 || closed && d2 == r2 {
+				dst = append(dst, int(k))
+			}
+		}
+	}
+	return dst
 }

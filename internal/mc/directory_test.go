@@ -32,8 +32,8 @@ func buildWith(pts []geom.Point, eps float64, minPts int, opts Options, dir cent
 }
 
 // bruteDirectory is the reference the grid is held to: every probe tests
-// every centre, in id order, and elects the winner through rtree.Nearer. Its
-// centre tree is the grid's, one STR bulk load of the same centres.
+// every centre, in id order, and elects the winner through rtree.Nearer or
+// appends every hit.
 type bruteDirectory struct{ centers *geom.PointSet }
 
 func bruteForce(dim int) centerDirectory {
@@ -55,11 +55,17 @@ func (b *bruteDirectory) any(p geom.Point, r float64) bool {
 	return ok
 }
 
-func (b *bruteDirectory) insert(_ int, center geom.Point) { b.centers.Append(center) }
-
-func (b *bruteDirectory) tree() *rtree.Packed {
-	return rtree.BulkLoadSet(rtree.DefaultMaxEntries, b.centers, nil)
+func (b *bruteDirectory) within(p geom.Point, r float64, closed bool, dst []int) []int {
+	r2 := r * r
+	for k := 0; k < b.centers.Len(); k++ {
+		if d2 := geom.DistSq(p, b.centers.Point(k)); d2 < r2 || closed && d2 == r2 {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }
+
+func (b *bruteDirectory) insert(_ int, center geom.Point) { b.centers.Append(center) }
 
 // sameIndex: identical PointMC, and per micro-cluster identical centre,
 // members, inner circle, kind and reachable list.
@@ -132,11 +138,12 @@ func arrivalOrdered(rng *rand.Rand, n, d int) []geom.Point {
 }
 
 // TestDirectoryMatchesTree: whatever the input, the index built through the
-// grid directory is the index built through the brute-force one, which
-// answers every probe as the grown centre tree the grid replaced did. At
-// d = 1…4 every axis is keyed, at d = 5, 8 and 14 only four are; with and
-// without the 2ε deferral rule, and under every 2- and 3-way split of the
-// Add batches.
+// grid directory is the index built through the brute-force one — the same
+// micro-clusters from the scan probes, and the same reachable lists from the
+// closed 3ε ball queries. At d = 1…4 every axis is keyed, at d = 5, 8 and 14
+// only four are; with and without the 2ε deferral rule, and under every 2-
+// and 3-way split of the Add batches. (The name is from when the reference
+// was a grown centre R-tree.)
 func TestDirectoryMatchesTree(t *testing.T) {
 	type input struct {
 		name string
@@ -204,8 +211,10 @@ func TestDirectoryMatchesTree(t *testing.T) {
 }
 
 // FuzzCenterDirectory: byte-derived points quantised to ε/2 steps (so ties
-// at exactly ε and 2ε, duplicates and cell-face coordinates are the common
-// case) at d = 1…14, grid directory against brute force.
+// at exactly ε, 2ε and 3ε, duplicates and cell-face coordinates are the
+// common case) at d = 1…14, grid directory against brute force: the index
+// (micro-clusters and reachable lists), and the arbitrary-point ε-query for
+// a few byte-derived query points on the same lattice.
 func FuzzCenterDirectory(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 2, 0, 4, 0, 1, 1, 255, 255, 8, 8, 8, 0})
 	f.Add([]byte{1, 1, 0, 2, 4, 6, 8, 10, 3, 3, 250, 248})
@@ -230,8 +239,19 @@ func FuzzCenterDirectory(f *testing.F) {
 			return
 		}
 		want := buildWith(pts, eps, 3, opts, bruteForce(dim))
-		if err := sameIndex(buildWith(pts, eps, 3, opts, nil, len(pts)/2), want); err != nil {
+		got := buildWith(pts, eps, 3, opts, nil, len(pts)/2)
+		if err := sameIndex(got, want); err != nil {
 			t.Fatal(err)
+		}
+		q := make(geom.Point, dim)
+		for i := 0; i < 4; i++ {
+			for j := range q {
+				q[j] = float64(int8(b[(i*dim+j+1)%len(b)])) * eps / 2
+			}
+			nbhd, _ := got.NeighborhoodInto(q, nil)
+			if want := bruteNbhd(pts, q, eps); !sortedEqual(nbhd, want) {
+				t.Fatalf("q=%v: ε-query %v, want %v", q, nbhd, want)
+			}
 		}
 	})
 }
@@ -286,11 +306,12 @@ func TestDirectoryHugeEps(t *testing.T) {
 
 // TestDirectoryDimensionThreshold: there is no threshold any more. Every d
 // takes the grid, keyed on its first min(d, gridAxes) axes, and with a
-// finite cell side every probe walks a box; only an overflowing side scans.
+// finite cell side every probe walks a box; only an overflowing side reads
+// every slot.
 func TestDirectoryDimensionThreshold(t *testing.T) {
 	for d := 1; d <= 16; d++ {
 		for _, eps := range []float64{1, math.Ldexp(1, 970), math.MaxFloat64} {
-			g, ok := NewBuilder(d, eps, 3, Options{}).dir.(*gridDirectory)
+			g, ok := NewBuilder(d, eps, 3, Options{}).ix.dir.(*gridDirectory)
 			if !ok {
 				t.Fatalf("d=%d eps=%g: not the grid directory", d, eps)
 			}
@@ -298,16 +319,17 @@ func TestDirectoryDimensionThreshold(t *testing.T) {
 				t.Fatalf("d=%d: %d keyed axes", d, g.axes)
 			}
 			var w boxWalk
-			if walks := g.start(&w, make(geom.Point, d), eps); walks != (gridSide*eps <= math.MaxFloat64) {
-				t.Fatalf("d=%d eps=%g: box walked = %v", d, eps, walks)
+			if g.start(&w, make(geom.Point, d), eps); w.all != (gridSide*eps > math.MaxFloat64) {
+				t.Fatalf("d=%d eps=%g: box walked = %v", d, eps, !w.all)
 			}
 		}
 	}
 }
 
-// TestDirectoryProbesZeroAllocs: the two scan probes walk their box on the
-// stack, through the unrolled kernels at d ≤ 4 and the bounded one above.
-// insert may allocate, but only to grow the table and the chains.
+// TestDirectoryProbesZeroAllocs: the three probes walk their box on the
+// stack, through the unrolled kernels at d ≤ 4 and the bounded one above,
+// and within appends into a warmed buffer. insert may allocate, but only to
+// grow the table and the chains.
 func TestDirectoryProbesZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, d := range []int{1, 2, 3, 4, 5, 8, 14} {
@@ -315,8 +337,9 @@ func TestDirectoryProbesZeroAllocs(t *testing.T) {
 		pts := randPoints(rng, 4000, d, 12)
 		b := NewBuilder(d, eps, 4, Options{})
 		b.Add(pts)
-		var dir centerDirectory = b.dir
-		var hits, found int
+		dir := b.ix.dir
+		var hits, found, balls int
+		buf := make([]int, 0, 4096)
 		allocs := testing.AllocsPerRun(20, func() {
 			for _, p := range pts[:200] {
 				if _, ok := dir.nearest(p, eps); ok {
@@ -325,27 +348,64 @@ func TestDirectoryProbesZeroAllocs(t *testing.T) {
 				if dir.any(p, 2*eps) {
 					found++
 				}
+				buf = dir.within(p, 3*eps, true, buf[:0])
+				balls += len(buf)
+				buf = dir.within(p, 2*eps, false, buf[:0])
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("d=%d: %.1f allocs per 200 nearest+any probes, want 0", d, allocs)
+			t.Fatalf("d=%d: %.1f allocs per 200 nearest+any+within probes, want 0", d, allocs)
 		}
-		if hits == 0 || found == 0 {
-			t.Fatalf("d=%d: probes found nothing (hits=%d found=%d)", d, hits, found)
+		if hits == 0 || found == 0 || balls == 0 {
+			t.Fatalf("d=%d: probes found nothing (hits=%d found=%d balls=%d)", d, hits, found, balls)
 		}
 	}
 }
 
-// TestFinishDropsDirectory: a cached Index must not keep the scan-time grid
-// alive through its Builder.
-func TestFinishDropsDirectory(t *testing.T) {
-	b := NewBuilder(2, 1, 3, Options{})
-	b.Add([]geom.Point{{0, 0}, {5, 5}})
-	ix := b.Finish()
-	if b.dir != nil {
-		t.Fatal("Finish kept the directory")
+// TestCellHashesDistinctWithinABox: no two cells of one probe box share a
+// hash, at any keyed-axis count, so a walk reads each slot at most once and
+// within reports no centre twice. The hash is linear, so this is the claim
+// that no nonzero offset Δ with |Δ_a| < maxProbeSpan hashes to 0 mod 2^32.
+func TestCellHashesDistinctWithinABox(t *testing.T) {
+	const span = maxProbeSpan - 1
+	for axes := 1; axes <= gridAxes; axes++ {
+		var delta [gridAxes]int64
+		for a := range delta[:axes] {
+			delta[a] = -span
+		}
+		for {
+			var h uint32
+			zero := true
+			for a, v := range delta[:axes] {
+				h += uint32(v) * cellMul[a]
+				zero = zero && v == 0
+			}
+			if h == 0 && !zero {
+				t.Fatalf("axes=%d: offset %v hashes to 0", axes, delta[:axes])
+			}
+			a := 0
+			for ; a < axes && delta[a] == span; a++ {
+				delta[a] = -span
+			}
+			if a == axes {
+				break
+			}
+			delta[a]++
+		}
 	}
-	if ix.centers.Len() != ix.NumMCs() {
-		t.Fatalf("centre tree holds %d of %d centres", ix.centers.Len(), ix.NumMCs())
+}
+
+// TestIndexHoldsOneCentreStructure: the grid the scan probed is the Index's
+// one centre structure after Finish, and it holds the m centres.
+func TestIndexHoldsOneCentreStructure(t *testing.T) {
+	b := NewBuilder(2, 1, 3, Options{})
+	b.Add([]geom.Point{{0, 0}, {5, 5}, {0.5, 0}})
+	ix := b.Finish()
+	g, ok := ix.dir.(*gridDirectory)
+	if !ok {
+		t.Fatalf("the Index holds %T, not the grid", ix.dir)
+	}
+	if g.centers.Len() != ix.NumMCs() || ix.NumMCs() != 2 {
+		t.Fatalf("the grid holds %d centres for m=%d, want 2", g.centers.Len(), ix.NumMCs())
 	}
 }

@@ -14,16 +14,16 @@
 // is one query tier, allocation-free into a caller-owned buffer, and one
 // search-space rule, "centre strictly within 2ε": EpsNeighborhoodInto applies
 // it to a member point's reachable list (the clustering loops), and
-// NeighborhoodInto to the centre tree for an arbitrary point (the daemon).
+// NeighborhoodInto to the centre directory for an arbitrary point (the daemon).
 //
-// The first μR-tree level has two lives. While Algorithm 3 scans the points
-// it is a scan-time directory (directory.go) answering "nearest centre < ε"
-// and "any centre < 2ε": a hashed grid over the centres, keyed on at most
-// their first four coordinates, at every dimensionality. Once the centres are
-// frozen it is a packed R-tree, STR bulk-loaded from the grid's centres and
-// read by ComputeReachable and NeighborhoodInto. The grid decides membership
-// with the kernel and the tie rule a brute-force scan of all centres uses, so
-// the micro-cluster set is the one that scan would give.
+// The first μR-tree level is one structure (directory.go): a hashed grid over
+// the centres, keyed on at most their first four coordinates, at every
+// dimensionality. While Algorithm 3 scans the points it answers "nearest
+// centre < ε" and "any centre < 2ε"; once the centres are frozen the Index
+// keeps it and it answers the closed 3ε balls of the reachable lists and
+// NeighborhoodInto's strict 2ε ball. The grid decides membership with the
+// kernel and the tie rule a brute-force scan of all centres uses, so the
+// micro-cluster set and every centre ball are the ones that scan would give.
 //
 // The scan itself records only PointMC. Everything else an Index holds is
 // made in Finish, once, at its final size: the member lists are one arena
@@ -86,8 +86,6 @@ type microCluster struct {
 
 // Options tunes micro-cluster construction; the zero value means defaults.
 type Options struct {
-	// Fanout is the R-tree node capacity used for both μR-tree levels.
-	Fanout int
 	// NoDeferral disables the 2ε unassigned-list optimization (ablation):
 	// every point that cannot join an existing MC immediately becomes a new
 	// MC center, which increases the MC count m.
@@ -100,15 +98,15 @@ type Options struct {
 	// inner-circle scans, kind classification) and ComputeReachable across
 	// that many goroutines. Zero or one means sequential. The index produced
 	// is identical at every worker count: each micro-cluster is finalized by
-	// exactly one worker against the already-frozen membership, and the
-	// center tree is only read.
+	// exactly one worker against the already-frozen membership, the centre
+	// grid is only read, and each reachable list is sorted by MC id.
 	Workers int
 }
 
 // Index is the two-level μR-tree plus the micro-cluster list: the first
-// level indexes MC centers (see the package comment), the second is a forest
-// with one auxiliary R-tree per MC over its member points. Micro-clusters are
-// numbered 0 … NumMCs()−1 in creation order.
+// level indexes MC centers (the grid of the package comment), the second is a
+// forest with one auxiliary R-tree per MC over its member points.
+// Micro-clusters are numbered 0 … NumMCs()−1 in creation order.
 type Index struct {
 	Eps    float64
 	MinPts int
@@ -128,9 +126,9 @@ type Index struct {
 	mcs     []microCluster // NumMCs()+1 records
 	members []int32        // per MC: the centre, then its members in the order the scan assigned them
 	inner   []int32        // per MC: the members strictly within ε/2 of the centre, in member order
-	reach   []int32        // per MC: the MCs with centres within 3ε, in centre-tree order
+	reach   []int32        // per MC: the MCs with centres within 3ε, ascending
 	aux     *rtree.Packed  // the auxiliary trees, MC k's rooted at mcs[k].root
-	centers *rtree.Packed
+	dir     centerDirectory
 	kern    geom.DistSqKernel
 	// within is kern for the threshold tests: it may stop summing once a
 	// candidate is out (geom.BoundedKernel).
@@ -212,13 +210,11 @@ func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 // μR-tree construction: the rank Adds its local points while the halo
 // payloads are in flight, then Adds the halo points and Finishes.
 //
-// During the scan the centres live in dir, the scan-time directory; Finish
-// turns it into the Index's centre tree and drops it. The directory's
-// answers are exact and its nearest tie rule does not depend on the order
-// it meets candidates in, so the split invariance above holds.
+// The scan probes the Index's centre directory, which the Index keeps. The
+// directory's answers are exact and its nearest tie rule does not depend on
+// the order it meets candidates in, so the split invariance above holds.
 type Builder struct {
 	ix         *Index
-	dir        centerDirectory
 	centers    []int32 // the centre point of each micro-cluster so far
 	unassigned []int32 // the deferred points, ascending
 	finished   bool
@@ -232,13 +228,10 @@ func NewBuilder(dim int, eps float64, minPts int, opts Options) *Builder {
 	if minPts < 1 {
 		panic("mc: minPts must be at least 1")
 	}
-	if opts.Fanout <= 0 {
-		opts.Fanout = rtree.DefaultMaxEntries
-	}
-	return newBuilder(dim, eps, minPts, opts, newDirectory(dim, eps, opts.Fanout))
+	return newBuilder(dim, eps, minPts, opts, newDirectory(dim, eps))
 }
 
-// newBuilder is NewBuilder with the scan-time directory given; the
+// newBuilder is NewBuilder with the centre directory given; the
 // differential tests use it to build through a brute-force one.
 func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirectory) *Builder {
 	return &Builder{
@@ -250,8 +243,8 @@ func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirect
 			kern:   geom.KernelFor(dim),
 			within: geom.BoundedKernelFor(dim),
 			opts:   opts,
+			dir:    dir,
 		},
-		dir: dir,
 	}
 }
 
@@ -270,11 +263,11 @@ func (b *Builder) Add(pts []geom.Point) {
 		// The tight ε-radius nearest-center search succeeds for most points
 		// on dense data; only the misses pay for the wider 2ε existence
 		// probe that drives the deferral rule.
-		if mcID, ok := b.dir.nearest(p, ix.Eps); ok {
+		if mcID, ok := ix.dir.nearest(p, ix.Eps); ok {
 			ix.PointMC[i] = int32(mcID)
 			continue
 		}
-		if !ix.opts.NoDeferral && b.dir.any(p, 2*ix.Eps) {
+		if !ix.opts.NoDeferral && ix.dir.any(p, 2*ix.Eps) {
 			b.unassigned = append(b.unassigned, int32(i))
 			continue
 		}
@@ -301,17 +294,12 @@ func (b *Builder) Finish() *Index {
 	}
 	for _, i := range b.unassigned {
 		p := ix.Points.Point(int(i))
-		if mcID, ok := b.dir.nearest(p, ix.Eps); ok {
+		if mcID, ok := ix.dir.nearest(p, ix.Eps); ok {
 			ix.PointMC[i] = int32(mcID)
 		} else {
 			b.newMC(int(i))
 		}
 	}
-	// The centres are frozen: the first μR-tree level is one STR bulk load
-	// over the grid's centres. The directory is dropped here, so an Index
-	// that outlives its Builder (a daemon's cached one) does not retain it.
-	ix.centers = b.dir.tree()
-	b.dir = nil
 	ix.finalize(b.centers, b.unassigned)
 	b.centers, b.unassigned = nil, nil
 	return ix
@@ -319,7 +307,7 @@ func (b *Builder) Finish() *Index {
 
 func (b *Builder) newMC(centerID int) {
 	// The directory copies the coordinates.
-	b.dir.insert(len(b.centers), b.ix.Points.Point(centerID))
+	b.ix.dir.insert(len(b.centers), b.ix.Points.Point(centerID))
 	b.ix.PointMC[centerID] = int32(len(b.centers))
 	b.centers = append(b.centers, int32(centerID))
 }
@@ -369,9 +357,9 @@ func (ix *Index) finalize(centers, deferred []int32) {
 	// place in the forest is known before any is built: workers pack
 	// disjoint ranges, and the bytes do not depend on who packed what.
 	for k := 0; k < m; k++ {
-		ix.mcs[k+1].root = ix.mcs[k].root + int32(rtree.NodeCount(len(ix.Members(k)), ix.opts.Fanout))
+		ix.mcs[k+1].root = ix.mcs[k].root + int32(rtree.NodeCount(len(ix.Members(k)), rtree.DefaultMaxEntries))
 	}
-	ix.aux = rtree.NewForest(ix.Dim, ix.opts.Fanout, int(ix.mcs[m].root), n)
+	ix.aux = rtree.NewForest(ix.Dim, rtree.DefaultMaxEntries, int(ix.mcs[m].root), n)
 	packers := make([]*rtree.Packer, max(ix.opts.Workers, 1))
 	for w := range packers {
 		packers[w] = ix.aux.Packer()
@@ -456,16 +444,17 @@ func (ix *Index) carve(field func(*microCluster) *int32, fill func(w, k int, dst
 }
 
 // ComputeReachable fills every micro-cluster's reachable list: the MCs whose
-// centers lie within 3ε (closed), found through the first-level μR-tree
-// (Algorithm 5). Idempotent. The center tree is immutable and sphere queries
-// are read-only, so the per-MC queries run across Options.Workers goroutines,
-// each through its own hit buffer; each list is produced by one worker in
-// tree order, identical at every worker count.
+// centers lie within 3ε (closed), one ball query per MC to the first μR-tree
+// level (Algorithm 5). Idempotent. The grid is frozen and its queries are
+// read-only, so the per-MC queries run across Options.Workers goroutines, each
+// through its own hit buffer; each list is produced by one worker and sorted
+// by MC id, identical at every worker count.
 func (ix *Index) ComputeReachable() {
 	reach := 3 * ix.Eps
 	hits := make([][]int, max(ix.opts.Workers, 1))
 	ix.reach = ix.carve(func(z *microCluster) *int32 { return &z.reach }, func(w, k int, dst []int32) []int32 {
-		hits[w], _ = ix.centers.SphereInto(ix.Center(k), reach, false, hits[w][:0])
+		hits[w] = ix.dir.within(ix.Center(k), reach, true, hits[w][:0])
+		slices.Sort(hits[w])
 		for _, id := range hits[w] {
 			dst = append(dst, int32(id))
 		}
@@ -519,17 +508,17 @@ func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, d
 // which need not be in the dataset and so has no reachable list to start
 // from. The same 2ε rule applies — only a micro-cluster centred strictly
 // within 2ε of p can hold a neighbor — and here the first μR-tree level
-// answers it: one strict 2ε sphere query over the centres, then the region
+// answers it: one strict 2ε ball query to the centre grid, then the region
 // filter and the auxiliary tree of each hit. The centre hits are staged in
 // dst behind the caller's prefix and the neighbor ids, appended after them,
 // are moved down over the staging area at the end, so one warmed buffer
 // serves the whole query with zero allocations. It returns the extended
-// slice and the number of point-distance computations, centres included.
+// slice and the number of point distances computed in the auxiliary trees.
 //
 //mulint:noalloc static twin of TestNeighborhoodIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
 func (ix *Index) NeighborhoodInto(p geom.Point, dst []int) (_ []int, distCalcs int) {
 	base := len(dst)
-	dst, distCalcs = ix.centers.SphereInto(p, 2*ix.Eps, true, dst)
+	dst = ix.dir.within(p, 2*ix.Eps, false, dst)
 	staged := len(dst)
 	for i := base; i < staged; i++ {
 		root := ix.mcs[dst[i]].root

@@ -319,8 +319,10 @@ func TestQuickInvariants(t *testing.T) {
 }
 
 // sameBytes holds two indexes to byte-equality: the scan's outcome, the
-// record slab, the three list arenas, and the four slices of each forest.
+// record slab, the three list arenas, the four slices of the forest, and the
+// centre grid's centres, chains and slots.
 func sameBytes(got, want *Index) error {
+	g, w := got.dir.(*gridDirectory), want.dir.(*gridDirectory)
 	for _, f := range []struct {
 		name      string
 		got, want any
@@ -333,7 +335,9 @@ func sameBytes(got, want *Index) error {
 		{"InnerIDs", got.inner, want.inner},
 		{"Reach", got.reach, want.reach},
 		{"aux forest", got.aux, want.aux},
-		{"centre tree", got.centers, want.centers},
+		{"grid centres", g.centers.Data(), w.centers.Data()},
+		{"grid chains", g.chain, w.chain},
+		{"grid slots", g.slots, w.slots},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			return fmt.Errorf("%s differ", f.name)
@@ -356,7 +360,7 @@ func TestIndexIdenticalAcrossWorkers(t *testing.T) {
 	}{
 		{"3-d, many small MCs", randPoints(rand.New(rand.NewSource(11)), 3000, 3, 10), 0.6, 5},
 		{"2-d, fat MCs with deep trees", randPoints(rand.New(rand.NewSource(12)), 4000, 2, 10), 2.5, 5},
-		{"6-d, grown centre tree", randPoints(rand.New(rand.NewSource(13)), 1500, 6, 4), 1.5, 4},
+		{"6-d, chains past the keyed axes", randPoints(rand.New(rand.NewSource(13)), 1500, 6, 4), 1.5, 4},
 	} {
 		want := Build(c.pts, c.eps, c.minPts, Options{})
 		if want.NumMCs() < 2 || len(want.reach) == 0 {

@@ -1,8 +1,8 @@
 // Package rtree implements in-memory R-trees (Guttman, SIGMOD'84) over
-// d-dimensional points. It backs the classic R-DBSCAN baseline and both
-// levels of the paper's two-level μR-tree (the first level indexes
-// micro-cluster centers, the auxiliary trees index the points of one
-// micro-cluster each).
+// d-dimensional points. It backs the classic R-DBSCAN baseline and the
+// second level of the paper's two-level μR-tree: the auxiliary trees, each
+// over the points of one micro-cluster (the first level, over the centres, is
+// internal/mc's hashed grid).
 //
 // There are two types, for the two lives a tree can have. Packed is what the
 // system reads: an immutable forest of Sort-Tile-Recursive bulk-loaded trees
@@ -54,7 +54,7 @@ type node struct {
 // New returns an empty R-tree for points of dimensionality dim with node
 // fan-out maxEntries (use 0 for DefaultMaxEntries). Its callers are the
 // benchmark's grown-tree probe and this package's tests; the system itself
-// builds every tree it reads with BulkLoadSet or a Packer.
+// builds every tree it reads with BulkLoad or a Packer.
 func New(dim, maxEntries int) *Tree {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")

@@ -199,7 +199,6 @@ func tooManyPoints(n int) bool { return n > math.MaxInt32 }
 
 // config collects the option knobs.
 type config struct {
-	fanout       int
 	disableWndq  bool
 	workers      int
 	sampleSize   int
@@ -241,10 +240,6 @@ func WithScratch(s *Scratch) Option { return func(c *config) { c.scratch = s } }
 
 // Option customizes a clustering run.
 type Option func(*config)
-
-// WithRTreeFanout sets the node capacity of both μR-tree levels
-// (default 16).
-func WithRTreeFanout(m int) Option { return func(c *config) { c.fanout = m } }
 
 // WithoutQueryReduction disables core identification without queries; every
 // point is queried, as in classic DBSCAN. The result is unchanged, only
@@ -350,7 +345,7 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 	}
 	switch engine {
 	case EngineSeq, EngineShared:
-		copts := core.Options{Fanout: cfg.fanout, DisableWndq: cfg.disableWndq}
+		copts := core.Options{DisableWndq: cfg.disableWndq}
 		if engine == EngineShared {
 			copts.Workers = workers
 		}
@@ -428,7 +423,7 @@ func clusterDistributed(pts []geom.Point, eps float64, minPts, ranks int, cfg *c
 	dopts := dist.Options{
 		SampleSize: cfg.sampleSize,
 		Seed:       cfg.seed,
-		Core:       core.Options{Fanout: cfg.fanout, DisableWndq: cfg.disableWndq},
+		Core:       core.Options{DisableWndq: cfg.disableWndq},
 		Exec:       exec,
 	}
 	if cfg.faultSeed != nil {

@@ -130,9 +130,6 @@ func TestOptionsApply(t *testing.T) {
 	if st2.QueriesSaved != 0 {
 		t.Fatal("WithoutQueryReduction must disable savings")
 	}
-	if _, _, err := ClusterWithStats(rows, 0.5, 5, WithRTreeFanout(4)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestEngineSelection pins the public engine surface: the cell engine behind
