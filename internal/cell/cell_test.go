@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mudbscan/internal/core"
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
@@ -111,25 +110,6 @@ func TestCellEmptyAndDegenerate(t *testing.T) {
 	if r.NumClusters != 1 || st.DenseCells != 1 || st.Queries != 0 {
 		t.Fatalf("duplicates: clusters=%d dense=%d queries=%d, want 1/1/0",
 			r.NumClusters, st.DenseCells, st.Queries)
-	}
-}
-
-// TestCellArenaReuse: lent arenas must come back grown and produce the same
-// labels run after run.
-func TestCellArenaReuse(t *testing.T) {
-	cc := data.ConformanceCases()[2] // uniform-2d: plenty of sparse cells
-	arenas := []*core.Arena{{}, {}}
-	base, _ := Run(cc.Pts, cc.Eps, cc.MinPts, Options{Workers: 2})
-	for trial := 0; trial < 3; trial++ {
-		got, _ := Run(cc.Pts, cc.Eps, cc.MinPts, Options{Workers: 2, Arenas: arenas})
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("trial %d: arena-lent run differs", trial)
-		}
-	}
-	// Chunk stealing may leave one worker idle on a tiny dataset, but at
-	// least one arena must have grown through the lending seam.
-	if cap(arenas[0].Nbhd) == 0 && cap(arenas[1].Nbhd) == 0 {
-		t.Fatal("no arena ever grew: scratch was not actually lent")
 	}
 }
 

@@ -5,24 +5,17 @@ import (
 	"time"
 
 	"mudbscan/internal/clustering"
-	"mudbscan/internal/core"
 	"mudbscan/internal/par"
 	"mudbscan/internal/unionfind"
 
 	"mudbscan/internal/geom"
 )
 
-// Options tunes a cell-engine run. The zero value uses GOMAXPROCS workers
-// and run-owned scratch.
+// Options tunes a cell-engine run. The zero value uses GOMAXPROCS workers.
 type Options struct {
 	// Workers is the goroutine count for the parallel phases (≤0 =
 	// GOMAXPROCS). The clustering is byte-identical at any worker count.
 	Workers int
-	// Arenas lends caller-owned per-worker query scratch (one Arena per
-	// worker, only Nbhd is used); grown buffers return to the caller so a
-	// serving worker keeps them warm across jobs. Shorter-than-Workers (or
-	// nil) falls back to run-owned scratch for the missing workers.
-	Arenas []*core.Arena
 }
 
 // StepTimes is the wall-clock split over the engine's five phases.
@@ -99,21 +92,8 @@ func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.R
 	ix.buildAdjacency(workers)
 	st.Steps.Adjacency = time.Since(t0)
 
-	// Per-worker scratch: the ε-neighborhood position buffer, lent from the
-	// caller's arenas when provided.
+	// Per-worker scratch: the ε-neighborhood position buffer.
 	nbhds := make([][]int, workers)
-	for w := range nbhds {
-		if w < len(opts.Arenas) && opts.Arenas[w] != nil {
-			nbhds[w] = opts.Arenas[w].Nbhd
-		}
-	}
-	defer func() {
-		for w := range nbhds {
-			if w < len(opts.Arenas) && opts.Arenas[w] != nil {
-				opts.Arenas[w].Nbhd = nbhds[w]
-			}
-		}
-	}()
 
 	cells := ix.numCells()
 	corePos := make([]bool, n)        // core flag, by position

@@ -48,18 +48,6 @@ func (r *Result) NumNoise() int {
 	return n
 }
 
-// ClusterSizes returns the number of points in each cluster, indexed by
-// label (noise excluded).
-func (r *Result) ClusterSizes() []int {
-	sizes := make([]int, r.NumClusters)
-	for _, l := range r.Labels {
-		if l != Noise {
-			sizes[l]++
-		}
-	}
-	return sizes
-}
-
 // Members returns the point indices of the given cluster label in ascending
 // order. Pass Noise for the noise points.
 func (r *Result) Members(label int) []int {

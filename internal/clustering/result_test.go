@@ -105,9 +105,8 @@ func TestClusterSizesAndMembers(t *testing.T) {
 		Core:        []bool{true, true, false, false, true, false},
 		NumClusters: 2,
 	}
-	sizes := r.ClusterSizes()
-	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 3 {
-		t.Fatalf("sizes=%v", sizes)
+	if a, b := len(r.Members(0)), len(r.Members(1)); a != 2 || b != 3 {
+		t.Fatalf("sizes=[%d %d]", a, b)
 	}
 	if m := r.Members(0); len(m) != 2 || m[0] != 0 || m[1] != 2 {
 		t.Fatalf("members(0)=%v", m)

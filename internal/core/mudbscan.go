@@ -61,13 +61,6 @@ type Options struct {
 	// is deterministic. With more workers the result is still exact; which
 	// cluster a border point joins may vary between runs.
 	Workers int
-	// Arenas lends caller-owned query scratch in place of fresh buffers:
-	// worker w borrows Arenas[w] and the run returns the grown buffers on
-	// completion, so a serving pool keeps its scratch warm across jobs.
-	// Extra entries are ignored; workers without an entry (or with a nil
-	// one) allocate per-run scratch. A lent arena must not be used by
-	// anything else while the run executes.
-	Arenas []*Arena
 }
 
 // StepTimes records the wall-clock split of a run over the paper's four
@@ -308,7 +301,7 @@ func (f flags) raise(i int, bits uint32) uint32 {
 // what makes holding a *worker across a step safe. The pad keeps adjacent
 // workers' counters on distinct cache lines.
 type worker struct {
-	// Scratch reused across every neighborhood query; processPoint runs
+	// Buffers reused across every neighborhood query; processPoint runs
 	// allocation-free once the buffers have warmed to the largest
 	// neighborhood. dist[k] is the squared distance to nbhd[k], handed over
 	// by the query's leaf scans; between steps 3 and 4 both are free, and
@@ -380,17 +373,7 @@ func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *ru
 	if eps2 := eps * eps; eps2 > 0x1p-900 && eps2 < 0x1p900 && ix.Dim < 1<<20 {
 		r.far1, r.far2 = eps*(1+pruneSlack), 2*eps*(1+pruneSlack)
 	}
-	for w, a := range r.arenas() {
-		if a != nil {
-			r.workers[w].nbhd, r.workers[w].dist = a.Nbhd[:0], a.Dist[:0]
-		}
-	}
 	return r
-}
-
-// arenas returns the lent arenas that have a worker to serve.
-func (r *run) arenas() []*Arena {
-	return r.opts.Arenas[:min(len(r.opts.Arenas), len(r.workers))]
 }
 
 // each runs fn(w, i) for every i in [0, n) across the run's workers; at one
@@ -399,17 +382,10 @@ func (r *run) each(n int, fn func(w *worker, i int)) {
 	par.For(len(r.workers), n, func(w, i int) { fn(&r.workers[w], i) })
 }
 
-// result closes the run: it hands every worker's (possibly grown) query
-// scratch back to its lent arena — the buffers hold no live data, every
-// value that outlives a query was copied out — folds the per-worker lists
-// and counters, and unpacks components and flags. All unions are complete,
-// so Find is exact and stable and the per-index writes are disjoint.
+// result closes the run: it folds the per-worker lists and counters and
+// unpacks components and flags. All unions are complete, so Find is exact
+// and stable and the per-index writes are disjoint.
 func (r *run) result(st *Stats) *LocalResult {
-	for w, a := range r.arenas() {
-		if a != nil {
-			a.Nbhd, a.Dist = r.workers[w].nbhd, r.workers[w].dist
-		}
-	}
 	lr := &LocalResult{
 		LocalCount: r.localCount,
 		Core:       make([]bool, r.set.Len()),

@@ -147,15 +147,13 @@ func commFailure(err error, st *Stats, comm mpi.Stats) (*clustering.Result, *Sta
 // is the communication volume (Stats.Comm, Stats.MergeBytes). The other
 // phases are computation only — Merge is the time spent building and
 // applying edges, not the time spent waiting for a slower rank's flags —
-// and under ExecSerial they are contention-free as well.
+// and under ExecSerial they are contention-free as well. The four local
+// steps are the rank-local run's own StepTimes.
 type PhaseTimes struct {
-	Partition        time.Duration // excluded from Total (offline, §V-D)
-	HaloExchange     time.Duration // excluded from Total (see above)
-	TreeConstruction time.Duration
-	FindingReachable time.Duration
-	Clustering       time.Duration
-	PostProcessing   time.Duration
-	Merge            time.Duration
+	Partition    time.Duration // excluded from Total (offline, §V-D)
+	HaloExchange time.Duration // excluded from Total (see above)
+	core.StepTimes
+	Merge time.Duration
 }
 
 // Total returns the simulated parallel run time: the maximum over ranks of
@@ -164,8 +162,7 @@ type PhaseTimes struct {
 // because it is contention-inflated in simulation (its cost is reported as
 // bytes instead).
 func (p PhaseTimes) Total() time.Duration {
-	return p.TreeConstruction + p.FindingReachable +
-		p.Clustering + p.PostProcessing + p.Merge
+	return p.StepTimes.Total() + p.Merge
 }
 
 // Stats aggregates a distributed run.

@@ -63,8 +63,10 @@ func decodeRankOut(s [mergeStatFields]int64) rankOut {
 		queries: s[0], queriesSaved: s[1], numMCs: s[2], haloPoints: s[3], pairsDeferred: s[4], mergeBytes: s[5],
 		phases: PhaseTimes{
 			Partition: time.Duration(s[6]), HaloExchange: time.Duration(s[7]),
-			TreeConstruction: time.Duration(s[8]), FindingReachable: time.Duration(s[9]),
-			Clustering: time.Duration(s[10]), PostProcessing: time.Duration(s[11]),
+			StepTimes: core.StepTimes{
+				TreeConstruction: time.Duration(s[8]), FindingReachable: time.Duration(s[9]),
+				Clustering: time.Duration(s[10]), PostProcessing: time.Duration(s[11]),
+			},
 			Merge: time.Duration(s[12]),
 		},
 	}
@@ -159,11 +161,7 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 			lr = algo.run(combined, eps, minPts, localCount)
 		}
 	})
-	steps := lr.Stats.Steps
-	out.phases.TreeConstruction = steps.TreeConstruction
-	out.phases.FindingReachable = steps.FindingReachable
-	out.phases.Clustering = steps.Clustering
-	out.phases.PostProcessing = steps.PostProcessing
+	out.phases.StepTimes = lr.Stats.Steps
 	out.queries = int64(lr.Stats.Queries)
 	out.queriesSaved = int64(lr.Stats.QueriesSaved)
 	out.numMCs = int64(lr.Stats.NumMCs)

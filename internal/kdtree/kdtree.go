@@ -10,7 +10,6 @@
 package kdtree
 
 import (
-	"math/rand"
 	"sort"
 
 	"mudbscan/internal/geom"
@@ -150,14 +149,6 @@ func (t *Tree) sphereInto(n *node, center geom.Point, r2 float64, closed bool, d
 	return dst, a + b
 }
 
-// WidestAxis returns the axis along which pts have the largest spread.
-func WidestAxis(pts []geom.Point) int {
-	if len(pts) == 0 {
-		return 0
-	}
-	return WidestAxisMBR(geom.MBRFromPoints(pts))
-}
-
 // WidestAxisMBR returns the axis with the largest extent of m.
 func WidestAxisMBR(m geom.MBR) int {
 	axis, best := 0, -1.0
@@ -167,30 +158,6 @@ func WidestAxisMBR(m geom.MBR) int {
 		}
 	}
 	return axis
-}
-
-// MedianOfSample estimates the median coordinate of pts along axis from a
-// random sample of at most sampleSize points (the sampling-based-median of
-// BD-CATS that §V-A adopts for very large data). With sampleSize >= len(pts)
-// the exact median is returned. The estimate is the lower median.
-func MedianOfSample(pts []geom.Point, axis, sampleSize int, rng *rand.Rand) float64 {
-	if len(pts) == 0 {
-		panic("kdtree: MedianOfSample on empty slice")
-	}
-	var vals []float64
-	if sampleSize >= len(pts) {
-		vals = make([]float64, len(pts))
-		for i, p := range pts {
-			vals[i] = p[axis]
-		}
-	} else {
-		vals = make([]float64, sampleSize)
-		for i := range vals {
-			vals[i] = pts[rng.Intn(len(pts))][axis]
-		}
-	}
-	sort.Float64s(vals)
-	return vals[(len(vals)-1)/2]
 }
 
 // MedianOfValues returns the lower median of vals (used when medians of

@@ -80,29 +80,8 @@ func TestBuildDoesNotAliasInput(t *testing.T) {
 
 func TestWidestAxis(t *testing.T) {
 	pts := []geom.Point{{0, 0, 0}, {1, 5, 2}}
-	if WidestAxis(pts) != 1 {
-		t.Fatalf("WidestAxis=%d want 1", WidestAxis(pts))
-	}
-	if WidestAxis(nil) != 0 {
-		t.Fatal("empty defaults to 0")
-	}
-}
-
-func TestMedianOfSampleExact(t *testing.T) {
-	pts := []geom.Point{{5}, {1}, {9}, {3}, {7}}
-	m := MedianOfSample(pts, 0, 100, rand.New(rand.NewSource(1)))
-	if m != 5 {
-		t.Fatalf("exact median=%g want 5", m)
-	}
-}
-
-func TestMedianOfSampleApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	pts := randPoints(rng, 10000, 1)
-	m := MedianOfSample(pts, 0, 500, rng)
-	// true median is ~50 for U(0,100); a 500-sample median is within a few units whp
-	if m < 40 || m > 60 {
-		t.Fatalf("sampled median %g too far from 50", m)
+	if got := WidestAxisMBR(geom.MBRFromPoints(pts)); got != 1 {
+		t.Fatalf("WidestAxisMBR=%d want 1", got)
 	}
 }
 

@@ -362,84 +362,8 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 }
 
 // Alltoall sends send[i] to rank i and returns the payloads received, with
-// recv[i] coming from rank i. len(send) must equal Size.
+// recv[i] coming from rank i: IAlltoall completed at once. len(send) must
+// equal Size.
 func (c *Comm) Alltoall(send [][]byte) [][]byte {
-	if len(send) != c.w.size {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d buffers, got %d", c.w.size, len(send)))
-	}
-	const tag = -1080
-	for dst, data := range send {
-		if dst == c.rank {
-			continue
-		}
-		c.Send(dst, tag, data)
-	}
-	recv := make([][]byte, c.w.size)
-	recv[c.rank] = send[c.rank]
-	for src := 0; src < c.w.size; src++ {
-		if src == c.rank {
-			continue
-		}
-		recv[src] = c.Recv(src, tag)
-	}
-	// All-to-all is a synchronization point in the algorithms built on it.
-	c.Barrier()
-	return recv
-}
-
-// AllreduceInt64 combines one int64 per rank with op ("sum", "max" or "min")
-// and returns the result on every rank.
-func (c *Comm) AllreduceInt64(v int64, op string) int64 {
-	all := c.Allgather(EncodeInt64s([]int64{v}))
-	var acc int64
-	for i, b := range all {
-		x := DecodeInt64s(b)[0]
-		if i == 0 {
-			acc = x
-			continue
-		}
-		switch op {
-		case "sum":
-			acc += x
-		case "max":
-			if x > acc {
-				acc = x
-			}
-		case "min":
-			if x < acc {
-				acc = x
-			}
-		default:
-			panic("mpi: unknown reduce op " + op)
-		}
-	}
-	return acc
-}
-
-// AllreduceFloat64 combines one float64 per rank; op as in AllreduceInt64.
-func (c *Comm) AllreduceFloat64(v float64, op string) float64 {
-	all := c.Allgather(EncodeFloat64s([]float64{v}))
-	var acc float64
-	for i, b := range all {
-		x := DecodeFloat64s(b)[0]
-		if i == 0 {
-			acc = x
-			continue
-		}
-		switch op {
-		case "sum":
-			acc += x
-		case "max":
-			if x > acc {
-				acc = x
-			}
-		case "min":
-			if x < acc {
-				acc = x
-			}
-		default:
-			panic("mpi: unknown reduce op " + op)
-		}
-	}
-	return acc
+	return c.IAlltoall(send).Wait()
 }

@@ -119,33 +119,6 @@ func TestAlltoall(t *testing.T) {
 	}
 }
 
-func TestAllreduce(t *testing.T) {
-	_, err := Run(7, func(c *Comm) error {
-		if got := c.AllreduceInt64(int64(c.Rank()), "sum"); got != 21 {
-			return fmt.Errorf("sum=%d", got)
-		}
-		if got := c.AllreduceInt64(int64(c.Rank()), "max"); got != 6 {
-			return fmt.Errorf("max=%d", got)
-		}
-		if got := c.AllreduceInt64(int64(c.Rank()), "min"); got != 0 {
-			return fmt.Errorf("min=%d", got)
-		}
-		if got := c.AllreduceFloat64(float64(c.Rank())+0.5, "sum"); got != 24.5 {
-			return fmt.Errorf("fsum=%g", got)
-		}
-		if got := c.AllreduceFloat64(float64(c.Rank()), "max"); got != 6 {
-			return fmt.Errorf("fmax=%g", got)
-		}
-		if got := c.AllreduceFloat64(float64(c.Rank()), "min"); got != 0 {
-			return fmt.Errorf("fmin=%g", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Failure injection: a rank that panics must abort the world without
 // deadlocking ranks blocked in Recv or Barrier.
 func TestRankPanicAbortsWorld(t *testing.T) {
@@ -284,7 +257,10 @@ func TestStressInterleaved(t *testing.T) {
 			size := 1 + rng.Intn(64)
 			c.Send((c.Rank()+1)%p, round, make([]byte, size))
 			c.Recv((c.Rank()+p-1)%p, round)
-			sum := c.AllreduceInt64(1, "sum")
+			var sum int64
+			for _, b := range c.Allgather(EncodeInt64s([]int64{1})) {
+				sum += DecodeInt64s(b)[0]
+			}
 			if sum != p {
 				return fmt.Errorf("round %d sum %d", round, sum)
 			}

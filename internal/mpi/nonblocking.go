@@ -85,9 +85,7 @@ func (c *Comm) Irecv(src, tag int) *Request {
 	return r
 }
 
-// alltoallTag is distinct from the blocking Alltoall's tag so that mixing
-// the two collectives in one protocol phase is caught as a tag mismatch
-// instead of silently cross-matching.
+// alltoallTag is the reserved tag of every all-to-all payload frame.
 //
 //mulint:wire mpi-tag
 const alltoallTag = -1082
@@ -100,10 +98,10 @@ type AlltoallRequest struct {
 	sends []*Request // indexed by dst; nil for self
 }
 
-// IAlltoall starts the all-to-all exchange of the blocking Alltoall without
-// completing it: all sends are initiated and all receives posted, then
-// control returns to the caller, which may compute while peers' payloads
-// are in flight. Wait finishes the collective. len(send) must equal Size.
+// IAlltoall starts an all-to-all exchange without completing it: all sends
+// are initiated and all receives posted, then control returns to the
+// caller, which may compute while peers' payloads are in flight. Wait
+// finishes the collective. len(send) must equal Size.
 //
 // This is the overlap primitive μDBSCAN-D's halo exchange uses: the rank
 // starts building its local μR-tree between IAlltoall and Wait.
@@ -136,10 +134,9 @@ func (c *Comm) IAlltoall(send [][]byte) *AlltoallRequest {
 
 // Wait completes the exchange and returns the payloads indexed by source
 // rank (recv[i] came from rank i; recv[rank] is the caller's own buffer).
-// Like the blocking Alltoall, completion is a synchronization point: Wait
-// returns only after every rank has finished the collective, so a
-// subsequent tagged message on any pair's mailbox cannot overtake exchange
-// traffic.
+// Completion is a synchronization point: Wait returns only after every rank
+// has finished the collective, so a subsequent tagged message on any pair's
+// mailbox cannot overtake exchange traffic.
 func (a *AlltoallRequest) Wait() [][]byte {
 	out := make([][]byte, a.c.w.size)
 	out[a.c.rank] = a.self

@@ -7,53 +7,31 @@ import (
 	"time"
 )
 
-// metrics is the daemon's mutex-guarded counter set. The server package is
-// not one of mulint's determinism-pinned algorithm packages, so wall-clock
-// latency tracking is allowed here.
+// metrics is the daemon's mutex-guarded counter set: the Stats fields the
+// daemon counts itself (Server.Stats fills in the queue, store and cache
+// ones). The server package is not one of mulint's determinism-pinned
+// algorithm packages, so wall-clock latency tracking is allowed here.
 type metrics struct {
 	mu sync.Mutex
-
-	conns     int64 // connections accepted over the daemon's lifetime
-	connsOpen int64
-
-	jobsAccepted  int64
-	jobsCompleted int64
-	jobsCanceled  int64
-	jobsFailed    int64
-	rejQueueFull  int64
-	rejOverloaded int64
-	rejShutdown   int64
-	perEngine     [1 << 8]int64 // completed jobs by resolved engine, indexed by its wire byte
-
-	epsQueries int64
-	pings      int64
-	puts       int64
-	badFrames  int64
-
-	streamSessions  int64 // stream sessions opened over the daemon's lifetime
-	streamPoints    int64 // points absorbed through opStreamAdd
-	streamSnapshots int64 // snapshots served through opStreamSnap
-
-	jobTotal time.Duration
-	jobMax   time.Duration
+	st Stats
 }
 
 func (m *metrics) connOpened() {
 	m.mu.Lock()
-	m.conns++
-	m.connsOpen++
+	m.st.Conns++
+	m.st.ConnsOpen++
 	m.mu.Unlock()
 }
 
 func (m *metrics) connClosed() {
 	m.mu.Lock()
-	m.connsOpen--
+	m.st.ConnsOpen--
 	m.mu.Unlock()
 }
 
 func (m *metrics) jobAccepted() {
 	m.mu.Lock()
-	m.jobsAccepted++
+	m.st.JobsAccepted++
 	m.mu.Unlock()
 }
 
@@ -61,11 +39,11 @@ func (m *metrics) jobRejected(err error) {
 	m.mu.Lock()
 	switch err {
 	case ErrQueueFull:
-		m.rejQueueFull++
+		m.st.RejQueueFull++
 	case ErrOverloaded:
-		m.rejOverloaded++
+		m.st.RejOverloaded++
 	case ErrShuttingDown:
-		m.rejShutdown++
+		m.st.RejShutdown++
 	}
 	m.mu.Unlock()
 }
@@ -74,33 +52,31 @@ func (m *metrics) jobDone(engine Engine, d time.Duration, err error) {
 	m.mu.Lock()
 	switch err {
 	case nil:
-		m.jobsCompleted++
-		m.perEngine[engine]++
-		m.jobTotal += d
-		if d > m.jobMax {
-			m.jobMax = d
-		}
+		m.st.JobsCompleted++
+		m.st.PerEngine[engine]++
+		m.st.JobTotalNanos += int64(d)
+		m.st.JobMaxNanos = max(m.st.JobMaxNanos, int64(d))
 	case ErrCanceled:
-		m.jobsCanceled++
+		m.st.JobsCanceled++
 	default:
-		m.jobsFailed++
+		m.st.JobsFailed++
 	}
 	m.mu.Unlock()
 }
 
-func (m *metrics) epsQuery() { m.mu.Lock(); m.epsQueries++; m.mu.Unlock() }
-func (m *metrics) ping()     { m.mu.Lock(); m.pings++; m.mu.Unlock() }
-func (m *metrics) put()      { m.mu.Lock(); m.puts++; m.mu.Unlock() }
-func (m *metrics) badFrame() { m.mu.Lock(); m.badFrames++; m.mu.Unlock() }
+func (m *metrics) epsQuery() { m.mu.Lock(); m.st.EpsQueries++; m.mu.Unlock() }
+func (m *metrics) ping()     { m.mu.Lock(); m.st.Pings++; m.mu.Unlock() }
+func (m *metrics) put()      { m.mu.Lock(); m.st.Puts++; m.mu.Unlock() }
+func (m *metrics) badFrame() { m.mu.Lock(); m.st.BadFrames++; m.mu.Unlock() }
 
-func (m *metrics) streamOpened()       { m.mu.Lock(); m.streamSessions++; m.mu.Unlock() }
-func (m *metrics) streamAdded(n int64) { m.mu.Lock(); m.streamPoints += n; m.mu.Unlock() }
-func (m *metrics) streamSnapped()      { m.mu.Lock(); m.streamSnapshots++; m.mu.Unlock() }
+func (m *metrics) streamOpened()       { m.mu.Lock(); m.st.StreamSessions++; m.mu.Unlock() }
+func (m *metrics) streamAdded(n int64) { m.mu.Lock(); m.st.StreamPoints += n; m.mu.Unlock() }
+func (m *metrics) streamSnapped()      { m.mu.Lock(); m.st.StreamSnapshots++; m.mu.Unlock() }
 
 // Stats is one consistent snapshot of the daemon's observable state: the
 // opStats response body and the `mudbscand stats` / benchtab surface.
 type Stats struct {
-	Conns     int64
+	Conns     int64 // connections accepted over the daemon's lifetime
 	ConnsOpen int64
 
 	JobsAccepted  int64
@@ -110,16 +86,16 @@ type Stats struct {
 	RejQueueFull  int64
 	RejOverloaded int64
 	RejShutdown   int64
-	PerEngine     [1 << 8]int64
+	PerEngine     [1 << 8]int64 // completed jobs by resolved engine, indexed by its wire byte
 
 	EpsQueries int64
 	Pings      int64
 	Puts       int64
 	BadFrames  int64
 
-	StreamSessions  int64
-	StreamPoints    int64
-	StreamSnapshots int64
+	StreamSessions  int64 // stream sessions opened over the daemon's lifetime
+	StreamPoints    int64 // points absorbed through opStreamAdd
+	StreamSnapshots int64 // snapshots served through opStreamSnap
 
 	JobTotalNanos int64
 	JobMaxNanos   int64
@@ -134,27 +110,7 @@ type Stats struct {
 func (m *metrics) snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{
-		Conns:           m.conns,
-		ConnsOpen:       m.connsOpen,
-		JobsAccepted:    m.jobsAccepted,
-		JobsCompleted:   m.jobsCompleted,
-		JobsCanceled:    m.jobsCanceled,
-		JobsFailed:      m.jobsFailed,
-		RejQueueFull:    m.rejQueueFull,
-		RejOverloaded:   m.rejOverloaded,
-		RejShutdown:     m.rejShutdown,
-		PerEngine:       m.perEngine,
-		EpsQueries:      m.epsQueries,
-		Pings:           m.pings,
-		Puts:            m.puts,
-		BadFrames:       m.badFrames,
-		StreamSessions:  m.streamSessions,
-		StreamPoints:    m.streamPoints,
-		StreamSnapshots: m.streamSnapshots,
-		JobTotalNanos:   int64(m.jobTotal),
-		JobMaxNanos:     int64(m.jobMax),
-	}
+	return m.st
 }
 
 // statsFields enumerates the snapshot as ordered (name, value) pairs — one

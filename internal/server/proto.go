@@ -22,10 +22,10 @@
 //     param) with LRU eviction; hits are served as defensive copies, so no
 //     cached slice is ever aliased across tenants. ε-neighborhood queries
 //     reuse an LRU of built μR-tree indexes.
-//   - Arenas: each pool worker owns a mudbscan.Scratch and each connection
-//     an ε-query arena, so steady-state serving reuses the PR 3 scratch
-//     arenas across requests — AllocsPerRun gates pin the cached ε-query
-//     path at zero allocations.
+//   - Buffers: each connection owns its decode/encode buffers and an
+//     ε-query arena, so steady-state ε-query serving reuses them across
+//     requests — AllocsPerRun gates pin the cached ε-query path at zero
+//     allocations. A clustering job's run allocates its own query scratch.
 package server
 
 import (

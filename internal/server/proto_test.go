@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,33 @@ func TestStatsEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "conns_total 3") {
 		t.Fatalf("first line %q", lines[0])
+	}
+
+	// The wire carries exactly these names in exactly this order: clients
+	// and scripts read them, so a rename or a reorder is a protocol change.
+	wantNames := []string{
+		"conns_total", "conns_open",
+		"jobs_accepted", "jobs_completed", "jobs_canceled", "jobs_failed",
+		"rejected_queue_full", "rejected_overloaded", "rejected_shutdown",
+		"jobs_engine_seq", "jobs_engine_shared", "jobs_engine_dist",
+		"jobs_engine_stream", "jobs_engine_cell",
+		"eps_queries", "pings", "puts", "bad_frames",
+		"stream_sessions", "stream_points", "stream_snapshots",
+		"job_time_total_ns", "job_time_max_ns",
+		"queue_depth", "datasets",
+		"result_cache_hits", "result_cache_misses", "result_cache_evictions", "result_cache_size",
+		"index_cache_hits", "index_cache_misses", "index_cache_evictions", "index_cache_size",
+	}
+	r := rbuf{b: s.encode(nil)}
+	var gotNames []string
+	for n := int(r.u32()); n > 0 && !r.err; n-- {
+		nameLen := int(r.u32())
+		gotNames = append(gotNames, string(r.b[:nameLen]))
+		r.b = r.b[nameLen:]
+		r.i64()
+	}
+	if !r.done() || !slices.Equal(gotNames, wantNames) {
+		t.Fatalf("wire stats names\n got %q\nwant %q", gotNames, wantNames)
 	}
 
 	for _, bad := range [][]byte{{1}, appendU32(nil, 1<<20), appendU32(appendU32(nil, 1), 1000)} {

@@ -31,8 +31,7 @@ const (
 
 // Config tunes a Server. The zero value gets sensible defaults from New.
 type Config struct {
-	// Workers is the clustering pool size (default GOMAXPROCS). Each worker
-	// owns a mudbscan.Scratch reused across every job it runs.
+	// Workers is the clustering pool size (default GOMAXPROCS).
 	Workers int
 	// QueuePerTenant bounds one tenant's queued jobs (default 8); beyond it
 	// submissions fail fast with ErrQueueFull.
@@ -106,7 +105,7 @@ func New(cfg Config) *Server {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker(mudbscan.NewScratch())
+		go s.worker()
 	}
 	return s
 }
@@ -198,9 +197,8 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// worker drains the job queue. scr is this worker's private scratch,
-// re-lent to every sequential and shared job it runs.
-func (s *Server) worker(scr *mudbscan.Scratch) {
+// worker drains the job queue.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		j, ok := s.q.pop()
@@ -208,7 +206,7 @@ func (s *Server) worker(scr *mudbscan.Scratch) {
 			return
 		}
 		start := time.Now()
-		res, err := s.runJob(j, scr)
+		res, err := s.runJob(j)
 		s.m.jobDone(j.engine, time.Since(start), err)
 		j.done(res, err)
 	}
@@ -216,9 +214,9 @@ func (s *Server) worker(scr *mudbscan.Scratch) {
 
 // runJob executes one clustering job on its resolved engine and stores the
 // outcome in the result cache.
-func (s *Server) runJob(j *job, scr *mudbscan.Scratch) (*result, error) {
+func (s *Server) runJob(j *job) (*result, error) {
 	r, err := mudbscan.Cluster(j.ds.rows, j.eps, j.minPts,
-		mudbscan.WithEngine(j.engine), mudbscan.WithWorkers(j.param), mudbscan.WithScratch(scr))
+		mudbscan.WithEngine(j.engine), mudbscan.WithWorkers(j.param))
 	if err != nil {
 		// ε, MinPts and every row were checked before the job was queued, so
 		// the library refuses a daemon job only for its parameters: a cell

@@ -101,9 +101,9 @@ func TestMetricsJobRejected(t *testing.T) {
 	m.jobRejected(ErrOverloaded)
 	m.jobRejected(ErrShuttingDown)
 	m.jobRejected(errors.New("untyped")) // must not count anywhere
-	if m.rejQueueFull != 2 || m.rejOverloaded != 1 || m.rejShutdown != 1 {
+	if st := m.snapshot(); st.RejQueueFull != 2 || st.RejOverloaded != 1 || st.RejShutdown != 1 {
 		t.Fatalf("counters %d/%d/%d, want 2/1/1",
-			m.rejQueueFull, m.rejOverloaded, m.rejShutdown)
+			st.RejQueueFull, st.RejOverloaded, st.RejShutdown)
 	}
 }
 

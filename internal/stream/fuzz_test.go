@@ -123,8 +123,8 @@ func FuzzStreamAdd(f *testing.F) {
 				verify(s)
 			}
 		}
-		if c.Inserted() != accepted {
-			t.Fatalf("Inserted=%d accepted=%d", c.Inserted(), accepted)
+		if got := c.Stats().Accepted; got != int64(accepted) {
+			t.Fatalf("Stats().Accepted=%d accepted=%d", got, accepted)
 		}
 		verify(c.Snapshot())
 	})

@@ -91,7 +91,7 @@ func TestConcurrentIngestSoak(t *testing.T) {
 			defer close(stop)
 
 			// Producers finish on their own; poll the accepted counter.
-			for c.Inserted() < producers*perProducer {
+			for c.Stats().Accepted < producers*perProducer {
 				time.Sleep(time.Millisecond)
 			}
 

@@ -183,6 +183,3 @@ func (c *Clusterer) Stats() Stats {
 	n := len(c.times)
 	return Stats{Accepted: c.first + int64(n), Retained: n, EvictedPoints: c.first}
 }
-
-// Inserted returns the number of points absorbed so far.
-func (c *Clusterer) Inserted() int { return int(c.Stats().Accepted) }

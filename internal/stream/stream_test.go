@@ -61,8 +61,8 @@ func TestValidation(t *testing.T) {
 	if err := c.AddAt([]float64{1, 2}, 1); err == nil {
 		t.Error("time going backwards should error")
 	}
-	if c.Inserted() != 1 {
-		t.Errorf("rejected points must not count as inserted, got %d", c.Inserted())
+	if got := c.Stats().Accepted; got != 1 {
+		t.Errorf("rejected points must not count as accepted, got %d", got)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestTwoStreamsTwoClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	feed(t, c, rng, 2000, 0, 0, 0.3)
 	feed(t, c, rng, 2000, 20, 20, 0.3)
-	if c.Inserted() != 4000 {
-		t.Fatalf("Inserted=%d", c.Inserted())
+	if got := c.Stats().Accepted; got != 4000 {
+		t.Fatalf("Stats().Accepted=%d", got)
 	}
 	s := c.Snapshot()
 	if s.Len() != 4000 {

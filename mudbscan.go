@@ -205,38 +205,10 @@ type config struct {
 	seed         int64
 	distSerial   bool
 	faultSeed    *int64
-	scratch      *Scratch
 	engine       Engine
 	streamLambda float64
 	streamPrune  float64
 }
-
-// Scratch is reusable query-scratch storage lent to clustering runs: the
-// per-worker ε-query arenas of PR 3's allocation-free *Into tier, owned by
-// the caller instead of the run, so a long-lived worker (the mudbscand job
-// pool) keeps warm buffers across requests. Pass one Scratch per serving
-// worker via WithScratch; a Scratch must never be lent to two concurrent
-// runs. The zero value is not usable — construct with NewScratch.
-type Scratch struct {
-	arenas []*core.Arena
-}
-
-// NewScratch creates an empty scratch pool; runs grow it on demand.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// grown returns the first n arenas, creating any that do not exist yet.
-func (s *Scratch) grown(n int) []*core.Arena {
-	for len(s.arenas) < n {
-		s.arenas = append(s.arenas, &core.Arena{})
-	}
-	return s.arenas[:n]
-}
-
-// WithScratch lends s to the run: EngineSeq borrows its first arena,
-// EngineShared and EngineCell one arena per worker. Grown buffers return to
-// s when the run completes. EngineDist and EngineStream ignore it (each
-// simulated rank and each stream owns per-run scratch).
-func WithScratch(s *Scratch) Option { return func(c *config) { c.scratch = s } }
 
 // Option customizes a clustering run.
 type Option func(*config)
@@ -349,17 +321,10 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 		if engine == EngineShared {
 			copts.Workers = workers
 		}
-		if cfg.scratch != nil {
-			copts.Arenas = cfg.scratch.grown(max(copts.Workers, 1))
-		}
 		r, st := core.Run(pts, eps, minPts, copts)
 		return r, st, nil
 	case EngineCell:
-		copts := cell.Options{Workers: workers}
-		if cfg.scratch != nil {
-			copts.Arenas = cfg.scratch.grown(workers)
-		}
-		r, st := cell.Run(pts, eps, minPts, copts)
+		r, st := cell.Run(pts, eps, minPts, cell.Options{Workers: workers})
 		return r, cellSeqStats(st), nil
 	case EngineDist:
 		r, _, err := clusterDistributed(pts, eps, minPts, workers, &cfg)
