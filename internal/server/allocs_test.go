@@ -23,36 +23,38 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // TestEpsQueryResponseZeroAllocs pins the daemon's steady-state serving
 // claim: once a connection's buffers and the μR-tree index cache are warm, a
 // cached ε-query — body decode, store and index lookups, the arena-tier
-// neighborhood query, sort, and response encode — performs zero heap
-// allocations. Only the inherently allocating frame read and the socket
-// write sit outside this span.
+// neighborhood query, the id-order bitmap pass, and response encode —
+// performs zero heap allocations. Only the inherently allocating frame read
+// and the socket write sit outside this span. The queries alternate between
+// two datasets of different n, so the bitmap is sized once, for the larger,
+// and not again on every switch.
 func TestEpsQueryResponseZeroAllocs(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	t.Cleanup(func() { srv.Close() })
 
 	rng := rand.New(rand.NewSource(99))
-	coords := make([]float64, 0, 2000*3)
-	for i := 0; i < 2000*3; i++ {
-		coords = append(coords, rng.Float64()*10)
-	}
-	id, err := srv.store.put(3, coords)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eps, minPts := 0.8, 5
-
-	// One query body per distinct query point, rotated below so the gate
-	// covers varying neighborhood sizes, not one lucky cached answer.
+	// One query body per distinct query point and dataset, interleaved so the
+	// gate covers varying neighborhood sizes and both bitmap extents, not one
+	// lucky cached answer.
+	var perSet [2][][]byte
+	for s, n := range []int{700, 2000} {
+		coords := make([]float64, 0, n*3)
+		for i := 0; i < n*3; i++ {
+			coords = append(coords, rng.Float64()*10)
+		}
+		id, err := srv.store.put(3, coords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 8; q++ {
+			row := q * (n / 12)
+			perSet[s] = append(perSet[s], appendEpsQuery(nil, id, eps, minPts, coords[row*3:row*3+3]))
+		}
+	}
 	var bodies [][]byte
 	for q := 0; q < 8; q++ {
-		body := append([]byte(nil), id[:]...)
-		body = appendF64(body, eps)
-		body = appendU32(body, uint32(minPts))
-		body = appendU32(body, 3)
-		for d := 0; d < 3; d++ {
-			body = appendF64(body, coords[q*171*3+d])
-		}
-		bodies = append(bodies, body)
+		bodies = append(bodies, perSet[0][q], perSet[1][q])
 	}
 
 	c := &serverConn{s: srv, tenant: "gate"}
@@ -64,7 +66,7 @@ func TestEpsQueryResponseZeroAllocs(t *testing.T) {
 		}
 	}
 	for _, b := range bodies {
-		run(b) // warm: builds the index once, grows the conn buffers
+		run(b) // warm: builds both indexes once, grows the conn buffers
 	}
 	k := 0
 	allocs := testing.AllocsPerRun(200, func() {

@@ -296,18 +296,30 @@ func (c *Client) Cancel(tag int64) (bool, error) {
 // EpsQuery returns the sorted ids of every dataset point strictly within
 // eps of pt, served through the daemon's cached μR-tree index.
 func (c *Client) EpsQuery(id DatasetID, eps float64, minPts int, pt []float64) ([]int, error) {
-	body := make([]byte, 0, len(id)+8+4+4+8*len(pt))
-	body = append(body, id[:]...)
-	body = appendF64(body, eps)
-	body = appendU32(body, uint32(minPts))
-	body = appendU32(body, uint32(len(pt)))
-	for _, v := range pt {
-		body = appendF64(body, v)
-	}
+	body := appendEpsQuery(make([]byte, 0, len(id)+8+4+4+8*len(pt)), id, eps, minPts, pt)
 	_, resp, err := c.roundTrip(opEpsQuery, body)
 	if err != nil {
 		return nil, err
 	}
+	return decodeIDs(resp)
+}
+
+// appendEpsQuery encodes an eps-query body: dataset id, ε, MinPts, the
+// point's dimension and its coordinates.
+func appendEpsQuery(dst []byte, id DatasetID, eps float64, minPts int, pt []float64) []byte {
+	dst = append(dst, id[:]...)
+	dst = appendF64(dst, eps)
+	dst = appendU32(dst, uint32(minPts))
+	dst = appendU32(dst, uint32(len(pt)))
+	for _, v := range pt {
+		dst = appendF64(dst, v)
+	}
+	return dst
+}
+
+// decodeIDs decodes an OK eps-query response body: a u32 count, then that
+// many u32 ids.
+func decodeIDs(resp []byte) ([]int, error) {
 	r := rbuf{b: resp}
 	n := int(r.u32())
 	if r.err || n < 0 || len(r.b) != 4*n {

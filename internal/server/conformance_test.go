@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mudbscan"
@@ -339,20 +341,56 @@ func TestDaemonStreamSessionLimits(t *testing.T) {
 
 // TestDaemonEpsQueryMatchesDirect pins the ε-query serving path to the
 // direct geometry: the returned ids must be exactly the points strictly
-// within ε, sorted.
+// within ε, in ascending order. Every conformance dataset and a wide one are
+// stored on one connection and queried round-robin, so consecutive answers
+// come from datasets of different n: a bitmap word left set by one answer
+// shows up in the next, and a bitmap sized to a smaller dataset fails the
+// next larger one.
 func TestDaemonEpsQueryMatchesDirect(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 1})
 	cl := dialTenant(t, addr, "epsq")
 
-	cc := data.ConformanceCases()[0]
-	rows := toRows(cc.Pts)
-	id, err := cl.Put(rows)
-	if err != nil {
-		t.Fatal(err)
+	type query struct {
+		cc data.ConformanceCase
+		id DatasetID
+		q  geom.Point
 	}
-	// Dataset rows, then points that are not rows: a row pushed exactly ε
-	// along one axis (the strict boundary), the midpoint of two rows, and
-	// points 0.5ε, 1.5ε and 2.5ε beyond the data's bounding box.
+	var perSet [][]query
+	for _, cc := range append(data.ConformanceCases(), wideEpsQueryCases(t)...) {
+		id, err := cl.Put(toRows(cc.Pts))
+		if err != nil {
+			t.Fatalf("%s: put: %v", cc.Name, err)
+		}
+		var qs []query
+		for _, q := range epsQueryPoints(cc) {
+			qs = append(qs, query{cc, id, q})
+		}
+		perSet = append(perSet, qs)
+	}
+	for round, asked := 0, true; asked; round++ {
+		asked = false
+		for _, qs := range perSet {
+			if round >= len(qs) {
+				continue
+			}
+			asked = true
+			qu := qs[round]
+			got, err := cl.EpsQuery(qu.id, qu.cc.Eps, qu.cc.MinPts, qu.q)
+			if err != nil {
+				t.Fatalf("%s query %d: %v", qu.cc.Name, round, err)
+			}
+			if want := bruteEpsQuery(qu.cc.Pts, qu.q, qu.cc.Eps); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s query %d at %v: served %v, brute force %v", qu.cc.Name, round, qu.q, got, want)
+			}
+		}
+	}
+}
+
+// epsQueryPoints is the query set for one dataset: every 17th row, then
+// points that are not rows — the row pushed exactly ε along one axis (the
+// strict boundary), the midpoint of two rows, and a point 0.5ε, 1.5ε or 2.5ε
+// beyond the data's bounding box.
+func epsQueryPoints(cc data.ConformanceCase) []geom.Point {
 	var queries []geom.Point
 	hull := geom.MBRFromPoints(cc.Pts)
 	for qi := 0; qi < len(cc.Pts); qi += 17 {
@@ -369,21 +407,112 @@ func TestDaemonEpsQueryMatchesDirect(t *testing.T) {
 		outside[axis] = hull.Max[axis] + (float64(qi%3)+0.5)*cc.Eps
 		queries = append(queries, shifted, mid, outside)
 	}
-	for qi, q := range queries {
-		got, err := cl.EpsQuery(id, cc.Eps, cc.MinPts, q)
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
-		}
-		want := []int{}
-		for j, p := range cc.Pts {
-			if geom.Within(q, p, cc.Eps) {
-				want = append(want, j)
-			}
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("query %d at %v: served neighborhood differs from brute force", qi, q)
+	return queries
+}
+
+// wideEpsQueryCases is a 1 200-point 2-d dataset whose answers span many
+// 64-bit words: rows 0, 63, 64 and n−1 — the first and last bit of a word
+// and of the bitmap — sit together at the centre of a uniform square, so the
+// query at row 0 holds all four among ids scattered over every word. At
+// ε = 0.5 the answers are a few dozen ids; at ε = 10 each is every id.
+func wideEpsQueryCases(t *testing.T) []data.ConformanceCase {
+	t.Helper()
+	const n = 1200
+	rng := rand.New(rand.NewSource(64))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{rng.Float64() * 4, rng.Float64() * 4}
+	}
+	for _, i := range []int{0, 63, 64, n - 1} {
+		pts[i] = geom.Point{2, 2}
+	}
+	cases := []data.ConformanceCase{
+		{Name: "wide", Pts: pts, Eps: 0.5, MinPts: 5},
+		{Name: "wide-all", Pts: pts, Eps: 10, MinPts: 5},
+	}
+	want := bruteEpsQuery(pts, pts[0], cases[0].Eps)
+	for _, id := range []int{0, 63, 64, n - 1} {
+		if _, ok := slices.BinarySearch(want, id); !ok {
+			t.Fatalf("wide dataset: the query at row 0 misses id %d", id)
 		}
 	}
+	return cases
+}
+
+// bruteEpsQuery is the ε-query by definition: every point strictly within
+// eps of q, in id order (an empty answer is an empty slice, as served).
+func bruteEpsQuery(pts []geom.Point, q geom.Point, eps float64) []int {
+	ids := []int{}
+	for j, p := range pts {
+		if geom.Within(q, p, eps) {
+			ids = append(ids, j)
+		}
+	}
+	return ids
+}
+
+// FuzzDaemonEpsQuery holds the served ε-query to brute force on
+// byte-derived data. b[0] picks the dimension (1–4) and MinPts, b[1] the
+// size of the first dataset, and the bytes after them are coordinates on a
+// lattice of step ε/2, so pairs at exactly ε occur. The second dataset is
+// every decoded point (up to 300), the first a prefix of it; eight lattice
+// queries alternate between the two on one connection, starting with the
+// smaller, so a bitmap word left set or a bitmap sized to the first dataset
+// shows up as a wrong answer.
+func FuzzDaemonEpsQuery(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 3 {
+			return
+		}
+		dim := 1 + int(b[0])%4
+		minPts := 1 + int(b[0]>>2)%8
+		const eps = 0.75
+		var pts []geom.Point
+		for body := b[2:]; len(body) >= dim && len(pts) < 300; body = body[dim:] {
+			p := make(geom.Point, dim)
+			for j := range p {
+				p[j] = float64(body[j]%16) * eps / 2
+			}
+			pts = append(pts, p)
+		}
+		if len(pts) == 0 {
+			return
+		}
+		sets := [2][]geom.Point{pts[:1+int(b[1])%len(pts)], pts}
+		srv := New(Config{Workers: 1})
+		defer srv.Close()
+		var ids [2]DatasetID
+		for s, set := range sets {
+			var coords []float64
+			for _, p := range set {
+				coords = append(coords, p...)
+			}
+			id, err := srv.store.put(dim, coords)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[s] = id
+		}
+		c := &serverConn{s: srv, tenant: "fuzz"}
+		q := make(geom.Point, dim)
+		for i := 0; i < 8; i++ {
+			for j := range q {
+				q[j] = float64(b[(i*dim+j)%len(b)]%16) * eps / 2
+			}
+			r := rbuf{b: appendEpsQuery(nil, ids[i%2], eps, minPts, q)}
+			c.epsQueryResponse(&r)
+			if c.payload[0] != statusOK {
+				t.Fatalf("query %d: status %d: %s", i, c.payload[0], c.payload[1:])
+			}
+			got, err := decodeIDs(c.payload[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteEpsQuery(sets[i%2], q, eps); !reflect.DeepEqual(want, got) {
+				t.Fatalf("query %d at %v over %d points: served %v, brute force %v", i, q, len(sets[i%2]), got, want)
+			}
+		}
+	})
 }
 
 // TestDaemonRejectsMalformedRequests walks the typed-error surface.

@@ -22,10 +22,15 @@
 //     param) with LRU eviction; hits are served as defensive copies, so no
 //     cached slice is ever aliased across tenants. ε-neighborhood queries
 //     reuse an LRU of built μR-tree indexes.
-//   - Buffers: each connection owns its decode/encode buffers and an
-//     ε-query arena, so steady-state ε-query serving reuses them across
-//     requests — AllocsPerRun gates pin the cached ε-query path at zero
-//     allocations. A clustering job's run allocates its own query scratch.
+//   - Buffers: each connection owns its decode/encode buffers, an ε-query
+//     arena and an id bitmap of ⌈n/64⌉ words for the largest dataset it has
+//     queried (at most MaxFrame/64 bytes, since a Put of n points is at
+//     least 8·n bytes). The bitmap puts an answer in id order in
+//     O(k + span/64): the ids are distinct and in [0, n), so bit order is
+//     ascending order, and each word is zeroed as it is read. Steady-state
+//     ε-query serving reuses all of them across requests — AllocsPerRun
+//     gates pin the cached ε-query path at zero allocations. A clustering
+//     job's run allocates its own query scratch.
 package server
 
 import (

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -230,10 +230,10 @@ func (s *Server) runJob(j *job) (*result, error) {
 }
 
 // serverConn is the per-connection state: the tenant identity, the reused
-// decode and encode buffers, and the ε-query neighborhood arena. writeMu
-// serializes the write path between the reader goroutine (inline ops) and
-// pool workers (job completions); the buffers it guards make the warmed
-// request→response path allocation-free.
+// decode and encode buffers, and the ε-query neighborhood arena and id
+// bitmap. writeMu serializes the write path between the reader goroutine
+// (inline ops) and pool workers (job completions); the buffers it guards make
+// the warmed request→response path allocation-free.
 type serverConn struct {
 	s      *Server
 	c      net.Conn
@@ -243,6 +243,11 @@ type serverConn struct {
 	payload []byte // response body under construction
 	wbuf    []byte // framed response bytes
 	nbhd    []int  // ε-query neighborhood arena
+	// seen puts an ε-query answer in id order: one bit per dataset point,
+	// ⌈n/64⌉ words for the largest n this connection has queried, and all
+	// zero between requests. A Put of n points is at least 8·n bytes, so it
+	// never exceeds MaxFrame/64 bytes (1 MiB at the default frame bound).
+	seen []uint64
 
 	qpt    []float64 // decoded ε-query point
 	coords []float64 // decoded Put coordinate block
@@ -578,20 +583,37 @@ func (c *serverConn) epsQueryResponse(r *rbuf) {
 		return
 	}
 	ix := c.s.indexes.build(indexKey{id: id, epsBits: epsBitsOf(eps), minPts: int32(minPts)}, ds, eps, minPts)
+	if words := (len(ds.rows) + 63) / 64; len(c.seen) < words {
+		c.seen = make([]uint64, words)
+	}
 	c.payload = append(c.payload[:0], statusOK)
-	c.nbhd, c.payload = epsQueryAppend(ix, geom.Point(c.qpt), c.nbhd, c.payload)
+	c.nbhd, c.payload = epsQueryAppend(ix, geom.Point(c.qpt), c.nbhd, c.seen, c.payload)
 }
 
 // epsQueryAppend runs the ε-neighborhood query through the arena tier and
-// encodes the sorted ids. nbhd and dst are caller-owned reuse buffers.
+// encodes the ids in ascending order. NeighborhoodInto returns each id in
+// [0, n) at most once (a point is in exactly one micro-cluster, and the
+// centre probe returns each centre once), so setting one bit per id in seen
+// and reading the words from the lowest set one to the highest yields the
+// ids in order, in O(k + span/64) for k ids spanning span. Each word is
+// zeroed as it is read, so seen is all zero again on return. nbhd and dst
+// are caller-owned reuse buffers; seen holds at least ⌈n/64⌉ words.
 //
 //mulint:noalloc
-func epsQueryAppend(ix *mc.Index, pt geom.Point, nbhd []int, dst []byte) ([]int, []byte) {
+func epsQueryAppend(ix *mc.Index, pt geom.Point, nbhd []int, seen []uint64, dst []byte) ([]int, []byte) {
 	nbhd, _ = ix.NeighborhoodInto(pt, nbhd[:0])
-	slices.Sort(nbhd)
 	dst = appendU32(dst, uint32(len(nbhd)))
+	lo, hi := len(seen), -1
 	for _, id := range nbhd {
-		dst = appendU32(dst, uint32(id))
+		w := id >> 6
+		seen[w] |= 1 << (id & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	for w := lo; w <= hi; w++ {
+		for b := seen[w]; b != 0; b &= b - 1 {
+			dst = appendU32(dst, uint32(w<<6|bits.TrailingZeros64(b)))
+		}
+		seen[w] = 0
 	}
 	return nbhd, dst
 }
