@@ -212,12 +212,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	return writeLabels(*outPath, stdout, result.Labels)
 }
 
-// printRunStats writes the -stats line of a run on one host. A stream run
+// printRunStats writes the -stats lines of a run on one host. A stream run
 // reports its window. Every other engine reports the counters (m counts
 // cells under the cell engine, micro-clusters otherwise): point-to-point
 // distance computations next to the centre tests of steps 3 and 4, then how
-// many of the queries step 3 had to run a second time in full. The shared
-// engine adds the worker count and the step split.
+// many of the queries step 3 had to run a second time in full; and the step
+// split (the cell engine's build, adjacency, mark+connect and assign phases
+// fill its four slots). The shared engine adds the worker count.
 func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqStats, lambda float64, elapsed time.Duration) {
 	if engine == mudbscan.EngineStream {
 		window := "landmark"
@@ -227,18 +228,15 @@ func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqS
 		fmt.Fprintf(w, "n=%d window=%s time=%v\n", n, window, elapsed)
 		return
 	}
-	parallel := engine == mudbscan.EngineShared
 	workers := ""
-	if parallel {
+	if engine == mudbscan.EngineShared {
 		workers = fmt.Sprintf(" workers=%d", st.Workers)
 	}
 	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d requeries=%d time=%v\n",
 		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, st.Requeries, elapsed)
-	if parallel {
-		fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
-			st.Steps.TreeConstruction, st.Steps.FindingReachable,
-			st.Steps.Clustering, st.Steps.PostProcessing)
-	}
+	fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
+		st.Steps.TreeConstruction, st.Steps.FindingReachable,
+		st.Steps.Clustering, st.Steps.PostProcessing)
 }
 
 // printReliability writes the -mode dist -stats line of the envelope

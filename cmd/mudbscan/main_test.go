@@ -56,7 +56,9 @@ func TestClusterFromCSVFile(t *testing.T) {
 	if labels[0] == labels[4] {
 		t.Fatal("separated squares should differ")
 	}
-	if !strings.Contains(stderr.String(), "clusters=2") {
+	// The default engine (seq) reports the step split, as every engine but
+	// stream does.
+	if !strings.Contains(stderr.String(), "clusters=2") || !strings.Contains(stderr.String(), "steps: tree=") {
 		t.Fatalf("stats output: %q", stderr.String())
 	}
 }

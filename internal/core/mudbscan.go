@@ -304,11 +304,16 @@ type worker struct {
 	// Buffers reused across every neighborhood query; processPoint runs
 	// allocation-free once the buffers have warmed to the largest
 	// neighborhood. dist[k] is the squared distance to nbhd[k], handed over
-	// by the query's leaf scans; between steps 3 and 4 both are free, and
-	// mergeWndqCores keeps its micro-cluster's live reachable ids and their
-	// centre distances there.
+	// by the query's leaf scans.
 	nbhd []int
 	dist []float64
+	// centerDist[j] is the distance from one point to the centre of the j-th
+	// micro-cluster of a reachable list, gathered in one kernel call. Step 3
+	// keeps the squared distances from the queried point, bounded at 2ε;
+	// step 4 keeps in live the part of a micro-cluster's list that is not
+	// dead, and in centerDist the distances (not squared) from its centre.
+	centerDist []float64
+	live       []int32
 
 	noiseList []noiseEntry
 	pairs     []Pair
@@ -332,8 +337,6 @@ type noiseEntry struct {
 // run carries the mutable state of one μDBSCAN execution.
 type run struct {
 	set        *geom.PointSet
-	kern       geom.DistSqKernel
-	within     geom.BoundedKernel // kern for threshold tests
 	eps        float64
 	minPts     int
 	localCount int
@@ -361,8 +364,7 @@ type run struct {
 func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *run {
 	n := ix.Points.Len()
 	r := &run{
-		set: ix.Points, kern: geom.KernelFor(ix.Dim), within: geom.BoundedKernelFor(ix.Dim),
-		eps: eps, minPts: minPts, localCount: localCount,
+		set: ix.Points, eps: eps, minPts: minPts, localCount: localCount,
 		ix: ix, opts: opts,
 		far1: math.NaN(), far2: math.NaN(),
 		uf:      unionfind.NewConcurrent(n),
@@ -547,13 +549,14 @@ func (r *run) processPoint(w *worker, i int) {
 	rootP := r.uf.Find(i) // may go stale; a mismatch below only costs the full walk
 	settled := false
 	w.nbhd, w.dist = w.nbhd[:0], w.dist[:0]
-	for _, rid := range reach {
-		z := int(rid)
-		cz := r.ix.CenterID(z)
-		pz2 := r.within(p, r.set.Row(cz), prune2)
+	w.centerDist = r.ix.CenterDistSq(w.centerDist[:0], p, reach, prune2)
+	for j, rid := range reach {
+		pz2 := w.centerDist[j]
 		if pz2 >= prune2 {
 			continue
 		}
+		z := int(rid)
+		cz := r.ix.CenterID(z)
 		radius, short := r.eps, r.mcWhole[z] && (pz2 < eps2 || r.uf.Find(cz) == rootP)
 		if short {
 			radius, settled = half, true
@@ -760,30 +763,36 @@ const pruneSlack = 1e-9
 func (r *run) mergeWndqCores(w *worker, a int) {
 	// The live part of A's reach list and d(cA, cZ) for each Z on it, filled
 	// for the first wndq-core found.
-	live, centerDist, filled := w.nbhd[:0], w.dist[:0], false
+	live, centerDist, filled := w.live[:0], w.centerDist[:0], false
 	for _, pid := range r.ix.Members(a) {
 		if r.flags.get(int(pid))&flagWndq == 0 {
 			continue
 		}
 		if !filled {
 			filled = true
-			ca := r.ix.Center(a)
 			for _, rid := range r.ix.Reach(a) {
 				if r.mcClass[rid] != mcDead {
-					live = append(live, int(rid))
-					centerDist = append(centerDist, math.Sqrt(r.kern(ca, r.ix.Center(int(rid)))))
+					live = append(live, rid)
 				}
+			}
+			centerDist = r.ix.CenterDistSq(centerDist, r.ix.Center(a), live, math.Inf(1))
+			for j, d2 := range centerDist {
+				centerDist[j] = math.Sqrt(d2)
 			}
 			w.centerCalcs += int64(len(live))
 		}
 		r.mergeWndqCore(w, pid, live, centerDist)
 	}
-	w.nbhd, w.dist = live, centerDist
+	w.live, w.centerDist = live, centerDist
 }
 
 // mergeWndqCore merges one wndq-core point of a micro-cluster whose live
 // reachable micro-clusters are reach, at centre distances centerDist.
-func (r *run) mergeWndqCore(w *worker, pid int32, reach []int, centerDist []float64) {
+//
+// The pair tests below are one bounded distance each, behind skips that
+// decide per candidate whether it is needed, so they call
+// geom.BoundedDistSq rather than a loop kernel.
+func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []float64) {
 	eps2 := r.eps * r.eps
 	prune2 := 4 * r.eps * r.eps
 	p := r.set.Point(int(pid))
@@ -801,15 +810,15 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int, centerDist []floa
 			continue
 		}
 		w.centerCalcs++
-		pz2 := r.within(p, r.ix.Center(z), prune2)
+		pz2 := geom.BoundedDistSq(p, r.ix.Center(int(z)), prune2)
 		if pz2 >= prune2 {
 			continue
 		}
-		if !r.ix.AuxOverlapsRegion(z, p, r.eps) {
+		if !r.ix.AuxOverlapsRegion(int(z), p, r.eps) {
 			continue
 		}
 		pz := math.Sqrt(pz2)
-		for _, q := range r.ix.Members(z) {
+		for _, q := range r.ix.Members(int(z)) {
 			if q == pid || math.Abs(pz-centerDistOf[q]) >= r.far1 {
 				continue
 			}
@@ -818,7 +827,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int, centerDist []floa
 					continue
 				}
 				w.distCalcs++
-				if r.within(p, r.set.Row(int(q)), eps2) >= eps2 {
+				if geom.BoundedDistSq(p, r.set.Row(int(q)), eps2) >= eps2 {
 					continue
 				}
 				r.uf.Union(int(pid), int(q))
@@ -833,7 +842,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int, centerDist []floa
 			// is a deferred cross link: its owner decides its status.
 			if r.isHalo(q) && !r.isHalo(pid) {
 				w.distCalcs++
-				if r.within(p, r.set.Row(int(q)), eps2) < eps2 {
+				if geom.BoundedDistSq(p, r.set.Row(int(q)), eps2) < eps2 {
 					w.pairs = append(w.pairs, Pair{A: pid, B: q})
 				}
 			}

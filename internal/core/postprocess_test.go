@@ -32,7 +32,7 @@ func postProcessCoreUnpruned(r *run) {
 			p := r.set.Point(int(pid))
 			for _, rid := range r.ix.Reach(a) {
 				for _, q := range r.ix.Members(int(rid)) {
-					if q == pid || r.kern(p, r.set.Row(int(q))) >= eps2 {
+					if q == pid || geom.DistSq(p, r.set.Point(int(q))) >= eps2 {
 						continue
 					}
 					if r.flags.get(int(q))&flagCore != 0 {
@@ -382,7 +382,7 @@ func boundarySet(dim, cols, rows int) []geom.Point {
 // d(cA, cZ) − d(p, cA) = 2ε and |d(p, cZ) − d(q, cZ)| = ε occur with no
 // rounding at all (the test finds such triples in the index before it trusts
 // the run), which is where a skip that fired at the threshold itself, or a
-// bounded kernel that stopped at it, would change a label.
+// bounded sum that stopped at it, would change a label.
 func TestPruningBoundaries(t *testing.T) {
 	const eps = 1.0
 	for _, dim := range []int{5, 14} {
@@ -459,7 +459,7 @@ func bridgeSet(dim int, offset, gap float64) []geom.Point {
 // 2⁻⁴⁰ε — every coordinate an exact binary fraction — with the bridging cores
 // inside the inner circle and out at the rim, where gap + offset crosses 2ε
 // as well: a skip that fires a hair early loses the bridge and splits the
-// cluster, a bounded kernel that stops a hair early likewise.
+// cluster, a bounded sum that stops a hair early likewise.
 func TestBridgeOnlyPostProcessingSees(t *testing.T) {
 	const eps, minPts = 1.0, 4
 	for _, dim := range []int{2, 5, 14} {

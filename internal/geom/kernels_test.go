@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,10 +17,14 @@ func randVec(rng *rand.Rand, d int) []float64 {
 
 // Every kernel must be bit-identical to the legacy DistSq loop: same
 // subtraction, same squaring, same left-to-right accumulation order, so the
-// float64 result is the same bit pattern, not merely close.
+// float64 result is the same bit pattern, not merely close. The loop kernels
+// sum each row the same way: at an infinite limit the gathered kernel hands
+// back DistSq's bits for every row its list names, first and last row
+// included, and the nearest-in-chain kernel elects the row with the smallest
+// DistSq (the smaller id on a tie) whatever the chain's order.
 func TestKernelBitIdenticalToDistSq(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for d := 1; d <= 10; d++ {
+	for d := 1; d <= 16; d++ {
 		kern := KernelFor(d)
 		for trial := 0; trial < 500; trial++ {
 			p, q := randVec(rng, d), randVec(rng, d)
@@ -34,7 +39,52 @@ func TestKernelBitIdenticalToDistSq(t *testing.T) {
 				t.Fatalf("d=%d kernel not exactly symmetric", d)
 			}
 		}
+		const n = 40
+		rows := make([]float64, 0, n*d)
+		for k := 0; k < n; k++ {
+			rows = append(rows, randVec(rng, d)...)
+		}
+		for trial := 0; trial < 50; trial++ {
+			p := randVec(rng, d)
+			order := rng.Perm(n)[:rng.Intn(n+1)] // trial 0: the empty list and chain
+			if trial == 0 {
+				order = order[:0]
+			} else if trial%2 == 1 {
+				order = append(order[:0], 0, n-1)
+			}
+			ids := make([]int32, len(order))
+			best, bestID := math.Inf(1), -1
+			for i, k := range order {
+				ids[i] = int32(k)
+				if d2 := DistSq(p, rows[k*d:(k+1)*d]); Nearer(d2, best, k, bestID, true) {
+					best, bestID = d2, k
+				}
+			}
+			got := AppendDistSqGathered([]float64{-1}, ids, rows, d, p, math.Inf(1))
+			if len(got) != len(ids)+1 || got[0] != -1 {
+				t.Fatalf("d=%d: gathered %d values for %d ids", d, len(got)-1, len(ids))
+			}
+			for i, k := range ids {
+				if want := DistSq(p, rows[int(k)*d:int(k+1)*d]); got[i+1] != want {
+					t.Fatalf("d=%d: gathered d² of row %d is %v, DistSq %v", d, k, got[i+1], want)
+				}
+			}
+			chain, head := linked(n, order)
+			if gotBest, gotID := NearestLinked(chain, head, rows, d, p, math.Inf(1), -1); gotID != bestID || gotBest != best {
+				t.Fatalf("d=%d: chain elects %d at %v, DistSq %d at %v", d, gotID, gotBest, bestID, best)
+			}
+		}
 	}
+}
+
+// linked files the rows order names into one newest-first chain over n rows,
+// order[0] at its head.
+func linked(n int, order []int) (chain []int32, head int32) {
+	chain, head = make([]int32, n), -1
+	for i := len(order) - 1; i >= 0; i-- {
+		chain[order[i]], head = head, int32(order[i])
+	}
+	return chain, head
 }
 
 func TestAppendWithinBlockMatchesNaive(t *testing.T) {
@@ -124,15 +174,20 @@ func TestAppendWithinBlockDistMatchesKernel(t *testing.T) {
 	}
 }
 
-// A bounded kernel may return early, but every comparison against the limit
+// A bounded sum may return early, but every comparison against the limit
 // must come out as it does with the full kernel, and a value at or below the
 // limit must be the full kernel's bits. Limits are drawn at random and set
 // adversarially: the exact sum, its two float neighbours, and the partial
-// sums at which the early exit looks.
+// sums at which the early exit looks. The loop kernels are held to the same
+// sides through a three-row block holding q as its first and last row: the
+// gathered kernel over both, and the linked ones over the chain 2 → 0, where
+// the two rows tie and the strict search must elect row 0 — and over the
+// empty list and chain, which find nothing.
 func TestBoundedKernelAgreesOnTheLimitSide(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for d := 1; d <= 16; d++ {
-		kern, bounded := KernelFor(d), BoundedKernelFor(d)
+		kern := KernelFor(d)
+		chain := []int32{-1, -1, 0}
 		for trial := 0; trial < 300; trial++ {
 			p, q := randVec(rng, d), randVec(rng, d)
 			if trial%3 == 0 { // lattice coordinates: sums that hit a limit exactly
@@ -140,6 +195,7 @@ func TestBoundedKernelAgreesOnTheLimitSide(t *testing.T) {
 					p[i], q[i] = float64(rng.Intn(5))*0.5, float64(rng.Intn(5))*0.5
 				}
 			}
+			rows := append(append(append([]float64{}, q...), randVec(rng, d)...), q...)
 			exact := kern(p, q)
 			limits := []float64{exact, math.Nextafter(exact, 0), math.Nextafter(exact, math.Inf(1)),
 				rng.Float64() * 2 * exact, 0, math.Inf(1)}
@@ -148,14 +204,153 @@ func TestBoundedKernelAgreesOnTheLimitSide(t *testing.T) {
 				limits = append(limits, part, math.Nextafter(part, 0))
 			}
 			for _, limit := range limits {
-				got := bounded(p, q, limit)
-				if (got < limit) != (exact < limit) || (got == limit) != (exact == limit) {
-					t.Fatalf("d=%d limit=%v: bounded %v, exact %v fall on different sides", d, limit, got, exact)
+				got := []float64{BoundedDistSq(p, q, limit)}
+				got = AppendDistSqGathered(got, []int32{0, 2}, rows, d, p, limit)
+				for _, g := range got {
+					if (g < limit) != (exact < limit) || (g == limit) != (exact == limit) {
+						t.Fatalf("d=%d limit=%v: bounded %v, exact %v fall on different sides", d, limit, g, exact)
+					}
+					if exact <= limit && g != exact {
+						t.Fatalf("d=%d limit=%v: bounded %v is not the exact %v", d, limit, g, exact)
+					}
 				}
-				if exact <= limit && got != exact {
-					t.Fatalf("d=%d limit=%v: bounded %v is not the exact %v", d, limit, got, exact)
+				if AnyLinked(chain, 2, rows, d, p, limit) != (exact < limit) {
+					t.Fatalf("d=%d limit=%v: AnyLinked disagrees with exact %v", d, limit, exact)
+				}
+				for _, closed := range []bool{false, true} {
+					want := []int{-1}
+					if exact < limit || closed && exact == limit {
+						want = append(want, 2, 0)
+					}
+					if hits := AppendWithinLinked([]int{-1}, chain, 2, rows, d, p, limit, closed); !slices.Equal(hits, want) {
+						t.Fatalf("d=%d limit=%v closed=%v: within %v for exact %v", d, limit, closed, hits, exact)
+					}
+				}
+				wantBest, wantID := limit, -1
+				if exact < limit {
+					wantBest, wantID = exact, 0
+				}
+				if best, id := NearestLinked(chain, 2, rows, d, p, limit, -1); best != wantBest || id != wantID {
+					t.Fatalf("d=%d limit=%v: nearest %d at %v for exact %v", d, limit, id, best, exact)
+				}
+				if AnyLinked(chain, -1, rows, d, p, limit) || len(AppendWithinLinked(nil, chain, -1, rows, d, p, limit, true)) != 0 ||
+					len(AppendDistSqGathered(nil, nil, rows, d, p, limit)) != 0 {
+					t.Fatalf("d=%d: an empty chain or list found something", d)
+				}
+				if best, id := NearestLinked(chain, -1, rows, d, p, limit, -1); id != -1 || best != limit {
+					t.Fatalf("d=%d: the empty chain elected %d", d, id)
 				}
 			}
+		}
+	}
+}
+
+// TestNearerTieRule: the four corners of the tie rule — strict and closed
+// ball, a tie exactly at the radius and a tie inside it — plus the plain
+// orderings, all through the one predicate the micro-cluster centre
+// directory and its brute-force reference share.
+func TestNearerTieRule(t *testing.T) {
+	const r2 = 4.0
+	for _, c := range []struct {
+		name       string
+		d2, best   float64
+		id, bestID int
+		strict     bool
+		want       bool
+	}{
+		{"strict, at the radius, nothing found", r2, r2, 5, -1, true, false},
+		{"closed, at the radius, nothing found", r2, r2, 5, -1, false, true},
+		{"closed, at the radius, smaller id", r2, r2, 3, 5, false, true},
+		{"closed, at the radius, larger id", r2, r2, 7, 5, false, false},
+		{"strict, tie inside, smaller id", 1, 1, 3, 5, true, true},
+		{"strict, tie inside, larger id", 1, 1, 7, 5, true, false},
+		{"closed, tie inside, smaller id", 1, 1, 3, 5, false, true},
+		{"closed, tie inside, larger id", 1, 1, 7, 5, false, false},
+		{"nearer wins whatever the id", 0.5, 1, 9, 2, true, true},
+		{"farther loses whatever the id", 2, 1, 1, 2, false, false},
+		{"NaN distance never wins", math.NaN(), r2, 1, -1, false, false},
+	} {
+		if got := Nearer(c.d2, c.best, c.id, c.bestID, c.strict); got != c.want {
+			t.Errorf("%s: Nearer=%v, want %v", c.name, got, c.want)
+		}
+	}
+	// The rule is order-independent: every arrival order of the same hits
+	// elects the same winner.
+	hits := []struct {
+		id int
+		x  float64
+	}{{4, 1}, {2, -1}, {9, 1}, {6, 2}, {1, -2}}
+	rng := rand.New(rand.NewSource(7))
+	for _, strict := range []bool{true, false} {
+		for _, r := range []float64{1, 1.5, 2} {
+			for trial := 0; trial < 20; trial++ {
+				best, bestID := r*r, -1
+				for _, i := range rng.Perm(len(hits)) {
+					if d2 := hits[i].x * hits[i].x; Nearer(d2, best, hits[i].id, bestID, strict) {
+						best, bestID = d2, hits[i].id
+					}
+				}
+				if want := !(strict && r == 1); (bestID != -1) != want || (want && bestID != 2) {
+					t.Fatalf("r=%g strict=%v: elected %d", r, strict, bestID)
+				}
+			}
+		}
+	}
+	// The same hits as rows of a chain, in every order, through the unrolled
+	// and the generic kernel: rows 2, 4 and 9 tie nearest at d² = 1, and the
+	// chain walk elects row 2 whichever it meets first.
+	for _, d := range []int{1, 3, 6} {
+		rows := make([]float64, 10*d)
+		for _, h := range hits {
+			rows[h.id*d] = h.x
+		}
+		for trial := 0; trial < 50; trial++ {
+			order := rng.Perm(len(hits))
+			for i, j := range order {
+				order[i] = hits[j].id
+			}
+			chain, head := linked(10, order)
+			if best, id := NearestLinked(chain, head, rows, d, make([]float64, d), 1.5*1.5, -1); id != 2 || best != 1 {
+				t.Fatalf("d=%d chain %v: elected %d at %v, want 2 at 1", d, order, id, best)
+			}
+		}
+	}
+}
+
+// TestLoopKernelsZeroAllocs: the linked and gathered kernels allocate nothing
+// beyond growing the caller's buffer, at every dimension switch case.
+func TestLoopKernelsZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, d := range []int{1, 2, 3, 4, 5, 14} {
+		const n = 64
+		rows := make([]float64, 0, n*d)
+		for k := 0; k < n; k++ {
+			rows = append(rows, randVec(rng, d)...)
+		}
+		order := rng.Perm(n)
+		chain, head := linked(n, order)
+		ids := make([]int32, n)
+		for i, k := range order {
+			ids[i] = int32(k)
+		}
+		p, r2 := randVec(rng, d), 100*float64(d)
+		hits, d2 := make([]int, 0, n), make([]float64, 0, n)
+		found := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, id := NearestLinked(chain, head, rows, d, p, r2, -1); id >= 0 {
+				found++
+			}
+			if AnyLinked(chain, head, rows, d, p, r2) {
+				found++
+			}
+			hits = AppendWithinLinked(hits[:0], chain, head, rows, d, p, r2, true)
+			d2 = AppendDistSqGathered(d2[:0], ids, rows, d, p, r2)
+		})
+		if allocs != 0 {
+			t.Fatalf("d=%d: %.1f allocs per round of loop kernels, want 0", d, allocs)
+		}
+		if found == 0 || len(hits) == 0 || len(d2) != n {
+			t.Fatalf("d=%d: the kernels found nothing (%d, %d hits, %d d²)", d, found, len(hits), len(d2))
 		}
 	}
 }

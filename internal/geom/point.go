@@ -5,6 +5,21 @@
 // All coordinates are float64. A Point is a plain []float64 so that callers
 // can hand over data without copying; functions in this package never retain
 // or mutate their arguments unless documented otherwise.
+//
+// The loops of the index build and of clustering sum their distances here
+// (kernels.go), in loop kernels over candidate rows of a row-major block,
+// each with the dimension switch outside its loop and DistSq's summation
+// order inside, in three shapes:
+//
+//   - block: consecutive rows, the leaf scan of the spatial indexes
+//     (AppendWithinBlock, AppendWithinBlockDist);
+//   - gathered: the rows an []int32 list names, such as a reachable list's
+//     micro-cluster centres (AppendDistSqGathered);
+//   - linked: one newest-first chain of rows, a cell of the micro-cluster
+//     centre grid (NearestLinked, AnyLinked, AppendWithinLinked).
+//
+// KernelFor's func-valued kernels, which Go cannot inline, and
+// BoundedDistSq are left for single-pair cold paths.
 package geom
 
 import (

@@ -5,14 +5,14 @@ import (
 	"math/bits"
 
 	"mudbscan/internal/geom"
-	"mudbscan/internal/rtree"
 )
 
 // centerDirectory is the first μR-tree level: the centre probes of Algorithm
 // 3's scan, then the ball queries of the reach lists and NeighborhoodInto.
 // The grid is the one the Index uses; the differential tests hold it to a
-// brute-force one. Both decide membership with the geom kernel and break
-// nearest ties with rtree.Nearer, so no answer depends on which one served it.
+// brute-force one. Both decide membership with the geom kernels' sums and
+// break nearest ties with geom.Nearer, so no answer depends on which one
+// served it.
 type centerDirectory interface {
 	// nearest returns the micro-cluster whose centre is closest to p among
 	// those strictly within r, ties to the smaller id.
@@ -25,15 +25,18 @@ type centerDirectory interface {
 	// insert records the centre of micro-cluster mcID; ids arrive in order
 	// 0, 1, 2, ….
 	insert(mcID int, center geom.Point)
+	// centerRows is where insert copies the centres: row k is micro-cluster
+	// k's centre. The Index gathers centre distances from it.
+	centerRows() *geom.PointSet
 }
 
 // gridAxes is the most axes the grid keys on: it hashes and walks the first
 // min(d, gridAxes) coordinates of a centre and ignores the rest. A probe then
 // visits at most 2^gridAxes cells whatever d and m are; the cells do not
 // bound what a chain holds above gridAxes (centres ε apart in d dimensions
-// can share a cell of the projection), and the bounded kernel is what keeps
-// a long chain cheap there. Step 1 (Add + Finish, median build), the grown
-// R-tree the grid replaced → the grid, 2 vCPUs:
+// can share a cell of the projection), and the bounded sum of the linked
+// kernels is what keeps a long chain cheap there. Step 1 (Add + Finish,
+// median build), the grown R-tree the grid replaced → the grid, 2 vCPUs:
 //
 //	d = 3   GalaxyLike(100000, 3, 5), ε = 2, m = 8 866               0.57 s → 0.10 s
 //	d = 4   GalaxyLike(100000, 4, 5), ε = 2, m = 21 944              2.49 s → 0.28 s
@@ -97,19 +100,24 @@ type gridSlot struct {
 // rounding of p_a ∓ r are monotone. A closed ball is the strict one at the
 // next float above r if that float's square exceeds fl(r·r), as it does when
 // r·r is finite and normal; within reads every slot where it does not. The
-// kernel alone decides a hit, which is also why a slot is identified by its
-// hash, not the coordinates: two cells sharing a hash would share a chain, a
-// probe would test a few more centres, and the answer would be the same.
+// kernel's sum alone decides a hit, which is also why a slot is identified by
+// its hash, not the coordinates: two cells sharing a hash would share a
+// chain, a probe would test a few more centres, and the answer would be the
+// same.
+//
+// A probe walks its box and hands each occupied cell's chain to one geom
+// linked-rows kernel (NearestLinked, AnyLinked, AppendWithinLinked), which
+// tests the whole chain in one loop over the centre rows; above gridAxes it
+// gives up on a centre at the first block of four coordinates that puts it
+// out of reach.
 type gridDirectory struct {
 	axes    int // keyed axes, min(d, gridAxes)
 	side    float64
-	kern    geom.DistSqKernel
-	bounded geom.BoundedKernel // the chains' kernel above gridAxes; nil at d ≤ gridAxes (kern serves)
-	centers *geom.PointSet     // row k is the centre of micro-cluster k
-	chain   []int32            // chain[k]: the centre that was in k's cell before k, or −1
-	slots   []gridSlot         // len is a power of two, at most half occupied
-	shift   uint               // 32 − log2(len(slots)): a slot index is the hash's top bits
-	cells   int                // occupied slots
+	centers *geom.PointSet // row k is the centre of micro-cluster k
+	chain   []int32        // chain[k]: the centre that was in k's cell before k, or −1
+	slots   []gridSlot     // len is a power of two, at most half occupied
+	shift   uint           // 32 − log2(len(slots)): a slot index is the hash's top bits
+	cells   int            // occupied slots
 }
 
 // newDirectory returns the centre directory: the hashed grid, at every
@@ -118,20 +126,13 @@ func newDirectory(dim int, eps float64) *gridDirectory {
 	g := &gridDirectory{
 		axes:    min(dim, gridAxes),
 		side:    gridSide * eps,
-		kern:    geom.KernelFor(dim),
 		centers: geom.NewPointSet(dim, 0),
-	}
-	// Above gridAxes a chain is unbounded in the projection and most of it is
-	// far away in the other coordinates: the bounded kernel gives up on such
-	// a centre at the first block of four coordinates that puts it out of
-	// reach. At d ≤ gridAxes it is a closure around the same unrolled body
-	// and would only add a call.
-	if dim > gridAxes {
-		g.bounded = geom.BoundedKernelFor(dim)
 	}
 	g.resize(1 << 6)
 	return g
 }
+
+func (g *gridDirectory) centerRows() *geom.PointSet { return g.centers }
 
 //mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
 func (g *gridDirectory) cellOf(v float64) int64 {
@@ -243,23 +244,13 @@ func (g *gridDirectory) next(w *boxWalk) bool {
 
 //mulint:noalloc static twin of TestDirectoryProbesZeroAllocs (directory_test.go), the AllocsPerRun gate pinning 0 allocs per probe
 func (g *gridDirectory) nearest(p geom.Point, r float64) (int, bool) {
+	rows, dim := g.centers.Data(), g.centers.Dim()
 	best, bestID := r*r, -1
 	var w boxWalk
 	g.start(&w, p, r)
 	for more := true; more; more = g.next(&w) {
-		for k := g.slots[g.slot(&w)].head; k >= 0; k = g.chain[k] {
-			// The kernel choice is spelled out in every probe: a method
-			// making it is not inlined, and that call was 7 % of a d = 3
-			// build's CPU profile (GalaxyLike(100000, 3, 5), ε = 2).
-			var d2 float64
-			if row := g.centers.Row(int(k)); g.bounded != nil {
-				d2 = g.bounded(p, row, best)
-			} else {
-				d2 = g.kern(p, row)
-			}
-			if rtree.Nearer(d2, best, int(k), bestID, true) {
-				best, bestID = d2, int(k)
-			}
+		if head := g.slots[g.slot(&w)].head; head >= 0 {
+			best, bestID = geom.NearestLinked(g.chain, head, rows, dim, p, best, bestID)
 		}
 	}
 	return bestID, bestID >= 0
@@ -267,20 +258,12 @@ func (g *gridDirectory) nearest(p geom.Point, r float64) (int, bool) {
 
 //mulint:noalloc static twin of TestDirectoryProbesZeroAllocs (directory_test.go), the AllocsPerRun gate pinning 0 allocs per probe
 func (g *gridDirectory) any(p geom.Point, r float64) bool {
-	r2 := r * r
+	rows, dim, r2 := g.centers.Data(), g.centers.Dim(), r*r
 	var w boxWalk
 	g.start(&w, p, r)
 	for more := true; more; more = g.next(&w) {
-		for k := g.slots[g.slot(&w)].head; k >= 0; k = g.chain[k] {
-			var d2 float64
-			if row := g.centers.Row(int(k)); g.bounded != nil {
-				d2 = g.bounded(p, row, r2)
-			} else {
-				d2 = g.kern(p, row)
-			}
-			if d2 < r2 {
-				return true
-			}
+		if head := g.slots[g.slot(&w)].head; head >= 0 && geom.AnyLinked(g.chain, head, rows, dim, p, r2) {
+			return true
 		}
 	}
 	return false
@@ -293,19 +276,12 @@ func (g *gridDirectory) within(p geom.Point, r float64, closed bool, dst []int) 
 	if closed && !(box*box > r2) {
 		box = math.Inf(1)
 	}
+	rows, dim := g.centers.Data(), g.centers.Dim()
 	var w boxWalk
 	g.start(&w, p, box)
 	for more := true; more; more = g.next(&w) {
-		for k := g.slots[g.slot(&w)].head; k >= 0; k = g.chain[k] {
-			var d2 float64
-			if row := g.centers.Row(int(k)); g.bounded != nil {
-				d2 = g.bounded(p, row, r2)
-			} else {
-				d2 = g.kern(p, row)
-			}
-			if d2 < r2 || closed && d2 == r2 {
-				dst = append(dst, int(k))
-			}
+		if head := g.slots[g.slot(&w)].head; head >= 0 {
+			dst = geom.AppendWithinLinked(dst, g.chain, head, rows, dim, p, r2, closed)
 		}
 	}
 	return dst

@@ -9,7 +9,6 @@ import (
 
 	"mudbscan/internal/data"
 	"mudbscan/internal/geom"
-	"mudbscan/internal/rtree"
 )
 
 // buildWith feeds pts through a Builder over the given directory (nil: the
@@ -32,7 +31,7 @@ func buildWith(pts []geom.Point, eps float64, minPts int, opts Options, dir cent
 }
 
 // bruteDirectory is the reference the grid is held to: every probe tests
-// every centre, in id order, and elects the winner through rtree.Nearer or
+// every centre, in id order, and elects the winner through geom.Nearer or
 // appends every hit.
 type bruteDirectory struct{ centers *geom.PointSet }
 
@@ -43,7 +42,7 @@ func bruteForce(dim int) centerDirectory {
 func (b *bruteDirectory) nearest(p geom.Point, r float64) (int, bool) {
 	best, bestID := r*r, -1
 	for k := 0; k < b.centers.Len(); k++ {
-		if d2 := geom.DistSq(p, b.centers.Point(k)); rtree.Nearer(d2, best, k, bestID, true) {
+		if d2 := geom.DistSq(p, b.centers.Point(k)); geom.Nearer(d2, best, k, bestID, true) {
 			best, bestID = d2, k
 		}
 	}
@@ -66,6 +65,8 @@ func (b *bruteDirectory) within(p geom.Point, r float64, closed bool, dst []int)
 }
 
 func (b *bruteDirectory) insert(_ int, center geom.Point) { b.centers.Append(center) }
+
+func (b *bruteDirectory) centerRows() *geom.PointSet { return b.centers }
 
 // sameIndex: identical PointMC, and per micro-cluster identical centre,
 // members, inner circle, kind and reachable list.
@@ -327,8 +328,8 @@ func TestDirectoryDimensionThreshold(t *testing.T) {
 }
 
 // TestDirectoryProbesZeroAllocs: the three probes walk their box on the
-// stack, through the unrolled kernels at d ≤ 4 and the bounded one above,
-// and within appends into a warmed buffer. insert may allocate, but only to
+// stack, handing each cell's chain to geom's linked kernels (unrolled at
+// d ≤ 4, summed bounded above), and within appends into a warmed buffer. insert may allocate, but only to
 // grow the table and the chains.
 func TestDirectoryProbesZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -407,5 +408,101 @@ func TestIndexHoldsOneCentreStructure(t *testing.T) {
 	}
 	if g.centers.Len() != ix.NumMCs() || ix.NumMCs() != 2 {
 		t.Fatalf("the grid holds %d centres for m=%d, want 2", g.centers.Len(), ix.NumMCs())
+	}
+}
+
+// countingDirectory is the grid with a tally of the centres its probes test:
+// every centre on the chains of a probe's box, up to the first hit for any.
+type countingDirectory struct {
+	*gridDirectory
+	probes, tested int
+}
+
+func (c *countingDirectory) count(p geom.Point, r float64, stopAtHit bool) {
+	c.probes++
+	var w boxWalk
+	c.start(&w, p, r)
+	for more := true; more; more = c.next(&w) {
+		for k := c.slots[c.slot(&w)].head; k >= 0; k = c.chain[k] {
+			c.tested++
+			if stopAtHit && geom.DistSq(p, c.centers.Point(int(k))) < r*r {
+				return
+			}
+		}
+	}
+}
+
+func (c *countingDirectory) nearest(p geom.Point, r float64) (int, bool) {
+	c.count(p, r, false)
+	return c.gridDirectory.nearest(p, r)
+}
+
+func (c *countingDirectory) any(p geom.Point, r float64) bool {
+	c.count(p, r, true)
+	return c.gridDirectory.any(p, r)
+}
+
+func (c *countingDirectory) within(p geom.Point, r float64, closed bool, dst []int) []int {
+	c.count(p, math.Nextafter(r, math.Inf(1)), false)
+	return c.gridDirectory.within(p, r, closed, dst)
+}
+
+// perProbe returns the centres tested per probe since the last call.
+func (c *countingDirectory) perProbe() float64 {
+	v := float64(c.tested) / float64(max(c.probes, 1))
+	c.probes, c.tested = 0, 0
+	return v
+}
+
+// BenchmarkCentreDirectory times the three phases of the build that probe the
+// centre grid — Algorithm 3's scan (Add), the deferred pass with the
+// finalize work (Finish, SkipReachable) and the reachable lists
+// (ComputeReachable) — on a low-d and a high-d workload, and reports the
+// centres each phase's probes test, counted on an untimed build.
+func BenchmarkCentreDirectory(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}{
+		{"galaxy3d", data.GalaxyLike(100000, 3, 5), 2, 5},
+		{"bio14d", data.BioLike(14500, 14, 1), 600, 5},
+	} {
+		dim := len(c.pts[0])
+		opts := Options{SkipReachable: true}
+		counter := &countingDirectory{gridDirectory: newDirectory(dim, c.eps)}
+		cb := newBuilder(dim, c.eps, c.minPts, opts, counter)
+		cb.Add(c.pts)
+		perProbe := map[string]float64{"Add": counter.perProbe()}
+		ix := cb.Finish()
+		perProbe["Finish"] = counter.perProbe()
+		ix.ComputeReachable()
+		perProbe["ComputeReachable"] = counter.perProbe()
+
+		b.Run(c.name+"/Add", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				NewBuilder(dim, c.eps, c.minPts, opts).Add(c.pts)
+			}
+			b.ReportMetric(perProbe["Add"], "centres/probe")
+		})
+		b.Run(c.name+"/Finish", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nb := NewBuilder(dim, c.eps, c.minPts, opts)
+				nb.Add(c.pts)
+				b.StartTimer()
+				nb.Finish()
+			}
+			b.ReportMetric(perProbe["Finish"], "centres/probe")
+		})
+		b.Run(c.name+"/ComputeReachable", func(b *testing.B) {
+			ix := Build(c.pts, c.eps, c.minPts, opts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.ComputeReachable()
+			}
+			b.ReportMetric(perProbe["ComputeReachable"], "centres/probe")
+		})
 	}
 }

@@ -28,7 +28,7 @@ func sortedEqual(got, want []int) bool {
 // point, exactly the brute-force ε-neighborhood, and EpsNeighborhoodDistInto
 // the same hits in the same order at the same cost, each with the kernel's
 // own squared distance — at d = 3 and past d = 4, where the scans and the
-// centre tests run the bounded kernel. (Hit order, distance-calc and
+// centre tests run bounded sums. (Hit order, distance-calc and
 // trees-searched counts are pinned end to end by internal/core's
 // driver_test.go hashes and counters.)
 func TestEpsNeighborhoodIntoMatchesBrute(t *testing.T) {

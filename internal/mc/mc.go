@@ -9,12 +9,15 @@
 // DBSCAN ε-neighborhood, so that MC(p) ⊆ N_ε(center).
 //
 // Point coordinates live in one contiguous geom.PointSet owned by the Index;
-// member points are identified by their row index. All distance work goes
-// through the dimension-specialized kernel chosen once at construction. There
-// is one query tier, allocation-free into a caller-owned buffer, and one
-// search-space rule, "centre strictly within 2ε": EpsNeighborhoodInto applies
-// it to a member point's reachable list (the clustering loops), and
-// NeighborhoodInto to the centre directory for an arbitrary point (the daemon).
+// member points are identified by their row index. Every loop over
+// candidates sums its distances inside one of geom's loop kernels: the leaf
+// scans of the auxiliary trees (block), the centre grid's chains (linked),
+// and the reachable lists' centres and one micro-cluster's members (gathered,
+// see CenterDistSq). There is one query tier, allocation-free into a
+// caller-owned buffer, and one search-space rule, "centre strictly within
+// 2ε": EpsNeighborhoodInto applies it to a member point's reachable list (the
+// clustering loops), and NeighborhoodInto to the centre directory for an
+// arbitrary point (the daemon).
 //
 // The first μR-tree level is one structure (directory.go): a hashed grid over
 // the centres, keyed on at most their first four coordinates, at every
@@ -129,11 +132,8 @@ type Index struct {
 	reach   []int32        // per MC: the MCs with centres within 3ε, ascending
 	aux     *rtree.Packed  // the auxiliary trees, MC k's rooted at mcs[k].root
 	dir     centerDirectory
-	kern    geom.DistSqKernel
-	// within is kern for the threshold tests: it may stop summing once a
-	// candidate is out (geom.BoundedKernel).
-	within geom.BoundedKernel
-	opts   Options
+	centers *geom.PointSet // the directory's centre rows: row k is MC k's centre
+	opts    Options
 }
 
 // NumMCs returns m, the number of micro-clusters.
@@ -144,6 +144,17 @@ func (ix *Index) CenterID(k int) int { return int(ix.mcs[k].center) }
 
 // Center returns micro-cluster k's centre, a view into Points.
 func (ix *Index) Center(k int) geom.Point { return ix.Points.Point(int(ix.mcs[k].center)) }
+
+// CenterDistSq appends to dst the squared distance from p to the centre of
+// every micro-cluster ids names, in list order: one gathered-rows kernel call
+// (geom.AppendDistSqGathered) over the centre directory's rows. The sums are
+// bounded at limit: exact where at most limit, above it otherwise (pass +Inf
+// for exact sums throughout).
+//
+//mulint:noalloc one gathered kernel call; runs under TestProcessPointZeroAllocs and TestEpsNeighborhoodDistIntoZeroAllocs
+func (ix *Index) CenterDistSq(dst []float64, p geom.Point, ids []int32, limit float64) []float64 {
+	return geom.AppendDistSqGathered(dst, ids, ix.centers.Data(), ix.Dim, p, limit)
+}
 
 // Kind returns micro-cluster k's classification.
 func (ix *Index) Kind(k int) Kind { return ix.mcs[k].kind }
@@ -236,14 +247,13 @@ func NewBuilder(dim int, eps float64, minPts int, opts Options) *Builder {
 func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirectory) *Builder {
 	return &Builder{
 		ix: &Index{
-			Eps:    eps,
-			MinPts: minPts,
-			Dim:    dim,
-			Points: geom.NewPointSet(dim, 0),
-			kern:   geom.KernelFor(dim),
-			within: geom.BoundedKernelFor(dim),
-			opts:   opts,
-			dir:    dir,
+			Eps:     eps,
+			MinPts:  minPts,
+			Dim:     dim,
+			Points:  geom.NewPointSet(dim, 0),
+			opts:    opts,
+			dir:     dir,
+			centers: dir.centerRows(),
 		},
 	}
 }
@@ -367,14 +377,15 @@ func (ix *Index) finalize(centers, deferred []int32) {
 
 	ix.CenterDist = make([]float64, n)
 	half2 := ix.Eps / 2 * (ix.Eps / 2)
+	toCenter := make([][]float64, len(packers)) // per worker: the d² of one MC's members
 	ix.inner = ix.carve(func(z *microCluster) *int32 { return &z.inner }, func(w, k int, inner []int32) []int32 {
 		z := &ix.mcs[k]
 		members := ix.Members(k)
 		packers[w].Pack(z.root, z.members, ix.Points, members)
-		center := ix.Center(k)
+		toCenter[w] = geom.AppendDistSqGathered(toCenter[w][:0], members[1:], ix.Points.Data(), ix.Dim, ix.Center(k), math.Inf(1))
 		before := len(inner)
-		for _, id := range members[1:] {
-			d2 := ix.kern(ix.Points.Row(int(id)), center)
+		for j, id := range members[1:] {
+			d2 := toCenter[w][j]
 			ix.CenterDist[id] = math.Sqrt(d2)
 			if d2 < half2 {
 				inner = append(inner, id)
@@ -486,20 +497,23 @@ func (ix *Index) EpsNeighborhoodInto(p geom.Point, pointID int, dst []int) (_ []
 func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, dist *[]float64) (_ []int, distCalcs, treesSearched int) {
 	// Every member of MC Z lies strictly within ε of Z's center, so a
 	// member can only be within ε of p when dist(p, center) < 2ε — a much
-	// tighter filter than the 3ε reachability list.
+	// tighter filter than the 3ε reachability list. The centre distances
+	// are gathered a block of the list at a time into a buffer on the stack.
 	prune2 := 4 * ix.Eps * ix.Eps
-	for _, rid := range ix.Reach(int(ix.PointMC[pointID])) {
-		z := &ix.mcs[rid]
-		if ix.within(p, ix.Points.Row(int(z.center)), prune2) >= prune2 {
-			continue
+	var buf [64]float64
+	for reach := ix.Reach(int(ix.PointMC[pointID])); len(reach) > 0; {
+		block := reach[:min(len(reach), len(buf))]
+		reach = reach[len(block):]
+		for j, d2 := range ix.CenterDistSq(buf[:0], p, block, prune2) {
+			z := &ix.mcs[block[j]]
+			if d2 >= prune2 || !ix.aux.OverlapsRegion(z.root, p, ix.Eps) {
+				continue
+			}
+			treesSearched++
+			var calcs int
+			dst, calcs = ix.aux.SphereDistIntoAt(z.root, p, ix.Eps, true, dst, dist)
+			distCalcs += calcs
 		}
-		if !ix.aux.OverlapsRegion(z.root, p, ix.Eps) {
-			continue
-		}
-		treesSearched++
-		var calcs int
-		dst, calcs = ix.aux.SphereDistIntoAt(z.root, p, ix.Eps, true, dst, dist)
-		distCalcs += calcs
 	}
 	return dst, distCalcs, treesSearched
 }

@@ -316,26 +316,6 @@ func (t *Tree) quadraticSplit(boxes []geom.MBR) (g1, g2 []int) {
 	return g1, g2
 }
 
-// Nearer is the tie rule of a nearest search, written once: it reports
-// whether a candidate id at squared distance d2 displaces the running best.
-// best starts at r² with bestID −1 (nothing found yet). A smaller distance
-// always wins; an equal one wins on the smaller id once something has been
-// found, and before that only when the ball is closed (d2 == r² is then on
-// the boundary, which a strict search excludes). The outcome depends on the
-// set of candidates alone, not on the order they are offered in, so any two
-// structures that enumerate supersets of the ball elect the same winner: the
-// micro-cluster centre grid (internal/mc) and the brute-force scan its tests
-// hold it to.
-func Nearer(d2, best float64, id, bestID int, strict bool) bool {
-	if d2 != best {
-		return d2 < best
-	}
-	if bestID != -1 {
-		return id < bestID
-	}
-	return !strict
-}
-
 // Height returns the number of levels in the tree (1 for a leaf-only tree):
 // the benchmark's rtree.height row.
 func (t *Tree) Height() int {

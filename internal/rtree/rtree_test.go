@@ -334,3 +334,37 @@ func TestSphereReportsDistCalcs(t *testing.T) {
 		t.Fatalf("distCalcs=%d; pruning appears broken", calls)
 	}
 }
+
+// TestInsertNonFiniteDoesNotPanic: NaN and ±Inf rows make every area in the
+// quadratic split NaN; the split must still place every entry.
+func TestInsertNonFiniteDoesNotPanic(t *testing.T) {
+	tr := New(2, 4)
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, 2}
+	for i := 0; i < 200; i++ {
+		tr.Insert(i, geom.Point{vals[i%len(vals)], vals[(i/len(vals))%len(vals)]})
+	}
+	// A sphere query cannot enumerate NaN rows, so count the leaves directly.
+	seen := 0
+	var count func(n *node)
+	count = func(n *node) {
+		seen += len(n.ids)
+		for _, c := range n.children {
+			count(c)
+		}
+	}
+	count(tr.root)
+	if seen != 200 || tr.Len() != 200 {
+		t.Fatalf("tree holds %d (Len %d) of 200 points", seen, tr.Len())
+	}
+	// The finite rows stay reachable through the NaN and infinite boxes.
+	c := geom.Point{1, 1}
+	var want []int
+	for i := 0; i < 200; i++ {
+		if vals[i%len(vals)] == 1 && vals[(i/len(vals))%len(vals)] == 1 {
+			want = append(want, i)
+		}
+	}
+	if got := collectSphere(Freeze(tr), c, 0.5, true); len(want) == 0 || !equalInts(got, want) {
+		t.Fatalf("sphere around %v: %v, want %v", c, got, want)
+	}
+}
