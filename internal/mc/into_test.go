@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -24,29 +26,75 @@ func sortedEqual(got, want []int) bool {
 	return true
 }
 
+// plainNeighborhood is NeighborhoodInto with every auxiliary tree walked
+// plainly, the d² sink on: the same centre probe and region filter, so the
+// ids in the order the plain walk gives them and its distance count. emitted
+// is what the id-only walk hands over wholesale in those same trees.
+func plainNeighborhood(ix *Index, p geom.Point) (ids []int, calcs, emitted int) {
+	for _, k := range ix.dir.within(p, 2*ix.Eps, false, nil) {
+		var c, e int
+		ids, c, e = plainTree(ix, k, p, ids)
+		calcs, emitted = calcs+c, emitted+e
+	}
+	return ids, calcs, emitted
+}
+
+// plainEpsEmitted is the rows EpsNeighborhoodInto(p, id) emits wholesale: the
+// same reach list, 2ε test and region filter, each tree also walked id-only.
+func plainEpsEmitted(ix *Index, p geom.Point, id int) (emitted int) {
+	reach := ix.Reach(int(ix.PointMC[id]))
+	prune2 := 4 * ix.Eps * ix.Eps
+	for j, d2 := range ix.CenterDistSq(nil, p, reach, prune2) {
+		if d2 < prune2 {
+			_, _, e := plainTree(ix, int(reach[j]), p, nil)
+			emitted += e
+		}
+	}
+	return emitted
+}
+
+// plainTree walks micro-cluster k's auxiliary tree for p both ways, if it
+// passes the region filter: plainly, appending to ids with the d² sink on,
+// and id-only. It returns the plain walk's ids and distance count and the
+// rows the id-only walk emitted wholesale.
+func plainTree(ix *Index, k int, p geom.Point, ids []int) (_ []int, calcs, emitted int) {
+	root := ix.mcs[k].root
+	if !ix.aux.OverlapsRegion(root, p, ix.Eps) {
+		return ids, 0, 0
+	}
+	var d2 []float64
+	ids, calcs = ix.aux.SphereDistIntoAt(root, p, ix.Eps, true, ids, &d2)
+	_, _, emitted = ix.aux.SphereIDsIntoAt(root, p, ix.Eps, true, nil)
+	return ids, calcs, emitted
+}
+
 // EpsNeighborhoodInto through a reused buffer returns, for every member
 // point, exactly the brute-force ε-neighborhood, and EpsNeighborhoodDistInto
-// the same hits in the same order at the same cost, each with the kernel's
-// own squared distance — at d = 3 and past d = 4, where the scans and the
+// — the plain walk — the same hits in the same order, each with the kernel's
+// own squared distance, at the id-only query's distance count plus the rows
+// it emitted wholesale — at d = 3 and past d = 4, where the scans and the
 // centre tests run bounded sums. (Hit order, distance-calc and
-// trees-searched counts are pinned end to end by internal/core's
-// driver_test.go hashes and counters.)
+// trees-searched counts of the plain walk are pinned end to end by
+// internal/core's driver_test.go hashes and counters.)
 func TestEpsNeighborhoodIntoMatchesBrute(t *testing.T) {
+	emitted := 0
 	for d, eps := range map[int]float64{3: 0.8, 6: 4} {
 		pts, ix := buildRandom(t, 61, 900, d, eps, 5)
 		buf, withDist, dist := make([]int, 0, 64), []int(nil), []float64(nil)
 		for id := range pts {
 			var calcs, trees int
 			buf, calcs, trees = ix.EpsNeighborhoodInto(pts[id], id, buf[:0])
-			if trees < 1 || trees > ix.NumMCs() || calcs < len(buf) || calcs > len(pts) {
+			if trees < 1 || trees > ix.NumMCs() || calcs > len(pts) {
 				t.Fatalf("d=%d id=%d calcs/trees %d/%d for %d hits", d, id, calcs, trees, len(buf))
 			}
 			dist = dist[:0]
 			withDist, distCalcs, distTrees := ix.EpsNeighborhoodDistInto(pts[id], id, withDist[:0], &dist)
-			if len(withDist) != len(buf) || len(dist) != len(buf) || distCalcs != calcs || distTrees != trees {
-				t.Fatalf("d=%d id=%d: %d ids, %d distances, calcs/trees %d/%d; id-only query %d, %d/%d",
-					d, id, len(withDist), len(dist), distCalcs, distTrees, len(buf), calcs, trees)
+			rows := plainEpsEmitted(ix, pts[id], id)
+			if len(withDist) != len(buf) || len(dist) != len(buf) || distCalcs != calcs+rows || distTrees != trees {
+				t.Fatalf("d=%d id=%d: %d ids, %d distances, calcs/trees %d/%d; id-only query %d, %d+%d emitted/%d",
+					d, id, len(withDist), len(dist), distCalcs, distTrees, len(buf), calcs, rows, trees)
 			}
+			emitted += rows
 			for k, q := range buf {
 				if withDist[k] != q || dist[k] != geom.DistSq(pts[q], pts[id]) {
 					t.Fatalf("d=%d id=%d hit %d: (%d, %v), want (%d, %v)",
@@ -57,6 +105,9 @@ func TestEpsNeighborhoodIntoMatchesBrute(t *testing.T) {
 				t.Fatalf("d=%d id=%d neighborhood diverges from brute force", d, id)
 			}
 		}
+	}
+	if emitted == 0 {
+		t.Fatal("no query emitted a node wholesale")
 	}
 }
 
@@ -111,9 +162,12 @@ func queryPoints(rng *rand.Rand, pts []geom.Point, eps float64) (memberIDs []int
 
 // TestNeighborhoodIntoMatchesBrute holds the arbitrary-point query — the
 // path the daemon serves — to brute force on every conformance and scenario
-// dataset, for query points on, near and off the data. A non-empty dst
-// prefix must survive, and for a member point the ids must be the set
-// EpsNeighborhoodInto returns.
+// dataset, for query points on, near and off the data, and to the plain walk
+// exactly: the same ids in the same order, with its distance count plus the
+// rows emitted wholesale equal to the plain walk's. A non-empty dst prefix
+// must survive. For a member point the ids must be the set
+// EpsNeighborhoodInto returns, and EpsNeighborhoodInto is held to the plain
+// walk the same way.
 func TestNeighborhoodIntoMatchesBrute(t *testing.T) {
 	type dataset struct {
 		name   string
@@ -142,16 +196,24 @@ func TestNeighborhoodIntoMatchesBrute(t *testing.T) {
 					t.Fatalf("query %d: dst prefix overwritten: %v", k, buf[:2])
 				}
 				got := buf[2:]
-				if calcs < len(got) {
-					t.Fatalf("query %d: %d distance calcs for %d hits", k, calcs, len(got))
+				plain, plainCalcs, rows := plainNeighborhood(ix, q)
+				if !slices.Equal(got, plain) || calcs+rows != plainCalcs {
+					t.Fatalf("query %d at %v: %v, %d calcs + %d emitted; plain walk %v, %d calcs", k, q, got, calcs, rows, plain, plainCalcs)
 				}
 				if !sortedEqual(got, bruteNbhd(s.pts, q, s.eps)) {
 					t.Fatalf("query %d at %v: neighborhood diverges from brute force", k, q)
 				}
 				if k < len(memberIDs) {
-					member, _, _ = ix.EpsNeighborhoodInto(q, memberIDs[k], member[:0])
+					id := memberIDs[k]
+					var memberCalcs int
+					member, memberCalcs, _ = ix.EpsNeighborhoodInto(q, id, member[:0])
+					var dist []float64
+					plain, plainCalcs, _ := ix.EpsNeighborhoodDistInto(q, id, nil, &dist)
+					if rows := plainEpsEmitted(ix, q, id); !slices.Equal(member, plain) || memberCalcs+rows != plainCalcs {
+						t.Fatalf("member %d: %v, %d calcs + %d emitted; plain walk %v, %d calcs", id, member, memberCalcs, rows, plain, plainCalcs)
+					}
 					if !sortedEqual(member, got) {
-						t.Fatalf("member %d: differs from EpsNeighborhoodInto", memberIDs[k])
+						t.Fatalf("member %d: differs from EpsNeighborhoodInto", id)
 					}
 				}
 			}
@@ -160,25 +222,36 @@ func TestNeighborhoodIntoMatchesBrute(t *testing.T) {
 }
 
 // FuzzNeighborhoodInto: a byte-derived dataset and query point, both
-// quantised to ε/2 steps (so distances of exactly ε to a point and exactly
-// 2ε to a centre are the common case), arbitrary-point query against brute
-// force.
+// quantised to steps of 0.375 = ε/2 (so distances of exactly ε to a point
+// and exactly 2ε to a centre are the common case), arbitrary-point query
+// against brute force. b[0]/48 picks the query's ε: 0.75, or one ulp above
+// or below it, so a tree node whose farthest corner is at 0.75 from the
+// query lies exactly on, one ulp inside or one ulp outside the ball (the
+// last four seeds: the micro-cluster {0, 0.375} seen from −0.375 at each ε,
+// and 21 points of the block {0, 0.375}² seen from its corner at the ε one
+// ulp below, a two-leaf tree inside the ball).
 func FuzzNeighborhoodInto(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 0, 2, 0, 4, 0, 1, 1, 255, 255, 8, 8, 8, 0})
 	f.Add([]byte{1, 4, 0, 2, 4, 6, 8, 10, 3, 3, 250, 248})
 	f.Add([]byte{3, 1, 1, 1, 7, 7, 7, 9, 9, 9, 7, 9, 7, 128, 0, 127, 5, 5, 5})
 	f.Add([]byte{6, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 4, 4, 4, 4, 4, 4, 2, 2, 2, 2, 2, 2})
+	f.Add([]byte{0, 255, 0, 1, 0, 1, 1, 0})
+	f.Add([]byte{48, 255, 0, 1, 0, 1, 1, 0})
+	f.Add([]byte{96, 255, 0, 1, 0, 1, 1, 0})
+	f.Add([]byte{97, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1,
+		0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 1 {
 			return
 		}
 		dim := 1 + int(b[0])%6
-		const eps = 0.75
+		const step = 0.75 / 2
+		eps := [3]float64{2 * step, math.Nextafter(2*step, 1), math.Nextafter(2*step, 0)}[int(b[0])/48%3]
 		var pts []geom.Point
 		for body := b[1:]; len(body) >= dim && len(pts) < 401; body = body[dim:] {
 			p := make(geom.Point, dim)
 			for j := range p {
-				p[j] = float64(int8(body[j])) * eps / 2
+				p[j] = float64(int8(body[j])) * step
 			}
 			pts = append(pts, p)
 		}
@@ -187,9 +260,12 @@ func FuzzNeighborhoodInto(f *testing.F) {
 		}
 		q, pts := pts[0], pts[1:]
 		ix := Build(pts, eps, 3, Options{SkipReachable: true})
-		got, _ := ix.NeighborhoodInto(q, nil)
+		got, calcs := ix.NeighborhoodInto(q, nil)
+		if plain, plainCalcs, rows := plainNeighborhood(ix, q); !slices.Equal(got, plain) || calcs+rows != plainCalcs {
+			t.Fatalf("q=%v eps=%v: %v, %d calcs + %d emitted; plain walk %v, %d calcs", q, eps, got, calcs, rows, plain, plainCalcs)
+		}
 		if want := bruteNbhd(pts, q, eps); !sortedEqual(got, want) {
-			t.Fatalf("q=%v over %d points: got %v want %v", q, len(pts), got, want)
+			t.Fatalf("q=%v eps=%v over %d points: got %v want %v", q, eps, len(pts), got, want)
 		}
 	})
 }
@@ -262,5 +338,47 @@ func TestIndexPointsStore(t *testing.T) {
 		if !m.Center.Equal(ix.Points.Point(m.CenterID)) {
 			t.Fatalf("MC %d center diverges from its row", m.ID)
 		}
+	}
+}
+
+// BenchmarkNeighborhoodInto times the daemon's ε-query on bio14d- and
+// household5d-shaped data at the repository benchmark's ε, from dataset
+// rows. It reports the mean per query, over the queries the loop cycles
+// through, of the distances computed, the rows emitted wholesale and the
+// hits; each of those queries is first held to the plain walk (same ids in
+// the same order, distances plus wholesale rows equal to its count).
+func BenchmarkNeighborhoodInto(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}{
+		{"bio14d", data.BioLike(14500, 14, 1), 600, 5},
+		{"household5d", data.HouseholdLike(120000, 5, 1), 0.25, 6},
+	} {
+		ix := Build(c.pts, c.eps, c.minPts, Options{SkipReachable: true})
+		rng := rand.New(rand.NewSource(7))
+		qs := make([]geom.Point, 256)
+		var calcs, emitted, hits int
+		for i := range qs {
+			qs[i] = c.pts[rng.Intn(len(c.pts))]
+			got, k := ix.NeighborhoodInto(qs[i], nil)
+			plain, plainCalcs, rows := plainNeighborhood(ix, qs[i])
+			if !slices.Equal(got, plain) || k+rows != plainCalcs {
+				b.Fatalf("%s query %d: %d ids, %d calcs + %d emitted; plain walk %d ids, %d calcs", c.name, i, len(got), k, rows, len(plain), plainCalcs)
+			}
+			calcs, emitted, hits = calcs+k, emitted+rows, hits+len(got)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]int, 0, 1<<14)
+			for i := 0; i < b.N; i++ {
+				buf, _ = ix.NeighborhoodInto(qs[i%len(qs)], buf[:0])
+			}
+			n := float64(len(qs))
+			b.ReportMetric(float64(calcs)/n, "distcalcs/op")
+			b.ReportMetric(float64(emitted)/n, "emitted/op")
+			b.ReportMetric(float64(hits)/n, "hits/op")
+		})
 	}
 }

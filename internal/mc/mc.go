@@ -480,8 +480,13 @@ func (ix *Index) ComputeReachable() {
 // query point itself (dist 0 < ε) — are appended to dst, micro-cluster by
 // micro-cluster in reachable-list order. It returns the extended slice, the
 // number of point-distance computations, and the number of auxiliary trees
-// actually searched. With a warmed dst the query performs zero allocations;
-// this is the primitive under every clustering hot loop.
+// actually searched. With a warmed dst the query performs zero allocations.
+//
+// The trees are walked id-only (rtree.Packed.SphereIDsIntoAt): a tree node
+// lying wholly inside the ball hands over its ids without their distances,
+// so distCalcs counts the rows the walk scanned, not the rows it returned —
+// it can be below the number of hits. The ids and their order are the ones
+// EpsNeighborhoodDistInto returns, whose count is that of the plain walk.
 //
 //mulint:noalloc static twin of TestEpsNeighborhoodIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed ε-query
 func (ix *Index) EpsNeighborhoodInto(p geom.Point, pointID int, dst []int) (_ []int, distCalcs, treesSearched int) {
@@ -491,7 +496,9 @@ func (ix *Index) EpsNeighborhoodInto(p geom.Point, pointID int, dst []int) (_ []
 // EpsNeighborhoodDistInto is EpsNeighborhoodInto with a second output: when
 // dist is non-nil, the squared distance from p to every neighbor is appended
 // to *dist in step with dst. The leaf scans computed those to decide the
-// hits, and Algorithm 6's inner-circle pass needs exactly them.
+// hits, and Algorithm 6's inner-circle pass needs exactly them; with dist
+// non-nil every row of every leaf reached is scanned and counted. With dist
+// nil it is EpsNeighborhoodInto.
 //
 //mulint:noalloc static twin of TestEpsNeighborhoodDistIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed ε-query
 func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, dist *[]float64) (_ []int, distCalcs, treesSearched int) {
@@ -511,7 +518,11 @@ func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, d
 			}
 			treesSearched++
 			var calcs int
-			dst, calcs = ix.aux.SphereDistIntoAt(z.root, p, ix.Eps, true, dst, dist)
+			if dist == nil {
+				dst, calcs, _ = ix.aux.SphereIDsIntoAt(z.root, p, ix.Eps, true, dst)
+			} else {
+				dst, calcs = ix.aux.SphereDistIntoAt(z.root, p, ix.Eps, true, dst, dist)
+			}
 			distCalcs += calcs
 		}
 	}
@@ -527,7 +538,9 @@ func (ix *Index) EpsNeighborhoodDistInto(p geom.Point, pointID int, dst []int, d
 // dst behind the caller's prefix and the neighbor ids, appended after them,
 // are moved down over the staging area at the end, so one warmed buffer
 // serves the whole query with zero allocations. It returns the extended
-// slice and the number of point distances computed in the auxiliary trees.
+// slice and the number of point distances computed in the auxiliary trees:
+// the trees are walked id-only, as in EpsNeighborhoodInto, so a node wholly
+// inside the ball costs none and distCalcs can be below the number of hits.
 //
 //mulint:noalloc static twin of TestNeighborhoodIntoZeroAllocs (into_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
 func (ix *Index) NeighborhoodInto(p geom.Point, dst []int) (_ []int, distCalcs int) {
@@ -540,7 +553,7 @@ func (ix *Index) NeighborhoodInto(p geom.Point, dst []int) (_ []int, distCalcs i
 			continue
 		}
 		var calcs int
-		dst, calcs = ix.aux.SphereDistIntoAt(root, p, ix.Eps, true, dst, nil)
+		dst, calcs, _ = ix.aux.SphereIDsIntoAt(root, p, ix.Eps, true, dst)
 		distCalcs += calcs
 	}
 	n := copy(dst[base:], dst[staged:])

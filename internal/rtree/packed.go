@@ -1,6 +1,10 @@
 package rtree
 
-import "mudbscan/internal/geom"
+import (
+	"math"
+
+	"mudbscan/internal/geom"
+)
 
 // Packed is a forest of immutable R-trees laid out in four flat slices. A
 // node is a number, a tree is the number of its root, and the trees of a
@@ -35,31 +39,33 @@ func (f *Packed) box(n int32) []float64 {
 	return f.boxes[int(n)*w : int(n)*w+w]
 }
 
-// boundRows makes box the tightest one around a non-empty block of rows.
+// boundRows makes box the tightest one around a non-empty block of rows. A
+// NaN coordinate makes both bounds of its axis NaN, whichever row holds it:
+// a box must not claim to contain a row it does not (see boxDistSq).
 func boundRows(box, rows []float64, dim int) {
 	mins, maxs := box[:dim], box[dim:]
 	copy(mins, rows)
 	copy(maxs, rows)
 	for o := dim; o < len(rows); o += dim {
 		for k, v := range rows[o : o+dim] {
-			if v < mins[k] {
+			if v < mins[k] || v != v {
 				mins[k] = v
 			}
-			if v > maxs[k] {
+			if v > maxs[k] || v != v {
 				maxs[k] = v
 			}
 		}
 	}
 }
 
-// extendBox grows box to cover other.
+// extendBox grows box to cover other, NaN bounds included.
 func extendBox(box, other []float64, dim int) {
 	for k := 0; k < dim; k++ {
-		if other[k] < box[k] {
-			box[k] = other[k]
+		if lo := other[k]; lo < box[k] || lo != lo {
+			box[k] = lo
 		}
-		if other[dim+k] > box[dim+k] {
-			box[dim+k] = other[dim+k]
+		if hi := other[dim+k]; hi > box[dim+k] || hi != hi {
+			box[dim+k] = hi
 		}
 	}
 }
@@ -110,6 +116,10 @@ func minDistSq(box []float64, p geom.Point) float64 {
 // warmed to the neighborhood size, which is what lets the clustering loops
 // run allocation-free in steady state.
 //
+// It is the plain walk: every row of every leaf the walk reaches is a
+// distance computed (SphereIDsIntoAt is the one that skips them for whole
+// nodes).
+//
 //mulint:noalloc static twin of TestSphereIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
 func (f *Packed) SphereInto(center geom.Point, r float64, strict bool, dst []int) ([]int, int) {
 	return f.SphereDistIntoAt(0, center, r, strict, dst, nil)
@@ -130,18 +140,74 @@ func (f *Packed) SphereDistIntoAt(root int32, center geom.Point, r float64, stri
 	return f.sphereInto(root, &q, dst)
 }
 
-// sphereQuery is what a sphere walk carries down unchanged. It travels as
-// one pointer into the caller's frame: passed by value its fields no longer
-// fit the argument registers once the d² sink is among them, and every node
-// visit paid for the spill.
+// SphereIDsIntoAt is the id-only SphereDistIntoAt with the whole-node cut: a
+// node whose box lies inside the ball — its farthest corner within r, by the
+// margin wholeSlack — hands over the ids of its subtree without a distance
+// computed. So does the root, unless it is a leaf of one row, whose corner
+// test would be its one distance. The ids and their order are the plain
+// walk's: the plain walk reaches every leaf of such a node and every row there
+// is a hit. It returns the extended slice, the distances computed and the
+// rows emitted wholesale; the two counts add up to the plain walk's count.
+//
+//mulint:noalloc static twin of TestSphereIDsIntoZeroAllocs (sphereinto_test.go), the AllocsPerRun gate pinning 0 allocs per warmed query
+func (f *Packed) SphereIDsIntoAt(root int32, center geom.Point, r float64, strict bool, dst []int) (_ []int, calcs, emitted int) {
+	if len(f.nodes) == 0 {
+		return dst, 0, 0
+	}
+	var q sphereQuery
+	q.center, q.r2, q.closed, q.whole = center, r*r, !strict, true
+	q.lim = math.NaN() // no node is inside: the δ argument does not hold
+	if q.r2 > 0x1p-900 && q.r2 < 0x1p900 && f.dim < 1<<20 {
+		q.lim = q.r2 * (1 - wholeSlack)
+	}
+	if f.nodes[root].count != 1 {
+		if _, far := boxDistSq(f.box(root), center); q.inside(far) {
+			n := len(dst)
+			dst = f.appendSubtree(root, dst)
+			return dst, 0, len(dst) - n
+		}
+	}
+	dst, calcs = f.sphereInto(root, &q, dst)
+	return dst, calcs, q.emitted
+}
+
+// wholeSlack is δ, the relative margin by which a box's farthest corner must
+// clear r² before SphereIDsIntoAt emits the box's rows without their
+// distances. The corner sum and a member's kernel sum are each off by less
+// than (d+1)·2⁻⁵³ of themselves, however the compiler contracts them into
+// fused multiply-adds, and every term of the corner sum is at least the
+// member's (see boxDistSq); so a corner within r²(1−δ) puts every member's
+// rounded distance, and every rounded minimum distance of a box under it,
+// strictly below r² while (2d+3)·2⁻⁵³ < δ — for every d < 2²⁰ (DESIGN.md §8,
+// the whole-node cut). It is internal/core's pruneSlack, for the same reason.
+const wholeSlack = 1e-9
+
+// sphereQuery is what a sphere walk carries down. It travels as one pointer
+// into the caller's frame: passed by value its fields no longer fit the
+// argument registers once the d² sink is among them, and every node visit
+// paid for the spill.
 type sphereQuery struct {
 	center geom.Point
 	r2     float64
 	closed bool
 	dist   *[]float64 // the leaf scans' d² sink; nil for an id-only query
+
+	// The whole-node cut, on for SphereIDsIntoAt alone: a child whose
+	// farthest corner is inside lim (r²(1−δ); NaN when the δ argument does
+	// not hold) is emitted wholesale, and emitted counts its rows.
+	whole   bool
+	lim     float64
+	emitted int
 }
 
-//mulint:noalloc recursive walk under SphereInto's and SphereDistIntoAt's contracts (and gates)
+// inside reports whether a corner at squared distance far lies inside the
+// ball by the margin: strictly inside lim, or on it for a closed ball. NaN is
+// never inside.
+func (q *sphereQuery) inside(far float64) bool {
+	return far < q.lim || q.closed && far == q.lim
+}
+
+//mulint:noalloc recursive walk under SphereInto's, SphereDistIntoAt's and SphereIDsIntoAt's contracts (and gates)
 func (f *Packed) sphereInto(n int32, q *sphereQuery, dst []int) ([]int, int) {
 	nd := f.nodes[n]
 	if nd.count > 0 {
@@ -150,13 +216,67 @@ func (f *Packed) sphereInto(n int32, q *sphereQuery, dst []int) ([]int, int) {
 	}
 	calcs := 0
 	for c, end := nd.first, nd.first-nd.count; c < end; c++ {
-		if minDistSq(f.box(c), q.center) <= q.r2 {
-			var k int
-			dst, k = f.sphereInto(c, q, dst)
-			calcs += k
+		if q.whole {
+			// One read of the box gives both sums.
+			near, far := boxDistSq(f.box(c), q.center)
+			if !(near <= q.r2) {
+				continue
+			}
+			if q.inside(far) {
+				k := len(dst)
+				dst = f.appendSubtree(c, dst)
+				q.emitted += len(dst) - k
+				continue
+			}
+		} else if !(minDistSq(f.box(c), q.center) <= q.r2) {
+			continue
 		}
+		var k int
+		dst, k = f.sphereInto(c, q, dst)
+		calcs += k
 	}
 	return dst, calcs
+}
+
+// boxDistSq returns minDistSq(box, p), bit for bit, and far, the squared
+// distance from p to the box's farthest corner: per axis the larger of
+// fl(p − min) and fl(max − p). Box bounds are member coordinates and rounding
+// is monotone, so for every member x that term is at least |fl(x − p)|, the
+// kernel's own term; NaN anywhere (a NaN axis of the box or of p) makes far
+// NaN. Rounding is also symmetric, so fl(p − min)², when p is below min, is
+// minDistSq's fl(min − p)².
+//
+//mulint:noalloc pure arithmetic; runs under TestSphereIDsIntoZeroAllocs
+func boxDistSq(box []float64, p geom.Point) (near, far float64) {
+	mins, maxs := box[:len(p)], box[len(p):]
+	for i, v := range p {
+		a, b := v-mins[i], maxs[i]-v
+		if a < 0 {
+			near += a * a
+		} else if b < 0 {
+			near += b * b
+		}
+		e := max(a, b)
+		far += e * e
+	}
+	return near, far
+}
+
+// appendSubtree appends the ids of every row under node n, leaf by leaf in
+// child order: the order the plain walk's leaf scans would put them in. A
+// subtree's rows are not one range of rows — the packer sorts each level
+// after tiling — so it descends.
+//
+//mulint:noalloc appends into the caller's buffer only; runs under TestSphereIDsIntoZeroAllocs
+func (f *Packed) appendSubtree(n int32, dst []int) []int {
+	nd := f.nodes[n]
+	if nd.count > 0 {
+		return append(dst, f.ids[nd.first:nd.first+nd.count]...)
+	}
+	for c, end := nd.first, nd.first-nd.count; c < end; c++ {
+		dst = f.appendSubtree(c, dst)
+	}
+	return dst
 }
 
 // Freeze lays a grown tree out as a Packed one, node for node: the same

@@ -9,9 +9,16 @@
 // in four flat slices — nodes addressed by number, boxes stored side by side
 // so a node's children are tested in one loop, leaf rows in one contiguous
 // row-major block scanned by a dimension-specialized kernel (geom) — so that
-// all the trees of an index are a handful of heap objects. SphereInto,
-// allocation-free into a caller-owned id buffer, is its only range query;
-// queries are read-only and safe for concurrent use.
+// all the trees of an index are a handful of heap objects. Its range query is
+// the sphere walk, allocation-free into a caller-owned id buffer, read-only
+// and safe for concurrent use, in two forms. SphereInto and SphereDistIntoAt
+// are the plain walk: every row of every leaf reached is a distance computed
+// and counted. SphereIDsIntoAt, which internal/mc's id-only ε-queries use,
+// hands over a node lying wholly inside the ball without its distances (the
+// whole-node cut, exact by a δ margin; DESIGN.md §8). SphereInto keeps the
+// plain walk because R-DBSCAN, PDSDBSCAN and the benchmark's sphere probe
+// report its distance count as their query cost, the measure the baselines
+// are compared by; it must not drop because a node happened to fit inside ε.
 //
 // Tree is the dynamic one: Guttman insertion with quadratic splits. No query
 // path of the system grows one any more — every tree it reads is bulk-loaded

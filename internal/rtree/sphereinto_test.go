@@ -104,6 +104,29 @@ func TestSphereDistIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// The whole-node walk shares the contract: one warmed buffer, no allocation,
+// with radii that emit nodes wholesale and radii that scan.
+func TestSphereIDsIntoZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	pts := randPoints(rng, 2000, 5)
+	tr := BulkLoad(5, 16, pts, nil)
+	buf := make([]int, 0, 2048)
+	centers := pts[:64]
+	i, emitted := 0, 0
+	allocs := testing.AllocsPerRun(200, func() {
+		var rows int
+		buf, _, rows = tr.SphereIDsIntoAt(0, centers[i%len(centers)], float64(10+i%3*120), true, buf[:0])
+		emitted += rows
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("SphereIDsIntoAt allocated %.1f times per query; want 0", allocs)
+	}
+	if emitted == 0 {
+		t.Fatal("no node was emitted wholesale")
+	}
+}
+
 func TestBulkLoadSetMatchesBulkLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pts := randPoints(rng, 700, 3)

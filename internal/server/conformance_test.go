@@ -452,13 +452,16 @@ func bruteEpsQuery(pts []geom.Point, q geom.Point, eps float64) []int {
 }
 
 // FuzzDaemonEpsQuery holds the served ε-query to brute force on
-// byte-derived data. b[0] picks the dimension (1–4) and MinPts, b[1] the
-// size of the first dataset, and the bytes after them are coordinates on a
-// lattice of step ε/2, so pairs at exactly ε occur. The second dataset is
-// every decoded point (up to 300), the first a prefix of it; eight lattice
-// queries alternate between the two on one connection, starting with the
-// smaller, so a bitmap word left set or a bitmap sized to the first dataset
-// shows up as a wrong answer.
+// byte-derived data. b[0] picks the dimension (1–4), MinPts and ε — 0.75, or
+// one ulp above or below it (b[0]>>5) — b[1] the size of the first dataset,
+// and the bytes after them are coordinates on a lattice of step 0.375, so
+// pairs at exactly ε, and tree nodes whose farthest corner is at exactly ε,
+// one ulp inside or one ulp outside the ball, occur (the seed-corner-*
+// corpus entries; seed-whole-two-leaves has a two-leaf tree wholly inside).
+// The second dataset is every decoded point (up to 300), the first a prefix
+// of it; eight lattice queries alternate between the two on one connection,
+// starting with the smaller, so a bitmap word left set or a bitmap sized to
+// the first dataset shows up as a wrong answer.
 func FuzzDaemonEpsQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) < 3 {
@@ -466,12 +469,13 @@ func FuzzDaemonEpsQuery(f *testing.F) {
 		}
 		dim := 1 + int(b[0])%4
 		minPts := 1 + int(b[0]>>2)%8
-		const eps = 0.75
+		const step = 0.75 / 2
+		eps := [3]float64{2 * step, math.Nextafter(2*step, 1), math.Nextafter(2*step, 0)}[int(b[0]>>5)%3]
 		var pts []geom.Point
 		for body := b[2:]; len(body) >= dim && len(pts) < 300; body = body[dim:] {
 			p := make(geom.Point, dim)
 			for j := range p {
-				p[j] = float64(body[j]%16) * eps / 2
+				p[j] = float64(body[j]%16) * step
 			}
 			pts = append(pts, p)
 		}
@@ -497,7 +501,7 @@ func FuzzDaemonEpsQuery(f *testing.F) {
 		q := make(geom.Point, dim)
 		for i := 0; i < 8; i++ {
 			for j := range q {
-				q[j] = float64(b[(i*dim+j)%len(b)]%16) * eps / 2
+				q[j] = float64(b[(i*dim+j)%len(b)]%16) * step
 			}
 			r := rbuf{b: appendEpsQuery(nil, ids[i%2], eps, minPts, q)}
 			c.epsQueryResponse(&r)
