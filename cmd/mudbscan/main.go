@@ -37,19 +37,15 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"mudbscan"
 	"mudbscan/internal/data"
-	"mudbscan/internal/geom"
 	"mudbscan/internal/prof"
 )
 
@@ -144,7 +140,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		}
 	}()
 
-	pts, err := readPoints(*inPath, stdin)
+	pts, err := data.ReadFile(*inPath, stdin)
 	if err != nil {
 		return err
 	}
@@ -209,7 +205,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		fmt.Fprintf(stderr, "clusters=%d cores=%d noise=%d\n",
 			result.NumClusters, result.NumCorePoints(), result.NumNoise())
 	}
-	return writeLabels(*outPath, stdout, result.Labels)
+	return data.WriteLabels(*outPath, stdout, result.Labels)
 }
 
 // printRunStats writes the -stats lines of a run on one host. A stream run
@@ -245,43 +241,4 @@ func printReliability(w io.Writer, st *mudbscan.DistStats) {
 	fmt.Fprintf(w, "reliability: envBytes=%d retx=%d timeouts=%d corruptDropped=%d dupDropped=%d\n",
 		st.Comm.EnvelopeBytes, st.Comm.Retransmits, st.Comm.Timeouts,
 		st.Comm.CorruptDropped, st.Comm.DupDropped)
-}
-
-func readPoints(path string, stdin io.Reader) ([]geom.Point, error) {
-	var r io.Reader
-	if path == "-" {
-		r = stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	if strings.HasSuffix(path, ".bin") {
-		return data.ReadBinary(r)
-	}
-	return data.ReadCSV(r)
-}
-
-func writeLabels(path string, stdout io.Writer, labels []int) error {
-	var w io.Writer
-	if path == "-" {
-		w = stdout
-	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	for _, l := range labels {
-		// Formatted straight into the writer's buffer; a write error is
-		// sticky and comes back from Flush.
-		bw.Write(append(strconv.AppendInt(bw.AvailableBuffer(), int64(l), 10), '\n'))
-	}
-	return bw.Flush()
 }

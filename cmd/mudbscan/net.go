@@ -119,7 +119,7 @@ func runNetRank(cfg *netConfig, pts []geom.Point, eps float64, minPts int, showS
 		fmt.Fprintf(stderr, "clusters=%d cores=%d noise=%d\n",
 			result.NumClusters, result.NumCorePoints(), result.NumNoise())
 	}
-	return writeLabels(outPath, stdout, result.Labels)
+	return data.WriteLabels(outPath, stdout, result.Labels)
 }
 
 // childCommand builds the command for one launched rank process. Tests

@@ -39,7 +39,6 @@ import (
 
 	"mudbscan"
 	"mudbscan/internal/data"
-	"mudbscan/internal/geom"
 	"mudbscan/internal/server"
 )
 
@@ -218,9 +217,13 @@ func runClient(sub string, args []string, stdin io.Reader, stdout, stderr io.Wri
 		return w.Flush()
 	}
 
-	rows, err := readRows(*inPath, stdin)
+	pts, err := data.ReadFile(*inPath, stdin)
 	if err != nil {
 		return err
+	}
+	rows := make([][]float64, len(pts))
+	for i, p := range pts {
+		rows[i] = p
 	}
 	id, err := cl.Put(rows)
 	if err != nil {
@@ -233,7 +236,7 @@ func runClient(sub string, args []string, stdin io.Reader, stdout, stderr io.Wri
 		if err != nil {
 			return err
 		}
-		return writeLabels(*out, stdout, r.Labels)
+		return data.WriteLabels(*out, stdout, r.Labels)
 	case "query":
 		pt, err := parsePoint(*point)
 		if err != nil {
@@ -263,54 +266,4 @@ func parsePoint(s string) ([]float64, error) {
 		pt[i] = v
 	}
 	return pt, nil
-}
-
-func readRows(path string, stdin io.Reader) ([][]float64, error) {
-	var r io.Reader
-	if path == "-" {
-		r = stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	var (
-		pts []geom.Point
-		err error
-	)
-	if strings.HasSuffix(path, ".bin") {
-		pts, err = data.ReadBinary(r)
-	} else {
-		pts, err = data.ReadCSV(r)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]float64, len(pts))
-	for i, p := range pts {
-		rows[i] = p
-	}
-	return rows, nil
-}
-
-func writeLabels(path string, stdout io.Writer, labels []int) error {
-	var w io.Writer
-	if path == "-" {
-		w = stdout
-	} else {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	for _, l := range labels {
-		fmt.Fprintln(bw, l)
-	}
-	return bw.Flush()
 }

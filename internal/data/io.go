@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
+	"strings"
 
 	"mudbscan/internal/geom"
 )
@@ -170,4 +173,46 @@ func ReadBinary(r io.Reader) ([]geom.Point, error) {
 		pts = append(pts, p)
 	}
 	return pts, nil
+}
+
+// ReadFile reads the dataset at path: the binary format when the name ends
+// in ".bin", CSV otherwise. Path "-" reads CSV from stdin.
+func ReadFile(path string, stdin io.Reader) ([]geom.Point, error) {
+	r := stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	if strings.HasSuffix(path, ".bin") {
+		return ReadBinary(r)
+	}
+	return ReadCSV(r)
+}
+
+// WriteLabels writes one cluster label per line to the file at path, or to
+// stdout when path is "-". A failure to close the file is an error too: the
+// labels may not all have reached it.
+func WriteLabels(path string, stdout io.Writer, labels []int) error {
+	if path == "-" {
+		return writeLabels(stdout, labels)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(writeLabels(f, labels), f.Close())
+}
+
+func writeLabels(w io.Writer, labels []int) error {
+	bw := bufio.NewWriter(w)
+	for _, l := range labels {
+		// Formatted straight into the writer's buffer; a write error is
+		// sticky and comes back from Flush.
+		bw.Write(append(strconv.AppendInt(bw.AvailableBuffer(), int64(l), 10), '\n'))
+	}
+	return bw.Flush()
 }

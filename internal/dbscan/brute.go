@@ -23,7 +23,7 @@ func Brute(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Stats
 	core := make([]bool, n)
 	var dist int64
 	nbhd := make([]int, 0, n)
-	st := unionFindDBSCAN(n, minPts, uf, core, nil, func(i int) []int {
+	st := UnionFind(uf, n, minPts, core, nil, func(i int) []int {
 		nbhd = nbhd[:0]
 		p := pts[i]
 		for j, q := range pts {
@@ -33,7 +33,7 @@ func Brute(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Stats
 		}
 		dist += int64(n)
 		return nbhd
-	})
+	}).Stats
 	st.DistCalcs = dist
 	return finish(uf, core), st
 }

@@ -2,11 +2,14 @@ package dbscan
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"mudbscan/internal/clustering"
+	"mudbscan/internal/data"
 	"mudbscan/internal/geom"
+	"mudbscan/internal/unionfind"
 )
 
 // blobs generates k Gaussian blobs plus uniform noise — small analogues of
@@ -119,6 +122,36 @@ func TestAllAlgorithmsExactOnBlobs(t *testing.T) {
 			t.Fatalf("GridDBSCAN: %v", err)
 		}
 		requireExact(t, "GridDBSCAN", pts, eps, minPts, got, want)
+	}
+}
+
+// TestSequentialBaselinesConformance holds the four indexed sequential
+// baselines to Brute on every conformance dataset — the grid-adversarial
+// lattices and exact-ε border ties among them: identical core flags and an
+// equivalent clustering with valid borders.
+func TestSequentialBaselinesConformance(t *testing.T) {
+	grid := func(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Stats) {
+		r, st, err := GridDBSCAN(pts, eps, minPts, GridOptions{})
+		if err != nil {
+			t.Fatalf("GridDBSCAN: %v", err)
+		}
+		return r, st
+	}
+	algos := []struct {
+		name string
+		run  func([]geom.Point, float64, int) (*clustering.Result, Stats)
+	}{{"RDBSCAN", RDBSCAN}, {"KDBSCAN", KDBSCAN}, {"GDBSCAN", GDBSCAN}, {"GridDBSCAN", grid}}
+	for _, c := range data.ConformanceCases() {
+		want, _ := Brute(c.Pts, c.Eps, c.MinPts)
+		for _, a := range algos {
+			t.Run(c.Name+"/"+a.name, func(t *testing.T) {
+				got, _ := a.run(c.Pts, c.Eps, c.MinPts)
+				requireExact(t, a.name, c.Pts, c.Eps, c.MinPts, got, want)
+				if !reflect.DeepEqual(got.Core, want.Core) {
+					t.Fatal("core flags differ from Brute")
+				}
+			})
+		}
 	}
 }
 
@@ -239,19 +272,23 @@ func TestGridStructure(t *testing.T) {
 	if g.NumCells() != 3 {
 		t.Fatalf("NumCells=%d want 3", g.NumCells())
 	}
-	// Key/Unkey round trip, including negatives.
-	for _, p := range pts {
-		c := g.CoordsOf(p)
-		got := g.Unkey(g.Key(c))
+	// Every point is in its cell, and key/Unkey round-trip, including
+	// negatives.
+	for i, p := range pts {
+		c := g.coordsOf(p)
+		if g.Keys[g.Cell[i]] != g.key(c) {
+			t.Fatalf("point %d in cell %v, want %v", i, g.Unkey(g.Keys[g.Cell[i]]), c)
+		}
+		got := g.Unkey(g.key(c))
 		for i := range c {
 			if got[i] != c[i] {
-				t.Fatalf("Unkey(Key(%v))=%v", c, got)
+				t.Fatalf("Unkey(key(%v))=%v", c, got)
 			}
 		}
 	}
 	// Neighbor visit covers the occupied neighbors.
 	var visited int
-	g.VisitNeighborCells(g.CoordsOf(geom.Point{0.5, 0.5}), 2, func(_ string, members []int32) {
+	g.VisitNeighborCells(g.Cell[0], 2, func(members []int32) {
 		visited += len(members)
 	})
 	if visited != 3 { // the two origin-cell points and {-1,-1}
@@ -269,10 +306,54 @@ func TestChebyshevWithin(t *testing.T) {
 }
 
 func TestNeighborEnumCountSaturates(t *testing.T) {
-	pts := make([]geom.Point, 1)
-	pts[0] = make(geom.Point, 40)
-	g := BuildGrid(pts, 1)
-	if g.NeighborEnumCount(4) < 1<<50 {
+	if NeighborEnumCount(4, 40) < 1<<50 {
 		t.Fatal("40-dim enumeration should saturate huge")
+	}
+}
+
+// TestUnionFindHalo: points from localCount on are halo copies — never
+// queried, never claimed — a core's link to a non-core copy is a deferred
+// pair, and only a noise point with a copy in reach keeps its neighborhood.
+// With localCount == n (a sequential run) nothing is deferred or kept.
+func TestUnionFindHalo(t *testing.T) {
+	// Owned 0…3 at 0, 1, 2, 10; copies 4, 5 at 3, 10.5. ε 1.5, MinPts 3.
+	pts := []geom.Point{{0}, {1}, {2}, {10}, {3}, {10.5}}
+	run := func(localCount int) (HaloResult, []bool, *unionfind.UF, []int) {
+		uf := unionfind.New(len(pts))
+		core := make([]bool, len(pts))
+		var queried []int
+		h := UnionFind(uf, localCount, 3, core, nil, func(i int) []int {
+			queried = append(queried, i)
+			var nbhd []int
+			for j, q := range pts {
+				if geom.DistSq(pts[i], q) < 1.5*1.5 {
+					nbhd = append(nbhd, j)
+				}
+			}
+			return nbhd
+		})
+		return h, core, uf, queried
+	}
+
+	h, core, uf, queried := run(4)
+	if !reflect.DeepEqual(queried, []int{0, 1, 2, 3}) || h.Queries != 4 {
+		t.Fatalf("queried %v (%d queries), want the four owned points", queried, h.Queries)
+	}
+	if !reflect.DeepEqual(core, []bool{false, true, true, false, false, false}) {
+		t.Fatalf("core %v", core)
+	}
+	if !uf.Same(0, 1) || !uf.Same(1, 2) || uf.Same(2, 4) || !h.Assigned[0] || h.Assigned[4] {
+		t.Fatal("border 0 must be claimed and copy 4 left to the merge")
+	}
+	if !reflect.DeepEqual(h.Pairs, [][2]int32{{2, 4}}) {
+		t.Fatalf("pairs %v, want [[2 4]]", h.Pairs)
+	}
+	if !reflect.DeepEqual(h.NoiseNbhd, map[int32][]int32{3: {3, 5}}) {
+		t.Fatalf("noise neighborhoods %v, want only point 3's", h.NoiseNbhd)
+	}
+
+	h, _, _, queried = run(len(pts))
+	if len(queried) != len(pts) || h.Pairs != nil || h.NoiseNbhd != nil {
+		t.Fatalf("sequential run: %d queries, pairs %v, noise %v", len(queried), h.Pairs, h.NoiseNbhd)
 	}
 }

@@ -6,7 +6,9 @@
 //
 // All exact variants share the union-find cluster-formation driver of
 // Patwary et al. (Algorithm 1 of the paper), parameterized by the
-// neighborhood query.
+// neighborhood query — and so do the rank-local phases of the exact
+// distributed baselines in internal/dist (PDSDBSCAN-D, GridDBSCAN-D,
+// HPDBSCAN), which run it over their owned points followed by halo copies.
 package dbscan
 
 import (
@@ -36,51 +38,101 @@ func (s Stats) QuerySavedPct() float64 {
 	return 100 * float64(s.QueriesSaved) / float64(total)
 }
 
-// unionFindDBSCAN is the disjoint-set cluster-formation driver: one
-// ε-neighborhood query per point, with cores claiming unassigned non-core
-// neighbors as borders. query(i) must return the ids of all points strictly
-// within eps of point i, including i itself. core may arrive with some
-// entries pre-marked (points proven core without a query); skip marks points
-// whose query is skipped entirely (nil for none) — the caller is responsible
-// for the unions among pairs of skipped points, while unions between a
-// skipped core and any queried point are handled here.
-func unionFindDBSCAN(n, minPts int, uf *unionfind.UF, core []bool, skip []bool, query func(i int) []int) Stats {
-	var st Stats
-	assigned := make([]bool, n)
-	for i := 0; i < n; i++ {
+// HaloResult is what a UnionFind run leaves besides the union-find
+// structure and the core flags: its counters and the state a distributed
+// merge needs to settle the links that depend on halo copies. A run without
+// halo copies leaves Pairs and NoiseNbhd empty. Stats.DistCalcs is the
+// caller's to fill.
+type HaloResult struct {
+	Stats
+	// Assigned marks the non-core points claimed as borders.
+	Assigned []bool
+	// Pairs are the deferred links {A, B} from a core A to a halo copy B
+	// that is not known to be core here; B's owner decides.
+	Pairs [][2]int32
+	// NoiseNbhd holds the ε-neighborhood of every owned point that found no
+	// core neighbor while a halo copy was in reach: only such a copy can
+	// still turn out core and claim it.
+	NoiseNbhd map[int32][]int32
+}
+
+// UnionFind is the disjoint-set cluster-formation driver: one
+// ε-neighborhood query per owned point, with cores claiming unassigned
+// non-core neighbors as borders. The points are uf's elements; the first
+// localCount are owned by the run (all of them for a sequential run) and the
+// rest are halo copies owned elsewhere: a copy is never queried and never
+// claimed as a border, and a core's link to a copy that is not core becomes
+// a deferred Pair.
+//
+// query(i) must return the ids of all points strictly within eps of point i,
+// including i itself; the driver is done with the slice before the next
+// call. core may arrive with some entries pre-marked (points proven core
+// without a query); skip marks owned points whose query is skipped entirely
+// (nil for none) — the caller is responsible for the unions among pairs of
+// skipped points, while unions between a skipped core and any queried point
+// are handled here.
+//
+// No noise pass follows the loop, because none could claim anything: the
+// strict-ε test is symmetric, so a point with a core neighbor among the
+// owned or pre-marked points is claimed by that core's query or claims it
+// in its own, whichever runs first.
+func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, query func(i int) []int) HaloResult {
+	h := HaloResult{Assigned: make([]bool, uf.Len())}
+	for i := 0; i < localCount; i++ {
 		if skip != nil && skip[i] {
-			st.QueriesSaved++
+			h.QueriesSaved++
 			continue
 		}
 		nbhd := query(i)
-		st.Queries++
+		h.Queries++
 		if len(nbhd) >= minPts {
 			core[i] = true
 			for _, q := range nbhd {
-				if q == i {
-					continue
-				}
-				if core[q] {
+				switch {
+				case q == i:
+				case core[q]:
 					uf.Union(i, q)
-				} else if !assigned[q] {
+				case q >= localCount:
+					h.Pairs = append(h.Pairs, [2]int32{int32(i), int32(q)})
+				case !h.Assigned[q]:
 					uf.Union(i, q)
-					assigned[q] = true
-				}
-			}
-		} else if !assigned[i] {
-			// Self-attach to the first core neighbor, but never re-attach a
-			// border already claimed by a cluster: that would bridge two
-			// clusters through a non-core point.
-			for _, q := range nbhd {
-				if core[q] {
-					uf.Union(i, q)
-					assigned[i] = true
-					break
+					h.Assigned[q] = true
 				}
 			}
+			continue
+		}
+		// Self-attach to the first core neighbor, but never re-attach a
+		// border already claimed by a cluster: that would bridge two
+		// clusters through a non-core point.
+		if h.Assigned[i] {
+			continue
+		}
+		halo := false
+		for _, q := range nbhd {
+			if core[q] {
+				uf.Union(i, q)
+				h.Assigned[i] = true
+				break
+			}
+			halo = halo || q >= localCount
+		}
+		if halo && !h.Assigned[i] {
+			h.keepNoise(i, nbhd)
 		}
 	}
-	return st
+	return h
+}
+
+// keepNoise stores the neighborhood of provisional-noise point i.
+func (h *HaloResult) keepNoise(i int, nbhd []int) {
+	if h.NoiseNbhd == nil {
+		h.NoiseNbhd = make(map[int32][]int32)
+	}
+	nb := make([]int32, len(nbhd))
+	for k, q := range nbhd {
+		nb[k] = int32(q)
+	}
+	h.NoiseNbhd[int32(i)] = nb
 }
 
 // finish converts the union-find state into a dense clustering result.

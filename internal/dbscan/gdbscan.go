@@ -53,7 +53,7 @@ func GDBSCAN(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Sta
 	uf := unionfind.New(n)
 	core := make([]bool, n)
 	nbhd := make([]int, 0, 64)
-	st := unionFindDBSCAN(n, minPts, uf, core, nil, func(i int) []int {
+	st := UnionFind(uf, n, minPts, core, nil, func(i int) []int {
 		p := pts[i]
 		nbhd = nbhd[:0]
 		for g, m := range masters {
@@ -69,7 +69,7 @@ func GDBSCAN(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Sta
 			}
 		}
 		return nbhd
-	})
+	}).Stats
 	st.DistCalcs = dist
 	return finish(uf, core), st
 }

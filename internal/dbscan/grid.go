@@ -9,16 +9,18 @@ import (
 
 // Grid is a uniform hyper-grid over a point set: each point is hashed to the
 // cell of side-length Side containing it. It underlies the GridDBSCAN
-// baseline here and the HPDBSCAN-style distributed baseline.
+// baseline here and the grid-based distributed baselines.
 type Grid struct {
 	Side float64
 	Dim  int
-	// Cells maps a packed cell coordinate key to the ids of points inside.
-	Cells map[string][]int32
-	// Keys holds the cell keys in first-touch order for deterministic
-	// iteration.
+	// Keys holds the packed cell coordinate key of every non-empty cell, in
+	// first-touch order; a cell is named by its index here.
 	Keys []string
-	pts  []geom.Point
+	// Members[c] holds the ids of the points inside cell c.
+	Members [][]int32
+	// Cell[i] is the cell of point i.
+	Cell  []int32
+	index map[string]int32
 }
 
 // BuildGrid hashes pts into cells of the given side length.
@@ -32,21 +34,26 @@ func BuildGrid(pts []geom.Point, side float64) *Grid {
 	g := &Grid{
 		Side:  side,
 		Dim:   len(pts[0]),
-		Cells: make(map[string][]int32),
-		pts:   pts,
+		Cell:  make([]int32, len(pts)),
+		index: make(map[string]int32),
 	}
 	for i, p := range pts {
-		k := g.Key(g.CoordsOf(p))
-		if _, ok := g.Cells[k]; !ok {
+		k := g.key(g.coordsOf(p))
+		c, ok := g.index[k]
+		if !ok {
+			c = int32(len(g.Keys))
+			g.index[k] = c
 			g.Keys = append(g.Keys, k)
+			g.Members = append(g.Members, nil)
 		}
-		g.Cells[k] = append(g.Cells[k], int32(i))
+		g.Members[c] = append(g.Members[c], int32(i))
+		g.Cell[i] = c
 	}
 	return g
 }
 
-// CoordsOf returns the integer cell coordinates of p.
-func (g *Grid) CoordsOf(p geom.Point) []int32 {
+// coordsOf returns the integer cell coordinates of p.
+func (g *Grid) coordsOf(p geom.Point) []int32 {
 	c := make([]int32, g.Dim)
 	for i, v := range p {
 		c[i] = int32(math.Floor(v / g.Side))
@@ -54,8 +61,8 @@ func (g *Grid) CoordsOf(p geom.Point) []int32 {
 	return c
 }
 
-// Key packs cell coordinates into a map key.
-func (g *Grid) Key(coords []int32) string {
+// key packs cell coordinates into a map key.
+func (g *Grid) key(coords []int32) string {
 	b := make([]byte, 4*len(coords))
 	for i, c := range coords {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(c))
@@ -73,14 +80,15 @@ func (g *Grid) Unkey(key string) []int32 {
 }
 
 // NumCells returns the number of non-empty cells.
-func (g *Grid) NumCells() int { return len(g.Cells) }
+func (g *Grid) NumCells() int { return len(g.Keys) }
 
 // NeighborEnumCount returns the number of cell lookups a Chebyshev-radius
-// query would enumerate: (2r+1)^dim, saturating at math.MaxInt.
-func (g *Grid) NeighborEnumCount(radius int) int {
+// query in dim dimensions enumerates: (2r+1)^dim, saturating at
+// math.MaxInt.
+func NeighborEnumCount(radius, dim int) int {
 	count := 1
 	width := 2*radius + 1
-	for i := 0; i < g.Dim; i++ {
+	for i := 0; i < dim; i++ {
 		if count > math.MaxInt/width {
 			return math.MaxInt
 		}
@@ -89,19 +97,19 @@ func (g *Grid) NeighborEnumCount(radius int) int {
 	return count
 }
 
-// VisitNeighborCells invokes fn for every non-empty cell within Chebyshev
-// distance radius of the given cell coordinates (including the cell itself),
-// by enumerating the (2r+1)^d offsets. Only call when NeighborEnumCount is
+// VisitNeighborCells invokes fn with the members of every non-empty cell
+// within Chebyshev distance radius of cell c (including c itself), by
+// enumerating the (2r+1)^d offsets. Only call when NeighborEnumCount is
 // affordable.
-func (g *Grid) VisitNeighborCells(coords []int32, radius int, fn func(key string, members []int32)) {
+func (g *Grid) VisitNeighborCells(c int32, radius int, fn func(members []int32)) {
+	coords := g.Unkey(g.Keys[c])
 	cur := make([]int32, g.Dim)
 	for i := range cur {
 		cur[i] = coords[i] - int32(radius)
 	}
 	for {
-		k := g.Key(cur)
-		if members, ok := g.Cells[k]; ok {
-			fn(k, members)
+		if m, ok := g.index[g.key(cur)]; ok {
+			fn(g.Members[m])
 		}
 		// Odometer increment.
 		i := 0

@@ -53,12 +53,10 @@ func GridDBSCAN(pts []geom.Point, eps float64, minPts int, opts GridOptions) (*c
 
 	// Neighbor-cell access: offset enumeration for low d, precomputed
 	// pairwise lists for high d, error beyond budget.
-	var neighborsOf func(key string, fn func(members []int32))
-	if grid.NeighborEnumCount(radius) <= opts.MaxNeighborEnum {
-		neighborsOf = func(key string, fn func(members []int32)) {
-			grid.VisitNeighborCells(grid.Unkey(key), radius, func(_ string, members []int32) {
-				fn(members)
-			})
+	var neighborsOf func(c int32, fn func(members []int32))
+	if NeighborEnumCount(radius, d) <= opts.MaxNeighborEnum {
+		neighborsOf = func(c int32, fn func(members []int32)) {
+			grid.VisitNeighborCells(c, radius, fn)
 		}
 	} else {
 		m := grid.NumCells()
@@ -66,22 +64,20 @@ func GridDBSCAN(pts []geom.Point, eps float64, minPts int, opts GridOptions) (*c
 			return nil, Stats{}, ErrGridMemory
 		}
 		coords := make([][]int32, m)
-		index := make(map[string]int, m)
 		for i, k := range grid.Keys {
 			coords[i] = grid.Unkey(k)
-			index[k] = i
 		}
-		lists := make([][]int, m)
+		lists := make([][]int32, m)
 		for i := 0; i < m; i++ {
 			for j := 0; j < m; j++ {
 				if ChebyshevWithin(coords[i], coords[j], int32(radius)) {
-					lists[i] = append(lists[i], j)
+					lists[i] = append(lists[i], int32(j))
 				}
 			}
 		}
-		neighborsOf = func(key string, fn func(members []int32)) {
-			for _, j := range lists[index[key]] {
-				fn(grid.Cells[grid.Keys[j]])
+		neighborsOf = func(c int32, fn func(members []int32)) {
+			for _, j := range lists[c] {
+				fn(grid.Members[j])
 			}
 		}
 	}
@@ -89,15 +85,10 @@ func GridDBSCAN(pts []geom.Point, eps float64, minPts int, opts GridOptions) (*c
 	uf := unionfind.New(n)
 	core := make([]bool, n)
 	skip := make([]bool, n)
-	cellOf := make([]string, n)
-	var denseCells []string
-	for _, k := range grid.Keys {
-		members := grid.Cells[k]
-		for _, id := range members {
-			cellOf[id] = k
-		}
+	var denseCells []int32
+	for c, members := range grid.Members {
 		if len(members) >= minPts {
-			denseCells = append(denseCells, k)
+			denseCells = append(denseCells, int32(c))
 			for _, id := range members {
 				core[id] = true
 				skip[id] = true
@@ -110,10 +101,10 @@ func GridDBSCAN(pts []geom.Point, eps float64, minPts int, opts GridOptions) (*c
 	eps2 := eps * eps
 	var dist int64
 	nbhd := make([]int, 0, 64)
-	st := unionFindDBSCAN(n, minPts, uf, core, skip, func(i int) []int {
+	st := UnionFind(uf, n, minPts, core, skip, func(i int) []int {
 		p := pts[i]
 		nbhd = nbhd[:0]
-		neighborsOf(cellOf[i], func(members []int32) {
+		neighborsOf(grid.Cell[i], func(members []int32) {
 			for _, q := range members {
 				dist++
 				if kern(p, pts[q]) < eps2 {
@@ -122,13 +113,13 @@ func GridDBSCAN(pts []geom.Point, eps float64, minPts int, opts GridOptions) (*c
 			}
 		})
 		return nbhd
-	})
+	}).Stats
 
 	// Merge dense cells: all points of a dense cell share one set already,
 	// so a single close core pair merges two cells entirely.
-	for _, k := range denseCells {
-		a := grid.Cells[k]
-		neighborsOf(k, func(b []int32) {
+	for _, c := range denseCells {
+		a := grid.Members[c]
+		neighborsOf(c, func(b []int32) {
 			if len(b) < minPts || uf.Same(int(a[0]), int(b[0])) {
 				return
 			}

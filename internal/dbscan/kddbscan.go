@@ -24,12 +24,12 @@ func KDBSCAN(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Sta
 	// As in RDBSCAN: the driver never retains a neighborhood, so a single
 	// reused buffer keeps the query loop allocation-free.
 	nbhd := make([]int, 0, 64)
-	st := unionFindDBSCAN(n, minPts, uf, core, nil, func(i int) []int {
+	st := UnionFind(uf, n, minPts, core, nil, func(i int) []int {
 		var calcs int
 		nbhd, calcs = tree.SphereInto(pts[i], eps, true, nbhd[:0])
 		dist += int64(calcs)
 		return nbhd
-	})
+	}).Stats
 	st.DistCalcs = dist
 	return finish(uf, core), st
 }

@@ -22,12 +22,12 @@ func RDBSCAN(pts []geom.Point, eps float64, minPts int) (*clustering.Result, Sta
 	// The driver consumes each neighborhood within the iteration, so one
 	// buffer serves every allocation-free SphereInto query.
 	nbhd := make([]int, 0, 64)
-	st := unionFindDBSCAN(n, minPts, uf, core, nil, func(i int) []int {
+	st := UnionFind(uf, n, minPts, core, nil, func(i int) []int {
 		var calcs int
 		nbhd, calcs = tree.SphereInto(pts[i], eps, true, nbhd[:0])
 		dist += int64(calcs)
 		return nbhd
-	})
+	}).Stats
 	st.DistCalcs = dist
 	return finish(uf, core), st
 }

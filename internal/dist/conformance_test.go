@@ -43,6 +43,7 @@ func TestDistributedConformance(t *testing.T) {
 		{"muDBSCAN-D", MuDBSCAND},
 		{"PDSDBSCAN-D", PDSDBSCAND},
 		{"GridDBSCAN-D", GridDBSCAND},
+		{"HPDBSCAN", HPDBSCAN},
 	}
 	for _, ds := range conformanceDatasets() {
 		want, _ := dbscan.Brute(ds.pts, ds.eps, ds.minPts)

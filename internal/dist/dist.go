@@ -16,7 +16,10 @@
 //	  edges; provisional noise is rectified against the exact flags; local
 //	  components and edges are combined into the global clustering.
 //
-// The merge needs no ε-neighborhood queries, matching §V-C.
+// The merge needs no ε-neighborhood queries, matching §V-C. The rank-local
+// clustering of μDBSCAN-D is core.RunLocal; that of the three exact
+// baselines is internal/dbscan's union-find driver, the loop the sequential
+// baselines run, with the halo copies as points it never queries.
 //
 // # Three schedules
 //

@@ -3,12 +3,12 @@ package dist
 import (
 	"errors"
 	"math"
-	"time"
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
+	"mudbscan/internal/unionfind"
 )
 
 // ErrDistGridMemory is returned when a grid-based distributed baseline
@@ -33,7 +33,7 @@ func GridDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*c
 	d := len(pts[0])
 	side := eps / math.Sqrt(float64(d)) * (1 - 1e-12)
 	radius := int(math.Ceil(eps / side))
-	if enumCount(radius, d) > distGridEnumBudget {
+	if dbscan.NeighborEnumCount(radius, d) > distGridEnumBudget {
 		return nil, nil, ErrDistGridMemory
 	}
 	return runDistributed(pts, eps, minPts, p, opts, localAlgo{run: gridLocal(side, radius, true)})
@@ -48,93 +48,93 @@ func HPDBSCAN(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clus
 		return &clustering.Result{}, &Stats{Ranks: p}, nil
 	}
 	d := len(pts[0])
-	if enumCount(1, d) > distGridEnumBudget {
+	if dbscan.NeighborEnumCount(1, d) > distGridEnumBudget {
 		return nil, nil, ErrDistGridMemory
 	}
 	return runDistributed(pts, eps, minPts, p, opts, localAlgo{run: gridLocal(eps, 1, false)})
 }
 
-func enumCount(radius, dim int) int {
-	count := 1
-	width := 2*radius + 1
-	for i := 0; i < dim; i++ {
-		if count > math.MaxInt/width {
-			return math.MaxInt
-		}
-		count *= width
-	}
-	return count
-}
-
 // gridLocal builds the rank-local clustering function for a grid of the
-// given side and Chebyshev query radius. With denseCells true, cells holding
-// at least MinPts combined points are pre-marked core (GridDBSCAN);
-// otherwise every local point is queried (HPDBSCAN).
+// given side and Chebyshev query radius: internal/dbscan's union-find driver
+// with every query answered from the cells around the point's own. With
+// denseCells true, the members of a cell holding at least MinPts combined
+// points are pre-marked core, unioned and never queried (GridDBSCAN), and a
+// closing pass gives them their links; otherwise every local point is
+// queried (HPDBSCAN).
 func gridLocal(side float64, radius int, denseCells bool) localFn {
 	return func(combined []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
-		st := &core.Stats{}
-		start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		grid := dbscan.BuildGrid(combined, side)
-		coordsOf := make(map[string][]int32, grid.NumCells())
-		for _, k := range grid.Keys {
-			coordsOf[k] = grid.Unkey(k)
-		}
-		keyOf := make([]string, len(combined))
-		for _, k := range grid.Keys {
-			for _, id := range grid.Cells[k] {
-				keyOf[id] = k
+		n := len(combined)
+		var steps core.StepTimes
+		uf, isCore := unionfind.New(n), make([]bool, n)
+		var grid *dbscan.Grid
+		var skip []bool
+		steps.TreeConstruction = timed(func() {
+			grid = dbscan.BuildGrid(combined, side)
+			if !denseCells {
+				return
 			}
-		}
-
-		var preCore []bool
-		var preUnions [][2]int32
-		if denseCells {
-			preCore = make([]bool, len(combined))
-			for _, k := range grid.Keys {
-				members := grid.Cells[k]
+			skip = make([]bool, n)
+			for _, members := range grid.Members {
 				if len(members) < minPts {
 					continue
 				}
 				// Cell diameter < ε, so all members are mutually within ε:
 				// every member is core regardless of unseen remote points.
 				for _, id := range members {
-					preCore[id] = true
-					if id != members[0] {
-						preUnions = append(preUnions, [2]int32{members[0], id})
-					}
+					isCore[id] = true
+					skip[id] = true
+					uf.Union(int(members[0]), int(id))
 				}
 			}
-		}
-		st.Steps.TreeConstruction = time.Since(start)
+		})
 
-		var kern geom.DistSqKernel
-		if len(combined) > 0 {
-			kern = geom.KernelFor(len(combined[0]))
-		}
+		kern := geom.KernelFor(len(combined[0]))
 		eps2 := eps * eps
-		query := func(i int, fn func(id int32, pt geom.Point)) int {
-			p := combined[i]
-			calcs := 0
-			grid.VisitNeighborCells(coordsOf[keyOf[i]], radius, func(_ string, members []int32) {
-				for _, q := range members {
-					calcs++
-					if kern(p, combined[q]) < eps2 {
-						fn(q, combined[q])
-					}
-				}
-			})
-			return calcs
-		}
-		var post func(i int32, fn func(id int32))
-		if denseCells {
-			post = func(i int32, fn func(id int32)) {
-				grid.VisitNeighborCells(coordsOf[keyOf[i]], radius, func(_ string, members []int32) {
+		nbhd := make([]int, 0, 64)
+		var h dbscan.HaloResult
+		steps.Clustering = timed(func() {
+			h = dbscan.UnionFind(uf, localCount, minPts, isCore, skip, func(i int) []int {
+				p := combined[i]
+				nbhd = nbhd[:0]
+				grid.VisitNeighborCells(grid.Cell[i], radius, func(members []int32) {
 					for _, q := range members {
-						fn(q)
+						if kern(p, combined[q]) < eps2 {
+							nbhd = append(nbhd, int(q))
+						}
 					}
 				})
-			}
+				return nbhd
+			})
+		})
+
+		// The dense-cell cores never queried, so they link up here by
+		// targeted distance checks (the grid analogue of μDBSCAN's
+		// Algorithm 7): to every core in reach, and — as a deferred pair —
+		// to every halo copy in reach that is not known core. A non-core
+		// local point in reach found them in its own query.
+		if denseCells {
+			steps.PostProcessing = timed(func() {
+				for i := 0; i < localCount; i++ {
+					if !skip[i] {
+						continue
+					}
+					p := combined[i]
+					grid.VisitNeighborCells(grid.Cell[i], radius, func(members []int32) {
+						for _, q := range members {
+							switch {
+							case int(q) == i:
+							case isCore[q]:
+								if !uf.Same(i, int(q)) && kern(p, combined[q]) < eps2 {
+									uf.Union(i, int(q))
+								}
+							case int(q) >= localCount && kern(p, combined[q]) < eps2:
+								h.Pairs = append(h.Pairs, [2]int32{int32(i), q})
+							}
+						}
+					})
+				}
+			})
 		}
-		return localDriver(combined, eps, minPts, localCount, preCore, preUnions, query, post, st)
+		return classicResult(uf, isCore, localCount, h, steps)
 	}
 }

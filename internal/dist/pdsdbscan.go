@@ -1,12 +1,12 @@
 package dist
 
 import (
-	"time"
-
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
+	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/rtree"
+	"mudbscan/internal/unionfind"
 )
 
 // PDSDBSCAND implements the disjoint-set parallel DBSCAN of Patwary et al.
@@ -16,21 +16,20 @@ import (
 // point, with no query savings and no two-level index.
 func PDSDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clustering.Result, *Stats, error) {
 	return runDistributed(pts, eps, minPts, p, opts, localAlgo{run: func(combined []geom.Point, e float64, mp, localCount int) *core.LocalResult {
-		st := &core.Stats{}
-		start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-		tree := rtree.BulkLoad(len(combined[0]), 0, combined, nil)
-		st.Steps.TreeConstruction = time.Since(start)
-		// localDriver consumes each neighborhood within one iteration, so a
-		// single reused buffer backs every allocation-free SphereInto query.
+		var steps core.StepTimes
+		var tree *rtree.Packed
+		steps.TreeConstruction = timed(func() { tree = rtree.BulkLoad(len(combined[0]), 0, combined, nil) })
+		uf, isCore := unionfind.New(len(combined)), make([]bool, len(combined))
+		// The driver is done with each neighborhood before the next query,
+		// so a single reused buffer backs every allocation-free SphereInto.
 		buf := make([]int, 0, 64)
-		query := func(i int, fn func(id int32, pt geom.Point)) int {
-			var calcs int
-			buf, calcs = tree.SphereInto(combined[i], e, true, buf[:0])
-			for _, id := range buf {
-				fn(int32(id), nil)
-			}
-			return calcs
-		}
-		return localDriver(combined, e, mp, localCount, nil, nil, query, nil, st)
+		var h dbscan.HaloResult
+		steps.Clustering = timed(func() {
+			h = dbscan.UnionFind(uf, localCount, mp, isCore, nil, func(i int) []int {
+				buf, _ = tree.SphereInto(combined[i], e, true, buf[:0])
+				return buf
+			})
+		})
+		return classicResult(uf, isCore, localCount, h, steps)
 	}})
 }

@@ -30,6 +30,11 @@ func (t *turnstile) do(fn func()) time.Duration {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 	}
+	return timed(fn)
+}
+
+// timed runs fn and returns how long it took.
+func timed(fn func()) time.Duration {
 	t0 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	fn()
 	return time.Since(t0)

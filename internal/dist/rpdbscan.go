@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"sort"
-	"time"
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/dbscan"
@@ -24,7 +23,7 @@ import (
 // clustered by cell adjacency (minimum rectangle distance ≤ ρ·ε), point
 // coreness outside dense cells is approximated at cell granularity. Use the
 // exact algorithms when exactness matters; this exists as an evaluation
-// baseline.
+// baseline. Of its Stats only Ranks and Comm are filled: Phases stays zero.
 func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Options) (*clustering.Result, *Stats, error) {
 	n := len(pts)
 	if n == 0 {
@@ -36,6 +35,9 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 	dim := len(pts[0])
 	side := eps / math.Sqrt(float64(dim)) * (1 - 1e-12)
 	st := &Stats{Ranks: p}
+	// The ε/√d grid over all points is the cell-key codec: it names each
+	// point's cell. The dictionaries below are still assembled rank by rank.
+	grid := dbscan.BuildGrid(pts, side)
 
 	type cellInfo struct {
 		key   string
@@ -55,11 +57,9 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 		}
 
 		// Level-1: local cell sub-dictionary.
-		t0 := time.Now()                                      //mulint:allow determinism/time stats timing; never reaches clustering output
-		probe := dbscan.BuildGrid([]geom.Point{pts[0]}, side) // key codec helper
 		localCounts := make(map[string]int64)
 		for _, i := range local {
-			localCounts[probe.Key(probe.CoordsOf(pts[i]))]++
+			localCounts[grid.Keys[grid.Cell[i]]]++
 		}
 		// Serialize and allgather the sub-dictionaries (the locality-free
 		// all-to-all traffic characteristic of random partitioning).
@@ -74,10 +74,8 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 			buf = append(buf, mpi.EncodeInt64s([]int64{ci.count})...)
 		}
 		all := c.Allgather(buf)
-		build := time.Since(t0)
 
 		if rank == 0 {
-			t1 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 			recLen := 4*dim + 8
 			for _, b := range all {
 				for off := 0; off+recLen <= len(b); off += recLen {
@@ -102,7 +100,7 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 			uf := unionfind.New(len(coreCells))
 			coords := make([][]int32, len(coreCells))
 			for i, k := range coreCells {
-				coords[i] = probe.Unkey(k)
+				coords[i] = grid.Unkey(k)
 			}
 			// Two cells can hold ε-close points iff their min rectangle
 			// distance is below rho*eps; cell widths make Chebyshev radius
@@ -134,14 +132,14 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 			remap := make(map[int]int)
 			next := 0
 			for i := range pts {
-				k := probe.Key(probe.CoordsOf(pts[i]))
+				k := grid.Keys[grid.Cell[i]]
 				cl, ok := dense[k]
 				if !ok {
 					cl = -1
-					pc := probe.Unkey(k)
+					pc := grid.Unkey(k)
 					for _, dk := range denseKeys {
-						if dbscan.ChebyshevWithin(pc, probe.Unkey(dk), rad) &&
-							cellMinDist(pc, probe.Unkey(dk), side) <= rho*eps {
+						if dbscan.ChebyshevWithin(pc, grid.Unkey(dk), rad) &&
+							cellMinDist(pc, grid.Unkey(dk), side) <= rho*eps {
 							cl = dense[dk]
 							break
 						}
@@ -159,10 +157,8 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 				}
 				labels[i] = l
 			}
-			_ = time.Since(t1)
 		}
 		c.Barrier()
-		_ = build
 		return nil
 	})
 	if err != nil {
@@ -172,9 +168,8 @@ func RPDBSCAN(pts []geom.Point, eps float64, minPts, p int, rho float64, opts Op
 
 	// Approximate core flags: members of dense cells.
 	coreFlags := make([]bool, n)
-	probe := dbscan.BuildGrid([]geom.Point{pts[0]}, side)
 	for i := range pts {
-		if globalCounts[probe.Key(probe.CoordsOf(pts[i]))] >= int64(minPts) {
+		if globalCounts[grid.Keys[grid.Cell[i]]] >= int64(minPts) {
 			coreFlags[i] = true
 		}
 	}
