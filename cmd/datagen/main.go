@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -66,23 +67,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown -kind %q", *kind)
 	}
 
-	var w io.Writer
 	if *out == "-" {
-		w = stdout
-	} else {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+		return write(stdout, *format, pts)
 	}
-	switch *format {
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	// A failed Close is an error too: the points may not all have reached
+	// the file.
+	return errors.Join(write(f, *format, pts), f.Close())
+}
+
+// write encodes pts to w in the named format.
+func write(w io.Writer, format string, pts []geom.Point) error {
+	switch format {
 	case "csv":
 		return data.WriteCSV(w, pts)
 	case "bin":
 		return data.WriteBinary(w, pts)
 	default:
-		return fmt.Errorf("unknown -format %q (want csv or bin)", *format)
+		return fmt.Errorf("unknown -format %q (want csv or bin)", format)
 	}
 }

@@ -140,40 +140,40 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		}
 	}()
 
-	pts, err := data.ReadFile(*inPath, stdin)
+	set, err := data.ReadFile(*inPath, stdin)
 	if err != nil {
 		return err
 	}
-	if *suggest {
-		rows := make([][]float64, len(pts))
-		for i, p := range pts {
-			rows[i] = p
+	// The set is the only copy of the input: the seq, shared, cell, auto
+	// and stream engines run on it in place. Row views are made only for
+	// the calls that take rows.
+	rows := func() [][]float64 {
+		rows := make([][]float64, set.Len())
+		for i := range rows {
+			rows[i] = set.Row(i)
 		}
-		e, err := mudbscan.SuggestEps(rows, *minPts)
+		return rows
+	}
+	if *suggest {
+		e, err := mudbscan.SuggestEps(rows(), *minPts)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "%g\n", e)
 		return nil
 	}
-	rows := make([][]float64, len(pts))
-	for i, p := range pts {
-		rows[i] = p
-	}
 
 	if engine == mudbscan.EngineAuto && *stats {
-		// Named before the run: a use of rows after it would keep the row
-		// table alive through the whole run, and the peak RSS with it.
-		fmt.Fprintf(stderr, "engine=%s\n", mudbscan.ChooseEngine(rows, *eps, *minPts))
+		fmt.Fprintf(stderr, "engine=%s\n", mudbscan.ChooseEngine(rows(), *eps, *minPts))
 	}
 	start := time.Now()
 	var result *mudbscan.Result
 	if engine == mudbscan.EngineDist {
 		if netCfg != nil {
 			if netCfg.launch {
-				return runLaunch(*ranks, pts, *eps, *minPts, *stats, *outPath, stdout, stderr)
+				return runLaunch(*ranks, set.Points(), *eps, *minPts, *stats, *outPath, stdout, stderr)
 			}
-			return runNetRank(netCfg, pts, *eps, *minPts, *stats, *outPath, stdout, stderr, start)
+			return runNetRank(netCfg, set.Points(), *eps, *minPts, *stats, *outPath, stdout, stderr, start)
 		}
 		var distOpts []mudbscan.Option
 		if *distSer {
@@ -183,19 +183,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 			distOpts = append(distOpts, mudbscan.WithFaultInjection(*chSeed))
 		}
 		var st *mudbscan.DistStats
-		result, st, err = mudbscan.ClusterDistributed(rows, *eps, *minPts, *ranks, distOpts...)
+		result, st, err = mudbscan.ClusterDistributed(rows(), *eps, *minPts, *ranks, distOpts...)
 		if err == nil && *stats {
 			fmt.Fprintf(stderr, "n=%d ranks=%d m=%d halo=%d commBytes=%d wallclock=%v simulated=%v time=%v\n",
-				len(pts), st.Ranks, st.NumMCs, st.HaloPoints, st.Comm.TotalBytes(),
+				set.Len(), st.Ranks, st.NumMCs, st.HaloPoints, st.Comm.TotalBytes(),
 				st.WallClock, st.Phases.Total(), time.Since(start))
 			printReliability(stderr, st)
 		}
 	} else {
 		var st *mudbscan.SeqStats
-		result, st, err = mudbscan.ClusterWithStats(rows, *eps, *minPts, mudbscan.WithEngine(engine),
+		result, st, err = mudbscan.ClusterFlat(set.Data(), set.Dim(), *eps, *minPts, mudbscan.WithEngine(engine),
 			mudbscan.WithWorkers(*workers), mudbscan.WithStreamWindow(*lambda, *prune))
 		if err == nil && *stats {
-			printRunStats(stderr, len(pts), engine, st, *lambda, time.Since(start))
+			printRunStats(stderr, set.Len(), engine, st, *lambda, time.Since(start))
 		}
 	}
 	if err != nil {

@@ -217,13 +217,13 @@ func runClient(sub string, args []string, stdin io.Reader, stdout, stderr io.Wri
 		return w.Flush()
 	}
 
-	pts, err := data.ReadFile(*inPath, stdin)
+	set, err := data.ReadFile(*inPath, stdin)
 	if err != nil {
 		return err
 	}
-	rows := make([][]float64, len(pts))
-	for i, p := range pts {
-		rows[i] = p
+	rows := make([][]float64, set.Len())
+	for i := range rows {
+		rows[i] = set.Row(i)
 	}
 	id, err := cl.Put(rows)
 	if err != nil {

@@ -17,18 +17,21 @@ func KDistances(points [][]float64, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("mudbscan: k must be at least 1, got %d", k)
 	}
-	pts, err := validate(points, 1, 1)
+	set, err := validate(points, 1, 1)
 	if err != nil {
 		return nil, err
 	}
-	if len(pts) == 0 {
+	n := set.Len()
+	if n == 0 {
 		return nil, nil
 	}
-	tree := kdtree.Build(len(pts[0]), pts, nil)
-	out := make([]float64, 0, len(pts))
-	for _, p := range pts {
+	// The tree takes the copy validate made and reorders it, which leaves
+	// every point in the set once: the sorted k-distances do not change.
+	tree := kdtree.BuildSet(set, nil)
+	out := make([]float64, 0, n)
+	for i := 0; i < n; i++ {
 		// k+1 nearest including the point itself at distance 0.
-		_, dists := tree.KNN(p, k+1)
+		_, dists := tree.KNN(set.Point(i), k+1)
 		out = append(out, dists[len(dists)-1])
 	}
 	sort.Float64s(out)

@@ -56,3 +56,22 @@ func ExampleClusterWithStats() {
 	// micro-clusters: 1
 	// queries: 0
 }
+
+// Cluster a row-major block in place: point i is coords[2i : 2i+2]. The
+// block is the μR-tree's point store, not copied, and it is left unchanged.
+func ExampleClusterFlat() {
+	coords := []float64{
+		1.0, 1.0, 1.1, 1.0, 1.0, 1.1,
+		9.0, 9.0, 9.1, 9.0, 9.0, 9.1,
+		5.0, 5.0,
+	}
+	result, stats, err := mudbscan.ClusterFlat(coords, 2, 0.5, 3)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("labels:", result.Labels)
+	fmt.Println("micro-clusters:", stats.NumMCs)
+	// Output:
+	// labels: [0 0 0 1 1 1 -1]
+	// micro-clusters: 3
+}

@@ -92,7 +92,7 @@ func TestBuildMatchesSortedBuild(t *testing.T) {
 	}
 	inputs = append(inputs, input{"single point", []geom.Point{{3, -4}}, 1})
 	for _, in := range inputs {
-		got, want := build(in.pts, in.eps), buildSorted(in.pts, in.eps)
+		got, want := build(geom.PointSetFromPoints(len(in.pts[0]), in.pts), in.eps), buildSorted(in.pts, in.eps)
 		for _, f := range []struct {
 			name      string
 			got, want any

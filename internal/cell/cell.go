@@ -78,20 +78,16 @@ func cellCoord(v, side float64) int64 {
 // conversion saturates and everything shares one cell.
 const coordLimit = 1 << 52
 
-// Representable reports whether the grid can index pts at this ε: every
-// coordinate satisfies |v|/side < 2^52 (NaN and ±Inf do not). Run is exact
-// only for representable input; callers that take points from outside check
-// first and use the μR-tree engine, or reject the request, when it fails.
-func Representable[P ~[]float64](pts []P, eps float64) bool {
-	if len(pts) == 0 {
-		return true
-	}
-	lim := cellSide(eps, len(pts[0])) * coordLimit
-	for _, p := range pts {
-		for _, v := range p {
-			if !(math.Abs(v) < lim) {
-				return false
-			}
+// Representable reports whether the grid can index set at this ε: every
+// coordinate satisfies |v|/side < 2^52 (NaN and ±Inf do not). RunSet is
+// exact only for representable input; callers that take points from outside
+// check first and use the μR-tree engine, or reject the request, when it
+// fails.
+func Representable(set *geom.PointSet, eps float64) bool {
+	lim := cellSide(eps, set.Dim()) * coordLimit
+	for _, v := range set.Data() {
+		if !(math.Abs(v) < lim) {
+			return false
 		}
 	}
 	return true
@@ -130,9 +126,9 @@ func (ix *index) numCells() int { return len(ix.start) - 1 }
 // points, and the comparator walks d words — and a stable counting sort by
 // cell rank then puts the points in place, ids ascending within each cell
 // for free.
-func build(pts []geom.Point, eps float64) *index {
-	n := len(pts)
-	dim := len(pts[0])
+func build(set *geom.PointSet, eps float64) *index {
+	n := set.Len()
+	dim := set.Dim()
 	ix := &index{
 		dim:  dim,
 		side: cellSide(eps, dim),
@@ -149,9 +145,9 @@ func build(pts []geom.Point, eps float64) *index {
 	var tuples []int64                    // provisional cell c is tuples[c*dim : (c+1)*dim]
 	group := make([]int32, n)             // provisional cell of each point
 	tuple := make([]int64, dim)
-	for i, p := range pts {
+	for i := range group {
 		var h uint64
-		for j, v := range p {
+		for j, v := range set.Row(i) {
 			tuple[j] = cellCoord(v, ix.side)
 			h = (h + uint64(tuple[j])) * 0x9E3779B97F4A7C15
 		}
@@ -206,7 +202,7 @@ func build(pts []geom.Point, eps float64) *index {
 	ix.set = geom.NewPointSet(dim, n)
 	ix.posIDs = make([]int, n)
 	for pos, orig := range ix.ids {
-		ix.set.Append(pts[orig])
+		ix.set.AppendRow(set.Row(int(orig)))
 		ix.posIDs[pos] = pos
 	}
 	return ix

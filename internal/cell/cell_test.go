@@ -123,7 +123,7 @@ func TestNeighborsIntoZeroAllocs(t *testing.T) {
 		pts[i] = geom.Point{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
 	}
 	eps := 0.8
-	ix := build(pts, eps)
+	ix := build(geom.PointSetFromPoints(len(pts[0]), pts), eps)
 	ix.buildAdjacency(1)
 
 	nb := make([]int, 0, len(pts))
@@ -148,7 +148,7 @@ func TestNeighborsIntoMatchesBruteScan(t *testing.T) {
 		pts[i] = geom.Point{rng.Float64() * 6, rng.Float64() * 6}
 	}
 	eps := 0.9
-	ix := build(pts, eps)
+	ix := build(geom.PointSetFromPoints(len(pts[0]), pts), eps)
 	ix.buildAdjacency(1)
 	kern := geom.KernelFor(2)
 	var nb []int
@@ -241,7 +241,11 @@ func TestRepresentable(t *testing.T) {
 		{"Inf", []geom.Point{{0, math.Inf(1)}}, false},
 	}
 	for _, c := range cases {
-		if got := Representable(c.pts, eps); got != c.want {
+		set := geom.NewPointSet(2, len(c.pts))
+		for _, p := range c.pts {
+			set.Append(p)
+		}
+		if got := Representable(set, eps); got != c.want {
 			t.Errorf("%s: Representable = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -252,7 +256,7 @@ func TestRepresentable(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{base + rng.Float64()*14, base + rng.Float64()*14}
 	}
-	if !Representable(pts, eps) {
+	if !Representable(geom.PointSetFromPoints(2, pts), eps) {
 		t.Fatal("offset box inside the bound reported unrepresentable")
 	}
 	want, _ := dbscan.Brute(pts, eps, 4)

@@ -71,9 +71,20 @@ const ctrStride = 8
 // Run clusters pts with the grid cell engine and returns the exact DBSCAN
 // result — byte-identical to dbscan.Brute for every input that satisfies
 // Representable, which the caller must have checked — plus run statistics.
+// It is RunSet over a copy of pts.
 func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
-	st := &Stats{}
 	if len(pts) == 0 {
+		return &clustering.Result{}, &Stats{}
+	}
+	return RunSet(geom.PointSetFromPoints(len(pts[0]), pts), eps, minPts, opts)
+}
+
+// RunSet is Run over a set (Representable must hold). The set is only
+// read: the grid keeps its own copy of the rows, reordered by cell.
+func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
+	st := &Stats{}
+	n := set.Len()
+	if n == 0 {
 		return &clustering.Result{}, st
 	}
 	workers := opts.Workers
@@ -81,10 +92,9 @@ func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.R
 		workers = runtime.GOMAXPROCS(0)
 	}
 	st.Workers = workers
-	n := len(pts)
 
 	t0 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	ix := build(pts, eps)
+	ix := build(set, eps)
 	st.Steps.Build = time.Since(t0)
 	st.Cells = ix.numCells()
 

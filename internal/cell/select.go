@@ -1,6 +1,10 @@
 package cell
 
-import "sort"
+import (
+	"sort"
+
+	"mudbscan/internal/geom"
+)
 
 // maxProfileSample bounds the sample pass of the auto-selector: a stride
 // sample of ≤1024 points is hashed to cells, so profiling costs O(sample)
@@ -38,22 +42,34 @@ func (p Profile) MeanOccupancy() float64 {
 // and no randomness. pts must be rectangular with finite coordinates (the
 // mudbscan entry points validate; an empty input yields a zero Profile).
 func Sample[P ~[]float64](pts []P, eps float64, minPts int) Profile {
-	p := Profile{N: len(pts), MinPts: minPts}
-	if len(pts) == 0 || len(pts[0]) == 0 {
+	dim := 0
+	if len(pts) > 0 {
+		dim = len(pts[0])
+	}
+	return sample(len(pts), dim, func(i int) []float64 { return pts[i] }, eps, minPts)
+}
+
+// Prefer reports whether the auto-selector runs this engine on set: the
+// sample profile favors the grid (Decide) and the grid can index every
+// coordinate (Representable).
+func Prefer(set *geom.PointSet, eps float64, minPts int) bool {
+	return Decide(sample(set.Len(), set.Dim(), set.Row, eps, minPts)) && Representable(set, eps)
+}
+
+// sample profiles the n dim-dimensional rows row returns.
+func sample(n, dim int, row func(int) []float64, eps float64, minPts int) Profile {
+	p := Profile{N: n, MinPts: minPts}
+	if n == 0 || dim == 0 {
 		return p
 	}
-	p.Dim = len(pts[0])
+	p.Dim = dim
 	side := cellSide(eps, p.Dim)
 
-	k := len(pts)
-	if k > maxProfileSample {
-		k = maxProfileSample
-	}
-	stride := len(pts) / k
+	k := min(n, maxProfileSample)
+	stride := n / k
 	sc := make([]int64, 0, k*p.Dim)
 	for i := 0; i < k; i++ {
-		row := pts[i*stride]
-		for _, v := range row {
+		for _, v := range row(i * stride) {
 			sc = append(sc, cellCoord(v, side))
 		}
 	}
@@ -61,7 +77,6 @@ func Sample[P ~[]float64](pts []P, eps float64, minPts int) Profile {
 
 	// Count distinct cells and the hottest one by sorting the sample keys
 	// and walking the runs.
-	dim := p.Dim
 	idx := make([]int, k)
 	for i := range idx {
 		idx[i] = i

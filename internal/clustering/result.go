@@ -171,10 +171,16 @@ func CheckBorders(pts []geom.Point, eps float64, r *Result) error {
 // FromUnionLabels converts raw union-find component ids into a dense Result:
 // components containing at least one core point become clusters numbered by
 // first appearance; all other points become noise unless they are core
-// (which would be a bug caught by Validate).
-func FromUnionLabels(component []int, core []bool) *Result {
-	clusterOf := make(map[int]int)
-	hasCore := make(map[int]bool)
+// (which would be a bug caught by Validate). Component ids are small
+// non-negative integers — union-find representatives are point indices — so
+// the component tables are two dense slices indexed by id, not maps.
+func FromUnionLabels[C int | int32](component []C, core []bool) *Result {
+	ids := 0
+	for _, comp := range component {
+		ids = max(ids, int(comp)+1)
+	}
+	clusterOf := make([]int32, ids) // a component's label+1, 0 until numbered
+	hasCore := make([]bool, ids)
 	for i, comp := range component {
 		if core[i] {
 			hasCore[comp] = true
@@ -187,13 +193,11 @@ func FromUnionLabels(component []int, core []bool) *Result {
 			labels[i] = Noise
 			continue
 		}
-		l, ok := clusterOf[comp]
-		if !ok {
-			l = next
-			clusterOf[comp] = l
+		if clusterOf[comp] == 0 {
 			next++
+			clusterOf[comp] = int32(next)
 		}
-		labels[i] = l
+		labels[i] = int(clusterOf[comp]) - 1
 	}
 	return &Result{Labels: labels, Core: core, NumClusters: next}
 }

@@ -1,6 +1,8 @@
 package clustering
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,5 +139,60 @@ func TestFromUnionLabels(t *testing.T) {
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fromUnionLabelsMaps is the map-based FromUnionLabels the dense one
+// replaced; it is the reference the dense tables are held to.
+func fromUnionLabelsMaps(component []int, core []bool) *Result {
+	clusterOf := make(map[int]int)
+	hasCore := make(map[int]bool)
+	for i, comp := range component {
+		if core[i] {
+			hasCore[comp] = true
+		}
+	}
+	labels := make([]int, len(component))
+	next := 0
+	for i, comp := range component {
+		if !hasCore[comp] {
+			labels[i] = Noise
+			continue
+		}
+		l, ok := clusterOf[comp]
+		if !ok {
+			l = next
+			clusterOf[comp] = l
+			next++
+		}
+		labels[i] = l
+	}
+	return &Result{Labels: labels, Core: core, NumClusters: next}
+}
+
+// TestFromUnionLabelsMatchesMaps: on random component arrays — ids below n
+// as union-find gives them, and ids up to 2n as the cell engine gives them —
+// the dense tables number clusters exactly as the maps did, whether the ids
+// come as int or int32.
+func TestFromUnionLabelsMatchesMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(60)
+		span := 1 + rng.Intn(2*n+1)
+		comp := make([]int, n)
+		comp32 := make([]int32, n)
+		core := make([]bool, n)
+		for i := range comp {
+			comp[i] = rng.Intn(span)
+			comp32[i] = int32(comp[i])
+			core[i] = rng.Intn(3) == 0
+		}
+		want := fromUnionLabelsMaps(comp, core)
+		if got := FromUnionLabels(comp, core); !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: []int: %v, maps %v", trial, got.Labels, want.Labels)
+		}
+		if got := FromUnionLabels(comp32, core); !reflect.DeepEqual(want, got) {
+			t.Fatalf("trial %d: []int32: %v, maps %v", trial, got.Labels, want.Labels)
+		}
 	}
 }

@@ -120,17 +120,28 @@ func (s *Stats) QuerySavedPct() float64 {
 }
 
 // Run clusters pts with μDBSCAN and returns the exact DBSCAN result together
-// with run statistics.
+// with run statistics. It is RunSet over a copy of pts.
 func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
-	lr := RunLocal(pts, eps, minPts, len(pts), opts)
 	if len(pts) == 0 {
-		return &clustering.Result{}, lr.Stats
+		return &clustering.Result{}, &Stats{}
 	}
-	comp := make([]int, len(pts))
-	for i, c := range lr.Comp {
-		comp[i] = int(c)
+	return RunSet(geom.PointSetFromPoints(len(pts[0]), pts), eps, minPts, opts)
+}
+
+// RunSet is Run over a set the μR-tree adopts (mc.Builder.Adopt): the
+// coordinates are read in place and never written or copied.
+func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
+	if set.Len() == 0 {
+		return &clustering.Result{}, &Stats{}
 	}
-	return clustering.FromUnionLabels(comp, lr.Core), lr.Stats
+	lr := adoptLocal(set, eps, minPts, opts).Finish(nil)
+	return clustering.FromUnionLabels(lr.Comp, lr.Core), lr.Stats
+}
+
+// adoptLocal is StartLocal over a set whose every point is local and which
+// the μR-tree adopts as its points.
+func adoptLocal(set *geom.PointSet, eps float64, minPts int, opts Options) *LocalBuild {
+	return startLocal(set.Dim(), set.Len(), eps, minPts, opts, func(b *mc.Builder) { b.Adopt(set) })
 }
 
 // Pair records a cross-partition link discovered during a distributed-local
@@ -201,20 +212,26 @@ type LocalBuild struct {
 // pass runs only after all points are added, so batch boundaries are
 // invisible to Algorithm 3.
 func StartLocal(localPts []geom.Point, eps float64, minPts int, opts Options) *LocalBuild {
+	return startLocal(len(localPts[0]), len(localPts), eps, minPts, opts, func(b *mc.Builder) { b.Add(localPts) })
+}
+
+// startLocal begins a run whose localCount local points the first batch
+// hands to the Builder.
+func startLocal(dim, localCount int, eps float64, minPts int, opts Options, first func(*mc.Builder)) *LocalBuild {
 	lb := &LocalBuild{
 		eps:        eps,
 		minPts:     minPts,
-		localCount: len(localPts),
+		localCount: localCount,
 		opts:       opts,
 		st:         &Stats{},
 	}
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	lb.b = mc.NewBuilder(len(localPts[0]), eps, minPts, mc.Options{
+	lb.b = mc.NewBuilder(dim, eps, minPts, mc.Options{
 		NoDeferral:    opts.NoDeferral,
 		SkipReachable: true,
 		Workers:       opts.Workers,
 	})
-	lb.b.Add(localPts)
+	first(lb.b)
 	lb.localBuildTime = time.Since(start)
 	return lb
 }

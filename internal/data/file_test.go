@@ -2,9 +2,11 @@ package data
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mudbscan/internal/geom"
@@ -32,11 +34,11 @@ func TestReadFileWriteLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := ReadFile(path, nil)
-		if err != nil || !reflect.DeepEqual(got, pts) {
+		if err != nil || !reflect.DeepEqual(got.Points(), pts) {
 			t.Fatalf("%s: %v, %v", f.name, got, err)
 		}
 	}
-	if got, err := ReadFile("-", bytes.NewReader(csv.Bytes())); err != nil || !reflect.DeepEqual(got, pts) {
+	if got, err := ReadFile("-", bytes.NewReader(csv.Bytes())); err != nil || !reflect.DeepEqual(got.Points(), pts) {
 		t.Fatalf("stdin: %v, %v", got, err)
 	}
 	if _, err := ReadFile(filepath.Join(dir, "none.csv"), nil); err == nil {
@@ -65,5 +67,44 @@ func TestReadFileWriteLabels(t *testing.T) {
 	}
 	if err := WriteLabels(filepath.Join(dir, "no", "such", "dir"), nil, labels); err == nil {
 		t.Fatal("write into a missing directory succeeded")
+	}
+}
+
+// TestBlockReadFileAllocBudget: ReadFile parses into one block. CSV fills
+// fixed-size blocks and joins them once, so it allocates at most two copies
+// of the coordinates plus 1 MiB; the binary format knows its size from the
+// file and allocates one copy plus 64 KiB.
+func TestBlockReadFileAllocBudget(t *testing.T) {
+	const n, dim = 20000, 5
+	pts := HouseholdLike(n, dim, 1)
+	dir := t.TempDir()
+	for _, f := range []struct {
+		name   string
+		write  func(io.Writer, []geom.Point) error
+		budget uint64
+	}{
+		{"p.csv", WriteCSV, 2*8*n*dim + 1<<20},
+		{"p.bin", WriteBinary, 8*n*dim + 64<<10},
+	} {
+		var buf bytes.Buffer
+		if err := f.write(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		set, err := ReadFile(path, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || set.Len() != n || set.Dim() != dim {
+			t.Fatalf("%s: %v, %v", f.name, set, err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes allocated, budget %d", f.name, got, f.budget)
+		if got > f.budget {
+			t.Errorf("%s: ReadFile allocated %d bytes, budget %d", f.name, got, f.budget)
+		}
 	}
 }

@@ -39,22 +39,34 @@ func WriteCSV(w io.Writer, pts []geom.Point) error {
 	return bw.Flush()
 }
 
-// csvChunk is how many coordinates ReadCSV allocates at a time. Rows are
-// carved from such blocks, so a dataset is a few allocations, not one a row.
+// csvChunk is how many coordinates the CSV parser fills before it starts
+// the next block. Rows never straddle two blocks, and the blocks are joined
+// into the set's one block at the end, so a dataset is a few allocations,
+// not one a row.
 const csvChunk = 1 << 16
 
-// ReadCSV parses points from comma- or whitespace-separated lines. Empty
-// lines and lines starting with '#' are skipped. All rows must share one
-// dimensionality.
+// ReadCSV parses points from comma- or whitespace-separated lines: the rows
+// of readCSV's set, as views into its one block.
+func ReadCSV(r io.Reader) ([]geom.Point, error) {
+	set, err := readCSV(r)
+	if err != nil {
+		return nil, err
+	}
+	return set.Points(), nil
+}
+
+// readCSV parses points from comma- or whitespace-separated lines into one
+// row-major set. Empty lines and lines starting with '#' are skipped.
+// All rows must share one dimensionality; an input without rows gives an
+// empty one-dimensional set.
 //
 // Lines are parsed as bytes: the separators are ASCII, so splitting bytes is
-// splitting runes, and no string or field slice is made per line. The rows
-// returned are capacity-capped views into shared blocks.
-func ReadCSV(r io.Reader) ([]geom.Point, error) {
-	var pts []geom.Point
-	var block []float64 // the current block; rows before len(block) are handed out
+// splitting runes, and no string or field slice is made per line.
+func readCSV(r io.Reader) (*geom.PointSet, error) {
+	var full [][]float64 // the blocks filled before block
+	var block []float64  // the block being filled
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	dim := -1
 	line := 0
 	for sc.Scan() {
@@ -66,6 +78,9 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 		// A line of L bytes holds at most L/2+1 fields; with room for those
 		// the row cannot outgrow its block half way.
 		if most := len(text)/2 + 1; cap(block)-len(block) < most {
+			if len(block) > 0 {
+				full = append(full, block)
+			}
 			block = make([]float64, 0, max(csvChunk, most))
 		}
 		start := len(block)
@@ -88,21 +103,35 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 			}
 			block = append(block, v)
 		}
-		p := geom.Point(block[start:len(block):len(block)])
-		if len(p) == 0 {
+		width := len(block) - start
+		if width == 0 {
 			continue
 		}
 		if dim == -1 {
-			dim = len(p)
-		} else if len(p) != dim {
-			return nil, fmt.Errorf("data: line %d has %d coordinates, want %d", line, len(p), dim)
+			dim = width
+		} else if width != dim {
+			return nil, fmt.Errorf("data: line %d has %d coordinates, want %d", line, width, dim)
 		}
-		pts = append(pts, p)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return pts, nil
+	if dim == -1 {
+		return geom.NewPointSet(1, 0), nil
+	}
+	if len(full) == 0 {
+		return geom.AdoptPointSet(dim, block), nil
+	}
+	full = append(full, block)
+	n := 0
+	for _, b := range full {
+		n += len(b)
+	}
+	coords := make([]float64, 0, n)
+	for _, b := range full {
+		coords = append(coords, b...)
+	}
+	return geom.AdoptPointSet(dim, coords), nil
 }
 
 // WriteBinary writes points in the compact binary format:
@@ -135,8 +164,23 @@ func WriteBinary(w io.Writer, pts []geom.Point) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a dataset written by WriteBinary.
+// ReadBinary reads a dataset written by WriteBinary: the rows of
+// readBinary's set, as views into its one block.
 func ReadBinary(r io.Reader) ([]geom.Point, error) {
+	set, err := readBinary(r, -1)
+	if err != nil {
+		return nil, err
+	}
+	return set.Points(), nil
+}
+
+// readBinary reads a dataset written by WriteBinary, from an input of size
+// bytes (−1 when unknown), into one row-major set. The header sizes the
+// block in one allocation only when the input is known to hold the body it
+// declares: otherwise the block grows as the body arrives, so a hostile
+// header cannot trigger a huge allocation before the (truncated) body is
+// read.
+func readBinary(r io.Reader, size int64) (*geom.PointSet, error) {
 	br := bufio.NewReader(r)
 	hdr := make([]byte, 16)
 	if _, err := io.ReadFull(br, hdr); err != nil {
@@ -147,50 +191,50 @@ func ReadBinary(r io.Reader) ([]geom.Point, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(hdr[4:]))
 	n := int(binary.LittleEndian.Uint64(hdr[8:]))
-	if dim <= 0 || dim > 1<<16 || n < 0 {
+	if dim <= 0 || dim > 1<<16 || n < 0 || n > math.MaxInt/(8*dim) {
 		return nil, fmt.Errorf("data: implausible header dim=%d n=%d", dim, n)
 	}
-	flat := make([]byte, 8*dim)
-	// Grow incrementally: a hostile header must not trigger a huge
-	// allocation before the (truncated) body is read.
-	capHint := n
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	want := min(n*dim, 1<<20)
+	if size >= int64(len(hdr))+8*int64(n*dim) {
+		want = n * dim
 	}
-	pts := make([]geom.Point, 0, capHint)
+	coords := make([]float64, 0, want)
+	flat := make([]byte, 8*dim)
 	for i := 0; i < n; i++ {
 		if _, err := io.ReadFull(br, flat); err != nil {
 			return nil, fmt.Errorf("data: truncated at point %d: %v", i, err)
 		}
-		p := make(geom.Point, dim)
 		for j := 0; j < dim; j++ {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(flat[8*j:]))
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("data: point %d has non-finite coordinate", i)
 			}
-			p[j] = v
+			coords = append(coords, v)
 		}
-		pts = append(pts, p)
 	}
-	return pts, nil
+	return geom.AdoptPointSet(dim, coords), nil
 }
 
-// ReadFile reads the dataset at path: the binary format when the name ends
-// in ".bin", CSV otherwise. Path "-" reads CSV from stdin.
-func ReadFile(path string, stdin io.Reader) ([]geom.Point, error) {
-	r := stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
+// ReadFile reads the dataset at path into one row-major set: the binary
+// format when the name ends in ".bin", CSV otherwise. Path "-" reads CSV
+// from stdin.
+func ReadFile(path string, stdin io.Reader) (*geom.PointSet, error) {
+	if path == "-" {
+		return readCSV(stdin)
 	}
-	if strings.HasSuffix(path, ".bin") {
-		return ReadBinary(r)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return ReadCSV(r)
+	defer f.Close()
+	if !strings.HasSuffix(path, ".bin") {
+		return readCSV(f)
+	}
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	return readBinary(f, size)
 }
 
 // WriteLabels writes one cluster label per line to the file at path, or to

@@ -32,6 +32,21 @@ func NewPointSet(dim, capPoints int) *PointSet {
 	return &PointSet{dim: dim, data: data}
 }
 
+// AdoptPointSet returns a set over data, a row-major block of
+// len(data)/dim points, without copying it: the set reads the caller's
+// coordinates in place. The block's capacity is capped at its length, so an
+// Append to the set reallocates instead of writing past the caller's rows.
+// It panics if dim is not positive or len(data) is not a multiple of dim.
+func AdoptPointSet(dim int, data []float64) *PointSet {
+	if dim <= 0 {
+		panic("geom: PointSet dimension must be positive")
+	}
+	if len(data)%dim != 0 {
+		panic(fmt.Sprintf("geom: block of %d coordinates is not a whole number of %d-dim rows", len(data), dim))
+	}
+	return &PointSet{dim: dim, data: data[:len(data):len(data)]}
+}
+
 // PointSetFromPoints copies pts into a fresh contiguous PointSet. Every point
 // must have dimensionality dim.
 func PointSetFromPoints(dim int, pts []Point) *PointSet {
@@ -78,6 +93,20 @@ func (s *PointSet) Row(i int) []float64 {
 
 // Point returns point i as a geom.Point view (see Row for aliasing rules).
 func (s *PointSet) Point(i int) Point { return Point(s.Row(i)) }
+
+// Points returns one view per row, in row order (see Row for aliasing
+// rules): the []Point form of the set, without copying coordinates. It is
+// nil for an empty set.
+func (s *PointSet) Points() []Point {
+	if s.Len() == 0 {
+		return nil
+	}
+	pts := make([]Point, s.Len())
+	for i := range pts {
+		pts[i] = s.Point(i)
+	}
+	return pts
+}
 
 // Coord returns coordinate axis of point i without materializing a row view.
 func (s *PointSet) Coord(i, axis int) float64 { return s.data[i*s.dim+axis] }

@@ -102,3 +102,30 @@ func TestOverlapsRegionMatchesRegion(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptPointSet: the set reads the caller's block in place, its
+// capacity is capped so an Append reallocates, and a block that is not a
+// whole number of rows is refused.
+func TestAdoptPointSet(t *testing.T) {
+	backing := []float64{1, 2, 3, 4, 99, 99}
+	s := AdoptPointSet(2, backing[:4])
+	if s.Len() != 2 || &s.Data()[0] != &backing[0] || cap(s.Data()) != 4 {
+		t.Fatalf("Len %d, cap %d, shares %v", s.Len(), cap(s.Data()), &s.Data()[0] == &backing[0])
+	}
+	s.Append(Point{5, 6})
+	if backing[4] != 99 || backing[5] != 99 {
+		t.Fatal("Append wrote past the adopted block")
+	}
+	if got := s.Points(); len(got) != 3 || !got[2].Equal(Point{5, 6}) {
+		t.Fatalf("Points = %v", got)
+	}
+	if AdoptPointSet(3, nil).Points() != nil {
+		t.Fatal("an empty set's Points is not nil")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a ragged block was adopted")
+		}
+	}()
+	AdoptPointSet(3, backing[:4])
+}

@@ -8,7 +8,8 @@
 // requires dist(point, center) < ε — the same strict inequality as the
 // DBSCAN ε-neighborhood, so that MC(p) ⊆ N_ε(center).
 //
-// Point coordinates live in one contiguous geom.PointSet owned by the Index;
+// Point coordinates live in one contiguous geom.PointSet, which the Index
+// either copies the points into (Add) or adopts from the caller (Adopt);
 // member points are identified by their row index. Every loop over
 // candidates sums its distances inside one of geom's loop kernels: the leaf
 // scans of the auxiliary trees (block), the centre grid's chains (linked),
@@ -117,7 +118,8 @@ type Index struct {
 	// PointMC maps a dataset index to the id of its micro-cluster.
 	PointMC []int32
 	// Points holds the dataset the index was built over, contiguous and in
-	// id order. Treat it as read-only.
+	// id order: the caller's own block when the Builder adopted it. Treat it
+	// as read-only.
 	Points *geom.PointSet
 	// CenterDist[i] is the distance (not squared) from point i to the centre
 	// of its own micro-cluster, 0 for a centre: the kernel value finalize
@@ -203,23 +205,30 @@ func (ix *Index) AuxSphereDistInto(k int, p geom.Point, r float64, dst []int, di
 // (to limit the number of MCs); otherwise it seeds a new MC. Deferred points
 // are then inserted (joining an MC within ε or seeding one). Finally the
 // auxiliary R-trees, inner circles, kinds and reachable lists are computed.
+// It is BuildSet over a copy of pts.
 func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 	if len(pts) == 0 {
 		panic("mc: empty dataset")
 	}
-	b := NewBuilder(len(pts[0]), eps, minPts, opts)
-	b.Add(pts)
+	return BuildSet(geom.PointSetFromPoints(len(pts[0]), pts), eps, minPts, opts)
+}
+
+// BuildSet is Build over a set the Index adopts as its Points (see
+// Builder.Adopt): the coordinates are read in place, never copied.
+func BuildSet(set *geom.PointSet, eps float64, minPts int, opts Options) *Index {
+	b := NewBuilder(set.Dim(), eps, minPts, opts)
+	b.Adopt(set)
 	return b.Finish()
 }
 
 // Builder constructs an Index incrementally: points arrive in one or more
-// Add batches and Finish runs the deferred-point pass plus finalization.
-// Feeding the same points in the same order through any batch split yields
-// an Index identical to a single Build call, because Algorithm 3's scan is
-// one-point-at-a-time and the deferred pass runs only once, after all
-// points are known. μDBSCAN-D uses this to overlap the halo exchange with
-// μR-tree construction: the rank Adds its local points while the halo
-// payloads are in flight, then Adds the halo points and Finishes.
+// batches (Adopt or Add, then Add) and Finish runs the deferred-point pass
+// plus finalization. Feeding the same points in the same order through any
+// batch split yields an Index identical to a single Build call, because
+// Algorithm 3's scan is one-point-at-a-time and the deferred pass runs only
+// once, after all points are known. μDBSCAN-D uses this to overlap the halo
+// exchange with μR-tree construction: the rank Adds its local points while
+// the halo payloads are in flight, then Adds the halo points and Finishes.
 //
 // The scan probes the Index's centre directory, which the Index keeps. The
 // directory's answers are exact and its nearest tie rule does not depend on
@@ -258,17 +267,43 @@ func newBuilder(dim int, eps float64, minPts int, opts Options, dir centerDirect
 	}
 }
 
-// Add scans the batch per Algorithm 3. Point ids continue from previous
-// batches. Coordinates are copied into the Index's contiguous point store.
+// Adopt makes set the Builder's first batch without copying it: the Index's
+// Points reads set's backing array in place, so the caller must not write
+// to it while the Builder or the Index is in use. Its capacity is capped
+// (geom.AdoptPointSet), so a later Add reallocates rather than writing past
+// set's rows. It panics after any earlier batch.
+func (b *Builder) Adopt(set *geom.PointSet) {
+	if b.finished || b.ix.Points.Len() > 0 {
+		panic("mc: Adopt after the first batch")
+	}
+	if set.Dim() != b.ix.Dim {
+		panic(fmt.Sprintf("mc: adopting %d-dim points into a %d-dim Builder", set.Dim(), b.ix.Dim))
+	}
+	b.ix.Points = geom.AdoptPointSet(set.Dim(), set.Data())
+	b.scan(0)
+}
+
+// Add copies the batch into the Index's contiguous point store and scans
+// it. Point ids continue from previous batches.
 func (b *Builder) Add(pts []geom.Point) {
 	if b.finished {
 		panic("mc: Add after Finish")
 	}
-	ix := b.ix
-	ix.Points.Grow(len(pts))
-	ix.PointMC = slices.Grow(ix.PointMC, len(pts))
+	from := b.ix.Points.Len()
+	b.ix.Points.Grow(len(pts))
 	for _, p := range pts {
-		i := ix.Points.Append(p)
+		b.ix.Points.Append(p)
+	}
+	b.scan(from)
+}
+
+// scan runs Algorithm 3 over the stored points from row from on.
+func (b *Builder) scan(from int) {
+	ix := b.ix
+	n := ix.Points.Len()
+	ix.PointMC = slices.Grow(ix.PointMC, n-from)
+	for i := from; i < n; i++ {
+		p := ix.Points.Point(i)
 		ix.PointMC = append(ix.PointMC, -1)
 		// The tight ε-radius nearest-center search succeeds for most points
 		// on dense data; only the misses pay for the wider 2ε existence

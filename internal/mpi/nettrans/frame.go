@@ -77,6 +77,13 @@ func putHeader(b []byte, magic uint32, tag int64, n uint32) {
 	binary.LittleEndian.PutUint32(b[12:], n)
 }
 
+// PutHeader fills in the header of frame, whose first HeaderLen bytes were
+// left free for it and whose payload is the rest: a sender that builds its
+// payload behind the header space writes the frame without copying it.
+func PutHeader(frame []byte, magic uint32, tag int64) {
+	putHeader(frame, magic, tag, uint32(len(frame)-headerLen))
+}
+
 // AppendFrame appends one complete wire frame to dst and returns the
 // extended slice. A caller that owns dst and recycles it across writes
 // (dst[:0]) produces frames without allocating once the buffer has warmed —

@@ -11,15 +11,13 @@ import (
 	"mudbscan/internal/mc"
 )
 
-// dataset is one stored point set: a contiguous row-major coordinate block
-// plus two zero-copy views over it — rows for the mudbscan.Cluster* API and
-// pts for mc.Build. All three alias the same immutable backing array.
+// dataset is one stored point set: one row-major coordinate block, decoded
+// once from the Put body and adopted, never copied. The ε-query indexes adopt
+// it as their points and jobs cluster it in place, so it is read-only for
+// as long as the store holds it.
 type dataset struct {
-	id   DatasetID
-	dim  int
-	data []float64
-	rows [][]float64
-	pts  []geom.Point
+	id  DatasetID
+	set *geom.PointSet
 }
 
 // store holds uploaded datasets by content hash. Re-uploading identical data
@@ -59,7 +57,8 @@ func hashDataset(dim, n int, coords []float64) DatasetID {
 	return id
 }
 
-// put stores a dataset built from row-major coords, returning its id.
+// put stores the dataset of row-major coords, returning its id. The store
+// adopts coords: the caller must not write to it afterwards.
 func (st *store) put(dim int, coords []float64) (DatasetID, error) {
 	n := 0
 	if dim > 0 {
@@ -74,14 +73,7 @@ func (st *store) put(dim int, coords []float64) (DatasetID, error) {
 	if len(st.byID) >= st.max {
 		return DatasetID{}, ErrTooManyDatasets
 	}
-	data := append([]float64(nil), coords...)
-	rows := make([][]float64, n)
-	pts := make([]geom.Point, n)
-	for i := range rows {
-		rows[i] = data[i*dim : (i+1)*dim : (i+1)*dim]
-		pts[i] = geom.Point(rows[i])
-	}
-	st.byID[id] = &dataset{id: id, dim: dim, data: data, rows: rows, pts: pts}
+	st.byID[id] = &dataset{id: id, set: geom.AdoptPointSet(dim, coords)}
 	st.order = append(st.order, id)
 	return id, nil
 }
@@ -238,5 +230,5 @@ func (c *indexCache) build(k indexKey, ds *dataset, eps float64, minPts int) *mc
 	}
 	// Built outside the lock: construction is the expensive part and two
 	// racing builders produce interchangeable immutable indexes.
-	return c.put(k, mc.Build(ds.pts, eps, minPts, mc.Options{SkipReachable: true}))
+	return c.put(k, mc.BuildSet(ds.set, eps, minPts, mc.Options{SkipReachable: true}))
 }

@@ -53,7 +53,7 @@ func NewClient(conn net.Conn, tenant string) (*Client, error) {
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	if _, _, err := c.roundTrip(opHello, []byte(tenant)); err != nil {
+	if _, _, err := c.roundTrip(append(request(opHello, len(tenant)), tenant...)); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("server: hello: %w", err)
 	}
@@ -107,8 +107,18 @@ func (c *Client) readLoop() {
 	}
 }
 
-// start registers a fresh tag and sends op+body as one frame.
-func (c *Client) start(op byte, body []byte) (int64, chan response, error) {
+// request returns the start of a request frame: room for the frame
+// header, then the op byte, with capacity for a body of bodyLen bytes. The
+// caller appends the body and hands the frame to start, which fills the
+// header in, so a request is built in one buffer and never copied.
+func request(op byte, bodyLen int) []byte {
+	frame := make([]byte, nettrans.HeaderLen+1, nettrans.HeaderLen+1+bodyLen)
+	frame[nettrans.HeaderLen] = op
+	return frame
+}
+
+// start registers a fresh tag and sends frame, built by request.
+func (c *Client) start(frame []byte) (int64, chan response, error) {
 	c.mu.Lock()
 	if c.err != nil || c.closed {
 		err := c.err
@@ -124,10 +134,7 @@ func (c *Client) start(op byte, body []byte) (int64, chan response, error) {
 	c.pending[tag] = ch
 	c.mu.Unlock()
 
-	payload := make([]byte, 0, 1+len(body))
-	payload = append(payload, op)
-	payload = append(payload, body...)
-	frame := nettrans.EncodeFrame(ReqMagic, tag, payload)
+	nettrans.PutHeader(frame, ReqMagic, tag)
 	c.writeMu.Lock()
 	_, err := c.conn.Write(frame)
 	c.writeMu.Unlock()
@@ -163,8 +170,8 @@ func (c *Client) wait(ch chan response) (byte, []byte, error) {
 	return resp.status, resp.body, nil
 }
 
-func (c *Client) roundTrip(op byte, body []byte) (byte, []byte, error) {
-	_, ch, err := c.start(op, body)
+func (c *Client) roundTrip(frame []byte) (byte, []byte, error) {
+	_, ch, err := c.start(frame)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -173,7 +180,7 @@ func (c *Client) roundTrip(op byte, body []byte) (byte, []byte, error) {
 
 // Ping round-trips an empty frame.
 func (c *Client) Ping() error {
-	_, _, err := c.roundTrip(opPing, nil)
+	_, _, err := c.roundTrip(request(opPing, 0))
 	return err
 }
 
@@ -184,18 +191,18 @@ func (c *Client) Put(rows [][]float64) (DatasetID, error) {
 		return DatasetID{}, fmt.Errorf("%w: empty dataset", ErrBadRequest)
 	}
 	dim := len(rows[0])
-	body := make([]byte, 0, 8+8*len(rows)*dim)
-	body = appendU32(body, uint32(dim))
-	body = appendU32(body, uint32(len(rows)))
+	frame := request(opPut, 8+8*len(rows)*dim)
+	frame = appendU32(frame, uint32(dim))
+	frame = appendU32(frame, uint32(len(rows)))
 	for i, row := range rows {
 		if len(row) != dim {
 			return DatasetID{}, fmt.Errorf("%w: row %d has dim %d, want %d", ErrBadRequest, i, len(row), dim)
 		}
 		for _, v := range row {
-			body = appendF64(body, v)
+			frame = appendF64(frame, v)
 		}
 	}
-	_, resp, err := c.roundTrip(opPut, body)
+	_, resp, err := c.roundTrip(frame)
 	if err != nil {
 		return DatasetID{}, err
 	}
@@ -207,14 +214,14 @@ func (c *Client) Put(rows [][]float64) (DatasetID, error) {
 	return id, nil
 }
 
-func clusterBody(id DatasetID, engine Engine, param int, eps float64, minPts int) []byte {
-	body := make([]byte, 0, len(id)+1+4+8+4)
-	body = append(body, id[:]...)
-	body = append(body, byte(engine))
-	body = appendU32(body, uint32(param))
-	body = appendF64(body, eps)
-	body = appendU32(body, uint32(minPts))
-	return body
+func clusterFrame(id DatasetID, engine Engine, param int, eps float64, minPts int) []byte {
+	frame := request(opCluster, len(id)+1+4+8+4)
+	frame = append(frame, id[:]...)
+	frame = append(frame, byte(engine))
+	frame = appendU32(frame, uint32(param))
+	frame = appendF64(frame, eps)
+	frame = appendU32(frame, uint32(minPts))
+	return frame
 }
 
 // Pending is an in-flight clustering job: Wait for the result, or pass Tag
@@ -227,7 +234,7 @@ type Pending struct {
 
 // ClusterStart submits a clustering job without waiting.
 func (c *Client) ClusterStart(id DatasetID, eps float64, minPts int, engine Engine, param int) (*Pending, error) {
-	tag, ch, err := c.start(opCluster, clusterBody(id, engine, param, eps, minPts))
+	tag, ch, err := c.start(clusterFrame(id, engine, param, eps, minPts))
 	if err != nil {
 		return nil, err
 	}
@@ -282,8 +289,7 @@ func decodeResult(body []byte) (*clustering.Result, error) {
 // It reports true if the job was still queued (its Wait fails with
 // ErrCanceled); false means it already ran or never existed.
 func (c *Client) Cancel(tag int64) (bool, error) {
-	body := appendI64(nil, tag)
-	_, resp, err := c.roundTrip(opCancel, body)
+	_, resp, err := c.roundTrip(appendI64(request(opCancel, 8), tag))
 	if err != nil {
 		return false, err
 	}
@@ -296,8 +302,8 @@ func (c *Client) Cancel(tag int64) (bool, error) {
 // EpsQuery returns the sorted ids of every dataset point strictly within
 // eps of pt, served through the daemon's cached μR-tree index.
 func (c *Client) EpsQuery(id DatasetID, eps float64, minPts int, pt []float64) ([]int, error) {
-	body := appendEpsQuery(make([]byte, 0, len(id)+8+4+4+8*len(pt)), id, eps, minPts, pt)
-	_, resp, err := c.roundTrip(opEpsQuery, body)
+	frame := appendEpsQuery(request(opEpsQuery, len(id)+8+4+4+8*len(pt)), id, eps, minPts, pt)
+	_, resp, err := c.roundTrip(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -347,14 +353,14 @@ type StreamHandle struct {
 // expire once their exp(-lambda·age) weight falls below pruneBelow (0 keeps
 // the server default).
 func (c *Client) StreamOpen(dim int, eps float64, minPts int, lambda, pruneBelow float64) (*StreamHandle, error) {
-	body := make([]byte, 0, 4+4+4+8+8+8)
-	body = appendU32(body, uint32(dim))
-	body = appendU32(body, uint32(minPts))
-	body = appendU32(body, 0) // reserved
-	body = appendF64(body, eps)
-	body = appendF64(body, lambda)
-	body = appendF64(body, pruneBelow)
-	_, resp, err := c.roundTrip(opStreamOpen, body)
+	frame := request(opStreamOpen, 4+4+4+8+8+8)
+	frame = appendU32(frame, uint32(dim))
+	frame = appendU32(frame, uint32(minPts))
+	frame = appendU32(frame, 0) // reserved
+	frame = appendF64(frame, eps)
+	frame = appendF64(frame, lambda)
+	frame = appendF64(frame, pruneBelow)
+	_, resp, err := c.roundTrip(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -372,18 +378,18 @@ func (h *StreamHandle) Add(rows [][]float64) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	body := make([]byte, 0, 4+4+8*len(rows)*h.dim)
-	body = appendU32(body, h.sid)
-	body = appendU32(body, uint32(len(rows)))
+	frame := request(opStreamAdd, 4+4+8*len(rows)*h.dim)
+	frame = appendU32(frame, h.sid)
+	frame = appendU32(frame, uint32(len(rows)))
 	for i, row := range rows {
 		if len(row) != h.dim {
 			return fmt.Errorf("%w: row %d has dim %d, want %d", ErrBadRequest, i, len(row), h.dim)
 		}
 		for _, v := range row {
-			body = appendF64(body, v)
+			frame = appendF64(frame, v)
 		}
 	}
-	_, _, err := h.c.roundTrip(opStreamAdd, body)
+	_, _, err := h.c.roundTrip(frame)
 	return err
 }
 
@@ -391,8 +397,7 @@ func (h *StreamHandle) Add(rows [][]float64) error {
 // each window row's arrival sequence number (the i-th accepted point has
 // sequence i), so labels map back onto what was ingested.
 func (h *StreamHandle) Snapshot() (*clustering.Result, []int64, error) {
-	body := appendU32(nil, h.sid)
-	_, resp, err := h.c.roundTrip(opStreamSnap, body)
+	_, resp, err := h.c.roundTrip(appendU32(request(opStreamSnap, 4), h.sid))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -425,14 +430,13 @@ func (h *StreamHandle) Snapshot() (*clustering.Result, []int64, error) {
 
 // Close releases the session on the server.
 func (h *StreamHandle) Close() error {
-	body := appendU32(nil, h.sid)
-	_, _, err := h.c.roundTrip(opStreamClose, body)
+	_, _, err := h.c.roundTrip(appendU32(request(opStreamClose, 4), h.sid))
 	return err
 }
 
 // Stats fetches the daemon's counter snapshot as name→value pairs.
 func (c *Client) Stats() (map[string]int64, error) {
-	_, resp, err := c.roundTrip(opStats, nil)
+	_, resp, err := c.roundTrip(request(opStats, 0))
 	if err != nil {
 		return nil, err
 	}

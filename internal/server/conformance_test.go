@@ -295,7 +295,7 @@ func TestDaemonStreamSessionLimits(t *testing.T) {
 	// The reserved u32 is unused but range-checked.
 	body := appendU32(appendU32(appendU32(nil, 2), 3), maxSharedWork+1)
 	body = appendF64(appendF64(appendF64(body, 0.5), 0), 0)
-	if _, _, err := cl.roundTrip(opStreamOpen, body); !errors.Is(err, ErrBadRequest) {
+	if _, _, err := cl.roundTrip(append(request(opStreamOpen, len(body)), body...)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("reserved field out of range: got %v, want ErrBadRequest", err)
 	}
 

@@ -274,6 +274,14 @@ func (r *rbuf) rest() []byte {
 // done reports whether the buffer decoded cleanly and completely.
 func (r *rbuf) done() bool { return !r.err && len(r.b) == 0 }
 
+// left returns how many bytes are still unread (0 once failed).
+func (r *rbuf) left() int {
+	if r.err {
+		return 0
+	}
+	return len(r.b)
+}
+
 // Append helpers for the write side. All append into caller-owned buffers,
 // so warmed paths encode without allocating.
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mudbscan"
+	"mudbscan/internal/cell"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mc"
 	"mudbscan/internal/mpi/nettrans"
@@ -215,7 +216,7 @@ func (s *Server) worker() {
 // runJob executes one clustering job on its resolved engine and stores the
 // outcome in the result cache.
 func (s *Server) runJob(j *job) (*result, error) {
-	r, err := mudbscan.Cluster(j.ds.rows, j.eps, j.minPts,
+	r, _, err := mudbscan.ClusterFlat(j.ds.set.Data(), j.ds.set.Dim(), j.eps, j.minPts,
 		mudbscan.WithEngine(j.engine), mudbscan.WithWorkers(j.param))
 	if err != nil {
 		// ε, MinPts and every row were checked before the job was queued, so
@@ -250,7 +251,7 @@ type serverConn struct {
 	seen []uint64
 
 	qpt    []float64 // decoded ε-query point
-	coords []float64 // decoded Put coordinate block
+	coords []float64 // decoded stream-add coordinate block
 
 	// streams holds this connection's open stream sessions. Only the reader
 	// goroutine touches the map (stream ops are handled inline), so it needs
@@ -403,16 +404,18 @@ func (c *serverConn) handlePut(tag int64, r *rbuf) {
 		c.sendErr(tag, fmt.Errorf("%w: put wants dim in [1,%d] and n >= 1", ErrBadRequest, maxDim))
 		return
 	}
-	c.coords = r.f64sInto(c.coords, n*dim)
-	if !r.done() {
+	// The body is decoded once, into a block of exactly its size that the
+	// store adopts; its length is checked before the block is allocated.
+	if r.left() != 8*n*dim {
 		c.sendErr(tag, fmt.Errorf("%w: put body is not dim+n+%d coords", ErrBadRequest, n*dim))
 		return
 	}
-	if !allFinite(c.coords) {
+	coords := r.f64sInto(make([]float64, 0, n*dim), n*dim)
+	if !allFinite(coords) {
 		c.sendErr(tag, fmt.Errorf("%w: put coordinates must be finite", ErrBadRequest))
 		return
 	}
-	id, err := c.s.store.put(dim, c.coords)
+	id, err := c.s.store.put(dim, coords)
 	if err != nil {
 		c.sendErr(tag, err)
 		return
@@ -437,9 +440,9 @@ func known(e Engine) bool {
 }
 
 // resolve applies the daemon's own engine policy to a wire (engine, param)
-// pair: auto's choice (the grid cell engine whenever mudbscan.ChooseEngine
-// picks it, otherwise seq below autoThreshold points and shared at
-// GOMAXPROCS from there), the shared default of one worker (the
+// pair: auto's choice (the grid cell engine whenever the library's
+// auto-selector, cell.Prefer on the stored block, picks it, otherwise seq
+// below autoThreshold points and shared at GOMAXPROCS from there), the shared default of one worker (the
 // deterministic choice), the dist default of four ranks, and the resource
 // caps on the parameter. What the library itself refuses — a cell job on
 // data the grid cannot index, a rank count that is not a power of two — it
@@ -450,9 +453,9 @@ func (s *Server) resolve(engine Engine, param int, ds *dataset, eps float64, min
 	}
 	if engine == EngineAuto {
 		engine, param = EngineSeq, 0
-		if mudbscan.ChooseEngine(ds.rows, eps, minPts) == EngineCell {
+		if cell.Prefer(ds.set, eps, minPts) {
 			engine = EngineCell
-		} else if len(ds.rows) >= autoThreshold {
+		} else if ds.set.Len() >= autoThreshold {
 			engine, param = EngineShared, runtime.GOMAXPROCS(0)
 		}
 	}
@@ -578,12 +581,12 @@ func (c *serverConn) epsQueryResponse(r *rbuf) {
 		c.payload = appendMsg(c.payload[:0], statusUnknownDataset, "server: unknown dataset")
 		return
 	}
-	if ds.dim != dim {
+	if ds.set.Dim() != dim {
 		c.payload = appendMsg(c.payload[:0], statusBadRequest, "server: bad request: dimension mismatch")
 		return
 	}
 	ix := c.s.indexes.build(indexKey{id: id, epsBits: epsBitsOf(eps), minPts: int32(minPts)}, ds, eps, minPts)
-	if words := (len(ds.rows) + 63) / 64; len(c.seen) < words {
+	if words := (ds.set.Len() + 63) / 64; len(c.seen) < words {
 		c.seen = make([]uint64, words)
 	}
 	c.payload = append(c.payload[:0], statusOK)

@@ -82,13 +82,13 @@ func TestResolveEngineAndParam(t *testing.T) {
 		e, p, err := srv.resolve(c.engine, c.param, c.ds, 0.5, 5)
 		if c.wantErr != nil {
 			if !errors.Is(err, c.wantErr) {
-				t.Fatalf("resolve(%v,%d,n=%d): err %v, want %v", c.engine, c.param, len(c.ds.rows), err, c.wantErr)
+				t.Fatalf("resolve(%v,%d,n=%d): err %v, want %v", c.engine, c.param, c.ds.set.Len(), err, c.wantErr)
 			}
 			continue
 		}
 		if err != nil || e != c.wantE || p != c.wantParam {
 			t.Fatalf("resolve(%v,%d,n=%d) = (%v,%d,%v), want (%v,%d,nil)",
-				c.engine, c.param, len(c.ds.rows), e, p, err, c.wantE, c.wantParam)
+				c.engine, c.param, c.ds.set.Len(), e, p, err, c.wantE, c.wantParam)
 		}
 	}
 }

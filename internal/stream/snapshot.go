@@ -35,9 +35,10 @@ type Snapshot struct {
 }
 
 // Snapshot clusters the live window. It copies the arrival log under the
-// lock and runs the batch μDBSCAN engine outside it — the same incremental
-// mc.Builder pipeline as mudbscan.Cluster — so the result is exact, not
-// approximated at micro-cluster granularity.
+// lock and runs the batch μDBSCAN engine outside it on that copy, which the
+// μR-tree adopts as its points — the same mc.Builder pipeline as
+// mudbscan.Cluster — so the result is exact, not approximated at
+// micro-cluster granularity.
 //
 // Under concurrent ingest the window is the log at the moment of the copy:
 // a contiguous run of arrivals whose timestamps never decrease.
@@ -47,11 +48,7 @@ func (c *Clusterer) Snapshot() *Snapshot {
 	if n == 0 {
 		return s
 	}
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = s.Points.Point(i)
-	}
-	res, _ := core.Run(pts, c.eps, c.minPts, core.Options{})
+	res, _ := core.RunSet(s.Points, c.eps, c.minPts, core.Options{})
 	s.Labels = res.Labels
 	s.Core = res.Core
 	s.NumClusters = res.NumClusters

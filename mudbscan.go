@@ -142,13 +142,16 @@ func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
 // cell-occupancy distribution of a deterministic ≤1024-point sample) without
 // building any index. When the profile favors the grid, one further pass
 // (a compare per coordinate) confirms the grid can index the data at this eps
-// (see ErrCellRange). Degenerate inputs — empty data or a non-positive or
-// non-finite eps — and data that fails that check fall back to EngineSeq.
+// (see ErrCellRange). Degenerate inputs — empty data, a non-positive or
+// non-finite eps, rows Cluster would refuse — and data that fails that
+// check fall back to EngineSeq.
 func ChooseEngine(points [][]float64, eps float64, minPts int) Engine {
-	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
+	minPts = max(minPts, 1)
+	set, err := validate(points, eps, minPts)
+	if err != nil {
 		return EngineSeq
 	}
-	e, _, _ := resolve(points, eps, minPts, EngineAuto, 0)
+	e, _, _ := resolve(set, eps, minPts, EngineAuto, 0)
 	return e
 }
 
@@ -159,19 +162,14 @@ func ChooseEngine(points [][]float64, eps float64, minPts int) Engine {
 // GOMAXPROCS goroutines for shared and cell, and a refusal for data the
 // grid cannot index or a rank count that is not a power of two. An engine
 // it does not know passes through; the dispatch switch refuses it.
-func resolve[P ~[]float64](pts []P, eps float64, minPts int, e Engine, workers int) (Engine, int, error) {
-	auto := e == EngineAuto
-	if auto {
+func resolve(set *geom.PointSet, eps float64, minPts int, e Engine, workers int) (Engine, int, error) {
+	if e == EngineAuto {
 		e = EngineSeq
-		if cell.Decide(cell.Sample(pts, eps, minPts)) {
+		if cell.Prefer(set, eps, minPts) {
 			e = EngineCell
 		}
-	}
-	if e == EngineCell && !cell.Representable(pts, eps) {
-		if !auto {
-			return 0, 0, ErrCellRange
-		}
-		e = EngineSeq
+	} else if e == EngineCell && !cell.Representable(set, eps) {
+		return 0, 0, ErrCellRange
 	}
 	if e == EngineDist && (workers < 1 || workers&(workers-1) != 0) {
 		return 0, 0, fmt.Errorf("mudbscan: ranks must be a power of two (1, 2, 4, …), got %d", workers)
@@ -251,38 +249,62 @@ func WithFaultInjection(seed int64) Option {
 	return func(c *config) { c.faultSeed = &seed }
 }
 
-// validate checks the inputs shared by all entry points and converts the
-// point rows into the internal representation without copying coordinates.
-func validate(points [][]float64, eps float64, minPts int) ([]geom.Point, error) {
+// checkParams checks the clustering parameters every entry point takes.
+func checkParams(eps float64, minPts int) error {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return nil, fmt.Errorf("mudbscan: eps must be a positive finite number, got %g", eps)
+		return fmt.Errorf("mudbscan: eps must be a positive finite number, got %g", eps)
 	}
 	if minPts < 1 {
-		return nil, fmt.Errorf("mudbscan: minPts must be at least 1, got %d", minPts)
+		return fmt.Errorf("mudbscan: minPts must be at least 1, got %d", minPts)
+	}
+	return nil
+}
+
+// validate checks the inputs of the row-taking entry points: it copies the
+// rows into one block, checking that they share one dimensionality, and
+// checks the block as ClusterFlat does. An empty input is an empty
+// one-dimensional set.
+func validate(points [][]float64, eps float64, minPts int) (*geom.PointSet, error) {
+	if err := checkParams(eps, minPts); err != nil {
+		return nil, err
 	}
 	if len(points) == 0 {
-		return nil, nil
+		return geom.NewPointSet(1, 0), nil
 	}
 	if tooManyPoints(len(points)) {
 		return nil, ErrTooManyPoints
 	}
 	dim := len(points[0])
-	if dim == 0 {
-		return nil, fmt.Errorf("mudbscan: points must have at least one dimension")
-	}
-	pts := make([]geom.Point, len(points))
+	coords := make([]float64, 0, len(points)*dim)
 	for i, row := range points {
 		if len(row) != dim {
 			return nil, fmt.Errorf("mudbscan: point %d has %d coordinates, want %d", i, len(row), dim)
 		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("mudbscan: point %d coordinate %d is not finite", i, j)
-			}
-		}
-		pts[i] = geom.Point(row)
+		coords = append(coords, row...)
 	}
-	return pts, nil
+	return validateFlat(coords, dim, eps, minPts)
+}
+
+// validateFlat checks the inputs of ClusterFlat and adopts the block.
+func validateFlat(coords []float64, dim int, eps float64, minPts int) (*geom.PointSet, error) {
+	if err := checkParams(eps, minPts); err != nil {
+		return nil, err
+	}
+	if dim < 1 {
+		return nil, fmt.Errorf("mudbscan: points must have at least one dimension, got %d", dim)
+	}
+	if len(coords)%dim != 0 {
+		return nil, fmt.Errorf("mudbscan: %d coordinates are not a whole number of %d-dimensional points", len(coords), dim)
+	}
+	if tooManyPoints(len(coords) / dim) {
+		return nil, ErrTooManyPoints
+	}
+	for k, v := range coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("mudbscan: point %d coordinate %d is not finite", k/dim, k%dim)
+		}
+	}
+	return geom.AdoptPointSet(dim, coords), nil
 }
 
 // Cluster returns the exact DBSCAN clustering of points under the given ε
@@ -301,17 +323,37 @@ func Cluster(points [][]float64, eps float64, minPts int, opts ...Option) (*Resu
 // dense-cell shortcut) and the step split folds the grid's five phases into
 // the paper's four. The stats are nil under EngineDist and EngineStream,
 // whose typed entry points ClusterDistributed and ClusterStream report
-// their own.
+// their own. It copies the rows into one block and runs ClusterFlat's path
+// on it.
 func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, *SeqStats, error) {
+	set, err := validate(points, eps, minPts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return clusterSet(set, eps, minPts, opts)
+}
+
+// ClusterFlat is ClusterWithStats over a row-major block: point i is
+// coords[i*dim : (i+1)*dim]. The engines read the block in place — it is
+// the μR-tree's point store, not a copy of it — and never write it, so
+// the caller must not modify it until ClusterFlat returns. The Result does
+// not refer to it.
+func ClusterFlat(coords []float64, dim int, eps float64, minPts int, opts ...Option) (*Result, *SeqStats, error) {
+	set, err := validateFlat(coords, dim, eps, minPts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return clusterSet(set, eps, minPts, opts)
+}
+
+// clusterSet runs the engine the options select on a validated set: the one
+// engine switch.
+func clusterSet(set *geom.PointSet, eps float64, minPts int, opts []Option) (*Result, *SeqStats, error) {
 	cfg := config{engine: EngineSeq}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pts, err := validate(points, eps, minPts)
-	if err != nil {
-		return nil, nil, err
-	}
-	engine, workers, err := resolve(pts, eps, minPts, cfg.engine, cfg.workers)
+	engine, workers, err := resolve(set, eps, minPts, cfg.engine, cfg.workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,16 +363,16 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 		if engine == EngineShared {
 			copts.Workers = workers
 		}
-		r, st := core.Run(pts, eps, minPts, copts)
+		r, st := core.RunSet(set, eps, minPts, copts)
 		return r, st, nil
 	case EngineCell:
-		r, st := cell.Run(pts, eps, minPts, cell.Options{Workers: workers})
+		r, st := cell.RunSet(set, eps, minPts, cell.Options{Workers: workers})
 		return r, cellSeqStats(st), nil
 	case EngineDist:
-		r, _, err := clusterDistributed(pts, eps, minPts, workers, &cfg)
+		r, _, err := clusterDistributed(set.Points(), eps, minPts, workers, &cfg)
 		return r, nil, err
 	case EngineStream:
-		r, err := clusterStream(pts, eps, minPts, &cfg)
+		r, err := clusterStream(set, eps, minPts, &cfg)
 		return r, nil, err
 	case EngineAuto:
 		// resolve has replaced it with the engine it picked.
@@ -368,18 +410,19 @@ func ClusterDistributed(points [][]float64, eps float64, minPts, ranks int, opts
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pts, err := validate(points, eps, minPts)
+	set, err := validate(points, eps, minPts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, ranks, err = resolve(pts, eps, minPts, EngineDist, ranks); err != nil {
+	if _, ranks, err = resolve(set, eps, minPts, EngineDist, ranks); err != nil {
 		return nil, nil, err
 	}
-	return clusterDistributed(pts, eps, minPts, ranks, &cfg)
+	return clusterDistributed(set.Points(), eps, minPts, ranks, &cfg)
 }
 
 // clusterDistributed is EngineDist on validated points and a resolved rank
-// count.
+// count. μDBSCAN-D partitions []geom.Point, so this path alone takes row
+// views of the set.
 func clusterDistributed(pts []geom.Point, eps float64, minPts, ranks int, cfg *config) (*Result, *DistStats, error) {
 	exec := dist.ExecConcurrent
 	if cfg.distSerial {

@@ -1,7 +1,6 @@
 package mudbscan
 
 import (
-	"mudbscan/internal/core"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/stream"
 )
@@ -54,34 +53,34 @@ func ClusterStream(points [][]float64, eps float64, minPts int, opts ...Option) 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	pts, err := validate(points, eps, minPts)
+	set, err := validate(points, eps, minPts)
 	if err != nil {
 		return nil, err
 	}
-	return clusterStream(pts, eps, minPts, &cfg)
+	return clusterStream(set, eps, minPts, &cfg)
 }
 
-// clusterStream is EngineStream on validated points.
-func clusterStream(pts []geom.Point, eps float64, minPts int, cfg *config) (*Result, error) {
-	if len(pts) == 0 {
-		r, _ := core.Run(nil, eps, minPts, core.Options{})
-		return r, nil
+// clusterStream is EngineStream on a validated set.
+func clusterStream(set *geom.PointSet, eps float64, minPts int, cfg *config) (*Result, error) {
+	n := set.Len()
+	if n == 0 {
+		return &Result{}, nil
 	}
-	c, err := stream.New(len(pts[0]), eps, minPts, stream.Options{
+	c, err := stream.New(set.Dim(), eps, minPts, stream.Options{
 		Lambda:     cfg.streamLambda,
 		PruneBelow: cfg.streamPrune,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range pts {
-		if err := c.Add(p); err != nil {
+	for i := 0; i < n; i++ {
+		if err := c.Add(set.Row(i)); err != nil {
 			return nil, err
 		}
 	}
 	snap := c.Snapshot()
-	labels := make([]int, len(pts))
-	corePts := make([]bool, len(pts))
+	labels := make([]int, n)
+	corePts := make([]bool, n)
 	for i := range labels {
 		labels[i] = Noise
 	}
