@@ -113,3 +113,121 @@ func TestBuildMatchesSortedBuild(t *testing.T) {
 		}
 	}
 }
+
+// dataset is one named input of the cell tests.
+type dataset struct {
+	name   string
+	pts    []geom.Point
+	eps    float64
+	minPts int
+}
+
+// tableDatasets is the conformance table followed by the scenario corpus.
+func tableDatasets() []dataset {
+	var ds []dataset
+	for _, c := range data.ConformanceCases() {
+		ds = append(ds, dataset{c.Name, c.Pts, c.Eps, c.MinPts})
+	}
+	for _, s := range data.Scenarios() {
+		ds = append(ds, dataset{s.Name, s.Pts, s.Eps, s.MinPts})
+	}
+	return ds
+}
+
+// appendCellNeighbors is the adjacency walk the package had before it walked
+// the table once per run of cells sharing their first d−1 coordinates: one
+// descent per cell, down to level d. It is the reference buildAdjacency is
+// held to, entry for entry.
+func (ix *index) appendCellNeighbors(dst []int32, c int) []int32 {
+	cc := ix.coords[c*ix.dim : c*ix.dim+ix.dim]
+	return ix.descend(dst, cc, 0, 0, ix.numCells(), 0)
+}
+
+// descend walks one level of the implicit grid-tree: within the sorted cell
+// range [lo, hi) (all sharing a coordinate prefix above level), the values
+// at this level form sorted runs. It binary-searches the window
+// [cc[level]−r, cc[level]+r], accumulates each run's per-axis minimum gap
+// into acc2 and recurses while the accumulated distance can still reach ε.
+// At level == dim the range is a single fully-matched cell.
+func (ix *index) descend(dst []int32, cc []int64, level, lo, hi int, acc2 float64) []int32 {
+	if level == ix.dim {
+		for c := lo; c < hi; c++ {
+			dst = append(dst, int32(c))
+		}
+		return dst
+	}
+	i := ix.lowerBound(level, lo, hi, cc[level]-ix.r)
+	for i < hi {
+		v := ix.coords[i*ix.dim+level]
+		if v > cc[level]+ix.r {
+			break
+		}
+		j := ix.lowerBound(level, i, hi, v+1)
+		dv := v - cc[level]
+		if dv < 0 {
+			dv = -dv
+		}
+		a2 := acc2
+		if dv > 0 {
+			// Points in cells dv apart on this axis differ by at least
+			// (dv−1)·side in that coordinate.
+			g := float64(dv-1) * ix.side
+			a2 += g * g
+		}
+		if a2 <= ix.cut {
+			dst = ix.descend(dst, cc, level+1, i, j, a2)
+		}
+		i = j
+	}
+	return dst
+}
+
+// TestAdjacencyMatchesPerCellWalk: walking the table once per run changes
+// how the adjacency is reached, not one entry of it — adj and adjOff equal
+// the per-cell walk's at 1 and 4 workers, on the conformance table, the
+// scenario corpus, random sets at d = 1…14 with negative coordinates and
+// duplicates, a 2-d set that lies in one column (one run holds every cell)
+// and a 3-d set in which every (x, y) prefix is distinct (every run is one
+// cell).
+func TestAdjacencyMatchesPerCellWalk(t *testing.T) {
+	inputs := tableDatasets()
+	rng := rand.New(rand.NewSource(11))
+	for d := 1; d <= 14; d++ {
+		pts := make([]geom.Point, 2000)
+		for i := range pts {
+			pts[i] = make(geom.Point, d)
+			for j := range pts[i] {
+				pts[i][j] = math.Round(rng.NormFloat64()*24) / 4 // duplicates, both signs
+			}
+		}
+		inputs = append(inputs, dataset{"random", pts, 1.5, 0}, dataset{"random, wide ε", pts, 4, 0})
+	}
+	column := make([]geom.Point, 1500)
+	for i := range column {
+		column[i] = geom.Point{0.1, math.Round(rng.NormFloat64()*400) / 4}
+	}
+	inputs = append(inputs, dataset{"one column", column, 1, 0})
+	prefixes := make([]geom.Point, 1500)
+	for i := range prefixes {
+		prefixes[i] = geom.Point{float64(i) - 700, rng.Float64() * 6, rng.Float64() * 6}
+	}
+	inputs = append(inputs, dataset{"distinct (x, y) prefixes", prefixes, 1.2, 0})
+
+	for _, in := range inputs {
+		ix := build(geom.PointSetFromPoints(len(in.pts[0]), in.pts), in.eps)
+		wantOff := []int32{0}
+		var want []int32
+		for c := 0; c < ix.numCells(); c++ {
+			want = ix.appendCellNeighbors(want, c)
+			wantOff = append(wantOff, int32(len(want)))
+		}
+		for _, workers := range []int{1, 4} {
+			ix.adj, ix.adjOff = nil, nil
+			ix.buildAdjacency(workers)
+			if !reflect.DeepEqual(ix.adjOff, wantOff) || !reflect.DeepEqual(ix.adj, want) {
+				t.Errorf("%s (d=%d, ε=%g, workers=%d): adjacency differs from the per-cell walk",
+					in.name, len(in.pts[0]), in.eps, workers)
+			}
+		}
+	}
+}

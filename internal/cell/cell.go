@@ -14,19 +14,24 @@
 //     sorted coordinate table — no dense array, so the grid costs O(n)
 //     regardless of how sparse the data is.
 //  2. Adjacency: for each non-empty cell, the cells whose minimum box
-//     distance is within ε are enumerated by descending the sorted table
-//     one coordinate level at a time (an implicit grid-tree: each level is
-//     a binary-searchable run of sorted values), pruning on the
-//     accumulated minimum distance. The flat adjacency lists make the
-//     per-point scan leaf allocation-free.
+//     distance is within ε are enumerated from the sorted table, read as an
+//     implicit grid-tree (each level a binary-searchable run of sorted
+//     values) and pruned on the accumulated minimum distance. Cells sharing
+//     their first d−1 coordinates form one run of the table and share the
+//     walk: it descends once per run, to level d−1, and each cell takes its
+//     last-axis window in every candidate run from cursors that only move
+//     forward. The lists, in one flat arena, make the per-point scan leaf
+//     allocation-free.
 //  3. Mark: a cell with ≥ minPts points makes all its points core without
 //     any distance computation (the same-cell shortcut); sparse cells
-//     count each point's ε-neighbors with one block-kernel scan over the
-//     adjacent cells. Parallel over cells.
+//     count each point's ε-neighbors with block-kernel scans over the
+//     adjacent cells, stopping at minPts hits. Parallel over cells.
 //  4. Connect: cells are vertices of a union-find forest
 //     (unionfind.Concurrent); two cells with core points merge as soon as
 //     one core–core pair lies strictly within ε. Same-cell cores are
-//     connected by construction. Parallel over cells.
+//     connected by construction. Pairs of touching cells are visited
+//     first, so most far pairs are already merged when their turn comes.
+//     Parallel over cells.
 //  5. Assign: every non-core point joins the component of its
 //     minimum-original-id core neighbor — exactly the tie rule the brute
 //     force union-find driver produces — or stays noise.
@@ -209,48 +214,125 @@ func build(set *geom.PointSet, eps float64) *index {
 }
 
 // buildAdjacency precomputes, for every cell, the ascending list of cells
-// (self included) whose minimum box distance is within the slackened ε.
-// Hoisting this out of the per-point scan is what lets the scan leaf run
-// without scratch: it only walks a flat list. Parallel over cells; each
-// cell's list is computed independently, so the flattened result is
-// deterministic at any worker count.
+// (self included) whose minimum box distance is within the slackened ε, all
+// in one arena: cell c's list is adj[adjOff[c]:adjOff[c+1]]. Hoisting this
+// out of the per-point scan is what lets the scan leaf run without scratch:
+// it only walks a flat list.
+//
+// Cells that share their first d−1 coordinates form one run of the sorted
+// table, and they share everything but the last axis: the runs that can hold
+// a neighbour (the candidate runs) and the distance accumulated over the
+// first d−1 axes. So the table is descended once per run, down to level d−1,
+// and each candidate run becomes a window: a cell's neighbours in it are the
+// contiguous cells within the window's reach of its last coordinate, and as
+// that coordinate ascends through the run both ends of the range only move
+// forward. The lists are those a per-cell descent to level d would give,
+// entry for entry: the same gap test on the same floats picks the same
+// cells, and candidate runs, visited in table order, keep each list
+// ascending.
+//
+// Parallel over contiguous groups of runs; each worker appends the groups it
+// takes to its own arena, and the groups are joined in table order, so the
+// result is the same at any worker count.
 func (ix *index) buildAdjacency(workers int) {
-	cells := ix.numCells()
-	lists := make([][]int32, cells)
-	par.For(workers, cells, func(_, c int) {
-		lists[c] = ix.appendCellNeighbors(nil, c)
-	})
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	ix.adj = make([]int32, 0, total)
-	ix.adjOff = make([]int32, cells+1)
-	for c, l := range lists {
-		ix.adj = append(ix.adj, l...)
-		ix.adjOff[c+1] = int32(len(ix.adj))
-	}
-}
-
-// appendCellNeighbors appends to dst every cell index whose minimum box
-// distance to cell c is within the slackened ε, in ascending order.
-func (ix *index) appendCellNeighbors(dst []int32, c int) []int32 {
-	cc := ix.coords[c*ix.dim : c*ix.dim+ix.dim]
-	return ix.descend(dst, cc, 0, 0, ix.numCells(), 0)
-}
-
-// descend walks one level of the implicit grid-tree: within the sorted cell
-// range [lo, hi) (all sharing a coordinate prefix above level), the values
-// at this level form sorted runs. It binary-searches the window
-// [cc[level]−r, cc[level]+r], accumulates each run's per-axis minimum gap
-// into acc2 and recurses while the accumulated distance can still reach ε.
-// At level == dim the range is a single fully-matched cell.
-func (ix *index) descend(dst []int32, cc []int64, level, lo, hi int, acc2 float64) []int32 {
-	if level == ix.dim {
-		for c := lo; c < hi; c++ {
-			dst = append(dst, int32(c))
+	cells, d := ix.numCells(), ix.dim
+	runStart := make([]int32, 0, cells+1)
+	for c := 0; c < cells; c++ {
+		if c == 0 || !slices.Equal(ix.coords[(c-1)*d:c*d-1], ix.coords[c*d:c*d+d-1]) {
+			runStart = append(runStart, int32(c))
 		}
-		return dst
+	}
+	runs := len(runStart)
+	runStart = append(runStart, int32(cells))
+
+	groups := 1
+	if workers > 1 {
+		groups = min(runs, 4*workers)
+	}
+	// Per-worker scratch: the candidate windows of the current run, and the
+	// arena the worker appends its groups' lists to. spans[g] locates group
+	// g's lists in its worker's arena.
+	type span struct{ w, lo, hi int }
+	wins := make([][]window, workers)
+	arenas := make([][]int32, workers)
+	for w := range arenas {
+		wins[w] = make([]window, 0, 64)
+		arenas[w] = make([]int32, 0, cells/workers) // every list holds its own cell
+	}
+	spans := make([]span, groups)
+	ix.adjOff = make([]int32, cells+1)
+	par.For(workers, groups, func(w, g int) {
+		r0, r1 := g*runs/groups, (g+1)*runs/groups
+		part := arenas[w]
+		from := len(part)
+		for r := r0; r < r1; r++ {
+			lo, hi := int(runStart[r]), int(runStart[r+1])
+			ws := ix.candidateRuns(wins[w][:0], ix.coords[lo*d:lo*d+d], 0, 0, cells, 0)
+			// Make room for the run's lists once, doubling the arena when
+			// it grows: bound is at least their total length. Cheaper than
+			// letting append grow it.
+			bound := 0
+			for _, win := range ws {
+				bound += min(int(win.hi-win.lo), int(2*win.reach+1))
+			}
+			if bound *= hi - lo; cap(part)-len(part) < bound {
+				part = slices.Grow(part, max(bound, len(part)))
+			}
+			for c := lo; c < hi; c++ {
+				v := ix.coords[c*d+d-1]
+				n := len(part)
+				for k := range ws {
+					win := &ws[k]
+					for win.end < win.hi && ix.coords[int(win.end)*d+d-1] <= v+win.reach {
+						win.end++
+					}
+					for win.lo < win.end && ix.coords[int(win.lo)*d+d-1] < v-win.reach {
+						win.lo++
+					}
+					for q := win.lo; q < win.end; q++ {
+						part = append(part, q)
+					}
+				}
+				ix.adjOff[c+1] = int32(len(part) - n)
+			}
+			wins[w] = ws
+		}
+		arenas[w] = part
+		spans[g] = span{w, from, len(part)}
+	})
+	for c := 0; c < cells; c++ {
+		ix.adjOff[c+1] += ix.adjOff[c]
+	}
+	if groups == 1 {
+		ix.adj = arenas[0]
+		return
+	}
+	ix.adj = make([]int32, 0, ix.adjOff[cells])
+	for _, sp := range spans {
+		ix.adj = append(ix.adj, arenas[sp.w][sp.lo:sp.hi]...)
+	}
+}
+
+// window is one candidate run of a run's cells: the table range [lo, hi) of
+// cells sharing a coordinate prefix at levels 0..d−2, and reach, the largest
+// last-axis offset at which a cell of the range can still hold an ε-neighbour.
+// [lo, end) is the current cell's neighbours in it; both ends only move
+// forward as the run's last coordinate rises.
+type window struct {
+	lo, end, hi int32
+	reach       int64
+}
+
+// candidateRuns walks one level of the implicit grid-tree for the coordinate
+// prefix cc[:d−1]: within the sorted cell range [lo, hi) (all sharing a
+// coordinate prefix above level), the values at this level form sorted runs.
+// It binary-searches the window [cc[level]−r, cc[level]+r], accumulates each
+// run's per-axis minimum gap into acc2 and recurses while the accumulated
+// distance can still reach ε. At level d−1 the range is one candidate run,
+// appended to dst with the reach its acc2 leaves.
+func (ix *index) candidateRuns(dst []window, cc []int64, level, lo, hi int, acc2 float64) []window {
+	if level == ix.dim-1 {
+		return append(dst, window{int32(lo), int32(lo), int32(hi), ix.reach(acc2)})
 	}
 	i := ix.lowerBound(level, lo, hi, cc[level]-ix.r)
 	for i < hi {
@@ -258,24 +340,65 @@ func (ix *index) descend(dst []int32, cc []int64, level, lo, hi int, acc2 float6
 		if v > cc[level]+ix.r {
 			break
 		}
-		j := ix.lowerBound(level, i, hi, v+1)
-		dv := v - cc[level]
-		if dv < 0 {
-			dv = -dv
-		}
-		a2 := acc2
-		if dv > 0 {
-			// Points in cells dv apart on this axis differ by at least
-			// (dv−1)·side in that coordinate.
-			g := float64(dv-1) * ix.side
-			a2 += g * g
-		}
-		if a2 <= ix.cut {
-			dst = ix.descend(dst, cc, level+1, i, j, a2)
+		j := ix.runEnd(level, i, hi)
+		if a2 := ix.gapAcc(acc2, v-cc[level]); a2 <= ix.cut {
+			dst = ix.candidateRuns(dst, cc, level+1, i, j, a2)
 		}
 		i = j
 	}
 	return dst
+}
+
+// gapAcc adds to acc2 the squared minimum gap between the coordinates of two
+// cells dv apart on one axis: (|dv|−1)·side, or nothing for the same value.
+func (ix *index) gapAcc(acc2 float64, dv int64) float64 {
+	if dv < 0 {
+		dv = -dv
+	}
+	if dv > 0 {
+		g := float64(dv-1) * ix.side
+		acc2 += g * g
+	}
+	return acc2
+}
+
+// reach is the largest last-axis offset t ≤ r with gapAcc(acc2, t) within
+// the cutoff. gapAcc grows with |dv|, so the offsets that pass are exactly
+// those up to reach.
+func (ix *index) reach(acc2 float64) int64 {
+	t := int64(0)
+	for t < ix.r && ix.gapAcc(acc2, t+1) <= ix.cut {
+		t++
+	}
+	return t
+}
+
+// touching reports whether cells a and b are at most one apart on every
+// axis.
+func (ix *index) touching(a, b int) bool {
+	d := ix.dim
+	ca, cb := ix.coords[a*d:a*d+d], ix.coords[b*d:b*d+d]
+	for j, v := range ca {
+		if uint64(v-cb[j]+1) > 2 { // v−cb[j] ∉ {−1, 0, 1}
+			return false
+		}
+	}
+	return true
+}
+
+// runEnd returns the end of the run of equal values at this level that
+// starts at i, within the sorted range [i, hi). It gallops from i: runs are
+// short next to the ranges they sit in.
+func (ix *index) runEnd(level, i, hi int) int {
+	v := ix.coords[i*ix.dim+level]
+	b := i + 1 // [i, b) holds v
+	for step := 1; ; step *= 2 {
+		e := min(b+step, hi)
+		if e == b || ix.coords[(e-1)*ix.dim+level] > v {
+			return ix.lowerBound(level, b, e, v+1)
+		}
+		b = e
+	}
 }
 
 // lowerBound returns the first index k in [lo, hi) whose coordinate at the
@@ -300,8 +423,13 @@ func (ix *index) lowerBound(level, lo, hi int, v int64) int {
 // block to the dimension-specialized kernel scan. Appended positions ascend
 // (cells ascend, positions ascend within a cell).
 //
+// The scan stops after the first adjacent cell that brings dst to limit
+// entries, so the hits are a prefix of the full answer holding at least limit
+// of them, or the whole answer when it has fewer. Core marking passes minPts;
+// border assignment, which needs every core neighbour, passes math.MaxInt.
+//
 //mulint:noalloc per-point neighbor-scan leaf; static twin of the cell TestNeighborsIntoZeroAllocs AllocsPerRun gate
-func (ix *index) neighborsInto(dst []int, p int) ([]int, int) {
+func (ix *index) neighborsInto(dst []int, p, limit int) ([]int, int) {
 	row := ix.set.Row(p)
 	scanned := 0
 	c := int(ix.cellOf[p])
@@ -309,6 +437,9 @@ func (ix *index) neighborsInto(dst []int, p int) ([]int, int) {
 		lo, hi := int(ix.start[nc]), int(ix.start[nc+1])
 		dst = geom.AppendWithinBlock(dst, ix.posIDs[lo:hi], ix.set.Block(lo, hi), ix.dim, row, ix.eps2, false)
 		scanned += hi - lo
+		if len(dst) >= limit {
+			break
+		}
 	}
 	return dst, scanned
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
@@ -113,9 +114,83 @@ func TestCellEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// pinned is what Run reports on every conformance and scenario dataset, in
+// table order. Cells, DenseCells, Queries and QueriesSaved are the same at
+// any worker count, and are as they were before core marking stopped each
+// scan at minPts hits and Connect began to visit touching cells first.
+// distCalcs is the one-worker count, which those two changes lowered; the
+// values before, in table order: 19679, 3925, 3969, 37324, 200, 83, 10235,
+// 5593, 448, 11690, 312098, 1656, 41501.
+var pinned = []struct {
+	name                              string
+	cells, denseCells, queries, saved int
+	distCalcs                         int64
+}{
+	{"blobs-3d", 277, 2, 387, 13, 6439},
+	{"blobs-2d-small-eps", 179, 30, 156, 194, 1633},
+	{"uniform-2d", 264, 0, 300, 0, 3798},
+	{"skewed-3d", 182, 12, 272, 78, 10043},
+	{"all-noise", 100, 0, 100, 0, 200},
+	{"border-tie-1d", 4, 1, 6, 5, 81},
+	{"lattice-dup-2d", 64, 2, 168, 12, 4941},
+	{"cell-boundary-lattice-2d", 196, 0, 196, 0, 3542},
+	{"hot-cell-skew-2d", 40, 1, 39, 64, 445},
+	{"geo-drift", 1038, 52, 1008, 1392, 10515},
+	{"highdim-embed", 1081, 23, 1304, 196, 8604},
+	{"all-border-ties", 120, 24, 168, 96, 1488},
+	{"bursty-arrival", 369, 92, 353, 1647, 10059},
+}
+
+// TestCellCountersPinned holds the engine's counters to pinned: the cell
+// table and the marking counts at 1 and 4 workers, the rows scanned at one
+// worker (at more, Connect's early exits race and the count may vary).
+func TestCellCountersPinned(t *testing.T) {
+	inputs := tableDatasets()
+	if len(inputs) != len(pinned) {
+		t.Fatalf("%d datasets, %d pins", len(inputs), len(pinned))
+	}
+	for k, in := range inputs {
+		pin := pinned[k]
+		if in.name != pin.name {
+			t.Fatalf("pin %d is for %q, dataset is %q", k, pin.name, in.name)
+		}
+		for _, workers := range []int{1, 4} {
+			_, st := Run(in.pts, in.eps, in.minPts, Options{Workers: workers})
+			if st.Cells != pin.cells || st.DenseCells != pin.denseCells || st.Queries != pin.queries || st.QueriesSaved != pin.saved {
+				t.Errorf("%s (workers=%d): cells=%d dense=%d queries=%d saved=%d, pinned %d %d %d %d", in.name, workers,
+					st.Cells, st.DenseCells, st.Queries, st.QueriesSaved, pin.cells, pin.denseCells, pin.queries, pin.saved)
+			}
+			if workers == 1 && st.DistCalcs != pin.distCalcs {
+				t.Errorf("%s: distcalcs=%d at one worker, pinned %d", in.name, st.DistCalcs, pin.distCalcs)
+			}
+		}
+	}
+}
+
+// TestAdjacencyAllocs: the adjacency is one arena, not a slice per cell —
+// building it makes a constant number of allocations plus per-worker
+// scratch, on sets of 2 000 to 57 000 cells.
+func TestAdjacencyAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{2000, 100000} {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{rng.Float64() * 100, rng.Float64() * 100}
+		}
+		ix := build(geom.PointSetFromPoints(2, pts), 0.5)
+		for _, workers := range []int{1, 4} {
+			allocs := testing.AllocsPerRun(3, func() { ix.buildAdjacency(workers) })
+			if budget := 32 + 16*workers; allocs > float64(budget) {
+				t.Errorf("%d cells, workers=%d: %.0f allocations, want ≤ %d", ix.numCells(), workers, allocs, budget)
+			}
+		}
+	}
+}
+
 // TestNeighborsIntoZeroAllocs is the AllocsPerRun twin of the
 // //mulint:noalloc annotation on the per-point scan leaf: once the
-// neighborhood buffer has warmed, a core-point expansion allocates nothing.
+// neighborhood buffer has warmed, a core-point expansion allocates nothing,
+// and neither does the minPts-bounded scan core marking runs.
 func TestNeighborsIntoZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	pts := make([]geom.Point, 4000)
@@ -126,21 +201,25 @@ func TestNeighborsIntoZeroAllocs(t *testing.T) {
 	ix := build(geom.PointSetFromPoints(len(pts[0]), pts), eps)
 	ix.buildAdjacency(1)
 
-	nb := make([]int, 0, len(pts))
-	nb, _ = ix.neighborsInto(nb, 0) // warm
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		nb, _ = ix.neighborsInto(nb[:0], k%len(pts))
-		k++
-	})
-	if allocs != 0 {
-		t.Fatalf("neighborsInto allocated %.1f times per expansion; want 0", allocs)
+	for _, limit := range []int{math.MaxInt, 5} {
+		nb := make([]int, 0, len(pts))
+		nb, _ = ix.neighborsInto(nb, 0, limit) // warm
+		k := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			nb, _ = ix.neighborsInto(nb[:0], k%len(pts), limit)
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("neighborsInto (limit %d) allocated %.1f times per expansion; want 0", limit, allocs)
+		}
 	}
 }
 
 // TestNeighborsIntoMatchesBruteScan: the leaf must return exactly the
 // positions strictly within ε, ascending — including points in far-flung
-// adjacent cells near the ε boundary.
+// adjacent cells near the ε boundary. Bounded by a limit, its hits are a
+// prefix of that answer holding at least limit of them, or the whole
+// answer, from no more rows scanned.
 func TestNeighborsIntoMatchesBruteScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := make([]geom.Point, 600)
@@ -151,9 +230,10 @@ func TestNeighborsIntoMatchesBruteScan(t *testing.T) {
 	ix := build(geom.PointSetFromPoints(len(pts[0]), pts), eps)
 	ix.buildAdjacency(1)
 	kern := geom.KernelFor(2)
-	var nb []int
+	var nb, bounded []int
 	for p := 0; p < ix.set.Len(); p++ {
-		nb, _ = ix.neighborsInto(nb[:0], p)
+		var scanned int
+		nb, scanned = ix.neighborsInto(nb[:0], p, math.MaxInt)
 		var want []int
 		for q := 0; q < ix.set.Len(); q++ {
 			if kern(ix.set.Row(p), ix.set.Row(q)) < eps*eps {
@@ -162,6 +242,14 @@ func TestNeighborsIntoMatchesBruteScan(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, nb) {
 			t.Fatalf("position %d: leaf neighborhood differs from brute scan", p)
+		}
+		for _, limit := range []int{1, 2, 5, 9, 20} {
+			var got int
+			bounded, got = ix.neighborsInto(bounded[:0], p, limit)
+			if len(bounded) < min(limit, len(want)) || !reflect.DeepEqual(bounded, want[:len(bounded)]) || got > scanned {
+				t.Fatalf("position %d, limit %d: %d hits from %d rows, want a prefix of the %d hits holding at least min(limit, %d), from ≤ %d rows",
+					p, limit, len(bounded), got, len(want), len(want), scanned)
+			}
 		}
 	}
 }
@@ -266,16 +354,50 @@ func TestRepresentable(t *testing.T) {
 	}
 }
 
-// BenchmarkCellEngine measures the end-to-end engine against the same
-// dataset shape the core benchmarks use.
+// BenchmarkCellEngine measures the end-to-end engine at one worker on a
+// uniform 2-d set, the shape the core benchmarks use, and on the galaxy3d
+// harness workload, the low-d regime the auto policy sends here. Each case
+// reports the five phase times and the rows scanned per run.
 func BenchmarkCellEngine(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	pts := make([]geom.Point, 20000)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 20, rng.Float64() * 20}
+	uniform := make([]geom.Point, 20000)
+	for i := range uniform {
+		uniform[i] = geom.Point{rng.Float64() * 20, rng.Float64() * 20}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(pts, 0.3, 5, Options{Workers: 1})
+	for _, bc := range []struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}{
+		{"uniform2d", uniform, 0.3, 5},
+		{"galaxy3d", data.GalaxyLike(100000, 3, 5), 2, 5},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sum StepTimes
+			var dist int64
+			for i := 0; i < b.N; i++ {
+				_, st := Run(bc.pts, bc.eps, bc.minPts, Options{Workers: 1})
+				sum.Build += st.Steps.Build
+				sum.Adjacency += st.Steps.Adjacency
+				sum.Mark += st.Steps.Mark
+				sum.Connect += st.Steps.Connect
+				sum.Assign += st.Steps.Assign
+				dist += st.DistCalcs
+			}
+			for _, m := range []struct {
+				d    time.Duration
+				unit string
+			}{
+				{sum.Build, "build-ms/op"},
+				{sum.Adjacency, "adjacency-ms/op"},
+				{sum.Mark, "mark-ms/op"},
+				{sum.Connect, "connect-ms/op"},
+				{sum.Assign, "assign-ms/op"},
+			} {
+				b.ReportMetric(float64(m.d.Microseconds())/1e3/float64(b.N), m.unit)
+			}
+			b.ReportMetric(float64(dist)/float64(b.N), "distcalcs/op")
+		})
 	}
 }

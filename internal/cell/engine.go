@@ -1,7 +1,9 @@
 package cell
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"mudbscan/internal/clustering"
@@ -45,7 +47,8 @@ type Stats struct {
 	Queries      int
 	QueriesSaved int
 	// DistCalcs counts candidate rows scanned by the distance kernels
-	// across all phases. Connect-phase scans stop at the first linking
+	// across all phases. Mark's scans stop at the adjacent cell that
+	// brings a point to minPts hits; Connect's stop at the first linking
 	// pair and skip already-merged cells, so this count may vary slightly
 	// between runs at workers > 1; the clustering never does.
 	DistCalcs int64
@@ -114,7 +117,8 @@ func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*cluster
 	dense := make([]int64, workers*ctrStride)
 
 	// Mark: dense cells are all core for free; sparse cells run one
-	// neighbor scan per point.
+	// neighbor scan per point, which stops once it holds minPts hits — the
+	// core test reads no further.
 	t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	par.For(workers, cells, func(w, c int) {
 		lo, hi := int(ix.start[c]), int(ix.start[c+1])
@@ -131,7 +135,7 @@ func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*cluster
 		cnt := int32(0)
 		for p := lo; p < hi; p++ {
 			var scanned int
-			nb, scanned = ix.neighborsInto(nb[:0], p)
+			nb, scanned = ix.neighborsInto(nb[:0], p, minPts)
 			dist[w*ctrStride] += int64(scanned)
 			queries[w*ctrStride]++
 			if len(nb) >= minPts {
@@ -151,41 +155,55 @@ func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*cluster
 
 	// Connect: union cells linked by a core–core pair strictly within ε.
 	// Same-cell cores share a union-find element by construction. Scanning
-	// only b > a covers every pair once (adjacency is symmetric); the Same
-	// pre-check skips pair scans between already-merged cells.
+	// only b > a — the part of a's ascending list after a itself — covers
+	// every pair once (adjacency is symmetric); the Same pre-check skips
+	// pair scans between already-merged cells. Touching pairs — cells at
+	// most one apart on every axis — go first: they link most often, and
+	// once they have, Same skips most far pairs. The components do not
+	// depend on the order pairs are visited in.
 	t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	uf := unionfind.NewConcurrent(cells)
 	kern := geom.KernelFor(ix.dim)
-	par.For(workers, cells, func(w, a int) {
-		if coreCount[a] == 0 {
-			return
+	skip := func(a, b int, near bool) bool {
+		if near {
+			return !ix.touching(a, b) || uf.Same(a, b)
 		}
-		loA, hiA := int(ix.start[a]), int(ix.start[a+1])
-		for _, nb := range ix.adj[ix.adjOff[a]:ix.adjOff[a+1]] {
-			b := int(nb)
-			if b <= a || coreCount[b] == 0 || uf.Same(a, b) {
-				continue
+		return uf.Same(a, b) || ix.touching(a, b) // visited in the first pass
+	}
+	for _, near := range []bool{true, false} {
+		par.For(workers, cells, func(w, a int) {
+			if coreCount[a] == 0 {
+				return
 			}
-			loB, hiB := int(ix.start[b]), int(ix.start[b+1])
-		pairScan:
-			for x := loA; x < hiA; x++ {
-				if !corePos[x] {
+			loA, hiA := int(ix.start[a]), int(ix.start[a+1])
+			list := ix.adj[ix.adjOff[a]:ix.adjOff[a+1]]
+			self, _ := slices.BinarySearch(list, int32(a))
+			for _, nb := range list[self+1:] {
+				b := int(nb)
+				if coreCount[b] == 0 || skip(a, b, near) {
 					continue
 				}
-				rowX := ix.set.Row(x)
-				for y := loB; y < hiB; y++ {
-					if !corePos[y] {
+				loB, hiB := int(ix.start[b]), int(ix.start[b+1])
+			pairScan:
+				for x := loA; x < hiA; x++ {
+					if !corePos[x] {
 						continue
 					}
-					dist[w*ctrStride]++
-					if kern(rowX, ix.set.Row(y)) < ix.eps2 {
-						uf.Union(a, b)
-						break pairScan
+					rowX := ix.set.Row(x)
+					for y := loB; y < hiB; y++ {
+						if !corePos[y] {
+							continue
+						}
+						dist[w*ctrStride]++
+						if kern(rowX, ix.set.Row(y)) < ix.eps2 {
+							uf.Union(a, b)
+							break pairScan
+						}
 					}
 				}
 			}
-		}
-	})
+		})
+	}
 	st.Steps.Connect = time.Since(t0)
 
 	// Assign: every non-core point joins the component of its
@@ -207,7 +225,7 @@ func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*cluster
 				continue
 			}
 			var scanned int
-			nb, scanned = ix.neighborsInto(nb[:0], p)
+			nb, scanned = ix.neighborsInto(nb[:0], p, math.MaxInt)
 			dist[w*ctrStride] += int64(scanned)
 			best := int32(-1)
 			var bestCell int32
