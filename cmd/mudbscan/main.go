@@ -23,9 +23,9 @@
 // border ties may resolve differently from run to run.
 //
 // -mode stream feeds the rows through the streaming tier in order and labels
-// them from the final exact snapshot — identical to seq by default (landmark
-// window). With -lambda > 0 the window is damped: rows that expired before
-// the end of the stream come out as noise. -workers is ignored.
+// them from the final exact snapshot — identical to -mode auto by default
+// (landmark window). With -lambda > 0 the window is damped: rows that expired
+// before the end of the stream come out as noise. -workers is ignored.
 //
 // With -net, -mode dist leaves the single-process simulation: each rank is a
 // separate OS process and the ranks exchange messages over real sockets.

@@ -12,6 +12,7 @@ import (
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/dist"
+	"mudbscan/internal/geom"
 	"mudbscan/internal/stream"
 )
 
@@ -28,9 +29,10 @@ const scenarioDistRanks = 4
 // stream column prices the ingest path the batch engines never see. Every
 // row verifies the exact-result contract inline — cell must DeepEqual brute,
 // μR-tree/shared/dist must be exactly equivalent with identical cores, and
-// the stream snapshot must DeepEqual the sequential μR-tree result — so the
-// table can never report the speedup of a wrong answer. The corpus is pinned at its
-// conformance sizes; cfg.Scale is ignored.
+// the stream snapshot must DeepEqual the auto engine's batch result (cell's
+// where cell.Prefer picks the grid, the sequential μR-tree's otherwise) — so
+// the table can never report the speedup of a wrong answer. The corpus is
+// pinned at its conformance sizes; cfg.Scale is ignored.
 func Scenarios(cfg Config) error {
 	cfg = cfg.withDefaults()
 	workers := runtime.GOMAXPROCS(0)
@@ -81,7 +83,7 @@ func Scenarios(cfg Config) error {
 		// Inline exactness: the cell engine is byte-identical to brute force;
 		// the μR-tree family guarantees exact equivalence with identical
 		// cores; a landmark stream snapshot after in-order ingest is the
-		// sequential μR-tree run and must match it byte for byte.
+		// auto engine's batch run and must match it byte for byte.
 		if !reflect.DeepEqual(bruteRes, cellRes) {
 			return fmt.Errorf("scenarios: %s: cell result differs from brute force", sc.Name)
 		}
@@ -92,8 +94,12 @@ func Scenarios(cfg Config) error {
 				return fmt.Errorf("scenarios: %s: %s not equivalent to brute: %v", sc.Name, name, err)
 			}
 		}
-		if !reflect.DeepEqual(muRes, streamRes) {
-			return fmt.Errorf("scenarios: %s: stream snapshot differs from μR-tree result", sc.Name)
+		autoRes, autoName := muRes, "μR-tree"
+		if cell.Prefer(geom.PointSetFromPoints(len(sc.Pts[0]), sc.Pts), sc.Eps, sc.MinPts) {
+			autoRes, autoName = cellRes, "cell"
+		}
+		if !reflect.DeepEqual(autoRes, streamRes) {
+			return fmt.Errorf("scenarios: %s: stream snapshot differs from the auto engine's (%s) result", sc.Name, autoName)
 		}
 
 		t.row(

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -305,6 +306,64 @@ func TestDecide(t *testing.T) {
 		if got := Decide(c.p); got != c.want {
 			t.Errorf("%s: Decide=%v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestPreferMatchesDecideOfSample pins Prefer's shortcut: drawing the sample
+// only at 4 ≤ d ≤ 7 gives the same bit as the full rule, Decide of the
+// sample profile and Representable, on the conformance table, the scenario
+// corpus, random sets at d = 1…14 (each at a sparse and a dense ε, so the
+// mid band decides both ways), an empty set and a set the grid cannot index.
+func TestPreferMatchesDecideOfSample(t *testing.T) {
+	type input struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}
+	var ins []input
+	for _, cc := range data.ConformanceCases() {
+		ins = append(ins, input{cc.Name, cc.Pts, cc.Eps, cc.MinPts})
+	}
+	for _, sc := range data.Scenarios() {
+		ins = append(ins, input{sc.Name, sc.Pts, sc.Eps, sc.MinPts})
+	}
+	rng := rand.New(rand.NewSource(45))
+	for dim := 1; dim <= 14; dim++ {
+		pts := make([]geom.Point, 400)
+		for i := range pts {
+			p := make(geom.Point, dim)
+			for j := range p {
+				p[j] = rng.Float64() * 10
+			}
+			pts[i] = p
+		}
+		for _, eps := range []float64{0.8, 20} {
+			ins = append(ins, input{fmt.Sprintf("random-d%d-eps%g", dim, eps), pts, eps, 4})
+		}
+	}
+	ins = append(ins, input{"unrepresentable", []geom.Point{{0, 0}, {1e30, 0}, {0.1, 0}}, 1, 2})
+
+	midBand := map[bool]int{}
+	for _, in := range ins {
+		dim := len(in.pts[0])
+		set := geom.PointSetFromPoints(dim, in.pts)
+		want := Decide(Sample(in.pts, in.eps, in.minPts)) && Representable(set, in.eps)
+		if got := Prefer(set, in.eps, in.minPts); got != want {
+			t.Errorf("%s: Prefer = %v, Decide(Sample) && Representable = %v", in.name, got, want)
+		}
+		if dim >= 4 && dim <= 7 {
+			midBand[want]++
+		}
+	}
+	if midBand[true] == 0 || midBand[false] == 0 {
+		t.Fatalf("mid-band picks %v: the inputs must drive Decide's sampled branch both ways", midBand)
+	}
+	if Prefer(geom.NewPointSet(3, 0), 1, 4) {
+		t.Error("empty set: Prefer = true")
+	}
+	if Prefer(geom.PointSetFromPoints(2, ins[len(ins)-1].pts), 1, 2) {
+		t.Error("unrepresentable set: Prefer = true")
 	}
 }
 

@@ -51,9 +51,14 @@ func Sample[P ~[]float64](pts []P, eps float64, minPts int) Profile {
 
 // Prefer reports whether the auto-selector runs this engine on set: the
 // sample profile favors the grid (Decide) and the grid can index every
-// coordinate (Representable).
+// coordinate (Representable). The sample is drawn only where Decide reads
+// it, at 4 ≤ d ≤ 7; elsewhere the dimensionality alone gives Decide's answer.
 func Prefer(set *geom.PointSet, eps float64, minPts int) bool {
-	return Decide(sample(set.Len(), set.Dim(), set.Row, eps, minPts)) && Representable(set, eps)
+	pick, settled := byDim(set.Len(), set.Dim())
+	if !settled {
+		pick = Decide(sample(set.Len(), set.Dim(), set.Row, eps, minPts))
+	}
+	return pick && Representable(set, eps)
 }
 
 // sample profiles the n dim-dimensional rows row returns.
@@ -121,15 +126,23 @@ func sameCoords(sc []int64, a, b, dim int) bool {
 // loses past d≈7, and in between it pays off only when cells are populated
 // enough for the same-cell shortcut to carry the run.
 func Decide(p Profile) bool {
-	if p.N == 0 || p.Dim == 0 {
-		return false
+	if pick, settled := byDim(p.N, p.Dim); settled {
+		return pick
 	}
+	return p.MeanOccupancy() >= float64(p.MinPts)
+}
+
+// byDim is Decide's answer where size and dimensionality alone settle it:
+// never the grid for empty data, always at d ≤ 3, never past d = 7. In
+// between settled is false and the sample's occupancy decides.
+func byDim(n, dim int) (pick, settled bool) {
 	switch {
-	case p.Dim <= 3:
-		return true
-	case p.Dim > 7:
-		return false
-	default:
-		return p.MeanOccupancy() >= float64(p.MinPts)
+	case n == 0 || dim == 0:
+		return false, true
+	case dim <= 3:
+		return true, true
+	case dim > 7:
+		return false, true
 	}
+	return false, false
 }

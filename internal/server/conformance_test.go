@@ -13,6 +13,7 @@ import (
 	"mudbscan"
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/data"
+	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/stream"
 )
@@ -156,19 +157,24 @@ func TestDaemonConformance(t *testing.T) {
 
 		t.Run(cc.Name+"/stream", func(t *testing.T) {
 			// The streaming tier is exact: its landmark in-order result is the
-			// sequential engine's, byte for byte, and the wire param (which
-			// the engine ignores) never changes it.
+			// auto engine's one-worker batch run, byte for byte (brute force's
+			// too where auto picks the grid), and the wire param (which the
+			// engine ignores) never changes it.
 			want := streamDirect(t, rows, cc.Eps, cc.MinPts)
 			got, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineStream, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, want, got, "stream")
-			seq, err := mudbscan.Cluster(rows, cc.Eps, cc.MinPts)
+			auto, err := mudbscan.Cluster(rows, cc.Eps, cc.MinPts, mudbscan.WithEngine(mudbscan.EngineAuto), mudbscan.WithWorkers(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustDeepEqual(t, seq, got, "stream vs seq engine")
+			mustDeepEqual(t, auto, got, "stream vs auto engine")
+			if mudbscan.ChooseEngine(rows, cc.Eps, cc.MinPts) == mudbscan.EngineCell {
+				brute, _ := dbscan.Brute(cc.Pts, cc.Eps, cc.MinPts)
+				mustDeepEqual(t, brute, got, "grid-routed stream vs brute force")
+			}
 			again, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineStream, 3)
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mudbscan/internal/cell"
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
 	"mudbscan/internal/data"
@@ -36,16 +37,30 @@ func ingest(t *testing.T, pts []geom.Point, eps float64, minPts int, opts Option
 	return c
 }
 
+// autoBatch is the batch run the auto engine makes of pts at one worker: the
+// grid where cell.Prefer picks it, the sequential μR-tree engine otherwise.
+// grid reports which one ran.
+func autoBatch(pts []geom.Point, eps float64, minPts int) (res *clustering.Result, grid bool) {
+	set := geom.PointSetFromPoints(len(pts[0]), pts)
+	if cell.Prefer(set, eps, minPts) {
+		res, _ = cell.RunSet(set, eps, minPts, cell.Options{Workers: 1})
+		return res, true
+	}
+	res, _ = core.RunSet(set, eps, minPts, core.Options{})
+	return res, false
+}
+
 // TestSnapshotConformance is the headline contract of the streaming tier:
 // on every conformance dataset and every scenario, a landmark snapshot after
 // in-order ingest is (a) an exact DBSCAN clustering of the data — equivalent
 // to brute force with identical cores and noise, valid borders — and (b)
-// byte-identical to the batch μR-tree engine's result.
+// byte-identical to the one-worker auto batch run, and so to brute force
+// itself wherever that run is the grid's.
 func TestSnapshotConformance(t *testing.T) {
 	for _, tc := range corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
 			bruteRes, _ := dbscan.Brute(tc.Pts, tc.Eps, tc.MinPts)
-			muRes, _ := core.Run(tc.Pts, tc.Eps, tc.MinPts, core.Options{})
+			autoRes, grid := autoBatch(tc.Pts, tc.Eps, tc.MinPts)
 			s := ingest(t, tc.Pts, tc.Eps, tc.MinPts, Options{}).Snapshot()
 			if s.Len() != len(tc.Pts) {
 				t.Fatalf("window %d want %d", s.Len(), len(tc.Pts))
@@ -57,8 +72,11 @@ func TestSnapshotConformance(t *testing.T) {
 			if err := clustering.CheckBorders(tc.Pts, tc.Eps, res); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(muRes, res) {
-				t.Fatal("snapshot differs from batch μR-tree result")
+			if !reflect.DeepEqual(autoRes, res) {
+				t.Fatalf("snapshot differs from the auto batch result (grid %v)", grid)
+			}
+			if grid && !reflect.DeepEqual(bruteRes, res) {
+				t.Fatal("grid-routed snapshot differs from brute force")
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"mudbscan/internal/cell"
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
 	"mudbscan/internal/geom"
@@ -11,8 +12,8 @@ import (
 
 // Snapshot is a point-in-time *exact* DBSCAN clustering of the stream's live
 // window: the retained points in arrival order together with the labels,
-// core flags and cluster count a batch μDBSCAN run produces over them at the
-// stream's ε/minPts. Snapshots taken at the same clock over the same
+// core flags and cluster count the auto engine's batch run produces over them
+// at the stream's ε/minPts. Snapshots taken at the same clock over the same
 // accepted stream are byte-identical.
 type Snapshot struct {
 	// Eps, MinPts and Dim echo the clusterer's parameters.
@@ -35,10 +36,13 @@ type Snapshot struct {
 }
 
 // Snapshot clusters the live window. It copies the arrival log under the
-// lock and runs the batch μDBSCAN engine outside it on that copy, which the
-// μR-tree adopts as its points — the same mc.Builder pipeline as
-// mudbscan.Cluster — so the result is exact, not approximated at
-// micro-cluster granularity.
+// lock and, outside it, runs on that copy the engine the library's auto
+// selector picks for the window (cell.Prefer, profiled per window): the grid
+// at one worker where it prefers the grid — at every d ≤ 3 — and the
+// sequential μR-tree engine otherwise. The result is therefore byte-for-byte
+// mudbscan.Cluster of the window's rows under EngineAuto, exact and not
+// approximated at micro-cluster granularity; where the grid runs it is also
+// byte-identical to brute force.
 //
 // Under concurrent ingest the window is the log at the moment of the copy:
 // a contiguous run of arrivals whose timestamps never decrease.
@@ -48,7 +52,12 @@ func (c *Clusterer) Snapshot() *Snapshot {
 	if n == 0 {
 		return s
 	}
-	res, _ := core.RunSet(s.Points, c.eps, c.minPts, core.Options{})
+	var res *clustering.Result
+	if cell.Prefer(s.Points, c.eps, c.minPts) {
+		res, _ = cell.RunSet(s.Points, c.eps, c.minPts, cell.Options{Workers: 1})
+	} else {
+		res, _ = core.RunSet(s.Points, c.eps, c.minPts, core.Options{})
+	}
 	s.Labels = res.Labels
 	s.Core = res.Core
 	s.NumClusters = res.NumClusters
@@ -62,7 +71,7 @@ func (c *Clusterer) window() *Snapshot {
 	n := len(c.times)
 	s := &Snapshot{
 		Eps: c.eps, MinPts: c.minPts, Dim: c.dim, Time: c.clock,
-		Points: geom.NewPointSet(c.dim, n),
+		Points: geom.AdoptPointSet(c.dim, slices.Clone(c.coords)),
 	}
 	if n == 0 {
 		return s
@@ -72,9 +81,6 @@ func (c *Clusterer) window() *Snapshot {
 		s.Seqs[i] = c.first + int64(i)
 	}
 	s.Times = slices.Clone(c.times)
-	for i := 0; i < n; i++ {
-		s.Points.AppendRow(c.coords[i*c.dim : (i+1)*c.dim])
-	}
 	return s
 }
 

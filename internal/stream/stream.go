@@ -20,10 +20,13 @@
 // expired points are therefore always a prefix of the log, eviction is a
 // reslice, and the log is exactly the live window after every insertion.
 //
-// Snapshot copies the log and runs the batch μDBSCAN engine (the incremental
-// mc.Builder pipeline) over it, so every snapshot is an *exact* DBSCAN
-// clustering of the window — the same cores, partition and noise as a batch
-// run at the same ε/minPts — not a micro-cluster-granularity approximation.
+// Snapshot copies the log and runs over it the engine the library's auto
+// selector picks for that window (cell.Prefer): the grid at one worker where
+// it prefers the grid, which is every d ≤ 3, and the sequential μR-tree
+// engine (the incremental mc.Builder pipeline) otherwise. Every snapshot is
+// therefore an *exact* DBSCAN clustering of the window — byte-for-byte the
+// auto engine's batch run at the same ε/minPts — not a
+// micro-cluster-granularity approximation.
 package stream
 
 import (

@@ -8,9 +8,10 @@ import (
 // StreamClusterer ingests an unbounded point stream into an arrival-ordered
 // window and serves exact clustering snapshots of it — the data-stream
 // adaptation of μDBSCAN (the paper's §VII future work). Snapshots are not
-// approximations: each one is byte-for-byte the batch μDBSCAN clustering of
-// the points currently in the window, with the same cores, partition and
-// noise. All methods are safe for concurrent use.
+// approximations: each one is byte-for-byte Cluster of the points currently
+// in the window under EngineAuto — the grid engine at every d ≤ 3, which is
+// then also brute force's answer byte for byte, and the engine auto picks
+// from a sample profile elsewhere. All methods are safe for concurrent use.
 type StreamClusterer = stream.Clusterer
 
 // StreamSnapshot is a point-in-time exact clustering of the stream's live
@@ -36,7 +37,7 @@ func NewStreamClusterer(dim int, eps float64, minPts int, opts StreamOptions) (*
 // decays as exp(-lambda·age) with one time unit per ingested point, and the
 // point expires once its weight falls below pruneBelow (pass 0 for the
 // default 0.1). With lambda = 0 (the default) the window is a landmark
-// window and ClusterStream matches Cluster exactly.
+// window and ClusterStream matches Cluster under EngineAuto exactly.
 func WithStreamWindow(lambda, pruneBelow float64) Option {
 	return func(c *config) { c.streamLambda = lambda; c.streamPrune = pruneBelow }
 }
@@ -44,10 +45,10 @@ func WithStreamWindow(lambda, pruneBelow float64) Option {
 // ClusterStream feeds points through the streaming tier in arrival order
 // (one logical time unit per point) and returns the final snapshot's
 // clustering mapped back onto the input rows. Under the default landmark
-// window the result is identical to Cluster's. Under a damped window
-// (WithStreamWindow) points that expired before the end of the stream are
-// reported as Noise with Core false, and the live points carry the exact
-// clustering of the final window. WithWorkers is ignored.
+// window the result is identical to Cluster's under EngineAuto. Under a
+// damped window (WithStreamWindow) points that expired before the end of the
+// stream are reported as Noise with Core false, and the live points carry
+// the exact clustering of the final window. WithWorkers is ignored.
 func ClusterStream(points [][]float64, eps float64, minPts int, opts ...Option) (*Result, error) {
 	var cfg config
 	for _, o := range opts {

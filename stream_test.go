@@ -1,21 +1,33 @@
 package mudbscan
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mudbscan/internal/data"
+	"mudbscan/internal/dbscan"
+	"mudbscan/internal/geom"
 )
 
 // TestClusterStreamMatchesCluster pins the public contract: under the
-// default landmark window ClusterStream is Cluster, byte for byte.
+// default landmark window ClusterStream is Cluster under EngineAuto at one
+// worker, byte for byte — and brute force, byte for byte, wherever auto
+// picks the grid.
 func TestClusterStreamMatchesCluster(t *testing.T) {
 	for _, sc := range data.Scenarios() {
 		rows := toRows(sc.Pts)
-		want, err := Cluster(rows, sc.Eps, sc.MinPts)
+		want, err := Cluster(rows, sc.Eps, sc.MinPts, WithEngine(EngineAuto), WithWorkers(1))
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if ChooseEngine(rows, sc.Eps, sc.MinPts) == EngineCell {
+			brute, _ := dbscan.Brute(sc.Pts, sc.Eps, sc.MinPts)
+			if !reflect.DeepEqual(brute, want) {
+				t.Fatalf("%s: grid-routed auto run differs from brute force", sc.Name)
+			}
 		}
 		got, err := ClusterStream(rows, sc.Eps, sc.MinPts)
 		if err != nil {
@@ -93,5 +105,104 @@ func TestClusterStreamValidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, empty) {
 		t.Fatal("empty ClusterStream differs from empty Cluster")
+	}
+}
+
+// TestStreamSnapshotIsAutoBatch pins the streaming tier's contract: every
+// snapshot, landmark or damped, taken at any point of the stream, is
+// byte-for-byte Cluster of the window's rows under EngineAuto. The corpus is
+// the conformance table and the scenarios, plus the two border-tie sets
+// zero-padded to d = 3 and d = 8, where the μR-tree's border labels differ
+// from brute force's, so they tell the engines apart. Two dimension-settled
+// arms hold the auto pick itself to its rule: at d ≤ 3 (every set here fits
+// the grid) a snapshot is brute force's answer, and past d = 7 it is the
+// sequential μR-tree engine's.
+func TestStreamSnapshotIsAutoBatch(t *testing.T) {
+	type input struct {
+		name   string
+		pts    []geom.Point
+		eps    float64
+		minPts int
+	}
+	var ins []input
+	for _, cc := range data.ConformanceCases() {
+		ins = append(ins, input{cc.Name, cc.Pts, cc.Eps, cc.MinPts})
+	}
+	for _, sc := range data.Scenarios() {
+		ins = append(ins, input{sc.Name, sc.Pts, sc.Eps, sc.MinPts})
+	}
+	for _, in := range ins {
+		if in.name != "border-tie-1d" && in.name != "all-border-ties" {
+			continue
+		}
+		for _, dim := range []int{3, 8} {
+			padded := make([]geom.Point, len(in.pts))
+			for i, p := range in.pts {
+				padded[i] = append(slices.Clone(p), make(geom.Point, dim-len(p))...)
+			}
+			name := fmt.Sprintf("%s-padded-d%d", in.name, dim)
+			ins = append(ins, input{name, padded, in.eps, in.minPts})
+			if dim == 8 {
+				seq, _ := Cluster(toRows(padded), in.eps, in.minPts)
+				brute, _ := dbscan.Brute(padded, in.eps, in.minPts)
+				if reflect.DeepEqual(seq, brute) {
+					t.Fatalf("%s: the μR-tree engine matches brute force byte for byte; the set no longer tells them apart", name)
+				}
+			}
+		}
+	}
+
+	for _, in := range ins {
+		n := len(in.pts)
+		for _, win := range []struct {
+			mode string
+			opts StreamOptions
+		}{
+			{"landmark", StreamOptions{}},
+			{"damped", StreamOptions{Lambda: math.Ln10 / float64(max(n/2, 1))}}, // keeps about the last half
+		} {
+			t.Run(in.name+"/"+win.mode, func(t *testing.T) {
+				c, err := NewStreamClusterer(len(in.pts[0]), in.eps, in.minPts, win.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				every := max(n/4, 1)
+				for k, p := range in.pts {
+					if err := c.Add(p); err != nil {
+						t.Fatal(err)
+					}
+					if (k+1)%every != 0 && k+1 != n {
+						continue
+					}
+					snap := c.Snapshot()
+					rows := make([][]float64, snap.Len())
+					for i := range rows {
+						rows[i] = snap.Points.Row(i)
+					}
+					want, err := Cluster(rows, in.eps, in.minPts, WithEngine(EngineAuto))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, snap.Result()) {
+						t.Fatalf("after %d arrivals: snapshot of %d points differs from the auto batch run", k+1, snap.Len())
+					}
+					var ref *Result
+					switch dim := len(in.pts[0]); {
+					case dim <= 3:
+						ref, _ = dbscan.Brute(snap.Points.Points(), in.eps, in.minPts)
+					case dim > 7:
+						ref, err = Cluster(rows, in.eps, in.minPts, WithEngine(EngineSeq))
+						if err != nil {
+							t.Fatal(err)
+						}
+					default:
+						continue
+					}
+					if !reflect.DeepEqual(ref, snap.Result()) {
+						t.Fatalf("after %d arrivals: d=%d snapshot is not the engine auto picks at that d", k+1, len(in.pts[0]))
+					}
+				}
+			})
+		}
 	}
 }
