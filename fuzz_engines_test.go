@@ -221,6 +221,21 @@ func FuzzEngines(f *testing.F) {
 		}
 	}
 	f.Add(halo)
+	// A micro-cluster's MinPts-radius at its boundary (DESIGN.md §8, cut (g)),
+	// at d = 2 and 5, MinPts 4: a centre, three members ε/4 out and one 3ε/4
+	// out, for which d + r_k is exactly ε; and 5ε away a centre, two points
+	// ε/4 out and one 3ε/4 the other way, so that MinPts−1 members lie within
+	// ε/4 and either of the two has only those three within ε — core if the
+	// (MinPts−1)-th distance were taken for r_k.
+	for _, dimSel := range []byte{1, 3} {
+		b := []byte{dimSel, 3, 6<<1 | 1} // MinPts 4, step 1/4, span 64
+		for _, xy := range [][2]byte{{4, 0}, {5, 0}, {5, 0}, {5, 0}, {7, 0}, {4, 20}, {5, 20}, {1, 20}, {5, 20}} {
+			row := make([]byte, fuzzDims[dimSel])
+			row[0], row[1] = xy[0], xy[1]
+			b = append(b, row...)
+		}
+		f.Add(b)
+	}
 	for _, seed := range fuzzDenseSeeds() {
 		f.Add(seed)
 	}

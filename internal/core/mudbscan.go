@@ -7,11 +7,13 @@
 //
 //  1. μR-tree construction and discovery of preliminary clusters: points are
 //     grouped into micro-clusters; dense and core micro-clusters yield
-//     "wndq-core" points (core without neighborhood query, Lemmas 1 and 2)
-//     and preliminary unions.
+//     "wndq-core" points (core without neighborhood query: Lemmas 1 and 2,
+//     and every member within ε of the micro-cluster's MinPts closest) and
+//     preliminary unions.
 //  2. Reachable micro-cluster computation (Lemma 3) to bound every later
 //     search to MCs whose centers are within 3ε.
-//  3. Clustering: each point not yet known core runs one exact
+//  3. Clustering: each point not yet known core and not within ε of the
+//     MinPts closest members of a reachable MC runs one exact
 //     ε-neighborhood query confined to its filtered reachable MCs — asking a
 //     micro-cluster that is already one finished component only for its ε/2
 //     ball, and again in full if that leaves it undecided; dense
@@ -89,7 +91,8 @@ type Stats struct {
 	// point that this leaves short of MinPts is queried again in full.
 	Requeries int
 	// QueriesSaved is the number of points proven core without a query
-	// (wndq-core points from steps 1 and 3).
+	// (wndq-core points from steps 1 and 3: the two Lemmas, a
+	// micro-cluster's MinPts-radius, a dense ε/2-neighborhood).
 	QueriesSaved int
 	// DistCalcs counts point-to-point distance computations across all
 	// phases, including post-processing.
@@ -100,9 +103,14 @@ type Stats struct {
 	// kernel calls like any other but were never part of DistCalcs, which
 	// keeps its meaning along the benchmark ledger.
 	CenterCalcs int64
-	// WndqFromMCs and WndqDynamic split the saved queries between step 1
-	// (DMC/CMC classification) and step 3 (dense ε/2-neighborhoods).
+	// WndqFromMCs counts the saved queries of step 1: DMC inner circles and
+	// CMC/DMC centres (Lemmas 1 and 2), and every CMC/DMC member p with
+	// d(p, cZ) + r_k(Z) < ε(1−δ), r_k(Z) being the distance from the centre
+	// to its MinPts-th closest member (the centre counting at 0).
 	WndqFromMCs int
+	// WndqDynamic counts those of step 3: members of a queried core's dense
+	// ε/2-neighborhood, and points the same MinPts-radius test proves core
+	// from a reachable micro-cluster's centre before their query.
 	WndqDynamic int
 	// Workers is the resolved worker count.
 	Workers int
@@ -361,9 +369,10 @@ type run struct {
 	opts       Options
 
 	// far1 and far2 are ε(1+δ) and 2ε(1+δ), the margins of postProcessCore's
-	// triangle-inequality skips (see pruneSlack); NaN, which no bound
+	// triangle-inequality skips, and near is ε(1−δ), the margin of the
+	// MinPts-radius certificate (see pruneSlack); NaN, which no bound
 	// reaches, where the δ argument does not hold.
-	far1, far2 float64
+	far1, far2, near float64
 
 	uf      *unionfind.Concurrent
 	flags   flags
@@ -372,6 +381,12 @@ type run struct {
 	// union-find component permanently. Set by preliminaryClusters, where
 	// each MC is handled by exactly one worker; read only after that step.
 	mcWhole []bool
+	// rk[id] is r_k of MC id: the distance from its centre to its
+	// MinPts-th closest member, the centre counting at 0; +Inf for an SMC.
+	// Any point p with d(p, centre) + rk[id] < ε has the MinPts members
+	// within ε (see provenByRadius). Set by preliminaryClusters; nil when
+	// wndq-cores are disabled.
+	rk []float64
 	// mcClass[id] is what step 4 can find in MC id (see classifyMCs): mcDead,
 	// mcMixed, or the point that stands for its one component. Filled at the
 	// barrier between steps 3 and 4.
@@ -383,14 +398,14 @@ func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *ru
 	r := &run{
 		set: ix.Points, eps: eps, minPts: minPts, localCount: localCount,
 		ix: ix, opts: opts,
-		far1: math.NaN(), far2: math.NaN(),
+		far1: math.NaN(), far2: math.NaN(), near: math.NaN(),
 		uf:      unionfind.NewConcurrent(n),
 		flags:   newFlags(n),
 		workers: make([]worker, max(opts.Workers, 1)),
 		mcWhole: make([]bool, ix.NumMCs()),
 	}
 	if eps2 := eps * eps; eps2 > 0x1p-900 && eps2 < 0x1p900 && ix.Dim < 1<<20 {
-		r.far1, r.far2 = eps*(1+pruneSlack), 2*eps*(1+pruneSlack)
+		r.far1, r.far2, r.near = eps*(1+pruneSlack), 2*eps*(1+pruneSlack), eps*(1-pruneSlack)
 	}
 	return r
 }
@@ -484,12 +499,21 @@ func (r *run) linkFromCore(w *worker, c, q int32) bool {
 // member ended up in the center's component, the MC is flagged "whole": it
 // will occupy a single union-find component forever (unions only merge),
 // which postProcessCore exploits.
+//
+// It also takes each MC's MinPts-radius, and a member p of a CMC or DMC with
+// d(p, cZ) + r_k(Z) < ε(1−δ) is a wndq-core as well: Lemmas 1 and 2 are the
+// cases p in the inner circle of a DMC and p the centre (DESIGN.md §8,
+// cut (g)).
 func (r *run) preliminaryClusters() {
+	r.rk = make([]float64, r.ix.NumMCs())
 	r.each(r.ix.NumMCs(), func(w *worker, k int) {
 		kind := r.ix.Kind(k)
 		if kind == mc.SMC {
+			r.rk[k] = math.Inf(1)
 			return
 		}
+		radius := r.minPtsRadius(w, k)
+		r.rk[k] = radius
 		center := int32(r.ix.CenterID(k))
 		r.markWndq(w, center, true)
 		if kind == mc.DMC {
@@ -499,12 +523,78 @@ func (r *run) preliminaryClusters() {
 		}
 		whole := true
 		for _, p := range r.ix.Members(k) {
-			if p != center && !r.linkFromCore(w, center, p) {
+			if p == center {
+				continue
+			}
+			if r.ix.CenterDist[p]+radius < r.near {
+				r.markWndq(w, p, true)
+			}
+			if !r.linkFromCore(w, center, p) {
 				whole = false
 			}
 		}
 		r.mcWhole[k] = whole
 	})
+}
+
+// minPtsRadius returns r_k of micro-cluster k, a CMC or DMC (so it has at
+// least MinPts members): the MinPts-th smallest of its members' CenterDist,
+// the centre's 0 included. The selection runs in the worker's centerDist
+// scratch, which step 1 does not otherwise use.
+func (r *run) minPtsRadius(w *worker, k int) float64 {
+	nth := max(r.minPts, 1) - 1
+	d := w.centerDist[:0]
+	for _, q := range r.ix.Members(k) {
+		d = append(d, r.ix.CenterDist[q])
+	}
+	w.centerDist = d
+	// Hoare's selection: expected linear, and the distances are finite (a
+	// member is strictly within ε of its centre).
+	lo, hi := 0, len(d)-1
+	for lo < hi {
+		pivot := d[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for d[i] < pivot {
+				i++
+			}
+			for d[j] > pivot {
+				j--
+			}
+			if i <= j {
+				d[i], d[j] = d[j], d[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case nth <= j:
+			hi = j
+		case nth >= i:
+			lo = i
+		default:
+			return d[nth]
+		}
+	}
+	return d[nth]
+}
+
+// provenByRadius reports whether some micro-cluster Z of reach, whose centre
+// lies at squared distance pz2[j] from p, proves p core by its MinPts-radius:
+// d(p, cZ) + r_k(Z) < ε(1−δ) puts Z's MinPts closest members strictly within ε
+// of p, by the triangle inequality and the δ argument of pruneSlack
+// (DESIGN.md §8, cut (g)). Only a centre strictly within ε can pass, so the
+// test is confined to those.
+func (r *run) provenByRadius(pz2 []float64, reach []int32) bool {
+	if r.rk == nil {
+		return false
+	}
+	eps2 := r.eps * r.eps
+	for j, d2 := range pz2 {
+		if d2 < eps2 && math.Sqrt(d2)+r.rk[reach[j]] < r.near {
+			return true
+		}
+	}
+	return false
 }
 
 // markWndq declares point id core without a query; the raise makes the
@@ -557,6 +647,10 @@ func (r *run) processRemaining() {
 // saw. Fewer prove nothing, and the query is rerun in full (DESIGN.md §8,
 // cut (f)).
 //
+// Before any walk, a micro-cluster whose centre lies within ε may prove p
+// core by its MinPts-radius (provenByRadius); p is then a wndq-core like a
+// promoted one, and its query is saved (cut (g)).
+//
 //mulint:noalloc static twin of TestProcessPointZeroAllocs (allocs_test.go); the cold paths below carry explicit allows
 func (r *run) processPoint(w *worker, i int) {
 	p := r.set.Point(i)
@@ -567,6 +661,11 @@ func (r *run) processPoint(w *worker, i int) {
 	settled := false
 	w.nbhd, w.dist = w.nbhd[:0], w.dist[:0]
 	w.centerDist = r.ix.CenterDistSq(w.centerDist[:0], p, reach, prune2)
+	w.centerCalcs += int64(len(reach)) // the query's 2ε tests
+	if r.provenByRadius(w.centerDist, reach) {
+		r.markWndq(w, int32(i), false)
+		return
+	}
 	for j, rid := range reach {
 		pz2 := w.centerDist[j]
 		if pz2 >= prune2 {
@@ -587,7 +686,6 @@ func (r *run) processPoint(w *worker, i int) {
 			w.nbhd, w.dist = append(w.nbhd, cz), append(w.dist, pz2)
 		}
 	}
-	w.centerCalcs += int64(len(reach)) // the query's 2ε tests
 	w.queries++
 	if settled && len(w.nbhd) < r.minPts {
 		// Undecided: a settled micro-cluster may hold the rest of MinPts in

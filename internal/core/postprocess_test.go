@@ -481,9 +481,11 @@ func TestBridgeOnlyPostProcessingSees(t *testing.T) {
 						t.Fatalf("%s: %d clusters, %d noise; want %d, 0", name, r.NumClusters, r.NumNoise(), clusters)
 					}
 					// Inner-circle bridge: dense micro-clusters, nobody is queried.
-					// Rim bridge: per side the centre's two copies and the one
-					// promoter; every further query would be p's or q's own.
-					queried := 6
+					// Rim bridge: per side the one promoter (the centre's copies
+					// are within ε of the centre's MinPts closest, and step 1
+					// proves them core); every further query would be p's or q's
+					// own.
+					queried := 2
 					if offset < 0.5 {
 						queried = 0
 					}
@@ -498,9 +500,10 @@ func TestBridgeOnlyPostProcessingSees(t *testing.T) {
 
 // TestPruningOffAtExtremeEps: where ε² nears under- or overflow the kernel
 // values no longer carry the relative precision the δ margin was sized for,
-// so the run must turn its triangle-inequality skips off (NaN thresholds: no
-// bound reaches them) and stay exact through the kernel tests alone. The
-// bridge sets scale exactly: every factor is a power of two.
+// so the run must turn its triangle-inequality skips and its MinPts-radius
+// certificate off (NaN margins: no bound reaches them) and stay exact through
+// the kernel tests alone. The bridge sets scale exactly: every factor is a
+// power of two.
 func TestPruningOffAtExtremeEps(t *testing.T) {
 	for _, c := range []struct {
 		eps    float64
@@ -514,8 +517,10 @@ func TestPruningOffAtExtremeEps(t *testing.T) {
 				}
 				requireExact(t, fmt.Sprintf("eps=%g offset=%v gap=1%+g", c.eps, offset, gap-1), pts, c.eps, 4, Options{})
 				r := newRun(mc.Build(pts, c.eps, 4, mc.Options{}), c.eps, 4, len(pts), Options{})
-				if pruned := !math.IsNaN(r.far1) && !math.IsNaN(r.far2); pruned != c.pruned {
-					t.Fatalf("eps=%g: skips on = %v, want %v (thresholds %v, %v)", c.eps, pruned, c.pruned, r.far1, r.far2)
+				for _, margin := range []float64{r.far1, r.far2, r.near} {
+					if pruned := !math.IsNaN(margin); pruned != c.pruned {
+						t.Fatalf("eps=%g: skips on = %v, want %v (margins %v, %v, %v)", c.eps, pruned, c.pruned, r.far1, r.far2, r.near)
+					}
 				}
 			}
 		}

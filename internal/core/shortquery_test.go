@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,8 +17,15 @@ import (
 // settled micro-cluster, no rerun, no skipped run of a whole one. It is what
 // processPoint must be equivalent to, and it queries and links in the same
 // order, so at one worker components, flags, stored neighborhoods and the
-// deferred Pairs must come out equal element for element.
+// deferred Pairs must come out equal element for element. It saves the query
+// of a point a reachable micro-cluster's MinPts-radius proves core, as
+// processPoint does (cut (g)), so that what the two differ by is cut (f).
 func processPointUnshortened(r *run, w *worker, i int) {
+	reach := r.ix.Reach(int(r.ix.PointMC[i]))
+	if r.provenByRadius(r.ix.CenterDistSq(nil, r.set.Point(i), reach, math.Inf(1)), reach) {
+		r.markWndq(w, int32(i), false)
+		return
+	}
 	w.dist = w.dist[:0]
 	w.nbhd, _, _ = r.ix.EpsNeighborhoodDistInto(r.set.Point(i), i, w.nbhd[:0], &w.dist)
 	w.queries++
@@ -189,23 +197,27 @@ func repeat(p geom.Point, copies int) []geom.Point {
 	return out
 }
 
-// TestShortQueryKeepsBridgeIntoAnotherComponent: two dense micro-clusters Z
-// (centre 0) and A (centre 2.25) on a line, ε = 1, whose only connection is the
-// pair q = 0.875 of Z and p = 1.625 of A, 0.75 apart. Both are claimed as
-// borders in step 1, so neither can claim the other, and neither is ever
-// promoted, so step 4 never starts from them: the edge exists in p's query or
-// not at all (q is queried first, when p carries no core flag yet). Z is whole,
-// its centre lies in [ε, 2ε) of p and in another component, and q lies in the
+// TestShortQueryKeepsBridgeIntoAnotherComponent: two micro-clusters on a line,
+// ε = 1 — Z, dense (centre 0, four members at ε/4), and A, core (centre 2.25,
+// two members at 2) — whose only connection is the pair q = 0.875 of Z and
+// p = 1.625 of A, 0.75 apart. Both are claimed as borders in step 1, so
+// neither can claim the other, and neither is ever promoted, so step 4 never
+// starts from them: the edge exists in p's query or not at all (q is queried
+// first, when p carries no core flag yet). Neither is proven core without its
+// query either: Z's MinPts closest members reach ε/4 from its centre and A's
+// 5ε/8, so d + r_k is 1.125ε for q and 1.25ε for p (cut (g)). Z is whole, its
+// centre lies in [ε, 2ε) of p and in another component, and q lies in the
 // ε/2–ε annulus of p — a query that settled Z for being whole alone would walk
 // it at ε/2, still find its MinPts (p's own ε/2 ball and A's centre are four),
 // and split the cluster.
 func TestShortQueryKeepsBridgeIntoAnotherComponent(t *testing.T) {
 	const eps, minPts = 1.0, 4
 	for _, dim := range []int{2, 5} {
-		pts := repeat(along(dim, 0, 0), 5)
+		pts := []geom.Point{along(dim, 0, 0)}
+		pts = append(pts, repeat(along(dim, 0.25, 0), 4)...)
 		q := len(pts)
 		pts = append(pts, along(dim, 0.875, 0))
-		pts = append(pts, repeat(along(dim, 2.25, 0), 5)...)
+		pts = append(pts, along(dim, 2.25, 0))
 		pts = append(pts, repeat(along(dim, 2, 0), 2)...)
 		p := len(pts)
 		pts = append(pts, along(dim, 1.625, 0))
@@ -347,19 +359,36 @@ func TestShortQueryHaloStripPairs(t *testing.T) {
 	}
 }
 
-// TestShortQueryCentreHit: on lattices whose every distance is a multiple of
-// ε/2 the centre of a settled micro-cluster sits at exactly ε/2 of queried
-// points (outside the strict ε/2 walk: it must be added) and at exactly ε
-// (outside the strict ε-neighborhood: it must not), and inside ε/2, where the
-// walk has it already. After every query the scratch must hold no id twice,
-// nothing at ε or beyond, every point strictly within ε/2, and each hit's
-// squared distance.
+// centreHitSet is one point at every (x·ε/4, y·ε/2) of a cols × rows lattice
+// at ε = 1, embedded in dim dimensions: every squared distance is a multiple
+// of ε²/16, so ε/2 and ε occur exactly, and it is sparse enough that a
+// micro-cluster's MinPts closest members reach past ε/2 from its centre.
+func centreHitSet(dim, cols, rows int) []geom.Point {
+	var pts []geom.Point
+	for x := 0; x < cols; x++ {
+		for y := 0; y < rows; y++ {
+			pts = append(pts, along(dim, float64(x)/4, float64(y)/2))
+		}
+	}
+	return pts
+}
+
+// TestShortQueryCentreHit: on lattices whose every squared distance is a
+// multiple of ε²/16 the centre of a settled micro-cluster sits at exactly ε/2
+// of queried points (outside the strict ε/2 walk: it must be added) and at
+// exactly ε (outside the strict ε-neighborhood: it must not), and inside ε/2,
+// where the walk has it already. (A point that close to a centre is queried
+// only when the micro-cluster's MinPts closest members reach at least as far
+// past ε/2 — d + r_k ≥ ε, cut (g) — which a lattice with every distance a
+// multiple of ε/2 and a point repeated at every position never has.) After
+// every query the scratch must hold no id twice, nothing at ε or beyond, every
+// point strictly within ε/2, and each hit's squared distance.
 func TestShortQueryCentreHit(t *testing.T) {
 	const eps = 1.0
 	for _, c := range []struct {
 		dim, cols, rows, minPts int
-	}{{2, 12, 9, 4}, {2, 12, 9, 7}, {3, 40, 1, 4}, {5, 12, 9, 4}, {14, 12, 9, 7}} {
-		pts := boundarySet(c.dim, c.cols, c.rows)
+	}{{2, 24, 9, 4}, {2, 24, 9, 7}, {3, 80, 1, 4}, {5, 24, 9, 4}, {14, 24, 9, 7}} {
+		pts := centreHitSet(c.dim, c.cols, c.rows)
 		name := fmt.Sprintf("d=%d %dx%d minPts=%d", c.dim, c.cols, c.rows, c.minPts)
 		r := newRun(mc.Build(pts, eps, c.minPts, mc.Options{}), eps, c.minPts, len(pts), Options{})
 		r.preliminaryClusters()
@@ -371,6 +400,7 @@ func TestShortQueryCentreHit(t *testing.T) {
 			}
 			rootP := r.uf.Find(i)
 			var settled []int // centres of the micro-clusters this query will settle
+			var onHalf, onEps, in int
 			for _, z := range r.ix.Reach(int(r.ix.PointMC[i])) {
 				cz := r.ix.CenterID(int(z))
 				d2 := geom.DistSq(pts[i], pts[cz])
@@ -378,16 +408,20 @@ func TestShortQueryCentreHit(t *testing.T) {
 					settled = append(settled, cz)
 					switch {
 					case d2 == eps*eps:
-						atEps++
+						onEps++
 					case d2 == eps*eps/4:
-						atHalf++
+						onHalf++
 					case d2 < eps*eps/4:
-						inside++
+						in++
 					}
 				}
 			}
-			before := w.requeries
+			before, queries := w.requeries, w.queries
 			r.processPoint(w, i)
+			if w.queries == queries {
+				continue // proven core by a micro-cluster's MinPts-radius, no query
+			}
+			atHalf, atEps, inside = atHalf+onHalf, atEps+onEps, inside+in
 			hits := slices.Clone(w.nbhd)
 			for k, q := range hits {
 				if d2 := geom.DistSq(pts[i], pts[q]); d2 >= eps*eps || d2 != w.dist[k] {

@@ -85,9 +85,14 @@ func readCSV(r io.Reader) (*geom.PointSet, error) {
 		}
 		start := len(block)
 		for len(text) > 0 {
-			end := bytes.IndexAny(text, ", \t;")
-			if end < 0 {
-				end = len(text)
+			// The separators are four ASCII bytes: one byte loop finds the
+			// field's end with no per-field set-up.
+			end := 0
+			for end < len(text) {
+				if c := text[end]; c == ',' || c == ' ' || c == '\t' || c == ';' {
+					break
+				}
+				end++
 			}
 			f := text[:end]
 			text = text[min(end+1, len(text)):]
