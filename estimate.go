@@ -12,7 +12,8 @@ import (
 // point, the distance to its k-th nearest neighbor (excluding itself),
 // sorted ascending. Plotting this curve and picking the "elbow" is the
 // standard way to choose DBSCAN's ε (Ester et al. 1996, §4.2); k is usually
-// MinPts-1.
+// MinPts-1. A non-empty dataset needs more than k points: with k or fewer, no
+// point has a k-th neighbor, and that is an error.
 func KDistances(points [][]float64, k int) ([]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("mudbscan: k must be at least 1, got %d", k)
@@ -24,6 +25,9 @@ func KDistances(points [][]float64, k int) ([]float64, error) {
 	n := set.Len()
 	if n == 0 {
 		return nil, nil
+	}
+	if n <= k {
+		return nil, fmt.Errorf("mudbscan: %d points have no %d-th nearest neighbor; need at least %d", n, k, k+1)
 	}
 	// The tree takes the copy validate made and reorders it, which leaves
 	// every point in the set once: the sorted k-distances do not change.

@@ -1,6 +1,7 @@
 package mudbscan
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -35,6 +36,22 @@ func TestKDistancesValidation(t *testing.T) {
 	if err != nil || d != nil {
 		t.Fatalf("empty input: %v %v", d, err)
 	}
+	// A k-th neighbor needs k other points.
+	for _, c := range []struct {
+		pts [][]float64
+		k   int
+	}{
+		{[][]float64{{0}, {4}, {5}}, 5},
+		{[][]float64{{0}, {4}, {5}}, 3},
+		{[][]float64{{1, 2}}, 1},
+	} {
+		if d, err := KDistances(c.pts, c.k); err == nil {
+			t.Fatalf("%d points, k=%d: got %v, want an error", len(c.pts), c.k, d)
+		}
+	}
+	if d, err := KDistances([][]float64{{0}, {4}, {5}}, 2); err != nil || !reflect.DeepEqual(d, []float64{4, 5, 5}) {
+		t.Fatalf("3 points, k=2: %v %v, want [4 5 5]", d, err)
+	}
 }
 
 func TestSuggestEpsSeparatesBlobsFromNoise(t *testing.T) {
@@ -66,6 +83,14 @@ func TestSuggestEpsValidation(t *testing.T) {
 	}
 	if _, err := SuggestEps(nil, 5); err == nil {
 		t.Fatal("no points should error")
+	}
+	// MinPts 5 asks for 4-th neighbors: four points have none, five do.
+	rows := [][]float64{{0}, {1}, {3}, {6}, {10}}
+	if _, err := SuggestEps(rows[:4], 5); err == nil {
+		t.Fatal("fewer than MinPts points should error")
+	}
+	if _, err := SuggestEps(rows, 5); err != nil {
+		t.Fatalf("MinPts points: %v", err)
 	}
 }
 

@@ -25,9 +25,9 @@ func neighborCount(pts []geom.Point, p geom.Point, eps float64) int {
 
 // certified runs steps 1 and 3 at one worker over pts, whose first
 // localCount points are local, and returns the points the MinPts-radius
-// proved core: in step 1 those beyond Lemmas 1 and 2 (neither a centre nor in
-// a DMC's inner circle), in step 3 those processPoint returned from without a
-// query. Each r_k is held to a sort of its micro-cluster's distances first.
+// proved core: in step 1 every member but the centres, in step 3 those
+// processPoint returned from without a query. Each r_k is held to a sort of
+// its micro-cluster's distances first.
 func certified(t *testing.T, pts []geom.Point, eps float64, minPts, localCount int) (step1, step3 []int) {
 	t.Helper()
 	ix := mc.Build(pts, eps, minPts, mc.Options{})
@@ -40,18 +40,17 @@ func certified(t *testing.T, pts []geom.Point, eps float64, minPts, localCount i
 		}
 		slices.Sort(d)
 		want := math.Inf(1)
-		if ix.Kind(k) != mc.SMC {
+		if len(d) >= minPts {
 			want = d[minPts-1]
 		}
 		if r.rk[k] != want {
-			t.Fatalf("MC %d (%v, %d members): r_k %v, sorted %v", k, ix.Kind(k), len(d), r.rk[k], want)
+			t.Fatalf("MC %d (%d members): r_k %v, sorted %v", k, len(d), r.rk[k], want)
 		}
-		if ix.Kind(k) == mc.SMC {
+		if len(d) < minPts {
 			continue
 		}
 		for _, q := range ix.Members(k) {
-			lemma := int(q) == ix.CenterID(k) || ix.Kind(k) == mc.DMC && slices.Contains(ix.InnerIDs(k), q)
-			if !lemma && r.flags.get(int(q))&flagWndq != 0 {
+			if int(q) != ix.CenterID(k) && r.flags.get(int(q))&flagWndq != 0 {
 				step1 = append(step1, int(q))
 			}
 		}
@@ -73,6 +72,16 @@ func certified(t *testing.T, pts []geom.Point, eps float64, minPts, localCount i
 	return step1, step3
 }
 
+// fatCases are sets of fat micro-clusters at d = 2, 5 and 14, where step 1's
+// MinPts-radius proves many members core.
+func fatCases() []driverCase {
+	return []driverCase{
+		{"fat-2d", data.Blobs(3000, 2, 6, 0.4, 0.05, 1), 0.5, 8},
+		{"fat-5d", data.HouseholdLike(8000, 5, 1), 0.25, 6},
+		{"fat-14d", data.Blobs(2000, 14, 4, 0.3, 0.05, 1), 2, 6},
+	}
+}
+
 // TestMinPtsRadiusCertificate: every point a micro-cluster's MinPts-radius
 // proves core (cut (g)) has MinPts points strictly within ε by the kernel, in
 // step 1 and in step 3, on the conformance and scenario datasets and on fat
@@ -81,11 +90,7 @@ func certified(t *testing.T, pts []geom.Point, eps float64, minPts, localCount i
 func TestMinPtsRadiusCertificate(t *testing.T) {
 	fat := map[string]bool{}
 	cases := driverCases()
-	for _, c := range []driverCase{
-		{"fat-2d", data.Blobs(3000, 2, 6, 0.4, 0.05, 1), 0.5, 8},
-		{"fat-5d", data.HouseholdLike(8000, 5, 1), 0.25, 6},
-		{"fat-14d", data.Blobs(2000, 14, 4, 0.3, 0.05, 1), 2, 6},
-	} {
+	for _, c := range fatCases() {
 		fat[c.name] = true
 		cases = append(cases, c)
 	}
@@ -109,6 +114,56 @@ func TestMinPtsRadiusCertificate(t *testing.T) {
 	}
 	if total1 == 0 || total3 == 0 {
 		t.Fatalf("%d points proven in step 1, %d in step 3: a step never fires", total1, total3)
+	}
+}
+
+// TestMinPtsRadiusSubsumesLemmas: step 1 proves every point the paper's
+// query-free lemmas prove (§IV-B1) with the MinPts-radius and the centre
+// marking alone. Lemma 1: in a micro-cluster with at least MinPts members
+// strictly within ε/2 of the centre, the centre itself counting, each of them
+// is core (the paper leaves the centre out of the count; this is the
+// stronger form). Lemma 2: the centre
+// of a micro-cluster with at least MinPts members is core. "Within ε/2" is
+// counted here by the kernel, not read from the index. It runs on the driver
+// datasets and the fat sets, each as it is and with its last fifth playing
+// the halo, at 1, 2 and 4 workers, and Lemma 1 must apply somewhere.
+func TestMinPtsRadiusSubsumesLemmas(t *testing.T) {
+	lemma1 := 0
+	for _, c := range append(driverCases(), fatCases()...) {
+		half2 := c.eps / 2 * (c.eps / 2)
+		for _, halo := range []int{0, len(c.pts) / 5} {
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/halo=%d/workers=%d", c.name, halo, workers), func(t *testing.T) {
+					ix := mc.Build(c.pts, c.eps, c.minPts, mc.Options{Workers: workers})
+					r := newRun(ix, c.eps, c.minPts, len(c.pts)-halo, Options{Workers: workers})
+					r.preliminaryClusters()
+					for k := 0; k < ix.NumMCs(); k++ {
+						members, center := ix.Members(k), ix.CenterID(k)
+						if len(members) >= c.minPts && r.flags.get(center)&flagWndq == 0 {
+							t.Fatalf("centre %d of MC %d (%d members) not proven core", center, k, len(members))
+						}
+						var inner []int32
+						for _, q := range members {
+							if geom.DistSq(c.pts[q], c.pts[center]) < half2 {
+								inner = append(inner, q)
+							}
+						}
+						if len(inner) < c.minPts {
+							continue
+						}
+						lemma1++
+						for _, q := range inner {
+							if r.flags.get(int(q))&flagWndq == 0 {
+								t.Fatalf("point %d, in MC %d's inner circle of %d, not proven core", q, k, len(inner))
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+	if lemma1 == 0 {
+		t.Fatal("no micro-cluster had MinPts members within ε/2: Lemma 1 never applied")
 	}
 }
 
@@ -150,9 +205,9 @@ func TestMinPtsRadiusBoundaries(t *testing.T) {
 		}
 		for k, p := range ps {
 			z := int(r.ix.PointMC[p])
-			if r.ix.Kind(z) == mc.SMC || r.flags.get(p)&flagWndq != 0 {
-				t.Fatalf("d=%d: set %d: p in a %v, proven core in step 1 (d + r_k = %v)",
-					dim, k, r.ix.Kind(z), r.ix.CenterDist[p]+r.rk[z])
+			if len(r.ix.Members(z)) < minPts || r.flags.get(p)&flagWndq != 0 {
+				t.Fatalf("d=%d: set %d: p in a micro-cluster of %d members, proven core in step 1 (d + r_k = %v)",
+					dim, k, len(r.ix.Members(z)), r.ix.CenterDist[p]+r.rk[z])
 			}
 			w := &r.workers[0]
 			queries := w.queries

@@ -6,10 +6,10 @@
 // The algorithm runs in four steps:
 //
 //  1. μR-tree construction and discovery of preliminary clusters: points are
-//     grouped into micro-clusters; dense and core micro-clusters yield
-//     "wndq-core" points (core without neighborhood query: Lemmas 1 and 2,
-//     and every member within ε of the micro-cluster's MinPts closest) and
-//     preliminary unions.
+//     grouped into micro-clusters; a micro-cluster with at least MinPts
+//     members yields "wndq-core" points (core without neighborhood query:
+//     its centre, and every member within ε of its MinPts closest, which
+//     covers Lemmas 1 and 2) and preliminary unions.
 //  2. Reachable micro-cluster computation (Lemma 3) to bound every later
 //     search to MCs whose centers are within 3ε.
 //  3. Clustering: each point not yet known core and not within ε of the
@@ -91,8 +91,8 @@ type Stats struct {
 	// point that this leaves short of MinPts is queried again in full.
 	Requeries int
 	// QueriesSaved is the number of points proven core without a query
-	// (wndq-core points from steps 1 and 3: the two Lemmas, a
-	// micro-cluster's MinPts-radius, a dense ε/2-neighborhood).
+	// (wndq-core points from steps 1 and 3: a micro-cluster's centre or
+	// MinPts-radius, a dense ε/2-neighborhood).
 	QueriesSaved int
 	// DistCalcs counts point-to-point distance computations across all
 	// phases, including post-processing.
@@ -103,10 +103,11 @@ type Stats struct {
 	// kernel calls like any other but were never part of DistCalcs, which
 	// keeps its meaning along the benchmark ledger.
 	CenterCalcs int64
-	// WndqFromMCs counts the saved queries of step 1: DMC inner circles and
-	// CMC/DMC centres (Lemmas 1 and 2), and every CMC/DMC member p with
+	// WndqFromMCs counts the saved queries of step 1: in every micro-cluster
+	// Z with at least MinPts members, its centre and every member p with
 	// d(p, cZ) + r_k(Z) < ε(1−δ), r_k(Z) being the distance from the centre
-	// to its MinPts-th closest member (the centre counting at 0).
+	// to its MinPts-th closest member (the centre counting at 0). Lemmas 1
+	// and 2 are cases of that test.
 	WndqFromMCs int
 	// WndqDynamic counts those of step 3: members of a queried core's dense
 	// ε/2-neighborhood, and points the same MinPts-radius test proves core
@@ -250,8 +251,8 @@ func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult {
 	st := lb.st
 	eps, minPts, localCount, opts := lb.eps, lb.minPts, lb.localCount, lb.opts
 
-	// Step 1 (continued): halo points join the micro-clusters, then aux
-	// trees and kinds are finalized.
+	// Step 1 (continued): halo points join the micro-clusters, then the aux
+	// trees and centre distances are finalized.
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	lb.b.Add(haloPts)
 	ix := lb.b.Finish()
@@ -263,8 +264,9 @@ func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult {
 	ix.ComputeReachable()
 	st.Steps.FindingReachable = time.Since(start)
 
-	// Step 3: preliminary clusters from DMC/CMC, then neighborhood queries
-	// with dynamic wndq-core identification.
+	// Step 3: preliminary clusters from the micro-clusters of at least
+	// MinPts members, then neighborhood queries with dynamic wndq-core
+	// identification.
 	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	r := newRun(ix, eps, minPts, localCount, opts)
 	if !opts.DisableWndq {
@@ -382,7 +384,8 @@ type run struct {
 	// each MC is handled by exactly one worker; read only after that step.
 	mcWhole []bool
 	// rk[id] is r_k of MC id: the distance from its centre to its
-	// MinPts-th closest member, the centre counting at 0; +Inf for an SMC.
+	// MinPts-th closest member, the centre counting at 0; +Inf for one with
+	// fewer than MinPts members.
 	// Any point p with d(p, centre) + rk[id] < ε has the MinPts members
 	// within ε (see provenByRadius). Set by preliminaryClusters; nil when
 	// wndq-cores are disabled.
@@ -493,22 +496,20 @@ func (r *run) linkFromCore(w *worker, c, q int32) bool {
 	return false
 }
 
-// preliminaryClusters implements Algorithm 4: every DMC contributes its
-// inner circle (and center) as wndq-core points; every CMC contributes its
-// center; all members of either kind are unioned with the center. When every
-// member ended up in the center's component, the MC is flagged "whole": it
-// will occupy a single union-find component forever (unions only merge),
-// which postProcessCore exploits.
-//
-// It also takes each MC's MinPts-radius, and a member p of a CMC or DMC with
-// d(p, cZ) + r_k(Z) < ε(1−δ) is a wndq-core as well: Lemmas 1 and 2 are the
-// cases p in the inner circle of a DMC and p the centre (DESIGN.md §8,
-// cut (g)).
+// preliminaryClusters implements Algorithm 4 with one core proof, the
+// MinPts-radius: in a micro-cluster Z with at least MinPts members, a member
+// p with d(p, cZ) + r_k(Z) < ε(1−δ) is a wndq-core (DESIGN.md §8, cut (g)).
+// The paper's Lemma 1 (a DMC's inner circle) and Lemma 2 (a CMC's centre)
+// are cases of it. The centre is marked first and unconditionally: Z's
+// MinPts members within ε of it are the exact certificate at d = 0, and its
+// unions with the members below need the flag. Every member is unioned with
+// the centre. When every member ended up in the centre's component, the MC
+// is flagged "whole": it will occupy a single union-find component forever
+// (unions only merge), which postProcessCore exploits.
 func (r *run) preliminaryClusters() {
 	r.rk = make([]float64, r.ix.NumMCs())
 	r.each(r.ix.NumMCs(), func(w *worker, k int) {
-		kind := r.ix.Kind(k)
-		if kind == mc.SMC {
+		if len(r.ix.Members(k)) < r.minPts {
 			r.rk[k] = math.Inf(1)
 			return
 		}
@@ -516,11 +517,6 @@ func (r *run) preliminaryClusters() {
 		r.rk[k] = radius
 		center := int32(r.ix.CenterID(k))
 		r.markWndq(w, center, true)
-		if kind == mc.DMC {
-			for _, q := range r.ix.InnerIDs(k) {
-				r.markWndq(w, q, true)
-			}
-		}
 		whole := true
 		for _, p := range r.ix.Members(k) {
 			if p == center {
@@ -537,10 +533,10 @@ func (r *run) preliminaryClusters() {
 	})
 }
 
-// minPtsRadius returns r_k of micro-cluster k, a CMC or DMC (so it has at
-// least MinPts members): the MinPts-th smallest of its members' CenterDist,
-// the centre's 0 included. The selection runs in the worker's centerDist
-// scratch, which step 1 does not otherwise use.
+// minPtsRadius returns r_k of micro-cluster k, which has at least MinPts
+// members: the MinPts-th smallest of its members' CenterDist, the centre's 0
+// included. The selection runs in the worker's centerDist scratch, which
+// step 1 does not otherwise use.
 func (r *run) minPtsRadius(w *worker, k int) float64 {
 	nth := max(r.minPts, 1) - 1
 	d := w.centerDist[:0]
@@ -702,8 +698,8 @@ func (r *run) processPoint(w *worker, i int) {
 
 	if len(nbhd) < r.minPts {
 		// A point already claimed as a border (e.g. by a preliminary
-		// DMC/CMC union) must stay in that cluster: attaching it to the
-		// first core in its own neighborhood could bridge two clusters
+		// micro-cluster union) must stay in that cluster: attaching it to
+		// the first core in its own neighborhood could bridge two clusters
 		// through a non-core point.
 		if r.flags.get(i)&flagAssigned != 0 {
 			return

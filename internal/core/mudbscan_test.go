@@ -138,7 +138,7 @@ func TestWndqSavesQueriesOnDenseData(t *testing.T) {
 		t.Fatalf("dense blobs should save >40%% of queries, saved %.1f%%", st.QuerySavedPct())
 	}
 	if st.WndqFromMCs == 0 {
-		t.Fatal("expected some wndq-cores from DMC/CMC classification")
+		t.Fatal("expected some wndq-cores from step 1's micro-cluster proofs")
 	}
 	if st.NumMCs >= len(pts)/2 {
 		t.Fatalf("m=%d should be far below n=%d", st.NumMCs, len(pts))

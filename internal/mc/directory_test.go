@@ -69,7 +69,7 @@ func (b *bruteDirectory) insert(_ int, center geom.Point) { b.centers.Append(cen
 func (b *bruteDirectory) centerRows() *geom.PointSet { return b.centers }
 
 // sameIndex: identical PointMC, and per micro-cluster identical centre,
-// members, inner circle, kind and reachable list.
+// members and reachable list.
 func sameIndex(got, want *Index) error {
 	if !reflect.DeepEqual(got.PointMC, want.PointMC) {
 		return fmt.Errorf("PointMC differs (m=%d vs %d)", got.NumMCs(), want.NumMCs())
@@ -83,12 +83,8 @@ func sameIndex(got, want *Index) error {
 		switch {
 		case m.CenterID != w.CenterID:
 			return fmt.Errorf("MC %d: centre %d, want %d", k, m.CenterID, w.CenterID)
-		case m.Kind != w.Kind:
-			return fmt.Errorf("MC %d: kind %v, want %v", k, m.Kind, w.Kind)
 		case !reflect.DeepEqual(m.Members, w.Members):
 			return fmt.Errorf("MC %d: members differ", k)
-		case !reflect.DeepEqual(m.InnerIDs, w.InnerIDs):
-			return fmt.Errorf("MC %d: inner circle differs", k)
 		case !reflect.DeepEqual(m.Reach, w.Reach):
 			return fmt.Errorf("MC %d: reachable list differs", k)
 		}

@@ -1,7 +1,9 @@
 // Package mc implements the micro-cluster machinery at the heart of μDBSCAN
 // (§IV-A/B of the paper): micro-cluster construction with the 2ε deferral
-// rule, the two-level μR-tree, DMC/CMC/SMC classification, reachable
-// micro-cluster lists, and the reduced-search-space ε-neighborhood query.
+// rule, the two-level μR-tree, reachable micro-cluster lists, and the
+// reduced-search-space ε-neighborhood query. What a micro-cluster proves
+// about its members' coreness is μDBSCAN's business (internal/core), read
+// from Members and CenterDist.
 //
 // A micro-cluster (MC) is a hyper-sphere of radius ε centered at one of the
 // data points; every data point belongs to exactly one MC, and membership
@@ -34,8 +36,8 @@
 // (a stable counting sort of the assignment order by micro-cluster), the m
 // auxiliary trees are one rtree.Packed forest whose ranges are known before
 // any tree is built, the micro-clusters are one slab of offset records, and
-// the inner-circle and reachable lists are arenas too. A built Index is a
-// few dozen heap objects however many micro-clusters it has.
+// the reachable lists are an arena too. A built Index is a few dozen heap
+// objects however many micro-clusters it has.
 package mc
 
 import (
@@ -48,33 +50,6 @@ import (
 	"mudbscan/internal/rtree"
 )
 
-// Kind classifies a micro-cluster (§IV-B1, Fig. 2).
-type Kind uint8
-
-const (
-	// SMC is a sparse micro-cluster: fewer than MinPts members.
-	SMC Kind = iota
-	// CMC is a core micro-cluster: at least MinPts members, so its center is
-	// a core point (Lemma 2).
-	CMC
-	// DMC is a dense micro-cluster: at least MinPts members in its
-	// inner circle (radius ε/2), so every inner-circle point and the center
-	// are core points (Lemma 1).
-	DMC
-)
-
-func (k Kind) String() string {
-	switch k {
-	case SMC:
-		return "SMC"
-	case CMC:
-		return "CMC"
-	case DMC:
-		return "DMC"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
 // microCluster is one micro-cluster's record. Its lists live in the Index's
 // arenas: each field below is where one starts, the same field of the next
 // record is where it ends, and a last record past the m real ones closes the
@@ -82,10 +57,8 @@ func (k Kind) String() string {
 type microCluster struct {
 	center  int32 // id of the centre point, which is also members[0]
 	members int32 // start in Index.members, and of its tree's rows in the forest
-	inner   int32 // start in Index.inner
 	reach   int32 // start in Index.reach
 	root    int32 // root of its auxiliary tree in Index.aux
-	kind    Kind
 }
 
 // Options tunes micro-cluster construction; the zero value means defaults.
@@ -99,11 +72,11 @@ type Options struct {
 	// themselves.
 	SkipReachable bool
 	// Workers parallelizes the per-MC finalize work (auxiliary bulk loads,
-	// inner-circle scans, kind classification) and ComputeReachable across
-	// that many goroutines. Zero or one means sequential. The index produced
-	// is identical at every worker count: each micro-cluster is finalized by
-	// exactly one worker against the already-frozen membership, the centre
-	// grid is only read, and each reachable list is sorted by MC id.
+	// centre distances) and ComputeReachable across that many goroutines.
+	// Zero or one means sequential. The index produced is identical at every
+	// worker count: each micro-cluster is finalized by exactly one worker
+	// against the already-frozen membership, the centre grid is only read,
+	// and each reachable list is sorted by MC id.
 	Workers int
 }
 
@@ -122,15 +95,15 @@ type Index struct {
 	// as read-only.
 	Points *geom.PointSet
 	// CenterDist[i] is the distance (not squared) from point i to the centre
-	// of its own micro-cluster, 0 for a centre: the kernel value finalize
-	// computes for the inner-circle test anyway, kept so that step 4 can
-	// bound a distance to a member by the triangle inequality on its centre
-	// without touching the member. One flat slice per Index.
+	// of its own micro-cluster, 0 for a centre: the root of one gathered
+	// kernel call per micro-cluster in finalize. μDBSCAN takes each
+	// micro-cluster's MinPts-radius from it, and step 4 bounds a distance to
+	// a member by the triangle inequality on its centre without touching the
+	// member. One flat slice per Index.
 	CenterDist []float64
 
 	mcs     []microCluster // NumMCs()+1 records
 	members []int32        // per MC: the centre, then its members in the order the scan assigned them
-	inner   []int32        // per MC: the members strictly within ε/2 of the centre, in member order
 	reach   []int32        // per MC: the MCs with centres within 3ε, ascending
 	aux     *rtree.Packed  // the auxiliary trees, MC k's rooted at mcs[k].root
 	dir     centerDirectory
@@ -158,19 +131,10 @@ func (ix *Index) CenterDistSq(dst []float64, p geom.Point, ids []int32, limit fl
 	return geom.AppendDistSqGathered(dst, ids, ix.centers.Data(), ix.Dim, p, limit)
 }
 
-// Kind returns micro-cluster k's classification.
-func (ix *Index) Kind(k int) Kind { return ix.mcs[k].kind }
-
 // Members returns the ids of micro-cluster k's points; Members(k)[0] is
 // always the centre. The slice is a view into the Index: read-only.
 func (ix *Index) Members(k int) []int32 {
 	return ix.members[ix.mcs[k].members:ix.mcs[k+1].members]
-}
-
-// InnerIDs returns the member ids strictly within ε/2 of micro-cluster k's
-// centre, excluding the centre itself (the paper's Inner Circle). Read-only.
-func (ix *Index) InnerIDs(k int) []int32 {
-	return ix.inner[ix.mcs[k].inner:ix.mcs[k+1].inner]
 }
 
 // Reach returns the ids of the micro-clusters reachable from k: centres
@@ -204,7 +168,7 @@ func (ix *Index) AuxSphereDistInto(k int, p geom.Point, r float64, dst []int, di
 // if some center lies within 2ε, the point is deferred to an unassigned list
 // (to limit the number of MCs); otherwise it seeds a new MC. Deferred points
 // are then inserted (joining an MC within ε or seeding one). Finally the
-// auxiliary R-trees, inner circles, kinds and reachable lists are computed.
+// auxiliary R-trees, centre distances and reachable lists are computed.
 // It is BuildSet over a copy of pts.
 func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 	if len(pts) == 0 {
@@ -326,7 +290,7 @@ func (b *Builder) scan(from int) {
 func (b *Builder) Points() *geom.PointSet { return b.ix.Points }
 
 // Finish inserts the deferred points and finalizes the Index (member lists,
-// aux trees, inner circles, kinds, and — unless SkipReachable — reachable
+// aux trees, centre distances, and — unless SkipReachable — reachable
 // lists).
 func (b *Builder) Finish() *Index {
 	if b.finished {
@@ -358,8 +322,8 @@ func (b *Builder) newMC(centerID int) {
 }
 
 // finalize turns the scan's outcome — PointMC, the centres in creation order
-// and the deferred points — into the Index: member lists, aux trees, inner
-// circles, kinds and reachable lists.
+// and the deferred points — into the Index: member lists, aux trees, centre
+// distances and reachable lists.
 func (ix *Index) finalize(centers, deferred []int32) {
 	n, m := ix.Points.Len(), len(centers)
 	ix.mcs = make([]microCluster, m+1)
@@ -410,31 +374,18 @@ func (ix *Index) finalize(centers, deferred []int32) {
 		packers[w] = ix.aux.Packer()
 	}
 
+	// Each micro-cluster's tree and its members' CenterDist are written by
+	// the one worker that takes it, so the bytes do not depend on the split.
 	ix.CenterDist = make([]float64, n)
-	half2 := ix.Eps / 2 * (ix.Eps / 2)
 	toCenter := make([][]float64, len(packers)) // per worker: the d² of one MC's members
-	ix.inner = ix.carve(func(z *microCluster) *int32 { return &z.inner }, func(w, k int, inner []int32) []int32 {
+	par.For(len(packers), m, func(w, k int) {
 		z := &ix.mcs[k]
 		members := ix.Members(k)
 		packers[w].Pack(z.root, z.members, ix.Points, members)
 		toCenter[w] = geom.AppendDistSqGathered(toCenter[w][:0], members[1:], ix.Points.Data(), ix.Dim, ix.Center(k), math.Inf(1))
-		before := len(inner)
 		for j, id := range members[1:] {
-			d2 := toCenter[w][j]
-			ix.CenterDist[id] = math.Sqrt(d2)
-			if d2 < half2 {
-				inner = append(inner, id)
-			}
+			ix.CenterDist[id] = math.Sqrt(toCenter[w][j])
 		}
-		switch {
-		case len(inner)-before >= ix.MinPts:
-			z.kind = DMC
-		case len(members) >= ix.MinPts:
-			z.kind = CMC
-		default:
-			z.kind = SMC
-		}
-		return inner
 	})
 	if !ix.opts.SkipReachable {
 		ix.ComputeReachable()
@@ -446,20 +397,21 @@ func (ix *Index) finalize(centers, deferred []int32) {
 // what carve allocates does not grow with m.
 const carveBlocks = 64
 
-// carve builds one list per micro-cluster — fill appends micro-cluster k's to
-// the slice it is given — across Options.Workers goroutines, and returns the
-// lists as one arena in micro-cluster order, having set the field of every
-// record to where its list starts (and of the closing record to the arena's
-// length). Micro-clusters are mutually independent in both fills: membership
-// is frozen, every write targets the one being filled, and the lists are laid
-// out by micro-cluster number, so the arena is the same at every worker count.
+// carve builds one reachable list per micro-cluster — fill appends
+// micro-cluster k's to the slice it is given — across Options.Workers
+// goroutines, and returns the lists as one arena in micro-cluster order,
+// having set the reach start of every record to where its list starts (and of
+// the closing record to the arena's length). Micro-clusters are mutually
+// independent: membership is frozen, every write targets the one being
+// filled, and the lists are laid out by micro-cluster number, so the arena is
+// the same at every worker count.
 //
 // The arena's size is not known until the last list is, and a buffer that
 // grows to it is reallocated (and its pages faulted in) five times over. So a
 // worker fills the lists of one block of consecutive micro-clusters into a
 // scratch buffer it reuses, keeps an exact copy, and the copies are laid into
 // an arena allocated once.
-func (ix *Index) carve(field func(*microCluster) *int32, fill func(w, k int, dst []int32) []int32) []int32 {
+func (ix *Index) carve(fill func(w, k int, dst []int32) []int32) []int32 {
 	m := ix.NumMCs()
 	workers := max(ix.opts.Workers, 1)
 	block := (m + carveBlocks - 1) / carveBlocks
@@ -468,7 +420,7 @@ func (ix *Index) carve(field func(*microCluster) *int32, fill func(w, k int, dst
 	par.For(workers, len(runs), func(w, b int) {
 		run := scratch[w][:0]
 		for k := b * block; k < min((b+1)*block, m); k++ {
-			*field(&ix.mcs[k]) = int32(len(run))
+			ix.mcs[k].reach = int32(len(run))
 			run = fill(w, k, run)
 		}
 		scratch[w] = run
@@ -477,14 +429,14 @@ func (ix *Index) carve(field func(*microCluster) *int32, fill func(w, k int, dst
 	total := 0
 	for b, run := range runs {
 		for k := b * block; k < min((b+1)*block, m); k++ {
-			*field(&ix.mcs[k]) += int32(total)
+			ix.mcs[k].reach += int32(total)
 		}
 		total += len(run)
 	}
-	*field(&ix.mcs[m]) = int32(total)
+	ix.mcs[m].reach = int32(total)
 	arena := make([]int32, total)
 	par.For(workers, len(runs), func(_, b int) {
-		copy(arena[*field(&ix.mcs[b*block]):], runs[b])
+		copy(arena[ix.mcs[b*block].reach:], runs[b])
 	})
 	return arena
 }
@@ -498,7 +450,7 @@ func (ix *Index) carve(field func(*microCluster) *int32, fill func(w, k int, dst
 func (ix *Index) ComputeReachable() {
 	reach := 3 * ix.Eps
 	hits := make([][]int, max(ix.opts.Workers, 1))
-	ix.reach = ix.carve(func(z *microCluster) *int32 { return &z.reach }, func(w, k int, dst []int32) []int32 {
+	ix.reach = ix.carve(func(w, k int, dst []int32) []int32 {
 		hits[w] = ix.dir.within(ix.Center(k), reach, true, hits[w][:0])
 		slices.Sort(hits[w])
 		for _, id := range hits[w] {

@@ -37,10 +37,9 @@ func bruteNbhd(pts []geom.Point, q geom.Point, eps float64) []int {
 
 // mcView is one micro-cluster read out through the Index's accessors.
 type mcView struct {
-	ID, CenterID             int
-	Center                   geom.Point
-	Members, InnerIDs, Reach []int32
-	Kind                     Kind
+	ID, CenterID   int
+	Center         geom.Point
+	Members, Reach []int32
 }
 
 func (m mcView) Size() int { return len(m.Members) }
@@ -48,7 +47,7 @@ func (m mcView) Size() int { return len(m.Members) }
 func views(ix *Index) []mcView {
 	vs := make([]mcView, ix.NumMCs())
 	for k := range vs {
-		vs[k] = mcView{k, ix.CenterID(k), ix.Center(k), ix.Members(k), ix.InnerIDs(k), ix.Reach(k), ix.Kind(k)}
+		vs[k] = mcView{k, ix.CenterID(k), ix.Center(k), ix.Members(k), ix.Reach(k)}
 	}
 	return vs
 }
@@ -125,66 +124,6 @@ func TestCentersPairwiseSeparated(t *testing.T) {
 				t.Fatalf("centers of MC %d and %d are strictly within eps", a.ID, b.ID)
 			}
 		}
-	}
-}
-
-func TestInnerCircle(t *testing.T) {
-	pts, ix := buildRandom(t, 4, 800, 2, 1.0, 4)
-	for _, m := range views(ix) {
-		inner := make(map[int32]bool, len(m.InnerIDs))
-		for _, id := range m.InnerIDs {
-			inner[id] = true
-			if int(id) == m.CenterID {
-				t.Fatal("center must not be in its own inner circle")
-			}
-			if !geom.Within(pts[id], m.Center, ix.Eps/2) {
-				t.Fatalf("inner point %d at dist %g >= eps/2", id, geom.Dist(pts[id], m.Center))
-			}
-		}
-		for _, id := range m.Members {
-			if int(id) != m.CenterID && geom.Within(pts[id], m.Center, ix.Eps/2) && !inner[id] {
-				t.Fatalf("point %d within eps/2 missing from InnerIDs", id)
-			}
-		}
-	}
-}
-
-func TestKinds(t *testing.T) {
-	pts, ix := buildRandom(t, 5, 900, 2, 0.9, 5)
-	_ = pts
-	var sawDMC, sawSMC bool
-	for _, m := range views(ix) {
-		switch m.Kind {
-		case DMC:
-			sawDMC = true
-			if len(m.InnerIDs) < ix.MinPts {
-				t.Fatalf("DMC with |IC|=%d < MinPts", len(m.InnerIDs))
-			}
-		case CMC:
-			if m.Size() < ix.MinPts {
-				t.Fatalf("CMC with size %d < MinPts", m.Size())
-			}
-			if len(m.InnerIDs) >= ix.MinPts {
-				t.Fatal("CMC should have been DMC")
-			}
-		case SMC:
-			sawSMC = true
-			if m.Size() >= ix.MinPts {
-				t.Fatalf("SMC with size %d >= MinPts", m.Size())
-			}
-		}
-	}
-	if !sawDMC || !sawSMC {
-		t.Skipf("workload did not produce both DMC and SMC (dmc=%v smc=%v)", sawDMC, sawSMC)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if SMC.String() != "SMC" || CMC.String() != "CMC" || DMC.String() != "DMC" {
-		t.Fatal("Kind.String")
-	}
-	if Kind(9).String() != "Kind(9)" {
-		t.Fatal("unknown kind formatting")
 	}
 }
 
@@ -271,7 +210,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestSinglePoint(t *testing.T) {
 	ix := Build([]geom.Point{{1, 2}}, 0.5, 3, Options{})
-	if ix.NumMCs() != 1 || ix.Kind(0) != SMC || len(ix.Members(0)) != 1 {
+	if ix.NumMCs() != 1 || len(ix.Members(0)) != 1 {
 		t.Fatalf("single point index wrong: m=%d", ix.NumMCs())
 	}
 }
@@ -319,7 +258,7 @@ func TestQuickInvariants(t *testing.T) {
 }
 
 // sameBytes holds two indexes to byte-equality: the scan's outcome, the
-// record slab, the three list arenas, the four slices of the forest, and the
+// record slab, the two list arenas, the four slices of the forest, and the
 // centre grid's centres, chains and slots.
 func sameBytes(got, want *Index) error {
 	g, w := got.dir.(*gridDirectory), want.dir.(*gridDirectory)
@@ -330,9 +269,8 @@ func sameBytes(got, want *Index) error {
 		{"PointMC", got.PointMC, want.PointMC},
 		{"Points", got.Points.Data(), want.Points.Data()},
 		{"CenterDist", got.CenterDist, want.CenterDist},
-		{"records (centres, kinds, list starts, roots)", got.mcs, want.mcs},
+		{"records (centres, list starts, roots)", got.mcs, want.mcs},
 		{"members", got.members, want.members},
-		{"InnerIDs", got.inner, want.inner},
 		{"Reach", got.reach, want.reach},
 		{"aux forest", got.aux, want.aux},
 		{"grid centres", g.centers.Data(), w.centers.Data()},
@@ -386,8 +324,8 @@ func TestIndexIdenticalAcrossWorkers(t *testing.T) {
 // all-singleton set — every point its own micro-cluster, the shape that used
 // to cost ten allocations a point — Build's mallocs stay under a constant
 // (the amortised growth of the scan's slices and of the directory, the
-// arenas, and carve's at most 64 block copies per list kind), and what is
-// left alive afterwards is a few dozen objects whatever m is.
+// arenas, and carve's at most 64 block copies of the reachable lists), and
+// what is left alive afterwards is a few dozen objects whatever m is.
 func TestBuildAllocsIndependentOfM(t *testing.T) {
 	const n = 20000
 	pts := make([]geom.Point, n)

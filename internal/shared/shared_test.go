@@ -107,7 +107,7 @@ func TestStatsOneWorkerVsMany(t *testing.T) {
 		t.Fatalf("m=%d at 4 workers, %d at one", st.NumMCs, one.NumMCs)
 	}
 	if st.WndqFromMCs != one.WndqFromMCs {
-		t.Fatalf("DMC/CMC classification proved %d cores at 4 workers, %d at one",
+		t.Fatalf("step 1's micro-cluster proofs found %d cores at 4 workers, %d at one",
 			st.WndqFromMCs, one.WndqFromMCs)
 	}
 	if st.Queries+st.QueriesSaved != len(pts) || st.QueriesSaved < st.WndqFromMCs {
