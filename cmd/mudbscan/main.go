@@ -15,12 +15,13 @@
 // line: a cluster id in [0, #clusters) or -1 for noise.
 //
 // -mode takes the names of mudbscan.Engine. -mode seq is the sequential
-// μR-tree engine, -mode cell the grid cell engine (exact and byte-identical
-// to seq, typically faster at low dimensionality; -workers bounds its
-// parallelism), and -mode auto profiles the dataset and picks between them
-// (-stats reports which engine ran). -mode shared is the seq engine on
-// -workers goroutines (0 = all cores): the same cores, partition and noise;
-// border ties may resolve differently from run to run.
+// μR-tree engine, -mode cell the grid cell engine (typically faster at low
+// dimensionality; -workers bounds its parallelism), and -mode auto profiles
+// the dataset and picks between them (-stats reports which engine ran).
+// -mode shared is the seq engine on -workers goroutines (0 = all cores).
+// Every mode writes the same labels: each engine is exact and gives a border
+// point the cluster of its smallest-id core neighbor, as brute-force DBSCAN
+// does.
 //
 // -mode stream feeds the rows through the streaming tier in order and labels
 // them from the final exact snapshot — identical to -mode auto by default

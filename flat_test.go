@@ -63,12 +63,6 @@ func TestBlockReadOnlyAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if e.engine == EngineShared {
-				if err := equiv(want, got); err != nil || !reflect.DeepEqual(want.Core, got.Core) {
-					t.Errorf("%s: shared@%d: ClusterFlat differs from ClusterWithStats: %v", cc.Name, e.workers, err)
-				}
-				continue
-			}
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s: %v@%d: ClusterFlat differs from ClusterWithStats", cc.Name, e.engine, e.workers)
 			}

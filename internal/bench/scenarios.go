@@ -12,7 +12,6 @@ import (
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/dist"
-	"mudbscan/internal/geom"
 	"mudbscan/internal/stream"
 )
 
@@ -27,11 +26,9 @@ const scenarioDistRanks = 4
 // streaming tier (full ingest in arrival order plus one exact snapshot). The
 // corpus couples spatial distributions to adversarial arrival orders, so the
 // stream column prices the ingest path the batch engines never see. Every
-// row verifies the exact-result contract inline — cell must DeepEqual brute,
-// μR-tree/shared/dist must be exactly equivalent with identical cores, and
-// the stream snapshot must DeepEqual the auto engine's batch result (cell's
-// where cell.Prefer picks the grid, the sequential μR-tree's otherwise) — so
-// the table can never report the speedup of a wrong answer. The corpus is
+// row verifies the exact-result contract inline — every engine's result,
+// the stream snapshot's included, must DeepEqual brute force's — so the table
+// can never report the speedup of a wrong answer. The corpus is
 // pinned at its conformance sizes; cfg.Scale is ignored.
 func Scenarios(cfg Config) error {
 	cfg = cfg.withDefaults()
@@ -80,26 +77,17 @@ func Scenarios(cfg Config) error {
 			return fmt.Errorf("scenarios: %s: stream: %v", sc.Name, streamErr)
 		}
 
-		// Inline exactness: the cell engine is byte-identical to brute force;
-		// the μR-tree family guarantees exact equivalence with identical
-		// cores; a landmark stream snapshot after in-order ingest is the
-		// auto engine's batch run and must match it byte for byte.
-		if !reflect.DeepEqual(bruteRes, cellRes) {
-			return fmt.Errorf("scenarios: %s: cell result differs from brute force", sc.Name)
-		}
-		for name, r := range map[string]*clustering.Result{
-			"mu": muRes, "shared": sharedRes, "dist": distRes,
-		} {
-			if err := clustering.Equivalent(bruteRes, r); err != nil {
-				return fmt.Errorf("scenarios: %s: %s not equivalent to brute: %v", sc.Name, name, err)
+		// Inline exactness: every engine gives each border its smallest-id
+		// core neighbor, as brute force does, so every result is brute
+		// force's, byte for byte — the landmark stream snapshot after
+		// in-order ingest included.
+		for _, e := range []struct {
+			name string
+			res  *clustering.Result
+		}{{"cell", cellRes}, {"mu", muRes}, {"shared", sharedRes}, {"dist", distRes}, {"stream", streamRes}} {
+			if !reflect.DeepEqual(bruteRes, e.res) {
+				return fmt.Errorf("scenarios: %s: %s result differs from brute force", sc.Name, e.name)
 			}
-		}
-		autoRes, autoName := muRes, "μR-tree"
-		if cell.Prefer(geom.PointSetFromPoints(len(sc.Pts[0]), sc.Pts), sc.Eps, sc.MinPts) {
-			autoRes, autoName = cellRes, "cell"
-		}
-		if !reflect.DeepEqual(autoRes, streamRes) {
-			return fmt.Errorf("scenarios: %s: stream snapshot differs from the auto engine's (%s) result", sc.Name, autoName)
 		}
 
 		t.row(

@@ -7,11 +7,7 @@
 // the noise set must be identical.
 package clustering
 
-import (
-	"fmt"
-
-	"mudbscan/internal/geom"
-)
+import "fmt"
 
 // Noise is the label assigned to noise points.
 const Noise = -1
@@ -97,8 +93,12 @@ func (r *Result) Validate() error {
 // Equivalent reports whether a and b are the same *exact* DBSCAN clustering
 // in the paper's sense: same core set, same partition of core points into
 // clusters (up to label permutation), same cluster count, and same noise
-// set. Border points may legitimately differ in assignment between runs, so
-// their labels are not compared directly; use CheckBorders for them.
+// set. Border labels are not compared: a border may join any cluster with a
+// core within ε of it. Every exact engine of the repository picks its
+// smallest-id core neighbor's, as dbscan.Brute does, so on the same ids
+// their results are equal as data (reflect.DeepEqual); Equivalent is for
+// results whose ids or coordinates differ (a permuted or transformed input)
+// and for engines with another border rule.
 func Equivalent(a, b *Result) error {
 	if len(a.Labels) != len(b.Labels) {
 		return fmt.Errorf("clustering: size mismatch %d vs %d", len(a.Labels), len(b.Labels))
@@ -134,36 +134,6 @@ func Equivalent(a, b *Result) error {
 		}
 		a2b[la] = lb
 		b2a[lb] = la
-	}
-	return nil
-}
-
-// CheckBorders verifies that every border point (non-core, non-noise) of r
-// is assigned to a cluster that contains a core point strictly within eps of
-// it — the DBSCAN validity condition that is independent of processing
-// order. O(n * cluster size) worst case; intended for tests.
-func CheckBorders(pts []geom.Point, eps float64, r *Result) error {
-	// Collect core points per cluster.
-	coresByCluster := make([][]int, r.NumClusters)
-	for i, c := range r.Core {
-		if c {
-			coresByCluster[r.Labels[i]] = append(coresByCluster[r.Labels[i]], i)
-		}
-	}
-	for i, l := range r.Labels {
-		if r.Core[i] || l == Noise {
-			continue
-		}
-		ok := false
-		for _, c := range coresByCluster[l] {
-			if geom.Within(pts[i], pts[c], eps) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("clustering: border point %d has no core of cluster %d within eps", i, l)
-		}
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"mudbscan/internal/geom"
 )
 
 func TestValidateOK(t *testing.T) {
@@ -86,18 +84,6 @@ func TestEquivalentRejectsMerge(t *testing.T) {
 	b := &Result{Labels: []int{0, 0, 1}, Core: []bool{true, true, true}, NumClusters: 2}
 	if err := Equivalent(a, b); err == nil {
 		t.Fatal("expected merge rejection")
-	}
-}
-
-func TestCheckBorders(t *testing.T) {
-	pts := []geom.Point{{0}, {0.5}, {10}}
-	good := &Result{Labels: []int{0, 0, Noise}, Core: []bool{true, false, false}, NumClusters: 1}
-	if err := CheckBorders(pts, 1.0, good); err != nil {
-		t.Fatal(err)
-	}
-	bad := &Result{Labels: []int{0, 0, 0}, Core: []bool{true, false, false}, NumClusters: 1}
-	if err := CheckBorders(pts, 1.0, bad); err == nil {
-		t.Fatal("point at distance 10 must not be a border of cluster 0")
 	}
 }
 

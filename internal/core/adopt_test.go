@@ -20,7 +20,7 @@ func TestBlockAdoptedByTheIndex(t *testing.T) {
 	before := slices.Clone(set.Data())
 
 	lb := adoptLocal(set, 0.5, 5, Options{})
-	lr := lb.Finish(nil)
+	lr := lb.finish(nil, true)
 	if got := lb.b.Points().Data(); &got[0] != &set.Data()[0] {
 		t.Fatal("the index's Points does not share the caller's backing array")
 	}

@@ -55,6 +55,20 @@ import (
 // lattice-dup-2d 169 11 55 7199 4022, hot-cell-skew-2d 40 63 1 199 197,
 // geo-drift 978 1422 7 2736 3781, highdim-embed 37 1463 0 539 1112,
 // all-border-ties 120 144 24 1224 480, bursty-arrival 360 1640 40 10189 3176.
+//
+// The hashes of border-tie-1d and all-border-ties moved, each to dbscan.Brute's,
+// when borders stopped being claimed by the first core to reach them and
+// began to join their smallest-id core neighbor's cluster after step 4; they
+// were e30b173a88190649 and 26f7169e5d4b305f. The other eleven hashes, m,
+// queries and queriesSaved did not move. requeries, distCalcs and centerCalcs
+// did on nine datasets: a non-core point no longer shares a component with
+// its micro-cluster's centre before its query, so step 3 settles micro-
+// clusters by the centre of the point's own whole micro-cluster instead, and
+// fewer queries are rerun. The values before, in table order (requeries,
+// distCalcs, centerCalcs): blobs-3d 54 7541 2582, blobs-2d-small-eps 7 1068
+// 880, uniform-2d 47 1384 2609, skewed-3d 30 5721 3419, lattice-dup-2d 48 6817
+// 3780, cell-boundary-lattice-2d 117 4266 3054, hot-cell-skew-2d 1 135 194,
+// geo-drift 2 2000 3763, bursty-arrival 28 4349 4812.
 var pinned = []struct {
 	name                          string
 	hash                          string
@@ -62,19 +76,19 @@ var pinned = []struct {
 	requeries                     int
 	distCalcs, centerCalcs        int64
 }{
-	{"blobs-3d", "d05c6c4478e8884f", 134, 236, 164, 54, 7541, 2582},
-	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 144, 206, 7, 1068, 880},
-	{"uniform-2d", "b26a8f28c97c4d8f", 150, 281, 19, 47, 1384, 2609},
-	{"skewed-3d", "68d6b809346e7bcd", 66, 129, 221, 30, 5721, 3419},
+	{"blobs-3d", "d05c6c4478e8884f", 134, 236, 164, 36, 7513, 2376},
+	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 144, 206, 4, 1095, 861},
+	{"uniform-2d", "b26a8f28c97c4d8f", 150, 281, 19, 40, 1355, 2560},
+	{"skewed-3d", "68d6b809346e7bcd", 66, 129, 221, 23, 5731, 3309},
 	{"all-noise", "7fbbb3cee1a34f39", 100, 100, 0, 0, 100, 100},
-	{"border-tie-1d", "e30b173a88190649", 2, 3, 8, 1, 36, 16},
-	{"lattice-dup-2d", "b81a379f04a0845d", 36, 162, 18, 48, 6817, 3780},
-	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 117, 4266, 3054},
-	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 39, 64, 1, 135, 194},
-	{"geo-drift", "65549f16ef46471d", 871, 967, 1433, 2, 2000, 3763},
+	{"border-tie-1d", "413c0541fd1a832d", 2, 3, 8, 1, 36, 16},
+	{"lattice-dup-2d", "b81a379f04a0845d", 36, 162, 18, 32, 6851, 3563},
+	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 76, 3871, 2640},
+	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 39, 64, 0, 132, 191},
+	{"geo-drift", "65549f16ef46471d", 871, 967, 1433, 1, 1997, 3760},
 	{"highdim-embed", "d7b9f0a0af778109", 41, 35, 1465, 0, 49, 1057},
-	{"all-border-ties", "26f7169e5d4b305f", 48, 72, 192, 24, 864, 384},
-	{"bursty-arrival", "2be5ded5c4f2526b", 241, 283, 1717, 28, 4349, 4812},
+	{"all-border-ties", "6b767dc17f0c0498", 48, 72, 192, 24, 864, 384},
+	{"bursty-arrival", "2be5ded5c4f2526b", 241, 283, 1717, 20, 4365, 4754},
 }
 
 // resultHash digests labels and core flags: nine bytes a point, the label as
@@ -145,24 +159,33 @@ func TestOneWorkerMatchesPinnedSequential(t *testing.T) {
 	}
 }
 
-// TestManyWorkersExact holds every dataset at 2, 3, 4 and 8 workers to brute
-// force: the same clustering up to border ties, identical core flags, every
-// point either queried or saved, and the μR-tree of the one-worker run. Each
-// run is under a deadline so that a hang fails the case instead of stalling
-// the suite; CI runs this under -race at GOMAXPROCS 4.
+// TestManyWorkersExact holds every dataset at 1, 2, 3, 4 and 8 workers, and
+// at 1 and 4 with wndq-cores disabled, to brute force: the same result, byte
+// for byte, every point either queried or saved, and the μR-tree of the
+// one-worker run. Each run is under a deadline so that a hang fails the case
+// instead of stalling the suite; CI runs this under -race at GOMAXPROCS 4.
 func TestManyWorkersExact(t *testing.T) {
+	var arms []Options
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		arms = append(arms, Options{Workers: workers})
+	}
+	arms = append(arms, Options{Workers: 1, DisableWndq: true}, Options{Workers: 4, DisableWndq: true})
 	for _, c := range driverCases() {
 		want, _ := dbscan.Brute(c.pts, c.eps, c.minPts)
 		_, one := Run(c.pts, c.eps, c.minPts, Options{})
-		for _, workers := range []int{2, 3, 4, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+		for _, opts := range arms {
+			workers, name := opts.Workers, fmt.Sprintf("%s/workers=%d", c.name, opts.Workers)
+			if opts.DisableWndq {
+				name += "/nowndq"
+			}
+			t.Run(name, func(t *testing.T) {
 				type out struct {
 					r  *clustering.Result
 					st *Stats
 				}
 				done := make(chan out, 1)
 				go func() {
-					r, st := Run(c.pts, c.eps, c.minPts, Options{Workers: workers})
+					r, st := Run(c.pts, c.eps, c.minPts, opts)
 					done <- out{r, st}
 				}()
 				var o out
@@ -174,14 +197,8 @@ func TestManyWorkersExact(t *testing.T) {
 				if err := o.r.Validate(); err != nil {
 					t.Fatal(err)
 				}
-				if err := clustering.Equivalent(want, o.r); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.Core, o.r.Core) {
-					t.Fatal("core flags differ from brute force")
-				}
-				if err := clustering.CheckBorders(c.pts, c.eps, o.r); err != nil {
-					t.Fatal(err)
+				if !reflect.DeepEqual(want, o.r) {
+					t.Fatalf("not brute force's result: %v", clustering.Equivalent(want, o.r))
 				}
 				if o.st.Queries+o.st.QueriesSaved != len(c.pts) {
 					t.Fatalf("queries %d + saved %d != n %d", o.st.Queries, o.st.QueriesSaved, len(c.pts))

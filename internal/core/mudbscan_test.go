@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -44,11 +45,8 @@ func requireExact(t *testing.T, name string, pts []geom.Point, eps float64, minP
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: invalid: %v", name, err)
 	}
-	if err := clustering.Equivalent(want, got); err != nil {
-		t.Fatalf("%s: not exact: %v (n=%d eps=%g minPts=%d)", name, err, len(pts), eps, minPts)
-	}
-	if err := clustering.CheckBorders(pts, eps, got); err != nil {
-		t.Fatalf("%s: bad border: %v", name, err)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: not brute force's result: %v (n=%d eps=%g minPts=%d)", name, clustering.Equivalent(want, got), len(pts), eps, minPts)
 	}
 	if st.Queries+st.QueriesSaved != len(pts) {
 		t.Fatalf("%s: queries %d + saved %d != n %d", name, st.Queries, st.QueriesSaved, len(pts))
@@ -79,8 +77,8 @@ func TestExactDenseSingleCluster(t *testing.T) {
 	}
 	want, _ := dbscan.Brute(pts, 1.0, 5)
 	got, st := Run(pts, 1.0, 5, Options{})
-	if err := clustering.Equivalent(want, got); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("not brute force's result (%v)", clustering.Equivalent(want, got))
 	}
 	if got.NumClusters != 1 {
 		t.Fatalf("NumClusters=%d want 1", got.NumClusters)
@@ -217,10 +215,7 @@ func TestQuickExactness(t *testing.T) {
 		minPts := 2 + rng.Intn(7)
 		want, _ := dbscan.Brute(pts, eps, minPts)
 		got, _ := Run(pts, eps, minPts, Options{})
-		if clustering.Equivalent(want, got) != nil {
-			return false
-		}
-		return clustering.CheckBorders(pts, eps, got) == nil
+		return reflect.DeepEqual(want, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -240,7 +235,7 @@ func TestQuickExactnessUnderAblations(t *testing.T) {
 		}
 		want, _ := dbscan.Brute(pts, eps, minPts)
 		got, _ := Run(pts, eps, minPts, opts)
-		return clustering.Equivalent(want, got) == nil
+		return reflect.DeepEqual(want, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -176,7 +176,7 @@ func TestPostProcessMatchesUnpruned(t *testing.T) {
 							}
 						}
 						post(r)
-						r.postProcessNoise()
+						r.assignBorders()
 						for i := range c.pts {
 							roots[side] = append(roots[side], r.uf.Find(i))
 						}

@@ -13,8 +13,10 @@
 //	  rules: unions touching a non-core halo point are deferred as Pairs
 //	→ merge: owners push exact core flags for the halo copies they
 //	  exported; deferred pairs whose halo side turns out core become union
-//	  edges; provisional noise is rectified against the exact flags; local
-//	  components and edges are combined into the global clustering.
+//	  edges; each owned point left unassigned joins its core neighbor of
+//	  smallest global id (μDBSCAN-D leaves every owned non-core point
+//	  here, so its borders are brute force's); local components and edges
+//	  are combined into the global clustering.
 //
 // The merge needs no ε-neighborhood queries, matching §V-C. The rank-local
 // clustering of μDBSCAN-D is core.RunLocal; that of the three exact

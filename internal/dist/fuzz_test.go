@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"reflect"
 	"testing"
 
 	"mudbscan/internal/clustering"
@@ -51,11 +52,8 @@ func FuzzDistBoundaryExactness(f *testing.F) {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("exec=%d invalid: %v", exec, err)
 			}
-			if err := clustering.Equivalent(want, got); err != nil {
-				t.Fatalf("exec=%d diverges from brute force: %v", exec, err)
-			}
-			if err := clustering.CheckBorders(pts, eps, got); err != nil {
-				t.Fatalf("exec=%d bad border: %v", exec, err)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("exec=%d diverges from brute force (%v)", exec, clustering.Equivalent(want, got))
 			}
 			results[i] = got
 		}

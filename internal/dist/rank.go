@@ -223,7 +223,7 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 }
 
 // inertLocalResult is the local state of a rank that owns no points:
-// nothing is core, nothing is assigned, every point is its own component.
+// nothing is core, every point is its own component.
 func inertLocalResult(n int) *core.LocalResult {
 	comp := make([]int32, n)
 	for i := range comp {
@@ -232,7 +232,6 @@ func inertLocalResult(n int) *core.LocalResult {
 	return &core.LocalResult{
 		Core:      make([]bool, n),
 		Comp:      comp,
-		Assigned:  make([]bool, n),
 		NoiseNbhd: map[int32][]int32{},
 		Stats:     &core.Stats{},
 	}
@@ -278,8 +277,10 @@ func componentEdges(lr *core.LocalResult, gids []int64) [][2]int64 {
 
 // deferredEdges resolves the parts of the merge that depend on the exact
 // halo core flags: deferred pairs whose halo side turns out core, and the
-// noise-rectification pass (which marks rescued points Assigned). No
-// neighborhood queries are needed (§V-C).
+// border pass, which gives every point left in NoiseNbhd to its core
+// neighbor of smallest global id — dbscan.Brute's rule, which an owned
+// point's complete neighborhood decides. No neighborhood queries are needed
+// (§V-C).
 func deferredEdges(lr *core.LocalResult, gids []int64, exactCore []bool) [][2]int64 {
 	var edges [][2]int64
 	for _, pr := range lr.Pairs {
@@ -293,15 +294,14 @@ func deferredEdges(lr *core.LocalResult, gids []int64, exactCore []bool) [][2]in
 	}
 	sort.Slice(noiseIDs, func(a, b int) bool { return noiseIDs[a] < noiseIDs[b] })
 	for _, id := range noiseIDs {
-		if lr.Assigned[id] || lr.Core[id] {
-			continue
-		}
+		best := int64(-1)
 		for _, q := range lr.NoiseNbhd[id] {
-			if exactCore[q] {
-				edges = append(edges, [2]int64{gids[q], gids[id]})
-				lr.Assigned[id] = true
-				break
+			if exactCore[q] && (best < 0 || gids[q] < best) {
+				best = gids[q]
 			}
+		}
+		if best >= 0 {
+			edges = append(edges, [2]int64{best, gids[id]})
 		}
 	}
 	return edges

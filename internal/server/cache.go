@@ -94,9 +94,9 @@ func (st *store) len() int {
 // resultKey is the cache identity of one clustering job. ε enters as its
 // bit pattern (exact float identity — DBSCAN output is discontinuous in ε,
 // so no tolerance is sound) and the engine and its parameter are part of
-// the key: the exact engines agree on clusters but not always on byte-level
-// border assignment (shared's CAS claims), and served results must be
-// byte-identical to the direct call with the same options.
+// the key, so a served result is always the one the named engine computed —
+// byte-identical to the direct call with the same options without leaning on
+// the exact engines' agreement.
 type resultKey struct {
 	id      DatasetID
 	epsBits uint64

@@ -77,11 +77,9 @@ func mustDeepEqual(t *testing.T, want, got *clustering.Result, what string) {
 
 // TestDaemonConformance is the daemon conformance suite: every conformance
 // dataset, through the wire protocol, on every engine, must come back
-// byte-identical to the direct mudbscan.Cluster* call with the same options.
-// The one documented exception is shared with more than one worker, whose
-// border ownership is first-core-wins between runs: there the served result
-// must be exactly equivalent (same partition, same cores, same noise) and
-// a repeat request must replay the cached bytes verbatim.
+// byte-identical to the direct mudbscan.Cluster* call with the same options
+// and to brute force, and a repeat request must replay the cached bytes
+// verbatim.
 func TestDaemonConformance(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 2})
 	cl := dialTenant(t, addr, "conformance")
@@ -93,6 +91,8 @@ func TestDaemonConformance(t *testing.T) {
 			t.Fatalf("%s: put: %v", cc.Name, err)
 		}
 
+		brute, _ := dbscan.Brute(cc.Pts, cc.Eps, cc.MinPts)
+
 		t.Run(cc.Name+"/seq", func(t *testing.T) {
 			want, err := mudbscan.Cluster(rows, cc.Eps, cc.MinPts)
 			if err != nil {
@@ -103,6 +103,7 @@ func TestDaemonConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, want, got, "seq")
+			mustDeepEqual(t, brute, got, "seq vs brute force")
 		})
 
 		t.Run(cc.Name+"/shared-1", func(t *testing.T) {
@@ -115,6 +116,7 @@ func TestDaemonConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, want, got, "shared-1")
+			mustDeepEqual(t, brute, got, "shared-1 vs brute force")
 		})
 
 		t.Run(cc.Name+"/shared-4", func(t *testing.T) {
@@ -126,15 +128,8 @@ func TestDaemonConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := got.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if err := clustering.Equivalent(want, got); err != nil {
-				t.Fatalf("shared-4 not equivalent to direct call: %v", err)
-			}
-			if !reflect.DeepEqual(want.Core, got.Core) {
-				t.Fatal("shared-4 core flags differ from direct call")
-			}
+			mustDeepEqual(t, want, got, "shared-4")
+			mustDeepEqual(t, brute, got, "shared-4 vs brute force")
 			// Once computed, the cache must replay the same bytes forever.
 			again, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineShared, 4)
 			if err != nil {
@@ -153,13 +148,14 @@ func TestDaemonConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, want, got, "dist")
+			mustDeepEqual(t, brute, got, "dist vs brute force")
 		})
 
 		t.Run(cc.Name+"/stream", func(t *testing.T) {
 			// The streaming tier is exact: its landmark in-order result is the
-			// auto engine's one-worker batch run, byte for byte (brute force's
-			// too where auto picks the grid), and the wire param (which the
-			// engine ignores) never changes it.
+			// auto engine's one-worker batch run and brute force's, byte for
+			// byte, and the wire param (which the engine ignores) never
+			// changes it.
 			want := streamDirect(t, rows, cc.Eps, cc.MinPts)
 			got, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineStream, 0)
 			if err != nil {
@@ -171,10 +167,7 @@ func TestDaemonConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, auto, got, "stream vs auto engine")
-			if mudbscan.ChooseEngine(rows, cc.Eps, cc.MinPts) == mudbscan.EngineCell {
-				brute, _ := dbscan.Brute(cc.Pts, cc.Eps, cc.MinPts)
-				mustDeepEqual(t, brute, got, "grid-routed stream vs brute force")
-			}
+			mustDeepEqual(t, brute, got, "stream vs brute force")
 			again, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineStream, 3)
 			if err != nil {
 				t.Fatal(err)
@@ -192,6 +185,7 @@ func TestDaemonConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, want, got, "cell")
+			mustDeepEqual(t, brute, got, "cell vs brute force")
 			// The cell engine is worker-invariant, so a different worker
 			// count must still serve identical bytes.
 			again, err := cl.Cluster(id, cc.Eps, cc.MinPts, EngineCell, 3)
@@ -215,6 +209,7 @@ func TestDaemonConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustDeepEqual(t, want, got, "auto")
+			mustDeepEqual(t, brute, got, "auto vs brute force")
 		})
 	}
 }

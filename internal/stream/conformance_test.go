@@ -52,10 +52,8 @@ func autoBatch(pts []geom.Point, eps float64, minPts int) (res *clustering.Resul
 
 // TestSnapshotConformance is the headline contract of the streaming tier:
 // on every conformance dataset and every scenario, a landmark snapshot after
-// in-order ingest is (a) an exact DBSCAN clustering of the data — equivalent
-// to brute force with identical cores and noise, valid borders — and (b)
-// byte-identical to the one-worker auto batch run, and so to brute force
-// itself wherever that run is the grid's.
+// in-order ingest is byte-identical to brute force and to the one-worker
+// auto batch run, whichever engine that run picks.
 func TestSnapshotConformance(t *testing.T) {
 	for _, tc := range corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
@@ -66,17 +64,11 @@ func TestSnapshotConformance(t *testing.T) {
 				t.Fatalf("window %d want %d", s.Len(), len(tc.Pts))
 			}
 			res := s.Result()
-			if err := clustering.Equivalent(bruteRes, res); err != nil {
-				t.Fatalf("snapshot not equivalent to brute force: %v", err)
-			}
-			if err := clustering.CheckBorders(tc.Pts, tc.Eps, res); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(bruteRes, res) {
+				t.Fatalf("snapshot not brute force's result (%v)", clustering.Equivalent(bruteRes, res))
 			}
 			if !reflect.DeepEqual(autoRes, res) {
 				t.Fatalf("snapshot differs from the auto batch result (grid %v)", grid)
-			}
-			if grid && !reflect.DeepEqual(bruteRes, res) {
-				t.Fatal("grid-routed snapshot differs from brute force")
 			}
 		})
 	}
@@ -84,8 +76,8 @@ func TestSnapshotConformance(t *testing.T) {
 
 // TestMetamorphicPermutedIngest pins the metamorphic relation: ingesting any
 // permutation of a batch and snapshotting yields the same exact clustering
-// (equivalent cores/partition/noise, valid borders) as batch μDBSCAN on the
-// original order.
+// (equivalent cores/partition/noise) as batch μDBSCAN on the original order,
+// and brute force's bytes on the window in arrival order.
 func TestMetamorphicPermutedIngest(t *testing.T) {
 	for _, tc := range corpus() {
 		t.Run(tc.Name, func(t *testing.T) {
@@ -117,8 +109,12 @@ func TestMetamorphicPermutedIngest(t *testing.T) {
 				if err := clustering.Equivalent(batch, res); err != nil {
 					t.Fatalf("permuted ingest not equivalent to batch: %v", err)
 				}
-				if err := clustering.CheckBorders(tc.Pts, tc.Eps, res); err != nil {
-					t.Fatal(err)
+				window := make([]geom.Point, s.Len())
+				for r := range window {
+					window[r] = s.Points.Point(r)
+				}
+				if want, _ := dbscan.Brute(window, tc.Eps, tc.MinPts); !reflect.DeepEqual(want, s.Result()) {
+					t.Fatal("permuted ingest: snapshot not brute force's result on its window")
 				}
 			}
 		})

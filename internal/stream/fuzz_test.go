@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"mudbscan/internal/clustering"
@@ -74,11 +75,8 @@ func FuzzStreamAdd(f *testing.F) {
 				window[i] = s.Points.Point(i)
 			}
 			brute, _ := dbscan.Brute(window, eps, minPts)
-			if err := clustering.Equivalent(brute, res); err != nil {
-				t.Fatalf("snapshot not equivalent to brute force on its window: %v", err)
-			}
-			if err := clustering.CheckBorders(window, eps, res); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(brute, res) {
+				t.Fatalf("snapshot not brute force's result on its window (%v)", clustering.Equivalent(brute, res))
 			}
 		}
 

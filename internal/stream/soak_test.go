@@ -3,12 +3,14 @@ package stream
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"mudbscan/internal/clustering"
+	"mudbscan/internal/core"
 	"mudbscan/internal/geom"
 )
 
@@ -17,8 +19,8 @@ import (
 // under -race this is the tier's race soak; in any mode it checks that every
 // snapshot is a contiguous run of arrivals whose timestamps never decrease,
 // that the final window is complete (landmark) and its counters add up, and
-// that the final clustering is internally valid with correct border
-// assignments.
+// that the final clustering is internally valid and byte-identical to
+// sequential μDBSCAN's on the window.
 func TestConcurrentIngestSoak(t *testing.T) {
 	centers := [][2]float64{{0, 0}, {8, 8}, {16, 0}, {0, 16}, {16, 16}}
 	for _, tc := range []struct {
@@ -29,7 +31,8 @@ func TestConcurrentIngestSoak(t *testing.T) {
 		{"damped", Options{Lambda: 0.001}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(2, 0.5, 8, tc.opts)
+			const eps, minPts = 0.5, 8
+			c, err := New(2, eps, minPts, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,8 +117,8 @@ func TestConcurrentIngestSoak(t *testing.T) {
 			for i := range window {
 				window[i] = s.Points.Point(i)
 			}
-			if err := clustering.CheckBorders(window, s.Eps, res); err != nil {
-				t.Fatal(err)
+			if want, _ := core.Run(window, eps, minPts, core.Options{}); !reflect.DeepEqual(want, res) {
+				t.Fatalf("final snapshot not sequential μDBSCAN's result (%v)", clustering.Equivalent(want, res))
 			}
 			if s.NumClusters != len(centers) {
 				t.Fatalf("clusters=%d want %d", s.NumClusters, len(centers))

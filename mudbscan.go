@@ -86,8 +86,7 @@ const (
 	// grows gently with dimensionality, making it the safe choice for d ≳ 4.
 	EngineSeq
 	// EngineShared is shared-memory μDBSCAN: the EngineSeq driver on
-	// WithWorkers goroutines. Which cluster a border point joins may differ
-	// between runs at more than one worker (as DBSCAN permits).
+	// WithWorkers goroutines, with EngineSeq's output at any worker count.
 	EngineShared
 	// EngineDist is μDBSCAN-D on WithWorkers simulated ranks (a power of
 	// two; ClusterDistributed is the same engine with its own options).

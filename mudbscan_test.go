@@ -55,8 +55,8 @@ func TestAllModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equiv(want, seq); err != nil {
-		t.Fatalf("sequential: %v", err)
+	if !reflect.DeepEqual(want, seq) {
+		t.Fatalf("sequential: not brute force's result (%v)", clustering.Equivalent(want, seq))
 	}
 	if st.NumMCs == 0 {
 		t.Fatal("stats not populated")
@@ -66,8 +66,8 @@ func TestAllModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equiv(want, par); err != nil {
-		t.Fatalf("parallel: %v", err)
+	if !reflect.DeepEqual(want, par) {
+		t.Fatalf("parallel: not brute force's result (%v)", clustering.Equivalent(want, par))
 	}
 	if pst.Workers != 4 {
 		t.Fatalf("workers=%d", pst.Workers)
@@ -77,15 +77,13 @@ func TestAllModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equiv(want, d); err != nil {
-		t.Fatalf("distributed: %v", err)
+	if !reflect.DeepEqual(want, d) {
+		t.Fatalf("distributed: not brute force's result (%v)", clustering.Equivalent(want, d))
 	}
 	if dst.Ranks != 4 {
 		t.Fatalf("ranks=%d", dst.Ranks)
 	}
 }
-
-func equiv(a, b *Result) error { return clustering.Equivalent(a, b) }
 
 func TestFaultToleranceOptions(t *testing.T) {
 	pts := data.Blobs(600, 2, 3, 0.25, 0.15, 11)
@@ -103,13 +101,8 @@ func TestFaultToleranceOptions(t *testing.T) {
 	if cst.Comm.Retransmits == 0 && cst.Comm.DupDropped == 0 && cst.Comm.CorruptDropped == 0 {
 		t.Fatalf("fault injection produced no observable faults: %+v", cst.Comm)
 	}
-	if err := equiv(plain, chaosRun); err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.Labels {
-		if plain.Labels[i] != chaosRun.Labels[i] || plain.Core[i] != chaosRun.Core[i] {
-			t.Fatalf("point %d differs from the clean run", i)
-		}
+	if !reflect.DeepEqual(plain, chaosRun) {
+		t.Fatalf("differs from the clean run (%v)", clustering.Equivalent(plain, chaosRun))
 	}
 }
 
@@ -191,14 +184,6 @@ func TestEngineSelection(t *testing.T) {
 			direct, err := e.direct()
 			if err != nil {
 				t.Fatalf("%s: direct %v@%d: %v", cc.Name, e.engine, e.workers, err)
-			}
-			if e.engine == EngineShared {
-				// Which cluster a border point joins may differ between runs
-				// at more than one worker; cores, partition and noise may not.
-				if err := equiv(direct, got); err != nil || !reflect.DeepEqual(direct.Core, got.Core) {
-					t.Errorf("%s: shared@%d through Cluster differs from core.Run: %v", cc.Name, e.workers, err)
-				}
-				continue
 			}
 			if !reflect.DeepEqual(direct, got) {
 				t.Errorf("%s: %v@%d through Cluster differs from the direct call", cc.Name, e.engine, e.workers)

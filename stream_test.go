@@ -110,13 +110,13 @@ func TestClusterStreamValidation(t *testing.T) {
 
 // TestStreamSnapshotIsAutoBatch pins the streaming tier's contract: every
 // snapshot, landmark or damped, taken at any point of the stream, is
-// byte-for-byte Cluster of the window's rows under EngineAuto. The corpus is
-// the conformance table and the scenarios, plus the two border-tie sets
-// zero-padded to d = 3 and d = 8, where the μR-tree's border labels differ
-// from brute force's, so they tell the engines apart. Two dimension-settled
-// arms hold the auto pick itself to its rule: at d ≤ 3 (every set here fits
-// the grid) a snapshot is brute force's answer, and past d = 7 it is the
-// sequential μR-tree engine's.
+// byte-for-byte Cluster of the window's rows under EngineAuto, and brute
+// force's answer on the window. The corpus is the conformance table and the
+// scenarios, plus the two border-tie sets zero-padded to d = 3 and d = 8,
+// whose borders an engine with another border rule would label differently.
+// Two dimension-settled arms hold the auto pick itself to its rule
+// (ChooseEngine on the window): at d ≤ 3 (every set here fits the grid) it is
+// the cell engine, and past d = 7 the sequential μR-tree engine.
 func TestStreamSnapshotIsAutoBatch(t *testing.T) {
 	type input struct {
 		name   string
@@ -142,13 +142,6 @@ func TestStreamSnapshotIsAutoBatch(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s-padded-d%d", in.name, dim)
 			ins = append(ins, input{name, padded, in.eps, in.minPts})
-			if dim == 8 {
-				seq, _ := Cluster(toRows(padded), in.eps, in.minPts)
-				brute, _ := dbscan.Brute(padded, in.eps, in.minPts)
-				if reflect.DeepEqual(seq, brute) {
-					t.Fatalf("%s: the μR-tree engine matches brute force byte for byte; the set no longer tells them apart", name)
-				}
-			}
 		}
 	}
 
@@ -186,20 +179,12 @@ func TestStreamSnapshotIsAutoBatch(t *testing.T) {
 					if !reflect.DeepEqual(want, snap.Result()) {
 						t.Fatalf("after %d arrivals: snapshot of %d points differs from the auto batch run", k+1, snap.Len())
 					}
-					var ref *Result
-					switch dim := len(in.pts[0]); {
-					case dim <= 3:
-						ref, _ = dbscan.Brute(snap.Points.Points(), in.eps, in.minPts)
-					case dim > 7:
-						ref, err = Cluster(rows, in.eps, in.minPts, WithEngine(EngineSeq))
-						if err != nil {
-							t.Fatal(err)
-						}
-					default:
-						continue
+					if brute, _ := dbscan.Brute(snap.Points.Points(), in.eps, in.minPts); !reflect.DeepEqual(brute, want) {
+						t.Fatalf("after %d arrivals: snapshot of %d points differs from brute force", k+1, snap.Len())
 					}
-					if !reflect.DeepEqual(ref, snap.Result()) {
-						t.Fatalf("after %d arrivals: d=%d snapshot is not the engine auto picks at that d", k+1, len(in.pts[0]))
+					pick := ChooseEngine(rows, in.eps, in.minPts)
+					if dim := len(in.pts[0]); dim <= 3 && pick != EngineCell || dim > 7 && pick != EngineSeq {
+						t.Fatalf("after %d arrivals: auto picks %v at d=%d", k+1, pick, dim)
 					}
 				}
 			})

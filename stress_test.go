@@ -3,6 +3,7 @@ package mudbscan
 import (
 	"math/rand"
 	"os"
+	"reflect"
 	"testing"
 
 	"mudbscan/internal/clustering"
@@ -39,25 +40,22 @@ func TestExactnessStressSweep(t *testing.T) {
 		want, _ := dbscan.Brute(pts, eps, minPts)
 
 		seq, _ := core.Run(pts, eps, minPts, core.Options{})
-		if err := clustering.Equivalent(want, seq); err != nil {
-			t.Fatalf("iter %d seq (n=%d d=%d eps=%g mp=%d): %v", iter, n, d, eps, minPts, err)
+		if !reflect.DeepEqual(want, seq) {
+			t.Fatalf("iter %d seq (n=%d d=%d eps=%g mp=%d): not brute force's result (%v)", iter, n, d, eps, minPts, clustering.Equivalent(want, seq))
 		}
 
 		got, _, err := dist.MuDBSCAND(pts, eps, minPts, p, dist.Options{Seed: int64(iter)})
 		if err != nil {
 			t.Fatalf("iter %d dist err: %v", iter, err)
 		}
-		if err := clustering.Equivalent(want, got); err != nil {
-			t.Fatalf("iter %d dist (n=%d d=%d eps=%g mp=%d p=%d): %v", iter, n, d, eps, minPts, p, err)
-		}
-		if err := clustering.CheckBorders(pts, eps, got); err != nil {
-			t.Fatalf("iter %d dist border: %v", iter, err)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("iter %d dist (n=%d d=%d eps=%g mp=%d p=%d): not brute force's result (%v)", iter, n, d, eps, minPts, p, clustering.Equivalent(want, got))
 		}
 
 		if iter%5 == 0 {
 			par, _ := shared.Run(pts, eps, minPts, shared.Options{Workers: 1 + rng.Intn(8)})
-			if err := clustering.Equivalent(want, par); err != nil {
-				t.Fatalf("iter %d shared: %v", iter, err)
+			if !reflect.DeepEqual(want, par) {
+				t.Fatalf("iter %d shared: not brute force's result (%v)", iter, clustering.Equivalent(want, par))
 			}
 		}
 		if iter%10 == 0 {
