@@ -45,14 +45,12 @@ func (s Stats) QuerySavedPct() float64 {
 // caller's to fill.
 type HaloResult struct {
 	Stats
-	// Assigned marks the non-core points claimed as borders.
-	Assigned []bool
 	// Pairs are the deferred links {A, B} from a core A to a halo copy B
 	// that is not known to be core here; B's owner decides.
 	Pairs [][2]int32
 	// NoiseNbhd holds the ε-neighborhood of every owned point that found no
-	// core neighbor while a halo copy was in reach: only such a copy can
-	// still turn out core and claim it.
+	// core neighbor while a halo copy was in reach and that no later query
+	// claimed: only such a copy can still turn out core and claim it.
 	NoiseNbhd map[int32][]int32
 }
 
@@ -77,7 +75,8 @@ type HaloResult struct {
 // owned or pre-marked points is claimed by that core's query or claims it
 // in its own, whichever runs first.
 func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, query func(i int) []int) HaloResult {
-	h := HaloResult{Assigned: make([]bool, uf.Len())}
+	var h HaloResult
+	assigned := make([]bool, uf.Len()) // the non-core points claimed as borders
 	for i := 0; i < localCount; i++ {
 		if skip != nil && skip[i] {
 			h.QueriesSaved++
@@ -94,9 +93,10 @@ func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, quer
 					uf.Union(i, q)
 				case q >= localCount:
 					h.Pairs = append(h.Pairs, [2]int32{int32(i), int32(q)})
-				case !h.Assigned[q]:
+				case !assigned[q]:
 					uf.Union(i, q)
-					h.Assigned[q] = true
+					assigned[q] = true
+					delete(h.NoiseNbhd, int32(q)) // stored by its own, earlier query
 				}
 			}
 			continue
@@ -104,19 +104,19 @@ func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, quer
 		// Self-attach to the first core neighbor, but never re-attach a
 		// border already claimed by a cluster: that would bridge two
 		// clusters through a non-core point.
-		if h.Assigned[i] {
+		if assigned[i] {
 			continue
 		}
 		halo := false
 		for _, q := range nbhd {
 			if core[q] {
 				uf.Union(i, q)
-				h.Assigned[i] = true
+				assigned[i] = true
 				break
 			}
 			halo = halo || q >= localCount
 		}
-		if halo && !h.Assigned[i] {
+		if halo && !assigned[i] {
 			h.keepNoise(i, nbhd)
 		}
 	}
