@@ -502,3 +502,130 @@ var distPinned = []struct {
 		},
 	}},
 }
+
+// muPin is μDBSCAN-D on one dataset at one rank count.
+type muPin struct {
+	hash                                  string
+	numMCs, queries, queriesSaved         int64
+	pairsDeferred, mergeBytes, haloPoints int64
+}
+
+// TestMuDBSCANDPinned pins what μDBSCAN-D answers and how much work it
+// reports on all 13 conformance and scenario datasets at p = 1, 2, 4 and 8:
+// the labels+core hash, micro-clusters, queries, saved queries, deferred
+// pairs, merge bytes and halo copies. Both in-process schedules must meet the
+// same pin, so a change to the rank pipeline or to the rank-local run that
+// moves any of these fails here.
+func TestMuDBSCANDPinned(t *testing.T) {
+	cases := pinnedCases()
+	if len(cases) != len(muPinned) {
+		t.Fatalf("%d datasets, %d pins", len(cases), len(muPinned))
+	}
+	for k, c := range cases {
+		for pi, p := range []int{1, 2, 4, 8} {
+			for _, ex := range []struct {
+				name string
+				exec Exec
+			}{{"serial", ExecSerial}, {"concurrent", ExecConcurrent}} {
+				t.Run(fmt.Sprintf("%s/p=%d/%s", c.name, p, ex.name), func(t *testing.T) {
+					pin := muPinned[k].pins[pi]
+					if muPinned[k].name != c.name {
+						t.Fatalf("pin %d is for %q", k, muPinned[k].name)
+					}
+					r, st, err := MuDBSCAND(c.pts, c.eps, c.minPts, p, Options{Seed: 7, Exec: ex.exec})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := muPin{baselineHash(r), st.NumMCs, st.Queries, st.QueriesSaved, st.PairsDeferred, st.MergeBytes, st.HaloPoints}
+					if got != pin {
+						t.Errorf("got %+v, pinned %+v", got, pin)
+					}
+				})
+			}
+		}
+	}
+}
+
+var muPinned = []struct {
+	name string
+	pins [4]muPin
+}{
+	{"blobs-3d", [4]muPin{
+		{"d05c6c4478e8884f", 134, 236, 164, 0, 4864, 0},
+		{"d05c6c4478e8884f", 162, 249, 151, 581, 14784, 176},
+		{"d05c6c4478e8884f", 182, 238, 162, 876, 19942, 294},
+		{"d05c6c4478e8884f", 226, 242, 158, 1686, 34659, 563},
+	}},
+	{"blobs-2d-small-eps", [4]muPin{
+		{"12d7c868fbc5c446", 128, 144, 206, 0, 3872, 0},
+		{"12d7c868fbc5c446", 139, 141, 209, 179, 7593, 73},
+		{"12d7c868fbc5c446", 147, 145, 205, 129, 7498, 122},
+		{"12d7c868fbc5c446", 176, 142, 208, 915, 22540, 364},
+	}},
+	{"uniform-2d", [4]muPin{
+		{"b26a8f28c97c4d8f", 150, 281, 19, 0, 1808, 0},
+		{"b26a8f28c97c4d8f", 174, 279, 21, 11, 1956, 36},
+		{"b26a8f28c97c4d8f", 197, 280, 20, 19, 2011, 75},
+		{"b26a8f28c97c4d8f", 234, 280, 20, 30, 2181, 133},
+	}},
+	{"skewed-3d", [4]muPin{
+		{"68d6b809346e7bcd", 66, 129, 221, 0, 4944, 0},
+		{"68d6b809346e7bcd", 91, 136, 214, 2304, 43224, 248},
+		{"68d6b809346e7bcd", 121, 142, 208, 3338, 63550, 686},
+		{"68d6b809346e7bcd", 179, 138, 212, 5092, 96082, 1394},
+	}},
+	{"all-noise", [4]muPin{
+		{"7fbbb3cee1a34f39", 100, 100, 0, 0, 0, 0},
+		{"7fbbb3cee1a34f39", 101, 100, 0, 0, 1, 1},
+		{"7fbbb3cee1a34f39", 103, 100, 0, 0, 3, 3},
+		{"7fbbb3cee1a34f39", 107, 100, 0, 0, 7, 7},
+	}},
+	{"border-tie-1d", [4]muPin{
+		{"413c0541fd1a832d", 2, 3, 8, 0, 144, 0},
+		{"413c0541fd1a832d", 4, 3, 8, 1, 149, 5},
+		{"413c0541fd1a832d", 7, 1, 10, 21, 496, 16},
+		{"413c0541fd1a832d", 11, 2, 9, 20, 613, 37},
+	}},
+	{"lattice-dup-2d", [4]muPin{
+		{"b81a379f04a0845d", 36, 162, 18, 0, 2864, 0},
+		{"b81a379f04a0845d", 47, 162, 18, 110, 4699, 75},
+		{"b81a379f04a0845d", 75, 160, 20, 237, 6805, 181},
+		{"b81a379f04a0845d", 110, 153, 27, 415, 9971, 387},
+	}},
+	{"cell-boundary-lattice-2d", [4]muPin{
+		{"a2c19f9be7d51e78", 53, 176, 20, 0, 3056, 0},
+		{"a2c19f9be7d51e78", 66, 179, 17, 34, 3594, 42},
+		{"a2c19f9be7d51e78", 84, 179, 17, 78, 4285, 93},
+		{"a2c19f9be7d51e78", 122, 175, 21, 139, 5264, 192},
+	}},
+	{"hot-cell-skew-2d", [4]muPin{
+		{"b66710c9b1c473ab", 39, 39, 64, 0, 1040, 0},
+		{"b66710c9b1c473ab", 44, 38, 65, 6, 2213, 69},
+		{"b66710c9b1c473ab", 51, 38, 65, 7, 4397, 205},
+		{"b66710c9b1c473ab", 65, 38, 65, 379, 14232, 472},
+	}},
+	{"geo-drift", [4]muPin{
+		{"65549f16ef46471d", 871, 967, 1433, 0, 22752, 0},
+		{"65549f16ef46471d", 872, 967, 1433, 0, 23263, 31},
+		{"65549f16ef46471d", 888, 967, 1433, 18, 25219, 147},
+		{"65549f16ef46471d", 894, 967, 1433, 18, 26209, 209},
+	}},
+	{"highdim-embed", [4]muPin{
+		{"d7b9f0a0af778109", 41, 35, 1465, 0, 23344, 0},
+		{"d7b9f0a0af778109", 77, 35, 1465, 0, 48115, 1491},
+		{"d7b9f0a0af778109", 141, 35, 1465, 0, 88979, 3955},
+		{"d7b9f0a0af778109", 244, 35, 1465, 0, 167979, 8699},
+	}},
+	{"all-border-ties", [4]muPin{
+		{"6b767dc17f0c0498", 48, 72, 192, 0, 3456, 0},
+		{"6b767dc17f0c0498", 52, 72, 192, 0, 3531, 11},
+		{"6b767dc17f0c0498", 76, 67, 197, 0, 3713, 33},
+		{"6b767dc17f0c0498", 82, 56, 208, 0, 4109, 77},
+	}},
+	{"bursty-arrival", [4]muPin{
+		{"2be5ded5c4f2526b", 241, 283, 1717, 0, 28800, 0},
+		{"2be5ded5c4f2526b", 246, 283, 1717, 0, 28807, 7},
+		{"2be5ded5c4f2526b", 254, 280, 1720, 0, 28817, 17},
+		{"2be5ded5c4f2526b", 300, 291, 1709, 9198, 194917, 1381},
+	}},
+}
