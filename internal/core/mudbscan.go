@@ -137,21 +137,15 @@ func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.R
 	return RunSet(geom.PointSetFromPoints(len(pts[0]), pts), eps, minPts, opts)
 }
 
-// RunSet is Run over a set the μR-tree adopts (mc.Builder.Adopt): the
+// RunSet is Run over a set the μR-tree adopts (mc.BuildSet): the
 // coordinates are read in place and never written or copied. Its local ids
 // are the final ids, so it is the one path that assigns the borders itself.
 func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
 	if set.Len() == 0 {
 		return &clustering.Result{}, &Stats{}
 	}
-	lr := adoptLocal(set, eps, minPts, opts).finish(nil, true)
+	lr := runLocal(set, set.Len(), eps, minPts, opts, true)
 	return clustering.FromUnionLabels(lr.Comp, lr.Core), lr.Stats
-}
-
-// adoptLocal is StartLocal over a set whose every point is local and which
-// the μR-tree adopts as its points.
-func adoptLocal(set *geom.PointSet, eps float64, minPts int, opts Options) *LocalBuild {
-	return startLocal(set.Dim(), set.Len(), eps, minPts, opts, func(b *mc.Builder) { b.Adopt(set) })
 }
 
 // Pair records a cross-partition link discovered during a distributed-local
@@ -195,74 +189,27 @@ func RunLocal(pts []geom.Point, eps float64, minPts int, localCount int, opts Op
 	if len(pts) == 0 {
 		return &LocalResult{Stats: &Stats{}, NoiseNbhd: map[int32][]int32{}}
 	}
-	return StartLocal(pts[:localCount], eps, minPts, opts).Finish(pts[localCount:])
-}
-
-// LocalBuild is a μDBSCAN run whose μR-tree construction has started over
-// the rank's local points but whose halo points have not arrived yet. The
-// concurrent distributed driver creates one right after initiating the halo
-// exchange, so index construction overlaps the in-flight communication;
-// Finish completes the run once the halo payloads land.
-type LocalBuild struct {
-	b          *mc.Builder
-	eps        float64
-	minPts     int
-	localCount int
-	opts       Options
-	st         *Stats
-	// localBuildTime is the tree-construction time spent before Finish, so
-	// the reported TreeConstruction step excludes any time the caller spent
-	// waiting on communication between StartLocal and Finish.
-	localBuildTime time.Duration
-}
-
-// StartLocal begins a μDBSCAN run over the rank's local points (at least
-// one). Splitting StartLocal+Finish at any point of the combined local+halo
-// sequence produces exactly the result of RunLocal over the concatenation:
-// micro-cluster construction scans points one at a time and the deferred
-// pass runs only after all points are added, so batch boundaries are
-// invisible to Algorithm 3.
-func StartLocal(localPts []geom.Point, eps float64, minPts int, opts Options) *LocalBuild {
-	return startLocal(len(localPts[0]), len(localPts), eps, minPts, opts, func(b *mc.Builder) { b.Add(localPts) })
-}
-
-// startLocal begins a run whose localCount local points the first batch
-// hands to the Builder.
-func startLocal(dim, localCount int, eps float64, minPts int, opts Options, first func(*mc.Builder)) *LocalBuild {
-	lb := &LocalBuild{
-		eps:        eps,
-		minPts:     minPts,
-		localCount: localCount,
-		opts:       opts,
-		st:         &Stats{},
-	}
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	lb.b = mc.NewBuilder(dim, eps, minPts, mc.Options{
-		NoDeferral:    opts.NoDeferral,
-		SkipReachable: true,
-		Workers:       opts.Workers,
-	})
-	first(lb.b)
-	lb.localBuildTime = time.Since(start)
-	return lb
+	set := geom.PointSetFromPoints(len(pts[0]), pts)
+	copied := time.Since(start)
+	lr := runLocal(set, localCount, eps, minPts, opts, false)
+	// Copying the rows into one block is part of step 1.
+	lr.Stats.Steps.TreeConstruction += copied
+	return lr
 }
 
-// Finish adds the halo points, completes the μR-tree and runs the remaining
-// μDBSCAN steps over the combined point set, leaving the borders to the merge.
-func (lb *LocalBuild) Finish(haloPts []geom.Point) *LocalResult { return lb.finish(haloPts, false) }
+// runLocal runs μDBSCAN's four steps over set, of which the first localCount
+// points are local. With borders set, the local ids are the final ids and
+// step 4 ends by assigning the borders (assignBorders); otherwise they are
+// left to the merge.
+func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts Options, borders bool) *LocalResult {
+	st := &Stats{}
 
-// finish is Finish; with borders set, the local ids are the final ids and
-// step 4 ends by assigning the borders (assignBorders).
-func (lb *LocalBuild) finish(haloPts []geom.Point, borders bool) *LocalResult {
-	st := lb.st
-	eps, minPts, localCount, opts := lb.eps, lb.minPts, lb.localCount, lb.opts
-
-	// Step 1 (continued): halo points join the micro-clusters, then the aux
-	// trees and centre distances are finalized.
+	// Step 1: micro-clusters, the μR-tree and the centre distances, over the
+	// caller's block in place.
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	lb.b.Add(haloPts)
-	ix := lb.b.Finish()
-	st.Steps.TreeConstruction = lb.localBuildTime + time.Since(start)
+	ix := buildIndex(set, eps, minPts, opts)
+	st.Steps.TreeConstruction = time.Since(start)
 	st.NumMCs = ix.NumMCs()
 
 	// Step 2: reachable micro-cluster lists.
@@ -290,6 +237,16 @@ func (lb *LocalBuild) finish(haloPts []geom.Point, borders bool) *LocalResult {
 	st.Steps.PostProcessing = time.Since(start)
 
 	return r.result(st)
+}
+
+// buildIndex is step 1: the μR-tree over set, which it adopts, without the
+// reachable lists (step 2).
+func buildIndex(set *geom.PointSet, eps float64, minPts int, opts Options) *mc.Index {
+	return mc.BuildSet(set, eps, minPts, mc.Options{
+		NoDeferral:    opts.NoDeferral,
+		SkipReachable: true,
+		Workers:       opts.Workers,
+	})
 }
 
 // Per-point status bits. Each is monotone — raised at most once, never

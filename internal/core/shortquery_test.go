@@ -59,7 +59,7 @@ func processPointUnshortened(r *run, w *worker, i int) {
 	}
 }
 
-// runWithStep3 is LocalBuild.Finish over a built index with step 3's per-point
+// runWithStep3 is runLocal over a built index with step 3's per-point
 // body given: the driver's, or the reference. The borders are left in
 // NoiseNbhd, every non-core point with its stored neighborhood.
 func runWithStep3(pts []geom.Point, eps float64, minPts, localCount, workers int, body func(*run, *worker, int)) *LocalResult {

@@ -9,6 +9,14 @@
 // neighborhood query — and so do the rank-local phases of the exact
 // distributed baselines in internal/dist (PDSDBSCAN-D, GridDBSCAN-D,
 // HPDBSCAN), which run it over their owned points followed by halo copies.
+//
+// The driver gives a border to the first core that reaches it in id order.
+// Where every core queries, that is its smallest-id core neighbor, Brute's
+// rule, so R-DBSCAN, KD-DBSCAN and G-DBSCAN return Brute's bytes. GridDBSCAN
+// proves a dense cell's points core without querying them, so a border goes
+// to the first queried core whose query lists it, or to the first known core
+// its own query lists, in cell order: border-tie-1d's point 10 joins core
+// 5's cluster, not core 4's (see GridDBSCAN).
 package dbscan
 
 import (

@@ -34,6 +34,16 @@ type GridOptions struct {
 // saving the paper cites); remaining points are queried against the cells
 // within Chebyshev distance ⌈√d⌉, and dense cells are then merged by
 // targeted core-pair checks.
+//
+// Its cores, their partition and its noise are exact, but its borders do not
+// always go where Brute puts them, with their smallest-id core neighbor. A
+// dense cell's cores never query, so they claim no border: in UnionFind's id
+// order a border goes to the first queried core whose query lists it, or, at
+// its own query, to the first already-known core that query lists, in cell
+// order. In the border-tie-1d conformance case (data.BorderTieCase, ε = 1.25,
+// MinPts 4), point 10 at x = 2 has core neighbors 4, in a dense cell, and 5,
+// queried: 5's query claims it, so it joins the right-hand cluster, where
+// Brute puts it in the left-hand one with point 4.
 func GridDBSCAN(pts []geom.Point, eps float64, minPts int, opts GridOptions) (*clustering.Result, Stats, error) {
 	n := len(pts)
 	if n == 0 {

@@ -26,19 +26,20 @@
 // # Three schedules
 //
 // The paper runs on a 32-node MPI cluster. Here the same pipeline runs under
-// one of three schedules, which differ only in whether index construction
-// overlaps the halo exchange, whether compute sections pass a turnstile, and
-// where a rank's owned core flags and union edges go (its sinks):
+// one of three schedules, which differ only in whether compute sections pass
+// a turnstile and where a rank's owned core flags and union edges go (its
+// sinks). Under every schedule a rank runs its local clustering once, over
+// its local points and the halo together, after the exchange has completed:
 //
 //   - ExecConcurrent (default): every rank is a goroutine over the mpi
-//     runtime, no turnstile, overlap on, and the sinks write straight into
-//     one shared lock-free union-find. This schedule turns host cores into
-//     real wall-clock speedup (Stats.WallClock).
+//     runtime, no turnstile, and the sinks write straight into one shared
+//     lock-free union-find. This schedule turns host cores into real
+//     wall-clock speedup (Stats.WallClock).
 //
 //   - ExecSerial: the same goroutines behind a shared turnstile. All
-//     communication is real, but overlap is off, a barrier holds every rank
-//     until all halos have landed, and from there each compute section runs
-//     with the turnstile held, one rank at a time — the standard methodology
+//     communication is real, but a barrier holds every rank until all halos
+//     have landed, and from there each compute section runs with the
+//     turnstile held, one rank at a time — the standard methodology
 //     for simulating distributed execution on a single machine. Reported
 //     parallel time for a phase is the maximum over ranks, so speedup curves
 //     reflect the algorithmic behaviour (including the superlinear effect of
@@ -79,9 +80,8 @@ type Exec int
 
 const (
 	// ExecConcurrent (the default) lets every rank run the pipeline freely
-	// in its own goroutine, with the halo exchange overlapped with μR-tree
-	// construction. This is the schedule that turns host cores into real
-	// wall-clock speedup.
+	// in its own goroutine. This is the schedule that turns host cores into
+	// real wall-clock speedup.
 	ExecConcurrent Exec = iota
 	// ExecSerial runs the same pipeline with the compute sections admitted
 	// one rank at a time, each in isolation — the simulation methodology
@@ -212,20 +212,6 @@ func (s *Stats) QuerySavedPct() float64 {
 // points, of which the first localCount are owned by the rank.
 type localFn func(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult
 
-// localAlgo bundles the entry points of a rank-local clustering algorithm.
-type localAlgo struct {
-	// run clusters a fully-assembled combined slice; every algorithm
-	// provides it and the serial schedule uses only it.
-	run localFn
-	// start, when non-nil, begins index construction over just the local
-	// points so a schedule with overlap can run it beside the in-flight
-	// halo exchange; the returned function completes the run once the halo
-	// points arrive. It must produce exactly run(local++halo). Algorithms
-	// without an incremental index (the grid and R-tree baselines) leave it
-	// nil and the pipeline assembles the combined slice first.
-	start func(localPts []geom.Point, eps float64, minPts int) func(haloPts []geom.Point) *core.LocalResult
-}
-
 // fold adds one rank's report: counters sum, phase times take the maximum.
 func (st *Stats) fold(o rankOut) {
 	st.Queries += o.queries
@@ -246,7 +232,7 @@ func (st *Stats) fold(o rankOut) {
 
 // runDistributed runs the pipeline on p ranks under the schedule opts names
 // and returns the exact global clustering in original point order.
-func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo) (*clustering.Result, *Stats, error) {
+func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localFn) (*clustering.Result, *Stats, error) {
 	if len(pts) == 0 {
 		return &clustering.Result{}, &Stats{Ranks: p}, nil
 	}
@@ -268,7 +254,7 @@ func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, 
 // runInProcess runs all p ranks as goroutines of this process, their sinks
 // writing straight into one shared union structure, and folds their reports
 // into st. ExecSerial is the same world behind a shared turnstile.
-func runInProcess(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo, st *Stats) (*clustering.Result, mpi.Stats, error) {
+func runInProcess(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localFn, st *Stats) (*clustering.Result, mpi.Stats, error) {
 	var turn *turnstile
 	if opts.Exec == ExecSerial {
 		turn = &turnstile{}

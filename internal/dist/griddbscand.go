@@ -36,7 +36,7 @@ func GridDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*c
 	if dbscan.NeighborEnumCount(radius, d) > distGridEnumBudget {
 		return nil, nil, ErrDistGridMemory
 	}
-	return runDistributed(pts, eps, minPts, p, opts, localAlgo{run: gridLocal(side, radius, true)})
+	return runDistributed(pts, eps, minPts, p, opts, gridLocal(side, radius, true))
 }
 
 // HPDBSCAN implements the highly-parallel grid DBSCAN of Götz et al.
@@ -51,7 +51,7 @@ func HPDBSCAN(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clus
 	if dbscan.NeighborEnumCount(1, d) > distGridEnumBudget {
 		return nil, nil, ErrDistGridMemory
 	}
-	return runDistributed(pts, eps, minPts, p, opts, localAlgo{run: gridLocal(eps, 1, false)})
+	return runDistributed(pts, eps, minPts, p, opts, gridLocal(eps, 1, false))
 }
 
 // gridLocal builds the rank-local clustering function for a grid of the

@@ -12,18 +12,10 @@ import (
 // clustering is exact — identical (in the paper's sense) to sequential
 // DBSCAN on the whole dataset — for any p that is a power of two.
 //
-// Under the default concurrent execution every rank runs in its own
-// goroutine and overlaps its halo exchange with μR-tree construction over
-// its local points (micro-cluster construction is incremental, so feeding
-// local points first and halo points on arrival yields the identical
-// index).
+// Every rank runs core.RunLocal once, over its local points followed by the
+// halo copies it received, after the halo exchange has completed.
 func MuDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clustering.Result, *Stats, error) {
-	return runDistributed(pts, eps, minPts, p, opts, localAlgo{
-		run: func(combined []geom.Point, e float64, mp, localCount int) *core.LocalResult {
-			return core.RunLocal(combined, e, mp, localCount, opts.Core)
-		},
-		start: func(localPts []geom.Point, e float64, mp int) func([]geom.Point) *core.LocalResult {
-			return core.StartLocal(localPts, e, mp, opts.Core).Finish
-		},
+	return runDistributed(pts, eps, minPts, p, opts, func(combined []geom.Point, e float64, mp, localCount int) *core.LocalResult {
+		return core.RunLocal(combined, e, mp, localCount, opts.Core)
 	})
 }

@@ -42,7 +42,7 @@ type Remote struct {
 // On ranks other than 0 the returned Result is nil and st stays empty.
 // Rank 0's st aggregates all ranks; the returned Comm is this process's own,
 // since no process sees another's byte counts.
-func runNetworked(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localAlgo, st *Stats) (*clustering.Result, mpi.Stats, error) {
+func runNetworked(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localFn, st *Stats) (*clustering.Result, mpi.Stats, error) {
 	n := len(pts)
 	var result *clustering.Result
 	comm, err := mpi.RunRemote(mpi.RemoteOptions{

@@ -15,7 +15,7 @@ import (
 // DBSCAN over a single R-tree: one ε-neighborhood query for *every* local
 // point, with no query savings and no two-level index.
 func PDSDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clustering.Result, *Stats, error) {
-	return runDistributed(pts, eps, minPts, p, opts, localAlgo{run: func(combined []geom.Point, e float64, mp, localCount int) *core.LocalResult {
+	return runDistributed(pts, eps, minPts, p, opts, func(combined []geom.Point, e float64, mp, localCount int) *core.LocalResult {
 		var steps core.StepTimes
 		var tree *rtree.Packed
 		steps.TreeConstruction = timed(func() { tree = rtree.BulkLoad(len(combined[0]), 0, combined, nil) })
@@ -31,5 +31,5 @@ func PDSDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*cl
 			})
 		})
 		return classicResult(uf, isCore, localCount, h, steps)
-	}})
+	})
 }

@@ -14,12 +14,10 @@ import (
 	"mudbscan/internal/mpi"
 )
 
-// muAlgo is μDBSCAN-D's local algorithm without the overlap entry point, so
-// a test can wrap the one function every schedule then calls.
-func muAlgo() localAlgo {
-	return localAlgo{run: func(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
-		return core.RunLocal(pts, eps, minPts, localCount, core.Options{})
-	}}
+// muLocal is μDBSCAN-D's local algorithm, the one function every schedule
+// calls, for a test to wrap.
+func muLocal(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
+	return core.RunLocal(pts, eps, minPts, localCount, core.Options{})
 }
 
 // gauge counts how many goroutines are inside a section at once.
@@ -40,12 +38,12 @@ func (g *gauge) inside(fn func()) {
 	g.cur.Add(-1)
 }
 
-// gauged wraps a local algorithm's run in the gauge.
-func gauged(g *gauge, algo localAlgo) localAlgo {
-	return localAlgo{run: func(pts []geom.Point, eps float64, minPts, localCount int) (lr *core.LocalResult) {
-		g.inside(func() { lr = algo.run(pts, eps, minPts, localCount) })
+// gauged wraps a local algorithm in the gauge.
+func gauged(g *gauge, algo localFn) localFn {
+	return func(pts []geom.Point, eps float64, minPts, localCount int) (lr *core.LocalResult) {
+		g.inside(func() { lr = algo(pts, eps, minPts, localCount) })
 		return lr
-	}}
+	}
 }
 
 // TestSerialScheduleIsolation: under ExecSerial no two ranks are ever inside
@@ -59,7 +57,7 @@ func TestSerialScheduleIsolation(t *testing.T) {
 	want, _ := dbscan.Brute(pts, 0.5, 5)
 	for _, p := range []int{4, 8} {
 		var g gauge
-		got, _, err := runDistributed(pts, 0.5, 5, p, Options{Seed: 3, Exec: ExecSerial}, gauged(&g, muAlgo()))
+		got, _, err := runDistributed(pts, 0.5, 5, p, Options{Seed: 3, Exec: ExecSerial}, gauged(&g, muLocal))
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -75,7 +73,7 @@ func TestSerialScheduleIsolation(t *testing.T) {
 		own := func([]int64, []bool) {}
 		union := func([][2]int64) { g.inside(func() {}) }
 		if _, err := mpi.Run(p, func(c *mpi.Comm) error {
-			_, err := runRank(c, pts, 0.5, 5, Options{Seed: 3}, gauged(&g, muAlgo()), turn, own, union)
+			_, err := runRank(c, pts, 0.5, 5, Options{Seed: 3}, gauged(&g, muLocal), turn, own, union)
 			return err
 		}); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
@@ -85,7 +83,7 @@ func TestSerialScheduleIsolation(t *testing.T) {
 		}
 
 		g = gauge{}
-		if _, _, err := runDistributed(pts, 0.5, 5, p, Options{Seed: 3, Exec: ExecConcurrent}, gauged(&g, muAlgo())); err != nil {
+		if _, _, err := runDistributed(pts, 0.5, 5, p, Options{Seed: 3, Exec: ExecConcurrent}, gauged(&g, muLocal)); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		if peak := g.peak.Load(); peak < 2 {
@@ -143,13 +141,12 @@ func TestMergeExcludesStragglerWait(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := blobs(rng, 800, 3, 4, 0.3, 0.2)
 	var calls atomic.Int32
-	inner := muAlgo()
-	straggling := localAlgo{run: func(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
+	straggling := func(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
 		if calls.Add(1) == 1 {
 			time.Sleep(300 * time.Millisecond)
 		}
-		return inner.run(pts, eps, minPts, localCount)
-	}}
+		return muLocal(pts, eps, minPts, localCount)
+	}
 	_, st, err := runDistributed(pts, 0.5, 5, 4, Options{Seed: 3, Exec: ExecConcurrent}, straggling)
 	if err != nil {
 		t.Fatal(err)

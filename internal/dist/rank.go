@@ -79,19 +79,18 @@ func decodeRankOut(s [mergeStatFields]int64) rankOut {
 
 // runRank is one rank's trip through Algorithm 9, the only spelling of it:
 // kd partitioning, ε-halo exchange, rank-local clustering, query-free merge.
-// A schedule varies three things and nothing else:
+// A schedule varies its turnstile and its two sinks, and nothing else:
 //
-//   - turn: nil lets every rank compute at once and overlaps index
-//     construction with the halo exchange; a shared turnstile (the serial
-//     simulation) turns the overlap off, holds every rank at a barrier until
-//     all halos have landed, and then runs each compute section — local
-//     clustering, component edges, deferred edges — alone inside it.
+//   - turn: nil lets every rank compute at once; a shared turnstile (the
+//     serial simulation) holds every rank at a barrier until all halos have
+//     landed, and then runs each compute section — local clustering,
+//     component edges, deferred edges — alone inside it.
 //   - own receives the rank's owned global ids with their exact core flags.
 //   - union receives the rank's union edges, in two batches.
 //
 // The sinks are called inside the turnstile, so under the serial schedule
 // the time they take is part of the isolated merge time.
-func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Options, algo localAlgo,
+func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Options, algo localFn,
 	turn *turnstile, own func(gids []int64, isCore []bool), union func(edges [][2]int64)) (rankOut, error) {
 	rank, p, dim := c.Rank(), c.Size(), len(pts[0])
 	var out rankOut
@@ -104,31 +103,18 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 	}
 	out.phases.Partition = time.Since(t0)
 
-	// Phase 2: initiate the ε-extended halo exchange without waiting.
-	t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	bufs, sentTo := haloSendBuffers(part, eps, dim, rank, p)
-	xchg := c.IAlltoall(bufs)
-	haloInit := time.Since(t0)
-
-	// Phase 3a: overlap — start local index construction while the halo
-	// payloads are in flight.
+	// Phase 2: the ε-extended halo exchange. Halo slots follow the local
+	// points in source-rank order, then send order.
 	localCount := len(part.Local)
-	localPts := make([]geom.Point, localCount)
+	combined := make([]geom.Point, localCount)
 	gids := make([]int64, localCount)
 	for i, rec := range part.Local {
-		localPts[i] = rec.Pt
+		combined[i] = rec.Pt
 		gids[i] = rec.ID
 	}
-	var finish func(haloPts []geom.Point) *core.LocalResult
-	if turn == nil && algo.start != nil && localCount > 0 {
-		finish = algo.start(localPts, eps, minPts)
-	}
-
-	// Phase 3b: complete the exchange. Halo slots follow the local points
-	// in source-rank order, then send order.
 	t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	recv := xchg.Wait()
-	var haloPts []geom.Point
+	bufs, sentTo := haloSendBuffers(part, eps, dim, rank, p)
+	recv := c.Alltoall(bufs)
 	haloFrom := make([]int, p)
 	for src := 0; src < p; src++ {
 		if src == rank {
@@ -137,34 +123,28 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 		recs := partition.DecodeRecords(recv[src], dim)
 		haloFrom[src] = len(recs)
 		for _, rec := range recs {
-			haloPts = append(haloPts, rec.Pt)
+			combined = append(combined, rec.Pt)
 			gids = append(gids, rec.ID)
 		}
 	}
-	out.phases.HaloExchange = haloInit + time.Since(t0)
-	out.haloPoints = int64(len(haloPts))
+	out.phases.HaloExchange = time.Since(t0)
+	out.haloPoints = int64(len(combined) - localCount)
 	if turn != nil {
 		// Isolation: no rank enters the turnstile while another is still
 		// encoding, sending or decoding halo records beside it.
 		c.Barrier()
 	}
 
-	// Phase 3c: rank-local clustering.
+	// Phase 3: rank-local clustering.
 	var lr *core.LocalResult
 	turn.do(func() {
-		switch {
-		case localCount == 0:
+		if localCount == 0 {
 			// A rank that owns no points may still hold halo copies (extreme
 			// skew): nothing is core, every point is its own component.
 			lr = inertLocalResult(len(gids))
-		case finish != nil:
-			lr = finish(haloPts)
-		default:
-			combined := make([]geom.Point, 0, len(gids))
-			combined = append(combined, localPts...)
-			combined = append(combined, haloPts...)
-			lr = algo.run(combined, eps, minPts, localCount)
+			return
 		}
+		lr = algo(combined, eps, minPts, localCount)
 	})
 	out.phases.StepTimes = lr.Stats.Steps
 	out.queries = int64(lr.Stats.Queries)

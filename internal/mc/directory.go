@@ -35,8 +35,9 @@ type centerDirectory interface {
 // visits at most 2^gridAxes cells whatever d and m are; the cells do not
 // bound what a chain holds above gridAxes (centres ε apart in d dimensions
 // can share a cell of the projection), and the bounded sum of the linked
-// kernels is what keeps a long chain cheap there. Step 1 (Add + Finish,
-// median build), the grown R-tree the grid replaced → the grid, 2 vCPUs:
+// kernels is what keeps a long chain cheap there. Step 1 (scan, deferred
+// pass and finalize; median build), the grown R-tree the grid replaced → the
+// grid, 2 vCPUs:
 //
 //	d = 3   GalaxyLike(100000, 3, 5), ε = 2, m = 8 866               0.57 s → 0.10 s
 //	d = 4   GalaxyLike(100000, 4, 5), ε = 2, m = 21 944              2.49 s → 0.28 s

@@ -11,23 +11,13 @@ import (
 	"mudbscan/internal/geom"
 )
 
-// buildWith feeds pts through a Builder over the given directory (nil: the
-// one NewBuilder picks), cutting the Add batches at cuts.
-func buildWith(pts []geom.Point, eps float64, minPts int, opts Options, dir centerDirectory, cuts ...int) *Index {
-	dim := len(pts[0])
-	var b *Builder
+// buildWith builds the Index of pts through the given directory (nil: the
+// one BuildSet picks).
+func buildWith(pts []geom.Point, eps float64, minPts int, opts Options, dir centerDirectory) *Index {
 	if dir == nil {
-		b = NewBuilder(dim, eps, minPts, opts)
-	} else {
-		b = newBuilder(dim, eps, minPts, opts, dir)
+		return Build(pts, eps, minPts, opts)
 	}
-	from := 0
-	for _, c := range cuts {
-		b.Add(pts[from:c])
-		from = c
-	}
-	b.Add(pts[from:])
-	return b.Finish()
+	return build(geom.PointSetFromPoints(len(pts[0]), pts), eps, minPts, opts, dir)
 }
 
 // bruteDirectory is the reference the grid is held to: every probe tests
@@ -138,9 +128,8 @@ func arrivalOrdered(rng *rand.Rand, n, d int) []geom.Point {
 // grid directory is the index built through the brute-force one — the same
 // micro-clusters from the scan probes, and the same reachable lists from the
 // closed 3ε ball queries. At d = 1…4 every axis is keyed, at d = 5, 8 and 14
-// only four are; with and without the 2ε deferral rule, and under every 2-
-// and 3-way split of the Add batches. (The name is from when the reference
-// was a grown centre R-tree.)
+// only four are; with and without the 2ε deferral rule. (The name is from
+// when the reference was a grown centre R-tree.)
 func TestDirectoryMatchesTree(t *testing.T) {
 	type input struct {
 		name string
@@ -182,26 +171,6 @@ func TestDirectoryMatchesTree(t *testing.T) {
 				if err := sameIndex(buildWith(in.pts, in.eps, 4, opts, nil), want); err != nil {
 					t.Fatal(err)
 				}
-				n := len(in.pts)
-				var splits [][]int
-				if n <= 30 {
-					for a := 0; a <= n; a++ {
-						splits = append(splits, []int{a})
-						for b := a; b <= n; b++ {
-							splits = append(splits, []int{a, b})
-						}
-					}
-				} else {
-					for k := 0; k < 6; k++ {
-						a := rng.Intn(n + 1)
-						splits = append(splits, []int{a}, []int{a, a + rng.Intn(n+1-a)})
-					}
-				}
-				for _, cuts := range splits {
-					if err := sameIndex(buildWith(in.pts, in.eps, 4, opts, nil, cuts...), want); err != nil {
-						t.Fatalf("split %v: %v", cuts, err)
-					}
-				}
 			})
 		}
 	}
@@ -236,7 +205,7 @@ func FuzzCenterDirectory(f *testing.F) {
 			return
 		}
 		want := buildWith(pts, eps, 3, opts, bruteForce(dim))
-		got := buildWith(pts, eps, 3, opts, nil, len(pts)/2)
+		got := buildWith(pts, eps, 3, opts, nil)
 		if err := sameIndex(got, want); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +249,7 @@ func TestDirectoryOutOfRangeCoordinates(t *testing.T) {
 		}
 		for name, pts := range map[string][]geom.Point{"translated": shifted, "non-finite": odd} {
 			want := buildWith(pts, eps, 4, Options{}, bruteForce(d))
-			if err := sameIndex(buildWith(pts, eps, 4, Options{}, nil, len(pts)/3), want); err != nil {
+			if err := sameIndex(buildWith(pts, eps, 4, Options{}, nil), want); err != nil {
 				t.Fatalf("d=%d %s: %v", d, name, err)
 			}
 		}
@@ -308,7 +277,7 @@ func TestDirectoryHugeEps(t *testing.T) {
 func TestDirectoryDimensionThreshold(t *testing.T) {
 	for d := 1; d <= 16; d++ {
 		for _, eps := range []float64{1, math.Ldexp(1, 970), math.MaxFloat64} {
-			g, ok := NewBuilder(d, eps, 3, Options{}).ix.dir.(*gridDirectory)
+			g, ok := Build([]geom.Point{make(geom.Point, d)}, eps, 3, Options{}).dir.(*gridDirectory)
 			if !ok {
 				t.Fatalf("d=%d eps=%g: not the grid directory", d, eps)
 			}
@@ -332,9 +301,7 @@ func TestDirectoryProbesZeroAllocs(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 5, 8, 14} {
 		const eps = 0.6
 		pts := randPoints(rng, 4000, d, 12)
-		b := NewBuilder(d, eps, 4, Options{})
-		b.Add(pts)
-		dir := b.ix.dir
+		dir := Build(pts, eps, 4, Options{SkipReachable: true}).dir
 		var hits, found, balls int
 		buf := make([]int, 0, 4096)
 		allocs := testing.AllocsPerRun(20, func() {
@@ -393,11 +360,9 @@ func TestCellHashesDistinctWithinABox(t *testing.T) {
 }
 
 // TestIndexHoldsOneCentreStructure: the grid the scan probed is the Index's
-// one centre structure after Finish, and it holds the m centres.
+// one centre structure once built, and it holds the m centres.
 func TestIndexHoldsOneCentreStructure(t *testing.T) {
-	b := NewBuilder(2, 1, 3, Options{})
-	b.Add([]geom.Point{{0, 0}, {5, 5}, {0.5, 0}})
-	ix := b.Finish()
+	ix := Build([]geom.Point{{0, 0}, {5, 5}, {0.5, 0}}, 1, 3, Options{})
 	g, ok := ix.dir.(*gridDirectory)
 	if !ok {
 		t.Fatalf("the Index holds %T, not the grid", ix.dir)
@@ -450,11 +415,11 @@ func (c *countingDirectory) perProbe() float64 {
 	return v
 }
 
-// BenchmarkCentreDirectory times the three phases of the build that probe the
-// centre grid — Algorithm 3's scan (Add), the deferred pass with the
-// finalize work (Finish, SkipReachable) and the reachable lists
-// (ComputeReachable) — on a low-d and a high-d workload, and reports the
-// centres each phase's probes test, counted on an untimed build.
+// BenchmarkCentreDirectory times the two phases of the build that probe the
+// centre grid — the Build (Algorithm 3's scan, the deferred pass and the
+// finalize work, SkipReachable) and the reachable lists (ComputeReachable) —
+// on a low-d and a high-d workload, and reports the centres each phase's
+// probes test, counted on an untimed build.
 func BenchmarkCentreDirectory(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -465,35 +430,22 @@ func BenchmarkCentreDirectory(b *testing.B) {
 		{"galaxy3d", data.GalaxyLike(100000, 3, 5), 2, 5},
 		{"bio14d", data.BioLike(14500, 14, 1), 600, 5},
 	} {
-		dim := len(c.pts[0])
+		set := geom.PointSetFromPoints(len(c.pts[0]), c.pts)
 		opts := Options{SkipReachable: true}
-		counter := &countingDirectory{gridDirectory: newDirectory(dim, c.eps)}
-		cb := newBuilder(dim, c.eps, c.minPts, opts, counter)
-		cb.Add(c.pts)
-		perProbe := map[string]float64{"Add": counter.perProbe()}
-		ix := cb.Finish()
-		perProbe["Finish"] = counter.perProbe()
+		counter := &countingDirectory{gridDirectory: newDirectory(set.Dim(), c.eps)}
+		ix := build(set, c.eps, c.minPts, opts, counter)
+		perProbe := map[string]float64{"Build": counter.perProbe()}
 		ix.ComputeReachable()
 		perProbe["ComputeReachable"] = counter.perProbe()
 
-		b.Run(c.name+"/Add", func(b *testing.B) {
+		b.Run(c.name+"/Build", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				NewBuilder(dim, c.eps, c.minPts, opts).Add(c.pts)
+				BuildSet(set, c.eps, c.minPts, opts)
 			}
-			b.ReportMetric(perProbe["Add"], "centres/probe")
-		})
-		b.Run(c.name+"/Finish", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				nb := NewBuilder(dim, c.eps, c.minPts, opts)
-				nb.Add(c.pts)
-				b.StartTimer()
-				nb.Finish()
-			}
-			b.ReportMetric(perProbe["Finish"], "centres/probe")
+			b.ReportMetric(perProbe["Build"], "centres/probe")
 		})
 		b.Run(c.name+"/ComputeReachable", func(b *testing.B) {
-			ix := Build(c.pts, c.eps, c.minPts, opts)
+			ix := BuildSet(set, c.eps, c.minPts, opts)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ix.ComputeReachable()

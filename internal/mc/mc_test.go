@@ -286,9 +286,7 @@ func sameBytes(got, want *Index) error {
 
 // TestIndexIdenticalAcrossWorkers: Options.Workers decides who packs which
 // tree and who fills which list, never where anything goes, so the index is
-// the same bytes at every worker count; and the scan is one point at a time,
-// so it is the same bytes again however the points were split over Add calls
-// (the path μDBSCAN-D and the stream snapshots build through).
+// the same bytes at every worker count.
 func TestIndexIdenticalAcrossWorkers(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -307,14 +305,6 @@ func TestIndexIdenticalAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			if err := sameBytes(Build(c.pts, c.eps, c.minPts, Options{Workers: workers}), want); err != nil {
 				t.Fatalf("%s, workers=%d: %v", c.name, workers, err)
-			}
-		}
-		for _, cut := range []int{0, 1, len(c.pts) / 3, len(c.pts) - 1, len(c.pts)} {
-			b := NewBuilder(len(c.pts[0]), c.eps, c.minPts, Options{Workers: 2})
-			b.Add(c.pts[:cut])
-			b.Add(c.pts[cut:])
-			if err := sameBytes(b.Finish(), want); err != nil {
-				t.Fatalf("%s, Add split at %d: %v", c.name, cut, err)
 			}
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"mudbscan/internal/mpi"
 )
 
-// TestCollectivesOverChaos runs every primitive — ring send/recv, blocking
-// and non-blocking all-to-all, Barrier, Bcast and Allgather — at 8 ranks
+// TestCollectivesOverChaos runs every primitive — ring send/recv,
+// Alltoall, Barrier, Bcast and Allgather — at 8 ranks
 // over the full eventually-delivering fault plan. The collectives' frames
 // cross the transport like any other, so the plan damages them too.
 func TestCollectivesOverChaos(t *testing.T) {

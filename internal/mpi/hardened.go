@@ -167,7 +167,7 @@ func (w *world) send(src, dst, tag int, data []byte) *Request {
 	w.deliverData(src, dst, Message{Tag: tag, Data: env})
 	select {
 	case <-ackCh:
-		return completed(nil)
+		return completed()
 	default:
 	}
 	r := &Request{done: make(chan struct{})}

@@ -24,8 +24,8 @@
 // destination that never acks within the retry budget aborts the world with
 // RankLostError. Frames cross a pluggable Transport (RunWithOptions); none
 // means in-process delivery on the sending goroutine, where the ack lands
-// before the send returns. Barrier, Bcast and Allgather are written once on
-// top of point-to-point messages, so an in-process world and a
+// before the send returns. Barrier, Bcast, Allgather and Alltoall are
+// written once on top of point-to-point messages, so an in-process world and a
 // multi-process one (RunRemote) run the same collectives, and a
 // fault-injecting transport (internal/chaos) that drops, duplicates,
 // reorders, delays and corrupts frames reaches all of them without changing
@@ -361,9 +361,38 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	return out
 }
 
+// alltoallTag is the reserved tag of every all-to-all payload frame.
+//
+//mulint:wire mpi-tag
+const alltoallTag = -1082
+
 // Alltoall sends send[i] to rank i and returns the payloads received, with
-// recv[i] coming from rank i: IAlltoall completed at once. len(send) must
-// equal Size.
+// recv[i] coming from rank i (recv[Rank] is the caller's own buffer).
+// len(send) must equal Size. Each payload to a peer is booked as one
+// message, as Isend books it. Completion is a synchronization point:
+// Alltoall returns only after every rank has finished the collective, so a
+// later tagged message on any pair's mailbox cannot overtake exchange
+// traffic.
 func (c *Comm) Alltoall(send [][]byte) [][]byte {
-	return c.IAlltoall(send).Wait()
+	if len(send) != c.w.size {
+		panic(fmt.Sprintf("mpi: Alltoall needs %d buffers, got %d", c.w.size, len(send)))
+	}
+	sends := make([]*Request, 0, c.w.size)
+	for dst, data := range send {
+		if dst != c.rank {
+			sends = append(sends, c.Isend(dst, alltoallTag, data))
+		}
+	}
+	recv := make([][]byte, c.w.size)
+	recv[c.rank] = send[c.rank]
+	for src := range recv {
+		if src != c.rank {
+			recv[src] = c.Recv(src, alltoallTag)
+		}
+	}
+	for _, r := range sends {
+		r.Wait()
+	}
+	c.Barrier()
+	return recv
 }

@@ -135,8 +135,8 @@ func runRemoteWorld(t *testing.T, p int, retry RetryPolicy, fn func(c *Comm) err
 }
 
 // collectiveWorkload exercises every communication primitive the distributed
-// drivers use: tagged ring send/recv, all-to-all (blocking and non-blocking),
-// barrier-separated phases, bcast and allgather.
+// drivers use: tagged ring send/recv, all-to-all, barrier-separated phases,
+// bcast and allgather.
 func collectiveWorkload(c *Comm) error {
 	if err := ringExchange(c); err != nil {
 		return err
@@ -165,11 +165,10 @@ func collectiveWorkload(c *Comm) error {
 	for dst := range send {
 		send[dst] = EncodeInt64s([]int64{int64(rank*1000 + dst)})
 	}
-	req := c.IAlltoall(send)
-	recv := req.Wait()
+	recv := c.Alltoall(send)
 	for src := range recv {
 		if v := DecodeInt64s(recv[src])[0]; v != int64(src*1000+rank) {
-			return fmt.Errorf("rank %d: ialltoall from %d got %d", rank, src, v)
+			return fmt.Errorf("rank %d: alltoall from %d got %d", rank, src, v)
 		}
 	}
 	c.Barrier()

@@ -109,7 +109,7 @@ type resultKey struct {
 // they leave it only as defensive copies.
 type result struct {
 	labels      []int
-	core        []bool // nil when the engine has no per-point core notion (stream)
+	core        []bool // every engine's per-point core flags, the stream engine's included
 	numClusters int
 }
 

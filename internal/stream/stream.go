@@ -23,10 +23,9 @@
 // Snapshot copies the log and runs over it the engine the library's auto
 // selector picks for that window (cell.Prefer): the grid at one worker where
 // it prefers the grid, which is every d ≤ 3, and the sequential μR-tree
-// engine (the incremental mc.Builder pipeline) otherwise. Every snapshot is
-// therefore an *exact* DBSCAN clustering of the window — byte-for-byte the
-// auto engine's batch run at the same ε/minPts — not a
-// micro-cluster-granularity approximation.
+// engine (core.RunSet) otherwise. Every snapshot is therefore an *exact*
+// DBSCAN clustering of the window — byte-for-byte the auto engine's batch
+// run at the same ε/minPts — not a micro-cluster-granularity approximation.
 package stream
 
 import (

@@ -67,12 +67,11 @@ type SeqStats = core.Stats
 type DistStats = dist.Stats
 
 // Engine names one of the exact engines behind Cluster and ClusterWithStats.
-// Every engine returns the exact DBSCAN clustering — the same cores, the
-// same partition of the cores, the same noise — and all but EngineShared at
-// more than one worker return the same bytes; they differ in how the
-// ε-neighborhood work is organized, and therefore in speed. The values are
-// the engine byte of the mudbscand wire protocol: append-only, never
-// renumbered.
+// Every engine, at every worker or rank count, returns the same bytes as
+// brute-force DBSCAN (internal/dbscan.Brute): the exact clustering, each
+// border in the cluster of its smallest-id core neighbor. They differ in how the ε-neighborhood work is organized,
+// and therefore in speed. The values are the engine byte of the mudbscand
+// wire protocol: append-only, never renumbered.
 type Engine uint8
 
 //mulint:wire server-engine
