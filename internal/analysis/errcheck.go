@@ -111,7 +111,7 @@ func isErrorType(t types.Type) bool {
 	return named.Obj().Name() == "error" && named.Obj().Pkg() == nil
 }
 
-// calleeLabel renders the callee for a diagnostic, e.g. "partition.DecodeRecords".
+// calleeLabel renders the callee for a diagnostic, e.g. "partition.KD".
 func calleeLabel(info *types.Info, call *ast.CallExpr) string {
 	fn := calleeFunc(info, call)
 	if fn == nil {

@@ -157,10 +157,9 @@ type Pair struct {
 }
 
 // LocalResult is the full rank-local state that μDBSCAN-D's merge phase
-// consumes. Indices are into the combined local+halo point slice; points
-// with index >= LocalCount are halo copies owned by other ranks.
+// consumes. Indices are rows of the rank's block (see RunLocal); rows from
+// localCount on are halo copies owned by other ranks.
 type LocalResult struct {
-	LocalCount int
 	// Core flags: exact for local points (their complete ε-neighborhood is
 	// present thanks to the halo), a sound lower bound for halo points.
 	Core []bool
@@ -177,25 +176,20 @@ type LocalResult struct {
 	Stats     *Stats
 }
 
-// RunLocal executes μDBSCAN over a combined local+halo point set, treating
-// only the first localCount points as owned by this rank: halo points serve
-// as neighbors (and may be proven core, which is sound because coreness is
-// monotone in the visible evidence) but are never queried, and a core's link
-// to one not known core becomes a Pair for the merge phase. No non-core point
-// joins a cluster here: the merge gives each its core neighbor of smallest
-// global id, which only it knows. With localCount == len(pts) the cores and
-// their components are exactly μDBSCAN's.
-func RunLocal(pts []geom.Point, eps float64, minPts int, localCount int, opts Options) *LocalResult {
-	if len(pts) == 0 {
+// RunLocal executes μDBSCAN over a rank's block of local rows followed by
+// halo rows, treating only the first localCount as owned by this rank: halo
+// points serve as neighbors (and may be proven core, which is sound because
+// coreness is monotone in the visible evidence) but are never queried, and a
+// core's link to one not known core becomes a Pair for the merge phase. No
+// non-core point joins a cluster here: the merge gives each its core
+// neighbor of smallest global id, which only it knows. With localCount ==
+// set.Len() the cores and their components are exactly μDBSCAN's. Like
+// RunSet, it reads the block in place and never writes or copies it.
+func RunLocal(set *geom.PointSet, eps float64, minPts int, localCount int, opts Options) *LocalResult {
+	if set.Len() == 0 {
 		return &LocalResult{Stats: &Stats{}, NoiseNbhd: map[int32][]int32{}}
 	}
-	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	set := geom.PointSetFromPoints(len(pts[0]), pts)
-	copied := time.Since(start)
-	lr := runLocal(set, localCount, eps, minPts, opts, false)
-	// Copying the rows into one block is part of step 1.
-	lr.Stats.Steps.TreeConstruction += copied
-	return lr
+	return runLocal(set, localCount, eps, minPts, opts, false)
 }
 
 // runLocal runs μDBSCAN's four steps over set, of which the first localCount
@@ -390,10 +384,9 @@ func (r *run) each(n int, fn func(w *worker, i int)) {
 // and stable and the per-index writes are disjoint.
 func (r *run) result(st *Stats) *LocalResult {
 	lr := &LocalResult{
-		LocalCount: r.localCount,
-		Core:       make([]bool, r.set.Len()),
-		Comp:       make([]int32, r.set.Len()),
-		Stats:      st,
+		Core:  make([]bool, r.set.Len()),
+		Comp:  make([]int32, r.set.Len()),
+		Stats: st,
 	}
 	stored := 0
 	for w := range r.workers {

@@ -343,7 +343,7 @@ func TestPostProcessHaloPairs(t *testing.T) {
 			t.Fatalf("d=%d: the reference defers %d pairs in step 4; the set misses its point", dim, len(want)-fromStep1)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			got := RunLocal(pts, eps, minPts, len(local), Options{Workers: workers})
+			got := RunLocal(geom.PointSetFromPoints(dim, pts), eps, minPts, len(local), Options{Workers: workers})
 			if got.Stats.Queries != 0 {
 				t.Fatalf("d=%d: %d queries; the blob is not all wndq-core", dim, got.Stats.Queries)
 			}

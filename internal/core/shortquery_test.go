@@ -375,7 +375,7 @@ func TestShortQueryHaloStripPairs(t *testing.T) {
 		t.Fatalf("%d halo points, %d Pairs, %d whole micro-clusters (%d more with halo members), %d fat ones the strip opens, %d reruns: the set misses its point",
 			len(halo), len(one.Pairs), whole, crossedWhole, crossedOpen, one.Stats.Requeries)
 	}
-	got := RunLocal(pts, eps, minPts, localCount, Options{})
+	got := RunLocal(geom.PointSetFromPoints(5, pts), eps, minPts, localCount, Options{})
 	if !reflect.DeepEqual(got.Pairs, one.Pairs) {
 		t.Fatal("RunLocal's Pairs differ from the step-by-step run's")
 	}

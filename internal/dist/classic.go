@@ -11,7 +11,7 @@ import (
 // baselines) to the merge: its components, core flags, deferred pairs and
 // the stored neighborhoods of the points no core claimed, with the step
 // times the caller measured.
-func classicResult(uf *unionfind.UF, isCore []bool, localCount int, h dbscan.HaloResult, steps core.StepTimes) *core.LocalResult {
+func classicResult(uf *unionfind.UF, isCore []bool, h dbscan.HaloResult, steps core.StepTimes) *core.LocalResult {
 	comp := make([]int32, uf.Len())
 	for i := range comp {
 		comp[i] = int32(uf.Find(i))
@@ -21,11 +21,10 @@ func classicResult(uf *unionfind.UF, isCore []bool, localCount int, h dbscan.Hal
 		pairs[k] = core.Pair{A: pr[0], B: pr[1]}
 	}
 	return &core.LocalResult{
-		LocalCount: localCount,
-		Core:       isCore,
-		Comp:       comp,
-		Pairs:      pairs,
-		NoiseNbhd:  h.NoiseNbhd,
-		Stats:      &core.Stats{Queries: h.Queries, QueriesSaved: h.QueriesSaved, Steps: steps},
+		Core:      isCore,
+		Comp:      comp,
+		Pairs:     pairs,
+		NoiseNbhd: h.NoiseNbhd,
+		Stats:     &core.Stats{Queries: h.Queries, QueriesSaved: h.QueriesSaved, Steps: steps},
 	}
 }

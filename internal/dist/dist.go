@@ -7,7 +7,7 @@
 // All exact algorithms are one rank pipeline, runRank, with the rank-local
 // clustering algorithm as a parameter:
 //
-//	spatial kd partitioning (sampling-based medians)
+//	spatial kd partitioning (exact medians; sampled with a sample size)
 //	→ ε-extended halo exchange
 //	→ rank-local clustering (algorithm-specific) under distributed union
 //	  rules: unions touching a non-core halo point are deferred as Pairs
@@ -208,9 +208,10 @@ func (s *Stats) QuerySavedPct() float64 {
 	return 100 * float64(s.QueriesSaved) / float64(total)
 }
 
-// localFn runs one rank's local clustering over the combined local+halo
-// points, of which the first localCount are owned by the rank.
-type localFn func(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult
+// localFn runs one rank's local clustering over its one block of points:
+// the first localCount rows are owned by the rank, the rest are the halo
+// copies it received. It reads the block and does not write it.
+type localFn func(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult
 
 // fold adds one rank's report: counters sum, phase times take the maximum.
 func (st *Stats) fold(o rankOut) {

@@ -62,8 +62,8 @@ func HPDBSCAN(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clus
 // closing pass gives them their links; otherwise every local point is
 // queried (HPDBSCAN).
 func gridLocal(side float64, radius int, denseCells bool) localFn {
-	return func(combined []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
-		n := len(combined)
+	return func(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult {
+		combined, n := set.Points(), set.Len()
 		var steps core.StepTimes
 		uf, isCore := unionfind.New(n), make([]bool, n)
 		var grid *dbscan.Grid
@@ -88,7 +88,7 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 			}
 		})
 
-		kern := geom.KernelFor(len(combined[0]))
+		kern := geom.KernelFor(set.Dim())
 		eps2 := eps * eps
 		nbhd := make([]int, 0, 64)
 		var h dbscan.HaloResult
@@ -135,6 +135,6 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 				}
 			})
 		}
-		return classicResult(uf, isCore, localCount, h, steps)
+		return classicResult(uf, isCore, h, steps)
 	}
 }

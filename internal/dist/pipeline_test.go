@@ -16,8 +16,8 @@ import (
 
 // muLocal is μDBSCAN-D's local algorithm, the one function every schedule
 // calls, for a test to wrap.
-func muLocal(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
-	return core.RunLocal(pts, eps, minPts, localCount, core.Options{})
+func muLocal(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult {
+	return core.RunLocal(set, eps, minPts, localCount, core.Options{})
 }
 
 // gauge counts how many goroutines are inside a section at once.
@@ -40,8 +40,8 @@ func (g *gauge) inside(fn func()) {
 
 // gauged wraps a local algorithm in the gauge.
 func gauged(g *gauge, algo localFn) localFn {
-	return func(pts []geom.Point, eps float64, minPts, localCount int) (lr *core.LocalResult) {
-		g.inside(func() { lr = algo(pts, eps, minPts, localCount) })
+	return func(set *geom.PointSet, eps float64, minPts, localCount int) (lr *core.LocalResult) {
+		g.inside(func() { lr = algo(set, eps, minPts, localCount) })
 		return lr
 	}
 }
@@ -141,11 +141,11 @@ func TestMergeExcludesStragglerWait(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := blobs(rng, 800, 3, 4, 0.3, 0.2)
 	var calls atomic.Int32
-	straggling := func(pts []geom.Point, eps float64, minPts, localCount int) *core.LocalResult {
+	straggling := func(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult {
 		if calls.Add(1) == 1 {
 			time.Sleep(300 * time.Millisecond)
 		}
-		return muLocal(pts, eps, minPts, localCount)
+		return muLocal(set, eps, minPts, localCount)
 	}
 	_, st, err := runDistributed(pts, 0.5, 5, 4, Options{Seed: 3, Exec: ExecConcurrent}, straggling)
 	if err != nil {

@@ -92,43 +92,32 @@ func decodeRankOut(s [mergeStatFields]int64) rankOut {
 // the time they take is part of the isolated merge time.
 func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Options, algo localFn,
 	turn *turnstile, own func(gids []int64, isCore []bool), union func(edges [][2]int64)) (rankOut, error) {
-	rank, p, dim := c.Rank(), c.Size(), len(pts[0])
+	rank, p := c.Rank(), c.Size()
 	var out rankOut
 
 	// Phase 1: kd partitioning (collective).
 	t0 := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	part, err := partition.KD(c, partition.Scatter(rank, p, pts), dim, opts.SampleSize, opts.Seed)
+	ids, rows := partition.Scatter(rank, p, pts)
+	part, err := partition.KD(c, ids, rows, opts.SampleSize, opts.Seed)
 	if err != nil {
 		return out, err
 	}
 	out.phases.Partition = time.Since(t0)
 
-	// Phase 2: the ε-extended halo exchange. Halo slots follow the local
-	// points in source-rank order, then send order.
-	localCount := len(part.Local)
-	combined := make([]geom.Point, localCount)
-	gids := make([]int64, localCount)
-	for i, rec := range part.Local {
-		combined[i] = rec.Pt
-		gids[i] = rec.ID
-	}
+	// Phase 2: the ε-extended halo exchange. Halo rows are decoded onto the
+	// end of the rank's own block, in source-rank order, then send order.
+	gids, set, localCount := part.IDs, part.Rows, len(part.IDs)
 	t0 = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
-	bufs, sentTo := haloSendBuffers(part, eps, dim, rank, p)
+	bufs, sentTo := partition.Halo(part, eps, rank)
 	recv := c.Alltoall(bufs)
 	haloFrom := make([]int, p)
 	for src := 0; src < p; src++ {
-		if src == rank {
-			continue
-		}
-		recs := partition.DecodeRecords(recv[src], dim)
-		haloFrom[src] = len(recs)
-		for _, rec := range recs {
-			combined = append(combined, rec.Pt)
-			gids = append(gids, rec.ID)
+		if src != rank {
+			gids, haloFrom[src] = partition.DecodeRecords(recv[src], gids, set)
 		}
 	}
 	out.phases.HaloExchange = time.Since(t0)
-	out.haloPoints = int64(len(combined) - localCount)
+	out.haloPoints = int64(len(gids) - localCount)
 	if turn != nil {
 		// Isolation: no rank enters the turnstile while another is still
 		// encoding, sending or decoding halo records beside it.
@@ -144,7 +133,7 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 			lr = inertLocalResult(len(gids))
 			return
 		}
-		lr = algo(combined, eps, minPts, localCount)
+		lr = algo(set, eps, minPts, localCount)
 	})
 	out.phases.StepTimes = lr.Stats.Steps
 	out.queries = int64(lr.Stats.Queries)
@@ -215,31 +204,6 @@ func inertLocalResult(n int) *core.LocalResult {
 		NoiseNbhd: map[int32][]int32{},
 		Stats:     &core.Stats{},
 	}
-}
-
-// haloSendBuffers scans part.Local against every other rank's ε-extended
-// region and returns the encoded per-destination send buffers plus, per
-// destination, the indices (into part.Local) of the records sent there —
-// needed later to push exact core flags.
-func haloSendBuffers(part *partition.Part, eps float64, dim, rank, p int) (bufs [][]byte, sentTo [][]int32) {
-	sentTo = make([][]int32, p)
-	bufs = make([][]byte, p)
-	for dst := 0; dst < p; dst++ {
-		if dst == rank {
-			bufs[dst] = nil
-			continue
-		}
-		ext := part.Regions[dst].Expanded(eps)
-		var recs []partition.Record
-		for i, rec := range part.Local {
-			if ext.Contains(rec.Pt) {
-				recs = append(recs, rec)
-				sentTo[dst] = append(sentTo[dst], int32(i))
-			}
-		}
-		bufs[dst] = partition.EncodeRecords(recs, dim)
-	}
-	return bufs, sentTo
 }
 
 // componentEdges expresses the rank-local union-find components as global-id

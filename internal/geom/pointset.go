@@ -130,9 +130,9 @@ func (s *PointSet) Swap(i, j int) {
 	}
 }
 
-// Reset truncates the set to zero points, keeping the backing capacity so a
-// scratch set can be refilled without reallocating.
-func (s *PointSet) Reset() { s.data = s.data[:0] }
+// Truncate drops every point from row n on, keeping the backing capacity so
+// the set can be refilled without reallocating.
+func (s *PointSet) Truncate(n int) { s.data = s.data[:n*s.dim] }
 
 // MBR returns the tightest bounding rectangle of all stored points.
 // It panics when the set is empty.

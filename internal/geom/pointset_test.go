@@ -52,19 +52,23 @@ func TestPointSetSwapAndBlock(t *testing.T) {
 	}
 }
 
-func TestPointSetResetKeepsCapacity(t *testing.T) {
+func TestPointSetTruncateKeepsCapacity(t *testing.T) {
 	s := NewPointSet(3, 8)
 	for i := 0; i < 8; i++ {
 		s.Append(Point{float64(i), 0, 0})
 	}
 	base := &s.Data()[0]
-	s.Reset()
+	s.Truncate(2)
+	if s.Len() != 2 || s.Coord(1, 0) != 1 {
+		t.Fatal("truncate should keep the first rows")
+	}
+	s.Truncate(0)
 	if s.Len() != 0 {
-		t.Fatal("reset should empty the set")
+		t.Fatal("truncate(0) should empty the set")
 	}
 	s.Append(Point{9, 9, 9})
 	if &s.Data()[0] != base {
-		t.Fatal("reset should keep the backing array")
+		t.Fatal("truncate should keep the backing array")
 	}
 }
 

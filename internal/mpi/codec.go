@@ -3,8 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"math"
-
-	"mudbscan/internal/geom"
 )
 
 // EncodeFloat64s packs vals into a little-endian byte slice.
@@ -41,28 +39,4 @@ func DecodeInt64s(b []byte) []int64 {
 		vals[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return vals
-}
-
-// EncodePoints packs dim-dimensional points row-major.
-func EncodePoints(pts []geom.Point, dim int) []byte {
-	b := make([]byte, 8*dim*len(pts))
-	off := 0
-	for _, p := range pts {
-		for _, v := range p {
-			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
-			off += 8
-		}
-	}
-	return b
-}
-
-// DecodePoints unpacks a buffer produced by EncodePoints.
-func DecodePoints(b []byte, dim int) []geom.Point {
-	n := len(b) / (8 * dim)
-	pts := make([]geom.Point, n)
-	flat := DecodeFloat64s(b)
-	for i := range pts {
-		pts[i] = geom.Point(flat[i*dim : (i+1)*dim : (i+1)*dim])
-	}
-	return pts
 }

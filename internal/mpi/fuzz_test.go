@@ -17,9 +17,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, byte(1))
 	f.Add(EncodeFloat64s([]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.5}), byte(2))
 	f.Add(EncodeInt64s([]int64{-1, 0, math.MaxInt64, math.MinInt64}), byte(7))
-	f.Fuzz(func(t *testing.T, b []byte, dimByte byte) {
-		dim := int(dimByte)%8 + 1
-
+	// The byte argument is unused: it keeps the shape of the committed
+	// corpus entries.
+	f.Fuzz(func(t *testing.T, b []byte, _ byte) {
 		ints := DecodeInt64s(b)
 		if got, want := EncodeInt64s(ints), b[:8*(len(b)/8)]; !bytes.Equal(got, want) {
 			t.Fatalf("int64 re-encode mismatch: %x vs %x", got, want)
@@ -35,17 +35,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("float64 value %d not bit-stable: %x vs %x",
 					i, math.Float64bits(again[i]), math.Float64bits(floats[i]))
 			}
-		}
-
-		pts := DecodePoints(b, dim)
-		stride := 8 * dim
-		for i, p := range pts {
-			if len(p) != dim {
-				t.Fatalf("point %d has %d coords, want %d", i, len(p), dim)
-			}
-		}
-		if got, want := EncodePoints(pts, dim), b[:stride*(len(b)/stride)]; !bytes.Equal(got, want) {
-			t.Fatalf("points re-encode mismatch at dim=%d", dim)
 		}
 	})
 }

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-
-	"mudbscan/internal/geom"
 )
 
 func TestRunSingleRank(t *testing.T) {
@@ -220,29 +218,6 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPointCodec(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, dim := range []int{1, 3, 7} {
-		pts := make([]geom.Point, 50)
-		for i := range pts {
-			p := make(geom.Point, dim)
-			for j := range p {
-				p[j] = rng.NormFloat64()
-			}
-			pts[i] = p
-		}
-		got := DecodePoints(EncodePoints(pts, dim), dim)
-		if len(got) != len(pts) {
-			t.Fatalf("dim %d: %d pts", dim, len(got))
-		}
-		for i := range pts {
-			if !pts[i].Equal(got[i]) {
-				t.Fatalf("dim %d point %d mismatch", dim, i)
-			}
-		}
 	}
 }
 

@@ -1,47 +1,68 @@
 package partition
 
 import (
+	"encoding/binary"
+	"math"
+	"slices"
+
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
 )
 
-// EncodeRecords packs records as [count][ids...][coords...]. It is the one
-// wire format for point records everywhere in the repository — the
-// partition rounds, the halo exchange, and the dist drivers all share it,
-// so a header change cannot diverge between packages.
-func EncodeRecords(recs []Record, dim int) []byte {
-	ids := make([]int64, 1+len(recs))
-	ids[0] = int64(len(recs))
-	pts := make([]geom.Point, len(recs))
-	for i, r := range recs {
-		ids[1+i] = r.ID
-		pts[i] = r.Pt
+// EncodeRecords packs the rows sel of a rank's points (ids and rows, see
+// Part) as [count][ids...][coords...], little-endian int64 ids and float64
+// coordinates. It is the one wire format for points everywhere in the
+// repository — the partition rounds and the halo exchange share it, so a
+// header change cannot diverge between them.
+func EncodeRecords(ids []int64, rows *geom.PointSet, sel []int32) []byte {
+	n, dim := len(sel), rows.Dim()
+	b := make([]byte, 8*(1+n+n*dim))
+	binary.LittleEndian.PutUint64(b, uint64(n))
+	coords := b[8*(1+n):]
+	for k, i := range sel {
+		binary.LittleEndian.PutUint64(b[8*(1+k):], uint64(ids[i]))
+		for j, v := range rows.Row(int(i)) {
+			binary.LittleEndian.PutUint64(coords[8*(k*dim+j):], math.Float64bits(v))
+		}
 	}
-	head := mpi.EncodeInt64s(ids)
-	body := mpi.EncodePoints(pts, dim)
-	return append(head, body...)
+	return b
 }
 
-// DecodeRecords unpacks a buffer produced by EncodeRecords. A buffer whose
-// header does not match its length (negative count, or fewer id/coordinate
-// bytes than the count promises) decodes to nil rather than panicking.
+// DecodeRecords appends the records of a buffer produced by EncodeRecords to
+// a rank's points: their ids to ids and their coordinates to rows, which
+// must have the encoder's dimension. It returns the extended ids and the
+// number of records appended. A buffer whose header does not match its
+// length (negative count, or fewer id/coordinate bytes than the count
+// promises), or a rows of no dimension, appends nothing rather than
+// panicking.
 //
 //mulint:tainted b
-func DecodeRecords(b []byte, dim int) []Record {
+func DecodeRecords(b []byte, ids []int64, rows *geom.PointSet) ([]int64, int) {
+	dim := rows.Dim()
 	if len(b) < 8 || dim <= 0 {
-		return nil
+		return ids, 0
 	}
-	n := int(mpi.DecodeInt64s(b[:8])[0])
+	n := int(int64(binary.LittleEndian.Uint64(b)))
 	if n <= 0 || n > (len(b)-8)/(8*(1+dim)) {
-		return nil
+		return ids, 0
 	}
-	ids := mpi.DecodeInt64s(b[8 : 8+8*n])
-	pts := mpi.DecodePoints(b[8+8*n:], dim)
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = Record{ID: ids[i], Pt: pts[i]} //mulint:allow decodesafe the count guard above bounds n, so ids holds n+1 and pts n elements
+	ids = slices.Grow(ids, n)
+	rows.Grow(n)
+	row := make([]float64, dim)
+	for k := 0; k < n; k++ {
+		ids = append(ids, int64(binary.LittleEndian.Uint64(b[8*(1+k):])))
+		rows.AppendRow(decodeRow(row, b[8*(1+n+k*dim):]))
 	}
-	return recs
+	return ids, n
+}
+
+// decodeRow fills row from the little-endian float64s at the start of b,
+// which holds at least len(row) of them, and returns it.
+func decodeRow(row []float64, b []byte) []float64 {
+	for j := range row {
+		row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+	}
+	return row
 }
 
 // encodeMBR packs an MBR as min coords followed by max coords.

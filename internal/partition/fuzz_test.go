@@ -10,27 +10,28 @@ import (
 )
 
 // FuzzDecodeRecords feeds arbitrary bytes to the record codec: no input may
-// panic (malformed headers decode to nil), every decoded record must have
-// the requested dimensionality, and re-encoding the decode must be a fixed
-// point (the canonical wire form round-trips bit for bit, NaN coordinates
-// included).
+// panic (malformed headers decode to nothing), every decoded record must
+// bring one id and one row of the requested dimensionality, and re-encoding
+// the decode must be a fixed point (the canonical wire form round-trips bit
+// for bit, NaN coordinates included).
 func FuzzDecodeRecords(f *testing.F) {
 	f.Add([]byte{}, byte(1))
-	f.Add(EncodeRecords([]Record{{ID: 7, Pt: geom.Point{1, 2}}, {ID: -3, Pt: geom.Point{0.5, -0.5}}}, 2), byte(1))
+	f.Add(EncodeRecords([]int64{7, -3}, geom.PointSetFromPoints(2, []geom.Point{{1, 2}, {0.5, -0.5}}), every(2)), byte(1))
 	f.Add(mpi.EncodeInt64s([]int64{-5}), byte(0))                 // negative count
 	f.Add(mpi.EncodeInt64s([]int64{1 << 40}), byte(2))            // count far beyond buffer
 	f.Add(append(mpi.EncodeInt64s([]int64{2}), 1, 2, 3), byte(0)) // truncated body
 	f.Fuzz(func(t *testing.T, b []byte, dimByte byte) {
 		dim := int(dimByte)%8 + 1
-		recs := DecodeRecords(b, dim)
-		for i, r := range recs {
-			if len(r.Pt) != dim {
-				t.Fatalf("record %d has %d coords, want %d", i, len(r.Pt), dim)
-			}
+		rows := geom.NewPointSet(dim, 0)
+		ids, n := DecodeRecords(b, nil, rows)
+		if len(ids) != n || rows.Len() != n || len(rows.Data()) != n*dim {
+			t.Fatalf("%d records decoded to %d ids and %d coordinates at dim %d", n, len(ids), len(rows.Data()), dim)
 		}
-		enc := EncodeRecords(recs, dim)
-		if again := EncodeRecords(DecodeRecords(enc, dim), dim); !bytes.Equal(again, enc) {
-			t.Fatalf("canonical form not a fixed point: %x vs %x", again, enc)
+		enc := EncodeRecords(ids, rows, every(n))
+		again := geom.NewPointSet(dim, 0)
+		againIDs, _ := DecodeRecords(enc, nil, again)
+		if reenc := EncodeRecords(againIDs, again, every(len(againIDs))); !bytes.Equal(reenc, enc) {
+			t.Fatalf("canonical form not a fixed point: %x vs %x", reenc, enc)
 		}
 	})
 }
@@ -68,16 +69,17 @@ func FuzzKDOwnership(f *testing.F) {
 		var mu sync.Mutex
 		owned := make(map[int64]int)
 		_, err := mpi.Run(p, func(c *mpi.Comm) error {
-			part, err := KD(c, Scatter(c.Rank(), p, pts), dim, sample, seed)
+			ids, rows := Scatter(c.Rank(), p, pts)
+			part, err := KD(c, ids, rows, sample, seed)
 			if err != nil {
 				return err
 			}
 			mu.Lock()
 			defer mu.Unlock()
-			for _, rec := range part.Local {
-				owned[rec.ID]++
-				if !part.Region.Contains(rec.Pt) {
-					t.Errorf("rank %d owns point %d outside its region", c.Rank(), rec.ID)
+			for i, id := range part.IDs {
+				owned[id]++
+				if !part.Region.Contains(part.Rows.Point(i)) {
+					t.Errorf("rank %d owns point %d outside its region", c.Rank(), id)
 				}
 			}
 			return nil

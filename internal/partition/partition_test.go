@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -28,7 +29,8 @@ func runKD(t *testing.T, pts []geom.Point, p, dim, sampleSize int) []*Part {
 	parts := make([]*Part, p)
 	var mu sync.Mutex
 	_, err := mpi.Run(p, func(c *mpi.Comm) error {
-		part, err := KD(c, Scatter(c.Rank(), c.Size(), pts), dim, sampleSize, 42)
+		ids, rows := Scatter(c.Rank(), c.Size(), pts)
+		part, err := KD(c, ids, rows, sampleSize, 42)
 		if err != nil {
 			return err
 		}
@@ -50,10 +52,13 @@ func TestKDPreservesAllRecords(t *testing.T) {
 		parts := runKD(t, pts, p, 3, 0)
 		var ids []int
 		for _, part := range parts {
-			for _, rec := range part.Local {
-				ids = append(ids, int(rec.ID))
-				if !pts[rec.ID].Equal(rec.Pt) {
-					t.Fatalf("p=%d: record %d coordinates corrupted", p, rec.ID)
+			if part.Rows.Len() != len(part.IDs) {
+				t.Fatalf("p=%d: %d rows for %d ids", p, part.Rows.Len(), len(part.IDs))
+			}
+			for i, id := range part.IDs {
+				ids = append(ids, int(id))
+				if !pts[id].Equal(part.Rows.Point(i)) {
+					t.Fatalf("p=%d: record %d coordinates corrupted", p, id)
 				}
 			}
 		}
@@ -74,9 +79,9 @@ func TestKDPointsInsideTheirRegion(t *testing.T) {
 	pts := randPoints(rng, 800, 2)
 	parts := runKD(t, pts, 8, 2, 0)
 	for r, part := range parts {
-		for _, rec := range part.Local {
-			if !part.Region.Contains(rec.Pt) {
-				t.Fatalf("rank %d: point %v outside region %v", r, rec.Pt, part.Region)
+		for i := 0; i < part.Rows.Len(); i++ {
+			if pt := part.Rows.Point(i); !part.Region.Contains(pt) {
+				t.Fatalf("rank %d: point %v outside region %v", r, pt, part.Region)
 			}
 		}
 	}
@@ -116,7 +121,7 @@ func TestKDBalanceWithExactMedian(t *testing.T) {
 	pts := randPoints(rng, 4096, 3)
 	parts := runKD(t, pts, 8, 3, 0)
 	for r, part := range parts {
-		n := len(part.Local)
+		n := len(part.IDs)
 		if n < 4096/8-64 || n > 4096/8+64 {
 			t.Fatalf("rank %d holds %d points; exact medians should balance near %d", r, n, 4096/8)
 		}
@@ -128,7 +133,7 @@ func TestKDBalanceWithSampledMedian(t *testing.T) {
 	pts := randPoints(rng, 8000, 3)
 	parts := runKD(t, pts, 8, 3, 200)
 	for r, part := range parts {
-		n := len(part.Local)
+		n := len(part.IDs)
 		if n < 500 || n > 1500 {
 			t.Fatalf("rank %d holds %d points; sampled medians should balance roughly", r, n)
 		}
@@ -137,7 +142,7 @@ func TestKDBalanceWithSampledMedian(t *testing.T) {
 
 func TestKDRejectsNonPowerOfTwo(t *testing.T) {
 	_, err := mpi.Run(3, func(c *mpi.Comm) error {
-		_, err := KD(c, nil, 2, 0, 1)
+		_, err := KD(c, nil, geom.NewPointSet(2, 0), 0, 1)
 		return err
 	})
 	if err == nil {
@@ -149,31 +154,54 @@ func TestKDSingleRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	pts := randPoints(rng, 100, 2)
 	parts := runKD(t, pts, 1, 2, 0)
-	if len(parts[0].Local) != 100 {
-		t.Fatalf("single rank should keep all points, has %d", len(parts[0].Local))
+	if len(parts[0].IDs) != 100 {
+		t.Fatalf("single rank should keep all points, has %d", len(parts[0].IDs))
 	}
 	if !parts[0].Region.Contains(geom.Point{1e9, -1e9}) {
 		t.Fatal("single-rank region should be unbounded")
 	}
 }
 
+// TestHaloExchangeCorrectness runs Halo's buffers through the exchange and
+// checks what each rank receives: none of its own points, no point twice,
+// only points inside its ε-extended region, and every foreign ε-neighbour of
+// a point it owns. The rows each rank reports sending must be the ones its
+// buffers carry.
 func TestHaloExchangeCorrectness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := randPoints(rng, 1200, 2)
 	const p = 4
 	const eps = 3.0
-	halos := make([][]Record, p)
+	haloIDs := make([][]int64, p)
+	halos := make([]*geom.PointSet, p)
 	parts := make([]*Part, p)
 	var mu sync.Mutex
 	_, err := mpi.Run(p, func(c *mpi.Comm) error {
-		part, err := KD(c, Scatter(c.Rank(), c.Size(), pts), 2, 0, 9)
+		ids, rows := Scatter(c.Rank(), c.Size(), pts)
+		part, err := KD(c, ids, rows, 0, 9)
 		if err != nil {
 			return err
 		}
-		halo := HaloExchange(c, part, eps, 2)
+		bufs, sentTo := Halo(part, eps, c.Rank())
+		for dst, b := range bufs {
+			sent := make([]int64, len(sentTo[dst]))
+			for k, i := range sentTo[dst] {
+				sent[k] = part.IDs[i]
+			}
+			if got, _ := DecodeRecords(b, nil, geom.NewPointSet(2, 0)); !slices.Equal(got, sent) {
+				t.Errorf("rank %d: buffer for %d carries %v, sentTo names %v", c.Rank(), dst, got, sent)
+			}
+		}
+		recv := c.Alltoall(bufs)
+		hids, hrows := []int64(nil), geom.NewPointSet(2, 0)
+		for src, b := range recv {
+			if src != c.Rank() {
+				hids, _ = DecodeRecords(b, hids, hrows)
+			}
+		}
 		mu.Lock()
 		parts[c.Rank()] = part
-		halos[c.Rank()] = halo
+		haloIDs[c.Rank()], halos[c.Rank()] = hids, hrows
 		mu.Unlock()
 		return nil
 	})
@@ -182,31 +210,31 @@ func TestHaloExchangeCorrectness(t *testing.T) {
 	}
 	for r := 0; r < p; r++ {
 		owned := make(map[int64]bool)
-		for _, rec := range parts[r].Local {
-			owned[rec.ID] = true
+		for _, id := range parts[r].IDs {
+			owned[id] = true
 		}
 		have := make(map[int64]bool)
-		for _, rec := range halos[r] {
-			if owned[rec.ID] {
-				t.Fatalf("rank %d received its own point %d as halo", r, rec.ID)
+		for k, id := range haloIDs[r] {
+			if owned[id] {
+				t.Fatalf("rank %d received its own point %d as halo", r, id)
 			}
-			if have[rec.ID] {
-				t.Fatalf("rank %d received halo point %d twice", r, rec.ID)
+			if have[id] {
+				t.Fatalf("rank %d received halo point %d twice", r, id)
 			}
-			have[rec.ID] = true
-			if !parts[r].Region.Expanded(eps).Contains(rec.Pt) {
-				t.Fatalf("rank %d: halo point %d outside ε-extended region", r, rec.ID)
+			have[id] = true
+			if !parts[r].Region.Expanded(eps).Contains(halos[r].Point(k)) {
+				t.Fatalf("rank %d: halo point %d outside ε-extended region", r, id)
 			}
 		}
 		// Completeness: every foreign point within eps of a local point
 		// must be present in the halo.
-		for _, rec := range parts[r].Local {
+		for i, id := range parts[r].IDs {
 			for j, q := range pts {
 				if owned[int64(j)] {
 					continue
 				}
-				if geom.Within(rec.Pt, q, eps) && !have[int64(j)] {
-					t.Fatalf("rank %d: foreign neighbor %d of local %d missing from halo", r, j, rec.ID)
+				if geom.Within(parts[r].Rows.Point(i), q, eps) && !have[int64(j)] {
+					t.Fatalf("rank %d: foreign neighbor %d of local %d missing from halo", r, j, id)
 				}
 			}
 		}
@@ -218,11 +246,15 @@ func TestScatterCoversAll(t *testing.T) {
 	seen := make([]bool, 103)
 	total := 0
 	for r := 0; r < 8; r++ {
-		for _, rec := range Scatter(r, 8, pts) {
-			if seen[rec.ID] {
-				t.Fatalf("point %d scattered twice", rec.ID)
+		ids, rows := Scatter(r, 8, pts)
+		for i, id := range ids {
+			if seen[id] {
+				t.Fatalf("point %d scattered twice", id)
 			}
-			seen[rec.ID] = true
+			if !pts[id].Equal(rows.Point(i)) {
+				t.Fatalf("point %d scattered with the wrong row", id)
+			}
+			seen[id] = true
 			total++
 		}
 	}
@@ -234,16 +266,23 @@ func TestScatterCoversAll(t *testing.T) {
 func TestRecordCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 17} {
-		recs := make([]Record, n)
-		for i := range recs {
-			recs[i] = Record{ID: int64(i * 1000), Pt: geom.Point{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}}
+		ids := make([]int64, n)
+		rows := geom.NewPointSet(3, n)
+		for i := range ids {
+			ids[i] = int64(i * 1000)
+			rows.Append(geom.Point{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
 		}
-		got := DecodeRecords(EncodeRecords(recs, 3), 3)
-		if len(got) != n {
-			t.Fatalf("n=%d: decoded %d", n, len(got))
+		// Decoding appends after what the block already holds.
+		got := geom.PointSetFromPoints(3, []geom.Point{{7, 7, 7}})
+		gotIDs, m := DecodeRecords(EncodeRecords(ids, rows, every(n)), []int64{-1}, got)
+		if m != n || len(gotIDs) != n+1 || got.Len() != n+1 {
+			t.Fatalf("n=%d: decoded %d", n, m)
 		}
-		for i := range got {
-			if got[i].ID != recs[i].ID || !got[i].Pt.Equal(recs[i].Pt) {
+		if gotIDs[0] != -1 || !got.Point(0).Equal(geom.Point{7, 7, 7}) {
+			t.Fatalf("n=%d: decoding disturbed the rows already held", n)
+		}
+		for i := range ids {
+			if gotIDs[1+i] != ids[i] || !got.Point(1+i).Equal(rows.Point(i)) {
 				t.Fatalf("n=%d: record %d mismatch", n, i)
 			}
 		}
