@@ -73,6 +73,38 @@ func TestBlockReadOnlyAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestBlockRestoredOnEveryEngine: the μ engines reorder ClusterFlat's block
+// while they run; every engine, at one worker and at several, hands it back
+// bit for bit — −0.0 and subnormal coordinates included — and answers what
+// it answers on a copy.
+func TestBlockRestoredOnEveryEngine(t *testing.T) {
+	pts := data.HouseholdLike(1200, 5, 7)
+	pts[10][0] = math.Copysign(0, -1)
+	pts[11][1] = math.SmallestNonzeroFloat64
+	pts[12][2] = -0x1p-1040
+	coords := flatten(pts)
+	before := append([]float64(nil), coords...)
+	for e := range engineNames {
+		for _, workers := range []int{1, 4} {
+			opts := []Option{WithEngine(Engine(e)), WithWorkers(workers)}
+			got, _, err := ClusterFlat(coords, 5, 0.25, 6, opts...)
+			if err != nil {
+				t.Fatalf("%v@%d: %v", Engine(e), workers, err)
+			}
+			if !sameBits(coords, before) {
+				t.Fatalf("%v@%d did not restore the caller's block", Engine(e), workers)
+			}
+			want, _, err := ClusterFlat(append([]float64(nil), before...), 5, 0.25, 6, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%v@%d: a run on the caller's block differs from one on a copy", Engine(e), workers)
+			}
+		}
+	}
+}
+
 // TestClusterFlatValidation: the flat entry refuses what the row entries
 // refuse, plus a block that is not a whole number of rows.
 func TestClusterFlatValidation(t *testing.T) {

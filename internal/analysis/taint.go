@@ -407,13 +407,21 @@ func guardAnalysis(info *types.Info, g *funcCFG, ts *taintSet) map[*cfgBlock][]g
 					}
 				}
 				if !seen {
-					meet = guardState{}
+					// Still top: no path from the entry has reached the
+					// block yet. Giving it the empty state here would meet
+					// that state into a loop header for good (an outer
+					// loop's post block is numbered before the inner loop's
+					// exit that feeds it).
+					continue
 				}
 				if computed[i] && meet.equal(in[i]) {
 					continue
 				}
+				if !computed[i] {
+					computed[i] = true
+					changed = true // its successors may be waiting on it
+				}
 				in[i] = meet
-				computed[i] = true
 			}
 			s := in[i].clone()
 			for _, n := range blk.nodes {

@@ -83,6 +83,29 @@ func trustedHead(b []byte) byte {
 	return b[0] //mulint:allow decodesafe callers pass fixed-size buffers checked at the frame layer
 }
 
+// Pattern 7: nestedRecords (below) without its header length test. The
+// count read is unguarded; the reads in the nested loops stay guarded by the
+// count test, which mentions len(b).
+//
+//mulint:tainted b
+func nestedRecordsNoHeader(b []byte, dim int) []float64 {
+	if dim <= 0 {
+		return nil
+	}
+	n := int(int64(binary.LittleEndian.Uint64(b))) // want `binary read of wire-originating buffer b`
+	if n <= 0 || n > (len(b)-8)/(8*(1+dim)) {
+		return nil
+	}
+	out := make([]float64, 0, n*(1+dim))
+	for k := 0; k < n; k++ {
+		out = append(out, float64(binary.LittleEndian.Uint64(b[8*(1+k):])))
+		for j := 0; j < dim; j++ {
+			out = append(out, float64(binary.LittleEndian.Uint64(b[8*(1+n+k*dim+j):])))
+		}
+	}
+	return out
+}
+
 // ---- Clean idioms below: everything from here on must stay silent. ----
 
 // reader mimics the server's rbuf: the latched-error bounds-checking
@@ -149,4 +172,27 @@ func guardedEitherDirection(b []byte) byte {
 		return b[0]
 	}
 	return 0
+}
+
+// nestedRecords is the record decoder's shape: the row loop sits inside the
+// record loop, and the header length test plus the count guard dominate
+// every read in both.
+//
+//mulint:tainted b
+func nestedRecords(b []byte, dim int) []float64 {
+	if len(b) < 8 || dim <= 0 {
+		return nil
+	}
+	n := int(int64(binary.LittleEndian.Uint64(b)))
+	if n <= 0 || n > (len(b)-8)/(8*(1+dim)) {
+		return nil
+	}
+	out := make([]float64, 0, n*(1+dim))
+	for k := 0; k < n; k++ {
+		out = append(out, float64(binary.LittleEndian.Uint64(b[8*(1+k):])))
+		for j := 0; j < dim; j++ {
+			out = append(out, float64(binary.LittleEndian.Uint64(b[8*(1+n+k*dim+j):])))
+		}
+	}
+	return out
 }

@@ -12,7 +12,7 @@ import (
 // TestBlockAdoptedByTheIndex: a run on a set builds the μR-tree over the
 // caller's block itself — step 1's index, and the run over it, read the
 // block's backing array — and answers what a run over a copy answers,
-// leaving the block untouched. Both entry points that take a set run
+// leaving the block as it found it. Both entry points that take a set run
 // runLocal over it: RunSet, and RunLocal on a rank's block whose last rows
 // are halo copies.
 func TestBlockAdoptedByTheIndex(t *testing.T) {
@@ -24,9 +24,10 @@ func TestBlockAdoptedByTheIndex(t *testing.T) {
 
 	for _, local := range []int{set.Len(), localCount} {
 		ix := buildIndex(set, 0.5, 5, Options{})
-		if got := newRun(ix, 0.5, 5, local, Options{}).set.Data(); &got[0] != &set.Data()[0] {
+		if got := newRun(ix, 0.5, 5, local, Options{}).ix.Points.Data(); &got[0] != &set.Data()[0] {
 			t.Fatalf("localCount %d: the run's points do not share the caller's backing array", local)
 		}
+		ix.Restore()
 	}
 	viaSet, _ := RunSet(set, 0.5, 5, Options{})
 	viaCopy, _ := Run(pts, 0.5, 5, Options{})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mudbscan/internal/data"
@@ -67,4 +68,40 @@ func TestProcessPointZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNonCoreArenaAllocBudget: step 3 stores every non-core point's
+// ε-neighborhood for the border pass in one arena per worker, behind an
+// 8-byte entry, so on a noise-heavy set that storage costs a handful of
+// amortised growths and bytes in proportion to the arena — not an
+// allocation, and a slice header, per non-core point.
+func TestNonCoreArenaAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	pts := make([]geom.Point, 20000)
+	for i := range pts {
+		pts[i] = geom.Point{rng.Float64() * 100, rng.Float64() * 100}
+	}
+	ix := mc.Build(pts, 0.4, 5, mc.Options{})
+	r := newRun(ix, 0.4, 5, len(pts), Options{})
+	r.preliminaryClusters()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r.processRemaining()
+	runtime.ReadMemStats(&after)
+
+	w := &r.workers[0]
+	if len(w.nonCore) < len(pts)/2 {
+		t.Fatalf("%d non-core points of %d: the set is not noise-heavy", len(w.nonCore), len(pts))
+	}
+	arena := uint64(8*len(w.nonCore) + 4*len(w.nonCoreIDs))
+	if mallocs := after.Mallocs - before.Mallocs; mallocs > 100 {
+		t.Errorf("step 3 made %d allocations for %d non-core points; want a few growths (≤ 100)", mallocs, len(w.nonCore))
+	}
+	// Past a few hundred elements append grows a slice by a quarter, so its
+	// growths add up to about five times its final size.
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 6*arena+64<<10 {
+		t.Errorf("step 3 allocated %d bytes for %d non-core points (%d bytes of entries and ids); want ≤ 6× that + 64 KiB", bytes, len(w.nonCore), arena)
+	}
+	t.Logf("%d non-core points, %d bytes of entries and ids, %d allocated in %d allocations", len(w.nonCore), arena, after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs)
 }

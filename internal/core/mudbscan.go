@@ -138,8 +138,10 @@ func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.R
 }
 
 // RunSet is Run over a set the μR-tree adopts (mc.BuildSet): the
-// coordinates are read in place and never written or copied. Its local ids
-// are the final ids, so it is the one path that assigns the borders itself.
+// coordinates are never copied. Their rows are reordered during the call
+// and are bit-identical on return; nobody else may read or write them
+// meanwhile. Its local ids are the final ids, so it is the one path that
+// assigns the borders itself.
 func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
 	if set.Len() == 0 {
 		return &clustering.Result{}, &Stats{}
@@ -184,7 +186,9 @@ type LocalResult struct {
 // non-core point joins a cluster here: the merge gives each its core
 // neighbor of smallest global id, which only it knows. With localCount ==
 // set.Len() the cores and their components are exactly μDBSCAN's. Like
-// RunSet, it reads the block in place and never writes or copies it.
+// RunSet, it never copies the block: its rows are reordered during the call
+// and are bit-identical on return, and nobody else may read or write them
+// meanwhile.
 func RunLocal(set *geom.PointSet, eps float64, minPts int, localCount int, opts Options) *LocalResult {
 	if set.Len() == 0 {
 		return &LocalResult{Stats: &Stats{}, NoiseNbhd: map[int32][]int32{}}
@@ -200,9 +204,11 @@ func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts 
 	st := &Stats{}
 
 	// Step 1: micro-clusters, the μR-tree and the centre distances, over the
-	// caller's block in place.
+	// caller's block in place. The block goes back into the caller's order
+	// once the result is out.
 	start := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	ix := buildIndex(set, eps, minPts, opts)
+	defer ix.Restore()
 	st.Steps.TreeConstruction = time.Since(start)
 	st.NumMCs = ix.NumMCs()
 
@@ -233,8 +239,8 @@ func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts 
 	return r.result(st)
 }
 
-// buildIndex is step 1: the μR-tree over set, which it adopts, without the
-// reachable lists (step 2).
+// buildIndex is step 1: the μR-tree over set, which it adopts and reorders
+// until Restore, without the reachable lists (step 2).
 func buildIndex(set *geom.PointSet, eps float64, minPts int, opts Options) *mc.Index {
 	return mc.BuildSet(set, eps, minPts, mc.Options{
 		NoDeferral:    opts.NoDeferral,
@@ -299,8 +305,12 @@ type worker struct {
 	centerDist []float64
 	live       []int32
 
-	nonCore []nonCoreEntry
-	pairs   []Pair
+	// nonCore lists the non-core points this worker queried, in query
+	// order, and nonCoreIDs holds their ε-neighborhoods back to back (see
+	// stored).
+	nonCore    []nonCoreEntry
+	nonCoreIDs []int32
+	pairs      []Pair
 
 	queries     int
 	requeries   int
@@ -311,16 +321,26 @@ type worker struct {
 	_           [64]byte
 }
 
-// nonCoreEntry keeps a non-core point together with its ε-neighborhood, from
-// which Algorithm 8 picks its cluster once every core flag is final.
+// nonCoreEntry keeps a non-core point together with where its
+// ε-neighborhood starts in its worker's nonCoreIDs, from which Algorithm 8
+// picks its cluster once every core flag is final.
 type nonCoreEntry struct {
-	id   int32
-	nbhd []int32
+	id  int32
+	off int32
+}
+
+// stored returns the ε-neighborhood of the worker's k-th non-core point, a
+// capped view into nonCoreIDs: it runs up to where the next one starts.
+func (w *worker) stored(k int) []int32 {
+	end := int32(len(w.nonCoreIDs))
+	if k+1 < len(w.nonCore) {
+		end = w.nonCore[k+1].off
+	}
+	return w.nonCoreIDs[w.nonCore[k].off:end:end]
 }
 
 // run carries the mutable state of one μDBSCAN execution.
 type run struct {
-	set        *geom.PointSet
 	eps        float64
 	minPts     int
 	localCount int
@@ -359,7 +379,7 @@ type run struct {
 func newRun(ix *mc.Index, eps float64, minPts, localCount int, opts Options) *run {
 	n := ix.Points.Len()
 	r := &run{
-		set: ix.Points, eps: eps, minPts: minPts, localCount: localCount,
+		eps: eps, minPts: minPts, localCount: localCount,
 		ix: ix, opts: opts,
 		far1: math.NaN(), far2: math.NaN(), near: math.NaN(),
 		uf:      unionfind.NewConcurrent(n),
@@ -384,8 +404,8 @@ func (r *run) each(n int, fn func(w *worker, i int)) {
 // and stable and the per-index writes are disjoint.
 func (r *run) result(st *Stats) *LocalResult {
 	lr := &LocalResult{
-		Core:  make([]bool, r.set.Len()),
-		Comp:  make([]int32, r.set.Len()),
+		Core:  make([]bool, r.ix.Points.Len()),
+		Comp:  make([]int32, r.ix.Points.Len()),
 		Stats: st,
 	}
 	stored := 0
@@ -396,8 +416,8 @@ func (r *run) result(st *Stats) *LocalResult {
 	for w := range r.workers {
 		wk := &r.workers[w]
 		lr.Pairs = append(lr.Pairs, wk.pairs...)
-		for _, e := range wk.nonCore {
-			lr.NoiseNbhd[e.id] = e.nbhd
+		for k, e := range wk.nonCore {
+			lr.NoiseNbhd[e.id] = wk.stored(k)
 		}
 		st.Queries += wk.queries
 		st.Requeries += wk.requeries
@@ -604,7 +624,7 @@ func (r *run) processRemaining() {
 //
 //mulint:noalloc static twin of TestProcessPointZeroAllocs (allocs_test.go); the cold paths below carry explicit allows
 func (r *run) processPoint(w *worker, i int) {
-	p := r.set.Point(i)
+	p := r.ix.Point(i)
 	half := r.eps / 2
 	eps2, half2, prune2 := r.eps*r.eps, half*half, 4*r.eps*r.eps
 	own := int(r.ix.PointMC[i])
@@ -660,12 +680,16 @@ func (r *run) processPoint(w *worker, i int) {
 
 	if len(nbhd) < r.minPts {
 		// Not core: its cluster, if any, is its smallest-id core neighbor's,
-		// known only once every core flag is final (assignBorders).
-		saved := make([]int32, len(nbhd)) //mulint:allow noalloc/alloc non-core path: stored neighborhood must outlive the scratch buffer
-		for k, q := range nbhd {
-			saved[k] = int32(q)
+		// known only once every core flag is final (assignBorders). A
+		// non-core neighborhood is below MinPts, so the offsets fit while
+		// the worker's arena stays under 2³¹ ids.
+		if len(w.nonCoreIDs) > math.MaxInt32-len(nbhd) {
+			panic("core: non-core neighborhoods past 2³¹ ids on one worker") //mulint:allow noalloc/alloc cold path: the run cannot go on
 		}
-		w.nonCore = append(w.nonCore, nonCoreEntry{id: int32(i), nbhd: saved}) //mulint:allow noalloc/alloc non-core path: entry escapes into the deferred list
+		w.nonCore = append(w.nonCore, nonCoreEntry{id: int32(i), off: int32(len(w.nonCoreIDs))}) //mulint:allow noalloc/alloc non-core path: amortised growth of the deferred list
+		for _, q := range nbhd {
+			w.nonCoreIDs = append(w.nonCoreIDs, int32(q))
+		}
 		return
 	}
 
@@ -860,7 +884,7 @@ func (r *run) mergeWndqCores(w *worker, a int) {
 func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []float64) {
 	eps2 := r.eps * r.eps
 	prune2 := 4 * r.eps * r.eps
-	p := r.set.Point(int(pid))
+	p := r.ix.Point(int(pid))
 	centerDistOf := r.ix.CenterDist
 	toCenter := centerDistOf[pid]
 	rootP := r.uf.Find(int(pid))
@@ -892,7 +916,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 					continue
 				}
 				w.distCalcs++
-				if geom.BoundedDistSq(p, r.set.Row(int(q)), eps2) >= eps2 {
+				if geom.BoundedDistSq(p, r.ix.Point(int(q)), eps2) >= eps2 {
 					continue
 				}
 				r.uf.Union(int(pid), int(q))
@@ -907,7 +931,7 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 			// is a deferred cross link: its owner decides its status.
 			if r.isHalo(q) && !r.isHalo(pid) {
 				w.distCalcs++
-				if geom.BoundedDistSq(p, r.set.Row(int(q)), eps2) < eps2 {
+				if geom.BoundedDistSq(p, r.ix.Point(int(q)), eps2) < eps2 {
 					w.pairs = append(w.pairs, Pair{A: pid, B: q})
 				}
 			}
@@ -922,18 +946,18 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 // one cluster. The lists are spent: RunSet needs no NoiseNbhd.
 func (r *run) assignBorders() {
 	for w := range r.workers {
-		list := r.workers[w].nonCore
-		r.each(len(list), func(_ *worker, k int) {
+		owner := &r.workers[w]
+		r.each(len(owner.nonCore), func(_ *worker, k int) {
 			best := -1
-			for _, q := range list[k].nbhd {
+			for _, q := range owner.stored(k) {
 				if (best < 0 || int(q) < best) && r.flags.get(int(q))&flagCore != 0 {
 					best = int(q)
 				}
 			}
 			if best >= 0 {
-				r.uf.Union(best, int(list[k].id))
+				r.uf.Union(best, int(owner.nonCore[k].id))
 			}
 		})
-		r.workers[w].nonCore = nil
+		owner.nonCore, owner.nonCoreIDs = nil, nil
 	}
 }

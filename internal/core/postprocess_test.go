@@ -29,10 +29,10 @@ func postProcessCoreUnpruned(r *run) {
 			if r.flags.get(int(pid))&flagWndq == 0 {
 				continue
 			}
-			p := r.set.Point(int(pid))
+			p := r.ix.Point(int(pid))
 			for _, rid := range r.ix.Reach(a) {
 				for _, q := range r.ix.Members(int(rid)) {
-					if q == pid || geom.DistSq(p, r.set.Point(int(q))) >= eps2 {
+					if q == pid || geom.DistSq(p, r.ix.Point(int(q))) >= eps2 {
 						continue
 					}
 					if r.flags.get(int(q))&flagCore != 0 {

@@ -22,19 +22,18 @@ import (
 // processPoint does (cut (g)), so that what the two differ by is cut (f).
 func processPointUnshortened(r *run, w *worker, i int) {
 	reach := r.ix.Reach(int(r.ix.PointMC[i]))
-	if r.provenByRadius(r.ix.CenterDistSq(nil, r.set.Point(i), reach, math.Inf(1)), reach) {
+	if r.provenByRadius(r.ix.CenterDistSq(nil, r.ix.Point(i), reach, math.Inf(1)), reach) {
 		r.markWndq(w, int32(i), false)
 		return
 	}
 	w.dist = w.dist[:0]
-	w.nbhd, _, _ = r.ix.EpsNeighborhoodDistInto(r.set.Point(i), i, w.nbhd[:0], &w.dist)
+	w.nbhd, _, _ = r.ix.EpsNeighborhoodDistInto(r.ix.Point(i), i, w.nbhd[:0], &w.dist)
 	w.queries++
 	if len(w.nbhd) < r.minPts {
-		saved := make([]int32, len(w.nbhd))
-		for k, q := range w.nbhd {
-			saved[k] = int32(q)
+		w.nonCore = append(w.nonCore, nonCoreEntry{id: int32(i), off: int32(len(w.nonCoreIDs))})
+		for _, q := range w.nbhd {
+			w.nonCoreIDs = append(w.nonCoreIDs, int32(q))
 		}
-		w.nonCore = append(w.nonCore, nonCoreEntry{id: int32(i), nbhd: saved})
 		return
 	}
 	r.flags.raise(i, flagCore)

@@ -130,6 +130,47 @@ func (s *PointSet) Swap(i, j int) {
 	}
 }
 
+// PermuteRows reorders a row-major block of len(perm) rows of dim
+// coordinates in place, so that row r becomes the row that was at perm[r]:
+// one pass round each cycle of the permutation, with one row held aside, so
+// every row moves once. perm must be a permutation of 0 … len(perm)−1; its
+// entries are marked while the pass runs and left as they were.
+func PermuteRows(rows []float64, dim int, perm []int32) {
+	if len(rows) != dim*len(perm) {
+		panic(fmt.Sprintf("geom: permutation of %d rows for a block of %d coordinates", len(perm), len(rows)))
+	}
+	var buf [16]float64
+	held := buf[:0]
+	if dim > len(buf) {
+		held = make([]float64, dim)
+	} else {
+		held = buf[:dim]
+	}
+	row := func(i int) []float64 { return rows[i*dim : i*dim+dim] }
+	for j := range perm {
+		if at := perm[j]; at < 0 || int(at) == j {
+			continue // moved already, or in place
+		}
+		copy(held, row(j))
+		k := j
+		for {
+			from := int(perm[k])
+			perm[k] = ^perm[k]
+			if from == j {
+				copy(row(k), held)
+				break
+			}
+			copy(row(k), row(from))
+			k = from
+		}
+	}
+	for j, at := range perm {
+		if at < 0 {
+			perm[j] = ^at
+		}
+	}
+}
+
 // Truncate drops every point from row n on, keeping the backing capacity so
 // the set can be refilled without reallocating.
 func (s *PointSet) Truncate(n int) { s.data = s.data[:n*s.dim] }

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -132,4 +133,44 @@ func TestAdoptPointSet(t *testing.T) {
 		}
 	}()
 	AdoptPointSet(3, backing[:4])
+}
+
+// TestPermuteRows: row r becomes the old row perm[r], for cyclic and random
+// permutations; perm is left as it was; and the inverse permutation puts
+// every row back.
+func TestPermuteRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 2, 7, 300} {
+		s := NewPointSet(3, n)
+		for i := 0; i < n; i++ {
+			s.Append(Point(randVec(rng, 3)))
+		}
+		before := slices.Clone(s.Data())
+		shift := make([]int32, n)
+		for r := range shift {
+			shift[r] = int32((r + 1) % n)
+		}
+		random := make([]int32, n)
+		for r, v := range rng.Perm(n) {
+			random[r] = int32(v)
+		}
+		for _, perm := range [][]int32{shift, random} {
+			kept := slices.Clone(perm)
+			PermuteRows(s.Data(), 3, perm)
+			if !slices.Equal(perm, kept) {
+				t.Fatalf("n=%d: PermuteRows left perm changed", n)
+			}
+			inv := make([]int32, n)
+			for r, from := range perm {
+				if !slices.Equal(s.Row(r), before[int(from)*3:int(from)*3+3]) {
+					t.Fatalf("n=%d: row %d is not old row %d", n, r, from)
+				}
+				inv[from] = int32(r)
+			}
+			PermuteRows(s.Data(), 3, inv)
+			if !slices.Equal(s.Data(), before) {
+				t.Fatalf("n=%d: the inverse permutation did not restore the rows", n)
+			}
+		}
+	}
 }

@@ -278,7 +278,7 @@ func TestEpsNeighborhoodIntoZeroAllocs(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		id := i % len(pts)
-		buf, _, _ = ix.EpsNeighborhoodInto(ix.Points.Point(id), id, buf[:0])
+		buf, _, _ = ix.EpsNeighborhoodInto(ix.Point(id), id, buf[:0])
 		i++
 	})
 	if allocs != 0 {
@@ -295,7 +295,7 @@ func TestEpsNeighborhoodDistIntoZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		id := i % len(pts)
 		dist = dist[:0]
-		buf, _, _ = ix.EpsNeighborhoodDistInto(ix.Points.Point(id), id, buf[:0], &dist)
+		buf, _, _ = ix.EpsNeighborhoodDistInto(ix.Point(id), id, buf[:0], &dist)
 		i++
 	})
 	if allocs != 0 {
@@ -322,21 +322,21 @@ func TestNeighborhoodIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// The Index's contiguous store must hold exactly the input points, in order,
-// and every MC center view must alias its own row.
+// The Index's contiguous store must hold exactly the input points, each
+// read by its id, and every MC centre must be its centre point.
 func TestIndexPointsStore(t *testing.T) {
 	pts, ix := buildRandom(t, 73, 400, 4, 0.9, 5)
 	if ix.Points.Len() != len(pts) {
 		t.Fatalf("store holds %d of %d points", ix.Points.Len(), len(pts))
 	}
 	for i, p := range pts {
-		if !ix.Points.Point(i).Equal(p) {
-			t.Fatalf("row %d diverges from input point", i)
+		if !ix.Point(i).Equal(p) {
+			t.Fatalf("point %d diverges from input point", i)
 		}
 	}
 	for _, m := range views(ix) {
-		if !m.Center.Equal(ix.Points.Point(m.CenterID)) {
-			t.Fatalf("MC %d center diverges from its row", m.ID)
+		if !m.Center.Equal(ix.Point(m.CenterID)) {
+			t.Fatalf("MC %d center diverges from its point", m.ID)
 		}
 	}
 }

@@ -11,8 +11,12 @@
 // DBSCAN ε-neighborhood, so that MC(p) ⊆ N_ε(center).
 //
 // Point coordinates live in one contiguous geom.PointSet, which the Index
-// adopts from the caller (BuildSet) or Build copies the points into; member
-// points are identified by their row index. Every loop over
+// adopts from the caller (BuildSet) or Build copies the points into. Points
+// are identified by their row index in the caller's order, their id; once
+// the micro-clusters are known, finalize moves the rows in place into leaf
+// order, so that each auxiliary tree's leaves are one range of the block and
+// the block is the only copy of the coordinates. Point(id) reads a point by
+// id, and Restore puts the caller's order back. Every loop over
 // candidates sums its distances inside one of geom's loop kernels: the leaf
 // scans of the auxiliary trees (block), the centre grid's chains (linked),
 // and the reachable lists' centres and one micro-cluster's members (gathered,
@@ -34,10 +38,11 @@
 // The scan itself records only PointMC. Everything else an Index holds is
 // made after the deferred pass, once, at its final size: the member lists
 // are one arena (a stable counting sort of the assignment order by
-// micro-cluster), the m auxiliary trees are one rtree.Packed forest whose
-// ranges are known before any tree is built, the micro-clusters are one slab
-// of offset records, and the reachable lists are an arena too. A built Index is a few dozen heap
-// objects however many micro-clusters it has.
+// micro-cluster), the m auxiliary trees are one rtree.Packed forest over the
+// block whose ranges are known before any tree is built, the micro-clusters
+// are one slab of offset records, and the reachable lists are an arena too.
+// A built Index is a few dozen heap objects however many micro-clusters it
+// has.
 package mc
 
 import (
@@ -55,7 +60,7 @@ import (
 // lists of micro-cluster m−1.
 type microCluster struct {
 	center  int32 // id of the centre point, which is also members[0]
-	members int32 // start in Index.members, and of its tree's rows in the forest
+	members int32 // start in Index.members, and of its tree's rows in Points
 	reach   int32 // start in Index.reach
 	root    int32 // root of its auxiliary tree in Index.aux
 }
@@ -90,8 +95,10 @@ type Index struct {
 	// PointMC maps a dataset index to the id of its micro-cluster.
 	PointMC []int32
 	// Points holds the dataset the index was built over, contiguous and in
-	// id order: the caller's own block under BuildSet. Treat it as
-	// read-only.
+	// leaf order: micro-cluster k's members are one range of rows, the rows
+	// of its auxiliary tree's leaves, leaf by leaf. Under BuildSet it is the
+	// caller's own block, reordered in place until Restore. Point(id) reads
+	// point id. Treat it as read-only.
 	Points *geom.PointSet
 	// CenterDist[i] is the distance (not squared) from point i to the centre
 	// of its own micro-cluster, 0 for a centre: the root of one gathered
@@ -104,7 +111,8 @@ type Index struct {
 	mcs     []microCluster // NumMCs()+1 records
 	members []int32        // per MC: the centre, then its members in the order the scan assigned them
 	reach   []int32        // per MC: the MCs with centres within 3ε, ascending
-	aux     *rtree.Packed  // the auxiliary trees, MC k's rooted at mcs[k].root
+	aux     *rtree.Packed  // the auxiliary trees over Points, MC k's rooted at mcs[k].root
+	pos     []int32        // pos[id] is point id's row of Points
 	dir     centerDirectory
 	centers *geom.PointSet // the directory's centre rows: row k is MC k's centre
 	opts    Options
@@ -116,8 +124,22 @@ func (ix *Index) NumMCs() int { return len(ix.mcs) - 1 }
 // CenterID returns the id of micro-cluster k's centre point.
 func (ix *Index) CenterID(k int) int { return int(ix.mcs[k].center) }
 
-// Center returns micro-cluster k's centre, a view into Points.
-func (ix *Index) Center(k int) geom.Point { return ix.Points.Point(int(ix.mcs[k].center)) }
+// Center returns micro-cluster k's centre, a view into the centre
+// directory's rows.
+func (ix *Index) Center(k int) geom.Point { return ix.centers.Point(k) }
+
+// Point returns point id, a view into Points.
+func (ix *Index) Point(id int) geom.Point { return ix.Points.Point(int(ix.pos[id])) }
+
+// Restore moves the rows of Points back into id order — under BuildSet, the
+// caller's block as it was handed over, bit for bit — and spends the Index:
+// nothing may read it afterwards. A second call does nothing.
+func (ix *Index) Restore() {
+	if ix.pos != nil {
+		geom.PermuteRows(ix.Points.Data(), ix.Dim, ix.pos)
+		ix.pos = nil
+	}
+}
 
 // CenterDistSq appends to dst the squared distance from p to the centre of
 // every micro-cluster ids names, in list order: one gathered-rows kernel call
@@ -177,8 +199,9 @@ func Build(pts []geom.Point, eps float64, minPts int, opts Options) *Index {
 }
 
 // BuildSet is Build over a set the Index adopts as its Points: the
-// coordinates are read in place, never copied, so the caller must not write
-// to them while the Index is in use.
+// coordinates are never copied, and their rows are reordered in place into
+// leaf order. They are bit-identical again once Restore returns; until
+// then nobody else may read or write them.
 func BuildSet(set *geom.PointSet, eps float64, minPts int, opts Options) *Index {
 	if eps <= 0 {
 		panic("mc: eps must be positive")
@@ -243,8 +266,8 @@ func build(set *geom.PointSet, eps float64, minPts int, opts Options, dir center
 }
 
 // finalize turns the scan's outcome — PointMC, the centres in creation order
-// and the deferred points — into the Index: member lists, aux trees, centre
-// distances and reachable lists.
+// and the deferred points — into the Index: member lists, centre distances,
+// the block in leaf order under the aux trees, and reachable lists.
 func (ix *Index) finalize(centers, deferred []int32) {
 	n, m := ix.Points.Len(), len(centers)
 	ix.mcs = make([]microCluster, m+1)
@@ -283,31 +306,55 @@ func (ix *Index) finalize(centers, deferred []int32) {
 		place(i)
 	}
 
-	// The shape of an STR tree is a function of its size, so every tree's
-	// place in the forest is known before any is built: workers pack
-	// disjoint ranges, and the bytes do not depend on who packed what.
-	for k := 0; k < m; k++ {
-		ix.mcs[k+1].root = ix.mcs[k].root + int32(rtree.NodeCount(len(ix.Members(k)), rtree.DefaultMaxEntries))
+	// The block moves into member order, so micro-cluster k's members are
+	// the rows its tree is packed over, and each tree then reorders its own
+	// range into leaf order. The shape of an STR tree is a function of its
+	// size, so every tree's place in the forest is known before any is
+	// built: workers pack disjoint ranges, and the bytes do not depend on
+	// who packed what.
+	geom.PermuteRows(ix.Points.Data(), ix.Dim, ix.members)
+	ids := make([]int, n)
+	for r, id := range ix.members {
+		ids[r] = int(id)
 	}
-	ix.aux = rtree.NewForest(ix.Dim, rtree.DefaultMaxEntries, int(ix.mcs[m].root), n)
-	packers := make([]*rtree.Packer, max(ix.opts.Workers, 1))
+	largest := 0
+	for k := 0; k < m; k++ {
+		size := len(ix.Members(k))
+		largest = max(largest, size)
+		ix.mcs[k+1].root = ix.mcs[k].root + int32(rtree.NodeCount(size, rtree.DefaultMaxEntries))
+	}
+	ix.aux = rtree.NewForest(ix.Dim, rtree.DefaultMaxEntries, int(ix.mcs[m].root), ix.Points.Data(), ids)
+	workers := max(ix.opts.Workers, 1)
+	packers := make([]*rtree.Packer, workers)
 	for w := range packers {
 		packers[w] = ix.aux.Packer()
 	}
 
 	// Each micro-cluster's tree and its members' CenterDist are written by
 	// the one worker that takes it, so the bytes do not depend on the split.
+	// The centre distances are taken before the pack, while the range is
+	// still in member order, by the gathered kernel over the identity list
+	// step: each sum is the kernel's for that member, wherever its row is.
+	step := make([]int32, largest)
+	for j := range step {
+		step[j] = int32(j)
+	}
 	ix.CenterDist = make([]float64, n)
-	toCenter := make([][]float64, len(packers)) // per worker: the d² of one MC's members
-	par.For(len(packers), m, func(w, k int) {
+	toCenter := make([][]float64, workers) // per worker: the d² of one MC's members
+	par.For(workers, m, func(w, k int) {
 		z := &ix.mcs[k]
 		members := ix.Members(k)
-		packers[w].Pack(z.root, z.members, ix.Points, members)
-		toCenter[w] = geom.AppendDistSqGathered(toCenter[w][:0], members[1:], ix.Points.Data(), ix.Dim, ix.Center(k), math.Inf(1))
+		rows := ix.Points.Block(int(z.members), int(z.members)+len(members))
+		toCenter[w] = geom.AppendDistSqGathered(toCenter[w][:0], step[1:len(members)], rows, ix.Dim, ix.Center(k), math.Inf(1))
 		for j, id := range members[1:] {
 			ix.CenterDist[id] = math.Sqrt(toCenter[w][j])
 		}
+		packers[w].Pack(z.root, z.members, len(members))
 	})
+	ix.pos = make([]int32, n)
+	for r, id := range ids {
+		ix.pos[id] = int32(r)
+	}
 	if !ix.opts.SkipReachable {
 		ix.ComputeReachable()
 	}

@@ -17,36 +17,44 @@ func BulkLoad(dim, maxEntries int, pts []geom.Point, ids []int) *Packed {
 	return BulkLoadSet(maxEntries, geom.PointSetFromPoints(dim, pts), ids)
 }
 
-// BulkLoadSet is BulkLoad over a contiguous PointSet. The set is only read;
-// the tree does not retain it.
+// BulkLoadSet is BulkLoad over a contiguous PointSet. The set is only read:
+// the tree packs a copy of its rows in place and does not retain it.
 func BulkLoadSet(maxEntries int, set *geom.PointSet, ids []int) *Packed {
 	n := set.Len()
 	if ids != nil && len(ids) != n {
 		panic("rtree: BulkLoad ids/pts length mismatch")
 	}
-	f := NewForest(set.Dim(), maxEntries, NodeCount(n, maxEntries), n)
-	if n > 0 {
-		f.Packer().Pack(0, 0, set, nil)
+	own := make([]int, n)
+	for i := range own {
+		own[i] = i
 	}
 	if ids != nil {
-		for r, i := range f.ids {
-			f.ids[r] = ids[i]
-		}
+		copy(own, ids)
+	}
+	f := NewForest(set.Dim(), maxEntries, NodeCount(n, maxEntries), slices.Clone(set.Data()), own)
+	if n > 0 {
+		f.Packer().Pack(0, 0, n)
 	}
 	return f
 }
 
-// NewForest returns a forest with room for exactly nodes nodes and rows
-// rows, to be filled by Pack calls on disjoint ranges. The shape of an STR
+// NewForest returns a forest over rows, n rows of dim coordinates, and ids,
+// their n ids, with room for exactly nodes nodes. The forest adopts both
+// slices: Pack calls on disjoint ranges reorder each range's rows and ids in
+// place into leaf order, and the leaves read them there. The shape of an STR
 // tree — NodeCount — depends on its size and the fan-out alone, so a caller
 // that knows the sizes of its trees knows where each one goes before any is
 // built, and can build them concurrently.
-func NewForest(dim, maxEntries, nodes, rows int) *Packed {
+func NewForest(dim, maxEntries, nodes int, rows []float64, ids []int) *Packed {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")
 	}
-	f := &Packed{dim: dim, maxEntries: fanout(maxEntries)}
-	f.alloc(nodes, rows)
+	if len(rows) != dim*len(ids) {
+		panic("rtree: forest rows/ids length mismatch")
+	}
+	f := &Packed{dim: dim, maxEntries: fanout(maxEntries), rows: rows, ids: ids}
+	f.nodes = make([]pnode, nodes)
+	f.boxes = make([]float64, 2*dim*nodes)
 	return f
 }
 
@@ -92,11 +100,12 @@ func slabSize(n, m int) int {
 // each goroutine packing into the same forest uses its own.
 type Packer struct {
 	f    *Packed
-	src  []float64 // the rows being packed, contiguous
+	src  []float64 // the rows being packed, in the order they came in
 	next int       // next free row of the forest
 
-	gathered []float64 // backs src when the rows had to be collected
 	order    []keyed
+	perm     []int32   // leaf order: slot j takes row perm[j] of src
+	ids      []int     // the range's ids in leaf order, before they are copied back
 	level    []pnode   // one tree level in the order it was generated,
 	levelBox []float64 // before the sort that orders it among its siblings
 }
@@ -133,42 +142,47 @@ func (a keyed) less(b keyed) bool {
 // Packer returns a Packer for f.
 func (f *Packed) Packer() *Packer { return &Packer{f: f} }
 
-// Pack builds the STR tree over rows pick of set, each identified by its row
-// number (all rows when pick is nil), into nodes [node, node+NodeCount) and
-// rows [row, row+n) of the forest, root at node.
+// Pack builds the STR tree over rows [row, row+n) of the forest into nodes
+// [node, node+NodeCount(n)), root at node, and reorders those rows and
+// their ids in place into leaf order.
 //
 // Sort-Tile-Recursive: order along one axis, cut into slabs, recurse into
 // each slab along the next axis down to leaf-sized runs; then sort each level
 // by box centre, cycling the axis, and put consecutive nodes under one
 // parent, until one node is left. A slab's contents are all the recursion
 // needs of its parent's order, so a slab is selected, not sorted; only a
-// leaf's rows are sorted, so the tree is the one a full sort would give.
-func (p *Packer) Pack(node, row int32, set *geom.PointSet, pick []int32) {
+// leaf's rows are sorted, so the tree is the one a full sort would give. The
+// order ties on a row's place in the range, so a tree is a function of the
+// range's rows in the order they came in.
+func (p *Packer) Pack(node, row int32, n int) {
 	f, dim := p.f, p.f.dim
 	p.next = int(row)
-	if pick == nil {
-		p.src = set.Data()
-	} else {
-		// Gather, then sort: the sorts read their keys out of a block of
-		// this tree's rows alone, not through pick into a set that may be a
-		// thousand times its size.
-		p.src = slices.Grow(p.gathered[:0], len(pick)*dim)
-		for _, r := range pick {
-			p.src = append(p.src, set.Row(int(r))...)
-		}
-		p.gathered = p.src
-	}
-	n := len(p.src) / dim
+	p.src = f.rows[int(row)*dim : (int(row)+n)*dim]
 	p.order = slices.Grow(p.order[:0], n)[:n]
 	for j := range p.order {
 		p.order[j].at = int32(j)
 	}
 	p.level, p.levelBox = p.level[:0], p.levelBox[:0]
-	p.tile(pick, p.order, 0)
+	p.tile(p.order, 0)
+
+	// The leaves were emitted in order, so leaf slot j takes the row order[j]
+	// names; then every leaf is one range of rows, and its box bounds them.
+	ids := f.ids[row : int(row)+n]
+	p.perm, p.ids = p.perm[:0], p.ids[:0]
+	for _, o := range p.order {
+		p.perm, p.ids = append(p.perm, o.at), append(p.ids, ids[o.at])
+	}
+	geom.PermuteRows(p.src, dim, p.perm)
+	copy(ids, p.ids)
+	w := 2 * dim
+	p.levelBox = slices.Grow(p.levelBox, len(p.level)*w)[:len(p.level)*w]
+	for i, leaf := range p.level {
+		lo, hi := int(leaf.first)*dim, int(leaf.first+leaf.count)*dim
+		boundRows(p.levelBox[i*w:i*w+w], f.rows[lo:hi], dim)
+	}
 
 	// Levels are laid out root first, so the leaves end the tree's range.
 	m := f.maxEntries
-	w := 2 * dim
 	at := node + int32(NodeCount(n, m))
 	for axis := 0; len(p.level) > 1; axis = (axis + 1) % dim {
 		c := len(p.level)
@@ -204,26 +218,15 @@ func (p *Packer) Pack(node, row int32, set *geom.PointSet, pick []int32) {
 	copy(f.box(node), p.levelBox)
 }
 
-// tile recursively tiles order (rows of src; pick names them in the set) along
-// axis and emits the packed leaves: rows into the forest, node and box onto
-// the pending level.
-func (p *Packer) tile(pick []int32, order []keyed, axis int) {
+// tile recursively tiles order (rows of src) along axis and emits the packed
+// leaves onto the pending level: a leaf is the next run of rows of the
+// forest, which Pack then fills.
+func (p *Packer) tile(order []keyed, axis int) {
 	f, dim := p.f, p.f.dim
 	n := len(order)
 	if n <= f.maxEntries {
-		first := p.next
-		for _, o := range order {
-			copy(f.rows[p.next*dim:], p.src[int(o.at)*dim:int(o.at)*dim+dim])
-			f.ids[p.next] = int(o.at)
-			if pick != nil {
-				f.ids[p.next] = int(pick[o.at])
-			}
-			p.next++
-		}
-		p.level = append(p.level, pnode{first: int32(first), count: int32(n)})
-		k := len(p.levelBox)
-		p.levelBox = slices.Grow(p.levelBox, 2*dim)[:k+2*dim]
-		boundRows(p.levelBox[k:], f.rows[first*dim:p.next*dim], dim)
+		p.level = append(p.level, pnode{first: int32(p.next), count: int32(n)})
+		p.next += n
 		return
 	}
 	for i := range order {
@@ -236,7 +239,7 @@ func (p *Packer) tile(pick []int32, order []keyed, axis int) {
 		if len(slab) <= f.maxEntries {
 			insertionSort(slab) // a leaf: its rows go out in this axis's order
 		}
-		p.tile(pick, slab, (axis+1)%dim)
+		p.tile(slab, (axis+1)%dim)
 	}
 }
 

@@ -21,7 +21,7 @@ type Packed struct {
 	maxEntries int
 	nodes      []pnode
 	boxes      []float64 // node k's box: dim minima from 2·dim·k, then dim maxima
-	rows       []float64 // leaf rows, dim coordinates each
+	rows       []float64 // leaf rows, dim coordinates each; NewForest's caller's block
 	ids        []int     // ids[r] identifies row r
 }
 

@@ -113,8 +113,8 @@ func TestPackedMatchesReference(t *testing.T) {
 }
 
 // TestForestTreesAreIndependent: trees packed side by side into one forest,
-// from scattered rows of one set and in any order, answer like trees
-// bulk-loaded on their own, and fill the arenas exactly.
+// over scattered rows of one set laid out group by group and in any order,
+// answer like trees bulk-loaded on their own, and fill the arenas exactly.
 func TestForestTreesAreIndependent(t *testing.T) {
 	const d, fan = 3, 6
 	rng := rand.New(rand.NewSource(5))
@@ -135,10 +135,16 @@ func TestForestTreesAreIndependent(t *testing.T) {
 		roots[k+1] = roots[k] + int32(NodeCount(len(g), fan))
 		rowAt[k+1] = rowAt[k] + int32(len(g))
 	}
-	f := NewForest(d, fan, int(roots[len(groups)]), len(pts))
+	block, blockIDs := make([]float64, 0, len(set.Data())), make([]int, 0, len(pts))
+	for _, g := range groups {
+		for _, id := range g {
+			block, blockIDs = append(block, set.Row(int(id))...), append(blockIDs, int(id))
+		}
+	}
+	f := NewForest(d, fan, int(roots[len(groups)]), block, blockIDs)
 	p := f.Packer()
 	for _, k := range rng.Perm(len(groups)) {
-		p.Pack(roots[k], rowAt[k], set, groups[k])
+		p.Pack(roots[k], rowAt[k], len(groups[k]))
 	}
 	nodes, rows := 0, 0
 	for k, g := range groups {

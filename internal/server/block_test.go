@@ -3,19 +3,24 @@ package server
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"mudbscan/internal/data"
 )
 
 // TestBlockStoreAdoptsAndIndexShares: the store keeps the block it is
-// handed, and the ε-query index built over a stored dataset reads that same
-// block: one copy of the coordinates from Put to the μR-tree.
+// handed, and the ε-query index built over a stored dataset holds exactly
+// one copy of it — its own, which the μR-tree reorders — whose rows the
+// auxiliary trees' leaves read in place; the stored block is left as it was.
 func TestBlockStoreAdoptsAndIndexShares(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	t.Cleanup(func() { srv.Close() })
 	coords := []float64{0, 0, 0.1, 0, 0, 0.1, 5, 5, 5.1, 5}
+	before := slices.Clone(coords)
 	id, err := srv.store.put(2, coords)
 	if err != nil {
 		t.Fatal(err)
@@ -25,8 +30,18 @@ func TestBlockStoreAdoptsAndIndexShares(t *testing.T) {
 		t.Fatal("the store copied the block")
 	}
 	ix := srv.indexes.build(indexKey{id: id, epsBits: epsBitsOf(0.5), minPts: 2}, ds, 0.5, 2)
-	if &ix.Points.Data()[0] != &coords[0] {
-		t.Fatal("the ε-query index copied the stored block")
+	own := ix.Points.Data()
+	if &own[0] == &coords[0] {
+		t.Fatal("the ε-query index reorders the stored block itself")
+	}
+	leaves := reflect.ValueOf(ix).Elem().FieldByName("aux").Elem().FieldByName("rows")
+	if leaves.Pointer() != uintptr(unsafe.Pointer(&own[0])) || leaves.Len() != len(own) {
+		t.Fatal("the ε-query index's auxiliary trees hold rows of their own")
+	}
+	for i, v := range coords {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("coordinate %d of the stored block changed", i)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"mudbscan/internal/geom"
@@ -12,9 +13,10 @@ import (
 )
 
 // dataset is one stored point set: one row-major coordinate block, decoded
-// once from the Put body and adopted, never copied. The ε-query indexes adopt
-// it as their points and jobs cluster it in place, so it is read-only for
-// as long as the store holds it.
+// once from the Put body and adopted. Jobs and ε-queries read it
+// concurrently, and the μR-tree reorders the rows it is built over, so a job
+// and an ε-query index each work on their own copy; the stored block is
+// read-only for as long as the store holds it.
 type dataset struct {
 	id  DatasetID
 	set *geom.PointSet
@@ -229,6 +231,9 @@ func (c *indexCache) build(k indexKey, ds *dataset, eps float64, minPts int) *mc
 		return ix
 	}
 	// Built outside the lock: construction is the expensive part and two
-	// racing builders produce interchangeable immutable indexes.
-	return c.put(k, mc.BuildSet(ds.set, eps, minPts, mc.Options{SkipReachable: true}))
+	// racing builders produce interchangeable immutable indexes. The index
+	// keeps its rows in leaf order for good, so it is built over its own
+	// copy of the stored block, which jobs and other queries read meanwhile.
+	own := geom.AdoptPointSet(ds.set.Dim(), slices.Clone(ds.set.Data()))
+	return c.put(k, mc.BuildSet(own, eps, minPts, mc.Options{SkipReachable: true}))
 }

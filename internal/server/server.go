@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -214,9 +215,11 @@ func (s *Server) worker() {
 }
 
 // runJob executes one clustering job on its resolved engine and stores the
-// outcome in the result cache.
+// outcome in the result cache. ClusterFlat reorders the rows it is given
+// while it runs, and other jobs and ε-queries read the stored block at the
+// same time, so the job runs on a copy of it.
 func (s *Server) runJob(j *job) (*result, error) {
-	r, _, err := mudbscan.ClusterFlat(j.ds.set.Data(), j.ds.set.Dim(), j.eps, j.minPts,
+	r, _, err := mudbscan.ClusterFlat(slices.Clone(j.ds.set.Data()), j.ds.set.Dim(), j.eps, j.minPts,
 		mudbscan.WithEngine(j.engine), mudbscan.WithWorkers(j.param))
 	if err != nil {
 		// ε, MinPts and every row were checked before the job was queued, so

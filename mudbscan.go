@@ -332,10 +332,10 @@ func ClusterWithStats(points [][]float64, eps float64, minPts int, opts ...Optio
 }
 
 // ClusterFlat is ClusterWithStats over a row-major block: point i is
-// coords[i*dim : (i+1)*dim]. The engines read the block in place — it is
-// the μR-tree's point store, not a copy of it — and never write it, so
-// the caller must not modify it until ClusterFlat returns. The Result does
-// not refer to it.
+// coords[i*dim : (i+1)*dim]. The block is the μR-tree's point store, not a
+// copy of it: its rows are reordered during the call and are bit-identical
+// on return, and nobody else may read or write them meanwhile. The Result
+// does not refer to it.
 func ClusterFlat(coords []float64, dim int, eps float64, minPts int, opts ...Option) (*Result, *SeqStats, error) {
 	set, err := validateFlat(coords, dim, eps, minPts)
 	if err != nil {
