@@ -11,8 +11,15 @@
 //
 // The input is CSV (one point per line; comma, space, tab or semicolon
 // separated) or the compact binary format produced by datagen -format bin
-// (detected by extension .bin). "-" reads stdin. Labels are written one per
+// (detected by extension .bin). "-" reads stdin. CSV numbers parse
+// bit-identically to Go's strconv.ParseFloat, with its grammar and its
+// errors; a non-finite coordinate is refused. Labels are written one per
 // line: a cluster id in [0, #clusters) or -1 for noise.
+//
+// -stats prints to stderr. Its first line gives read= (the input parse) and,
+// on the run's line, time= (the run after it). -mode dist adds the deferred
+// cross-partition pairs (pairs=), the merge-phase bytes (mergeBytes=) and a
+// phases: line with the slowest rank's partition, halo, four steps and merge.
 //
 // -mode takes the names of mudbscan.Engine. -mode seq is the sequential
 // μR-tree engine, -mode cell the grid cell engine (typically faster at low
@@ -103,7 +110,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		distSer = fs.Bool("dist-serial", false, "run -mode dist ranks one at a time (isolation timing) instead of concurrently")
 		chSeed  = fs.Int64("chaos-seed", 0, "inject deterministic network faults into -mode dist from this seed (0 = off)")
 		workers = fs.Int("workers", 0, "goroutines for -mode shared, cell and auto (0 = GOMAXPROCS)")
-		inPath  = fs.String("in", "-", "input dataset (CSV, or .bin binary; - = stdin)")
+		inPath  = fs.String("in", "-", "input dataset (CSV, numbers as strconv.ParseFloat reads them; or .bin binary; - = stdin)")
 		outPath = fs.String("out", "-", "output labels file (- = stdout)")
 		stats   = fs.Bool("stats", false, "print run statistics to stderr")
 		suggest = fs.Bool("suggest-eps", false, "print a suggested eps from the k-distance elbow and exit")
@@ -141,10 +148,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		}
 	}()
 
+	readStart := time.Now()
 	set, err := data.ReadFile(*inPath, stdin)
 	if err != nil {
 		return err
 	}
+	read := time.Since(readStart)
 	// The set is the only copy of the input: the seq, shared, cell, auto
 	// and stream engines run on it in place. Row views are made only for
 	// the calls that take rows.
@@ -165,7 +174,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	}
 
 	if engine == mudbscan.EngineAuto && *stats {
-		fmt.Fprintf(stderr, "engine=%s\n", mudbscan.ChooseEngine(rows(), *eps, *minPts))
+		fmt.Fprintf(stderr, "engine=%s read=%v\n", mudbscan.ChooseEngine(rows(), *eps, *minPts), read)
 	}
 	start := time.Now()
 	var result *mudbscan.Result
@@ -174,7 +183,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 			if netCfg.launch {
 				return runLaunch(*ranks, set.Points(), *eps, *minPts, *stats, *outPath, stdout, stderr)
 			}
-			return runNetRank(netCfg, set.Points(), *eps, *minPts, *stats, *outPath, stdout, stderr, start)
+			return runNetRank(netCfg, set.Points(), *eps, *minPts, *stats, *outPath, stdout, stderr, read, start)
 		}
 		var distOpts []mudbscan.Option
 		if *distSer {
@@ -186,17 +195,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		var st *mudbscan.DistStats
 		result, st, err = mudbscan.ClusterDistributed(rows(), *eps, *minPts, *ranks, distOpts...)
 		if err == nil && *stats {
-			fmt.Fprintf(stderr, "n=%d ranks=%d m=%d halo=%d commBytes=%d wallclock=%v simulated=%v time=%v\n",
-				set.Len(), st.Ranks, st.NumMCs, st.HaloPoints, st.Comm.TotalBytes(),
-				st.WallClock, st.Phases.Total(), time.Since(start))
-			printReliability(stderr, st)
+			fmt.Fprintf(stderr, "n=%d ranks=%d m=%d halo=%d pairs=%d mergeBytes=%d commBytes=%d wallclock=%v simulated=%v read=%v time=%v\n",
+				set.Len(), st.Ranks, st.NumMCs, st.HaloPoints, st.PairsDeferred, st.MergeBytes, st.Comm.TotalBytes(),
+				st.WallClock, st.Phases.Total(), read, time.Since(start))
+			printDistStats(stderr, st)
 		}
 	} else {
 		var st *mudbscan.SeqStats
 		result, st, err = mudbscan.ClusterFlat(set.Data(), set.Dim(), *eps, *minPts, mudbscan.WithEngine(engine),
 			mudbscan.WithWorkers(*workers), mudbscan.WithStreamWindow(*lambda, *prune))
 		if err == nil && *stats {
-			printRunStats(stderr, set.Len(), engine, st, *lambda, time.Since(start))
+			printRunStats(stderr, set.Len(), engine, st, *lambda, read, time.Since(start))
 		}
 	}
 	if err != nil {
@@ -209,36 +218,43 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 	return data.WriteLabels(*outPath, stdout, result.Labels)
 }
 
-// printRunStats writes the -stats lines of a run on one host. A stream run
-// reports its window. Every other engine reports the counters (m counts
+// printRunStats writes the -stats lines of a run on one host. The first
+// line gives the input parse (read) and the run after it (time). A stream
+// run reports its window. Every other engine reports the counters (m counts
 // cells under the cell engine, micro-clusters otherwise): point-to-point
 // distance computations next to the centre tests of steps 3 and 4, then how
 // many of the queries step 3 had to run a second time in full; and the step
 // split (the cell engine's build, adjacency, mark+connect and assign phases
 // fill its four slots). The shared engine adds the worker count.
-func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqStats, lambda float64, elapsed time.Duration) {
+func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqStats, lambda float64, read, elapsed time.Duration) {
 	if engine == mudbscan.EngineStream {
 		window := "landmark"
 		if lambda > 0 {
 			window = fmt.Sprintf("damped(lambda=%g)", lambda)
 		}
-		fmt.Fprintf(w, "n=%d window=%s time=%v\n", n, window, elapsed)
+		fmt.Fprintf(w, "n=%d window=%s read=%v time=%v\n", n, window, read, elapsed)
 		return
 	}
 	workers := ""
 	if engine == mudbscan.EngineShared {
 		workers = fmt.Sprintf(" workers=%d", st.Workers)
 	}
-	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d requeries=%d time=%v\n",
-		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, st.Requeries, elapsed)
+	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d requeries=%d read=%v time=%v\n",
+		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, st.Requeries, read, elapsed)
 	fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
 		st.Steps.TreeConstruction, st.Steps.FindingReachable,
 		st.Steps.Clustering, st.Steps.PostProcessing)
 }
 
-// printReliability writes the -mode dist -stats line of the envelope
-// protocol's counters; a clean network shows only envBytes.
-func printReliability(w io.Writer, st *mudbscan.DistStats) {
+// printDistStats writes the -mode dist -stats lines after the first: each
+// phase's time on its slowest rank (partition and halo exchange, the four
+// steps, the merge), then the envelope protocol's counters, where a clean
+// network shows only envBytes.
+func printDistStats(w io.Writer, st *mudbscan.DistStats) {
+	ph := st.Phases
+	fmt.Fprintf(w, "phases: partition=%v halo=%v tree=%v reach=%v cluster=%v post=%v merge=%v\n",
+		ph.Partition, ph.HaloExchange, ph.TreeConstruction, ph.FindingReachable,
+		ph.Clustering, ph.PostProcessing, ph.Merge)
 	fmt.Fprintf(w, "reliability: envBytes=%d retx=%d timeouts=%d corruptDropped=%d dupDropped=%d\n",
 		st.Comm.EnvelopeBytes, st.Comm.Retransmits, st.Comm.Timeouts,
 		st.Comm.CorruptDropped, st.Comm.DupDropped)

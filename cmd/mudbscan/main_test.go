@@ -182,6 +182,39 @@ func TestStreamModeMatchesSeq(t *testing.T) {
 	}
 }
 
+// TestStatsLines: -stats opens with the input parse (read=) in every mode,
+// and -mode dist adds the deferred pairs, the merge bytes and a line of
+// per-phase times.
+func TestStatsLines(t *testing.T) {
+	for _, mode := range []string{"seq", "shared", "cell", "auto", "dist", "stream"} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-eps", "0.5", "-minpts", "3", "-mode", mode, "-ranks", "2", "-stats"},
+			strings.NewReader(squareCSV), &stdout, &stderr); err != nil {
+			t.Fatalf("mode %s: %v", mode, err)
+		}
+		lines := strings.Split(stderr.String(), "\n")
+		if !strings.Contains(lines[0], " read=") {
+			t.Errorf("mode %s: first stats line %q has no read=", mode, lines[0])
+		}
+		if mode != "dist" {
+			continue
+		}
+		for _, field := range []string{" pairs=", " mergeBytes=", " time="} {
+			if !strings.Contains(lines[0], field) {
+				t.Errorf("dist: first stats line %q has no%s", lines[0], field)
+			}
+		}
+		if len(lines) < 2 || !strings.HasPrefix(lines[1], "phases: ") {
+			t.Fatalf("dist: no phases line after %q", lines[0])
+		}
+		for _, field := range []string{"partition=", " halo=", " tree=", " reach=", " cluster=", " post=", " merge="} {
+			if !strings.Contains(lines[1], field) {
+				t.Errorf("dist: phases line %q has no %s", lines[1], field)
+			}
+		}
+	}
+}
+
 func TestHardenedAndChaosFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-eps", "0.5", "-minpts", "3", "-mode", "dist", "-ranks", "2", "-stats"},

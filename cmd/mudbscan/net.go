@@ -96,7 +96,7 @@ func parseNetFlags(fs *flag.FlagSet, netMode string, rank int, peers, mode strin
 // runNetRank executes this process's rank of a multi-process world over real
 // sockets. Every peer process must be started with the same dataset and
 // parameters; only rank 0 writes labels and stats.
-func runNetRank(cfg *netConfig, pts []geom.Point, eps float64, minPts int, showStats bool, outPath string, stdout, stderr io.Writer, start time.Time) error {
+func runNetRank(cfg *netConfig, pts []geom.Point, eps float64, minPts int, showStats bool, outPath string, stdout, stderr io.Writer, read time.Duration, start time.Time) error {
 	tr, err := nettrans.New(nettrans.Config{Network: cfg.network, Rank: cfg.rank, Peers: cfg.peers})
 	if err != nil {
 		return err
@@ -112,10 +112,10 @@ func runNetRank(cfg *netConfig, pts []geom.Point, eps float64, minPts int, showS
 		return nil // rank 0 owns the assembled clustering
 	}
 	if showStats {
-		fmt.Fprintf(stderr, "n=%d ranks=%d net=%s m=%d halo=%d commBytes=%d wallclock=%v time=%v\n",
-			len(pts), st.Ranks, cfg.network, st.NumMCs, st.HaloPoints, st.Comm.TotalBytes(),
-			st.WallClock, time.Since(start))
-		printReliability(stderr, st)
+		fmt.Fprintf(stderr, "n=%d ranks=%d net=%s m=%d halo=%d pairs=%d mergeBytes=%d commBytes=%d wallclock=%v read=%v time=%v\n",
+			len(pts), st.Ranks, cfg.network, st.NumMCs, st.HaloPoints, st.PairsDeferred, st.MergeBytes, st.Comm.TotalBytes(),
+			st.WallClock, read, time.Since(start))
+		printDistStats(stderr, st)
 		fmt.Fprintf(stderr, "clusters=%d cores=%d noise=%d\n",
 			result.NumClusters, result.NumCorePoints(), result.NumNoise())
 	}

@@ -218,7 +218,9 @@ func TestLaunchMode(t *testing.T) {
 	if string(b) != want.String() {
 		t.Fatalf("launched labels differ:\n%q\nwant:\n%q", b, want.String())
 	}
-	if !strings.Contains(stderr.String(), "clusters=") {
-		t.Fatalf("rank 0 stats did not flow through: %q", stderr.String())
+	for _, field := range []string{"clusters=", " read=", " pairs=", "phases: "} {
+		if !strings.Contains(stderr.String(), field) {
+			t.Fatalf("rank 0 stats did not flow through (no %s): %q", field, stderr.String())
+		}
 	}
 }

@@ -1,12 +1,15 @@
 package data
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"mudbscan/internal/geom"
@@ -106,5 +109,65 @@ func TestBlockReadFileAllocBudget(t *testing.T) {
 		if got > f.budget {
 			t.Errorf("%s: ReadFile allocated %d bytes, budget %d", f.name, got, f.budget)
 		}
+	}
+}
+
+// writeCSVReference is the writer WriteCSV replaced: a string per
+// coordinate through FormatFloat.
+func writeCSVReference(w io.Writer, pts []geom.Point) error {
+	bw := bufio.NewWriter(w)
+	for _, p := range pts {
+		for j, v := range p {
+			if j > 0 {
+				bw.WriteByte(',')
+			}
+			bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
+// TestWriteCSVMatchesReference: WriteCSV writes the old writer's bytes on
+// every generator, the extremes of the float64 range and a row wider than
+// the writer's buffer, and allocates only the writer.
+func TestWriteCSVMatchesReference(t *testing.T) {
+	sets := map[string][]geom.Point{
+		"blobs":     Blobs(3000, 3, 4, 0.5, 0.1, 1),
+		"galaxy":    GalaxyLike(3000, 3, 5),
+		"geodrift":  GeoTraceDrift(3000, 1),
+		"household": HouseholdLike(3000, 5, 1),
+		"bio":       BioLike(500, 14, 1),
+		"uniform":   Uniform(3000, 2, 10, 1),
+		"extremes": {
+			{-2.2250738585072014e-308, math.SmallestNonzeroFloat64, -math.MaxFloat64},
+			{math.Copysign(0, -1), 0, 1e21},
+			{-1.2345678901234567e-300, 1e-7, 123456789012345680},
+		},
+		"wide": {make(geom.Point, 1000)},
+	}
+	for i := range sets["wide"][0] {
+		sets["wide"][0][i] = -1.2345678901234567e-300 * float64(i+1)
+	}
+	for name, pts := range sets {
+		var got, want bytes.Buffer
+		if err := WriteCSV(&got, pts); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeCSVReference(&want, pts); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteCSV wrote %d bytes differing from the reference's %d", name, got.Len(), want.Len())
+		}
+	}
+	pts := sets["household"]
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := WriteCSV(io.Discard, pts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("WriteCSV of %d rows made %.0f allocations; want only the writer's", len(pts), allocs)
 	}
 }

@@ -18,26 +18,34 @@ import (
 // binaryMagic identifies the compact binary dataset format.
 const binaryMagic = 0x4D750D42 // "Mu\rB"
 
-// WriteCSV writes one point per line, comma-separated, full float precision.
+// WriteCSV writes one point per line, comma-separated, each coordinate in
+// the shortest form that reads back to the same float64.
 func WriteCSV(w io.Writer, pts []geom.Point) error {
 	bw := bufio.NewWriter(w)
 	for _, p := range pts {
 		for j, v := range p {
-			if j > 0 {
-				if err := bw.WriteByte(','); err != nil {
+			// Formatted straight into the writer's buffer, once it has room
+			// for the longest coordinate and its comma; a write error is
+			// sticky and comes back from Flush.
+			if bw.Available() < maxCoordinateLen+1 {
+				if err := bw.Flush(); err != nil {
 					return err
 				}
 			}
-			if _, err := bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
-				return err
+			buf := bw.AvailableBuffer()
+			if j > 0 {
+				buf = append(buf, ',')
 			}
+			bw.Write(strconv.AppendFloat(buf, v, 'g', -1, 64))
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
+
+// maxCoordinateLen is the longest shortest form of a float64, as in
+// -2.2250738585072014e-308.
+const maxCoordinateLen = 24
 
 // csvChunk is how many coordinates the CSV parser fills before it starts
 // the next block. Rows never straddle two blocks, and the blocks are joined
@@ -53,6 +61,11 @@ func ReadCSV(r io.Reader) ([]geom.Point, error) {
 		return nil, err
 	}
 	return set.Points(), nil
+}
+
+// isSeparator reports whether c separates CSV fields.
+func isSeparator(c byte) bool {
+	return c == ',' || c == ' ' || c == '\t' || c == ';'
 }
 
 // readCSV parses points from comma- or whitespace-separated lines into one
@@ -84,29 +97,31 @@ func readCSV(r io.Reader) (*geom.PointSet, error) {
 			block = make([]float64, 0, max(csvChunk, most))
 		}
 		start := len(block)
-		for len(text) > 0 {
-			// The separators are four ASCII bytes: one byte loop finds the
-			// field's end with no per-field set-up.
-			end := 0
-			for end < len(text) {
-				if c := text[end]; c == ',' || c == ' ' || c == '\t' || c == ';' {
-					break
-				}
-				end++
-			}
-			f := text[:end]
-			text = text[min(end+1, len(text)):]
-			if len(f) == 0 {
+		for i := 0; i < len(text); {
+			if isSeparator(text[i]) {
+				i++
 				continue
 			}
-			v, err := strconv.ParseFloat(string(f), 64)
-			if err != nil {
-				return nil, fmt.Errorf("data: line %d: %v", line, err)
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("data: line %d: non-finite coordinate %q", line, f)
+			// One pass converts the field. Where the converter stops short
+			// of a separator, or does not take the number, the field goes
+			// to strconv whole, for strconv's value or error.
+			v, n, ok := parseDecimal(text[i:])
+			if end := i + n; !ok || end < len(text) && !isSeparator(text[end]) {
+				for end < len(text) && !isSeparator(text[end]) {
+					end++
+				}
+				f := text[i:end]
+				var err error
+				if v, err = strconv.ParseFloat(string(f), 64); err != nil {
+					return nil, fmt.Errorf("data: line %d: %v", line, err)
+				}
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("data: line %d: non-finite coordinate %q", line, f)
+				}
+				n = end - i
 			}
 			block = append(block, v)
+			i += n
 		}
 		width := len(block) - start
 		if width == 0 {

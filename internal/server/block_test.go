@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -103,5 +104,71 @@ func TestBlockPutAllocBudget(t *testing.T) {
 	t.Logf("Put of %d×%d allocated %d bytes, budget %d", n, dim, got, budget)
 	if got > budget {
 		t.Errorf("Put allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestBlockSharedWithReadOnlyJobs: cell, dist and stream jobs read the
+// stored block itself, with no copy, while ε-queries build their indexes
+// from it on another connection; a shared job among them reorders its own
+// copy. Run under -race, the jobs and queries must not conflict, every job
+// must return the labels of a seq job, and the stored block must come back
+// bit-identical.
+func TestBlockSharedWithReadOnlyJobs(t *testing.T) {
+	srv, addr := startServer(t, Config{Workers: 2})
+	jobs, queries := dialTenant(t, addr, "jobs"), dialTenant(t, addr, "queries")
+	pts := data.HouseholdLike(1500, 5, 4)
+	id, err := jobs.Put(toRows(pts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, ok := srv.store.get(id)
+	if !ok {
+		t.Fatal("stored dataset missing")
+	}
+	before := slices.Clone(ds.set.Data())
+
+	const minPts = 6
+	epses := []float64{0.2, 0.25, 0.3}
+	want := make([][]int, len(epses))
+	for k, eps := range epses {
+		r, err := jobs.Cluster(id, eps, minPts, EngineSeq, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = r.Labels
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(11))
+		for q := 0; q < 60; q++ {
+			// A new ε every few queries builds a new index from the block.
+			if _, err := queries.EpsQuery(id, 0.1+0.01*float64(q/4), minPts, pts[rng.Intn(len(pts))]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for k, eps := range epses {
+		for _, e := range []struct {
+			engine Engine
+			param  int
+		}{{EngineCell, 2}, {EngineDist, 2}, {EngineStream, 0}, {EngineShared, 2}} {
+			r, err := jobs.Cluster(id, eps, minPts, e.engine, e.param)
+			if err != nil {
+				t.Fatalf("%v at ε %g: %v", e.engine, eps, err)
+			}
+			if !slices.Equal(r.Labels, want[k]) {
+				t.Errorf("%v at ε %g: labels differ from the seq job's", e.engine, eps)
+			}
+		}
+	}
+	wg.Wait()
+	for i, v := range ds.set.Data() {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("coordinate %d of the stored block changed", i)
+		}
 	}
 }

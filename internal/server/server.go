@@ -215,11 +215,16 @@ func (s *Server) worker() {
 }
 
 // runJob executes one clustering job on its resolved engine and stores the
-// outcome in the result cache. ClusterFlat reorders the rows it is given
-// while it runs, and other jobs and ε-queries read the stored block at the
-// same time, so the job runs on a copy of it.
+// outcome in the result cache. Other jobs and ε-queries read the stored
+// block while it runs. The μR-tree engines (seq and shared) reorder the rows
+// they are given, so they run on a copy of it; the cell, dist and stream
+// engines only read their input and run on the stored block itself.
 func (s *Server) runJob(j *job) (*result, error) {
-	r, _, err := mudbscan.ClusterFlat(slices.Clone(j.ds.set.Data()), j.ds.set.Dim(), j.eps, j.minPts,
+	coords := j.ds.set.Data()
+	if j.engine != EngineCell && j.engine != EngineDist && j.engine != EngineStream {
+		coords = slices.Clone(coords)
+	}
+	r, _, err := mudbscan.ClusterFlat(coords, j.ds.set.Dim(), j.eps, j.minPts,
 		mudbscan.WithEngine(j.engine), mudbscan.WithWorkers(j.param))
 	if err != nil {
 		// ε, MinPts and every row were checked before the job was queued, so
