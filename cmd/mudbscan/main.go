@@ -17,9 +17,10 @@
 // line: a cluster id in [0, #clusters) or -1 for noise.
 //
 // -stats prints to stderr. Its first line gives read= (the input parse) and,
-// on the run's line, time= (the run after it). -mode dist adds the deferred
-// cross-partition pairs (pairs=), the merge-phase bytes (mergeBytes=) and a
-// phases: line with the slowest rank's partition, halo, four steps and merge.
+// on the run's line, time= (the run after it). -mode dist adds the
+// cross-partition pairs a baseline defers to the merge (pairs=, 0 for
+// μDBSCAN-D), the merge-phase bytes (mergeBytes=) and a phases: line with
+// the slowest rank's partition, halo, four steps and merge.
 //
 // -mode takes the names of mudbscan.Engine. -mode seq is the sequential
 // μR-tree engine, -mode cell the grid cell engine (typically faster at low

@@ -34,8 +34,8 @@ func TestBlockAdoptedByTheIndex(t *testing.T) {
 	if !reflect.DeepEqual(viaSet, viaCopy) {
 		t.Fatal("a run on the adopted set differs from a run on a copy")
 	}
-	localSet := RunLocal(set, 0.5, 5, localCount, Options{})
-	localCopy := RunLocal(geom.PointSetFromPoints(3, pts), 0.5, 5, localCount, Options{})
+	localSet := RunLocal(set, 0.5, 5, localCount, Options{}, Halo{})
+	localCopy := RunLocal(geom.PointSetFromPoints(3, pts), 0.5, 5, localCount, Options{}, Halo{})
 	localSet.Stats.Steps, localCopy.Stats.Steps = StepTimes{}, StepTimes{}
 	if !reflect.DeepEqual(localSet, localCopy) {
 		t.Fatal("a rank-local run on the caller's block differs from one on a copy")

@@ -140,67 +140,62 @@ func Run(pts []geom.Point, eps float64, minPts int, opts Options) (*clustering.R
 // RunSet is Run over a set the μR-tree adopts (mc.BuildSet): the
 // coordinates are never copied. Their rows are reordered during the call
 // and are bit-identical on return; nobody else may read or write them
-// meanwhile. Its local ids are the final ids, so it is the one path that
-// assigns the borders itself.
+// meanwhile.
 func RunSet(set *geom.PointSet, eps float64, minPts int, opts Options) (*clustering.Result, *Stats) {
 	if set.Len() == 0 {
 		return &clustering.Result{}, &Stats{}
 	}
-	lr := runLocal(set, set.Len(), eps, minPts, opts, true)
+	lr := runLocal(set, set.Len(), eps, minPts, opts, Halo{})
 	return clustering.FromUnionLabels(lr.Comp, lr.Core), lr.Stats
 }
 
-// Pair records a cross-partition link discovered during a distributed-local
-// run: A is a locally-proven core point and B a halo point that was not
-// provably core at record time but lies strictly within ε of A. The merge
-// phase resolves B's true status with its owner (§V-C).
-type Pair struct {
-	A, B int32
+// Halo is what a rank-local run needs of the ranks that own its halo copies.
+type Halo struct {
+	// IDs are the global ids of the block's rows: a border joins its core
+	// neighbor of smallest global id, as in dbscan.Brute.
+	IDs []int64
+	// Swap is called once, after step 3, with one flag per row: the first
+	// localCount are the owned rows' core flags, exact by then because the
+	// halo holds their whole ε-neighborhoods, and Swap fills in the rest with
+	// the halo copies' exact flags, as their owners computed them.
+	Swap func(core []bool)
 }
 
-// LocalResult is the full rank-local state that μDBSCAN-D's merge phase
-// consumes. Indices are rows of the rank's block (see RunLocal); rows from
-// localCount on are halo copies owned by other ranks.
+// LocalResult is the rank-local state that μDBSCAN-D's merge phase consumes.
+// Indices are rows of the rank's block (see RunLocal); rows from localCount
+// on are halo copies owned by other ranks.
 type LocalResult struct {
-	// Core flags: exact for local points (their complete ε-neighborhood is
-	// present thanks to the halo), a sound lower bound for halo points.
+	// Core flags: exact for every row once Halo.Swap has run; without it, a
+	// sound lower bound for the halo rows.
 	Core []bool
 	// Comp[i] is the local union-find component representative of point i
-	// (the smallest index of its component).
-	Comp []int32
-	// Pairs are the deferred core→halo links (see Pair).
-	Pairs []Pair
-	// NoiseNbhd holds, for every local non-core point not yet in a cluster,
-	// its ε-neighborhood (Algorithm 8 state): the merge phase gives the point
-	// to its core neighbor of smallest global id once exact halo core flags
-	// arrive. A μDBSCAN run leaves every local non-core point here.
-	NoiseNbhd map[int32][]int32
-	Stats     *Stats
+	// (the smallest index of its component). Every owned border is in the
+	// component of its core neighbor of smallest global id.
+	Comp  []int32
+	Stats *Stats
 }
 
 // RunLocal executes μDBSCAN over a rank's block of local rows followed by
 // halo rows, treating only the first localCount as owned by this rank: halo
 // points serve as neighbors (and may be proven core, which is sound because
-// coreness is monotone in the visible evidence) but are never queried, and a
-// core's link to one not known core becomes a Pair for the merge phase. No
-// non-core point joins a cluster here: the merge gives each its core
-// neighbor of smallest global id, which only it knows. With localCount ==
-// set.Len() the cores and their components are exactly μDBSCAN's. Like
-// RunSet, it never copies the block: its rows are reordered during the call
-// and are bit-identical on return, and nobody else may read or write them
-// meanwhile.
-func RunLocal(set *geom.PointSet, eps float64, minPts int, localCount int, opts Options) *LocalResult {
+// coreness is monotone in the visible evidence) but are never queried. After
+// step 3 it swaps core flags through halo.Swap and promotes every halo copy
+// its owner proved core, so step 4 links it with every core within ε; then
+// each owned border joins its core neighbor of smallest halo.IDs. With
+// localCount == set.Len() the cores and their components are exactly
+// μDBSCAN's. Like RunSet, it never copies the block: its rows are reordered
+// during the call and are bit-identical on return, and nobody else may read
+// or write them meanwhile.
+func RunLocal(set *geom.PointSet, eps float64, minPts int, localCount int, opts Options, halo Halo) *LocalResult {
 	if set.Len() == 0 {
-		return &LocalResult{Stats: &Stats{}, NoiseNbhd: map[int32][]int32{}}
+		return &LocalResult{Stats: &Stats{}}
 	}
-	return runLocal(set, localCount, eps, minPts, opts, false)
+	return runLocal(set, localCount, eps, minPts, opts, halo)
 }
 
 // runLocal runs μDBSCAN's four steps over set, of which the first localCount
-// points are local. With borders set, the local ids are the final ids and
-// step 4 ends by assigning the borders (assignBorders); otherwise they are
-// left to the merge.
-func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts Options, borders bool) *LocalResult {
+// points are local, with the flag swap between steps 3 and 4.
+func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts Options, halo Halo) *LocalResult {
 	st := &Stats{}
 
 	// Step 1: micro-clusters, the μR-tree and the centre distances, over the
@@ -228,12 +223,14 @@ func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts 
 	r.processRemaining()
 	st.Steps.Clustering = time.Since(start)
 
+	if halo.Swap != nil {
+		r.swap(halo.Swap)
+	}
+
 	// Step 4: final connections.
 	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	r.postProcessCore()
-	if borders {
-		r.assignBorders()
-	}
+	r.assignBorders(halo.IDs)
 	st.Steps.PostProcessing = time.Since(start)
 
 	return r.result(st)
@@ -259,7 +256,7 @@ const (
 )
 
 // flags holds the status bits of every point, one byte per point packed four
-// to an atomic word. linkFromCore loads a random point's byte for every
+// to an atomic word. processPoint loads a random point's byte for every
 // neighbor of every queried core, so the table has to stay as dense as the
 // []bool it replaces: a []atomic.Bool is four bytes a flag, and that load
 // alone cost three times as much on the 5-d household workload.
@@ -310,7 +307,6 @@ type worker struct {
 	// stored).
 	nonCore    []nonCoreEntry
 	nonCoreIDs []int32
-	pairs      []Pair
 
 	queries     int
 	requeries   int
@@ -356,12 +352,13 @@ type run struct {
 	uf      *unionfind.Concurrent
 	flags   flags
 	workers []worker
-	// mcWhole[id] reports that MC id has at least MinPts members and no halo
-	// member left unproven in step 1: every core among its members shares the
-	// centre's union-find component by the barrier after step 3 (step 1's
-	// cores are unioned with the centre there, step 3's when they are
-	// promoted or proven by their query). Set by preliminaryClusters, where
-	// each MC is handled by exactly one worker; read only after that step.
+	// mcWhole[id] reports that MC id has at least MinPts members: every core
+	// among its members shares the centre's union-find component by the
+	// start of step 4 (its centre is core, and every member lies strictly
+	// within ε of it: step 1's cores are unioned with the centre there, step
+	// 3's when they are promoted or proven by their query, and a halo copy
+	// when the swap promotes it). Set by preliminaryClusters, where each MC is
+	// handled by exactly one worker; read elsewhere only after that step.
 	mcWhole []bool
 	// rk[id] is r_k of MC id: the distance from its centre to its
 	// MinPts-th closest member, the centre counting at 0; +Inf for one with
@@ -399,26 +396,17 @@ func (r *run) each(n int, fn func(w *worker, i int)) {
 	par.For(len(r.workers), n, func(w, i int) { fn(&r.workers[w], i) })
 }
 
-// result closes the run: it folds the per-worker lists and counters and
-// unpacks components and flags. All unions are complete, so Find is exact
-// and stable and the per-index writes are disjoint.
+// result closes the run: it folds the per-worker counters and unpacks
+// components and flags. All unions are complete, so Find is exact and stable
+// and the per-index writes are disjoint.
 func (r *run) result(st *Stats) *LocalResult {
 	lr := &LocalResult{
 		Core:  make([]bool, r.ix.Points.Len()),
 		Comp:  make([]int32, r.ix.Points.Len()),
 		Stats: st,
 	}
-	stored := 0
-	for w := range r.workers {
-		stored += len(r.workers[w].nonCore)
-	}
-	lr.NoiseNbhd = make(map[int32][]int32, stored)
 	for w := range r.workers {
 		wk := &r.workers[w]
-		lr.Pairs = append(lr.Pairs, wk.pairs...)
-		for k, e := range wk.nonCore {
-			lr.NoiseNbhd[e.id] = wk.stored(k)
-		}
 		st.Queries += wk.queries
 		st.Requeries += wk.requeries
 		st.WndqFromMCs += wk.wndqFromMCs
@@ -438,43 +426,15 @@ func (r *run) result(st *Stats) *LocalResult {
 	return lr
 }
 
-// isHalo reports whether combined index i is a halo copy owned elsewhere.
-func (r *run) isHalo(i int32) bool { return int(i) >= r.localCount }
-
-// linkFromCore handles the link between a proven-core point c and a point q
-// strictly within ε of it, reporting whether a union was performed: one if q
-// is a flagged core. A q not known core is left alone — a local one is
-// assigned after step 4 from its own stored neighborhood — except that a
-// halo q may be core in truth, and its owner decides: the link becomes a
-// deferred Pair.
-//
-// A q that is in truth core but whose flag is not up yet loses nothing here:
-// either q is being queried, and having published its own flag before
-// linking it will see c's, or q is (or will be) wndq-promoted, and
-// postProcessCore re-links every wndq-core with all cores within ε.
-func (r *run) linkFromCore(w *worker, c, q int32) bool {
-	if r.flags.get(int(q))&flagCore != 0 {
-		r.uf.Union(int(c), int(q))
-		return true
-	}
-	// Halo-to-halo links are the owner's business: the owner of q sees the
-	// core side in its own halo and will form the link itself.
-	if r.isHalo(q) && !r.isHalo(c) {
-		w.pairs = append(w.pairs, Pair{A: c, B: q})
-	}
-	return false
-}
-
 // preliminaryClusters implements Algorithm 4 with one core proof, the
 // MinPts-radius: in a micro-cluster Z with at least MinPts members, a member
 // p with d(p, cZ) + r_k(Z) < ε(1−δ) is a wndq-core (DESIGN.md §8, cut (g)).
 // The paper's Lemma 1 (a DMC's inner circle) and Lemma 2 (a CMC's centre)
 // are cases of it. The centre is marked first and unconditionally: Z's
-// MinPts members within ε of it are the exact certificate at d = 0, and its
-// unions with the members below need the flag. Every member proven core is
-// unioned with the centre. When no halo member is left unproven, the MC is
-// flagged "whole": every core it will ever hold ends in the centre's
-// component (unions only merge), which steps 3 and 4 exploit.
+// MinPts members within ε of it are the exact certificate at d = 0. The MC is
+// flagged "whole": every core it will ever hold joins the centre's component
+// as it is proven (markWndq, processPoint; unions only merge), which steps 3
+// and 4 exploit.
 func (r *run) preliminaryClusters() {
 	r.rk = make([]float64, r.ix.NumMCs())
 	r.each(r.ix.NumMCs(), func(w *worker, k int) {
@@ -483,22 +443,14 @@ func (r *run) preliminaryClusters() {
 			return
 		}
 		radius := r.minPtsRadius(w, k)
-		r.rk[k] = radius
+		r.rk[k], r.mcWhole[k] = radius, true
 		center := int32(r.ix.CenterID(k))
 		r.markWndq(w, center, true)
-		whole := true
 		for _, p := range r.ix.Members(k) {
-			if p == center {
-				continue
-			}
-			if r.ix.CenterDist[p]+radius < r.near {
+			if p != center && r.ix.CenterDist[p]+radius < r.near {
 				r.markWndq(w, p, true)
 			}
-			if !r.linkFromCore(w, center, p) && r.isHalo(p) {
-				whole = false
-			}
 		}
-		r.mcWhole[k] = whole
 	})
 }
 
@@ -565,7 +517,7 @@ func (r *run) provenByRadius(pz2 []float64, reach []int32) bool {
 // markWndq declares point id core without a query; the raise makes the
 // transition exactly-once, so exactly one worker counts the point. fromMC
 // records whether it came from MC classification (step 1) or a dense
-// ε/2-neighborhood or MinPts-radius in step 3. A step-3 promotion in a whole
+// ε/2-neighborhood or MinPts-radius in step 3. A point of a whole
 // micro-cluster is unioned with its centre (strictly within ε, and core),
 // which keeps the MC's cores in one component. The split only counts local
 // points: halo points were never going to be queried here.
@@ -573,10 +525,10 @@ func (r *run) markWndq(w *worker, id int32, fromMC bool) {
 	if r.flags.raise(int(id), flagCore|flagWndq)&flagCore != 0 {
 		return
 	}
-	if z := int(r.ix.PointMC[id]); !fromMC && r.mcWhole[z] {
+	if z := int(r.ix.PointMC[id]); r.mcWhole[z] {
 		r.uf.Union(int(id), r.ix.CenterID(z))
 	}
-	if r.isHalo(id) {
+	if int(id) >= r.localCount {
 		return
 	}
 	if fromMC {
@@ -722,20 +674,25 @@ func (r *run) processPoint(w *worker, i int) {
 			}
 		}
 	}
-	// Hits arrive grouped by micro-cluster: each reachable micro-cluster
-	// contributes one contiguous run (a settled one its ε/2 ball, then its
-	// centre). Once i has been unioned with a flagged core of a whole
-	// micro-cluster, the rest of that run is skipped: its flagged cores end
-	// in the centre's component, which is now i's, and it has no non-core
-	// halo member to owe a Pair for, so every one of those links is a no-op.
-	// The run's end is found by bisection on PointMC, a few loads in place of
-	// one per hit.
+	// i links with every flagged core among its hits. A hit that is in
+	// truth core but whose flag is not up yet loses nothing: either it is
+	// being queried, and having published its own flag before linking it will
+	// see i's, or it is (or will be, a halo copy after the swap)
+	// wndq-promoted, and postProcessCore re-links every wndq-core with all
+	// cores within ε. Hits arrive grouped by micro-cluster: each reachable
+	// micro-cluster contributes one contiguous run (a settled one its ε/2
+	// ball, then its centre). Once i has been unioned with a flagged core of a
+	// whole micro-cluster, the rest of that run is skipped: every core it will
+	// hold ends in the centre's component, which is now i's, so every one of
+	// those links is a no-op. The run's end is found by bisection on PointMC,
+	// a few loads in place of one per hit.
 	for k := 0; k < len(nbhd); {
 		q := nbhd[k]
 		k++
-		if q == i || !r.linkFromCore(w, int32(i), int32(q)) {
+		if q == i || r.flags.get(q)&flagCore == 0 {
 			continue
 		}
+		r.uf.Union(i, q)
 		if z := r.ix.PointMC[q]; r.mcWhole[z] {
 			lo, hi := k, len(nbhd) // the first hit of another micro-cluster lies in [lo, hi]
 			for lo < hi {
@@ -797,16 +754,15 @@ const (
 	mcMixed int32 = -2 // decided member by member
 )
 
-// classifyMCs fills mcClass. mergeWndqCore does one of two things with a
-// member q of a visited micro-cluster: a union if q is a flagged core, a Pair
-// if q is a non-core halo point. An MC with neither kind of member is dead.
-// One with no non-core halo member whose flagged cores all have one root — a
+// classifyMCs fills mcClass. The one thing mergeWndqCore does with a member
+// q of a visited micro-cluster is a union if q is a flagged core, so an MC
+// with no flagged core is dead. One whose flagged cores all have one root — a
 // whole MC, by construction — is one component: a wndq-core either shares it,
 // and the MC has nothing to add, or joins it by its first merging union, and
-// the other members have nothing more. Both are read at the barrier after
-// step 3, where core flags are final, and "same component" only ever becomes
-// true, so they hold through the pass whatever other workers union meanwhile
-// (DESIGN.md §8).
+// the other members have nothing more. Both are read after the swap, where
+// core flags are final, and "same component" only ever becomes true, so they
+// hold through the pass whatever other workers union meanwhile (DESIGN.md
+// §8).
 func (r *run) classifyMCs() {
 	r.mcClass = make([]int32, r.ix.NumMCs())
 	r.each(len(r.mcClass), func(_ *worker, k int) {
@@ -816,11 +772,9 @@ func (r *run) classifyMCs() {
 		} else {
 			for _, q := range r.ix.Members(k) {
 				if r.flags.get(int(q))&flagCore == 0 {
-					if r.isHalo(q) {
-						class = mcMixed
-						break
-					}
-				} else if class == mcDead {
+					continue
+				}
+				if class == mcDead {
 					class, root = q, r.uf.Find(int(q))
 				} else if r.uf.Find(int(q)) != root {
 					class = mcMixed
@@ -908,50 +862,61 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 		}
 		pz := math.Sqrt(pz2)
 		for _, q := range r.ix.Members(int(z)) {
-			if q == pid || math.Abs(pz-centerDistOf[q]) >= r.far1 {
+			if q == pid || math.Abs(pz-centerDistOf[q]) >= r.far1 || r.flags.get(int(q))&flagCore == 0 {
 				continue
 			}
-			if r.flags.get(int(q))&flagCore != 0 {
-				if rep < 0 && r.uf.Find(int(q)) == rootP {
-					continue
-				}
-				w.distCalcs++
-				if geom.BoundedDistSq(p, r.ix.Point(int(q)), eps2) >= eps2 {
-					continue
-				}
-				r.uf.Union(int(pid), int(q))
-				rootP = r.uf.Find(int(pid))
-				if rep >= 0 {
-					// The union just absorbed the whole micro-cluster.
-					break
-				}
+			if rep < 0 && r.uf.Find(int(q)) == rootP {
 				continue
 			}
-			// A non-core halo candidate within ε of a local-side core
-			// is a deferred cross link: its owner decides its status.
-			if r.isHalo(q) && !r.isHalo(pid) {
-				w.distCalcs++
-				if geom.BoundedDistSq(p, r.ix.Point(int(q)), eps2) < eps2 {
-					w.pairs = append(w.pairs, Pair{A: pid, B: q})
-				}
+			w.distCalcs++
+			if geom.BoundedDistSq(p, r.ix.Point(int(q)), eps2) >= eps2 {
+				continue
+			}
+			r.uf.Union(int(pid), int(q))
+			rootP = r.uf.Find(int(pid))
+			if rep >= 0 {
+				// The union just absorbed the whole micro-cluster.
+				break
 			}
 		}
 	}
 }
 
+// swap hands hook the owned rows' core flags, exact after step 3, and
+// promotes every halo copy hook reports core on its owner to a wndq-core
+// (markWndq): step 4 then links it with every core within ε — the links step
+// 3 could not make while its flag was down — and in a whole micro-cluster it
+// joins the centre's component at once.
+func (r *run) swap(hook func(core []bool)) {
+	isCore := make([]bool, r.ix.Points.Len())
+	for i := range r.localCount {
+		isCore[i] = r.flags.get(i)&flagCore != 0
+	}
+	hook(isCore)
+	r.each(len(isCore)-r.localCount, func(w *worker, k int) {
+		if i := r.localCount + k; isCore[i] {
+			r.markWndq(w, int32(i), false)
+		}
+	})
+}
+
 // assignBorders implements Algorithm 8 with dbscan.Brute's border rule: once
-// every core flag is final, each non-core point joins the cluster of the
-// smallest-id core in its stored neighborhood, or stays noise. No non-core
-// point was ever unioned, so each is a singleton until here and joins exactly
-// one cluster. The lists are spent: RunSet needs no NoiseNbhd.
-func (r *run) assignBorders() {
+// every core flag is final, each non-core point joins the cluster of the core
+// in its stored neighborhood of smallest global id (ids[q], or q where ids is
+// nil), or stays noise. No non-core point was ever unioned, so each is a
+// singleton until here and joins exactly one cluster. The lists are spent.
+func (r *run) assignBorders(ids []int64) {
 	for w := range r.workers {
 		owner := &r.workers[w]
 		r.each(len(owner.nonCore), func(_ *worker, k int) {
-			best := -1
+			best, bestID := -1, int64(math.MaxInt64)
 			for _, q := range owner.stored(k) {
-				if (best < 0 || int(q) < best) && r.flags.get(int(q))&flagCore != 0 {
-					best = int(q)
+				id := int64(q)
+				if ids != nil {
+					id = ids[q]
+				}
+				if id < bestID && r.flags.get(int(q))&flagCore != 0 {
+					best, bestID = int(q), id
 				}
 			}
 			if best >= 0 {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"mudbscan/internal/data"
+	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mc"
 )
@@ -19,11 +19,9 @@ import (
 // wndq-core against every member of every reachable micro-cluster, one kernel
 // call a pair — no classes, no 2ε rule, no region test, no component shortcut,
 // no triangle-inequality bound. It is what postProcessCore must be equivalent
-// to, and it walks in the same order (micro-cluster, member, reachable
-// micro-cluster, member), so the deferred Pairs must come out equal as a list.
+// to.
 func postProcessCoreUnpruned(r *run) {
 	eps2 := r.eps * r.eps
-	w := &r.workers[0]
 	for a := 0; a < r.ix.NumMCs(); a++ {
 		for _, pid := range r.ix.Members(a) {
 			if r.flags.get(int(pid))&flagWndq == 0 {
@@ -32,13 +30,8 @@ func postProcessCoreUnpruned(r *run) {
 			p := r.ix.Point(int(pid))
 			for _, rid := range r.ix.Reach(a) {
 				for _, q := range r.ix.Members(int(rid)) {
-					if q == pid || geom.DistSq(p, r.ix.Point(int(q))) >= eps2 {
-						continue
-					}
-					if r.flags.get(int(q))&flagCore != 0 {
+					if q != pid && r.flags.get(int(q))&flagCore != 0 && geom.DistSq(p, r.ix.Point(int(q))) < eps2 {
 						r.uf.Union(int(pid), int(q))
-					} else if r.isHalo(q) && !r.isHalo(pid) {
-						w.pairs = append(w.pairs, Pair{A: pid, B: q})
 					}
 				}
 			}
@@ -176,7 +169,7 @@ func TestPostProcessMatchesUnpruned(t *testing.T) {
 							}
 						}
 						post(r)
-						r.assignBorders()
+						r.assignBorders(nil)
 						for i := range c.pts {
 							roots[side] = append(roots[side], r.uf.Find(i))
 						}
@@ -233,59 +226,64 @@ func TestPostProcessMatchesUnpruned(t *testing.T) {
 	}
 }
 
+// swapFrom is a Halo.Swap for a block whose rows from localCount on are halo
+// copies: their owners send the flags exact holds for them (brute force's,
+// over the whole data set).
+func swapFrom(exact []bool, localCount int) func([]bool) {
+	return func(isCore []bool) { copy(isCore[localCount:], exact[localCount:]) }
+}
+
 // TestPostProcessClasses holds classifyMCs to the definitions, on every dataset
-// as it is and with its last fifth playing the halo: a dead micro-cluster has
-// no flagged core and no halo member, the representative of a one-component
-// micro-cluster is one of its flagged cores and shares its component with
-// every other, with no non-core halo member beside them, a mixed one has a
-// reason to be, and a micro-cluster that holds a wndq-core — the only kind
-// step 4 starts from, and always on its own reach list — is never dead.
+// as it is and with its last fifth playing the halo, whose exact flags the
+// swap brings in: a dead micro-cluster has no flagged core, the representative
+// of a one-component micro-cluster is one of its flagged cores and shares its
+// component with every other, a mixed one has cores in two components, a
+// micro-cluster of at least MinPts members is whole and one component, and
+// one that holds a wndq-core — the only kind step 4 starts from, and always on
+// its own reach list — is never dead.
 func TestPostProcessClasses(t *testing.T) {
 	cases := append(driverCases(),
 		driverCase{"halo-14d", haloSet(14, 3, 600), 600, 5},
 		driverCase{"split-mc-2d", splitMCSet(), 1, 5})
 	seen := map[string]int{}
 	for _, c := range cases {
+		exact, _ := dbscan.Brute(c.pts, c.eps, c.minPts)
 		for _, cfg := range []struct{ workers, halo int }{{1, 0}, {1, len(c.pts) / 5}, {4, len(c.pts) / 5}} {
 			ix := mc.Build(c.pts, c.eps, c.minPts, mc.Options{})
-			r := newRun(ix, c.eps, c.minPts, len(c.pts)-cfg.halo, Options{Workers: cfg.workers})
+			localCount := len(c.pts) - cfg.halo
+			r := newRun(ix, c.eps, c.minPts, localCount, Options{Workers: cfg.workers})
 			r.preliminaryClusters()
 			r.processRemaining()
+			r.swap(swapFrom(exact.Core, localCount))
 			r.classifyMCs()
 			for k, class := range r.mcClass {
-				var cores, wndq, deferred int
+				var cores, wndq int
 				roots := map[int]bool{}
 				for _, q := range ix.Members(k) {
-					switch b := r.flags.get(int(q)); {
-					case b&flagCore != 0:
+					if b := r.flags.get(int(q)); b&flagCore != 0 {
 						cores++
 						roots[r.uf.Find(int(q))] = true
 						if b&flagWndq != 0 {
 							wndq++
 						}
-					case r.isHalo(q):
-						deferred++
 					}
 				}
-				name := fmt.Sprintf("%s workers=%d halo=%d MC %d (class %d): %d cores in %d components, %d non-core halo members",
-					c.name, cfg.workers, cfg.halo, k, class, cores, len(roots), deferred)
+				name := fmt.Sprintf("%s workers=%d halo=%d MC %d (class %d): %d cores in %d components",
+					c.name, cfg.workers, cfg.halo, k, class, cores, len(roots))
 				switch {
 				case class == mcDead:
 					seen["dead"]++
-					if cores != 0 || deferred != 0 {
+					if cores != 0 {
 						t.Fatalf("%s: dead", name)
 					}
 				case class == mcMixed:
-					if deferred > 0 {
-						seen["mixed, halo"]++
-					} else if len(roots) > 1 {
-						seen["mixed, split"]++
-					} else {
+					seen["mixed"]++
+					if len(roots) < 2 {
 						t.Fatalf("%s: mixed", name)
 					}
 				default:
 					seen["one component"]++
-					if deferred != 0 || len(roots) != 1 || !roots[r.uf.Find(int(class))] ||
+					if len(roots) != 1 || !roots[r.uf.Find(int(class))] ||
 						int(ix.PointMC[class]) != k || r.flags.get(int(class))&flagCore == 0 {
 						t.Fatalf("%s: one component", name)
 					}
@@ -293,28 +291,28 @@ func TestPostProcessClasses(t *testing.T) {
 				if wndq > 0 && class == mcDead {
 					t.Fatalf("%s: holds %d wndq-cores", name, wndq)
 				}
-				if r.mcWhole[k] && class < 0 {
-					t.Fatalf("%s: whole", name)
+				if len(ix.Members(k)) >= c.minPts && (!r.mcWhole[k] || class < 0) {
+					t.Fatalf("%s: %d members, whole %v", name, len(ix.Members(k)), r.mcWhole[k])
 				}
 			}
 		}
 	}
-	if len(seen) != 4 {
+	if len(seen) != 3 {
 		t.Fatalf("classes seen: %v; the datasets miss one", seen)
 	}
 }
 
-func comparePairs(a, b Pair) int { return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B)) }
-
-// TestPostProcessHaloPairs: a micro-cluster made only of non-core halo points
-// holds no edge of this rank's, and must be visited all the same — a local
-// wndq-core within ε of one of its members owes the merge phase a Pair. The
-// set is a dense local blob (nobody is queried, so every Pair past the blob's
-// own micro-cluster is step 4's) with halo points around it: two alone in
-// their micro-clusters and within ε of some of the blob, one alone and out of
-// everyone's ε, one inside the blob's micro-cluster. RunLocal's Pairs must be
-// the unfiltered member loop's, element for element and in order.
-func TestPostProcessHaloPairs(t *testing.T) {
+// TestPostProcessHaloPromotion: halo copies that only their owners can prove
+// core are linked by step 4 once the swap promotes them. The rank's block is
+// a dense local blob (nobody is queried, so every link past the blob's own
+// micro-cluster is step 4's) and four halo points: two alone in their
+// micro-clusters, within ε of some of the blob and core on their owners
+// through points beyond every local point's ε; one alone and out of
+// everyone's ε; and one inside the blob's micro-cluster that step 1 leaves
+// unproven (it lies at ε − r_k of the centre). With the owners' flags all
+// three halo cores end in the blob's component, at every worker count;
+// without the swap the two alone do not, and nothing else would link them.
+func TestPostProcessHaloPromotion(t *testing.T) {
 	const eps, minPts = 1.0, 4
 	for _, dim := range []int{2, 14} {
 		at := func(x, y float64) geom.Point {
@@ -324,35 +322,34 @@ func TestPostProcessHaloPairs(t *testing.T) {
 		}
 		local := []geom.Point{at(0, 0), at(0, 0), at(0.25, 0), at(0.375, 0), at(0, 0.375), at(-0.25, 0), at(0, -0.375)}
 		halo := []geom.Point{at(1.125, 0), at(0, 1.25), at(-2.5, 0), at(-0.75, 0)}
-		pts := append(append([]geom.Point(nil), local...), halo...)
-		r := newRun(mc.Build(pts, eps, minPts, mc.Options{}), eps, minPts, len(local), Options{})
-		r.preliminaryClusters()
-		r.processRemaining()
-		r.classifyMCs()
-		for _, h := range []int{len(local), len(local) + 1, len(local) + 2} {
-			k := int(r.ix.PointMC[h])
-			if len(r.ix.Members(k)) != 1 || r.mcClass[k] != mcMixed {
-				t.Fatalf("d=%d: halo point %d in MC %d of %d members, class %d; want a mixed singleton",
-					dim, h, k, len(r.ix.Members(k)), r.mcClass[k])
-			}
+		beyond := []geom.Point{at(1.5, 0), at(1.625, 0), at(1.75, 0), at(0, 1.625), at(0, 1.75), at(0, 2)}
+		block := append(append([]geom.Point(nil), local...), halo...)
+		exact, _ := dbscan.Brute(append(slices.Clone(block), beyond...), eps, minPts)
+		right, up, far, inner := len(local), len(local)+1, len(local)+2, len(local)+3
+		if !exact.Core[right] || !exact.Core[up] || exact.Core[far] || !exact.Core[inner] {
+			t.Fatalf("d=%d: halo core flags %v; the set misses its point", dim, exact.Core[len(local):len(block)])
 		}
-		fromStep1 := len(r.workers[0].pairs)
-		postProcessCoreUnpruned(r)
-		want := r.workers[0].pairs
-		if len(want)-fromStep1 < 4 {
-			t.Fatalf("d=%d: the reference defers %d pairs in step 4; the set misses its point", dim, len(want)-fromStep1)
+
+		alone := RunLocal(geom.PointSetFromPoints(dim, block), eps, minPts, len(local), Options{}, Halo{})
+		if alone.Core[right] || alone.Core[up] || alone.Comp[right] == alone.Comp[0] || alone.Comp[up] == alone.Comp[0] {
+			t.Fatalf("d=%d: the rank proves or links a halo core without its owner's flag", dim)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			got := RunLocal(geom.PointSetFromPoints(dim, pts), eps, minPts, len(local), Options{Workers: workers})
+			got := RunLocal(geom.PointSetFromPoints(dim, block), eps, minPts, len(local),
+				Options{Workers: workers}, Halo{Swap: swapFrom(exact.Core, len(local))})
 			if got.Stats.Queries != 0 {
 				t.Fatalf("d=%d: %d queries; the blob is not all wndq-core", dim, got.Stats.Queries)
 			}
-			if workers > 1 { // per-worker lists, concatenated: the same pairs in some order
-				slices.SortFunc(want, comparePairs)
-				slices.SortFunc(got.Pairs, comparePairs)
+			if !slices.Equal(got.Core, exact.Core[:len(block)]) {
+				t.Fatalf("d=%d workers=%d: core flags %v, want the owners' %v", dim, workers, got.Core, exact.Core[:len(block)])
 			}
-			if !reflect.DeepEqual(got.Pairs, want) {
-				t.Fatalf("d=%d workers=%d: Pairs\n%v\nunfiltered member loop\n%v", dim, workers, got.Pairs, want)
+			for _, h := range []int{right, up, inner} {
+				if got.Comp[h] != got.Comp[0] {
+					t.Fatalf("d=%d workers=%d: halo core %d is not in the blob's component", dim, workers, h)
+				}
+			}
+			if got.Comp[far] != int32(far) {
+				t.Fatalf("d=%d workers=%d: the far halo point was linked", dim, workers)
 			}
 		}
 	}

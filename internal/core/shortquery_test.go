@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mudbscan/internal/data"
+	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mc"
 )
@@ -16,8 +17,8 @@ import (
 // full ε-query, the inner-circle promotion, and a link to every hit — no
 // settled micro-cluster, no rerun, no skipped run of a whole one. It is what
 // processPoint must be equivalent to, and it queries and links in the same
-// order, so at one worker components, flags, stored neighborhoods and the
-// deferred Pairs must come out equal element for element. It saves the query
+// order, so at one worker components, flags and stored neighborhoods must
+// come out equal element for element. It saves the query
 // of a point a reachable micro-cluster's MinPts-radius proves core, as
 // processPoint does (cut (g)), so that what the two differ by is cut (f).
 func processPointUnshortened(r *run, w *worker, i int) {
@@ -52,16 +53,24 @@ func processPointUnshortened(r *run, w *worker, i int) {
 		}
 	}
 	for _, q := range w.nbhd {
-		if q != i {
-			r.linkFromCore(w, int32(i), int32(q))
+		if q != i && r.flags.get(q)&flagCore != 0 {
+			r.uf.Union(i, q)
 		}
 	}
 }
 
+// step3Result is a run's LocalResult before the borders are assigned, with
+// every non-core point's stored neighborhood.
+type step3Result struct {
+	*LocalResult
+	stored map[int32][]int32
+}
+
 // runWithStep3 is runLocal over a built index with step 3's per-point
-// body given: the driver's, or the reference. The borders are left in
-// NoiseNbhd, every non-core point with its stored neighborhood.
-func runWithStep3(pts []geom.Point, eps float64, minPts, localCount, workers int, body func(*run, *worker, int)) *LocalResult {
+// body given: the driver's, or the reference. The halo rows, from localCount
+// on, get the flags exact holds for them in the swap. The borders are left
+// unassigned.
+func runWithStep3(pts []geom.Point, eps float64, minPts, localCount, workers int, exact []bool, body func(*run, *worker, int)) step3Result {
 	r := newRun(mc.Build(pts, eps, minPts, mc.Options{}), eps, minPts, localCount, Options{Workers: workers})
 	r.preliminaryClusters()
 	r.each(localCount, func(w *worker, i int) {
@@ -69,41 +78,55 @@ func runWithStep3(pts []geom.Point, eps float64, minPts, localCount, workers int
 			body(r, w, i)
 		}
 	})
+	r.swap(swapFrom(exact, localCount))
 	r.postProcessCore()
-	return r.result(&Stats{})
+	stored := map[int32][]int32{}
+	for w := range r.workers {
+		for k, e := range r.workers[w].nonCore {
+			stored[e.id] = r.workers[w].stored(k)
+		}
+	}
+	return step3Result{r.result(&Stats{}), stored}
+}
+
+// roots widens a LocalResult's components for samePartition.
+func roots(comp []int32) []int {
+	out := make([]int, len(comp))
+	for i, c := range comp {
+		out[i] = int(c)
+	}
+	return out
 }
 
 // holdToUnshortened runs the driver at 1, 2 and 4 workers against the
-// unshortened reference at one. At one worker everything must be equal as
-// data: components, flags, the Pairs as a list, queries and both promotion
-// counts. At every worker count every non-core point's stored neighborhood
-// must be the reference's, in order: a non-core point's query is always
-// full, whichever micro-clusters it found settled. At more workers, which
-// halo points get promoted, before or after which core links to them,
+// unshortened reference at one, the rows from localCount on playing halo
+// copies whose exact flags (brute force's over pts) the swap brings in. At
+// one worker everything must be equal as data: components, flags, queries and
+// both promotion counts. At every worker count every non-core point's stored
+// neighborhood must be the reference's, in order: a non-core point's query is
+// always full, whichever micro-clusters it found settled. At more workers,
+// which cores get promoted, before or after which core links to them,
 // depends on who was queried first, so what must hold besides is what every
-// schedule owes: the reference's local core flags, its partition of the
-// local cores, and for every local core and every halo point strictly within
-// ε of it either one component or a Pair — and no Pair that is not such a
-// couple. It returns the one-worker result.
-func holdToUnshortened(t *testing.T, pts []geom.Point, eps float64, minPts, localCount int) *LocalResult {
+// schedule owes: the exact core flags, the reference's partition of the
+// local cores, and one component for every local core and every halo core
+// strictly within ε of it. It returns the one-worker result.
+func holdToUnshortened(t *testing.T, pts []geom.Point, eps float64, minPts, localCount int) step3Result {
 	t.Helper()
-	want := runWithStep3(pts, eps, minPts, localCount, 1, processPointUnshortened)
-	var one *LocalResult
+	exact, _ := dbscan.Brute(pts, eps, minPts)
+	want := runWithStep3(pts, eps, minPts, localCount, 1, exact.Core, processPointUnshortened)
+	var one step3Result
 	for _, workers := range []int{1, 2, 4} {
-		got := runWithStep3(pts, eps, minPts, localCount, workers, (*run).processPoint)
-		if !reflect.DeepEqual(got.Core[:localCount], want.Core[:localCount]) {
-			t.Fatalf("workers=%d: local core flags differ from the unshortened pass", workers)
+		got := runWithStep3(pts, eps, minPts, localCount, workers, exact.Core, (*run).processPoint)
+		if !reflect.DeepEqual(got.Core, exact.Core) {
+			t.Fatalf("workers=%d: core flags differ from brute force's", workers)
 		}
-		if !reflect.DeepEqual(got.NoiseNbhd, want.NoiseNbhd) {
-			t.Fatalf("workers=%d: stored neighborhoods\n%v\nunshortened\n%v", workers, got.NoiseNbhd, want.NoiseNbhd)
+		if !reflect.DeepEqual(got.stored, want.stored) {
+			t.Fatalf("workers=%d: stored neighborhoods\n%v\nunshortened\n%v", workers, got.stored, want.stored)
 		}
 		if workers == 1 {
 			one = got
-			if !reflect.DeepEqual(got.Core, want.Core) || !reflect.DeepEqual(got.Comp, want.Comp) {
-				t.Fatalf("halo core flags or components differ from the unshortened pass")
-			}
-			if !reflect.DeepEqual(got.Pairs, want.Pairs) {
-				t.Fatalf("Pairs\n%v\nunshortened\n%v", got.Pairs, want.Pairs)
+			if !reflect.DeepEqual(got.Comp, want.Comp) {
+				t.Fatalf("components differ from the unshortened pass")
 			}
 			g, w := got.Stats, want.Stats
 			if g.Queries != w.Queries || g.WndqFromMCs != w.WndqFromMCs || g.WndqDynamic != w.WndqDynamic {
@@ -112,30 +135,14 @@ func holdToUnshortened(t *testing.T, pts []geom.Point, eps float64, minPts, loca
 			}
 			continue
 		}
-		roots := func(lr *LocalResult) []int {
-			out := make([]int, len(lr.Comp))
-			for i, c := range lr.Comp {
-				out[i] = int(c)
-			}
-			return out
-		}
-		if i, ok := samePartition(roots(got), roots(want), func(i int) bool { return i < localCount && want.Core[i] }); !ok {
+		if i, ok := samePartition(roots(got.Comp), roots(want.Comp), func(i int) bool { return i < localCount && want.Core[i] }); !ok {
 			t.Fatalf("workers=%d: core %d in component %d, unshortened %d", workers, i, got.Comp[i], want.Comp[i])
 		}
 		eps2 := eps * eps
-		for _, pair := range got.Pairs {
-			if a, b := int(pair.A), int(pair.B); a >= localCount || !got.Core[a] || b < localCount || b >= len(pts) || geom.DistSq(pts[a], pts[b]) >= eps2 {
-				t.Fatalf("workers=%d: Pair (%d, %d) is not a local core and a halo point within ε", workers, a, b)
-			}
-		}
-		slices.SortFunc(got.Pairs, comparePairs)
 		for a := 0; a < localCount; a++ {
 			for b := localCount; got.Core[a] && b < len(pts); b++ {
-				if got.Comp[a] == got.Comp[b] || geom.DistSq(pts[a], pts[b]) >= eps2 {
-					continue
-				}
-				if _, paired := slices.BinarySearchFunc(got.Pairs, Pair{A: int32(a), B: int32(b)}, comparePairs); !paired {
-					t.Fatalf("workers=%d: local core %d and halo point %d: neither one component nor a Pair", workers, a, b)
+				if got.Core[b] && got.Comp[a] != got.Comp[b] && geom.DistSq(pts[a], pts[b]) < eps2 {
+					t.Fatalf("workers=%d: local core %d and halo core %d within ε, in two components", workers, a, b)
 				}
 			}
 		}
@@ -318,22 +325,24 @@ func TestShortQueryRerunsUndecidedPoints(t *testing.T) {
 		if one.Core[b] || one.Core[e] || res.Labels[b] != res.Labels[cz] || res.Labels[e] != res.Labels[cz] {
 			t.Fatalf("d=%d: b and e are not borders of Z's cluster", dim)
 		}
-		if got := one.NoiseNbhd[n2]; !slices.Equal(got, []int32{e, n2}) && !slices.Equal(got, []int32{n2, e}) {
+		if got := one.stored[n2]; !slices.Equal(got, []int32{e, n2}) && !slices.Equal(got, []int32{n2, e}) {
 			t.Fatalf("d=%d: n2's stored neighborhood %v", dim, got)
 		}
-		if len(one.NoiseNbhd) != 6 || one.NoiseNbhd[b] == nil || one.NoiseNbhd[e] == nil {
-			t.Fatalf("d=%d: %d stored neighborhoods, want b's, e's and four noise points'", dim, len(one.NoiseNbhd))
+		if len(one.stored) != 6 || one.stored[b] == nil || one.stored[e] == nil {
+			t.Fatalf("d=%d: %d stored neighborhoods, want b's, e's and four noise points'", dim, len(one.stored))
 		}
 	}
 }
 
-// TestShortQueryHaloStripPairs: RunLocal over fat micro-clusters with a strip
-// of halo points through them. A micro-cluster the strip leaves a non-core
-// point in is not whole and is never settled, so every Pair a queried core
-// owes the merge phase is recorded, and one the strip only crosses with points
-// that step 1 proves core stays whole and owes none: Pairs equal the
-// reference's, as a list.
-func TestShortQueryHaloStripPairs(t *testing.T) {
+// TestShortQueryHaloStrip: RunLocal over fat micro-clusters with a strip of
+// halo points through them, some of which only their owners can prove core.
+// Every micro-cluster of at least MinPts members is whole, also where step 1
+// leaves a halo member unproven: the swap promotes the ones that are core
+// into the centre's component, so step 3 may settle such a micro-cluster and
+// step 4 finds it one component, never mixed. The step-by-step run must meet
+// the unshortened reference, and RunLocal the step-by-step run's flags and
+// components.
+func TestShortQueryHaloStrip(t *testing.T) {
 	const eps, minPts = 0.25, 6
 	all := data.HouseholdLike(8000, 5, 1)
 	lo, hi := all[0][0], all[0][0]
@@ -354,29 +363,40 @@ func TestShortQueryHaloStripPairs(t *testing.T) {
 	}
 	localCount := len(pts)
 	pts = append(pts, halo...)
+	exact, _ := dbscan.Brute(pts, eps, minPts)
 
 	one := holdToUnshortened(t, pts, eps, minPts, localCount)
 	r := newRun(mc.Build(pts, eps, minPts, mc.Options{}), eps, minPts, localCount, Options{})
 	r.preliminaryClusters()
-	var whole, crossedWhole, crossedOpen int
+	r.processRemaining()
+	open := map[int]bool{} // fat micro-clusters with a halo member step 1 left unproven that is core
 	for k := 0; k < r.ix.NumMCs(); k++ {
-		crossed := slices.ContainsFunc(r.ix.Members(k), r.isHalo)
-		switch {
-		case r.mcWhole[k] && crossed:
-			crossedWhole++
-		case r.mcWhole[k]:
-			whole++
-		case crossed && len(r.ix.Members(k)) >= 10*minPts:
-			crossedOpen++
+		for _, q := range r.ix.Members(k) {
+			if int(q) >= localCount && exact.Core[q] && r.flags.get(int(q)) == 0 && len(r.ix.Members(k)) >= 10*minPts {
+				open[k] = true
+			}
 		}
 	}
-	if len(halo) < 50 || len(one.Pairs) == 0 || whole == 0 || crossedOpen == 0 || one.Stats.Requeries == 0 {
-		t.Fatalf("%d halo points, %d Pairs, %d whole micro-clusters (%d more with halo members), %d fat ones the strip opens, %d reruns: the set misses its point",
-			len(halo), len(one.Pairs), whole, crossedWhole, crossedOpen, one.Stats.Requeries)
+	r.swap(swapFrom(exact.Core, localCount))
+	r.classifyMCs()
+	for k := range open {
+		root := r.uf.Find(r.ix.CenterID(k))
+		for _, q := range r.ix.Members(k) {
+			if r.flags.get(int(q))&flagCore != 0 && r.uf.Find(int(q)) != root {
+				t.Fatalf("MC %d: core %d is not in the centre's component after the swap", k, q)
+			}
+		}
+		if !r.mcWhole[k] || r.mcClass[k] != int32(r.ix.CenterID(k)) {
+			t.Fatalf("MC %d of %d members: whole %v, class %d; want one component", k, len(r.ix.Members(k)), r.mcWhole[k], r.mcClass[k])
+		}
 	}
-	got := RunLocal(geom.PointSetFromPoints(5, pts), eps, minPts, localCount, Options{})
-	if !reflect.DeepEqual(got.Pairs, one.Pairs) {
-		t.Fatal("RunLocal's Pairs differ from the step-by-step run's")
+	if len(halo) < 50 || len(open) == 0 || one.Stats.Requeries == 0 {
+		t.Fatalf("%d halo points, %d fat micro-clusters the strip opens, %d reruns: the set misses its point",
+			len(halo), len(open), one.Stats.Requeries)
+	}
+	got := RunLocal(geom.PointSetFromPoints(5, pts), eps, minPts, localCount, Options{}, Halo{Swap: swapFrom(exact.Core, localCount)})
+	if _, ok := samePartition(roots(got.Comp), roots(one.Comp), func(i int) bool { return one.Core[i] }); !ok || !reflect.DeepEqual(got.Core, one.Core) {
+		t.Fatal("RunLocal's flags or core components differ from the step-by-step run's")
 	}
 }
 

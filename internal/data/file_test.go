@@ -171,3 +171,38 @@ func TestWriteCSVMatchesReference(t *testing.T) {
 		t.Errorf("WriteCSV of %d rows made %.0f allocations; want only the writer's", len(pts), allocs)
 	}
 }
+
+// TestWriteLabelsAllocs: writeLabels formats every label into the writer's
+// buffer, making room before a label that might not fit, so it allocates the
+// writer and its buffer and nothing per label, and writes what one
+// strconv.Itoa per line writes, the int64 extremes included.
+func TestWriteLabelsAllocs(t *testing.T) {
+	labels := make([]int, 100_000)
+	for i := range labels {
+		labels[i] = i%1000 - 1
+	}
+	labels[7], labels[4093] = math.MinInt64, math.MaxInt64
+	var got, want bytes.Buffer
+	if err := writeLabels(&got, labels); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range labels {
+		want.WriteString(strconv.Itoa(l) + "\n")
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("writeLabels wrote %d bytes differing from one Itoa per line's %d", got.Len(), want.Len())
+	}
+	few := testing.AllocsPerRun(5, func() {
+		if err := writeLabels(io.Discard, labels[:100]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	many := testing.AllocsPerRun(5, func() {
+		if err := writeLabels(io.Discard, labels); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if many > 2 || many != few {
+		t.Errorf("writeLabels made %.0f allocations for %d labels and %.0f for 100; want only the writer's", many, len(labels), few)
+	}
+}

@@ -274,9 +274,18 @@ func WriteLabels(path string, stdout io.Writer, labels []int) error {
 func writeLabels(w io.Writer, labels []int) error {
 	bw := bufio.NewWriter(w)
 	for _, l := range labels {
-		// Formatted straight into the writer's buffer; a write error is
-		// sticky and comes back from Flush.
+		// Formatted straight into the writer's buffer, once it has room for
+		// the longest label and its newline; a write error is sticky and
+		// comes back from Flush.
+		if bw.Available() < maxLabelLen+1 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
 		bw.Write(append(strconv.AppendInt(bw.AvailableBuffer(), int64(l), 10), '\n'))
 	}
 	return bw.Flush()
 }
+
+// maxLabelLen is the longest label, math.MinInt64's 20 bytes.
+const maxLabelLen = 20

@@ -9,19 +9,17 @@
 //
 //	spatial kd partitioning (exact medians; sampled with a sample size)
 //	→ ε-extended halo exchange
-//	→ rank-local clustering (algorithm-specific) under distributed union
-//	  rules: unions touching a non-core halo point are deferred as Pairs
-//	→ merge: owners push exact core flags for the halo copies they
-//	  exported; deferred pairs whose halo side turns out core become union
-//	  edges; each owned point left unassigned joins its core neighbor of
-//	  smallest global id (μDBSCAN-D leaves every owned non-core point
-//	  here, so its borders are brute force's); local components and edges
-//	  are combined into the global clustering.
+//	→ rank-local clustering (algorithm-specific), which swaps exact core
+//	  flags with the owners of its halo copies once its own are exact
+//	→ merge: local components become global union edges.
 //
 // The merge needs no ε-neighborhood queries, matching §V-C. The rank-local
-// clustering of μDBSCAN-D is core.RunLocal; that of the three exact
-// baselines is internal/dbscan's union-find driver, the loop the sequential
-// baselines run, with the halo copies as points it never queries.
+// clustering of μDBSCAN-D is core.RunLocal, which swaps between its steps 3
+// and 4 and so settles every link and border itself. That of the three
+// exact baselines is internal/dbscan's union-find driver, the loop the
+// sequential baselines run, with the halo copies as points it never
+// queries; it swaps at its end, and the merge settles what it deferred as
+// the paper's baselines do (deferredEdges).
 //
 // # Three schedules
 //
@@ -49,11 +47,12 @@
 //   - Options.Remote: this process is one rank of a multi-process world over
 //     real sockets; the sinks fill a payload that is gathered at rank 0.
 //
-// The turnstile cannot deadlock: it is held only around pure computation,
-// never across a Recv, a Wait or a Barrier, so its holder always leaves it.
-// The barrier is what makes the isolation true: without it a rank could be
-// inside the turnstile while a slower one still encodes or decodes halo
-// records on another core.
+// The turnstile cannot deadlock: it is held only around computation, never
+// across a Recv, a Wait or a Barrier. The flag swap steps out of it
+// (turnstile.outside), so a rank blocked on a peer's flags never holds it
+// and every holder either finishes or steps out. The barrier is what makes the isolation true: without it
+// a rank could be inside the turnstile while a slower one still encodes or
+// decodes halo records on another core.
 //
 // All schedules produce byte-identical clusterings, and the conformance
 // tests assert it. Each rank's local result is computed by the same code over
@@ -70,6 +69,7 @@ import (
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
+	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
 	"mudbscan/internal/unionfind"
@@ -150,10 +150,11 @@ func commFailure(err error, st *Stats, comm mpi.Stats) (*clustering.Result, *Sta
 // on all ranks at once, so on a host with fewer cores than ranks their
 // wall-clock is inflated by time-sharing; their true cost in the simulation
 // is the communication volume (Stats.Comm, Stats.MergeBytes). The other
-// phases are computation only — Merge is the time spent building and
-// applying edges, not the time spent waiting for a slower rank's flags —
-// and under ExecSerial they are contention-free as well. The four local
-// steps are the rank-local run's own StepTimes.
+// phases are computation only — the time a rank spends in the flag swap
+// waiting for a slower rank's flags is in none of them, and Merge is the
+// time spent building and applying edges — and under ExecSerial they are
+// contention-free as well. The four local steps are the rank-local run's own
+// StepTimes.
 type PhaseTimes struct {
 	Partition    time.Duration // excluded from Total (offline, §V-D)
 	HaloExchange time.Duration // excluded from Total (see above)
@@ -180,12 +181,14 @@ type Stats struct {
 	NumMCs       int64
 	// HaloPoints is the total number of halo copies exchanged.
 	HaloPoints int64
-	// PairsDeferred is the total number of deferred cross-partition links.
+	// PairsDeferred is the total number of cross-partition links a
+	// baseline deferred to the merge. μDBSCAN-D, which knows its halo
+	// copies' exact flags before step 4, defers none.
 	PairsDeferred int64
 	// Comm is what the mpi runtime carried, under every schedule: the
-	// partition and halo collectives and the merge phase's flag messages
-	// (one byte per halo copy, so those bytes are in MergeBytes too). In a
-	// remote world it is this process's share only.
+	// partition and halo collectives and the flag swap's messages (one byte
+	// per halo copy, so those bytes are in MergeBytes too). In a remote world
+	// it is this process's share only.
 	Comm mpi.Stats
 	// MergeBytes is the merge-phase traffic in bytes: the flags, plus 16
 	// bytes per union edge, accounted analytically because only the remote
@@ -210,8 +213,10 @@ func (s *Stats) QuerySavedPct() float64 {
 
 // localFn runs one rank's local clustering over its one block of points:
 // the first localCount rows are owned by the rank, the rest are the halo
-// copies it received. It reads the block and does not write it.
-type localFn func(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult
+// copies it received. It reads the block and does not write it, and calls
+// halo.Swap exactly once, when its owned rows' core flags are exact. A
+// classic baseline also returns the links it defers to the merge.
+type localFn func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult)
 
 // fold adds one rank's report: counters sum, phase times take the maximum.
 func (st *Stats) fold(o rankOut) {

@@ -62,7 +62,7 @@ func HPDBSCAN(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clus
 // closing pass gives them their links; otherwise every local point is
 // queried (HPDBSCAN).
 func gridLocal(side float64, radius int, denseCells bool) localFn {
-	return func(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult {
+	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
 		combined, n := set.Points(), set.Len()
 		var steps core.StepTimes
 		uf, isCore := unionfind.New(n), make([]bool, n)
@@ -135,6 +135,6 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 				}
 			})
 		}
-		return classicResult(uf, isCore, h, steps)
+		return classicResult(uf, isCore, h, steps, halo)
 	}
 }

@@ -103,8 +103,8 @@ func TestKernelPathByteIdentical(t *testing.T) {
 }
 
 // TestLocalDriverManyWorkers runs every rank's local μDBSCAN on three
-// workers — the halo logic (no queries, no border claims, deferred Pairs) and
-// the multi-worker logic of the one driver at once — and holds the merged
+// workers — the halo logic (no queries, the flag swap and its promotions)
+// and the multi-worker logic of the one driver at once — and holds the merged
 // clustering to brute force on every conformance dataset.
 func TestLocalDriverManyWorkers(t *testing.T) {
 	for _, ds := range conformanceDatasets() {

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mudbscan/internal/clustering"
+	"mudbscan/internal/core"
 	"mudbscan/internal/data"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
@@ -546,33 +548,91 @@ func TestMuDBSCANDPinned(t *testing.T) {
 	}
 }
 
+// TestMuDBSCANDMergeIsComponentsOnly: a μDBSCAN-D rank knows its halo
+// copies' exact core flags before step 4, so it defers no link and gives its
+// borders their clusters itself. Its merge traffic is then one flag byte per
+// halo copy and at most one 16-byte edge per row of any rank's block, on
+// every pinned dataset at every rank count under both schedules.
+func TestMuDBSCANDMergeIsComponentsOnly(t *testing.T) {
+	for _, c := range pinnedCases() {
+		for _, p := range []int{1, 2, 4, 8} {
+			for _, exec := range []Exec{ExecSerial, ExecConcurrent} {
+				_, st, err := MuDBSCAND(c.pts, c.eps, c.minPts, p, Options{Seed: 7, Exec: exec})
+				if err != nil {
+					t.Fatalf("%s p=%d exec=%v: %v", c.name, p, exec, err)
+				}
+				limit := st.HaloPoints + 16*(int64(len(c.pts))+st.HaloPoints)
+				if st.PairsDeferred != 0 || st.MergeBytes > limit {
+					t.Errorf("%s p=%d exec=%v: %d pairs deferred, %d merge bytes (limit %d for %d halo copies)",
+						c.name, p, exec, st.PairsDeferred, st.MergeBytes, limit, st.HaloPoints)
+				}
+			}
+		}
+	}
+}
+
+// TestMuDBSCANDHaloPromotion: halo copies that only their owners can prove
+// core — a strip of household-like 5-d data along every cut, and a dense
+// blob ringed by points that are core only through points beyond every blob
+// point's ε — are linked by the ranks' step 4 after the flag swap. The labels
+// are brute force's at every rank and worker count.
+func TestMuDBSCANDHaloPromotion(t *testing.T) {
+	cases := []confDataset{{"household-like-5d", data.HouseholdLike(8000, 5, 1), 0.25, 6}}
+	for _, dim := range []int{2, 14} {
+		at := func(x, y float64) geom.Point {
+			p := make(geom.Point, dim)
+			p[0], p[dim-1] = x, y
+			return p
+		}
+		cases = append(cases, confDataset{fmt.Sprintf("ringed-blob-%dd", dim), []geom.Point{
+			at(0, 0), at(0, 0), at(0.25, 0), at(0.375, 0), at(0, 0.375), at(-0.25, 0), at(0, -0.375),
+			at(1.125, 0), at(0, 1.25), at(-2.5, 0), at(-0.75, 0),
+			at(1.5, 0), at(1.625, 0), at(1.75, 0), at(0, 1.625), at(0, 1.75), at(0, 2),
+		}, 1, 4})
+	}
+	for _, c := range cases {
+		want, _ := dbscan.Brute(c.pts, c.eps, c.minPts)
+		for _, p := range []int{2, 4, 8} {
+			for _, workers := range []int{1, 2, 4} {
+				got, _, err := MuDBSCAND(c.pts, c.eps, c.minPts, p, Options{Seed: 7, Core: core.Options{Workers: workers}})
+				if err != nil {
+					t.Fatalf("%s p=%d workers=%d: %v", c.name, p, workers, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s p=%d workers=%d: not brute force's labels (%v)", c.name, p, workers, clustering.Equivalent(want, got))
+				}
+			}
+		}
+	}
+}
+
 var muPinned = []struct {
 	name string
 	pins [4]muPin
 }{
 	{"blobs-3d", [4]muPin{
 		{"d05c6c4478e8884f", 134, 236, 164, 0, 4864, 0},
-		{"d05c6c4478e8884f", 162, 249, 151, 581, 14784, 176},
-		{"d05c6c4478e8884f", 182, 238, 162, 876, 19942, 294},
-		{"d05c6c4478e8884f", 226, 242, 158, 1686, 34659, 563},
+		{"d05c6c4478e8884f", 162, 249, 151, 0, 7664, 176},
+		{"d05c6c4478e8884f", 182, 238, 162, 0, 9478, 294},
+		{"d05c6c4478e8884f", 226, 242, 158, 0, 13827, 563},
 	}},
 	{"blobs-2d-small-eps", [4]muPin{
 		{"12d7c868fbc5c446", 128, 144, 206, 0, 3872, 0},
-		{"12d7c868fbc5c446", 139, 141, 209, 179, 7593, 73},
-		{"12d7c868fbc5c446", 147, 145, 205, 129, 7498, 122},
-		{"12d7c868fbc5c446", 176, 142, 208, 915, 22540, 364},
+		{"12d7c868fbc5c446", 139, 141, 209, 0, 5017, 73},
+		{"12d7c868fbc5c446", 147, 145, 205, 0, 5786, 122},
+		{"12d7c868fbc5c446", 176, 142, 208, 0, 9724, 364},
 	}},
 	{"uniform-2d", [4]muPin{
 		{"b26a8f28c97c4d8f", 150, 281, 19, 0, 1808, 0},
-		{"b26a8f28c97c4d8f", 174, 279, 21, 11, 1956, 36},
-		{"b26a8f28c97c4d8f", 197, 280, 20, 19, 2011, 75},
-		{"b26a8f28c97c4d8f", 234, 280, 20, 30, 2181, 133},
+		{"b26a8f28c97c4d8f", 174, 279, 21, 0, 1940, 36},
+		{"b26a8f28c97c4d8f", 197, 280, 20, 0, 2043, 75},
+		{"b26a8f28c97c4d8f", 234, 280, 20, 0, 2245, 133},
 	}},
 	{"skewed-3d", [4]muPin{
 		{"68d6b809346e7bcd", 66, 129, 221, 0, 4944, 0},
-		{"68d6b809346e7bcd", 91, 136, 214, 2304, 43224, 248},
-		{"68d6b809346e7bcd", 121, 142, 208, 3338, 63550, 686},
-		{"68d6b809346e7bcd", 179, 138, 212, 5092, 96082, 1394},
+		{"68d6b809346e7bcd", 91, 136, 214, 0, 9048, 248},
+		{"68d6b809346e7bcd", 121, 142, 208, 0, 16414, 686},
+		{"68d6b809346e7bcd", 179, 138, 212, 0, 28258, 1394},
 	}},
 	{"all-noise", [4]muPin{
 		{"7fbbb3cee1a34f39", 100, 100, 0, 0, 0, 0},
@@ -582,33 +642,33 @@ var muPinned = []struct {
 	}},
 	{"border-tie-1d", [4]muPin{
 		{"413c0541fd1a832d", 2, 3, 8, 0, 144, 0},
-		{"413c0541fd1a832d", 4, 3, 8, 1, 149, 5},
-		{"413c0541fd1a832d", 7, 1, 10, 21, 496, 16},
-		{"413c0541fd1a832d", 11, 2, 9, 20, 613, 37},
+		{"413c0541fd1a832d", 4, 3, 8, 0, 181, 5},
+		{"413c0541fd1a832d", 7, 1, 10, 0, 320, 16},
+		{"413c0541fd1a832d", 11, 2, 9, 0, 469, 37},
 	}},
 	{"lattice-dup-2d", [4]muPin{
 		{"b81a379f04a0845d", 36, 162, 18, 0, 2864, 0},
-		{"b81a379f04a0845d", 47, 162, 18, 110, 4699, 75},
-		{"b81a379f04a0845d", 75, 160, 20, 237, 6805, 181},
-		{"b81a379f04a0845d", 110, 153, 27, 415, 9971, 387},
+		{"b81a379f04a0845d", 47, 162, 18, 0, 4123, 75},
+		{"b81a379f04a0845d", 75, 160, 20, 0, 5893, 181},
+		{"b81a379f04a0845d", 110, 153, 27, 0, 9299, 387},
 	}},
 	{"cell-boundary-lattice-2d", [4]muPin{
 		{"a2c19f9be7d51e78", 53, 176, 20, 0, 3056, 0},
-		{"a2c19f9be7d51e78", 66, 179, 17, 34, 3594, 42},
-		{"a2c19f9be7d51e78", 84, 179, 17, 78, 4285, 93},
-		{"a2c19f9be7d51e78", 122, 175, 21, 139, 5264, 192},
+		{"a2c19f9be7d51e78", 66, 179, 17, 0, 3722, 42},
+		{"a2c19f9be7d51e78", 84, 179, 17, 0, 4525, 93},
+		{"a2c19f9be7d51e78", 122, 175, 21, 0, 6048, 192},
 	}},
 	{"hot-cell-skew-2d", [4]muPin{
 		{"b66710c9b1c473ab", 39, 39, 64, 0, 1040, 0},
-		{"b66710c9b1c473ab", 44, 38, 65, 6, 2213, 69},
-		{"b66710c9b1c473ab", 51, 38, 65, 7, 4397, 205},
-		{"b66710c9b1c473ab", 65, 38, 65, 379, 14232, 472},
+		{"b66710c9b1c473ab", 44, 38, 65, 0, 2133, 69},
+		{"b66710c9b1c473ab", 51, 38, 65, 0, 4317, 205},
+		{"b66710c9b1c473ab", 65, 38, 65, 0, 8648, 472},
 	}},
 	{"geo-drift", [4]muPin{
 		{"65549f16ef46471d", 871, 967, 1433, 0, 22752, 0},
 		{"65549f16ef46471d", 872, 967, 1433, 0, 23263, 31},
-		{"65549f16ef46471d", 888, 967, 1433, 18, 25219, 147},
-		{"65549f16ef46471d", 894, 967, 1433, 18, 26209, 209},
+		{"65549f16ef46471d", 888, 967, 1433, 0, 24963, 147},
+		{"65549f16ef46471d", 894, 967, 1433, 0, 25953, 209},
 	}},
 	{"highdim-embed", [4]muPin{
 		{"d7b9f0a0af778109", 41, 35, 1465, 0, 23344, 0},
@@ -618,14 +678,14 @@ var muPinned = []struct {
 	}},
 	{"all-border-ties", [4]muPin{
 		{"6b767dc17f0c0498", 48, 72, 192, 0, 3456, 0},
-		{"6b767dc17f0c0498", 52, 72, 192, 0, 3531, 11},
-		{"6b767dc17f0c0498", 76, 67, 197, 0, 3713, 33},
-		{"6b767dc17f0c0498", 82, 56, 208, 0, 4109, 77},
+		{"6b767dc17f0c0498", 52, 72, 192, 0, 3595, 11},
+		{"6b767dc17f0c0498", 76, 67, 197, 0, 3873, 33},
+		{"6b767dc17f0c0498", 82, 56, 208, 0, 4429, 77},
 	}},
 	{"bursty-arrival", [4]muPin{
 		{"2be5ded5c4f2526b", 241, 283, 1717, 0, 28800, 0},
 		{"2be5ded5c4f2526b", 246, 283, 1717, 0, 28807, 7},
 		{"2be5ded5c4f2526b", 254, 280, 1720, 0, 28817, 17},
-		{"2be5ded5c4f2526b", 300, 291, 1709, 9198, 194917, 1381},
+		{"2be5ded5c4f2526b", 300, 291, 1709, 0, 51765, 1381},
 	}},
 }

@@ -16,16 +16,16 @@ import (
 
 // muLocal is μDBSCAN-D's local algorithm, the one function every schedule
 // calls, for a test to wrap.
-func muLocal(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult {
-	return core.RunLocal(set, eps, minPts, localCount, core.Options{})
+func muLocal(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+	return core.RunLocal(set, eps, minPts, localCount, core.Options{}, halo), dbscan.HaloResult{}
 }
 
 // gauge counts how many goroutines are inside a section at once.
 type gauge struct{ cur, peak atomic.Int32 }
 
-// inside runs fn as one occupant of the section, lingering long enough that
-// any second occupant the schedule lets in is seen.
-func (g *gauge) inside(fn func()) {
+// enter makes the caller one occupant of the section, lingering long enough
+// that any second occupant the schedule lets in is seen.
+func (g *gauge) enter() {
 	n := g.cur.Add(1)
 	for {
 		m := g.peak.Load()
@@ -34,15 +34,29 @@ func (g *gauge) inside(fn func()) {
 		}
 	}
 	time.Sleep(2 * time.Millisecond)
-	fn()
-	g.cur.Add(-1)
 }
 
-// gauged wraps a local algorithm in the gauge.
+func (g *gauge) leave() { g.cur.Add(-1) }
+
+// inside runs fn as one occupant of the section.
+func (g *gauge) inside(fn func()) {
+	g.enter()
+	fn()
+	g.leave()
+}
+
+// gauged wraps a local algorithm in the gauge. The gauge counts compute, so
+// a rank leaves it across the flag swap, where it waits on its peers.
 func gauged(g *gauge, algo localFn) localFn {
-	return func(set *geom.PointSet, eps float64, minPts, localCount int) (lr *core.LocalResult) {
-		g.inside(func() { lr = algo(set, eps, minPts, localCount) })
-		return lr
+	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (lr *core.LocalResult, h dbscan.HaloResult) {
+		swap := halo.Swap
+		halo.Swap = func(isCore []bool) {
+			g.leave()
+			swap(isCore)
+			g.enter()
+		}
+		g.inside(func() { lr, h = algo(set, eps, minPts, localCount, halo) })
+		return lr, h
 	}
 }
 
@@ -134,28 +148,53 @@ func TestCommParityAcrossSchedules(t *testing.T) {
 	}
 }
 
-// TestMergeExcludesStragglerWait: a rank that finishes early blocks in Recv
-// until the slowest rank's flags arrive. That wait is the straggler's local
-// time; Phases.Merge counts the merge's own computation only.
+// TestMergeExcludesStragglerWait: a rank that finishes step 3 early blocks
+// in the flag swap until the slowest rank's flags arrive. That wait is the
+// straggler's local time; Phases.PostProcessing counts step 4's own
+// computation only, and Phases.Merge the merge's. The straggler is late
+// either before its local run or at the end of its step 3, just before it
+// sends its flags.
 func TestMergeExcludesStragglerWait(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := blobs(rng, 800, 3, 4, 0.3, 0.2)
-	var calls atomic.Int32
-	straggling := func(set *geom.PointSet, eps float64, minPts, localCount int) *core.LocalResult {
-		if calls.Add(1) == 1 {
-			time.Sleep(300 * time.Millisecond)
+	const delay = 300 * time.Millisecond
+	for _, arm := range []struct {
+		name     string
+		straggle func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult)
+	}{
+		{"before the local run", func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+			time.Sleep(delay)
+			return muLocal(set, eps, minPts, localCount, halo)
+		}},
+		{"in steps 1-3", func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+			swap := halo.Swap
+			halo.Swap = func(isCore []bool) {
+				time.Sleep(delay)
+				swap(isCore)
+			}
+			return muLocal(set, eps, minPts, localCount, halo)
+		}},
+	} {
+		var calls atomic.Int32
+		straggling := func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+			if calls.Add(1) == 1 {
+				return arm.straggle(set, eps, minPts, localCount, halo)
+			}
+			return muLocal(set, eps, minPts, localCount, halo)
 		}
-		return muLocal(set, eps, minPts, localCount)
-	}
-	_, st, err := runDistributed(pts, 0.5, 5, 4, Options{Seed: 3, Exec: ExecConcurrent}, straggling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.WallClock < 300*time.Millisecond {
-		t.Fatalf("wall clock %v: the straggler did not straggle", st.WallClock)
-	}
-	if st.Phases.Merge >= 150*time.Millisecond {
-		t.Errorf("Phases.Merge = %v includes the wait for the straggler's flags", st.Phases.Merge)
+		_, st, err := runDistributed(pts, 0.5, 5, 4, Options{Seed: 3, Exec: ExecConcurrent}, straggling)
+		if err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		if st.WallClock < delay {
+			t.Fatalf("%s: wall clock %v: the straggler did not straggle", arm.name, st.WallClock)
+		}
+		if st.Phases.PostProcessing >= delay/2 {
+			t.Errorf("%s: Phases.PostProcessing = %v includes the wait for the straggler's flags", arm.name, st.Phases.PostProcessing)
+		}
+		if st.Phases.Merge >= delay/2 {
+			t.Errorf("%s: Phases.Merge = %v includes the wait for the straggler's flags", arm.name, st.Phases.Merge)
+		}
 	}
 }
 

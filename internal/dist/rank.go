@@ -7,21 +7,23 @@ import (
 	"time"
 
 	"mudbscan/internal/core"
+	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
 	"mudbscan/internal/partition"
 )
 
-// flagTag carries the merge phase's exact-core flag pushes; distinct from
-// every tag the partition and halo phases use.
+// flagTag carries the one exchange of exact core flags for halo copies;
+// distinct from every tag the partition and halo phases use.
 //
 //mulint:wire mpi-tag
 const flagTag = -1081
 
 // turnstile is the serial schedule's compute gate: do admits one rank at a
-// time. A nil turnstile admits everyone. It is never held across a blocking
-// mpi call — the functions passed to do only compute — so a rank inside it
-// always comes out, and a rank waiting for it is waiting only for that.
+// time. A nil turnstile admits everyone. The functions passed to do only
+// compute, but for the flag swap inside a rank-local run, which blocks in mpi
+// and so runs outside: a rank inside the turnstile always comes out, and a
+// rank waiting for it is waiting only for that.
 type turnstile struct{ mu sync.Mutex }
 
 // do runs fn, alone if t is non-nil, and returns how long fn took.
@@ -31,6 +33,16 @@ func (t *turnstile) do(fn func()) time.Duration {
 		defer t.mu.Unlock()
 	}
 	return timed(fn)
+}
+
+// outside runs fn, called from inside do, with the turnstile released: the
+// holder steps out to block in mpi, and waits its turn again to come back.
+func (t *turnstile) outside(fn func()) {
+	if t != nil {
+		t.mu.Unlock()
+		defer t.mu.Lock()
+	}
+	fn()
 }
 
 // timed runs fn and returns how long it took.
@@ -78,15 +90,16 @@ func decodeRankOut(s [mergeStatFields]int64) rankOut {
 }
 
 // runRank is one rank's trip through Algorithm 9, the only spelling of it:
-// kd partitioning, ε-halo exchange, rank-local clustering, query-free merge.
-// A schedule varies its turnstile and its two sinks, and nothing else:
+// kd partitioning, ε-halo exchange, rank-local clustering with the one
+// exchange of exact halo core flags inside it, query-free merge. A schedule
+// varies its turnstile and its two sinks, and nothing else:
 //
 //   - turn: nil lets every rank compute at once; a shared turnstile (the
 //     serial simulation) holds every rank at a barrier until all halos have
 //     landed, and then runs each compute section — local clustering,
-//     component edges, deferred edges — alone inside it.
+//     merge edges — alone inside it, stepping out for the flag swap.
 //   - own receives the rank's owned global ids with their exact core flags.
-//   - union receives the rank's union edges, in two batches.
+//   - union receives the rank's union edges.
 //
 // The sinks are called inside the turnstile, so under the serial schedule
 // the time they take is part of the isolated merge time.
@@ -124,67 +137,73 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 		c.Barrier()
 	}
 
+	// The flag swap, which the local run calls once, when its owned rows'
+	// core flags are exact: one byte to each peer per row exported there, in
+	// sentTo's order, and one back per halo copy, in the order the copies were
+	// decoded. It steps out of the turnstile, and its wait for a slower rank's
+	// flags is that rank's local time, in no phase of this rank's.
+	var swapErr error
+	swap := func(isCore []bool) {
+		turn.outside(func() {
+			for dst := 0; dst < p; dst++ {
+				if dst == rank {
+					continue
+				}
+				fl := make([]byte, len(sentTo[dst]))
+				for k, li := range sentTo[dst] {
+					if isCore[li] {
+						fl[k] = 1
+					}
+				}
+				out.mergeBytes += int64(len(fl))
+				c.Isend(dst, flagTag, fl)
+			}
+			cur := localCount
+			for src := 0; src < p; src++ {
+				if src == rank {
+					continue
+				}
+				fl := c.Recv(src, flagTag)
+				if len(fl) != haloFrom[src] {
+					swapErr = fmt.Errorf("dist: rank %d got %d flags from %d, want %d", rank, len(fl), src, haloFrom[src])
+					return
+				}
+				for _, b := range fl {
+					isCore[cur] = b != 0
+					cur++
+				}
+			}
+		})
+	}
+
 	// Phase 3: rank-local clustering.
 	var lr *core.LocalResult
+	var deferred dbscan.HaloResult
 	turn.do(func() {
 		if localCount == 0 {
 			// A rank that owns no points may still hold halo copies (extreme
 			// skew): nothing is core, every point is its own component.
 			lr = inertLocalResult(len(gids))
+			swap(lr.Core)
 			return
 		}
-		lr = algo(set, eps, minPts, localCount)
+		lr, deferred = algo(set, eps, minPts, localCount, core.Halo{IDs: gids, Swap: swap})
 	})
+	if swapErr != nil {
+		return out, swapErr
+	}
 	out.phases.StepTimes = lr.Stats.Steps
 	out.queries = int64(lr.Stats.Queries)
 	out.queriesSaved = int64(lr.Stats.QueriesSaved)
 	out.numMCs = int64(lr.Stats.NumMCs)
-	out.pairsDeferred = int64(len(lr.Pairs))
+	out.pairsDeferred = int64(len(deferred.Pairs))
 
-	// Phase 4: merge. Push the exact core flag of every exported halo copy,
-	// and do the part of the merge that does not need the peers' flags while
-	// they fly. Merge time is the two compute sections only: time blocked in
-	// Recv on a slower rank's flags is that rank's local time, not merge.
-	for dst := 0; dst < p; dst++ {
-		if dst == rank {
-			continue
-		}
-		fl := make([]byte, len(sentTo[dst]))
-		for k, li := range sentTo[dst] {
-			if lr.Core[li] {
-				fl[k] = 1
-			}
-		}
-		out.mergeBytes += int64(len(fl))
-		c.Isend(dst, flagTag, fl)
-	}
+	// Phase 4: merge. Every flag is exact by now, so it is one compute
+	// section: the local components as global edges, and a baseline's
+	// deferred links.
 	out.phases.Merge = turn.do(func() {
 		own(gids[:localCount], lr.Core[:localCount])
-		edges := componentEdges(lr, gids)
-		out.mergeBytes += int64(len(edges) * 16)
-		union(edges)
-	})
-
-	exact := make([]bool, len(gids))
-	copy(exact, lr.Core)
-	cur := localCount
-	for src := 0; src < p; src++ {
-		if src == rank {
-			continue
-		}
-		fl := c.Recv(src, flagTag)
-		if len(fl) != haloFrom[src] {
-			return out, fmt.Errorf("dist: rank %d got %d flags from %d, want %d", rank, len(fl), src, haloFrom[src])
-		}
-		for _, b := range fl {
-			if b != 0 {
-				exact[cur] = true
-			}
-			cur++
-		}
-	}
-	out.phases.Merge += turn.do(func() {
-		edges := deferredEdges(lr, gids, exact)
+		edges := append(componentEdges(lr, gids), deferredEdges(lr.Core, deferred, gids)...)
 		out.mergeBytes += int64(len(edges) * 16)
 		union(edges)
 	})
@@ -198,17 +217,11 @@ func inertLocalResult(n int) *core.LocalResult {
 	for i := range comp {
 		comp[i] = int32(i)
 	}
-	return &core.LocalResult{
-		Core:      make([]bool, n),
-		Comp:      comp,
-		NoiseNbhd: map[int32][]int32{},
-		Stats:     &core.Stats{},
-	}
+	return &core.LocalResult{Core: make([]bool, n), Comp: comp, Stats: &core.Stats{}}
 }
 
 // componentEdges expresses the rank-local union-find components as global-id
-// edges. It needs no exact halo flags, so it runs while the flag messages
-// are still in flight.
+// edges.
 func componentEdges(lr *core.LocalResult, gids []int64) [][2]int64 {
 	var edges [][2]int64
 	for i := range gids {
@@ -219,28 +232,28 @@ func componentEdges(lr *core.LocalResult, gids []int64) [][2]int64 {
 	return edges
 }
 
-// deferredEdges resolves the parts of the merge that depend on the exact
-// halo core flags: deferred pairs whose halo side turns out core, and the
+// deferredEdges resolves, with the exact core flags, the links a classic
+// baseline deferred to the merge: pairs whose halo side is core, and the
 // border pass, which gives every point left in NoiseNbhd to its core
 // neighbor of smallest global id — dbscan.Brute's rule, which an owned
 // point's complete neighborhood decides. No neighborhood queries are needed
-// (§V-C).
-func deferredEdges(lr *core.LocalResult, gids []int64, exactCore []bool) [][2]int64 {
+// (§V-C). μDBSCAN-D defers nothing.
+func deferredEdges(isCore []bool, h dbscan.HaloResult, gids []int64) [][2]int64 {
 	var edges [][2]int64
-	for _, pr := range lr.Pairs {
-		if exactCore[pr.B] {
-			edges = append(edges, [2]int64{gids[pr.A], gids[pr.B]})
+	for _, pr := range h.Pairs {
+		if isCore[pr[1]] {
+			edges = append(edges, [2]int64{gids[pr[0]], gids[pr[1]]})
 		}
 	}
-	noiseIDs := make([]int32, 0, len(lr.NoiseNbhd))
-	for id := range lr.NoiseNbhd {
+	noiseIDs := make([]int32, 0, len(h.NoiseNbhd))
+	for id := range h.NoiseNbhd {
 		noiseIDs = append(noiseIDs, id)
 	}
 	sort.Slice(noiseIDs, func(a, b int) bool { return noiseIDs[a] < noiseIDs[b] })
 	for _, id := range noiseIDs {
 		best := int64(-1)
-		for _, q := range lr.NoiseNbhd[id] {
-			if exactCore[q] && (best < 0 || gids[q] < best) {
+		for _, q := range h.NoiseNbhd[id] {
+			if isCore[q] && (best < 0 || gids[q] < best) {
 				best = gids[q]
 			}
 		}
