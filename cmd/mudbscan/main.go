@@ -18,9 +18,8 @@
 //
 // -stats prints to stderr. Its first line gives read= (the input parse) and,
 // on the run's line, time= (the run after it). -mode dist adds the
-// cross-partition pairs a baseline defers to the merge (pairs=, 0 for
-// μDBSCAN-D), the merge-phase bytes (mergeBytes=) and a phases: line with
-// the slowest rank's partition, halo, four steps and merge.
+// merge-phase bytes (mergeBytes=) and a phases: line with the slowest
+// rank's partition, halo, four steps and merge.
 //
 // -mode takes the names of mudbscan.Engine. -mode seq is the sequential
 // μR-tree engine, -mode cell the grid cell engine (typically faster at low
@@ -196,10 +195,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 		var st *mudbscan.DistStats
 		result, st, err = mudbscan.ClusterDistributed(rows(), *eps, *minPts, *ranks, distOpts...)
 		if err == nil && *stats {
-			fmt.Fprintf(stderr, "n=%d ranks=%d m=%d halo=%d pairs=%d mergeBytes=%d commBytes=%d wallclock=%v simulated=%v read=%v time=%v\n",
-				set.Len(), st.Ranks, st.NumMCs, st.HaloPoints, st.PairsDeferred, st.MergeBytes, st.Comm.TotalBytes(),
-				st.WallClock, st.Phases.Total(), read, time.Since(start))
-			printDistStats(stderr, st)
+			printDistStats(stderr, set.Len(), "", st, read, time.Since(start))
 		}
 	} else {
 		var st *mudbscan.SeqStats
@@ -247,11 +243,19 @@ func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqS
 		st.Steps.Clustering, st.Steps.PostProcessing)
 }
 
-// printDistStats writes the -mode dist -stats lines after the first: each
-// phase's time on its slowest rank (partition and halo exchange, the four
-// steps, the merge), then the envelope protocol's counters, where a clean
-// network shows only envBytes.
-func printDistStats(w io.Writer, st *mudbscan.DistStats) {
+// printDistStats writes the -mode dist -stats lines of a run over n points,
+// in process or, with net naming the network, as rank 0 of a -net world:
+// the counters with the input parse (read) and the run after it (time),
+// then each phase's time on its slowest rank (partition and halo exchange,
+// the four steps, the merge), then the envelope protocol's counters, where
+// a clean network shows only envBytes.
+func printDistStats(w io.Writer, n int, net string, st *mudbscan.DistStats, read, elapsed time.Duration) {
+	if net != "" {
+		net = " net=" + net
+	}
+	fmt.Fprintf(w, "n=%d ranks=%d%s m=%d halo=%d mergeBytes=%d commBytes=%d wallclock=%v simulated=%v read=%v time=%v\n",
+		n, st.Ranks, net, st.NumMCs, st.HaloPoints, st.MergeBytes, st.Comm.TotalBytes(),
+		st.WallClock, st.Phases.Total(), read, elapsed)
 	ph := st.Phases
 	fmt.Fprintf(w, "phases: partition=%v halo=%v tree=%v reach=%v cluster=%v post=%v merge=%v\n",
 		ph.Partition, ph.HaloExchange, ph.TreeConstruction, ph.FindingReachable,

@@ -183,7 +183,7 @@ func TestStreamModeMatchesSeq(t *testing.T) {
 }
 
 // TestStatsLines: -stats opens with the input parse (read=) in every mode,
-// and -mode dist adds the deferred pairs, the merge bytes and a line of
+// and -mode dist adds the merge bytes, the simulated time and a line of
 // per-phase times.
 func TestStatsLines(t *testing.T) {
 	for _, mode := range []string{"seq", "shared", "cell", "auto", "dist", "stream"} {
@@ -199,7 +199,7 @@ func TestStatsLines(t *testing.T) {
 		if mode != "dist" {
 			continue
 		}
-		for _, field := range []string{" pairs=", " mergeBytes=", " time="} {
+		for _, field := range []string{" mergeBytes=", " simulated=", " time="} {
 			if !strings.Contains(lines[0], field) {
 				t.Errorf("dist: first stats line %q has no%s", lines[0], field)
 			}

@@ -112,10 +112,7 @@ func runNetRank(cfg *netConfig, pts []geom.Point, eps float64, minPts int, showS
 		return nil // rank 0 owns the assembled clustering
 	}
 	if showStats {
-		fmt.Fprintf(stderr, "n=%d ranks=%d net=%s m=%d halo=%d pairs=%d mergeBytes=%d commBytes=%d wallclock=%v read=%v time=%v\n",
-			len(pts), st.Ranks, cfg.network, st.NumMCs, st.HaloPoints, st.PairsDeferred, st.MergeBytes, st.Comm.TotalBytes(),
-			st.WallClock, read, time.Since(start))
-		printDistStats(stderr, st)
+		printDistStats(stderr, len(pts), cfg.network, st, read, time.Since(start))
 		fmt.Fprintf(stderr, "clusters=%d cores=%d noise=%d\n",
 			result.NumClusters, result.NumCorePoints(), result.NumNoise())
 	}

@@ -218,7 +218,7 @@ func TestLaunchMode(t *testing.T) {
 	if string(b) != want.String() {
 		t.Fatalf("launched labels differ:\n%q\nwant:\n%q", b, want.String())
 	}
-	for _, field := range []string{"clusters=", " read=", " pairs=", "phases: "} {
+	for _, field := range []string{"clusters=", " net=tcp", " read=", " mergeBytes=", "phases: "} {
 		if !strings.Contains(stderr.String(), field) {
 			t.Fatalf("rank 0 stats did not flow through (no %s): %q", field, stderr.String())
 		}

@@ -370,76 +370,87 @@ func TestNeighborEnumCountSaturates(t *testing.T) {
 	}
 }
 
-// TestUnionFindHalo: points from localCount on are halo copies — never
-// queried, never claimed — a core's link to a non-core copy is a deferred
-// pair, and only a noise point with a copy in reach keeps its neighborhood.
-// With localCount == n (a sequential run) nothing is deferred or kept.
-func TestUnionFindHalo(t *testing.T) {
-	// Owned 0…3 at 0, 1, 2, 10; copies 4, 5 at 3, 10.5. ε 1.5, MinPts 3.
-	pts := []geom.Point{{0}, {1}, {2}, {10}, {3}, {10.5}}
-	run := func(localCount int) (HaloResult, []bool, *unionfind.UF, []int) {
-		uf := unionfind.New(len(pts))
-		core := make([]bool, len(pts))
-		var queried []int
-		h := UnionFind(uf, localCount, 3, core, nil, func(i int) []int {
-			queried = append(queried, i)
-			var nbhd []int
-			for j, q := range pts {
-				if geom.DistSq(pts[i], q) < 1.5*1.5 {
-					nbhd = append(nbhd, j)
-				}
+// haloQuery is the brute-force strict-ε query over pts for the halo driver
+// tests, logging the points it is asked about.
+func haloQuery(pts []geom.Point, eps float64, queried *[]int) func(i int) []int {
+	return func(i int) []int {
+		*queried = append(*queried, i)
+		var nbhd []int
+		for j, q := range pts {
+			if geom.DistSq(pts[i], q) < eps*eps {
+				nbhd = append(nbhd, j)
 			}
-			return nbhd
-		})
-		return h, core, uf, queried
-	}
-
-	h, core, uf, queried := run(4)
-	if !reflect.DeepEqual(queried, []int{0, 1, 2, 3}) || h.Queries != 4 {
-		t.Fatalf("queried %v (%d queries), want the four owned points", queried, h.Queries)
-	}
-	if !reflect.DeepEqual(core, []bool{false, true, true, false, false, false}) {
-		t.Fatalf("core %v", core)
-	}
-	if !uf.Same(0, 1) || !uf.Same(1, 2) || uf.Same(2, 4) {
-		t.Fatal("border 0 must be claimed and copy 4 left to the merge")
-	}
-	if !reflect.DeepEqual(h.Pairs, [][2]int32{{2, 4}}) {
-		t.Fatalf("pairs %v, want [[2 4]]", h.Pairs)
-	}
-	if !reflect.DeepEqual(h.NoiseNbhd, map[int32][]int32{3: {3, 5}}) {
-		t.Fatalf("noise neighborhoods %v, want only point 3's", h.NoiseNbhd)
-	}
-
-	h, _, _, queried = run(len(pts))
-	if len(queried) != len(pts) || h.Pairs != nil || h.NoiseNbhd != nil {
-		t.Fatalf("sequential run: %d queries, pairs %v, noise %v", len(queried), h.Pairs, h.NoiseNbhd)
+		}
+		return nbhd
 	}
 }
 
-// TestUnionFindDropsClaimedNoise: a point that stores its neighborhood for
-// want of a core neighbor, with a halo copy in reach, and is claimed by a
-// later core's query is a border of that core's cluster, not provisional
-// noise: the merge must not see it in NoiseNbhd.
+// TestUnionFindHalo: points from localCount on are halo copies — never
+// queried, never claimed. A core's link to a copy not known core waits for
+// Settle, which makes it only if the swap found the copy core, and a point
+// with no core neighbor but a copy in reach joins, in Settle, its core copy
+// of smallest global id, whatever the rows' order. A sequential run
+// (localCount == n) leaves nothing to settle.
+func TestUnionFindHalo(t *testing.T) {
+	// Owned 0…3 at 0, 0.5, 1, 10; copies 4…7 at −1, 2, 9, 11. ε 1.5,
+	// MinPts 4: 0 and 2 are core and link to copies 4 and 2 to 5; point 3
+	// finds only copies 6 and 7.
+	pts := []geom.Point{{0}, {0.5}, {1}, {10}, {-1}, {2}, {9}, {11}}
+	var queried []int
+	uf := unionfind.New(len(pts))
+	core := make([]bool, len(pts))
+	h := UnionFind(uf, 4, 4, core, nil, haloQuery(pts, 1.5, &queried))
+	if !reflect.DeepEqual(queried, []int{0, 1, 2, 3}) || h.Queries != 4 {
+		t.Fatalf("queried %v (%d queries), want the four owned points", queried, h.Queries)
+	}
+	if !reflect.DeepEqual(core, []bool{true, false, true, false, false, false, false, false}) {
+		t.Fatalf("core %v", core)
+	}
+	if !uf.Same(0, 1) || !uf.Same(0, 2) || uf.Same(0, 4) || uf.Same(2, 5) || uf.Same(3, 6) || uf.Same(3, 7) {
+		t.Fatal("border 1 must be claimed and every link to a copy left to Settle")
+	}
+
+	// The swap: copy 4 is core on its owner, 5 is not, 6 and 7 are; 7's
+	// global id is the smaller though its row comes later.
+	copy(core[4:], []bool{true, false, true, true})
+	gids := []int64{10, 11, 12, 13, 20, 21, 31, 30}
+	h.Settle(uf, core, gids)
+	if !uf.Same(0, 4) {
+		t.Error("the pair to core copy 4 was not joined")
+	}
+	if uf.Same(2, 5) {
+		t.Error("the pair to non-core copy 5 was joined")
+	}
+	if !uf.Same(3, 7) || uf.Same(3, 6) {
+		t.Errorf("point 3 joined copy 6 (gid 31) or not copy 7 (gid 30): same(3,6)=%v same(3,7)=%v", uf.Same(3, 6), uf.Same(3, 7))
+	}
+
+	queried = nil
+	h = UnionFind(unionfind.New(len(pts)), len(pts), 4, make([]bool, len(pts)), nil, haloQuery(pts, 1.5, &queried))
+	if len(queried) != len(pts) || h.pairs != nil || h.unclaimed != nil {
+		t.Fatalf("sequential run: %d queries, pairs %v, unclaimed %v", len(queried), h.pairs, h.unclaimed)
+	}
+}
+
+// TestUnionFindDropsClaimedNoise: a point that found no core neighbor but a
+// halo copy, and that a later core's query claimed, is a border of that
+// core's cluster: Settle leaves it with its claimer even when the copy
+// turns out core with the smallest global id (the baselines' first-claim
+// rule), which would bridge the two clusters through a non-core point.
 func TestUnionFindDropsClaimedNoise(t *testing.T) {
 	// Owned 0…3 at 0, 1, 2, 1.5; copy 4 at −1. ε 1.5, MinPts 4: point 0's
 	// query finds 1 and the copy and no core; point 1's finds four.
 	pts := []geom.Point{{0}, {1}, {2}, {1.5}, {-1}}
 	uf := unionfind.New(len(pts))
 	core := make([]bool, len(pts))
-	h := UnionFind(uf, 4, 4, core, nil, func(i int) []int {
-		var nbhd []int
-		for j, q := range pts {
-			if geom.DistSq(pts[i], q) < 1.5*1.5 {
-				nbhd = append(nbhd, j)
-			}
-		}
-		return nbhd
-	})
+	var queried []int
+	h := UnionFind(uf, 4, 4, core, nil, haloQuery(pts, 1.5, &queried))
 	if !reflect.DeepEqual(core, []bool{false, true, false, false, false}) || !uf.Same(0, 1) {
 		t.Fatalf("core %v; point 0 must be claimed by 1", core)
 	}
-	if len(h.NoiseNbhd) != 0 || h.Pairs != nil {
-		t.Fatalf("noise neighborhoods %v, pairs %v; want none", h.NoiseNbhd, h.Pairs)
+	core[4] = true
+	h.Settle(uf, core, []int64{10, 11, 12, 13, 0})
+	if uf.Same(0, 4) {
+		t.Fatal("Settle gave the claimed point 0 to copy 4 as well")
 	}
 }

@@ -47,19 +47,22 @@ func (s Stats) QuerySavedPct() float64 {
 }
 
 // HaloResult is what a UnionFind run leaves besides the union-find
-// structure and the core flags: its counters and the state a distributed
-// merge needs to settle the links that depend on halo copies. A run without
-// halo copies leaves Pairs and NoiseNbhd empty. Stats.DistCalcs is the
-// caller's to fill.
+// structure and the core flags: its counters, and the links that wait on
+// the exact core flags of halo copies, which Settle makes once they are
+// known. A run without halo copies leaves nothing to settle. Stats.DistCalcs
+// is the caller's to fill.
 type HaloResult struct {
 	Stats
-	// Pairs are the deferred links {A, B} from a core A to a halo copy B
-	// that is not known to be core here; B's owner decides.
-	Pairs [][2]int32
-	// NoiseNbhd holds the ε-neighborhood of every owned point that found no
-	// core neighbor while a halo copy was in reach and that no later query
-	// claimed: only such a copy can still turn out core and claim it.
-	NoiseNbhd map[int32][]int32
+	// pairs are the links {A, B} from a core A to a halo copy B that was
+	// not known core when A's query ran.
+	pairs [][2]int32
+	// unclaimed holds, in id order, every owned point whose query found no
+	// core neighbor but a halo copy, as one run [i, k, q1, …, qk] of the
+	// point and its k-point neighborhood: only such a copy can still turn
+	// out core and claim it.
+	unclaimed []int32
+	// assigned marks the non-core points a query claimed as borders.
+	assigned []bool
 }
 
 // UnionFind is the disjoint-set cluster-formation driver: one
@@ -67,8 +70,8 @@ type HaloResult struct {
 // non-core neighbors as borders. The points are uf's elements; the first
 // localCount are owned by the run (all of them for a sequential run) and the
 // rest are halo copies owned elsewhere: a copy is never queried and never
-// claimed as a border, and a core's link to a copy that is not core becomes
-// a deferred Pair.
+// claimed as a border, and a core's link to a copy that is not core waits
+// for HaloResult.Settle.
 //
 // query(i) must return the ids of all points strictly within eps of point i,
 // including i itself; the driver is done with the slice before the next
@@ -83,8 +86,7 @@ type HaloResult struct {
 // owned or pre-marked points is claimed by that core's query or claims it
 // in its own, whichever runs first.
 func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, query func(i int) []int) HaloResult {
-	var h HaloResult
-	assigned := make([]bool, uf.Len()) // the non-core points claimed as borders
+	h := HaloResult{assigned: make([]bool, uf.Len())}
 	for i := 0; i < localCount; i++ {
 		if skip != nil && skip[i] {
 			h.QueriesSaved++
@@ -100,11 +102,10 @@ func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, quer
 				case core[q]:
 					uf.Union(i, q)
 				case q >= localCount:
-					h.Pairs = append(h.Pairs, [2]int32{int32(i), int32(q)})
-				case !assigned[q]:
+					h.pairs = append(h.pairs, [2]int32{int32(i), int32(q)})
+				case !h.assigned[q]:
 					uf.Union(i, q)
-					assigned[q] = true
-					delete(h.NoiseNbhd, int32(q)) // stored by its own, earlier query
+					h.assigned[q] = true
 				}
 			}
 			continue
@@ -112,35 +113,55 @@ func UnionFind(uf *unionfind.UF, localCount, minPts int, core, skip []bool, quer
 		// Self-attach to the first core neighbor, but never re-attach a
 		// border already claimed by a cluster: that would bridge two
 		// clusters through a non-core point.
-		if assigned[i] {
+		if h.assigned[i] {
 			continue
 		}
 		halo := false
 		for _, q := range nbhd {
 			if core[q] {
 				uf.Union(i, q)
-				assigned[i] = true
+				h.assigned[i] = true
 				break
 			}
 			halo = halo || q >= localCount
 		}
-		if halo && !assigned[i] {
-			h.keepNoise(i, nbhd)
+		if halo && !h.assigned[i] {
+			h.unclaimed = append(h.unclaimed, int32(i), int32(len(nbhd)))
+			for _, q := range nbhd {
+				h.unclaimed = append(h.unclaimed, int32(q))
+			}
 		}
 	}
 	return h
 }
 
-// keepNoise stores the neighborhood of provisional-noise point i.
-func (h *HaloResult) keepNoise(i int, nbhd []int) {
-	if h.NoiseNbhd == nil {
-		h.NoiseNbhd = make(map[int32][]int32)
+// Settle makes the links the run left waiting, once core holds the halo
+// copies' exact flags: it joins each pair whose copy is core, and each
+// unclaimed point to its core neighbor of smallest global id (gids[i] is row
+// i's) — dbscan.Brute's rule, which the point's complete neighborhood
+// decides. A point that a later query claimed keeps its claimer.
+func (h *HaloResult) Settle(uf *unionfind.UF, core []bool, gids []int64) {
+	for _, pr := range h.pairs {
+		if core[pr[1]] {
+			uf.Union(int(pr[0]), int(pr[1]))
+		}
 	}
-	nb := make([]int32, len(nbhd))
-	for k, q := range nbhd {
-		nb[k] = int32(q)
+	for run := h.unclaimed; len(run) > 0; {
+		i, nbhd := run[0], run[2:2+run[1]]
+		run = run[2+run[1]:]
+		if h.assigned[i] {
+			continue
+		}
+		best := int32(-1)
+		for _, q := range nbhd {
+			if core[q] && (best < 0 || gids[q] < gids[best]) {
+				best = q
+			}
+		}
+		if best >= 0 {
+			uf.Union(int(i), int(best))
+		}
 	}
-	h.NoiseNbhd[int32(i)] = nb
 }
 
 // finish converts the union-find state into a dense clustering result.

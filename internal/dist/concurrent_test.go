@@ -42,8 +42,7 @@ func TestConcurrentDeterministic(t *testing.T) {
 				continue
 			}
 			requireSameResult(t, fmt.Sprintf("p=%d run=%d", p, run), ref, got)
-			if st.HaloPoints != refSt.HaloPoints || st.PairsDeferred != refSt.PairsDeferred ||
-				st.MergeBytes != refSt.MergeBytes || st.NumMCs != refSt.NumMCs ||
+			if st.HaloPoints != refSt.HaloPoints || st.MergeBytes != refSt.MergeBytes || st.NumMCs != refSt.NumMCs ||
 				st.Queries != refSt.Queries || st.QueriesSaved != refSt.QueriesSaved {
 				t.Fatalf("p=%d run=%d: work accounting not deterministic:\n%+v\nvs\n%+v",
 					p, run, refSt, st)
@@ -70,9 +69,6 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 		requireSameResult(t, fmt.Sprintf("p=%d serial vs concurrent", p), ser, con)
 		if conSt.HaloPoints != serSt.HaloPoints {
 			t.Fatalf("p=%d halo points %d vs %d", p, conSt.HaloPoints, serSt.HaloPoints)
-		}
-		if conSt.PairsDeferred != serSt.PairsDeferred {
-			t.Fatalf("p=%d deferred pairs %d vs %d", p, conSt.PairsDeferred, serSt.PairsDeferred)
 		}
 		if conSt.MergeBytes != serSt.MergeBytes {
 			t.Fatalf("p=%d merge bytes %d vs %d", p, conSt.MergeBytes, serSt.MergeBytes)

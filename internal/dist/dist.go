@@ -13,13 +13,14 @@
 //	  flags with the owners of its halo copies once its own are exact
 //	→ merge: local components become global union edges.
 //
-// The merge needs no ε-neighborhood queries, matching §V-C. The rank-local
-// clustering of μDBSCAN-D is core.RunLocal, which swaps between its steps 3
-// and 4 and so settles every link and border itself. That of the three
-// exact baselines is internal/dbscan's union-find driver, the loop the
-// sequential baselines run, with the halo copies as points it never
-// queries; it swaps at its end, and the merge settles what it deferred as
-// the paper's baselines do (deferredEdges).
+// The merge needs no ε-neighborhood queries, matching §V-C, and it is the
+// same for every algorithm: each rank's components, which already hold every
+// link and owned border the rank owes. The rank-local clustering of
+// μDBSCAN-D is core.RunLocal, which swaps between its steps 3 and 4. That of
+// the three exact baselines is internal/dbscan's union-find driver, the loop
+// the sequential baselines run, with the halo copies as points it never
+// queries; it swaps at its end and then settles the links it left waiting
+// (dbscan.HaloResult.Settle).
 //
 // # Three schedules
 //
@@ -69,7 +70,6 @@ import (
 
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
-	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
 	"mudbscan/internal/unionfind"
@@ -181,10 +181,6 @@ type Stats struct {
 	NumMCs       int64
 	// HaloPoints is the total number of halo copies exchanged.
 	HaloPoints int64
-	// PairsDeferred is the total number of cross-partition links a
-	// baseline deferred to the merge. μDBSCAN-D, which knows its halo
-	// copies' exact flags before step 4, defers none.
-	PairsDeferred int64
 	// Comm is what the mpi runtime carried, under every schedule: the
 	// partition and halo collectives and the flag swap's messages (one byte
 	// per halo copy, so those bytes are in MergeBytes too). In a remote world
@@ -214,9 +210,9 @@ func (s *Stats) QuerySavedPct() float64 {
 // localFn runs one rank's local clustering over its one block of points:
 // the first localCount rows are owned by the rank, the rest are the halo
 // copies it received. It reads the block and does not write it, and calls
-// halo.Swap exactly once, when its owned rows' core flags are exact. A
-// classic baseline also returns the links it defers to the merge.
-type localFn func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult)
+// halo.Swap exactly once, when its owned rows' core flags are exact, and
+// returns components that hold every link and owned border the rank owes.
+type localFn func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult
 
 // fold adds one rank's report: counters sum, phase times take the maximum.
 func (st *Stats) fold(o rankOut) {
@@ -224,7 +220,6 @@ func (st *Stats) fold(o rankOut) {
 	st.QueriesSaved += o.queriesSaved
 	st.NumMCs += o.numMCs
 	st.HaloPoints += o.haloPoints
-	st.PairsDeferred += o.pairsDeferred
 	st.MergeBytes += o.mergeBytes
 	ph, op := &st.Phases, o.phases
 	ph.Partition = max(ph.Partition, op.Partition)

@@ -128,6 +128,45 @@ func TestGridDBSCANDExact(t *testing.T) {
 	}
 }
 
+// TestGridDBSCANDLinksDenseCellsAcrossSplit: two dense cells on the two
+// ranks, each reaching more than ε past the kd split, so that the other rank
+// holds only part of it as halo copies and cannot prove them core. No point
+// is queried but the median point in the gap, which is noise, so only
+// GridDBSCAN-D's closing pass joins the two cells, and only once the flag
+// swap has told each rank that the other cell's copies are core. A dense
+// cell can reach ε past the split and still have a point within ε of the
+// other cell only where 2ε(1−1/√d) < ε, i.e. at d ≤ 3.
+func TestGridDBSCANDLinksDenseCellsAcrossSplit(t *testing.T) {
+	// ε 1, MinPts 4, d 2: cells of side just under 1/√2. Cell A (x in
+	// [−0.71, 0)) has two points at x ≈ −0.69, more than ε left of the
+	// split at the median point's x = 0.35, and two at x ≈ −0.01; cell B
+	// (x in [0.71, 1.41)) mirrors it at x ≈ 0.71 and 1.4. The near points
+	// are 0.72 apart; the median point is more than ε from all of them.
+	pts := []geom.Point{
+		{-0.69, 0.3}, {-0.68, 0.35}, {-0.02, 0.3}, {-0.01, 0.35},
+		{0.35, 1.3},
+		{0.71, 0.3}, {0.72, 0.35}, {1.39, 0.3}, {1.4, 0.35},
+	}
+	want, _ := dbscan.Brute(pts, 1, 4)
+	if want.NumClusters != 1 || want.NumNoise() != 1 {
+		t.Fatalf("fixture: %d clusters and %d noise points, want 1 and 1", want.NumClusters, want.NumNoise())
+	}
+	for _, exec := range []Exec{ExecSerial, ExecConcurrent} {
+		got, st, err := GridDBSCAND(pts, 1, 4, 2, Options{Exec: exec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rank 0 holds B's near points and the median point as copies,
+		// rank 1 A's near points; only the median point is queried.
+		if st.HaloPoints != 5 || st.Queries != 1 || st.QueriesSaved != 8 {
+			t.Fatalf("exec=%v: %d halo copies, %d queries, %d saved; the fixture lost its shape", exec, st.HaloPoints, st.Queries, st.QueriesSaved)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("exec=%v: not brute force's labels (%v)", exec, clustering.Equivalent(want, got))
+		}
+	}
+}
+
 func TestHPDBSCANExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := blobs(rng, 600, 3, 3, 0.3, 0.2)

@@ -59,10 +59,10 @@ func HPDBSCAN(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clus
 // with every query answered from the cells around the point's own. With
 // denseCells true, the members of a cell holding at least MinPts combined
 // points are pre-marked core, unioned and never queried (GridDBSCAN), and a
-// closing pass gives them their links; otherwise every local point is
-// queried (HPDBSCAN).
+// closing pass after the flag swap gives them their links; otherwise every
+// local point is queried (HPDBSCAN).
 func gridLocal(side float64, radius int, denseCells bool) localFn {
-	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
 		combined, n := set.Points(), set.Len()
 		var steps core.StepTimes
 		uf, isCore := unionfind.New(n), make([]bool, n)
@@ -107,13 +107,14 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 			})
 		})
 
-		// The dense-cell cores never queried, so they link up here by
-		// targeted distance checks (the grid analogue of μDBSCAN's
-		// Algorithm 7): to every core in reach, and — as a deferred pair —
-		// to every halo copy in reach that is not known core. A non-core
-		// local point in reach found them in its own query.
+		// The dense-cell cores never queried, so once the flags are exact
+		// they link up by targeted distance checks (the grid analogue of
+		// μDBSCAN's Algorithm 7) to every core in reach, halo copies
+		// included. A non-core local point in reach found them in its own
+		// query.
+		var closing func()
 		if denseCells {
-			steps.PostProcessing = timed(func() {
+			closing = func() {
 				for i := 0; i < localCount; i++ {
 					if !skip[i] {
 						continue
@@ -121,20 +122,14 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 					p := combined[i]
 					grid.VisitNeighborCells(grid.Cell[i], radius, func(members []int32) {
 						for _, q := range members {
-							switch {
-							case int(q) == i:
-							case isCore[q]:
-								if !uf.Same(i, int(q)) && kern(p, combined[q]) < eps2 {
-									uf.Union(i, int(q))
-								}
-							case int(q) >= localCount && kern(p, combined[q]) < eps2:
-								h.Pairs = append(h.Pairs, [2]int32{int32(i), q})
+							if isCore[q] && !uf.Same(i, int(q)) && kern(p, combined[q]) < eps2 {
+								uf.Union(i, int(q))
 							}
 						}
 					})
 				}
-			})
+			}
 		}
-		return classicResult(uf, isCore, h, steps, halo)
+		return classicResult(uf, isCore, &h, steps, halo, closing)
 	}
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
-	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 )
 
@@ -20,7 +19,7 @@ import (
 // flags with the other ranks between its steps 3 and 4, so it settles every
 // link and every owned border itself: the merge is its components alone.
 func MuDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clustering.Result, *Stats, error) {
-	return runDistributed(pts, eps, minPts, p, opts, func(set *geom.PointSet, e float64, mp, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
-		return core.RunLocal(set, e, mp, localCount, opts.Core, halo), dbscan.HaloResult{}
+	return runDistributed(pts, eps, minPts, p, opts, func(set *geom.PointSet, e float64, mp, localCount int, halo core.Halo) *core.LocalResult {
+		return core.RunLocal(set, e, mp, localCount, opts.Core, halo)
 	})
 }

@@ -15,7 +15,7 @@ import (
 // DBSCAN over a single R-tree: one ε-neighborhood query for *every* local
 // point, with no query savings and no two-level index.
 func PDSDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clustering.Result, *Stats, error) {
-	return runDistributed(pts, eps, minPts, p, opts, func(set *geom.PointSet, e float64, mp, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+	return runDistributed(pts, eps, minPts, p, opts, func(set *geom.PointSet, e float64, mp, localCount int, halo core.Halo) *core.LocalResult {
 		var steps core.StepTimes
 		var tree *rtree.Packed
 		steps.TreeConstruction = timed(func() { tree = rtree.BulkLoadSet(0, set, nil) })
@@ -30,6 +30,6 @@ func PDSDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*cl
 				return buf
 			})
 		})
-		return classicResult(uf, isCore, h, steps, halo)
+		return classicResult(uf, isCore, &h, steps, halo, nil)
 	})
 }

@@ -82,18 +82,18 @@ type seqPin struct {
 // distPin is one distributed baseline on one dataset at one rank count; a
 // non-nil err is the error the run must return instead.
 type distPin struct {
-	hash                                  string
-	queries, queriesSaved                 int64
-	pairsDeferred, mergeBytes, haloPoints int64
-	err                                   error
+	hash                   string
+	queries, queriesSaved  int64
+	mergeBytes, haloPoints int64
+	err                    error
 }
 
 // TestBaselinesPinned pins what the classic disjoint-set baselines answer
 // and how much work they report, on all 13 conformance and scenario
 // datasets: the five sequential ones (labels+core hash, queries, saved
 // queries, distance computations) and the three exact distributed ones at
-// p = 1, 2, 4 and 8 (the same hash, queries, saved queries, deferred pairs,
-// merge bytes and halo copies). A change to the union-find driver they share
+// p = 1, 2, 4 and 8 (the same hash, queries, saved queries, merge bytes and
+// halo copies). A change to the union-find driver they share
 // that moves any of these fails here.
 func TestBaselinesPinned(t *testing.T) {
 	cases := pinnedCases()
@@ -132,9 +132,9 @@ func TestBaselinesPinned(t *testing.T) {
 						return
 					}
 					if got := baselineHash(r); got != pin.hash || st.Queries != pin.queries || st.QueriesSaved != pin.queriesSaved ||
-						st.PairsDeferred != pin.pairsDeferred || st.MergeBytes != pin.mergeBytes || st.HaloPoints != pin.haloPoints {
-						t.Errorf("got {%q, %d, %d, %d, %d, %d}, pinned %+v", got, st.Queries, st.QueriesSaved,
-							st.PairsDeferred, st.MergeBytes, st.HaloPoints, pin)
+						st.MergeBytes != pin.mergeBytes || st.HaloPoints != pin.haloPoints {
+						t.Errorf("got {%q, %d, %d, %d, %d}, pinned %+v", got, st.Queries, st.QueriesSaved,
+							st.MergeBytes, st.HaloPoints, pin)
 					}
 				})
 			}
@@ -245,210 +245,210 @@ var distPinned = []struct {
 }{
 	{"blobs-3d", [3][4]distPin{
 		{
-			{"d05c6c4478e8884f", 400, 0, 0, 4864, 0, nil},
-			{"d05c6c4478e8884f", 400, 0, 689, 16000, 176, nil},
-			{"d05c6c4478e8884f", 400, 0, 1012, 21238, 294, nil},
-			{"d05c6c4478e8884f", 400, 0, 2537, 45827, 563, nil},
+			{"d05c6c4478e8884f", 400, 0, 4864, 0, nil},
+			{"d05c6c4478e8884f", 400, 0, 6768, 176, nil},
+			{"d05c6c4478e8884f", 400, 0, 8102, 294, nil},
+			{"d05c6c4478e8884f", 400, 0, 11827, 563, nil},
 		},
 		{
-			{"d05c6c4478e8884f", 387, 13, 0, 4864, 0, nil},
-			{"d05c6c4478e8884f", 387, 13, 626, 15072, 176, nil},
-			{"d05c6c4478e8884f", 387, 13, 949, 20310, 294, nil},
-			{"d05c6c4478e8884f", 387, 13, 2315, 42563, 563, nil},
+			{"d05c6c4478e8884f", 387, 13, 4864, 0, nil},
+			{"d05c6c4478e8884f", 387, 13, 6768, 176, nil},
+			{"d05c6c4478e8884f", 387, 13, 8102, 294, nil},
+			{"d05c6c4478e8884f", 387, 13, 11827, 563, nil},
 		},
 		{
-			{"d05c6c4478e8884f", 400, 0, 0, 4864, 0, nil},
-			{"d05c6c4478e8884f", 400, 0, 689, 16000, 176, nil},
-			{"d05c6c4478e8884f", 400, 0, 1012, 21238, 294, nil},
-			{"d05c6c4478e8884f", 400, 0, 2537, 45827, 563, nil},
+			{"d05c6c4478e8884f", 400, 0, 4864, 0, nil},
+			{"d05c6c4478e8884f", 400, 0, 6768, 176, nil},
+			{"d05c6c4478e8884f", 400, 0, 8102, 294, nil},
+			{"d05c6c4478e8884f", 400, 0, 11827, 563, nil},
 		},
 	}},
 	{"blobs-2d-small-eps", [3][4]distPin{
 		{
-			{"12d7c868fbc5c446", 350, 0, 0, 3872, 0, nil},
-			{"12d7c868fbc5c446", 350, 0, 676, 14745, 73, nil},
-			{"12d7c868fbc5c446", 350, 0, 908, 18490, 122, nil},
-			{"12d7c868fbc5c446", 350, 0, 2794, 48844, 364, nil},
+			{"12d7c868fbc5c446", 350, 0, 3872, 0, nil},
+			{"12d7c868fbc5c446", 350, 0, 4969, 73, nil},
+			{"12d7c868fbc5c446", 350, 0, 5642, 122, nil},
+			{"12d7c868fbc5c446", 350, 0, 8924, 364, nil},
 		},
 		{
-			{"12d7c868fbc5c446", 156, 194, 0, 3872, 0, nil},
-			{"12d7c868fbc5c446", 156, 194, 35, 5449, 73, nil},
-			{"12d7c868fbc5c446", 156, 194, 92, 7002, 122, nil},
-			{"12d7c868fbc5c446", 156, 194, 177, 11660, 364, nil},
+			{"12d7c868fbc5c446", 156, 194, 3872, 0, nil},
+			{"12d7c868fbc5c446", 156, 194, 4985, 73, nil},
+			{"12d7c868fbc5c446", 156, 194, 5722, 122, nil},
+			{"12d7c868fbc5c446", 156, 194, 9420, 364, nil},
 		},
 		{
-			{"12d7c868fbc5c446", 350, 0, 0, 3872, 0, nil},
-			{"12d7c868fbc5c446", 350, 0, 676, 14745, 73, nil},
-			{"12d7c868fbc5c446", 350, 0, 908, 18490, 122, nil},
-			{"12d7c868fbc5c446", 350, 0, 2794, 48844, 364, nil},
+			{"12d7c868fbc5c446", 350, 0, 3872, 0, nil},
+			{"12d7c868fbc5c446", 350, 0, 4969, 73, nil},
+			{"12d7c868fbc5c446", 350, 0, 5642, 122, nil},
+			{"12d7c868fbc5c446", 350, 0, 8924, 364, nil},
 		},
 	}},
 	{"uniform-2d", [3][4]distPin{
 		{
-			{"b26a8f28c97c4d8f", 300, 0, 0, 1808, 0, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 8, 1924, 36, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 15, 1979, 75, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 26, 2133, 133, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1808, 0, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1892, 36, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1947, 75, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 2069, 133, nil},
 		},
 		{
-			{"b26a8f28c97c4d8f", 300, 0, 0, 1808, 0, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 8, 1924, 36, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 15, 1979, 75, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 26, 2133, 133, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1808, 0, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1892, 36, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1947, 75, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 2069, 133, nil},
 		},
 		{
-			{"b26a8f28c97c4d8f", 300, 0, 0, 1808, 0, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 8, 1924, 36, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 15, 1979, 75, nil},
-			{"b26a8f28c97c4d8f", 300, 0, 26, 2133, 133, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1808, 0, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1892, 36, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 1947, 75, nil},
+			{"b26a8f28c97c4d8f", 300, 0, 2069, 133, nil},
 		},
 	}},
 	{"skewed-3d", [3][4]distPin{
 		{
-			{"68d6b809346e7bcd", 350, 0, 0, 4944, 0, nil},
-			{"68d6b809346e7bcd", 350, 0, 3787, 65752, 248, nil},
-			{"68d6b809346e7bcd", 350, 0, 6529, 109966, 686, nil},
-			{"68d6b809346e7bcd", 350, 0, 8627, 144178, 1394, nil},
+			{"68d6b809346e7bcd", 350, 0, 4944, 0, nil},
+			{"68d6b809346e7bcd", 350, 0, 8728, 248, nil},
+			{"68d6b809346e7bcd", 350, 0, 14702, 686, nil},
+			{"68d6b809346e7bcd", 350, 0, 23010, 1394, nil},
 		},
 		{
-			{"68d6b809346e7bcd", 272, 78, 0, 4944, 0, nil},
-			{"68d6b809346e7bcd", 272, 78, 1659, 32952, 248, nil},
-			{"68d6b809346e7bcd", 272, 78, 3150, 59566, 686, nil},
-			{"68d6b809346e7bcd", 272, 78, 4591, 86530, 1394, nil},
+			{"68d6b809346e7bcd", 272, 78, 4944, 0, nil},
+			{"68d6b809346e7bcd", 272, 78, 8728, 248, nil},
+			{"68d6b809346e7bcd", 272, 78, 14718, 686, nil},
+			{"68d6b809346e7bcd", 272, 78, 23538, 1394, nil},
 		},
 		{
-			{"68d6b809346e7bcd", 350, 0, 0, 4944, 0, nil},
-			{"68d6b809346e7bcd", 350, 0, 3787, 65752, 248, nil},
-			{"68d6b809346e7bcd", 350, 0, 6529, 109966, 686, nil},
-			{"68d6b809346e7bcd", 350, 0, 8627, 144178, 1394, nil},
+			{"68d6b809346e7bcd", 350, 0, 4944, 0, nil},
+			{"68d6b809346e7bcd", 350, 0, 8728, 248, nil},
+			{"68d6b809346e7bcd", 350, 0, 14702, 686, nil},
+			{"68d6b809346e7bcd", 350, 0, 23010, 1394, nil},
 		},
 	}},
 	{"all-noise", [3][4]distPin{
 		{
-			{"7fbbb3cee1a34f39", 100, 0, 0, 0, 0, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 1, 1, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 3, 3, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 7, 7, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 0, 0, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 1, 1, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 3, 3, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 7, 7, nil},
 		},
 		{
-			{"7fbbb3cee1a34f39", 100, 0, 0, 0, 0, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 1, 1, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 3, 3, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 7, 7, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 0, 0, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 1, 1, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 3, 3, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 7, 7, nil},
 		},
 		{
-			{"7fbbb3cee1a34f39", 100, 0, 0, 0, 0, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 1, 1, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 3, 3, nil},
-			{"7fbbb3cee1a34f39", 100, 0, 0, 7, 7, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 0, 0, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 1, 1, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 3, 3, nil},
+			{"7fbbb3cee1a34f39", 100, 0, 7, 7, nil},
 		},
 	}},
 	{"border-tie-1d", [3][4]distPin{
 		{
-			{"413c0541fd1a832d", 11, 0, 0, 144, 0, nil},
-			{"e30b173a88190649", 11, 0, 1, 149, 5, nil},
-			{"e30b173a88190649", 11, 0, 21, 448, 16, nil},
-			{"e30b173a88190649", 11, 0, 31, 597, 37, nil},
+			{"413c0541fd1a832d", 11, 0, 144, 0, nil},
+			{"e30b173a88190649", 11, 0, 149, 5, nil},
+			{"e30b173a88190649", 11, 0, 288, 16, nil},
+			{"e30b173a88190649", 11, 0, 437, 37, nil},
 		},
 		{
-			{"e30b173a88190649", 6, 5, 0, 144, 0, nil},
-			{"e30b173a88190649", 6, 5, 1, 149, 5, nil},
-			{"e30b173a88190649", 6, 5, 9, 336, 16, nil},
-			{"e30b173a88190649", 6, 5, 15, 501, 37, nil},
+			{"e30b173a88190649", 6, 5, 144, 0, nil},
+			{"e30b173a88190649", 6, 5, 149, 5, nil},
+			{"e30b173a88190649", 6, 5, 288, 16, nil},
+			{"e30b173a88190649", 6, 5, 437, 37, nil},
 		},
 		{
-			{"413c0541fd1a832d", 11, 0, 0, 144, 0, nil},
-			{"e30b173a88190649", 11, 0, 1, 149, 5, nil},
-			{"e30b173a88190649", 11, 0, 21, 448, 16, nil},
-			{"e30b173a88190649", 11, 0, 31, 597, 37, nil},
+			{"413c0541fd1a832d", 11, 0, 144, 0, nil},
+			{"e30b173a88190649", 11, 0, 149, 5, nil},
+			{"e30b173a88190649", 11, 0, 288, 16, nil},
+			{"e30b173a88190649", 11, 0, 437, 37, nil},
 		},
 	}},
 	{"lattice-dup-2d", [3][4]distPin{
 		{
-			{"b81a379f04a0845d", 180, 0, 0, 2864, 0, nil},
-			{"b81a379f04a0845d", 180, 0, 104, 4587, 75, nil},
-			{"b81a379f04a0845d", 180, 0, 210, 6357, 181, nil},
-			{"b81a379f04a0845d", 180, 0, 394, 9443, 387, nil},
+			{"b81a379f04a0845d", 180, 0, 2864, 0, nil},
+			{"b81a379f04a0845d", 180, 0, 3403, 75, nil},
+			{"b81a379f04a0845d", 180, 0, 4037, 181, nil},
+			{"b81a379f04a0845d", 180, 0, 5219, 387, nil},
 		},
 		{
-			{"b81a379f04a0845d", 168, 12, 0, 2864, 0, nil},
-			{"b81a379f04a0845d", 168, 12, 97, 4571, 75, nil},
-			{"b81a379f04a0845d", 168, 12, 196, 6325, 181, nil},
-			{"b81a379f04a0845d", 168, 12, 370, 9427, 387, nil},
+			{"b81a379f04a0845d", 168, 12, 2864, 0, nil},
+			{"b81a379f04a0845d", 168, 12, 3451, 75, nil},
+			{"b81a379f04a0845d", 168, 12, 4133, 181, nil},
+			{"b81a379f04a0845d", 168, 12, 5443, 387, nil},
 		},
 		{
-			{"b81a379f04a0845d", 180, 0, 0, 2864, 0, nil},
-			{"b81a379f04a0845d", 180, 0, 104, 4587, 75, nil},
-			{"b81a379f04a0845d", 180, 0, 210, 6357, 181, nil},
-			{"b81a379f04a0845d", 180, 0, 394, 9443, 387, nil},
+			{"b81a379f04a0845d", 180, 0, 2864, 0, nil},
+			{"b81a379f04a0845d", 180, 0, 3403, 75, nil},
+			{"b81a379f04a0845d", 180, 0, 4037, 181, nil},
+			{"b81a379f04a0845d", 180, 0, 5219, 387, nil},
 		},
 	}},
 	{"cell-boundary-lattice-2d", [3][4]distPin{
 		{
-			{"a2c19f9be7d51e78", 196, 0, 0, 3056, 0, nil},
-			{"a2c19f9be7d51e78", 196, 0, 34, 3594, 42, nil},
-			{"a2c19f9be7d51e78", 196, 0, 68, 4125, 93, nil},
-			{"a2c19f9be7d51e78", 196, 0, 123, 4992, 192, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3056, 0, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3466, 42, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3869, 93, nil},
+			{"a2c19f9be7d51e78", 196, 0, 4608, 192, nil},
 		},
 		{
-			{"a2c19f9be7d51e78", 196, 0, 0, 3056, 0, nil},
-			{"a2c19f9be7d51e78", 196, 0, 34, 3594, 42, nil},
-			{"a2c19f9be7d51e78", 196, 0, 68, 4125, 93, nil},
-			{"a2c19f9be7d51e78", 196, 0, 123, 4992, 192, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3056, 0, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3466, 42, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3869, 93, nil},
+			{"a2c19f9be7d51e78", 196, 0, 4608, 192, nil},
 		},
 		{
-			{"a2c19f9be7d51e78", 196, 0, 0, 3056, 0, nil},
-			{"a2c19f9be7d51e78", 196, 0, 34, 3594, 42, nil},
-			{"a2c19f9be7d51e78", 196, 0, 68, 4125, 93, nil},
-			{"a2c19f9be7d51e78", 196, 0, 123, 4992, 192, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3056, 0, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3466, 42, nil},
+			{"a2c19f9be7d51e78", 196, 0, 3869, 93, nil},
+			{"a2c19f9be7d51e78", 196, 0, 4608, 192, nil},
 		},
 	}},
 	{"hot-cell-skew-2d", [3][4]distPin{
 		{
-			{"b66710c9b1c473ab", 103, 0, 0, 1040, 0, nil},
-			{"b66710c9b1c473ab", 103, 0, 2060, 34053, 69, nil},
-			{"b66710c9b1c473ab", 103, 0, 3060, 50157, 205, nil},
-			{"b66710c9b1c473ab", 103, 0, 3402, 55864, 472, nil},
+			{"b66710c9b1c473ab", 103, 0, 1040, 0, nil},
+			{"b66710c9b1c473ab", 103, 0, 2133, 69, nil},
+			{"b66710c9b1c473ab", 103, 0, 4317, 205, nil},
+			{"b66710c9b1c473ab", 103, 0, 6616, 472, nil},
 		},
 		{
-			{"b66710c9b1c473ab", 39, 64, 0, 1040, 0, nil},
-			{"b66710c9b1c473ab", 39, 64, 6, 2213, 69, nil},
-			{"b66710c9b1c473ab", 39, 64, 26, 4685, 205, nil},
-			{"b66710c9b1c473ab", 39, 64, 26, 8984, 472, nil},
+			{"b66710c9b1c473ab", 39, 64, 1040, 0, nil},
+			{"b66710c9b1c473ab", 39, 64, 2133, 69, nil},
+			{"b66710c9b1c473ab", 39, 64, 4317, 205, nil},
+			{"b66710c9b1c473ab", 39, 64, 8632, 472, nil},
 		},
 		{
-			{"b66710c9b1c473ab", 103, 0, 0, 1040, 0, nil},
-			{"b66710c9b1c473ab", 103, 0, 2060, 34053, 69, nil},
-			{"b66710c9b1c473ab", 103, 0, 3060, 50157, 205, nil},
-			{"b66710c9b1c473ab", 103, 0, 3402, 55864, 472, nil},
+			{"b66710c9b1c473ab", 103, 0, 1040, 0, nil},
+			{"b66710c9b1c473ab", 103, 0, 2133, 69, nil},
+			{"b66710c9b1c473ab", 103, 0, 4317, 205, nil},
+			{"b66710c9b1c473ab", 103, 0, 6616, 472, nil},
 		},
 	}},
 	{"geo-drift", [3][4]distPin{
 		{
-			{"65549f16ef46471d", 2400, 0, 0, 22752, 0, nil},
-			{"65549f16ef46471d", 2400, 0, 476, 30383, 31, nil},
-			{"65549f16ef46471d", 2400, 0, 3943, 85939, 147, nil},
-			{"65549f16ef46471d", 2400, 0, 5571, 112033, 209, nil},
+			{"65549f16ef46471d", 2400, 0, 22752, 0, nil},
+			{"65549f16ef46471d", 2400, 0, 23263, 31, nil},
+			{"65549f16ef46471d", 2400, 0, 24739, 147, nil},
+			{"65549f16ef46471d", 2400, 0, 25729, 209, nil},
 		},
 		{
-			{"65549f16ef46471d", 1008, 1392, 0, 22752, 0, nil},
-			{"65549f16ef46471d", 1008, 1392, 51, 24031, 31, nil},
-			{"65549f16ef46471d", 1008, 1392, 69, 25987, 147, nil},
-			{"65549f16ef46471d", 1008, 1392, 113, 27649, 209, nil},
+			{"65549f16ef46471d", 1008, 1392, 22752, 0, nil},
+			{"65549f16ef46471d", 1008, 1392, 23263, 31, nil},
+			{"65549f16ef46471d", 1008, 1392, 24963, 147, nil},
+			{"65549f16ef46471d", 1008, 1392, 25953, 209, nil},
 		},
 		{
-			{"65549f16ef46471d", 2400, 0, 0, 22752, 0, nil},
-			{"65549f16ef46471d", 2400, 0, 476, 30383, 31, nil},
-			{"65549f16ef46471d", 2400, 0, 3943, 85939, 147, nil},
-			{"65549f16ef46471d", 2400, 0, 5571, 112033, 209, nil},
+			{"65549f16ef46471d", 2400, 0, 22752, 0, nil},
+			{"65549f16ef46471d", 2400, 0, 23263, 31, nil},
+			{"65549f16ef46471d", 2400, 0, 24739, 147, nil},
+			{"65549f16ef46471d", 2400, 0, 25729, 209, nil},
 		},
 	}},
 	{"highdim-embed", [3][4]distPin{
 		{
-			{"d7b9f0a0af778109", 1500, 0, 0, 23344, 0, nil},
-			{"d7b9f0a0af778109", 1500, 0, 490, 32659, 1491, nil},
-			{"d7b9f0a0af778109", 1500, 0, 68320, 1120355, 3955, nil},
-			{"d7b9f0a0af778109", 1500, 0, 158482, 2567611, 8699, nil},
+			{"d7b9f0a0af778109", 1500, 0, 23344, 0, nil},
+			{"d7b9f0a0af778109", 1500, 0, 28755, 1491, nil},
+			{"d7b9f0a0af778109", 1500, 0, 42883, 3955, nil},
+			{"d7b9f0a0af778109", 1500, 0, 67051, 8699, nil},
 		},
 		{
 			{err: ErrDistGridMemory},
@@ -465,58 +465,57 @@ var distPinned = []struct {
 	}},
 	{"all-border-ties", [3][4]distPin{
 		{
-			{"6b767dc17f0c0498", 264, 0, 0, 3456, 0, nil},
-			{"eb86f5d8a37c8d3e", 264, 0, 0, 3467, 11, nil},
-			{"8c90281a59280cb5", 264, 0, 0, 3489, 33, nil},
-			{"4846520c9d0f0d59", 264, 0, 0, 3533, 77, nil},
+			{"6b767dc17f0c0498", 264, 0, 3456, 0, nil},
+			{"eb86f5d8a37c8d3e", 264, 0, 3467, 11, nil},
+			{"8c90281a59280cb5", 264, 0, 3489, 33, nil},
+			{"4846520c9d0f0d59", 264, 0, 3533, 77, nil},
 		},
 		{
-			{"6b767dc17f0c0498", 168, 96, 0, 3456, 0, nil},
-			{"eb86f5d8a37c8d3e", 168, 96, 0, 3515, 11, nil},
-			{"8c90281a59280cb5", 168, 96, 0, 3633, 33, nil},
-			{"4846520c9d0f0d59", 168, 96, 0, 3869, 77, nil},
+			{"6b767dc17f0c0498", 168, 96, 3456, 0, nil},
+			{"eb86f5d8a37c8d3e", 168, 96, 3515, 11, nil},
+			{"8c90281a59280cb5", 168, 96, 3633, 33, nil},
+			{"4846520c9d0f0d59", 168, 96, 3869, 77, nil},
 		},
 		{
-			{"6b767dc17f0c0498", 264, 0, 0, 3456, 0, nil},
-			{"eb86f5d8a37c8d3e", 264, 0, 0, 3467, 11, nil},
-			{"8c90281a59280cb5", 264, 0, 0, 3489, 33, nil},
-			{"4846520c9d0f0d59", 264, 0, 0, 3533, 77, nil},
+			{"6b767dc17f0c0498", 264, 0, 3456, 0, nil},
+			{"eb86f5d8a37c8d3e", 264, 0, 3467, 11, nil},
+			{"8c90281a59280cb5", 264, 0, 3489, 33, nil},
+			{"4846520c9d0f0d59", 264, 0, 3533, 77, nil},
 		},
 	}},
 	{"bursty-arrival", [3][4]distPin{
 		{
-			{"2be5ded5c4f2526b", 2000, 0, 0, 28800, 0, nil},
-			{"2be5ded5c4f2526b", 2000, 0, 0, 28807, 7, nil},
-			{"2be5ded5c4f2526b", 2000, 0, 0, 28817, 17, nil},
-			{"2be5ded5c4f2526b", 2000, 0, 62316, 1027173, 1381, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 28800, 0, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 28807, 7, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 28817, 17, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 51157, 1381, nil},
 		},
 		{
-			{"2be5ded5c4f2526b", 353, 1647, 0, 28800, 0, nil},
-			{"2be5ded5c4f2526b", 353, 1647, 0, 28807, 7, nil},
-			{"2be5ded5c4f2526b", 353, 1647, 0, 28817, 17, nil},
-			{"2be5ded5c4f2526b", 353, 1647, 398, 57093, 1381, nil},
+			{"2be5ded5c4f2526b", 353, 1647, 28800, 0, nil},
+			{"2be5ded5c4f2526b", 353, 1647, 28807, 7, nil},
+			{"2be5ded5c4f2526b", 353, 1647, 28817, 17, nil},
+			{"2be5ded5c4f2526b", 353, 1647, 51525, 1381, nil},
 		},
 		{
-			{"2be5ded5c4f2526b", 2000, 0, 0, 28800, 0, nil},
-			{"2be5ded5c4f2526b", 2000, 0, 0, 28807, 7, nil},
-			{"2be5ded5c4f2526b", 2000, 0, 0, 28817, 17, nil},
-			{"2be5ded5c4f2526b", 2000, 0, 62316, 1027173, 1381, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 28800, 0, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 28807, 7, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 28817, 17, nil},
+			{"2be5ded5c4f2526b", 2000, 0, 51157, 1381, nil},
 		},
 	}},
 }
 
 // muPin is μDBSCAN-D on one dataset at one rank count.
 type muPin struct {
-	hash                                  string
-	numMCs, queries, queriesSaved         int64
-	pairsDeferred, mergeBytes, haloPoints int64
+	hash                          string
+	numMCs, queries, queriesSaved int64
+	mergeBytes, haloPoints        int64
 }
 
 // TestMuDBSCANDPinned pins what μDBSCAN-D answers and how much work it
 // reports on all 13 conformance and scenario datasets at p = 1, 2, 4 and 8:
-// the labels+core hash, micro-clusters, queries, saved queries, deferred
-// pairs, merge bytes and halo copies. Both in-process schedules must meet the
-// same pin, so a change to the rank pipeline or to the rank-local run that
+// the labels+core hash, micro-clusters, queries, saved queries, merge bytes
+// and halo copies. Both in-process schedules must meet the same pin, so a change to the rank pipeline or to the rank-local run that
 // moves any of these fails here.
 func TestMuDBSCANDPinned(t *testing.T) {
 	cases := pinnedCases()
@@ -538,7 +537,7 @@ func TestMuDBSCANDPinned(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := muPin{baselineHash(r), st.NumMCs, st.Queries, st.QueriesSaved, st.PairsDeferred, st.MergeBytes, st.HaloPoints}
+					got := muPin{baselineHash(r), st.NumMCs, st.Queries, st.QueriesSaved, st.MergeBytes, st.HaloPoints}
 					if got != pin {
 						t.Errorf("got %+v, pinned %+v", got, pin)
 					}
@@ -548,23 +547,33 @@ func TestMuDBSCANDPinned(t *testing.T) {
 	}
 }
 
-// TestMuDBSCANDMergeIsComponentsOnly: a μDBSCAN-D rank knows its halo
-// copies' exact core flags before step 4, so it defers no link and gives its
-// borders their clusters itself. Its merge traffic is then one flag byte per
-// halo copy and at most one 16-byte edge per row of any rank's block, on
-// every pinned dataset at every rank count under both schedules.
-func TestMuDBSCANDMergeIsComponentsOnly(t *testing.T) {
+// TestMergeIsComponentsOnly: every exact rank knows its halo copies' exact
+// core flags before it settles its links — μDBSCAN-D before step 4, a
+// baseline at the end of its loop — so it gives every link and owned border
+// its cluster itself. Its merge traffic is then one flag byte per halo copy
+// and at most one 16-byte edge per row of any rank's block, for all four
+// algorithms on every pinned dataset at every rank count under both
+// schedules.
+func TestMergeIsComponentsOnly(t *testing.T) {
+	algos := append([]struct {
+		name string
+		run  distAlgo
+	}{{"muDBSCAN-D", MuDBSCAND}}, distBaselines...)
 	for _, c := range pinnedCases() {
-		for _, p := range []int{1, 2, 4, 8} {
-			for _, exec := range []Exec{ExecSerial, ExecConcurrent} {
-				_, st, err := MuDBSCAND(c.pts, c.eps, c.minPts, p, Options{Seed: 7, Exec: exec})
-				if err != nil {
-					t.Fatalf("%s p=%d exec=%v: %v", c.name, p, exec, err)
-				}
-				limit := st.HaloPoints + 16*(int64(len(c.pts))+st.HaloPoints)
-				if st.PairsDeferred != 0 || st.MergeBytes > limit {
-					t.Errorf("%s p=%d exec=%v: %d pairs deferred, %d merge bytes (limit %d for %d halo copies)",
-						c.name, p, exec, st.PairsDeferred, st.MergeBytes, limit, st.HaloPoints)
+		for _, al := range algos {
+			for _, p := range []int{1, 2, 4, 8} {
+				for _, exec := range []Exec{ExecSerial, ExecConcurrent} {
+					_, st, err := al.run(c.pts, c.eps, c.minPts, p, Options{Seed: 7, Exec: exec})
+					if errors.Is(err, ErrDistGridMemory) {
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s %s p=%d exec=%v: %v", c.name, al.name, p, exec, err)
+					}
+					if limit := st.HaloPoints + 16*(int64(len(c.pts))+st.HaloPoints); st.MergeBytes > limit {
+						t.Errorf("%s %s p=%d exec=%v: %d merge bytes (limit %d for %d halo copies)",
+							c.name, al.name, p, exec, st.MergeBytes, limit, st.HaloPoints)
+					}
 				}
 			}
 		}
@@ -611,81 +620,81 @@ var muPinned = []struct {
 	pins [4]muPin
 }{
 	{"blobs-3d", [4]muPin{
-		{"d05c6c4478e8884f", 134, 236, 164, 0, 4864, 0},
-		{"d05c6c4478e8884f", 162, 249, 151, 0, 7664, 176},
-		{"d05c6c4478e8884f", 182, 238, 162, 0, 9478, 294},
-		{"d05c6c4478e8884f", 226, 242, 158, 0, 13827, 563},
+		{"d05c6c4478e8884f", 134, 236, 164, 4864, 0},
+		{"d05c6c4478e8884f", 162, 249, 151, 7664, 176},
+		{"d05c6c4478e8884f", 182, 238, 162, 9478, 294},
+		{"d05c6c4478e8884f", 226, 242, 158, 13827, 563},
 	}},
 	{"blobs-2d-small-eps", [4]muPin{
-		{"12d7c868fbc5c446", 128, 144, 206, 0, 3872, 0},
-		{"12d7c868fbc5c446", 139, 141, 209, 0, 5017, 73},
-		{"12d7c868fbc5c446", 147, 145, 205, 0, 5786, 122},
-		{"12d7c868fbc5c446", 176, 142, 208, 0, 9724, 364},
+		{"12d7c868fbc5c446", 128, 144, 206, 3872, 0},
+		{"12d7c868fbc5c446", 139, 141, 209, 5017, 73},
+		{"12d7c868fbc5c446", 147, 145, 205, 5786, 122},
+		{"12d7c868fbc5c446", 176, 142, 208, 9724, 364},
 	}},
 	{"uniform-2d", [4]muPin{
-		{"b26a8f28c97c4d8f", 150, 281, 19, 0, 1808, 0},
-		{"b26a8f28c97c4d8f", 174, 279, 21, 0, 1940, 36},
-		{"b26a8f28c97c4d8f", 197, 280, 20, 0, 2043, 75},
-		{"b26a8f28c97c4d8f", 234, 280, 20, 0, 2245, 133},
+		{"b26a8f28c97c4d8f", 150, 281, 19, 1808, 0},
+		{"b26a8f28c97c4d8f", 174, 279, 21, 1940, 36},
+		{"b26a8f28c97c4d8f", 197, 280, 20, 2043, 75},
+		{"b26a8f28c97c4d8f", 234, 280, 20, 2245, 133},
 	}},
 	{"skewed-3d", [4]muPin{
-		{"68d6b809346e7bcd", 66, 129, 221, 0, 4944, 0},
-		{"68d6b809346e7bcd", 91, 136, 214, 0, 9048, 248},
-		{"68d6b809346e7bcd", 121, 142, 208, 0, 16414, 686},
-		{"68d6b809346e7bcd", 179, 138, 212, 0, 28258, 1394},
+		{"68d6b809346e7bcd", 66, 129, 221, 4944, 0},
+		{"68d6b809346e7bcd", 91, 136, 214, 9048, 248},
+		{"68d6b809346e7bcd", 121, 142, 208, 16414, 686},
+		{"68d6b809346e7bcd", 179, 138, 212, 28258, 1394},
 	}},
 	{"all-noise", [4]muPin{
-		{"7fbbb3cee1a34f39", 100, 100, 0, 0, 0, 0},
-		{"7fbbb3cee1a34f39", 101, 100, 0, 0, 1, 1},
-		{"7fbbb3cee1a34f39", 103, 100, 0, 0, 3, 3},
-		{"7fbbb3cee1a34f39", 107, 100, 0, 0, 7, 7},
+		{"7fbbb3cee1a34f39", 100, 100, 0, 0, 0},
+		{"7fbbb3cee1a34f39", 101, 100, 0, 1, 1},
+		{"7fbbb3cee1a34f39", 103, 100, 0, 3, 3},
+		{"7fbbb3cee1a34f39", 107, 100, 0, 7, 7},
 	}},
 	{"border-tie-1d", [4]muPin{
-		{"413c0541fd1a832d", 2, 3, 8, 0, 144, 0},
-		{"413c0541fd1a832d", 4, 3, 8, 0, 181, 5},
-		{"413c0541fd1a832d", 7, 1, 10, 0, 320, 16},
-		{"413c0541fd1a832d", 11, 2, 9, 0, 469, 37},
+		{"413c0541fd1a832d", 2, 3, 8, 144, 0},
+		{"413c0541fd1a832d", 4, 3, 8, 181, 5},
+		{"413c0541fd1a832d", 7, 1, 10, 320, 16},
+		{"413c0541fd1a832d", 11, 2, 9, 469, 37},
 	}},
 	{"lattice-dup-2d", [4]muPin{
-		{"b81a379f04a0845d", 36, 162, 18, 0, 2864, 0},
-		{"b81a379f04a0845d", 47, 162, 18, 0, 4123, 75},
-		{"b81a379f04a0845d", 75, 160, 20, 0, 5893, 181},
-		{"b81a379f04a0845d", 110, 153, 27, 0, 9299, 387},
+		{"b81a379f04a0845d", 36, 162, 18, 2864, 0},
+		{"b81a379f04a0845d", 47, 162, 18, 4123, 75},
+		{"b81a379f04a0845d", 75, 160, 20, 5893, 181},
+		{"b81a379f04a0845d", 110, 153, 27, 9299, 387},
 	}},
 	{"cell-boundary-lattice-2d", [4]muPin{
-		{"a2c19f9be7d51e78", 53, 176, 20, 0, 3056, 0},
-		{"a2c19f9be7d51e78", 66, 179, 17, 0, 3722, 42},
-		{"a2c19f9be7d51e78", 84, 179, 17, 0, 4525, 93},
-		{"a2c19f9be7d51e78", 122, 175, 21, 0, 6048, 192},
+		{"a2c19f9be7d51e78", 53, 176, 20, 3056, 0},
+		{"a2c19f9be7d51e78", 66, 179, 17, 3722, 42},
+		{"a2c19f9be7d51e78", 84, 179, 17, 4525, 93},
+		{"a2c19f9be7d51e78", 122, 175, 21, 6048, 192},
 	}},
 	{"hot-cell-skew-2d", [4]muPin{
-		{"b66710c9b1c473ab", 39, 39, 64, 0, 1040, 0},
-		{"b66710c9b1c473ab", 44, 38, 65, 0, 2133, 69},
-		{"b66710c9b1c473ab", 51, 38, 65, 0, 4317, 205},
-		{"b66710c9b1c473ab", 65, 38, 65, 0, 8648, 472},
+		{"b66710c9b1c473ab", 39, 39, 64, 1040, 0},
+		{"b66710c9b1c473ab", 44, 38, 65, 2133, 69},
+		{"b66710c9b1c473ab", 51, 38, 65, 4317, 205},
+		{"b66710c9b1c473ab", 65, 38, 65, 8648, 472},
 	}},
 	{"geo-drift", [4]muPin{
-		{"65549f16ef46471d", 871, 967, 1433, 0, 22752, 0},
-		{"65549f16ef46471d", 872, 967, 1433, 0, 23263, 31},
-		{"65549f16ef46471d", 888, 967, 1433, 0, 24963, 147},
-		{"65549f16ef46471d", 894, 967, 1433, 0, 25953, 209},
+		{"65549f16ef46471d", 871, 967, 1433, 22752, 0},
+		{"65549f16ef46471d", 872, 967, 1433, 23263, 31},
+		{"65549f16ef46471d", 888, 967, 1433, 24963, 147},
+		{"65549f16ef46471d", 894, 967, 1433, 25953, 209},
 	}},
 	{"highdim-embed", [4]muPin{
-		{"d7b9f0a0af778109", 41, 35, 1465, 0, 23344, 0},
-		{"d7b9f0a0af778109", 77, 35, 1465, 0, 48115, 1491},
-		{"d7b9f0a0af778109", 141, 35, 1465, 0, 88979, 3955},
-		{"d7b9f0a0af778109", 244, 35, 1465, 0, 167979, 8699},
+		{"d7b9f0a0af778109", 41, 35, 1465, 23344, 0},
+		{"d7b9f0a0af778109", 77, 35, 1465, 48115, 1491},
+		{"d7b9f0a0af778109", 141, 35, 1465, 88979, 3955},
+		{"d7b9f0a0af778109", 244, 35, 1465, 167979, 8699},
 	}},
 	{"all-border-ties", [4]muPin{
-		{"6b767dc17f0c0498", 48, 72, 192, 0, 3456, 0},
-		{"6b767dc17f0c0498", 52, 72, 192, 0, 3595, 11},
-		{"6b767dc17f0c0498", 76, 67, 197, 0, 3873, 33},
-		{"6b767dc17f0c0498", 82, 56, 208, 0, 4429, 77},
+		{"6b767dc17f0c0498", 48, 72, 192, 3456, 0},
+		{"6b767dc17f0c0498", 52, 72, 192, 3595, 11},
+		{"6b767dc17f0c0498", 76, 67, 197, 3873, 33},
+		{"6b767dc17f0c0498", 82, 56, 208, 4429, 77},
 	}},
 	{"bursty-arrival", [4]muPin{
-		{"2be5ded5c4f2526b", 241, 283, 1717, 0, 28800, 0},
-		{"2be5ded5c4f2526b", 246, 283, 1717, 0, 28807, 7},
-		{"2be5ded5c4f2526b", 254, 280, 1720, 0, 28817, 17},
-		{"2be5ded5c4f2526b", 300, 291, 1709, 0, 51765, 1381},
+		{"2be5ded5c4f2526b", 241, 283, 1717, 28800, 0},
+		{"2be5ded5c4f2526b", 246, 283, 1717, 28807, 7},
+		{"2be5ded5c4f2526b", 254, 280, 1720, 28817, 17},
+		{"2be5ded5c4f2526b", 300, 291, 1709, 51765, 1381},
 	}},
 }

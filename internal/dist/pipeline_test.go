@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -16,8 +17,8 @@ import (
 
 // muLocal is μDBSCAN-D's local algorithm, the one function every schedule
 // calls, for a test to wrap.
-func muLocal(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
-	return core.RunLocal(set, eps, minPts, localCount, core.Options{}, halo), dbscan.HaloResult{}
+func muLocal(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
+	return core.RunLocal(set, eps, minPts, localCount, core.Options{}, halo)
 }
 
 // gauge counts how many goroutines are inside a section at once.
@@ -48,15 +49,15 @@ func (g *gauge) inside(fn func()) {
 // gauged wraps a local algorithm in the gauge. The gauge counts compute, so
 // a rank leaves it across the flag swap, where it waits on its peers.
 func gauged(g *gauge, algo localFn) localFn {
-	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (lr *core.LocalResult, h dbscan.HaloResult) {
+	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (lr *core.LocalResult) {
 		swap := halo.Swap
 		halo.Swap = func(isCore []bool) {
 			g.leave()
 			swap(isCore)
 			g.enter()
 		}
-		g.inside(func() { lr, h = algo(set, eps, minPts, localCount, halo) })
-		return lr, h
+		g.inside(func() { lr = algo(set, eps, minPts, localCount, halo) })
+		return lr
 	}
 }
 
@@ -148,41 +149,47 @@ func TestCommParityAcrossSchedules(t *testing.T) {
 	}
 }
 
-// TestMergeExcludesStragglerWait: a rank that finishes step 3 early blocks
-// in the flag swap until the slowest rank's flags arrive. That wait is the
-// straggler's local time; Phases.PostProcessing counts step 4's own
-// computation only, and Phases.Merge the merge's. The straggler is late
-// either before its local run or at the end of its step 3, just before it
-// sends its flags.
+// TestMergeExcludesStragglerWait: a rank whose own flags are exact early
+// blocks in the flag swap until the slowest rank's flags arrive. That wait
+// is the straggler's local time; Phases.PostProcessing counts the
+// computation after the swap only (μDBSCAN-D's step 4, a baseline's settling
+// and closing pass), and Phases.Merge the merge's. The straggler is late
+// before its local run, at the end of μDBSCAN-D's step 3, or at the end of
+// GridDBSCAN-D's loop, each time just before it sends its flags.
 func TestMergeExcludesStragglerWait(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pts := blobs(rng, 800, 3, 4, 0.3, 0.2)
-	const delay = 300 * time.Millisecond
-	for _, arm := range []struct {
-		name     string
-		straggle func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult)
-	}{
-		{"before the local run", func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
-			time.Sleep(delay)
-			return muLocal(set, eps, minPts, localCount, halo)
-		}},
-		{"in steps 1-3", func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+	const eps, delay = 0.5, 300 * time.Millisecond
+	lateSwap := func(algo localFn) localFn {
+		return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
 			swap := halo.Swap
 			halo.Swap = func(isCore []bool) {
 				time.Sleep(delay)
 				swap(isCore)
 			}
+			return algo(set, eps, minPts, localCount, halo)
+		}
+	}
+	grid := gridLocal(eps/math.Sqrt(3)*(1-1e-12), 2, true) // GridDBSCAN-D's at d = 3
+	for _, arm := range []struct {
+		name            string
+		algo, straggler localFn
+	}{
+		{"before the local run", muLocal, func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
+			time.Sleep(delay)
 			return muLocal(set, eps, minPts, localCount, halo)
 		}},
+		{"in steps 1-3", muLocal, lateSwap(muLocal)},
+		{"in GridDBSCAN-D's loop", grid, lateSwap(grid)},
 	} {
 		var calls atomic.Int32
-		straggling := func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) (*core.LocalResult, dbscan.HaloResult) {
+		straggling := func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
 			if calls.Add(1) == 1 {
-				return arm.straggle(set, eps, minPts, localCount, halo)
+				return arm.straggler(set, eps, minPts, localCount, halo)
 			}
-			return muLocal(set, eps, minPts, localCount, halo)
+			return arm.algo(set, eps, minPts, localCount, halo)
 		}
-		_, st, err := runDistributed(pts, 0.5, 5, 4, Options{Seed: 3, Exec: ExecConcurrent}, straggling)
+		_, st, err := runDistributed(pts, eps, 5, 4, Options{Seed: 3, Exec: ExecConcurrent}, straggling)
 		if err != nil {
 			t.Fatalf("%s: %v", arm.name, err)
 		}
@@ -209,7 +216,7 @@ func TestMergeContributionCodec(t *testing.T) {
 	if out.encode() != fields {
 		t.Fatalf("rankOut slots do not round-trip: %v -> %+v -> %v", fields, out, out.encode())
 	}
-	if out.queries != 100 || out.mergeBytes != 105 || out.phases.Partition != 106 || out.phases.Merge != 112 {
+	if out.queries != 100 || out.mergeBytes != 104 || out.phases.Partition != 105 || out.phases.Merge != 111 {
 		t.Fatalf("rankOut slot order moved (it is wire format): %+v", out)
 	}
 
@@ -239,7 +246,7 @@ func TestMergeContributionCodec(t *testing.T) {
 		v[slot] = val
 		return v
 	}
-	// 15 + lc + ceil(lc/64) + 2·ne wraps around int64 to exactly len(v):
+	// 14 + lc + ceil(lc/64) + 2·ne wraps around int64 to exactly len(v):
 	// the smallest lc whose share reaches 2^63, and ne = 2^62 for the rest.
 	lc := uint64(1<<63) / 65 * 64
 	for lc+(lc+63)/64 < 1<<63 {

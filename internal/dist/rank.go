@@ -2,12 +2,10 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"mudbscan/internal/core"
-	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
 	"mudbscan/internal/partition"
@@ -53,14 +51,14 @@ func timed(fn func()) time.Duration {
 }
 
 // mergeStatFields is the number of int64 stat slots in a merge payload.
-const mergeStatFields = 13
+const mergeStatFields = 12
 
 // rankOut is what one rank reports of its trip through runRank: its own
 // phase times and counters. Stats.fold combines them over ranks.
 type rankOut struct {
-	phases                                PhaseTimes
-	queries, queriesSaved, numMCs         int64
-	haloPoints, pairsDeferred, mergeBytes int64
+	phases                        PhaseTimes
+	queries, queriesSaved, numMCs int64
+	haloPoints, mergeBytes        int64
 }
 
 // encode lays rankOut out in the merge payload's slot order; decodeRankOut
@@ -68,7 +66,7 @@ type rankOut struct {
 func (o rankOut) encode() [mergeStatFields]int64 {
 	ph := o.phases
 	return [mergeStatFields]int64{
-		o.queries, o.queriesSaved, o.numMCs, o.haloPoints, o.pairsDeferred, o.mergeBytes,
+		o.queries, o.queriesSaved, o.numMCs, o.haloPoints, o.mergeBytes,
 		int64(ph.Partition), int64(ph.HaloExchange),
 		int64(ph.TreeConstruction), int64(ph.FindingReachable), int64(ph.Clustering), int64(ph.PostProcessing),
 		int64(ph.Merge),
@@ -77,14 +75,14 @@ func (o rankOut) encode() [mergeStatFields]int64 {
 
 func decodeRankOut(s [mergeStatFields]int64) rankOut {
 	return rankOut{
-		queries: s[0], queriesSaved: s[1], numMCs: s[2], haloPoints: s[3], pairsDeferred: s[4], mergeBytes: s[5],
+		queries: s[0], queriesSaved: s[1], numMCs: s[2], haloPoints: s[3], mergeBytes: s[4],
 		phases: PhaseTimes{
-			Partition: time.Duration(s[6]), HaloExchange: time.Duration(s[7]),
+			Partition: time.Duration(s[5]), HaloExchange: time.Duration(s[6]),
 			StepTimes: core.StepTimes{
-				TreeConstruction: time.Duration(s[8]), FindingReachable: time.Duration(s[9]),
-				Clustering: time.Duration(s[10]), PostProcessing: time.Duration(s[11]),
+				TreeConstruction: time.Duration(s[7]), FindingReachable: time.Duration(s[8]),
+				Clustering: time.Duration(s[9]), PostProcessing: time.Duration(s[10]),
 			},
-			Merge: time.Duration(s[12]),
+			Merge: time.Duration(s[11]),
 		},
 	}
 }
@@ -178,7 +176,6 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 
 	// Phase 3: rank-local clustering.
 	var lr *core.LocalResult
-	var deferred dbscan.HaloResult
 	turn.do(func() {
 		if localCount == 0 {
 			// A rank that owns no points may still hold halo copies (extreme
@@ -187,7 +184,7 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 			swap(lr.Core)
 			return
 		}
-		lr, deferred = algo(set, eps, minPts, localCount, core.Halo{IDs: gids, Swap: swap})
+		lr = algo(set, eps, minPts, localCount, core.Halo{IDs: gids, Swap: swap})
 	})
 	if swapErr != nil {
 		return out, swapErr
@@ -196,14 +193,13 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 	out.queries = int64(lr.Stats.Queries)
 	out.queriesSaved = int64(lr.Stats.QueriesSaved)
 	out.numMCs = int64(lr.Stats.NumMCs)
-	out.pairsDeferred = int64(len(deferred.Pairs))
 
-	// Phase 4: merge. Every flag is exact by now, so it is one compute
-	// section: the local components as global edges, and a baseline's
-	// deferred links.
+	// Phase 4: merge. The local run settled every link and owned border
+	// with the exact flags, so the merge is one compute section: the local
+	// components as global edges.
 	out.phases.Merge = turn.do(func() {
 		own(gids[:localCount], lr.Core[:localCount])
-		edges := append(componentEdges(lr, gids), deferredEdges(lr.Core, deferred, gids)...)
+		edges := componentEdges(lr, gids)
 		out.mergeBytes += int64(len(edges) * 16)
 		union(edges)
 	})
@@ -227,38 +223,6 @@ func componentEdges(lr *core.LocalResult, gids []int64) [][2]int64 {
 	for i := range gids {
 		if r := lr.Comp[i]; int32(i) != r {
 			edges = append(edges, [2]int64{gids[i], gids[r]})
-		}
-	}
-	return edges
-}
-
-// deferredEdges resolves, with the exact core flags, the links a classic
-// baseline deferred to the merge: pairs whose halo side is core, and the
-// border pass, which gives every point left in NoiseNbhd to its core
-// neighbor of smallest global id — dbscan.Brute's rule, which an owned
-// point's complete neighborhood decides. No neighborhood queries are needed
-// (§V-C). μDBSCAN-D defers nothing.
-func deferredEdges(isCore []bool, h dbscan.HaloResult, gids []int64) [][2]int64 {
-	var edges [][2]int64
-	for _, pr := range h.Pairs {
-		if isCore[pr[1]] {
-			edges = append(edges, [2]int64{gids[pr[0]], gids[pr[1]]})
-		}
-	}
-	noiseIDs := make([]int32, 0, len(h.NoiseNbhd))
-	for id := range h.NoiseNbhd {
-		noiseIDs = append(noiseIDs, id)
-	}
-	sort.Slice(noiseIDs, func(a, b int) bool { return noiseIDs[a] < noiseIDs[b] })
-	for _, id := range noiseIDs {
-		best := int64(-1)
-		for _, q := range h.NoiseNbhd[id] {
-			if isCore[q] && (best < 0 || gids[q] < best) {
-				best = gids[q]
-			}
-		}
-		if best >= 0 {
-			edges = append(edges, [2]int64{best, gids[id]})
 		}
 	}
 	return edges
