@@ -69,6 +69,13 @@ import (
 // 880, uniform-2d 47 1384 2609, skewed-3d 30 5721 3419, lattice-dup-2d 48 6817
 // 3780, cell-boundary-lattice-2d 117 4266 3054, hot-cell-skew-2d 1 135 194,
 // geo-drift 2 2000 3763, bursty-arrival 28 4349 4812.
+//
+// centerCalcs moved once more, and nothing else did, when step 4 began to
+// drop from a whole micro-cluster's live reach list every one-component
+// micro-cluster already in its centre's component, a test each of its
+// wndq-cores used to repeat: down on twelve datasets, all-noise as it was.
+// The values before, in table order: 2376, 861, 2560, 3309, 100, 16, 3563,
+// 2640, 191, 3760, 1057, 384, 4754.
 var pinned = []struct {
 	name                          string
 	hash                          string
@@ -76,19 +83,19 @@ var pinned = []struct {
 	requeries                     int
 	distCalcs, centerCalcs        int64
 }{
-	{"blobs-3d", "d05c6c4478e8884f", 134, 236, 164, 36, 7513, 2376},
-	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 144, 206, 4, 1095, 861},
-	{"uniform-2d", "b26a8f28c97c4d8f", 150, 281, 19, 40, 1355, 2560},
-	{"skewed-3d", "68d6b809346e7bcd", 66, 129, 221, 23, 5731, 3309},
+	{"blobs-3d", "d05c6c4478e8884f", 134, 236, 164, 36, 7513, 2158},
+	{"blobs-2d-small-eps", "12d7c868fbc5c446", 128, 144, 206, 4, 1095, 717},
+	{"uniform-2d", "b26a8f28c97c4d8f", 150, 281, 19, 40, 1355, 2538},
+	{"skewed-3d", "68d6b809346e7bcd", 66, 129, 221, 23, 5731, 2994},
 	{"all-noise", "7fbbb3cee1a34f39", 100, 100, 0, 0, 100, 100},
-	{"border-tie-1d", "413c0541fd1a832d", 2, 3, 8, 1, 36, 16},
-	{"lattice-dup-2d", "b81a379f04a0845d", 36, 162, 18, 32, 6851, 3563},
-	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 76, 3871, 2640},
-	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 39, 64, 0, 132, 191},
-	{"geo-drift", "65549f16ef46471d", 871, 967, 1433, 1, 1997, 3760},
-	{"highdim-embed", "d7b9f0a0af778109", 41, 35, 1465, 0, 49, 1057},
-	{"all-border-ties", "6b767dc17f0c0498", 48, 72, 192, 24, 864, 384},
-	{"bursty-arrival", "2be5ded5c4f2526b", 241, 283, 1717, 20, 4365, 4754},
+	{"border-tie-1d", "413c0541fd1a832d", 2, 3, 8, 1, 36, 14},
+	{"lattice-dup-2d", "b81a379f04a0845d", 36, 162, 18, 32, 6851, 3380},
+	{"cell-boundary-lattice-2d", "a2c19f9be7d51e78", 53, 176, 20, 76, 3871, 2472},
+	{"hot-cell-skew-2d", "b66710c9b1c473ab", 39, 39, 64, 0, 132, 189},
+	{"geo-drift", "65549f16ef46471d", 871, 967, 1433, 1, 1997, 3731},
+	{"highdim-embed", "d7b9f0a0af778109", 41, 35, 1465, 0, 49, 1051},
+	{"all-border-ties", "6b767dc17f0c0498", 48, 72, 192, 24, 864, 336},
+	{"bursty-arrival", "2be5ded5c4f2526b", 241, 283, 1717, 20, 4365, 4293},
 }
 
 // resultHash digests labels and core flags: nine bytes a point, the label as

@@ -727,7 +727,9 @@ func (r *run) processPoint(w *worker, i int) {
 //     dropped from every reach list, one whose cores share a single component
 //     for good is decided by one representative lookup — before its centre
 //     is even looked at — and left after the first merging union. Only the
-//     rest take the per-member path.
+//     rest take the per-member path. When A is whole, its wndq-cores all
+//     share its centre's component, so that lookup is made once for A, as
+//     its reach list is compacted (liveReach), not once per wndq-core.
 //
 // The pass runs micro-cluster by micro-cluster, because what prunes it is
 // the triangle inequality on the centres — the argument of Lemmas 1–3 — and
@@ -738,7 +740,10 @@ func (r *run) processPoint(w *worker, i int) {
 //   - d(cA, cZ) − d(p, cA) ≥ 2ε(1+δ) puts p at least 2ε from cZ, so Z fails
 //     the 2ε rule without p touching its centre;
 //   - |d(p, cZ) − d(q, cZ)| ≥ ε(1+δ) puts a member q of Z at least ε from p,
-//     so the pair fails the ε test without touching q.
+//     so the pair fails the ε test without touching q; in its per-MC form,
+//     d(p, cZ) − r(Z) ≥ ε(1+δ), r(Z) the largest d(q, cZ) among Z's members
+//     (Index.Radius), it does so for every member at once, before the
+//     member loop.
 //
 // Each skip implies the float predicate it replaces (see pruneSlack), so
 // pruning removes distance computations and never changes an outcome.
@@ -802,7 +807,7 @@ const pruneSlack = 1e-9
 
 // mergeWndqCores is postProcessCore's body for one micro-cluster: every
 // wndq-core among its members against the reachable micro-clusters that are
-// not dead.
+// live for them (liveReach).
 func (r *run) mergeWndqCores(w *worker, a int) {
 	// The live part of A's reach list and d(cA, cZ) for each Z on it, filled
 	// for the first wndq-core found.
@@ -813,11 +818,7 @@ func (r *run) mergeWndqCores(w *worker, a int) {
 		}
 		if !filled {
 			filled = true
-			for _, rid := range r.ix.Reach(a) {
-				if r.mcClass[rid] != mcDead {
-					live = append(live, rid)
-				}
-			}
+			live = r.liveReach(live, a)
 			centerDist = r.ix.CenterDistSq(centerDist, r.ix.Center(a), live, math.Inf(1))
 			for j, d2 := range centerDist {
 				centerDist[j] = math.Sqrt(d2)
@@ -827,6 +828,28 @@ func (r *run) mergeWndqCores(w *worker, a int) {
 		r.mergeWndqCore(w, pid, live, centerDist)
 	}
 	w.live, w.centerDist = live, centerDist
+}
+
+// liveReach appends to dst the micro-clusters of A's reach list that a
+// wndq-core of A may still have an edge into: not dead and, when A is whole,
+// not a one-component micro-cluster that already shares A's centre's
+// component. Every core of a whole A is in that component by step 4
+// (mcWhole), so the one-component test mergeWndqCore would repeat for each of
+// A's wndq-cores is made once here; unions only merge, so a micro-cluster
+// dropped by it has nothing to add whoever unions what meanwhile.
+func (r *run) liveReach(dst []int32, a int) []int32 {
+	rootA := -1
+	if r.mcWhole[a] {
+		rootA = r.uf.Find(r.ix.CenterID(a))
+	}
+	for _, z := range r.ix.Reach(a) {
+		rep := r.mcClass[z]
+		if rep == mcDead || rep >= 0 && rootA >= 0 && r.uf.Find(int(rep)) == rootA {
+			continue
+		}
+		dst = append(dst, z)
+	}
+	return dst
 }
 
 // mergeWndqCore merges one wndq-core point of a micro-cluster whose live
@@ -857,10 +880,13 @@ func (r *run) mergeWndqCore(w *worker, pid int32, reach []int32, centerDist []fl
 		if pz2 >= prune2 {
 			continue
 		}
-		if !r.ix.AuxOverlapsRegion(int(z), p, r.eps) {
+		// Every member q lies within Radius(Z) of the centre, and fl(pz − ·)
+		// is monotone, so pz − Radius(Z) ≥ ε(1+δ) is the member skip below
+		// firing for every member of Z: decided once, before the region test.
+		pz := math.Sqrt(pz2)
+		if pz-r.ix.Radius(int(z)) >= r.far1 || !r.ix.AuxOverlapsRegion(int(z), p, r.eps) {
 			continue
 		}
-		pz := math.Sqrt(pz2)
 		for _, q := range r.ix.Members(int(z)) {
 			if q == pid || math.Abs(pz-centerDistOf[q]) >= r.far1 || r.flags.get(int(q))&flagCore == 0 {
 				continue

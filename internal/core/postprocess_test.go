@@ -110,6 +110,71 @@ func splitMCSet() []geom.Point {
 	return pts
 }
 
+// coreComponents counts the union-find components that hold a flagged core.
+func coreComponents(r *run) int {
+	roots := map[int]bool{}
+	for i := range r.ix.Points.Len() {
+		if r.flags.get(i)&flagCore != 0 {
+			roots[r.uf.Find(i)] = true
+		}
+	}
+	return len(roots)
+}
+
+// farMemberSet (ε = 1, MinPts = 4) is two fat micro-clusters on a line
+// (embedded in dim dimensions), gap + 1 apart: each is four copies of its
+// centre and one member half an ε towards the other, which is its farthest
+// member and the first to join it (Members(k)[1]). Its MinPts-radius is 0, so
+// step 1 proves all ten points core and nobody queries; the two far members,
+// gap apart, are the only link between the two, and only step 4 sees it. The
+// link ends at a member that lies the micro-cluster's whole radius from its
+// centre, so a radius that missed that member, or one taken as the
+// MinPts-radius, would skip the visit that finds it.
+func farMemberSet(dim int, gap float64) []geom.Point {
+	at := func(x float64) geom.Point {
+		p := make(geom.Point, dim)
+		p[0] = x
+		return p
+	}
+	var pts []geom.Point
+	for _, side := range []struct{ centre, sign float64 }{{0, 1}, {1 + gap, -1}} {
+		pts = append(pts, at(side.centre), at(side.centre+side.sign*0.5))
+		for range 3 {
+			pts = append(pts, at(side.centre))
+		}
+	}
+	return pts
+}
+
+// TestFarMemberLink: across a gap below, at and above ε, the far-member sets
+// come out as brute force's at 1, 2 and 4 workers — one cluster while the
+// far members are within ε of each other, two otherwise — with no query.
+func TestFarMemberLink(t *testing.T) {
+	const eps, minPts = 1.0, 4
+	for _, dim := range []int{2, 5, 14} {
+		for _, gap := range []float64{0.75, 1 - 0x1p-40, 1} {
+			pts := farMemberSet(dim, gap)
+			name := fmt.Sprintf("d=%d gap=1%+g", dim, gap-1)
+			ix := mc.Build(pts, eps, minPts, mc.Options{})
+			if ix.NumMCs() != 2 || ix.Members(1)[1] != 6 || ix.Radius(1) != 0.5 {
+				t.Fatalf("%s: %d micro-clusters, the second's members %v at radius %v; the set lost its shape",
+					name, ix.NumMCs(), ix.Members(1), ix.Radius(1))
+			}
+			for _, workers := range []int{1, 2, 4} {
+				requireExact(t, name, pts, eps, minPts, Options{Workers: workers})
+			}
+			r, st := Run(pts, eps, minPts, Options{})
+			clusters := 2
+			if gap < eps {
+				clusters = 1
+			}
+			if r.NumClusters != clusters || st.Queries != 0 {
+				t.Fatalf("%s: %d clusters after %d queries; want %d after none", name, r.NumClusters, st.Queries, clusters)
+			}
+		}
+	}
+}
+
 // samePartition reports the first point of keep on which two root arrays
 // disagree as partitions (the roots themselves may differ: which point heads
 // a component depends on who claimed the borders).
@@ -137,18 +202,28 @@ func samePartition(a, b []int, keep func(i int) bool) (int, bool) {
 // identical, point for point. On every driver dataset, on reduced analogues of
 // the two high-d benchmark workloads, where most skips happen, and on fat
 // micro-clusters in a halo of noise singletons, where most visits are dropped
-// before they start. The halo sets also run at 2 and 4 workers, where borders
-// may go to either side of a tie and the cores' partition is what must agree.
+// before they start, and on two fat micro-clusters joined only through the
+// farthest member of each. The halo sets also run at 2 and 4 workers, where
+// borders may go to either side of a tie and the cores' partition is what
+// must agree.
+//
+// Where step 4 has a link to make, the pruned pass must have tested a centre
+// to make it; the sets built around such a link (split-mc, far-member, the
+// halo sets) must have one. Elsewhere the pass may legitimately test none:
+// every live micro-cluster can already share its wndq-cores' component.
 func TestPostProcessMatchesUnpruned(t *testing.T) {
 	cases := append(driverCases(),
 		driverCase{"bio-like-14d", data.BioLike(3000, 14, 1), 600, 5},
 		driverCase{"household-like-5d", data.HouseholdLike(8000, 5, 1), 0.25, 6},
 		driverCase{"split-mc-2d", splitMCSet(), 1, 5},
+		driverCase{"far-member-2d", farMemberSet(2, 0.75), 1, 4},
+		driverCase{"far-member-14d", farMemberSet(14, 0.75), 1, 4},
 		driverCase{"halo-2d", haloSet(2, 4, 0.5), 0.5, 5},
 		driverCase{"halo-14d", haloSet(14, 3, 600), 600, 5})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			halo := strings.HasPrefix(c.name, "halo")
+			mustLink := halo || c.name == "split-mc-2d" || strings.HasPrefix(c.name, "far-member")
 			workerCounts := []int{1}
 			if halo {
 				workerCounts = []int{1, 2, 4}
@@ -158,6 +233,7 @@ func TestPostProcessMatchesUnpruned(t *testing.T) {
 					var roots [2][]int
 					var core []bool
 					var centerCalcs, wndq, live, dead int64
+					var coresBefore, coresAfter int
 					for side, post := range []func(*run){(*run).postProcessCore, postProcessCoreUnpruned} {
 						ix := mc.Build(c.pts, c.eps, c.minPts, mc.Options{})
 						r := newRun(ix, c.eps, c.minPts, len(c.pts), Options{Workers: workers})
@@ -167,8 +243,12 @@ func TestPostProcessMatchesUnpruned(t *testing.T) {
 							for w := range r.workers {
 								centerCalcs -= r.workers[w].centerCalcs
 							}
+							coresBefore = coreComponents(r)
 						}
 						post(r)
+						if side == 0 {
+							coresAfter = coreComponents(r)
+						}
 						r.assignBorders(nil)
 						for i := range c.pts {
 							roots[side] = append(roots[side], r.uf.Find(i))
@@ -198,8 +278,11 @@ func TestPostProcessMatchesUnpruned(t *testing.T) {
 					if workers == 1 && !reflect.DeepEqual(roots[0], roots[1]) {
 						t.Fatal("same partition, different representatives")
 					}
-					if wndq > 0 && centerCalcs == 0 {
-						t.Fatal("the pruned pass counted no centre test")
+					if coresAfter < coresBefore && centerCalcs == 0 {
+						t.Fatalf("the pruned pass joined %d core components into %d and counted no centre test", coresBefore, coresAfter)
+					}
+					if mustLink && coresAfter == coresBefore {
+						t.Fatalf("step 4 joined no core components (%d); the set lost its shape", coresBefore)
 					}
 					// A wndq-core tests at most the centres that are live, and the
 					// fill of its micro-cluster's list is shared: on the high-d
@@ -240,7 +323,9 @@ func swapFrom(exact []bool, localCount int) func([]bool) {
 // component with every other, a mixed one has cores in two components, a
 // micro-cluster of at least MinPts members is whole and one component, and
 // one that holds a wndq-core — the only kind step 4 starts from, and always on
-// its own reach list — is never dead.
+// its own reach list — is never dead. A live micro-cluster that A's live reach
+// list drops, when A holds a wndq-core, shares its component with every
+// wndq-core of A: none of them has an edge into it left to make.
 func TestPostProcessClasses(t *testing.T) {
 	cases := append(driverCases(),
 		driverCase{"halo-14d", haloSet(14, 3, 600), 600, 5},
@@ -295,10 +380,30 @@ func TestPostProcessClasses(t *testing.T) {
 					t.Fatalf("%s: %d members, whole %v", name, len(ix.Members(k)), r.mcWhole[k])
 				}
 			}
+			for a := range ix.NumMCs() {
+				live := r.liveReach(nil, a)
+				for _, z := range ix.Reach(a) {
+					if r.mcClass[z] == mcDead || slices.Contains(live, z) {
+						continue
+					}
+					seen["dropped"]++
+					for _, p := range ix.Members(a) {
+						if r.flags.get(int(p))&flagWndq == 0 {
+							continue
+						}
+						for _, q := range ix.Members(int(z)) {
+							if r.flags.get(int(q))&flagCore != 0 && r.uf.Find(int(q)) != r.uf.Find(int(p)) {
+								t.Fatalf("%s workers=%d halo=%d: MC %d drops MC %d, whose core %d is not in wndq-core %d's component",
+									c.name, cfg.workers, cfg.halo, a, z, q, p)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
-	if len(seen) != 3 {
-		t.Fatalf("classes seen: %v; the datasets miss one", seen)
+	if len(seen) != 4 {
+		t.Fatalf("classes and drops seen: %v; the datasets miss one", seen)
 	}
 }
 

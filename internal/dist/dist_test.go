@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"mudbscan/internal/clustering"
+	"mudbscan/internal/core"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
 )
@@ -164,6 +166,89 @@ func TestGridDBSCANDLinksDenseCellsAcrossSplit(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("exec=%v: not brute force's labels (%v)", exec, clustering.Equivalent(want, got))
 		}
+	}
+}
+
+// linkDensePoints is GridDBSCAN-D's closing pass point by point, the
+// reference linkDenseCells is held to: every local member of a dense cell
+// enumerates its own neighbor cells and is unioned with every core within ε
+// that it does not share a component with yet.
+func linkDensePoints(l denseLinks) {
+	for i := 0; i < l.localCount; i++ {
+		c := l.grid.Cell[i]
+		if len(l.grid.Members[c]) < l.minPts {
+			continue
+		}
+		l.grid.VisitNeighborCells(c, l.radius, func(members []int32) {
+			for _, q := range members {
+				if l.isCore[q] && !l.uf.Same(i, int(q)) && l.kern(l.pts[i], l.pts[q]) < l.eps2 {
+					l.uf.Union(i, int(q))
+				}
+			}
+		})
+	}
+}
+
+// rankPartitions runs algo on every rank and returns what each rank's
+// components were before the merge, keyed by the global id of the rank's
+// first row: one entry per row, the smallest global id in its component.
+func rankPartitions(t *testing.T, pts []geom.Point, eps float64, minPts, p int, algo localFn) (*clustering.Result, map[int64][]int64) {
+	t.Helper()
+	var mu sync.Mutex
+	parts := map[int64][]int64{}
+	res, _, err := runDistributed(pts, eps, minPts, p, Options{Exec: ExecSerial},
+		func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
+			lr := algo(set, eps, minPts, localCount, halo)
+			smallest := map[int32]int64{}
+			for i, c := range lr.Comp {
+				if id, ok := smallest[c]; !ok || halo.IDs[i] < id {
+					smallest[c] = halo.IDs[i]
+				}
+			}
+			part := make([]int64, len(lr.Comp))
+			for i, c := range lr.Comp {
+				part[i] = smallest[c]
+			}
+			mu.Lock()
+			parts[halo.IDs[0]] = part
+			mu.Unlock()
+			return lr
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, parts
+}
+
+// TestGridDBSCANDClosingPassPerCell: the closing pass that goes dense cell by
+// dense cell leaves every rank with the components of the point-by-point one,
+// and so the same clustering, at 1, 2 and 4 ranks on every conformance and
+// scenario set the grid can afford. Without any closing pass some ranks end
+// with other components, so the comparison reaches links only the pass makes.
+func TestGridDBSCANDClosingPassPerCell(t *testing.T) {
+	differs := 0
+	for _, c := range pinnedCases() {
+		d := len(c.pts[0])
+		side, radius := denseGrid(c.eps, d)
+		if dbscan.NeighborEnumCount(radius, d) > distGridEnumBudget {
+			continue
+		}
+		for _, p := range []int{1, 2, 4} {
+			got, gotParts := rankPartitions(t, c.pts, c.eps, c.minPts, p, gridLocal(side, radius, linkDenseCells))
+			want, wantParts := rankPartitions(t, c.pts, c.eps, c.minPts, p, gridLocal(side, radius, linkDensePoints))
+			if !reflect.DeepEqual(wantParts, gotParts) {
+				t.Fatalf("%s p=%d: a rank's components differ from the point-by-point pass's", c.name, p)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s p=%d: not the point-by-point pass's clustering (%v)", c.name, p, clustering.Equivalent(want, got))
+			}
+			if _, noneParts := rankPartitions(t, c.pts, c.eps, c.minPts, p, gridLocal(side, radius, func(denseLinks) {})); !reflect.DeepEqual(wantParts, noneParts) {
+				differs++
+			}
+		}
+	}
+	if differs == 0 {
+		t.Fatal("no run needs the closing pass; the comparison proves nothing")
 	}
 }
 

@@ -30,13 +30,18 @@ func GridDBSCAND(pts []geom.Point, eps float64, minPts, p int, opts Options) (*c
 	if len(pts) == 0 {
 		return &clustering.Result{}, &Stats{Ranks: p}, nil
 	}
-	d := len(pts[0])
-	side := eps / math.Sqrt(float64(d)) * (1 - 1e-12)
-	radius := int(math.Ceil(eps / side))
-	if dbscan.NeighborEnumCount(radius, d) > distGridEnumBudget {
+	side, radius := denseGrid(eps, len(pts[0]))
+	if dbscan.NeighborEnumCount(radius, len(pts[0])) > distGridEnumBudget {
 		return nil, nil, ErrDistGridMemory
 	}
-	return runDistributed(pts, eps, minPts, p, opts, gridLocal(side, radius, true))
+	return runDistributed(pts, eps, minPts, p, opts, gridLocal(side, radius, linkDenseCells))
+}
+
+// denseGrid returns GridDBSCAN-D's cell side, just under ε/√d so that a cell's
+// diameter is below ε, and the Chebyshev cell radius that covers an ε-ball.
+func denseGrid(eps float64, d int) (side float64, radius int) {
+	side = eps / math.Sqrt(float64(d)) * (1 - 1e-12)
+	return side, int(math.Ceil(eps / side))
 }
 
 // HPDBSCAN implements the highly-parallel grid DBSCAN of Götz et al.
@@ -51,17 +56,17 @@ func HPDBSCAN(pts []geom.Point, eps float64, minPts, p int, opts Options) (*clus
 	if dbscan.NeighborEnumCount(1, d) > distGridEnumBudget {
 		return nil, nil, ErrDistGridMemory
 	}
-	return runDistributed(pts, eps, minPts, p, opts, gridLocal(eps, 1, false))
+	return runDistributed(pts, eps, minPts, p, opts, gridLocal(eps, 1, nil))
 }
 
 // gridLocal builds the rank-local clustering function for a grid of the
 // given side and Chebyshev query radius: internal/dbscan's union-find driver
-// with every query answered from the cells around the point's own. With
-// denseCells true, the members of a cell holding at least MinPts combined
-// points are pre-marked core, unioned and never queried (GridDBSCAN), and a
-// closing pass after the flag swap gives them their links; otherwise every
+// with every query answered from the cells around the point's own. With a
+// closing pass (GridDBSCAN), the members of a cell holding at least MinPts
+// combined points are pre-marked core, unioned and never queried, and the
+// pass, run after the flag swap, gives them their links; with none every
 // local point is queried (HPDBSCAN).
-func gridLocal(side float64, radius int, denseCells bool) localFn {
+func gridLocal(side float64, radius int, closing closingPass) localFn {
 	return func(set *geom.PointSet, eps float64, minPts, localCount int, halo core.Halo) *core.LocalResult {
 		combined, n := set.Points(), set.Len()
 		var steps core.StepTimes
@@ -70,7 +75,7 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 		var skip []bool
 		steps.TreeConstruction = timed(func() {
 			grid = dbscan.BuildGrid(combined, side)
-			if !denseCells {
+			if closing == nil {
 				return
 			}
 			skip = make([]bool, n)
@@ -107,29 +112,68 @@ func gridLocal(side float64, radius int, denseCells bool) localFn {
 			})
 		})
 
-		// The dense-cell cores never queried, so once the flags are exact
-		// they link up by targeted distance checks (the grid analogue of
-		// μDBSCAN's Algorithm 7) to every core in reach, halo copies
-		// included. A non-core local point in reach found them in its own
-		// query.
-		var closing func()
-		if denseCells {
-			closing = func() {
-				for i := 0; i < localCount; i++ {
-					if !skip[i] {
-						continue
-					}
-					p := combined[i]
-					grid.VisitNeighborCells(grid.Cell[i], radius, func(members []int32) {
-						for _, q := range members {
-							if isCore[q] && !uf.Same(i, int(q)) && kern(p, combined[q]) < eps2 {
-								uf.Union(i, int(q))
-							}
-						}
-					})
-				}
+		var links func()
+		if closing != nil {
+			links = func() {
+				closing(denseLinks{grid: grid, pts: combined, isCore: isCore, uf: uf,
+					localCount: localCount, minPts: minPts, radius: radius, eps2: eps2, kern: kern})
 			}
 		}
-		return classicResult(uf, isCore, &h, steps, halo, closing)
+		return classicResult(uf, isCore, &h, steps, halo, links)
+	}
+}
+
+// denseLinks is what GridDBSCAN-D's closing pass reads: the rank's grid over
+// its combined points (local rows first, then halo copies), the exact core
+// flags after the swap, and the union-find the loop left.
+type denseLinks struct {
+	grid       *dbscan.Grid
+	pts        []geom.Point
+	isCore     []bool
+	uf         *unionfind.UF
+	localCount int
+	minPts     int
+	radius     int
+	eps2       float64
+	kern       geom.DistSqKernel
+}
+
+// closingPass links the dense cells' cores, which never queried, to every
+// core within ε once the flags are exact.
+type closingPass func(denseLinks)
+
+// linkDenseCells is GridDBSCAN-D's closing pass, the grid analogue of
+// μDBSCAN's Algorithm 7: targeted distance checks from the dense cells to
+// every core in reach, halo copies included. A non-core local point in reach
+// found them in its own query. A dense cell's members share one component
+// since the grid was built, so the pass goes cell by cell, not point by
+// point: each dense cell with a local member enumerates its neighbor cells
+// once, and a core there that is not yet in the cell's component is unioned
+// with the first local member within ε of it, if any. That is the edge set
+// of every local member's own pass, less the edges that join nothing new.
+func linkDenseCells(l denseLinks) {
+	for c, members := range l.grid.Members {
+		if len(members) < l.minPts || int(members[0]) >= l.localCount {
+			continue
+		}
+		// A cell lists its points in id order, so the local ones come first.
+		local := members
+		for int(local[len(local)-1]) >= l.localCount {
+			local = local[:len(local)-1]
+		}
+		head := int(members[0])
+		l.grid.VisitNeighborCells(int32(c), l.radius, func(others []int32) {
+			for _, q := range others {
+				if !l.isCore[q] || l.uf.Same(head, int(q)) {
+					continue
+				}
+				for _, i := range local {
+					if l.kern(l.pts[i], l.pts[q]) < l.eps2 {
+						l.uf.Union(int(i), int(q))
+						break
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -170,7 +169,8 @@ func TestMergeExcludesStragglerWait(t *testing.T) {
 			return algo(set, eps, minPts, localCount, halo)
 		}
 	}
-	grid := gridLocal(eps/math.Sqrt(3)*(1-1e-12), 2, true) // GridDBSCAN-D's at d = 3
+	side, radius := denseGrid(eps, 3)
+	grid := gridLocal(side, radius, linkDenseCells) // GridDBSCAN-D's at d = 3
 	for _, arm := range []struct {
 		name            string
 		algo, straggler localFn

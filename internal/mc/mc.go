@@ -108,6 +108,7 @@ type Index struct {
 	// member. One flat slice per Index.
 	CenterDist []float64
 
+	radius  []float64      // per MC: the largest CenterDist among its members, 0 for a singleton
 	mcs     []microCluster // NumMCs()+1 records
 	members []int32        // per MC: the centre, then its members in the order the scan assigned them
 	reach   []int32        // per MC: the MCs with centres within 3ε, ascending
@@ -151,6 +152,12 @@ func (ix *Index) Restore() {
 func (ix *Index) CenterDistSq(dst []float64, p geom.Point, ids []int32, limit float64) []float64 {
 	return geom.AppendDistSqGathered(dst, ids, ix.centers.Data(), ix.Dim, p, limit)
 }
+
+// Radius returns the radius of micro-cluster k: the largest CenterDist among
+// its members, 0 for a singleton. Every member lies within it of the centre,
+// so a point whose distance to the centre exceeds it by some bound is farther
+// than that bound from every member.
+func (ix *Index) Radius(k int) float64 { return ix.radius[k] }
 
 // Members returns the ids of micro-cluster k's points; Members(k)[0] is
 // always the centre. The slice is a view into the Index: read-only.
@@ -266,8 +273,9 @@ func build(set *geom.PointSet, eps float64, minPts int, opts Options, dir center
 }
 
 // finalize turns the scan's outcome — PointMC, the centres in creation order
-// and the deferred points — into the Index: member lists, centre distances,
-// the block in leaf order under the aux trees, and reachable lists.
+// and the deferred points — into the Index: member lists, centre distances
+// and radii, the block in leaf order under the aux trees, and reachable
+// lists.
 func (ix *Index) finalize(centers, deferred []int32) {
 	n, m := ix.Points.Len(), len(centers)
 	ix.mcs = make([]microCluster, m+1)
@@ -330,8 +338,9 @@ func (ix *Index) finalize(centers, deferred []int32) {
 		packers[w] = ix.aux.Packer()
 	}
 
-	// Each micro-cluster's tree and its members' CenterDist are written by
-	// the one worker that takes it, so the bytes do not depend on the split.
+	// Each micro-cluster's tree, its members' CenterDist and its radius are
+	// written by the one worker that takes it, so the bytes do not depend on
+	// the split.
 	// The centre distances are taken before the pack, while the range is
 	// still in member order, by the gathered kernel over the identity list
 	// step: each sum is the kernel's for that member, wherever its row is.
@@ -340,15 +349,19 @@ func (ix *Index) finalize(centers, deferred []int32) {
 		step[j] = int32(j)
 	}
 	ix.CenterDist = make([]float64, n)
+	ix.radius = make([]float64, m)
 	toCenter := make([][]float64, workers) // per worker: the d² of one MC's members
 	par.For(workers, m, func(w, k int) {
 		z := &ix.mcs[k]
 		members := ix.Members(k)
 		rows := ix.Points.Block(int(z.members), int(z.members)+len(members))
 		toCenter[w] = geom.AppendDistSqGathered(toCenter[w][:0], step[1:len(members)], rows, ix.Dim, ix.Center(k), math.Inf(1))
+		radius := 0.0
 		for j, id := range members[1:] {
 			ix.CenterDist[id] = math.Sqrt(toCenter[w][j])
+			radius = max(radius, ix.CenterDist[id])
 		}
+		ix.radius[k] = radius
 		packers[w].Pack(z.root, z.members, len(members))
 	})
 	ix.pos = make([]int32, n)

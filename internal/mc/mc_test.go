@@ -269,6 +269,7 @@ func sameBytes(got, want *Index) error {
 		{"PointMC", got.PointMC, want.PointMC},
 		{"Points", got.Points.Data(), want.Points.Data()},
 		{"CenterDist", got.CenterDist, want.CenterDist},
+		{"radii", got.radius, want.radius},
 		{"records (centres, list starts, roots)", got.mcs, want.mcs},
 		{"members", got.members, want.members},
 		{"Reach", got.reach, want.reach},
@@ -286,8 +287,10 @@ func sameBytes(got, want *Index) error {
 
 // TestIndexIdenticalAcrossWorkers: Options.Workers decides who packs which
 // tree and who fills which list, never where anything goes, so the index is
-// the same bytes at every worker count.
+// the same bytes at every worker count. Each micro-cluster's radius is the
+// largest CenterDist among its members, 0 for a singleton.
 func TestIndexIdenticalAcrossWorkers(t *testing.T) {
+	singletons, mcs := 0, 0
 	for _, c := range []struct {
 		name   string
 		pts    []geom.Point
@@ -302,11 +305,27 @@ func TestIndexIdenticalAcrossWorkers(t *testing.T) {
 		if want.NumMCs() < 2 || len(want.reach) == 0 {
 			t.Fatalf("%s: degenerate index (m=%d)", c.name, want.NumMCs())
 		}
-		for _, workers := range []int{2, 4, 8} {
+		for k := range want.NumMCs() {
+			largest := 0.0
+			for _, id := range want.Members(k) {
+				largest = max(largest, want.CenterDist[id])
+			}
+			if len(want.Members(k)) == 1 {
+				singletons++
+			}
+			if got := want.Radius(k); got != largest || len(want.Members(k)) == 1 && got != 0 {
+				t.Fatalf("%s: MC %d of %d members has radius %v, want %v", c.name, k, len(want.Members(k)), got, largest)
+			}
+		}
+		mcs += want.NumMCs()
+		for _, workers := range []int{1, 2, 4, 8} {
 			if err := sameBytes(Build(c.pts, c.eps, c.minPts, Options{Workers: workers}), want); err != nil {
 				t.Fatalf("%s, workers=%d: %v", c.name, workers, err)
 			}
 		}
+	}
+	if singletons == 0 || singletons == mcs {
+		t.Fatalf("%d singletons of %d micro-clusters; the sets miss one kind", singletons, mcs)
 	}
 }
 
