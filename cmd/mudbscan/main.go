@@ -218,7 +218,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (retErr error
 // printRunStats writes the -stats lines of a run on one host. The first
 // line gives the input parse (read) and the run after it (time). A stream
 // run reports its window. Every other engine reports the counters (m counts
-// cells under the cell engine, micro-clusters otherwise): point-to-point
+// cells under the cell engine, micro-clusters otherwise, and deferred the
+// points step 1's scan deferred, 0 under the cell engine): point-to-point
 // distance computations next to the centre tests of steps 3 and 4, then how
 // many of the queries step 3 had to run a second time in full; and the step
 // split (the cell engine's build, adjacency, mark+connect and assign phases
@@ -236,8 +237,8 @@ func printRunStats(w io.Writer, n int, engine mudbscan.Engine, st *mudbscan.SeqS
 	if engine == mudbscan.EngineShared {
 		workers = fmt.Sprintf(" workers=%d", st.Workers)
 	}
-	fmt.Fprintf(w, "n=%d m=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d requeries=%d read=%v time=%v\n",
-		n, st.NumMCs, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, st.Requeries, read, elapsed)
+	fmt.Fprintf(w, "n=%d m=%d deferred=%d%s queries=%d saved=%d (%.2f%%) distcalcs=%d centercalcs=%d requeries=%d read=%v time=%v\n",
+		n, st.NumMCs, st.Deferred, workers, st.Queries, st.QueriesSaved, st.QuerySavedPct(), st.DistCalcs, st.CenterCalcs, st.Requeries, read, elapsed)
 	fmt.Fprintf(w, "steps: tree=%v reach=%v cluster=%v post=%v\n",
 		st.Steps.TreeConstruction, st.Steps.FindingReachable,
 		st.Steps.Clustering, st.Steps.PostProcessing)

@@ -56,9 +56,10 @@ func TestClusterFromCSVFile(t *testing.T) {
 	if labels[0] == labels[4] {
 		t.Fatal("separated squares should differ")
 	}
-	// The default engine (seq) reports the step split, as every engine but
-	// stream does.
-	if !strings.Contains(stderr.String(), "clusters=2") || !strings.Contains(stderr.String(), "steps: tree=") {
+	// The default engine (seq) reports step 1's deferred points and the step
+	// split, as every engine but stream does.
+	if !strings.Contains(stderr.String(), "clusters=2") || !strings.Contains(stderr.String(), " deferred=") ||
+		!strings.Contains(stderr.String(), "steps: tree=") {
 		t.Fatalf("stats output: %q", stderr.String())
 	}
 }

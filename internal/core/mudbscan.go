@@ -84,6 +84,9 @@ func (s StepTimes) Total() time.Duration {
 type Stats struct {
 	// NumMCs is m, the number of micro-clusters formed.
 	NumMCs int
+	// Deferred is the number of points step 1's scan deferred: no centre
+	// strictly within ε, one within 2ε (Algorithm 3's rule, §IV-B1).
+	Deferred int
 	// Queries is the number of ε-neighborhood queries executed.
 	Queries int
 	// Requeries is the number of those queries that ran twice: step 3 first
@@ -205,7 +208,7 @@ func runLocal(set *geom.PointSet, localCount int, eps float64, minPts int, opts 
 	ix := buildIndex(set, eps, minPts, opts)
 	defer ix.Restore()
 	st.Steps.TreeConstruction = time.Since(start)
-	st.NumMCs = ix.NumMCs()
+	st.NumMCs, st.Deferred = ix.NumMCs(), ix.Deferred()
 
 	// Step 2: reachable micro-cluster lists.
 	start = time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output

@@ -176,35 +176,51 @@ func Nearer(d2, best float64, id, bestID int, strict bool) bool {
 // summed bounded (BoundedDistSq's contract, distSqBounded's body written into
 // the loop) at the probe's radius, or at the running best for NearestLinked.
 
-// NearestLinked offers every row of the chain from head to the strict
+// NearestLinked offers the rows of the chain from head to the strict
 // nearest search whose running best is (best, bestID) and returns the new
-// best: a row k displaces it when Nearer(d², best, k, bestID, true).
+// best: a row k displaces it when Nearer(d², best, k, bestID, true). A row
+// that displaces it with a sum below accept ends the walk there, and the
+// third result, done, reports that; the caller knows such a row to be the
+// nearest of all (the centre grid's separation argument, internal/mc). Sums
+// are never below 0, so accept 0 offers every row.
 //
 //mulint:noalloc static twin of TestLoopKernelsZeroAllocs (kernels_test.go) and TestDirectoryProbesZeroAllocs (internal/mc)
-func NearestLinked(chain []int32, head int32, rows []float64, dim int, p []float64, best float64, bestID int) (float64, int) {
+func NearestLinked(chain []int32, head int32, rows []float64, dim int, p []float64, best float64, bestID int, accept float64) (float64, int, bool) {
 	switch dim {
 	case 1:
 		for k := head; k >= 0; k = chain[k] {
 			if d2 := distSq1(p, rows[k:]); Nearer(d2, best, int(k), bestID, true) {
 				best, bestID = d2, int(k)
+				if d2 < accept {
+					return best, bestID, true
+				}
 			}
 		}
 	case 2:
 		for k := head; k >= 0; k = chain[k] {
 			if d2 := distSq2(p, rows[2*int(k):]); Nearer(d2, best, int(k), bestID, true) {
 				best, bestID = d2, int(k)
+				if d2 < accept {
+					return best, bestID, true
+				}
 			}
 		}
 	case 3:
 		for k := head; k >= 0; k = chain[k] {
 			if d2 := distSq3(p, rows[3*int(k):]); Nearer(d2, best, int(k), bestID, true) {
 				best, bestID = d2, int(k)
+				if d2 < accept {
+					return best, bestID, true
+				}
 			}
 		}
 	case 4:
 		for k := head; k >= 0; k = chain[k] {
 			if d2 := distSq4(p, rows[4*int(k):]); Nearer(d2, best, int(k), bestID, true) {
 				best, bestID = d2, int(k)
+				if d2 < accept {
+					return best, bestID, true
+				}
 			}
 		}
 	default:
@@ -233,10 +249,13 @@ func NearestLinked(chain []int32, head int32, rows []float64, dim int, p []float
 			}
 			if Nearer(s, best, int(k), bestID, true) {
 				best, bestID = s, int(k)
+				if s < accept {
+					return best, bestID, true
+				}
 			}
 		}
 	}
-	return best, bestID
+	return best, bestID, false
 }
 
 // AnyLinked reports whether some row of the chain from head lies strictly

@@ -70,7 +70,7 @@ func TestKernelBitIdenticalToDistSq(t *testing.T) {
 				}
 			}
 			chain, head := linked(n, order)
-			if gotBest, gotID := NearestLinked(chain, head, rows, d, p, math.Inf(1), -1); gotID != bestID || gotBest != best {
+			if gotBest, gotID, _ := NearestLinked(chain, head, rows, d, p, math.Inf(1), -1, 0); gotID != bestID || gotBest != best {
 				t.Fatalf("d=%d: chain elects %d at %v, DistSq %d at %v", d, gotID, gotBest, bestID, best)
 			}
 		}
@@ -230,14 +230,14 @@ func TestBoundedKernelAgreesOnTheLimitSide(t *testing.T) {
 				if exact < limit {
 					wantBest, wantID = exact, 0
 				}
-				if best, id := NearestLinked(chain, 2, rows, d, p, limit, -1); best != wantBest || id != wantID {
+				if best, id, _ := NearestLinked(chain, 2, rows, d, p, limit, -1, 0); best != wantBest || id != wantID {
 					t.Fatalf("d=%d limit=%v: nearest %d at %v for exact %v", d, limit, id, best, exact)
 				}
 				if AnyLinked(chain, -1, rows, d, p, limit) || len(AppendWithinLinked(nil, chain, -1, rows, d, p, limit, true)) != 0 ||
 					len(AppendDistSqGathered(nil, nil, rows, d, p, limit)) != 0 {
 					t.Fatalf("d=%d: an empty chain or list found something", d)
 				}
-				if best, id := NearestLinked(chain, -1, rows, d, p, limit, -1); id != -1 || best != limit {
+				if best, id, _ := NearestLinked(chain, -1, rows, d, p, limit, -1, 0); id != -1 || best != limit {
 					t.Fatalf("d=%d: the empty chain elected %d", d, id)
 				}
 			}
@@ -310,8 +310,75 @@ func TestNearerTieRule(t *testing.T) {
 				order[i] = hits[j].id
 			}
 			chain, head := linked(10, order)
-			if best, id := NearestLinked(chain, head, rows, d, make([]float64, d), 1.5*1.5, -1); id != 2 || best != 1 {
+			if best, id, _ := NearestLinked(chain, head, rows, d, make([]float64, d), 1.5*1.5, -1, 0); id != 2 || best != 1 {
 				t.Fatalf("d=%d chain %v: elected %d at %v, want 2 at 1", d, order, id, best)
+			}
+		}
+	}
+}
+
+// TestNearestLinkedAccept: accept 0 offers every row (the tests above pass
+// 0). Over rows pairwise at least r apart — lattice points of spacing r, as
+// the micro-cluster centres are — and probes up to 0.6r from one of them, an
+// accept up to (0.49r)² changes neither the best nor its id, and done
+// reports exactly a winner whose completed sum is below accept. The walk
+// ends at that row: a copy of the probe filed right behind it, which would
+// win if it were tested, is not. A row that does not displace the running
+// best ends nothing, below accept or not.
+func TestNearestLinkedAccept(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const r, n = 0.75, 24
+	accept := (0.49 * r) * (0.49 * r)
+	for d := 1; d <= 16; d++ {
+		rows := make([]float64, 0, (n+1)*d)
+		for len(rows) < n*d {
+			row := make([]float64, d)
+			for j := range row {
+				row[j] = float64(rng.Intn(41)-20) * r
+			}
+			fresh := true
+			for k := 0; k < len(rows)/d && fresh; k++ {
+				fresh = DistSq(row, rows[k*d:(k+1)*d]) >= r*r
+			}
+			if fresh {
+				rows = append(rows, row...)
+			}
+		}
+		for trial := 0; trial < 60; trial++ {
+			c := rng.Intn(n)
+			p := append([]float64(nil), rows[c*d:(c+1)*d]...)
+			off := randVec(rng, d)
+			scale := rng.Float64() * 0.6 * r / math.Sqrt(DistSq(off, make([]float64, d)))
+			for j := range p {
+				p[j] += off[j] * scale
+			}
+			order := rng.Perm(n)
+			chain, head := linked(n+1, order)
+			best, id, done := NearestLinked(chain, head, rows, d, p, r*r, -1, 0)
+			if done || id < 0 {
+				t.Fatalf("d=%d: accept 0 ended the walk (done=%v) or found nothing (%d)", d, done, id)
+			}
+			accepts := []float64{accept}
+			if best < accept {
+				accepts = append(accepts, best, math.Nextafter(best, math.Inf(1)))
+			}
+			for _, a := range accepts {
+				gotBest, gotID, gotDone := NearestLinked(chain, head, rows, d, p, r*r, -1, a)
+				if gotBest != best || gotID != id || gotDone != (best < a) {
+					t.Fatalf("d=%d accept=%v: (%v, %d, done=%v), full walk (%v, %d)", d, a, gotBest, gotID, gotDone, best, id)
+				}
+				if !gotDone {
+					continue
+				}
+				at := slices.Index(order, id)
+				behind := slices.Concat(order[:at+1], []int{n}, order[at+1:])
+				chain, head := linked(n+1, behind)
+				if gotBest, gotID, _ := NearestLinked(chain, head, append(rows, p...), d, p, r*r, -1, a); gotBest != best || gotID != id {
+					t.Fatalf("d=%d accept=%v: the walk went past the accepted row %d to (%v, %d)", d, a, id, gotBest, gotID)
+				}
+			}
+			if _, _, done := NearestLinked(chain, head, rows, d, p, best, id, accept); done {
+				t.Fatalf("d=%d: no row displaced the best %d, yet the walk was accepted", d, id)
 			}
 		}
 	}
@@ -337,7 +404,7 @@ func TestLoopKernelsZeroAllocs(t *testing.T) {
 		hits, d2 := make([]int, 0, n), make([]float64, 0, n)
 		found := 0
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, id := NearestLinked(chain, head, rows, d, p, r2, -1); id >= 0 {
+			if _, id, _ := NearestLinked(chain, head, rows, d, p, r2, -1, 0); id >= 0 {
 				found++
 			}
 			if AnyLinked(chain, head, rows, d, p, r2) {

@@ -15,7 +15,11 @@ import (
 // served it.
 type centerDirectory interface {
 	// nearest returns the micro-cluster whose centre is closest to p among
-	// those strictly within r, ties to the smaller id.
+	// those strictly within r, ties to the smaller id. The centres must be
+	// pairwise at least r apart — every kernel sum between two of them at
+	// least fl(r²) — as Algorithm 3's scan leaves them at r = ε: the grid
+	// stops at a centre that separation proves nearest. nearest may update
+	// the directory (the grid's hints), so it is for one goroutine at a time.
 	nearest(p geom.Point, r float64) (mcID int, ok bool)
 	// any reports whether some centre lies strictly within r of p.
 	any(p geom.Point, r float64) bool
@@ -54,7 +58,13 @@ type centerDirectory interface {
 // 0.55 s: the cell side, not the dimension, is what hurts.) The worst case is
 // data whose first gridAxes coordinates do not vary: every centre lands in
 // one cell and a probe scans them all — GalaxyLike(100000, 3, 5) behind four
-// zero axes, 7.7 s → 6.6 s, a scan either way.
+// zero axes, 7.7 s → 6.6 s, a scan either way. Step 1 before → after
+// nearest's hints and accept bound (see gridDirectory; BuildSet in file
+// order, medians of 16 paired runs of 6 builds, 2 vCPUs):
+//
+//	d = 14  BioLike(14500, 14, 1), ε = 600, m = 718   49.4 ms → 32.2 ms
+//	d = 2, 3, 5: GeoTraceDrift(100000, 1), ε = 0.5, and the GalaxyLike and
+//	HouseholdLike rows above                          within run-to-run spread
 const gridAxes = 4
 
 // gridSide is the cell side in units of ε: the diameter of the wider probe
@@ -111,6 +121,25 @@ type gridSlot struct {
 // tests the whole chain in one loop over the centre rows; above gridAxes it
 // gives up on a centre at the first block of four coordinates that puts it
 // out of reach.
+//
+// nearest first tests the last two distinct centres it returned (hints)
+// while the last centre it returned was one of them: where the input
+// arrives with spatial locality one of them is the likely answer, and the
+// smaller running best it seeds makes the chains' bounded sums exit sooner;
+// where it does not (GalaxyLike, HouseholdLike), they are skipped after one
+// miss instead of costing two tests on every probe. It stops — hints or
+// walk — at the first winner whose sum is below acceptBound(r), fl(0.49r)².
+// Algorithm 3 makes a centre
+// only where no centre lies strictly within ε, so any two centres c, c' have
+// a kernel sum of at least fl(ε²). Let γ, about (d+2)·2⁻⁵³, bound a sum's
+// relative rounding. A probe p with sum(p, c) < fl(0.49ε)² is then less
+// than 0.49ε(1 + γ) from c, and c' is at least ε(1 − γ) from c, so more
+// than 0.51ε − 1.49γε from p: sum(p, c') > 0.2601ε²(1 − 7γ), which for any
+// γ below 1 % exceeds 0.2401ε²(1 + γ) > sum(p, c). c is strictly the
+// nearest, whatever the ids, with a margin of 0.02ε² against rounding of
+// order γε². The relative bound needs fl(ε²) finite and normal (a term that
+// underflows errs by at most 2⁻¹⁰⁷⁴, nothing beside a normal ε²; one that
+// overflows only lies farther), so acceptBound is 0, off, everywhere else.
 type gridDirectory struct {
 	axes    int // keyed axes, min(d, gridAxes)
 	side    float64
@@ -119,6 +148,8 @@ type gridDirectory struct {
 	slots   []gridSlot     // len is a power of two, at most half occupied
 	shift   uint           // 32 − log2(len(slots)): a slot index is the hash's top bits
 	cells   int            // occupied slots
+	hints   [2]int32       // the last two distinct centres nearest returned, newest first; −1 while unset
+	local   bool           // the last centre nearest returned was a hint: try them first
 }
 
 // newDirectory returns the centre directory: the hashed grid, at every
@@ -128,6 +159,7 @@ func newDirectory(dim int, eps float64) *gridDirectory {
 		axes:    min(dim, gridAxes),
 		side:    gridSide * eps,
 		centers: geom.NewPointSet(dim, 0),
+		hints:   [2]int32{-1, -1},
 	}
 	g.resize(1 << 6)
 	return g
@@ -243,18 +275,69 @@ func (g *gridDirectory) next(w *boxWalk) bool {
 	return false
 }
 
+// acceptFrac is nearest's accept radius in units of r. Below 1/2 the
+// separation argument holds up to rounding (see gridDirectory); 0.49 leaves
+// a margin of 0.02r² for it.
+const acceptFrac = 0.49
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// acceptBound is nearest's accept bound for radius r: fl(acceptFrac·r)²
+// where fl(r²) is finite and normal, otherwise 0, which accepts nothing.
+//
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
+func acceptBound(r float64) float64 {
+	if r2 := r * r; !(r2 >= minNormal && r2 <= math.MaxFloat64) {
+		return 0
+	}
+	a := acceptFrac * r
+	return a * a
+}
+
 //mulint:noalloc static twin of TestDirectoryProbesZeroAllocs (directory_test.go), the AllocsPerRun gate pinning 0 allocs per probe
 func (g *gridDirectory) nearest(p geom.Point, r float64) (int, bool) {
 	rows, dim := g.centers.Data(), g.centers.Dim()
-	best, bestID := r*r, -1
+	best, bestID, accept := r*r, -1, acceptBound(r)
+	for _, h := range g.hints {
+		if h < 0 || !g.local {
+			break
+		}
+		if d2 := geom.BoundedDistSq(p, rows[dim*int(h):][:dim], best); geom.Nearer(d2, best, int(h), bestID, true) {
+			best, bestID = d2, int(h)
+			if d2 < accept {
+				return g.won(bestID)
+			}
+		}
+	}
 	var w boxWalk
 	g.start(&w, p, r)
 	for more := true; more; more = g.next(&w) {
 		if head := g.slots[g.slot(&w)].head; head >= 0 {
-			best, bestID = geom.NearestLinked(g.chain, head, rows, dim, p, best, bestID)
+			var done bool
+			if best, bestID, done = geom.NearestLinked(g.chain, head, rows, dim, p, best, bestID, accept); done {
+				break
+			}
 		}
 	}
-	return bestID, bestID >= 0
+	return g.won(bestID)
+}
+
+// won is nearest's return. A centre it found becomes the newest hint, and
+// whether it already was one decides whether the next probe tries them; a
+// probe that found none changes neither.
+//
+//mulint:noalloc helper under the probes' gate (TestDirectoryProbesZeroAllocs)
+func (g *gridDirectory) won(id int) (int, bool) {
+	if id < 0 {
+		return id, false
+	}
+	c := int32(id)
+	g.local = c == g.hints[0] || c == g.hints[1]
+	if c != g.hints[0] {
+		g.hints[0], g.hints[1] = c, g.hints[0]
+	}
+	return id, true
 }
 
 //mulint:noalloc static twin of TestDirectoryProbesZeroAllocs (directory_test.go), the AllocsPerRun gate pinning 0 allocs per probe

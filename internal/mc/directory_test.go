@@ -222,6 +222,97 @@ func FuzzCenterDirectory(f *testing.F) {
 	})
 }
 
+// TestNearestStopsOnlyAtTheProvenNearest: the grid's nearest tries its two
+// hints first (while the last centre it returned was one of them) and stops
+// at a winner inside the accept bound, fl(0.49ε)²; brute force tests every
+// centre. A run of probes, each leaving its winner as the newest hint, must
+// get brute force's answer every time, and the hints must be tried where
+// they are the point of the probe:
+//   - at the accept radius from a centre and one float either side;
+//   - next to two centres exactly ε apart (a kernel sum of exactly fl(ε²),
+//     the closest two centres the scan can make), and midway between them;
+//   - where the stale hint lies within ε but another centre is nearer, so
+//     the hint must neither be accepted nor win;
+//   - where a hint lies exactly ε away and nothing is nearer: strictly
+//     outside the ball, so there is no answer.
+//
+// Then probes near random centres that the scan's rule places (none within
+// ε of another) at d = 1…14, so that the hints are whatever the previous
+// probe left.
+func TestNearestStopsOnlyAtTheProvenNearest(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for _, d := range []int{1, 2, 3, 4, 5, 8, 14} {
+		for _, eps := range []float64{1, 0.3, 600} {
+			grid, brute := newDirectory(d, eps), bruteForce(d)
+			at := func(x float64) geom.Point {
+				p := make(geom.Point, d)
+				p[0] = x
+				return p
+			}
+			// Centres 0, ε and 4ε on the first axis; 0 and ε are exactly ε
+			// apart in the kernel's sum.
+			for k, x := range []float64{0, eps, 4 * eps} {
+				grid.insert(k, at(x))
+				brute.insert(k, at(x))
+			}
+			if got, want := geom.DistSq(at(0), at(eps)), eps*eps; got != want {
+				t.Fatalf("eps=%g: centres 0 and ε sum to %v, not fl(ε²) = %v", eps, got, want)
+			}
+			a := acceptFrac * eps
+			if got := geom.DistSq(at(a), at(0)); got != acceptBound(eps) {
+				t.Fatalf("eps=%g: the probe at the accept radius sums to %v, accept is %v", eps, got, acceptBound(eps))
+			}
+			probes := []float64{
+				a, math.Nextafter(a, 0), math.Nextafter(a, math.Inf(1)), // the accept radius from centre 0
+				-a, eps - a, math.Nextafter(eps-a, 0), eps + a, // from centre 0's far side, and from ε
+				0.1 * eps, 0.6 * eps, // the stale hint 0 is within ε, centre ε is nearer
+				0.5 * eps, 0.9 * eps, eps, // midway between two centres ε apart (ties to 0), then next to ε
+				2 * eps, // centre ε, the newest hint, lies exactly ε away: no answer
+				0, -eps, // hint 0 exactly ε away: no answer
+				4.4 * eps, 3.6 * eps, 1.4 * eps,
+			}
+			tried := map[float64]bool{0.6 * eps: true, 2 * eps: true, -eps: true}
+			for _, x := range probes {
+				if tried[x] && !grid.local {
+					t.Fatalf("d=%d eps=%g probe %g: the hints %v are not tried", d, eps, x, grid.hints)
+				}
+				gotID, gotOK := grid.nearest(at(x), eps)
+				if wantID, wantOK := brute.nearest(at(x), eps); gotID != wantID || gotOK != wantOK {
+					t.Fatalf("d=%d eps=%g probe %g (hints %v): nearest %d/%v, brute force %d/%v",
+						d, eps, x, grid.hints, gotID, gotOK, wantID, wantOK)
+				}
+			}
+
+			// Centres placed by the scan's rule, probed at up to ε from a
+			// random one.
+			grid, brute = newDirectory(d, eps), bruteForce(d)
+			var centres []geom.Point
+			for tries := 0; tries < 200; tries++ {
+				c := make(geom.Point, d)
+				for j := range c {
+					c[j] = (rng.Float64()*8 - 4) * eps
+				}
+				if _, ok := brute.nearest(c, eps); !ok {
+					grid.insert(len(centres), c)
+					brute.insert(len(centres), c)
+					centres = append(centres, c)
+				}
+			}
+			for trial := 0; trial < 400; trial++ {
+				p := centres[rng.Intn(len(centres))].Clone()
+				scale := rng.Float64() * eps / math.Sqrt(float64(d))
+				for j := range p {
+					p[j] += rng.NormFloat64() * scale
+				}
+				gotID, gotOK := grid.nearest(p, eps)
+				if wantID, wantOK := brute.nearest(p, eps); gotID != wantID || gotOK != wantOK {
+					t.Fatalf("d=%d eps=%g trial %d: nearest %d/%v, brute force %d/%v", d, eps, trial, gotID, gotOK, wantID, wantOK)
+				}
+			}
+		}
+	}
+}
+
 // TestDirectoryOutOfRangeCoordinates: coordinates the cell arithmetic cannot
 // resolve — a dataset translated by 2^54·ε, where neighbouring floats are
 // whole cells apart, and rows holding NaN or ±Inf, on a keyed axis or (at
@@ -259,7 +350,13 @@ func TestDirectoryOutOfRangeCoordinates(t *testing.T) {
 // TestDirectoryHugeEps: where p ± r overflows, the probe box is not walked
 // (it would span 2^60 cells); where the cell side itself overflows (ε =
 // MaxFloat64, +Inf), there is no box at all. Either way the probe scans the
-// centres, and the index is the one brute force builds.
+// centres, and the index is the one brute force builds. nearest's accept
+// bound is off wherever fl(ε²) overflows or is not normal, and the index is
+// still brute force's: at ε = 2^600 (ε² overflows) the hint, centre (0, 0),
+// which the two points before the probe (0.7, 0.7)·10^154 joined, is within
+// ε of it, and a second centre that the sum of two finite squares put out
+// of its reach is nearer; at subnormal and underflowing ε², on a lattice of
+// ε/2 steps.
 func TestDirectoryHugeEps(t *testing.T) {
 	pts := []geom.Point{{math.MaxFloat64, 0}, {0, 0}, {-math.MaxFloat64, 1}, {math.Ldexp(1, 969), 2}, {math.MaxFloat64, 3}, {1, 1}}
 	for _, eps := range []float64{math.Ldexp(1, 970), math.MaxFloat64, math.Inf(1)} {
@@ -267,6 +364,27 @@ func TestDirectoryHugeEps(t *testing.T) {
 		if err := sameIndex(buildWith(pts, eps, 2, Options{}, nil), want); err != nil {
 			t.Fatalf("eps=%g: %v", eps, err)
 		}
+	}
+	rng := rand.New(rand.NewSource(1022))
+	for _, c := range []struct {
+		pts []geom.Point
+		eps float64
+	}{
+		{[]geom.Point{{0, 0}, {1.2e154, 1.2e154}, {1, 0}, {2, 0}, {0.7e154, 0.7e154}}, math.Ldexp(1, 600)},
+		{epsLattice(rng, 300, 2, math.Ldexp(1, -520)), math.Ldexp(1, -520)},   // ε² = 2^-1040, subnormal
+		{epsLattice(rng, 300, 3, math.Ldexp(1, -1060)), math.Ldexp(1, -1060)}, // ε subnormal, ε² underflows to 0
+	} {
+		if acceptBound(c.eps) != 0 {
+			t.Fatalf("eps=%g: accept bound %v, want 0 (off)", c.eps, acceptBound(c.eps))
+		}
+		dim := len(c.pts[0])
+		want := buildWith(c.pts, c.eps, 2, Options{}, bruteForce(dim))
+		if err := sameIndex(buildWith(c.pts, c.eps, 2, Options{}, nil), want); err != nil {
+			t.Fatalf("eps=%g: %v", c.eps, err)
+		}
+	}
+	if acceptBound(math.Ldexp(1, -511)) == 0 || acceptBound(math.Ldexp(1, 511)) == 0 {
+		t.Fatal("accept bound off where ε² is finite and normal")
 	}
 }
 
@@ -373,20 +491,24 @@ func TestIndexHoldsOneCentreStructure(t *testing.T) {
 }
 
 // countingDirectory is the grid with a tally of the centres its probes test:
-// every centre on the chains of a probe's box, up to the first hit for any.
+// for nearest, its hints where it tries them and then the chains of its box
+// up to the winner it accepts; for any, the chains up to the first hit; for
+// within, every centre on the chains of its box.
 type countingDirectory struct {
 	*gridDirectory
 	probes, tested int
 }
 
-func (c *countingDirectory) count(p geom.Point, r float64, stopAtHit bool) {
+// walk offers the centres on the chains of the box of (p, r) to test, in the
+// grid's order, until test returns true.
+func (c *countingDirectory) walk(p geom.Point, r float64, test func(k int) bool) {
 	c.probes++
 	var w boxWalk
 	c.start(&w, p, r)
 	for more := true; more; more = c.next(&w) {
 		for k := c.slots[c.slot(&w)].head; k >= 0; k = c.chain[k] {
 			c.tested++
-			if stopAtHit && geom.DistSq(p, c.centers.Point(int(k))) < r*r {
+			if test(int(k)) {
 				return
 			}
 		}
@@ -394,17 +516,41 @@ func (c *countingDirectory) count(p geom.Point, r float64, stopAtHit bool) {
 }
 
 func (c *countingDirectory) nearest(p geom.Point, r float64) (int, bool) {
-	c.count(p, r, false)
-	return c.gridDirectory.nearest(p, r)
+	best, bestID, accept := r*r, -1, acceptBound(r)
+	test := func(k int) bool {
+		d2 := geom.DistSq(p, c.centers.Point(k))
+		if !geom.Nearer(d2, best, k, bestID, true) {
+			return false
+		}
+		best, bestID = d2, k
+		return d2 < accept
+	}
+	accepted := false
+	for _, h := range c.hints {
+		if h < 0 || !c.local || accepted {
+			break
+		}
+		c.tested++
+		accepted = test(int(h))
+	}
+	if accepted {
+		c.probes++
+	} else {
+		c.walk(p, r, test)
+	}
+	if id, _ := c.gridDirectory.nearest(p, r); id != bestID {
+		panic(fmt.Sprintf("the tally elected centre %d, the grid %d", bestID, id))
+	}
+	return bestID, bestID >= 0
 }
 
 func (c *countingDirectory) any(p geom.Point, r float64) bool {
-	c.count(p, r, true)
+	c.walk(p, r, func(k int) bool { return geom.DistSq(p, c.centers.Point(k)) < r*r })
 	return c.gridDirectory.any(p, r)
 }
 
 func (c *countingDirectory) within(p geom.Point, r float64, closed bool, dst []int) []int {
-	c.count(p, math.Nextafter(r, math.Inf(1)), false)
+	c.walk(p, math.Nextafter(r, math.Inf(1)), func(int) bool { return false })
 	return c.gridDirectory.within(p, r, closed, dst)
 }
 
@@ -419,7 +565,9 @@ func (c *countingDirectory) perProbe() float64 {
 // centre grid — the Build (Algorithm 3's scan, the deferred pass and the
 // finalize work, SkipReachable) and the reachable lists (ComputeReachable) —
 // on a low-d and a high-d workload, and reports the centres each phase's
-// probes test, counted on an untimed build.
+// probes test, counted on an untimed build (a nearest probe's hints count
+// whether or not its walk tests them again). BuildSet reorders the block, so
+// each build puts it back, untimed, for the next.
 func BenchmarkCentreDirectory(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -437,10 +585,14 @@ func BenchmarkCentreDirectory(b *testing.B) {
 		perProbe := map[string]float64{"Build": counter.perProbe()}
 		ix.ComputeReachable()
 		perProbe["ComputeReachable"] = counter.perProbe()
+		ix.Restore()
 
 		b.Run(c.name+"/Build", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				BuildSet(set, c.eps, c.minPts, opts)
+				ix := BuildSet(set, c.eps, c.minPts, opts)
+				b.StopTimer() // every build scans the points in their given order
+				ix.Restore()
+				b.StartTimer()
 			}
 			b.ReportMetric(perProbe["Build"], "centres/probe")
 		})

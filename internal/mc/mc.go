@@ -117,10 +117,16 @@ type Index struct {
 	dir     centerDirectory
 	centers *geom.PointSet // the directory's centre rows: row k is MC k's centre
 	opts    Options
+
+	deferred int // points Algorithm 3's scan deferred
 }
 
 // NumMCs returns m, the number of micro-clusters.
 func (ix *Index) NumMCs() int { return len(ix.mcs) - 1 }
+
+// Deferred returns the number of points Algorithm 3's scan deferred (no
+// centre strictly within ε, one within 2ε) to its pass after the scan.
+func (ix *Index) Deferred() int { return ix.deferred }
 
 // CenterID returns the id of micro-cluster k's centre point.
 func (ix *Index) CenterID(k int) int { return int(ix.mcs[k].center) }
@@ -261,6 +267,7 @@ func build(set *geom.PointSet, eps float64, minPts int, opts Options, dir center
 		newMC(i)
 	}
 	// The deferred pass runs once every point has been scanned.
+	ix.deferred = len(unassigned)
 	for _, i := range unassigned {
 		if mcID, ok := dir.nearest(ix.Points.Point(int(i)), eps); ok {
 			ix.PointMC[i] = int32(mcID)

@@ -188,6 +188,39 @@ func TestNoDeferralProducesMoreMCs(t *testing.T) {
 	}
 }
 
+// TestDeferredCount: Deferred counts the points Algorithm 3's scan put off —
+// those with no centre strictly within ε when scanned but one within 2ε —
+// as a scan over brute-force centre lists counts them; NoDeferral defers
+// none.
+func TestDeferredCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range []int{1, 2, 5} {
+		const eps = 0.5
+		pts := randPoints(rng, 1500, d, 8)
+		var centres []geom.Point
+		want := 0
+		for _, p := range pts {
+			near, wide := false, false
+			for _, c := range centres {
+				near = near || geom.DistSq(p, c) < eps*eps
+				wide = wide || geom.DistSq(p, c) < 4*eps*eps
+			}
+			switch {
+			case wide && !near:
+				want++
+			case !wide:
+				centres = append(centres, p)
+			}
+		}
+		if got := Build(pts, eps, 5, Options{}).Deferred(); got != want || want == 0 {
+			t.Fatalf("d=%d: %d points deferred, the scan defers %d", d, got, want)
+		}
+		if got := Build(pts, eps, 5, Options{NoDeferral: true}).Deferred(); got != 0 {
+			t.Fatalf("d=%d: NoDeferral deferred %d points", d, got)
+		}
+	}
+}
+
 func TestBuildValidation(t *testing.T) {
 	for _, c := range []struct {
 		name string
