@@ -62,7 +62,7 @@ func run(w io.Writer, n, ranks int) error {
 	}
 	fmt.Fprintf(w, "μDBSCAN-D on %d ranks: %d groups, halo copies exchanged: %d, comm: %d KiB, wall-clock: %v\n",
 		distStats.Ranks, distRes.NumClusters, distStats.HaloPoints,
-		(distStats.Comm.TotalBytes()+distStats.MergeBytes)/1024, distStats.WallClock)
+		distStats.Comm.TotalBytes()/1024, distStats.WallClock)
 	if distRes.NumClusters != seq.NumClusters {
 		return fmt.Errorf("exactness violated: %d vs %d groups", distRes.NumClusters, seq.NumClusters)
 	}

@@ -11,7 +11,8 @@
 //	→ ε-extended halo exchange
 //	→ rank-local clustering (algorithm-specific), which swaps exact core
 //	  flags with the owners of its halo copies once its own are exact
-//	→ merge: local components become global union edges.
+//	→ merge: local components become global union edges, which every
+//	  rank but 0 ships to rank 0, and rank 0 applies them all (gather).
 //
 // The merge needs no ε-neighborhood queries, matching §V-C, and it is the
 // same for every algorithm: each rank's components, which already hold every
@@ -26,19 +27,21 @@
 //
 // The paper runs on a 32-node MPI cluster. Here the same pipeline runs under
 // one of three schedules, which differ only in whether compute sections pass
-// a turnstile and where a rank's owned core flags and union edges go (its
-// sinks). Under every schedule a rank runs its local clustering once, over
-// its local points and the halo together, after the exchange has completed:
+// a turnstile and in the mpi world the ranks live in. Under every schedule a
+// rank runs its local clustering once, over its local points and the halo
+// together, after the exchange has completed, and the merge is one gather:
+// each rank but 0 sends its contribution to rank 0, which applies its own
+// and then each peer's into one union-find.
 //
 //   - ExecConcurrent (default): every rank is a goroutine over the mpi
-//     runtime, no turnstile, and the sinks write straight into one shared
-//     lock-free union-find. This schedule turns host cores into real
-//     wall-clock speedup (Stats.WallClock).
+//     runtime and there is no turnstile. This schedule turns host cores into
+//     real wall-clock speedup (Stats.WallClock).
 //
 //   - ExecSerial: the same goroutines behind a shared turnstile. All
 //     communication is real, but a barrier holds every rank until all halos
-//     have landed, and from there each compute section runs with the
-//     turnstile held, one rank at a time — the standard methodology
+//     have landed, and from there each compute section — local clustering,
+//     merge edges, rank 0's decode and apply of each contribution — runs
+//     with the turnstile held, one rank at a time: the standard methodology
 //     for simulating distributed execution on a single machine. Reported
 //     parallel time for a phase is the maximum over ranks, so speedup curves
 //     reflect the algorithmic behaviour (including the superlinear effect of
@@ -46,7 +49,7 @@
 //     Section VI tables use this schedule.
 //
 //   - Options.Remote: this process is one rank of a multi-process world over
-//     real sockets; the sinks fill a payload that is gathered at rank 0.
+//     real sockets, with no turnstile.
 //
 // The turnstile cannot deadlock: it is held only around computation, never
 // across a Recv, a Wait or a Barrier. The flag swap steps out of it
@@ -57,10 +60,10 @@
 //
 // All schedules produce byte-identical clusterings, and the conformance
 // tests assert it. Each rank's local result is computed by the same code over
-// the same point order and the exact flags land in the same halo slots; the
-// global union structure is order-insensitive, and FromUnionLabels numbers
-// clusters by first appearance in point order, independent of union-find
-// representatives — so who applies which edge when cannot matter.
+// the same point order and the exact flags land in the same halo slots; rank
+// 0 applies the same contributions in the same order, and FromUnionLabels
+// numbers clusters by first appearance in point order, independent of
+// union-find representatives.
 package dist
 
 import (
@@ -118,11 +121,6 @@ type Options struct {
 	Remote *Remote
 }
 
-// mpiOptions maps the communication-relevant options onto the runtime.
-func (o Options) mpiOptions() mpi.Options {
-	return mpi.Options{Transport: o.Transport, Retry: o.Retry}
-}
-
 // ErrRankLost is wrapped into the error returned when a rank exhausts the
 // retry budget without acknowledgment — the graceful-degradation
 // signal that a simulated peer died. Test with errors.Is(err, ErrRankLost);
@@ -152,7 +150,8 @@ func commFailure(err error, st *Stats, comm mpi.Stats) (*clustering.Result, *Sta
 // is the communication volume (Stats.Comm, Stats.MergeBytes). The other
 // phases are computation only — the time a rank spends in the flag swap
 // waiting for a slower rank's flags is in none of them, and Merge is the
-// time spent building and applying edges — and under ExecSerial they are
+// time spent building edges and, on rank 0, decoding and applying every
+// rank's contribution, but not waiting for them — and under ExecSerial they are
 // contention-free as well. The four local steps are the rank-local run's own
 // StepTimes.
 type PhaseTimes struct {
@@ -182,13 +181,15 @@ type Stats struct {
 	// HaloPoints is the total number of halo copies exchanged.
 	HaloPoints int64
 	// Comm is what the mpi runtime carried, under every schedule: the
-	// partition and halo collectives and the flag swap's messages (one byte
-	// per halo copy, so those bytes are in MergeBytes too). In a remote world
-	// it is this process's share only.
+	// partition and halo collectives, the flag swap's messages and the
+	// merge gather's payloads. It already holds everything MergeBytes
+	// counts, so the two are not to be added. In a remote world it is this
+	// process's share only.
 	Comm mpi.Stats
-	// MergeBytes is the merge-phase traffic in bytes: the flags, plus 16
-	// bytes per union edge, accounted analytically because only the remote
-	// schedule ships edges.
+	// MergeBytes is the merge-phase traffic the algorithm needs, in bytes:
+	// the flags, plus 16 bytes per union edge, accounted analytically. The
+	// gather ships the edges in a payload that also carries each rank's
+	// owned ids, core flags and report; Comm counts that payload.
 	MergeBytes int64
 	// WallClock is the real end-to-end elapsed time of the run. Under
 	// ExecConcurrent it is the quantity of interest (all ranks running
@@ -232,18 +233,47 @@ func (st *Stats) fold(o rankOut) {
 }
 
 // runDistributed runs the pipeline on p ranks under the schedule opts names
-// and returns the exact global clustering in original point order.
+// and returns the exact global clustering in original point order. Every
+// schedule runs the same per-rank function: runRank, after which ranks other
+// than 0 ship their mergeContribution to rank 0, and rank 0 gathers them all.
+// The schedules differ in the turnstile (ExecSerial) and in the world: p
+// goroutines of this process, or, with opts.Remote, this process as one rank
+// of a world over its transport. In a remote world only rank 0 returns a
+// Result and aggregates the ranks' reports; every process's Comm is its own
+// share, since no process sees another's byte counts.
 func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localFn) (*clustering.Result, *Stats, error) {
 	if len(pts) == 0 {
 		return &clustering.Result{}, &Stats{Ranks: p}, nil
 	}
 	wallStart := time.Now() //mulint:allow determinism/time stats timing; never reaches clustering output
 	st := &Stats{Ranks: p}
-	world := runInProcess
-	if opts.Remote != nil {
-		world = runNetworked
+	var turn *turnstile
+	if opts.Exec == ExecSerial && opts.Remote == nil {
+		turn = &turnstile{}
 	}
-	res, comm, err := world(pts, eps, minPts, p, opts, algo, st)
+	// Only rank 0 writes res and st; the mpi join orders the reads.
+	var res *clustering.Result
+	rank := func(c *mpi.Comm) error {
+		contrib, err := runRank(c, pts, eps, minPts, opts, algo, turn)
+		if err != nil {
+			return err
+		}
+		if c.Rank() != 0 {
+			c.Send(0, mergeTag, mpi.EncodeInt64s(contrib.encode()))
+			return nil
+		}
+		res, err = gather(c, contrib, len(pts), turn, st)
+		return err
+	}
+	var comm mpi.Stats
+	var err error
+	if r := opts.Remote; r != nil {
+		comm, err = mpi.RunRemote(mpi.RemoteOptions{
+			Rank: r.Rank, Size: p, Transport: r.Transport, Retry: opts.Retry, Linger: r.Linger,
+		}, rank)
+	} else {
+		comm, err = mpi.RunWithOptions(p, mpi.Options{Transport: opts.Transport, Retry: opts.Retry}, rank)
+	}
 	if err != nil {
 		return commFailure(err, st, comm)
 	}
@@ -252,49 +282,53 @@ func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, 
 	return res, st, nil
 }
 
-// runInProcess runs all p ranks as goroutines of this process, their sinks
-// writing straight into one shared union structure, and folds their reports
-// into st. ExecSerial is the same world behind a shared turnstile.
-func runInProcess(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localFn, st *Stats) (*clustering.Result, mpi.Stats, error) {
-	var turn *turnstile
-	if opts.Exec == ExecSerial {
-		turn = &turnstile{}
-	}
-	guf := unionfind.NewConcurrent(len(pts))
-	// globalCore is written at disjoint indices: every point is owned by
-	// exactly one rank.
-	globalCore := make([]bool, len(pts))
-	own := func(gids []int64, isCore []bool) {
-		for i, g := range gids {
-			globalCore[g] = isCore[i]
+// gather is rank 0's half of the merge, the one merge of every schedule: it
+// applies its own contribution and then each peer's, in rank order, into one
+// union-find, refusing any point id outside [0, n), and folds every rank's
+// report into st. Its waits for the peers' payloads are outside the
+// turnstile and every timer; each decode and apply is a compute section,
+// and their time is added to rank 0's Merge.
+func gather(c *mpi.Comm, own mergeContribution, n int, turn *turnstile, st *Stats) (*clustering.Result, error) {
+	uf := unionfind.New(n)
+	isCore := make([]bool, n)
+	apply := func(r int, cb mergeContribution) error {
+		for i, gid := range cb.gids {
+			if gid < 0 || gid >= int64(n) {
+				return fmt.Errorf("dist: rank %d claims out-of-range point id %d", r, gid)
+			}
+			isCore[gid] = cb.core[i]
 		}
-	}
-	union := func(edges [][2]int64) {
-		for _, e := range edges {
-			guf.Union(int(e[0]), int(e[1]))
+		for _, e := range cb.edges {
+			if e[0] < 0 || e[0] >= int64(n) || e[1] < 0 || e[1] >= int64(n) {
+				return fmt.Errorf("dist: rank %d sent out-of-range union edge (%d, %d)", r, e[0], e[1])
+			}
+			uf.Union(int(e[0]), int(e[1]))
 		}
+		return nil
 	}
-	// Each rank writes only its own slot; the mpi join orders the reads.
-	outs := make([]rankOut, p)
-	comm, err := mpi.RunWithOptions(p, opts.mpiOptions(), func(c *mpi.Comm) error {
-		var err error
-		outs[c.Rank()], err = runRank(c, pts, eps, minPts, opts, algo, turn, own, union)
-		return err
-	})
+	var err error
+	merge := turn.do(func() { err = apply(0, own) })
+	for r := 1; r < c.Size() && err == nil; r++ {
+		payload := c.Recv(r, mergeTag)
+		merge += turn.do(func() {
+			cb, ok := decodeContribution(mpi.DecodeInt64s(payload))
+			if !ok {
+				err = fmt.Errorf("dist: rank 0 got a malformed merge payload from rank %d", r)
+				return
+			}
+			if err = apply(r, cb); err == nil {
+				st.fold(cb.out)
+			}
+		})
+	}
 	if err != nil {
-		return nil, comm, err
+		return nil, err
 	}
-	for _, o := range outs {
-		st.fold(o)
-	}
-	return globalResult(guf, globalCore), comm, nil
-}
-
-// globalResult reads the clustering off the merged union structure.
-func globalResult(guf *unionfind.Concurrent, globalCore []bool) *clustering.Result {
-	comp := make([]int, len(globalCore))
+	own.out.phases.Merge += merge
+	st.fold(own.out)
+	comp := make([]int, n)
 	for i := range comp {
-		comp[i] = guf.Find(i)
+		comp[i] = uf.Find(i)
 	}
-	return clustering.FromUnionLabels(comp, globalCore)
+	return clustering.FromUnionLabels(comp, isCore), nil
 }

@@ -1,17 +1,13 @@
 package dist
 
 import (
-	"fmt"
 	"time"
 
-	"mudbscan/internal/clustering"
-	"mudbscan/internal/geom"
 	"mudbscan/internal/mpi"
-	"mudbscan/internal/unionfind"
 )
 
 // mergeTag carries each rank's merge contribution (core flags, union edges,
-// stats) to rank 0 in the remote schedule's gather-to-root merge.
+// stats) to rank 0, whose gather applies them, under every schedule.
 //
 //mulint:wire mpi-tag
 const mergeTag = -1085
@@ -32,75 +28,9 @@ type Remote struct {
 	Linger time.Duration
 }
 
-// runNetworked runs the pipeline as one rank of a multi-process world. A
-// union-find cannot be shared across processes, so the rank's sinks fill a
-// mergeContribution (owned global ids, exact core flags, union edges, its
-// rankOut) that is shipped to rank 0, which applies all of them and folds
-// the reports into st. The loopback conformance suite asserts the labels
-// byte-identical to ExecConcurrent's.
-//
-// On ranks other than 0 the returned Result is nil and st stays empty.
-// Rank 0's st aggregates all ranks; the returned Comm is this process's own,
-// since no process sees another's byte counts.
-func runNetworked(pts []geom.Point, eps float64, minPts, p int, opts Options, algo localFn, st *Stats) (*clustering.Result, mpi.Stats, error) {
-	n := len(pts)
-	var result *clustering.Result
-	comm, err := mpi.RunRemote(mpi.RemoteOptions{
-		Rank:      opts.Remote.Rank,
-		Size:      p,
-		Transport: opts.Remote.Transport,
-		Retry:     opts.Retry,
-		Linger:    opts.Remote.Linger,
-	}, func(c *mpi.Comm) error {
-		var contrib mergeContribution
-		own := func(gids []int64, isCore []bool) {
-			contrib.localCount, contrib.gids, contrib.core = len(gids), gids, isCore
-		}
-		union := func(edges [][2]int64) { contrib.edges = append(contrib.edges, edges...) }
-		var err error
-		contrib.out, err = runRank(c, pts, eps, minPts, opts, algo, nil, own, union)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 {
-			c.Send(0, mergeTag, mpi.EncodeInt64s(contrib.encode()))
-			return nil
-		}
-
-		// Rank 0: apply every rank's contribution, in rank order.
-		guf := unionfind.NewConcurrent(n)
-		globalCore := make([]bool, n)
-		for r := 0; r < p; r++ {
-			cb := contrib
-			if r != 0 {
-				var ok bool
-				cb, ok = decodeContribution(mpi.DecodeInt64s(c.Recv(r, mergeTag)))
-				if !ok {
-					return fmt.Errorf("dist: rank 0 got a malformed merge payload from rank %d", r)
-				}
-			}
-			for i := 0; i < cb.localCount; i++ {
-				gid := cb.gids[i]
-				if gid < 0 || gid >= int64(n) {
-					return fmt.Errorf("dist: rank %d claims out-of-range point id %d", r, gid)
-				}
-				globalCore[gid] = cb.core[i]
-			}
-			for _, e := range cb.edges {
-				if e[0] < 0 || e[0] >= int64(n) || e[1] < 0 || e[1] >= int64(n) {
-					return fmt.Errorf("dist: rank %d sent out-of-range union edge (%d, %d)", r, e[0], e[1])
-				}
-				guf.Union(int(e[0]), int(e[1]))
-			}
-			st.fold(cb.out)
-		}
-		result = globalResult(guf, globalCore)
-		return nil
-	})
-	return result, comm, err
-}
-
-// mergeContribution is one rank's input to the gather-to-root merge.
+// mergeContribution is one rank's input to the gather-to-root merge: its
+// owned global ids with their exact core flags, its local components as
+// union edges, and its report.
 type mergeContribution struct {
 	localCount int
 	gids       []int64

@@ -56,8 +56,10 @@ func listenWorld(t *testing.T, network string, p int) ([]net.Listener, []string)
 
 // runOverSockets executes algo as a p-rank world over real loopback sockets:
 // one goroutine per rank, each with its own transport and its own world —
-// nothing shared but the wire. Returns rank 0's result and stats.
-func runOverSockets(t *testing.T, network string, algo distAlgo, pts []geom.Point, eps float64, minPts, p int, decorate func(rank int, tr *nettrans.Transport) mpi.RemoteTransport, opts Options) (*clustering.Result, *Stats) {
+// nothing shared but the wire. Returns rank 0's result and every process's
+// stats, indexed by rank: rank 0's aggregate the world's reports, and each
+// Comm is that process's own share.
+func runOverSockets(t *testing.T, network string, algo distAlgo, pts []geom.Point, eps float64, minPts, p int, decorate func(rank int, tr *nettrans.Transport) mpi.RemoteTransport, opts Options) (*clustering.Result, []*Stats) {
 	t.Helper()
 	lns, addrs := listenWorld(t, network, p)
 	results := make([]*clustering.Result, p)
@@ -98,7 +100,7 @@ func runOverSockets(t *testing.T, network string, algo distAlgo, pts []geom.Poin
 	if results[0] == nil {
 		t.Fatal("rank 0 returned no result")
 	}
-	return results[0], stats[0]
+	return results[0], stats
 }
 
 // TestNetworkedConformance is the loopback conformance suite: every exact
@@ -157,8 +159,9 @@ func TestNetworkedStatsAggregated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got := runOverSockets(t, "tcp", MuDBSCAND, ds.pts, ds.eps, ds.minPts, 4, nil,
+	_, all := runOverSockets(t, "tcp", MuDBSCAND, ds.pts, ds.eps, ds.minPts, 4, nil,
 		Options{Seed: 7, Remote: &Remote{}})
+	got := all[0]
 	if got.Queries != want.Queries || got.NumMCs != want.NumMCs || got.HaloPoints != want.HaloPoints {
 		t.Fatalf("aggregated stats diverge: got queries=%d mcs=%d halo=%d, want %d/%d/%d",
 			got.Queries, got.NumMCs, got.HaloPoints, want.Queries, want.NumMCs, want.HaloPoints)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mudbscan/internal/clustering"
 	"mudbscan/internal/core"
 	"mudbscan/internal/dbscan"
 	"mudbscan/internal/geom"
@@ -62,9 +63,12 @@ func gauged(g *gauge, algo localFn) localFn {
 
 // TestSerialScheduleIsolation: under ExecSerial no two ranks are ever inside
 // a compute section together — not in the local clustering (through
-// runDistributed, so the Exec wiring is what is tested) and not in the sinks
-// either (runRank under a shared turnstile with gauged sinks). The same gauge
-// under ExecConcurrent sees ranks overlap, so it can tell. Run under -race.
+// runDistributed, so the Exec wiring is what is tested) and not in rank 0's
+// decode and apply either (gather under a shared turnstile, fed by peers
+// that send from inside a gauged section and linger there: a gather that
+// applied a payload outside the turnstile would return with its sender still
+// inside). The same gauge under ExecConcurrent sees ranks overlap, so it can
+// tell. Run under -race.
 func TestSerialScheduleIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := blobs(rng, 1200, 3, 4, 0.3, 0.2)
@@ -84,16 +88,31 @@ func TestSerialScheduleIsolation(t *testing.T) {
 
 		g = gauge{}
 		turn := &turnstile{}
-		own := func([]int64, []bool) {}
-		union := func([][2]int64) { g.inside(func() {}) }
+		var inside int32
+		var res *clustering.Result
 		if _, err := mpi.Run(p, func(c *mpi.Comm) error {
-			_, err := runRank(c, pts, 0.5, 5, Options{Seed: 3}, gauged(&g, muLocal), turn, own, union)
+			r := int64(c.Rank())
+			m := mergeContribution{localCount: 1, gids: []int64{r}, core: []bool{true}}
+			if r != 0 {
+				m.edges = [][2]int64{{r, r - 1}}
+				turn.do(func() {
+					c.Send(0, mergeTag, mpi.EncodeInt64s(m.encode()))
+					g.inside(func() {})
+				})
+				return nil
+			}
+			var err error
+			res, err = gather(c, m, c.Size(), turn, &Stats{})
+			inside = g.cur.Load()
 			return err
 		}); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if peak := g.peak.Load(); peak != 1 {
-			t.Errorf("p=%d shared turnstile: %d ranks inside local run or union sink at once, want 1", p, peak)
+		if res.NumClusters != 1 {
+			t.Fatalf("p=%d: gather linked the chain of %d points into %d clusters, want 1", p, p, res.NumClusters)
+		}
+		if inside != 0 {
+			t.Errorf("p=%d shared turnstile: gather returned with %d ranks inside a compute section, want 0", p, inside)
 		}
 
 		g = gauge{}
@@ -106,9 +125,12 @@ func TestSerialScheduleIsolation(t *testing.T) {
 	}
 }
 
-// TestCommParityAcrossSchedules: both in-process schedules send the same
-// messages — partition, halo and flag traffic alike — so on a clean transport
-// Stats.Comm agrees to the byte and to the message for every exact algorithm.
+// TestCommParityAcrossSchedules: every schedule sends the same messages —
+// partition, halo, flag and gather traffic alike — so on a clean transport
+// the bytes and messages each rank sent agree across both in-process
+// schedules and a loopback socket world, for every exact algorithm. In the
+// socket world each process counts only its own sends, so rank r's share is
+// read off process r.
 func TestCommParityAcrossSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := blobs(rng, 900, 3, 4, 0.3, 0.2)
@@ -121,29 +143,43 @@ func TestCommParityAcrossSchedules(t *testing.T) {
 		{"GridDBSCAN-D", GridDBSCAND},
 		{"HPDBSCAN", HPDBSCAN},
 	}
-	msgs := func(st *Stats) (n int64) {
-		for _, m := range st.Comm.MsgsSent {
-			n += m
+	const p = 4
+	sum := func(v []int64) (n int64) {
+		for _, x := range v {
+			n += x
 		}
 		return n
 	}
 	for _, al := range algos {
-		_, serial, err := al.run(pts, 0.5, 5, 4, Options{Seed: 5, Exec: ExecSerial})
+		_, serial, err := al.run(pts, 0.5, 5, p, Options{Seed: 5, Exec: ExecSerial})
 		if err != nil {
 			t.Fatalf("%s serial: %v", al.name, err)
 		}
-		_, conc, err := al.run(pts, 0.5, 5, 4, Options{Seed: 5, Exec: ExecConcurrent})
+		_, conc, err := al.run(pts, 0.5, 5, p, Options{Seed: 5, Exec: ExecConcurrent})
 		if err != nil {
 			t.Fatalf("%s concurrent: %v", al.name, err)
 		}
 		if serial.HaloPoints == 0 {
 			t.Fatalf("%s: no halo copies, the flag traffic is not exercised", al.name)
 		}
-		if s, c := serial.Comm.TotalBytes(), conc.Comm.TotalBytes(); s != c {
-			t.Errorf("%s: Comm bytes serial %d, concurrent %d (halo copies: %d)", al.name, s, c, serial.HaloPoints)
+		_, procs := runOverSockets(t, "tcp", al.run, pts, 0.5, 5, p, nil, Options{Seed: 5, Remote: &Remote{}})
+		var netBytes, netMsgs int64
+		for r, st := range procs {
+			netBytes += st.Comm.BytesSent[r]
+			netMsgs += st.Comm.MsgsSent[r]
 		}
-		if s, c := msgs(serial), msgs(conc); s != c {
-			t.Errorf("%s: Comm messages serial %d, concurrent %d", al.name, s, c)
+		for _, c := range []struct {
+			what      string
+			got, want int64
+		}{
+			{"bytes, serial vs concurrent", serial.Comm.TotalBytes(), conc.Comm.TotalBytes()},
+			{"bytes, sockets vs concurrent", netBytes, conc.Comm.TotalBytes()},
+			{"messages, serial vs concurrent", sum(serial.Comm.MsgsSent), sum(conc.Comm.MsgsSent)},
+			{"messages, sockets vs concurrent", netMsgs, sum(conc.Comm.MsgsSent)},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: Comm %s: %d vs %d (halo copies: %d)", al.name, c.what, c.got, c.want, serial.HaloPoints)
+			}
 		}
 	}
 }
@@ -201,6 +237,33 @@ func TestMergeExcludesStragglerWait(t *testing.T) {
 		}
 		if st.Phases.Merge >= delay/2 {
 			t.Errorf("%s: Phases.Merge = %v includes the wait for the straggler's flags", arm.name, st.Phases.Merge)
+		}
+	}
+}
+
+// TestGatherExcludesPeerWait: rank 0's wait for a late peer's contribution
+// is in no timer. Each peer sends its contribution a while after rank 0
+// starts gathering; rank 0's Merge counts its decode and apply alone, under
+// both in-process schedules.
+func TestGatherExcludesPeerWait(t *testing.T) {
+	const p, delay = 4, 200 * time.Millisecond
+	for _, turn := range []*turnstile{nil, {}} {
+		st := &Stats{}
+		if _, err := mpi.Run(p, func(c *mpi.Comm) error {
+			r := int64(c.Rank())
+			m := mergeContribution{localCount: 1, gids: []int64{r}, core: []bool{true}}
+			if r != 0 {
+				time.Sleep(delay)
+				c.Send(0, mergeTag, mpi.EncodeInt64s(m.encode()))
+				return nil
+			}
+			_, err := gather(c, m, p, turn, st)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if st.Phases.Merge >= delay/2 {
+			t.Errorf("turnstile %v: Phases.Merge = %v includes the wait for the peers' payloads", turn != nil, st.Phases.Merge)
 		}
 	}
 }

@@ -89,20 +89,15 @@ func decodeRankOut(s [mergeStatFields]int64) rankOut {
 
 // runRank is one rank's trip through Algorithm 9, the only spelling of it:
 // kd partitioning, ε-halo exchange, rank-local clustering with the one
-// exchange of exact halo core flags inside it, query-free merge. A schedule
-// varies its turnstile and its two sinks, and nothing else:
-//
-//   - turn: nil lets every rank compute at once; a shared turnstile (the
-//     serial simulation) holds every rank at a barrier until all halos have
-//     landed, and then runs each compute section — local clustering,
-//     merge edges — alone inside it, stepping out for the flag swap.
-//   - own receives the rank's owned global ids with their exact core flags.
-//   - union receives the rank's union edges.
-//
-// The sinks are called inside the turnstile, so under the serial schedule
-// the time they take is part of the isolated merge time.
-func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Options, algo localFn,
-	turn *turnstile, own func(gids []int64, isCore []bool), union func(edges [][2]int64)) (rankOut, error) {
+// exchange of exact halo core flags inside it, and the merge section that
+// expresses the local components as the rank's mergeContribution, which
+// every schedule gathers at rank 0 (gather). A schedule varies its
+// turnstile, and nothing else: nil lets every rank compute at once; a shared
+// turnstile (the serial simulation) holds every rank at a barrier until all
+// halos have landed, and then runs each compute section — local clustering,
+// merge edges, rank 0's decode and apply — alone inside it, stepping out for
+// the flag swap.
+func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Options, algo localFn, turn *turnstile) (mergeContribution, error) {
 	rank, p := c.Rank(), c.Size()
 	var out rankOut
 
@@ -111,7 +106,7 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 	ids, rows := partition.Scatter(rank, p, pts)
 	part, err := partition.KD(c, ids, rows, opts.SampleSize, opts.Seed)
 	if err != nil {
-		return out, err
+		return mergeContribution{}, err
 	}
 	out.phases.Partition = time.Since(t0)
 
@@ -187,7 +182,7 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 		lr = algo(set, eps, minPts, localCount, core.Halo{IDs: gids, Swap: swap})
 	})
 	if swapErr != nil {
-		return out, swapErr
+		return mergeContribution{}, swapErr
 	}
 	out.phases.StepTimes = lr.Stats.Steps
 	out.queries = int64(lr.Stats.Queries)
@@ -195,15 +190,16 @@ func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Option
 	out.numMCs = int64(lr.Stats.NumMCs)
 
 	// Phase 4: merge. The local run settled every link and owned border
-	// with the exact flags, so the merge is one compute section: the local
-	// components as global edges.
+	// with the exact flags, so the rank's share of the merge is one compute
+	// section: its owned flags, and its local components as global edges.
+	var m mergeContribution
 	out.phases.Merge = turn.do(func() {
-		own(gids[:localCount], lr.Core[:localCount])
-		edges := componentEdges(lr, gids)
-		out.mergeBytes += int64(len(edges) * 16)
-		union(edges)
+		m = mergeContribution{localCount: localCount, gids: gids[:localCount], core: lr.Core[:localCount],
+			edges: componentEdges(lr, gids)}
+		out.mergeBytes += int64(len(m.edges) * 16)
 	})
-	return out, nil
+	m.out = out
+	return m, nil
 }
 
 // inertLocalResult is the local state of a rank that owns no points:

@@ -258,68 +258,6 @@ func NearestLinked(chain []int32, head int32, rows []float64, dim int, p []float
 	return best, bestID, false
 }
 
-// AnyLinked reports whether some row of the chain from head lies strictly
-// within r2 (squared) of p. It stops at the first such row.
-//
-//mulint:noalloc static twin of TestLoopKernelsZeroAllocs (kernels_test.go) and TestDirectoryProbesZeroAllocs (internal/mc)
-func AnyLinked(chain []int32, head int32, rows []float64, dim int, p []float64, r2 float64) bool {
-	switch dim {
-	case 1:
-		for k := head; k >= 0; k = chain[k] {
-			if distSq1(p, rows[k:]) < r2 {
-				return true
-			}
-		}
-	case 2:
-		for k := head; k >= 0; k = chain[k] {
-			if distSq2(p, rows[2*int(k):]) < r2 {
-				return true
-			}
-		}
-	case 3:
-		for k := head; k >= 0; k = chain[k] {
-			if distSq3(p, rows[3*int(k):]) < r2 {
-				return true
-			}
-		}
-	case 4:
-		for k := head; k >= 0; k = chain[k] {
-			if distSq4(p, rows[4*int(k):]) < r2 {
-				return true
-			}
-		}
-	default:
-		p = p[:dim]
-	next:
-		for k := head; k >= 0; k = chain[k] {
-			row := rows[dim*int(k):][:dim]
-			var s float64
-			j := 0
-			for ; j+4 <= dim; j += 4 {
-				d0 := row[j] - p[j]
-				s += d0 * d0
-				d1 := row[j+1] - p[j+1]
-				s += d1 * d1
-				d2 := row[j+2] - p[j+2]
-				s += d2 * d2
-				d3 := row[j+3] - p[j+3]
-				s += d3 * d3
-				if s > r2 {
-					continue next
-				}
-			}
-			for ; j < dim; j++ {
-				d := row[j] - p[j]
-				s += d * d
-			}
-			if s < r2 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // AppendWithinLinked appends to dst every row k of the chain from head whose
 // squared distance to p is strictly below r2, or equal to r2 when closed, in
 // chain order.

@@ -214,8 +214,10 @@ func TestBoundedKernelAgreesOnTheLimitSide(t *testing.T) {
 						t.Fatalf("d=%d limit=%v: bounded %v is not the exact %v", d, limit, g, exact)
 					}
 				}
-				if AnyLinked(chain, 2, rows, d, p, limit) != (exact < limit) {
-					t.Fatalf("d=%d limit=%v: AnyLinked disagrees with exact %v", d, limit, exact)
+				// accept = limit is the centre grid's any probe: done says
+				// whether some row is strictly within limit.
+				if _, _, found := NearestLinked(chain, 2, rows, d, p, limit, -1, limit); found != (exact < limit) {
+					t.Fatalf("d=%d limit=%v: NearestLinked's any (accept = limit) disagrees with exact %v", d, limit, exact)
 				}
 				for _, closed := range []bool{false, true} {
 					want := []int{-1}
@@ -233,7 +235,7 @@ func TestBoundedKernelAgreesOnTheLimitSide(t *testing.T) {
 				if best, id, _ := NearestLinked(chain, 2, rows, d, p, limit, -1, 0); best != wantBest || id != wantID {
 					t.Fatalf("d=%d limit=%v: nearest %d at %v for exact %v", d, limit, id, best, exact)
 				}
-				if AnyLinked(chain, -1, rows, d, p, limit) || len(AppendWithinLinked(nil, chain, -1, rows, d, p, limit, true)) != 0 ||
+				if _, _, found := NearestLinked(chain, -1, rows, d, p, limit, -1, limit); found || len(AppendWithinLinked(nil, chain, -1, rows, d, p, limit, true)) != 0 ||
 					len(AppendDistSqGathered(nil, nil, rows, d, p, limit)) != 0 {
 					t.Fatalf("d=%d: an empty chain or list found something", d)
 				}
@@ -407,7 +409,7 @@ func TestLoopKernelsZeroAllocs(t *testing.T) {
 			if _, id, _ := NearestLinked(chain, head, rows, d, p, r2, -1, 0); id >= 0 {
 				found++
 			}
-			if AnyLinked(chain, head, rows, d, p, r2) {
+			if _, _, hit := NearestLinked(chain, head, rows, d, p, r2, -1, r2); hit {
 				found++
 			}
 			hits = AppendWithinLinked(hits[:0], chain, head, rows, d, p, r2, true)

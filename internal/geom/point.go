@@ -16,7 +16,7 @@
 //   - gathered: the rows an []int32 list names, such as a reachable list's
 //     micro-cluster centres (AppendDistSqGathered);
 //   - linked: one newest-first chain of rows, a cell of the micro-cluster
-//     centre grid (NearestLinked, AnyLinked, AppendWithinLinked).
+//     centre grid (NearestLinked, AppendWithinLinked).
 //
 // KernelFor's func-valued kernels, which Go cannot inline, and
 // BoundedDistSq are left for single-pair cold paths.

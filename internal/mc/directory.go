@@ -117,10 +117,10 @@ type gridSlot struct {
 // same.
 //
 // A probe walks its box and hands each occupied cell's chain to one geom
-// linked-rows kernel (NearestLinked, AnyLinked, AppendWithinLinked), which
-// tests the whole chain in one loop over the centre rows; above gridAxes it
-// gives up on a centre at the first block of four coordinates that puts it
-// out of reach.
+// linked-rows kernel (NearestLinked for nearest and any, AppendWithinLinked
+// for within), which tests the whole chain in one loop over the centre rows;
+// above gridAxes it gives up on a centre at the first block of four
+// coordinates that puts it out of reach.
 //
 // nearest first tests the last two distinct centres it returned (hints)
 // while the last centre it returned was one of them: where the input
@@ -346,8 +346,12 @@ func (g *gridDirectory) any(p geom.Point, r float64) bool {
 	var w boxWalk
 	g.start(&w, p, r)
 	for more := true; more; more = g.next(&w) {
-		if head := g.slots[g.slot(&w)].head; head >= 0 && geom.AnyLinked(g.chain, head, rows, dim, p, r2) {
-			return true
+		if head := g.slots[g.slot(&w)].head; head >= 0 {
+			// Under the strict rule a row displaces the initial best r² only
+			// with a sum below r², and accept = r² ends the walk right there.
+			if _, _, found := geom.NearestLinked(g.chain, head, rows, dim, p, r2, -1, r2); found {
+				return true
+			}
 		}
 	}
 	return false
