@@ -40,13 +40,13 @@
 //   - ExecSerial: the same goroutines behind a shared turnstile. All
 //     communication is real, but a barrier holds every rank until all halos
 //     have landed, and from there each compute section — local clustering,
-//     merge edges, rank 0's decode and apply of each contribution — runs
-//     with the turnstile held, one rank at a time: the standard methodology
-//     for simulating distributed execution on a single machine. Reported
-//     parallel time for a phase is the maximum over ranks, so speedup curves
-//     reflect the algorithmic behaviour (including the superlinear effect of
-//     smaller per-rank R-trees) rather than host core contention. The
-//     Section VI tables use this schedule.
+//     merge edges, a peer's encode of its payload, rank 0's decode and apply
+//     of each contribution — runs with the turnstile held, one rank at a
+//     time: the standard methodology for simulating distributed execution on
+//     a single machine. Reported parallel time for a phase is the maximum
+//     over ranks, so speedup curves reflect the algorithmic behaviour
+//     (including the superlinear effect of smaller per-rank R-trees) rather
+//     than host core contention. The Section VI tables use this schedule.
 //
 //   - Options.Remote: this process is one rank of a multi-process world over
 //     real sockets, with no turnstile.
@@ -150,10 +150,10 @@ func commFailure(err error, st *Stats, comm mpi.Stats) (*clustering.Result, *Sta
 // is the communication volume (Stats.Comm, Stats.MergeBytes). The other
 // phases are computation only — the time a rank spends in the flag swap
 // waiting for a slower rank's flags is in none of them, and Merge is the
-// time spent building edges and, on rank 0, decoding and applying every
-// rank's contribution, but not waiting for them — and under ExecSerial they are
-// contention-free as well. The four local steps are the rank-local run's own
-// StepTimes.
+// time spent building edges, encoding a peer's payload and, on rank 0,
+// decoding and applying every rank's contribution, but not waiting for them
+// — and under ExecSerial they are contention-free as well. The four local
+// steps are the rank-local run's own StepTimes.
 type PhaseTimes struct {
 	Partition    time.Duration // excluded from Total (offline, §V-D)
 	HaloExchange time.Duration // excluded from Total (see above)
@@ -259,7 +259,7 @@ func runDistributed(pts []geom.Point, eps float64, minPts, p int, opts Options, 
 			return err
 		}
 		if c.Rank() != 0 {
-			c.Send(0, mergeTag, mpi.EncodeInt64s(contrib.encode()))
+			c.Send(0, mergeTag, contrib.payload(turn))
 			return nil
 		}
 		res, err = gather(c, contrib, len(pts), turn, st)

@@ -68,6 +68,18 @@ func (m mergeContribution) encode() []int64 {
 	return out
 }
 
+// payload is a peer's merge payload for rank 0, encoded inside one compute
+// section whose time the report it carries adds to Merge: the body is
+// encoded under the timer, and the report's words, which must hold that
+// time, are written over their slots [2, 2+mergeStatFields) after it stops.
+func (m mergeContribution) payload(turn *turnstile) []byte {
+	var b []byte
+	m.out.phases.Merge += turn.do(func() { b = mpi.EncodeInt64s(m.encode()) })
+	stats := m.out.encode()
+	copy(b[8*2:], mpi.EncodeInt64s(stats[:]))
+	return b
+}
+
 // decodeContribution unpacks encode's layout, rejecting any length or count
 // mismatch instead of panicking on a damaged or truncated payload.
 func decodeContribution(v []int64) (mergeContribution, bool) {

@@ -67,8 +67,10 @@ func gauged(g *gauge, algo localFn) localFn {
 // decode and apply either (gather under a shared turnstile, fed by peers
 // that send from inside a gauged section and linger there: a gather that
 // applied a payload outside the turnstile would return with its sender still
-// inside). The same gauge under ExecConcurrent sees ranks overlap, so it can
-// tell. Run under -race.
+// inside), nor in a peer's encode of its payload (held off while another
+// rank holds the turnstile, and counted in the Merge its report carries).
+// The same gauge under ExecConcurrent sees ranks overlap, so it can tell.
+// Run under -race.
 func TestSerialScheduleIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := blobs(rng, 1200, 3, 4, 0.3, 0.2)
@@ -122,6 +124,29 @@ func TestSerialScheduleIsolation(t *testing.T) {
 		if peak := g.peak.Load(); peak < 2 {
 			t.Errorf("p=%d ExecConcurrent: gauge never saw two ranks overlap; it cannot witness isolation", p)
 		}
+	}
+
+	const n = 1 << 14
+	m := mergeContribution{localCount: n, gids: make([]int64, n), core: make([]bool, n), edges: make([][2]int64, n),
+		out: rankOut{queries: 7, phases: PhaseTimes{Merge: time.Second}}}
+	turn := &turnstile{}
+	held, release := make(chan struct{}), make(chan struct{})
+	go turn.do(func() { close(held); <-release })
+	<-held
+	sent := make(chan []byte)
+	go func() { sent <- m.payload(turn) }()
+	select {
+	case <-sent:
+		t.Fatal("a peer encoded its merge payload while another rank held the turnstile")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	got, ok := decodeContribution(mpi.DecodeInt64s(<-sent))
+	if !ok || got.localCount != n || len(got.edges) != n || got.out.queries != 7 {
+		t.Fatalf("payload decodes to %d owned, %d edges, %d queries (ok=%v)", got.localCount, len(got.edges), got.out.queries, ok)
+	}
+	if got.out.phases.Merge <= time.Second {
+		t.Errorf("payload reports Merge %v: the encode's time is not in it", got.out.phases.Merge)
 	}
 }
 

@@ -95,8 +95,8 @@ func decodeRankOut(s [mergeStatFields]int64) rankOut {
 // turnstile, and nothing else: nil lets every rank compute at once; a shared
 // turnstile (the serial simulation) holds every rank at a barrier until all
 // halos have landed, and then runs each compute section — local clustering,
-// merge edges, rank 0's decode and apply — alone inside it, stepping out for
-// the flag swap.
+// merge edges, a peer's encode of its payload, rank 0's decode and apply —
+// alone inside it, stepping out for the flag swap.
 func runRank(c *mpi.Comm, pts []geom.Point, eps float64, minPts int, opts Options, algo localFn, turn *turnstile) (mergeContribution, error) {
 	rank, p := c.Rank(), c.Size()
 	var out rankOut

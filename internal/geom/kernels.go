@@ -10,6 +10,8 @@ package geom
 // so floating-point rounding is unchanged and any clustering built on the
 // kernels is exactly the clustering built on DistSq.
 
+import "math"
+
 // DistSqKernel computes the squared Euclidean distance between two
 // coordinate vectors of a fixed, caller-guaranteed dimensionality. Unlike
 // DistSq it performs no dimension check; callers obtain one via KernelFor at
@@ -17,7 +19,7 @@ package geom
 type DistSqKernel func(p, q []float64) float64
 
 // KernelFor returns the squared-distance kernel specialized for dim:
-// hand-unrolled bodies for d ≤ 4 and a 4-way-unrolled generic loop beyond.
+// hand-unrolled bodies for d ≤ 5 and a 4-way-unrolled generic loop beyond.
 // All kernels are bit-identical to DistSq on equal-dimension inputs.
 func KernelFor(dim int) DistSqKernel {
 	switch dim {
@@ -29,6 +31,8 @@ func KernelFor(dim int) DistSqKernel {
 		return distSq3
 	case 4:
 		return distSq4
+	case 5:
+		return distSq5
 	default:
 		return distSqGeneric
 	}
@@ -64,7 +68,37 @@ func distSq4(p, q []float64) float64 {
 	return d0*d0 + d1*d1 + d2*d2 + d3*d3
 }
 
-// distSqGeneric is the fallback for dim > 4: a 4-way-unrolled scan with a
+// distSq5 is KernelFor's kernel for d = 5: BoundedDistSq with no limit, so
+// it sums a row with rowDistSq5 and always returns the full sum. Like
+// distSqGeneric it reads the width from len(p).
+//
+//mulint:noalloc pure arithmetic; runs under every *Into AllocsPerRun gate
+func distSq5(p, q []float64) float64 { return BoundedDistSq(p, q, math.Inf(1)) }
+
+// rowDistSq5 is distSqBounded's body at d = 5, for the loop kernels' case 5:
+// it sums coordinates 0…3 and adds coordinate 4 unless that sum already
+// exceeds limit, where the blocked loop looks. A kernel holds the query
+// coordinates c0…c4 in locals, which stay in registers across its rows, as
+// the d ≤ 4 leaf scans keep theirs. The sum runs in DistSq's order with one
+// accumulator, so a row comes out distSqBounded's bits, partial sums past the
+// limit included. Taking d4 before the test keeps the body under Go's
+// inlining budget (cost 76 of 80), so each loop runs it inline.
+//
+//mulint:noalloc pure arithmetic; runs under every *Into AllocsPerRun gate
+func rowDistSq5(r []float64, c0, c1, c2, c3, c4, limit float64) float64 {
+	d4 := r[4] - c4
+	d0, d1, d2, d3 := r[0]-c0, r[1]-c1, r[2]-c2, r[3]-c3
+	s := d0 * d0
+	s += d1 * d1
+	s += d2 * d2
+	s += d3 * d3
+	if s > limit {
+		return s
+	}
+	return s + d4*d4
+}
+
+// distSqGeneric is the fallback for dim > 5: a 4-way-unrolled scan with a
 // single accumulator updated in coordinate order, so the summation order —
 // and therefore the rounding — matches the simple sequential loop exactly.
 //
@@ -99,8 +133,9 @@ func distSqGeneric(p, q []float64) float64 {
 // limit (<, <=, ==, >=, >) therefore has the outcome it has with the full
 // sum; only the wasted additions go. Up to d = 4 the unrolled bodies are
 // shorter than a test inside them would be and the limit is ignored; beyond,
-// the sum checks it once per four coordinates. The loop kernels below make
-// the same promise for each row they test.
+// the sum checks it once per four coordinates (rowDistSq5 at d = 5,
+// distSqBounded's loop above that). The loop kernels below make the same
+// promise for each row they test.
 //
 //mulint:noalloc pure arithmetic; the pair test of step 4 (internal/core mergeWndqCore)
 func BoundedDistSq(p, q []float64, limit float64) float64 {
@@ -113,6 +148,8 @@ func BoundedDistSq(p, q []float64, limit float64) float64 {
 		return distSq3(p, q)
 	case 4:
 		return distSq4(p, q)
+	case 5:
+		return rowDistSq5(q, p[0], p[1], p[2], p[3], p[4], limit)
 	default:
 		return distSqBounded(p, q, limit)
 	}
@@ -120,7 +157,8 @@ func BoundedDistSq(p, q []float64, limit float64) float64 {
 
 // distSqBounded is distSqGeneric with the early exit: same single
 // accumulator, same coordinate order, so a sum it finishes is the same bits.
-// The loop kernels' d > 4 cases are this body written into their loops.
+// The loop kernels' d > 5 cases are this body written into their loops;
+// rowDistSq5 is this body at d = 5.
 //
 //mulint:noalloc pure arithmetic; runs under every *Into AllocsPerRun gate
 func distSqBounded(p, q []float64, limit float64) float64 {
@@ -173,8 +211,9 @@ func Nearer(d2, best float64, id, bestID int, strict bool) bool {
 // centres of one cell: a probe makes one call per cell of its box, and every
 // centre test of the chain runs inside the kernel, with the dimension switch
 // outside the loop and DistSq's summation order inside. Above d = 4 a row is
-// summed bounded (BoundedDistSq's contract, distSqBounded's body written into
-// the loop) at the probe's radius, or at the running best for NearestLinked.
+// summed bounded (BoundedDistSq's contract: rowDistSq5 at d = 5,
+// distSqBounded's body written into the loop beyond) at the probe's radius,
+// or at the running best for NearestLinked.
 
 // NearestLinked offers the rows of the chain from head to the strict
 // nearest search whose running best is (best, bestID) and returns the new
@@ -217,6 +256,17 @@ func NearestLinked(chain []int32, head int32, rows []float64, dim int, p []float
 	case 4:
 		for k := head; k >= 0; k = chain[k] {
 			if d2 := distSq4(p, rows[4*int(k):]); Nearer(d2, best, int(k), bestID, true) {
+				best, bestID = d2, int(k)
+				if d2 < accept {
+					return best, bestID, true
+				}
+			}
+		}
+	case 5:
+		c0, c1, c2, c3, c4 := p[0], p[1], p[2], p[3], p[4]
+		for k := head; k >= 0; k = chain[k] {
+			r := rows[5*int(k):][:5]
+			if d2 := rowDistSq5(r, c0, c1, c2, c3, c4, best); Nearer(d2, best, int(k), bestID, true) {
 				best, bestID = d2, int(k)
 				if d2 < accept {
 					return best, bestID, true
@@ -289,6 +339,14 @@ func AppendWithinLinked(dst []int, chain []int32, head int32, rows []float64, di
 				dst = append(dst, int(k))
 			}
 		}
+	case 5:
+		c0, c1, c2, c3, c4 := p[0], p[1], p[2], p[3], p[4]
+		for k := head; k >= 0; k = chain[k] {
+			r := rows[5*int(k):][:5]
+			if d2 := rowDistSq5(r, c0, c1, c2, c3, c4, r2); d2 < r2 || closed && d2 == r2 {
+				dst = append(dst, int(k))
+			}
+		}
 	default:
 		p = p[:dim]
 	next:
@@ -346,6 +404,12 @@ func AppendDistSqGathered(dst []float64, ids []int32, rows []float64, dim int, p
 	case 4:
 		for _, k := range ids {
 			dst = append(dst, distSq4(p, rows[4*int(k):]))
+		}
+	case 5:
+		c0, c1, c2, c3, c4 := p[0], p[1], p[2], p[3], p[4]
+		for _, k := range ids {
+			r := rows[5*int(k):][:5]
+			dst = append(dst, rowDistSq5(r, c0, c1, c2, c3, c4, limit))
 		}
 	default:
 		p = p[:dim]
@@ -450,6 +514,17 @@ func AppendWithinBlockDist(dst []int, dist *[]float64, ids []int, block []float6
 			d3 := block[o+3] - c3
 			d2 := d0*d0 + d1*d1 + dd2*dd2 + d3*d3
 			if d2 < r2 || (closed && d2 == r2) {
+				dst = append(dst, ids[k])
+				if dist != nil {
+					*dist = append(*dist, d2)
+				}
+			}
+		}
+	case 5:
+		c0, c1, c2, c3, c4 := center[0], center[1], center[2], center[3], center[4]
+		for k, o := 0, 0; o+5 <= len(block); k, o = k+1, o+5 {
+			r := block[o : o+5 : o+5]
+			if d2 := rowDistSq5(r, c0, c1, c2, c3, c4, r2); d2 < r2 || (closed && d2 == r2) {
 				dst = append(dst, ids[k])
 				if dist != nil {
 					*dist = append(*dist, d2)

@@ -89,7 +89,7 @@ func linked(n int, order []int) (chain []int32, head int32) {
 
 func TestAppendWithinBlockMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for d := 1; d <= 7; d++ {
+	for d := 1; d <= 16; d++ {
 		n := 300
 		block := make([]float64, n*d)
 		for i := range block {
@@ -524,5 +524,7 @@ func BenchmarkScan3D(b *testing.B)      { benchmarkScan(b, 3, false) }
 func BenchmarkScanDist3D(b *testing.B)  { benchmarkScan(b, 3, true) }
 func BenchmarkScan5D(b *testing.B)      { benchmarkScan(b, 5, false) }
 func BenchmarkScanDist5D(b *testing.B)  { benchmarkScan(b, 5, true) }
+func BenchmarkScan8D(b *testing.B)      { benchmarkScan(b, 8, false) }
+func BenchmarkScanDist8D(b *testing.B)  { benchmarkScan(b, 8, true) }
 func BenchmarkScan14D(b *testing.B)     { benchmarkScan(b, 14, false) }
 func BenchmarkScanDist14D(b *testing.B) { benchmarkScan(b, 14, true) }
